@@ -15,6 +15,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> hostbench unit tests (the measured facade still binds)"
+cargo test --offline --manifest-path hostbench/Cargo.toml
+
+echo "==> hostbench --health 50 (every workload through the correctness gate + recovery oracle)"
+cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- --health 50
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

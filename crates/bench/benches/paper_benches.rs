@@ -147,11 +147,12 @@ fn bench_substrate(c: &mut Criterion) {
 /// model capacity probe and a full `ShardedWorld` ping workload (router,
 /// capture sets, and ack gating all on the hot path).
 fn bench_shard_sweep(c: &mut Criterion) {
+    use publishing_core::WorldBuilder;
     use publishing_demos::ids::Channel;
     use publishing_demos::link::Link;
     use publishing_demos::programs::{self, PingClient};
     use publishing_demos::registry::ProgramRegistry;
-    use publishing_shard::ShardedWorld;
+    use publishing_shard::ShardTier;
 
     let mut g = c.benchmark_group("shard_sweep");
     g.sample_size(10);
@@ -171,7 +172,7 @@ fn bench_shard_sweep(c: &mut Criterion) {
                     let mut reg = ProgramRegistry::new();
                     programs::register_standard(&mut reg);
                     reg.register("ping25", || Box::new(PingClient::new(25)));
-                    let mut w = ShardedWorld::new(2, n as usize, reg);
+                    let mut w = ShardTier::world(WorldBuilder::new(2).registry(reg), n as usize);
                     let server = w.spawn(1, "echo", vec![]).unwrap();
                     let client = w
                         .spawn(0, "ping25", vec![Link::to(server, Channel::DEFAULT, 7)])

@@ -37,6 +37,7 @@
 //!   then cross an election-gate edge, attributing part of the recovery
 //!   window to the leader failover itself.
 
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::Channel;
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
@@ -44,8 +45,8 @@ use publishing_demos::registry::ProgramRegistry;
 use publishing_obs::causal::{CausalGraph, EdgeKind};
 use publishing_obs::span::{MsgKey, Stage};
 use publishing_perf::trace;
-use publishing_quorum::QuorumWorld;
-use publishing_shard::ShardedWorld;
+use publishing_quorum::{QuorumTier, QuorumWorld};
+use publishing_shard::{ShardTier, ShardedWorld};
 use publishing_sim::time::SimTime;
 
 fn registry(pings: u64) -> ProgramRegistry {
@@ -62,7 +63,7 @@ fn registry(pings: u64) -> ProgramRegistry {
 /// Runs the canonical crash/recovery scenario (crash omitted for the
 /// fault-free baseline used by `--diff`).
 fn run_scenario(pings: u64, pairs: u32, horizon: SimTime, crash: bool) -> ShardedWorld {
-    let mut w = ShardedWorld::new(3, 4, registry(pings));
+    let mut w = ShardTier::world(WorldBuilder::new(3).registry(registry(pings)), 4);
     for i in 0..pairs {
         let server = w.spawn(2, "echo", vec![]).expect("echo registered");
         w.spawn(i % 2, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
@@ -83,7 +84,7 @@ fn flow_trace(w: &ShardedWorld) -> trace::ChromeTrace {
     for (n, k) in &w.kernels {
         components.push((format!("node {n} kernel"), k.spans()));
     }
-    for (i, rn) in w.shards.iter().enumerate() {
+    for (i, rn) in w.tier.shards.iter().enumerate() {
         components.push((format!("shard {i} recorder"), rn.recorder().spans()));
     }
     trace::from_spans(&components)
@@ -109,13 +110,13 @@ fn fail(msg: &str) -> ! {
 /// starts, the leader replica dies at 250ms (forcing an election), the
 /// server node dies at 400ms (forcing a replay under the new leader).
 fn run_quorum_scenario(horizon: SimTime) -> QuorumWorld {
-    let mut w = QuorumWorld::new(2, 3, registry(10));
+    let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry(10)), 3, 0);
     let server = w.spawn(1, "echo", vec![]).expect("echo registered");
     w.spawn(0, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
         .expect("pinger registered");
     w.run_until(SimTime::from_millis(250));
-    if let Some(leader) = w.leader() {
-        w.crash_replica(leader);
+    if let Some(leader) = w.tier.leader() {
+        w.crash_member(leader);
     }
     w.run_until(SimTime::from_millis(400));
     w.crash_node(1);

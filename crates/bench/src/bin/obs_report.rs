@@ -28,6 +28,7 @@
 //!
 //! [`ObsReport`]: publishing_obs::report::ObsReport
 
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
@@ -35,8 +36,8 @@ use publishing_demos::registry::ProgramRegistry;
 use publishing_net::{Ethernet, Lan, LanConfig, StarHub, StationId, TokenRing};
 use publishing_obs::span::check_replay_prefix;
 use publishing_perf::trace;
-use publishing_quorum::QuorumWorld;
-use publishing_shard::ShardedWorld;
+use publishing_quorum::{QuorumTier, QuorumWorld};
+use publishing_shard::{ShardTier, ShardedWorld};
 use publishing_sim::time::{SimDuration, SimTime};
 
 fn registry(pings: u64) -> ProgramRegistry {
@@ -59,10 +60,11 @@ fn run_scenario(
     medium: Option<Box<dyn Lan>>,
 ) -> (ShardedWorld, Vec<ProcessId>) {
     let reg = registry(pings);
-    let mut w = match medium {
-        Some(m) => ShardedWorld::with_medium(3, 4, reg, m),
-        None => ShardedWorld::new(3, 4, reg),
-    };
+    let mut builder = WorldBuilder::new(3).registry(reg);
+    if let Some(m) = medium {
+        builder = builder.medium(m);
+    }
+    let mut w = ShardTier::world(builder, 4);
     let mut servers = Vec::new();
     for i in 0..pairs {
         let server = w.spawn(2, "echo", vec![]).expect("echo registered");
@@ -107,13 +109,13 @@ fn media() -> Vec<(&'static str, Box<dyn Lan>)> {
 /// replicated arrival log under the new leader).
 fn run_quorum_scenario(pings: u64, horizon: SimTime) -> (QuorumWorld, ProcessId) {
     let reg = registry(pings);
-    let mut w = QuorumWorld::new(2, 3, reg);
+    let mut w = QuorumTier::world(WorldBuilder::new(2).registry(reg), 3, 0);
     let server = w.spawn(1, "echo", vec![]).expect("echo registered");
     w.spawn(0, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
         .expect("pinger registered");
     w.run_until(SimTime::from_millis(250));
-    if let Some(leader) = w.leader() {
-        w.crash_replica(leader);
+    if let Some(leader) = w.tier.leader() {
+        w.crash_member(leader);
     }
     w.run_until(SimTime::from_millis(400));
     w.crash_node(1);
@@ -147,7 +149,7 @@ fn run_quorum(json: bool, smoke: bool, trace_path: Option<String>) {
         for (n, k) in &w.kernels {
             components.push((format!("node {n} kernel"), k.spans()));
         }
-        for (i, r) in w.replicas.iter().enumerate() {
+        for (i, r) in w.tier.replicas.iter().enumerate() {
             components.push((
                 format!("replica {i} recorder"),
                 r.recorder_node().recorder().spans(),
@@ -296,7 +298,7 @@ fn main() {
         for (n, k) in &w.kernels {
             components.push((format!("node {n} kernel"), k.spans()));
         }
-        for (i, rn) in w.shards.iter().enumerate() {
+        for (i, rn) in w.tier.shards.iter().enumerate() {
             components.push((format!("shard {i} recorder"), rn.recorder().spans()));
         }
         let trace = trace::from_spans(&components);

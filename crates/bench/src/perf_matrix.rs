@@ -14,14 +14,15 @@
 use publishing_chaos::driver::run_schedule;
 use publishing_chaos::scenario::{Scenario, Topology, NODES, SHARDS};
 use publishing_chaos::schedule::{self, ChaosConfig};
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::Channel;
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
 use publishing_perf::alloc;
 use publishing_perf::snapshot::{scenario_from_report, ScenarioSnapshot, Snapshot};
-use publishing_quorum::{QuorumConfig, QuorumWorld};
-use publishing_shard::ShardedWorld;
+use publishing_quorum::QuorumTier;
+use publishing_shard::{ShardTier, ShardedWorld};
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
 
@@ -74,7 +75,7 @@ pub fn build_world(p: &MatrixParams) -> ShardedWorld {
         c.think_ns = 2_000_000;
         Box::new(c)
     });
-    let mut w = ShardedWorld::new(3, 4, reg);
+    let mut w = ShardTier::world(WorldBuilder::new(3).registry(reg), 4);
     for i in 0..p.pairs {
         let server = w.spawn(2, "echo", vec![]).expect("echo registered");
         w.spawn(i % 2, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
@@ -120,11 +121,11 @@ fn crash_replay(p: &MatrixParams) -> ScenarioSnapshot {
 fn rebalance(p: &MatrixParams) -> ScenarioSnapshot {
     let mut w = build_world(p);
     w.run_until(SimTime::from_millis(40));
-    w.add_shard();
+    ShardTier::add_shard(&mut w);
     w.run_until(p.horizon);
     let mut s = scenario_from_report("rebalance", &w.obs_report());
     s.fingerprint("output", w.output_fingerprint());
-    s.virt("shards", w.shards.len() as f64);
+    s.virt("shards", w.tier.shards.len() as f64);
     s
 }
 
@@ -166,18 +167,7 @@ fn quorum_sweep(p: &MatrixParams) -> ScenarioSnapshot {
                 c.think_ns = 2_000_000;
                 Box::new(c)
             });
-            let mut w = QuorumWorld::with_config(
-                QuorumConfig {
-                    nodes: 3,
-                    replicas,
-                    seed: 42,
-                    ..QuorumConfig::default()
-                },
-                reg,
-                Box::new(publishing_net::bus::PerfectBus::new(
-                    publishing_net::lan::LanConfig::default(),
-                )),
-            );
+            let mut w = QuorumTier::world(WorldBuilder::new(3).registry(reg), replicas, 42);
             w.lan
                 .set_faults(FaultPlan::new().with_frame_loss(f64::from(loss_pct) / 100.0));
             let mut clients = Vec::new();
@@ -204,13 +194,17 @@ fn quorum_sweep(p: &MatrixParams) -> ScenarioSnapshot {
                 format!("{key}/done_ms"),
                 done_at.map_or(-1.0, |t| t.as_millis_f64()),
             ));
-            entries.push((format!("{key}/sequenced"), w.sequenced_total() as f64));
+            entries.push((format!("{key}/sequenced"), w.tier.sequenced_total() as f64));
             entries.push((
                 format!("{key}/elections"),
-                w.quorum_health().iter().map(|h| h.elections).sum::<u64>() as f64,
+                w.tier
+                    .quorum_health()
+                    .iter()
+                    .map(|h| h.elections)
+                    .sum::<u64>() as f64,
             ));
             assert!(
-                w.quorum_invariant_failures().is_empty(),
+                w.tier.quorum_invariant_failures().is_empty(),
                 "quorum invariants must hold in the sweep"
             );
             output_fp ^= w

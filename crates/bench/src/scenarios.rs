@@ -527,7 +527,7 @@ pub fn measured_recovery_ms(checkpoint_ms: u64, crash_at_ms: u64) -> f64 {
         .spawn(0, "ping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     w.run_until(SimTime::from_millis(crash_at_ms));
-    let completed_before = w.recorder.manager().stats().completed.get();
+    let completed_before = w.tier.manager().stats().completed.get();
     w.crash_process(server, "bench");
     let crash_time = w.now();
     // Run until the recovery job completes (crash notice + recreate +
@@ -535,7 +535,7 @@ pub fn measured_recovery_ms(checkpoint_ms: u64, crash_at_ms: u64) -> f64 {
     let mut recovered_at = None;
     for step in 1..20_000u64 {
         w.run_until(crash_time + SimDuration::from_millis(step));
-        if w.recorder.manager().stats().completed.get() > completed_before {
+        if w.tier.manager().stats().completed.get() > completed_before {
             recovered_at = Some(w.now());
             break;
         }

@@ -66,7 +66,7 @@ fn crash_replay_trace_covers_lifecycle_stages_and_round_trips() {
     for (n, k) in &w.kernels {
         components.push((format!("node {n} kernel"), k.spans()));
     }
-    for (i, rn) in w.shards.iter().enumerate() {
+    for (i, rn) in w.tier.shards.iter().enumerate() {
         components.push((format!("shard {i} recorder"), rn.recorder().spans()));
     }
     let t = trace::from_spans(&components);

@@ -10,7 +10,8 @@
 //! probes.
 
 use crate::schedule::Fault;
-use publishing_core::world::{World, WorldBuilder};
+use publishing_core::node::RecorderNode;
+use publishing_core::world::{RecorderTier, World, WorldBuilder};
 use publishing_demos::costs::CostModel;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
@@ -21,8 +22,8 @@ use publishing_net::ethernet::Ethernet;
 use publishing_net::lan::{Lan, LanConfig};
 use publishing_obs::registry::MetricsRegistry;
 use publishing_obs::span::check_replay_prefix;
-use publishing_quorum::{QuorumConfig, QuorumWorld};
-use publishing_shard::ShardedWorld;
+use publishing_quorum::QuorumTier;
+use publishing_shard::ShardTier;
 use publishing_sim::event::FaultClock;
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
@@ -34,9 +35,9 @@ use std::collections::BTreeMap;
 pub enum Topology {
     /// One recorder node ([`World`]).
     Single,
-    /// A sharded recorder tier ([`ShardedWorld`]).
+    /// A sharded recorder tier ([`ShardTier`]).
     Sharded,
-    /// A replicated recorder quorum ([`QuorumWorld`]).
+    /// A replicated recorder quorum ([`QuorumTier`]).
     Quorum,
 }
 
@@ -164,67 +165,18 @@ impl Scenario {
     /// Panics if the plan names an unregistered program or links to a
     /// spawn at or after itself.
     pub fn build_with(&self, source: &dyn WorkloadSource) -> Box<dyn ChaosWorld> {
-        let plan = source.plan();
+        let builder = WorldBuilder::new(NODES)
+            .registry(source.registry())
+            .medium(self.medium_box())
+            .costs(self.tuning.costs.clone())
+            .transport(self.tuning.transport.clone());
         match self.topology {
-            Topology::Single => {
-                let mut w = WorldBuilder::new(NODES)
-                    .registry(source.registry())
-                    .medium(self.medium_box())
-                    .costs(self.tuning.costs.clone())
-                    .transport(self.tuning.transport.clone())
-                    .build();
-                let (procs, clients) = spawn_plan(&plan, |node, prog, links| {
-                    w.spawn(node, prog, links).expect("spawn")
-                });
-                Box::new(SingleTarget {
-                    w,
-                    procs,
-                    clients,
-                    injected: BTreeMap::new(),
-                })
-            }
-            Topology::Sharded => {
-                let mut w = ShardedWorld::with_tuning(
-                    NODES,
-                    SHARDS as usize,
-                    source.registry(),
-                    self.medium_box(),
-                    self.tuning.costs.clone(),
-                    self.tuning.transport.clone(),
-                );
-                let (procs, clients) = spawn_plan(&plan, |node, prog, links| {
-                    w.spawn(node, prog, links).expect("spawn")
-                });
-                Box::new(ShardedTarget {
-                    w,
-                    procs,
-                    clients,
-                    injected: BTreeMap::new(),
-                })
-            }
-            Topology::Quorum => {
-                let mut w = QuorumWorld::with_config(
-                    QuorumConfig {
-                        nodes: NODES,
-                        replicas: REPLICAS as usize,
-                        seed: self.workload_seed,
-                        costs: self.tuning.costs.clone(),
-                        transport: self.tuning.transport.clone(),
-                        ..QuorumConfig::default()
-                    },
-                    source.registry(),
-                    self.medium_box(),
-                );
-                let (procs, clients) = spawn_plan(&plan, |node, prog, links| {
-                    w.spawn(node, prog, links).expect("spawn")
-                });
-                Box::new(QuorumTarget {
-                    w,
-                    procs,
-                    clients,
-                    injected: BTreeMap::new(),
-                })
-            }
+            Topology::Single => Target::boxed(builder.build(), source),
+            Topology::Sharded => Target::boxed(ShardTier::world(builder, SHARDS as usize), source),
+            Topology::Quorum => Target::boxed(
+                QuorumTier::world(builder, REPLICAS as usize, self.workload_seed),
+                source,
+            ),
         }
     }
 }
@@ -410,252 +362,78 @@ pub trait ChaosWorld {
     }
 }
 
-/// Files the per-kind injection counters and the store/disk fault
-/// consumption counters shared by both targets.
-fn chaos_metrics(
-    reg: &mut MetricsRegistry,
-    injected: &BTreeMap<&'static str, u64>,
-    recorders: &[&publishing_core::recorder::Recorder],
-) {
-    for (kind, n) in injected {
-        reg.counter(format!("chaos/injected/{kind}"), *n);
+/// What differs per recorder tier under chaos: which faults address the
+/// tier and how, and what convergence means. Everything else in
+/// [`ChaosWorld`] is the same call on the [`World`] engine and lives on
+/// [`Target`].
+trait ChaosTier: RecorderTier {
+    /// Injects a fault that addresses the recorder tier. Faults that do
+    /// not apply to this tier or its current state are no-ops.
+    fn inject(world: &mut World<Self>, fault: &Fault);
+    /// Tier-level convergence violations (members down or catching up,
+    /// lag not drained, consensus safety).
+    fn convergence_failures(world: &World<Self>) -> Vec<String>;
+    /// The current quorum leader, on a tier that has one.
+    fn quorum_leader(&self) -> Option<usize> {
+        None
     }
-    let (mut retries, mut transient, mut torn) = (0u64, 0u64, 0u64);
-    for rec in recorders {
-        let store = rec.store();
-        retries += store.stats().io_retries.get();
-        for i in 0..store.n_disks() {
-            let d = store.disk_stats(i);
-            transient += d.transient_errors.get();
-            torn += d.torn_writes.get();
+}
+
+/// Appends a violation for every process still marked recovering.
+fn still_recovering<T: RecorderTier>(w: &World<T>, out: &mut Vec<String>) {
+    for l in w.recovery_lags() {
+        if l.recovering {
+            out.push(format!("pid {} still marked recovering", l.subject));
         }
     }
-    reg.counter("chaos/disk/io_retries", retries);
-    reg.counter("chaos/disk/transient_errors", transient);
-    reg.counter("chaos/disk/torn_writes", torn);
 }
 
-/// [`ChaosWorld`] over the single-recorder [`World`].
-struct SingleTarget {
-    w: World,
-    procs: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    injected: BTreeMap<&'static str, u64>,
-}
-
-impl ChaosWorld for SingleTarget {
-    fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.w.set_fault_clock(clock);
-    }
-
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.w.run_until_or_fault(deadline)
-    }
-
-    fn inject(&mut self, fault: &Fault) {
-        *self.injected.entry(fault.kind()).or_insert(0) += 1;
+impl ChaosTier for RecorderNode {
+    fn inject(world: &mut World, fault: &Fault) {
         match fault {
-            Fault::CrashProcess { victim, .. } => {
-                let pid = self.procs[*victim as usize % self.procs.len()];
-                self.w.crash_process(pid, "chaos");
-            }
-            Fault::CrashNode { node, .. } => self.w.crash_node(node % NODES),
-            Fault::CrashRecorder { .. } if self.w.recorder.is_up() => {
-                self.w.crash_recorder();
-            }
-            Fault::RestartRecorder { .. } if !self.w.recorder.is_up() => {
-                self.w.restart_recorder();
-            }
-            // Rebalance and windowed faults are driven via the
-            // set_*_faults hooks / are sharded-only.
+            Fault::CrashRecorder { .. } => world.crash_recorder(),
+            Fault::RestartRecorder { .. } => world.restart_recorder(),
+            // Rebalance and replica faults address other tiers.
             _ => {}
         }
     }
 
-    fn set_medium_faults(&mut self, plan: FaultPlan) {
-        self.w.lan.set_faults(plan);
-    }
-
-    fn set_disk_faults(&mut self, faults: DiskFaults) {
-        self.w.recorder.set_disk_faults(faults);
-    }
-
-    fn heal(&mut self) {
-        if !self.w.recorder.is_up() {
-            self.w.restart_recorder();
-        }
-        self.w.lan.set_faults(FaultPlan::new());
-        self.w.recorder.set_disk_faults(DiskFaults::default());
-    }
-
-    fn output_fingerprint(&self) -> u64 {
-        self.w.output_fingerprint()
-    }
-
-    fn obs_fingerprint(&self) -> u64 {
-        self.w.obs_fingerprint()
-    }
-
-    fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)> {
-        self.clients
-            .iter()
-            .map(|&c| (c, self.w.outputs_of(c)))
-            .collect()
-    }
-
-    fn convergence_failures(&self) -> Vec<String> {
+    fn convergence_failures(world: &World) -> Vec<String> {
         let mut out = Vec::new();
-        if !self.w.recorder.is_up() {
+        if !world.tier.is_up() {
             out.push("recorder still down".into());
         }
-        let lag =
-            publishing_core::obs::replay_lag(self.w.recorder.recorder(), self.w.recorder.manager());
+        let lag = publishing_core::obs::replay_lag(world.tier.recorder(), world.tier.manager());
         if lag != 0 {
             out.push(format!("replay lag {lag} has not drained"));
         }
-        for l in self.w.recovery_lags() {
-            if l.recovering {
-                out.push(format!("pid {} still marked recovering", l.subject));
-            }
-        }
+        still_recovering(world, &mut out);
         out
     }
-
-    fn replay_prefix_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (node, k) in &self.w.kernels {
-            for pid in &self.procs {
-                if let Err(e) = check_replay_prefix(k.spans(), pid.as_u64()) {
-                    out.push(format!("node {node}, subject {pid}: {e}"));
-                }
-            }
-        }
-        out
-    }
-
-    fn suppression_failures(&self) -> Vec<String> {
-        suppression_check(
-            self.w.kernels.values().map(|k| k.spans()),
-            &self.procs,
-            self.recoveries_completed(),
-        )
-    }
-
-    fn recoveries_completed(&self) -> u64 {
-        self.w.recorder.manager().stats().completed.get()
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        let mut reg = self.w.collect_metrics();
-        chaos_metrics(&mut reg, &self.injected, &[self.w.recorder.recorder()]);
-        reg
-    }
-
-    fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let mut report = self.w.obs_report();
-        report.metrics = self.metrics();
-        report
-    }
-
-    fn span_events(&self) -> Vec<Vec<publishing_obs::span::SpanEvent>> {
-        self.w
-            .span_logs()
-            .iter()
-            .map(|l| l.events().collect())
-            .collect()
-    }
 }
 
-/// [`ChaosWorld`] over the [`ShardedWorld`].
-struct ShardedTarget {
-    w: ShardedWorld,
-    procs: Vec<ProcessId>,
-    clients: Vec<ProcessId>,
-    injected: BTreeMap<&'static str, u64>,
-}
-
-impl ShardedTarget {
-    fn live_count(&self) -> usize {
-        self.w.shards.iter().filter(|s| s.is_up()).count()
-    }
-}
-
-impl ChaosWorld for ShardedTarget {
-    fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.w.set_fault_clock(clock);
-    }
-
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.w.run_until_or_fault(deadline)
-    }
-
-    fn inject(&mut self, fault: &Fault) {
-        *self.injected.entry(fault.kind()).or_insert(0) += 1;
+impl ChaosTier for ShardTier {
+    fn inject(world: &mut World<Self>, fault: &Fault) {
+        let n = world.tier.shards.len();
         match fault {
-            Fault::CrashProcess { victim, .. } => {
-                let pid = self.procs[*victim as usize % self.procs.len()];
-                self.w.crash_process(pid, "chaos");
+            // Keep at least one live shard: with every shard down the
+            // tier cannot ack anything and the run degenerates.
+            Fault::CrashRecorder { shard, .. }
+                if world.tier.shards.iter().filter(|s| s.is_up()).count() > 1 =>
+            {
+                world.crash_member(*shard as usize % n);
             }
-            Fault::CrashNode { node, .. } => self.w.crash_node(node % NODES),
-            Fault::CrashRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.shards.len();
-                // Keep at least one live shard: with every shard down
-                // the tier cannot ack anything and the run degenerates.
-                if self.w.shards[idx].is_up() && self.live_count() > 1 {
-                    self.w.crash_shard(idx);
-                }
-            }
-            Fault::RestartRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.shards.len();
-                if !self.w.shards[idx].is_up() {
-                    self.w.restart_shard(idx);
-                }
-            }
+            Fault::RestartRecorder { shard, .. } => world.restart_member(*shard as usize % n),
             Fault::AddShard { .. } => {
-                self.w.add_shard();
+                ShardTier::add_shard(world);
             }
             _ => {}
         }
     }
 
-    fn set_medium_faults(&mut self, plan: FaultPlan) {
-        self.w.lan.set_faults(plan);
-    }
-
-    fn set_disk_faults(&mut self, faults: DiskFaults) {
-        for s in &mut self.w.shards {
-            s.set_disk_faults(faults.clone());
-        }
-    }
-
-    fn heal(&mut self) {
-        for i in 0..self.w.shards.len() {
-            if !self.w.shards[i].is_up() {
-                self.w.restart_shard(i);
-            }
-        }
-        self.w.lan.set_faults(FaultPlan::new());
-        self.set_disk_faults(DiskFaults::default());
-    }
-
-    fn output_fingerprint(&self) -> u64 {
-        self.w.output_fingerprint()
-    }
-
-    fn obs_fingerprint(&self) -> u64 {
-        self.w.obs_fingerprint()
-    }
-
-    fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)> {
-        self.clients
-            .iter()
-            .map(|&c| (c, self.w.outputs_of(c)))
-            .collect()
-    }
-
-    fn convergence_failures(&self) -> Vec<String> {
+    fn convergence_failures(world: &World<Self>) -> Vec<String> {
         let mut out = Vec::new();
-        for h in self.w.shard_health() {
+        for h in ShardTier::health(world) {
             if !h.live {
                 out.push(format!("shard {} still down", h.shard));
             }
@@ -675,88 +453,97 @@ impl ChaosWorld for ShardedTarget {
                 ));
             }
         }
-        for l in self.w.recovery_lags() {
-            if l.recovering {
-                out.push(format!("pid {} still marked recovering", l.subject));
-            }
-        }
+        still_recovering(world, &mut out);
         out
-    }
-
-    fn replay_prefix_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (node, k) in &self.w.kernels {
-            for pid in &self.procs {
-                if let Err(e) = check_replay_prefix(k.spans(), pid.as_u64()) {
-                    out.push(format!("node {node}, subject {pid}: {e}"));
-                }
-            }
-        }
-        out
-    }
-
-    fn suppression_failures(&self) -> Vec<String> {
-        suppression_check(
-            self.w.kernels.values().map(|k| k.spans()),
-            &self.procs,
-            self.recoveries_completed(),
-        )
-    }
-
-    fn recoveries_completed(&self) -> u64 {
-        self.w.recoveries_completed()
-    }
-
-    fn metrics(&self) -> MetricsRegistry {
-        let mut reg = self.w.collect_metrics();
-        let recorders: Vec<_> = self.w.shards.iter().map(|rn| rn.recorder()).collect();
-        chaos_metrics(&mut reg, &self.injected, &recorders);
-        reg
-    }
-
-    fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let mut report = self.w.obs_report();
-        report.metrics = self.metrics();
-        report
-    }
-
-    fn span_events(&self) -> Vec<Vec<publishing_obs::span::SpanEvent>> {
-        self.w
-            .span_logs()
-            .iter()
-            .map(|l| l.events().collect())
-            .collect()
     }
 }
 
-/// [`ChaosWorld`] over the [`QuorumWorld`].
-struct QuorumTarget {
-    w: QuorumWorld,
+impl ChaosTier for QuorumTier {
+    fn inject(world: &mut World<Self>, fault: &Fault) {
+        let n = world.tier.replicas.len();
+        match fault {
+            // Single/sharded recorder faults address the same tier here:
+            // a recorder crash is a replica crash.
+            Fault::CrashReplica { idx, .. } | Fault::CrashRecorder { shard: idx, .. } => {
+                // Chaos that silences the quorum entirely proves
+                // nothing — consensus only promises progress with a
+                // majority — so a crash that would not leave a strict
+                // majority alive is a no-op, and the oracle then gets to
+                // demand full convergence.
+                let live = world.tier.live_replicas();
+                if live >= 1 && (live - 1) * 2 > n {
+                    world.crash_member(*idx as usize % n);
+                }
+            }
+            Fault::RestartReplica { idx, .. } | Fault::RestartRecorder { shard: idx, .. } => {
+                world.restart_member(*idx as usize % n);
+            }
+            _ => {}
+        }
+    }
+
+    fn convergence_failures(world: &World<Self>) -> Vec<String> {
+        let mut out = Vec::new();
+        let tier = &world.tier;
+        let health = tier.quorum_health();
+        for h in &health {
+            if !h.live {
+                out.push(format!("replica {} still down", h.replica));
+            }
+        }
+        if tier.leader().is_none() {
+            out.push("quorum is leaderless".into());
+        }
+        for h in &health {
+            if h.leader && h.replication_lag != 0 {
+                out.push(format!(
+                    "leader {}: replication lag {} has not drained",
+                    h.replica, h.replication_lag
+                ));
+            }
+        }
+        still_recovering(world, &mut out);
+        // The consensus safety oracles ride along with convergence:
+        // election safety, state-machine safety, log matching, and
+        // gap/duplicate freedom of the arrival sequence.
+        out.extend(tier.quorum_invariant_failures());
+        // Plus everything the online watchdog flagged while the run
+        // was still in flight (arrival gaps or leaderless stalls that
+        // outlived their virtual-time deadlines, commit regressions).
+        out.extend(tier.watchdog().violations().iter().cloned());
+        out
+    }
+
+    fn quorum_leader(&self) -> Option<usize> {
+        self.leader()
+    }
+}
+
+/// [`ChaosWorld`] over any tier's world: the spawned processes, the
+/// injection counters, and every method that is the same on all tiers.
+struct Target<T: ChaosTier> {
+    w: World<T>,
     procs: Vec<ProcessId>,
     clients: Vec<ProcessId>,
     injected: BTreeMap<&'static str, u64>,
 }
 
-impl QuorumTarget {
-    /// True if crashing one more replica still leaves a strict majority
-    /// of the group alive. Chaos that silences the quorum entirely
-    /// proves nothing — consensus only promises progress with a
-    /// majority, so the injector honors that precondition and the
-    /// oracle then gets to demand full convergence.
-    fn can_lose_one(&self) -> bool {
-        let n = self.w.replica_count();
-        let live = self.w.live_replicas();
-        live >= 1 && (live - 1) * 2 > n
-    }
-
-    fn crash_replica_guarded(&mut self, idx: usize) {
-        if self.w.replicas[idx].is_up() && self.can_lose_one() {
-            self.w.crash_replica(idx);
-        }
+impl<T: ChaosTier + 'static> Target<T> {
+    /// Spawns `source`'s plan on `w`.
+    fn boxed(mut w: World<T>, source: &dyn WorkloadSource) -> Box<dyn ChaosWorld> {
+        let (procs, clients) = spawn_plan(&source.plan(), |node, prog, links| {
+            w.spawn(node, prog, links).expect("spawn")
+        });
+        Box::new(Target {
+            w,
+            procs,
+            clients,
+            injected: BTreeMap::new(),
+        })
     }
 }
 
-impl ChaosWorld for QuorumTarget {
+impl<T: ChaosTier> ChaosWorld for Target<T> {
     fn set_fault_clock(&mut self, clock: FaultClock) {
         self.w.set_fault_clock(clock);
     }
@@ -773,29 +560,8 @@ impl ChaosWorld for QuorumTarget {
                 self.w.crash_process(pid, "chaos");
             }
             Fault::CrashNode { node, .. } => self.w.crash_node(node % NODES),
-            Fault::CrashReplica { idx, .. } => {
-                let idx = *idx as usize % self.w.replica_count();
-                self.crash_replica_guarded(idx);
-            }
-            Fault::RestartReplica { idx, .. } => {
-                let idx = *idx as usize % self.w.replica_count();
-                if !self.w.replicas[idx].is_up() {
-                    self.w.restart_replica(idx);
-                }
-            }
-            // Single/sharded recorder faults address the same tier here:
-            // a recorder crash is a replica crash.
-            Fault::CrashRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.replica_count();
-                self.crash_replica_guarded(idx);
-            }
-            Fault::RestartRecorder { shard, .. } => {
-                let idx = *shard as usize % self.w.replica_count();
-                if !self.w.replicas[idx].is_up() {
-                    self.w.restart_replica(idx);
-                }
-            }
-            _ => {}
+            // Windowed faults arrive through the set_*_faults hooks.
+            _ => T::inject(&mut self.w, fault),
         }
     }
 
@@ -804,18 +570,17 @@ impl ChaosWorld for QuorumTarget {
     }
 
     fn set_disk_faults(&mut self, faults: DiskFaults) {
-        for r in &mut self.w.replicas {
-            r.set_disk_faults(faults.clone());
+        let tier = &mut self.w.tier;
+        for i in 0..tier.members() {
+            tier.node_mut(i).set_disk_faults(faults.clone());
         }
     }
 
     fn heal(&mut self) {
-        for i in 0..self.w.replica_count() {
-            if !self.w.replicas[i].is_up() {
-                self.w.restart_replica(i);
-            }
+        for i in 0..self.w.tier.members() {
+            self.w.restart_member(i);
         }
-        self.w.lan.set_faults(FaultPlan::new());
+        self.set_medium_faults(FaultPlan::new());
         self.set_disk_faults(DiskFaults::default());
     }
 
@@ -835,38 +600,7 @@ impl ChaosWorld for QuorumTarget {
     }
 
     fn convergence_failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let health = self.w.quorum_health();
-        for h in &health {
-            if !h.live {
-                out.push(format!("replica {} still down", h.replica));
-            }
-        }
-        if self.w.leader().is_none() {
-            out.push("quorum is leaderless".into());
-        }
-        for h in &health {
-            if h.leader && h.replication_lag != 0 {
-                out.push(format!(
-                    "leader {}: replication lag {} has not drained",
-                    h.replica, h.replication_lag
-                ));
-            }
-        }
-        for l in self.w.recovery_lags() {
-            if l.recovering {
-                out.push(format!("pid {} still marked recovering", l.subject));
-            }
-        }
-        // The consensus safety oracles ride along with convergence:
-        // election safety, state-machine safety, log matching, and
-        // gap/duplicate freedom of the arrival sequence.
-        out.extend(self.w.quorum_invariant_failures());
-        // Plus everything the online watchdog flagged while the run
-        // was still in flight (arrival gaps or leaderless stalls that
-        // outlived their virtual-time deadlines, commit regressions).
-        out.extend(self.w.watchdog_violations().iter().cloned());
-        out
+        T::convergence_failures(&self.w)
     }
 
     fn replay_prefix_failures(&self) -> Vec<String> {
@@ -881,12 +615,26 @@ impl ChaosWorld for QuorumTarget {
         out
     }
 
+    /// Suppressions exist only to cut off a recovering process's
+    /// re-sends (§4.7), so (a) every suppressed sender must be a process
+    /// the scenario spawned, and (b) a run that completed no recovery
+    /// must show no suppressions at all.
     fn suppression_failures(&self) -> Vec<String> {
-        suppression_check(
-            self.w.kernels.values().map(|k| k.spans()),
-            &self.procs,
-            self.recoveries_completed(),
-        )
+        let logs = self.w.kernels.values().map(|k| k.spans());
+        let by_sender = publishing_core::obs::suppressed_by_sender(logs);
+        let mut out = Vec::new();
+        for (&sender, &n) in &by_sender {
+            if !self.procs.iter().any(|p| p.as_u64() == sender) {
+                out.push(format!("{n} suppressions for unknown sender {sender}"));
+            }
+        }
+        if self.recoveries_completed() == 0 && !by_sender.is_empty() {
+            out.push(format!(
+                "{} suppressions but no recovery ever completed",
+                by_sender.values().sum::<u64>()
+            ));
+        }
+        out
     }
 
     fn recoveries_completed(&self) -> u64 {
@@ -895,13 +643,22 @@ impl ChaosWorld for QuorumTarget {
 
     fn metrics(&self) -> MetricsRegistry {
         let mut reg = self.w.collect_metrics();
-        let recorders: Vec<_> = self
-            .w
-            .replicas
-            .iter()
-            .map(|r| r.recorder_node().recorder())
-            .collect();
-        chaos_metrics(&mut reg, &self.injected, &recorders);
+        for (kind, n) in &self.injected {
+            reg.counter(format!("chaos/injected/{kind}"), *n);
+        }
+        let (mut retries, mut transient, mut torn) = (0u64, 0u64, 0u64);
+        for rn in self.w.member_nodes() {
+            let store = rn.recorder().store();
+            retries += store.stats().io_retries.get();
+            for i in 0..store.n_disks() {
+                let d = store.disk_stats(i);
+                transient += d.transient_errors.get();
+                torn += d.torn_writes.get();
+            }
+        }
+        reg.counter("chaos/disk/io_retries", retries);
+        reg.counter("chaos/disk/transient_errors", transient);
+        reg.counter("chaos/disk/torn_writes", torn);
         reg
     }
 
@@ -920,31 +677,6 @@ impl ChaosWorld for QuorumTarget {
     }
 
     fn quorum_leader(&self) -> Option<usize> {
-        self.w.leader()
+        self.w.tier.quorum_leader()
     }
-}
-
-/// Suppressions exist only to cut off a recovering process's re-sends
-/// (§4.7), so (a) every suppressed sender must be a process the
-/// scenario spawned, and (b) a run that completed no recovery must show
-/// no suppressions at all.
-fn suppression_check<'a>(
-    logs: impl IntoIterator<Item = &'a publishing_obs::span::SpanLog>,
-    procs: &[ProcessId],
-    recoveries: u64,
-) -> Vec<String> {
-    let by_sender = publishing_core::obs::suppressed_by_sender(logs);
-    let mut out = Vec::new();
-    for (&sender, &n) in &by_sender {
-        if !procs.iter().any(|p| p.as_u64() == sender) {
-            out.push(format!("{n} suppressions for unknown sender {sender}"));
-        }
-    }
-    if recoveries == 0 && !by_sender.is_empty() {
-        out.push(format!(
-            "{} suppressions but no recovery ever completed",
-            by_sender.values().sum::<u64>()
-        ));
-    }
-    out
 }

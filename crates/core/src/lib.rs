@@ -14,8 +14,10 @@
 //! - [`checkpoint`]: checkpoint policies (periodic, storage-balancing,
 //!   Young's optimum, bounded recovery time);
 //! - [`recovery_time`]: the §3.2.3 t_max bound (Figure 3.1);
-//! - [`world`]: a complete simulated system (nodes + recorder + LAN);
-//! - [`multi`]: multiple recorders with §6.3 priority-vector failover;
+//! - [`world`]: a complete simulated system (nodes + recorder tier +
+//!   LAN) — the one world engine, generic over [`RecorderTier`];
+//! - [`multi`]: the §6.3 tier, multiple recorders with priority-vector
+//!   failover;
 //! - [`live`]: the same state machines on real threads and wall-clock
 //!   time (crossbeam channels as the medium);
 //! - [`debugger`]: §6.5 time-travel debugging over published history;
@@ -47,8 +49,8 @@ pub use checkpoint::{young_interval, young_overhead, CheckpointPolicy};
 pub use debugger::ReplayDebugger;
 pub use live::{LiveBuilder, LiveSystem};
 pub use manager::{ManagerConfig, MgrCmd, RecoveryManager};
-pub use multi::{MultiWorld, PriorityVectors};
+pub use multi::{MultiWorld, PriorityTier, PriorityVectors};
 pub use node::{RNAction, RecorderConfig, RecorderNode};
 pub use recorder::{ProcessEntry, PublishCost, Recorder, RecorderStats};
 pub use recovery_time::{LoadParams, RecoveryEstimator};
-pub use world::{World, WorldBuilder};
+pub use world::{RecorderTier, World, WorldBuilder};

@@ -10,18 +10,11 @@
 //! required-recorder set — and a restarted recorder catches up through
 //! natural checkpointing before it is required again.
 
-use crate::node::{RNAction, RecorderConfig, RecorderNode};
-use publishing_demos::costs::CostModel;
-use publishing_demos::harness::OutputLine;
-use publishing_demos::ids::{NodeId, ProcessId};
-use publishing_demos::kernel::{Kernel, KernelAction};
-use publishing_demos::link::Link;
-use publishing_demos::registry::{ProgramRegistry, UnknownProgram};
-use publishing_demos::transport::TransportConfig;
-use publishing_net::bus::PerfectBus;
-use publishing_net::frame::{Frame, StationId};
-use publishing_net::lan::{Lan, LanAction, LanConfig};
-use publishing_sim::event::Scheduler;
+use crate::node::{RecorderConfig, RecorderNode};
+use crate::world::{RecorderTier, World, WorldBuilder};
+use publishing_demos::ids::NodeId;
+use publishing_net::frame::StationId;
+use publishing_obs::probe::RecoveryLag;
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -56,332 +49,110 @@ impl PriorityVectors {
     }
 }
 
-#[derive(Debug)]
-enum MEv {
-    LanTimer(u64),
-    KernelTimer(u32, u64),
-    RecorderTimer(usize, u64),
-    Deliver {
-        to: u32,
-        frame: Frame,
-        recorder_ok: bool,
-    },
-}
-
-/// A world with several recorders.
-pub struct MultiWorld {
-    sched: Scheduler<MEv>,
-    /// The shared medium.
-    pub lan: Box<dyn Lan>,
-    /// Processing-node kernels.
-    pub kernels: BTreeMap<u32, Kernel>,
+/// The §6.3 tier: every recorder records everything; priority vectors
+/// pick who restarts a node.
+pub struct PriorityTier {
     /// The recorders.
     pub recorders: Vec<RecorderNode>,
     /// Priority vectors.
     pub priorities: PriorityVectors,
-    /// Raw outputs.
-    pub outputs: Vec<OutputLine>,
-    /// Authoritative node incarnations.
-    node_incarnations: BTreeMap<u32, u32>,
     /// Recorders waiting to be re-required once caught up: (index, since).
     rejoining: Vec<(usize, SimTime)>,
-    n_nodes: u32,
 }
 
-impl MultiWorld {
-    /// Builds a world with `nodes` processing nodes and `n_recorders`
-    /// recorders (node ids `nodes..nodes+n_recorders`).
-    pub fn new(nodes: u32, n_recorders: usize, registry: ProgramRegistry) -> Self {
-        let mut lan: Box<dyn Lan> = Box::new(PerfectBus::new(LanConfig::default()));
-        let mut kernels = BTreeMap::new();
-        let recorder_ids: Vec<NodeId> =
-            (0..n_recorders as u32).map(|i| NodeId(nodes + i)).collect();
-        for n in 0..nodes {
-            let mut k = Kernel::new(
-                NodeId(n),
-                registry.clone(),
-                CostModel::zero(),
-                TransportConfig::default(),
-                true,
-            );
-            for r in &recorder_ids {
-                k.add_recorder(*r);
-            }
-            lan.attach(k.station());
-            kernels.insert(n, k);
+impl RecorderTier for PriorityTier {
+    fn members(&self) -> usize {
+        self.recorders.len()
+    }
+
+    fn node(&self, idx: usize) -> &RecorderNode {
+        &self.recorders[idx]
+    }
+
+    fn node_mut(&mut self, idx: usize) -> &mut RecorderNode {
+        &mut self.recorders[idx]
+    }
+
+    /// §6.3: only the highest-priority live recorder acts.
+    fn leads_restart(&self, idx: usize, node: NodeId) -> bool {
+        let alive: Vec<bool> = self.recorders.iter().map(|r| r.is_up()).collect();
+        self.priorities.responsible(node, &alive) == Some(idx)
+    }
+
+    /// Only the leader recovers: every recorder holds every process, so
+    /// telling the others would recover each process several times.
+    const RESTART_FAN_OUT: bool = false;
+
+    /// Survivors "supply the acknowledges" for a dead recorder, and a
+    /// restarted one is not required again until it has caught up.
+    fn required(&self) -> Vec<StationId> {
+        (0..self.recorders.len())
+            .filter(|i| self.recorders[*i].is_up())
+            .filter(|i| !self.rejoining.iter().any(|(j, _)| j == i))
+            .map(|i| self.recorders[i].station())
+            .collect()
+    }
+
+    fn member_crashed(world: &mut World<Self>, idx: usize) {
+        world.tier.rejoining.retain(|(i, _)| *i != idx);
+        world.refresh_required();
+    }
+
+    fn member_restarted(world: &mut World<Self>, idx: usize) {
+        let now = world.now();
+        world.tier.rejoining.push((idx, now));
+        world.refresh_required();
+    }
+
+    /// Re-admits rejoining recorders once caught up.
+    fn after_event(world: &mut World<Self>, _now: SimTime) {
+        let tier = &mut world.tier;
+        if tier.rejoining.is_empty() {
+            return;
         }
-        let mut recorders = Vec::new();
-        for r in &recorder_ids {
-            let rn = RecorderNode::new(*r, RecorderConfig::default());
-            lan.attach(rn.station());
-            recorders.push(rn);
+        let before = tier.rejoining.len();
+        let recorders = &tier.recorders;
+        tier.rejoining
+            .retain(|(i, since)| !recorders[*i].recorder().caught_up(*since));
+        if tier.rejoining.len() != before {
+            world.refresh_required();
         }
-        lan.set_required_recorders(recorder_ids.iter().map(|r| StationId(r.0)).collect());
-        let mut world = MultiWorld {
-            sched: Scheduler::new(),
-            lan,
-            kernels,
+    }
+
+    fn metric_prefix(&self, idx: usize) -> String {
+        format!("recorder/{idx}")
+    }
+
+    /// Every recorder holds every process; read the first live one.
+    fn recovery_lags(&self, now: SimTime, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        self.recorders
+            .iter()
+            .find(|r| r.is_up())
+            .map(|r| crate::obs::recovery_lags(r.recorder(), now, suppressed))
+            .unwrap_or_default()
+    }
+}
+
+/// A world with several recorders. Crash and restart one with
+/// [`World::crash_member`] / [`World::restart_member`]: survivors cover
+/// for a dead recorder (the required set shrinks), and a restarted one
+/// catches up via natural checkpointing before the medium requires its
+/// acknowledgement again.
+pub type MultiWorld = World<PriorityTier>;
+
+impl PriorityTier {
+    /// Builds a world of `n_recorders` recorders, each recording
+    /// everything, on the node ids after `builder`'s processing nodes,
+    /// with round-robin priority vectors.
+    pub fn world(builder: WorldBuilder, n_recorders: usize) -> MultiWorld {
+        let nodes = builder.nodes();
+        let recorders = (0..n_recorders as u32)
+            .map(|i| RecorderNode::new(NodeId(nodes + i), RecorderConfig::default()))
+            .collect();
+        builder.build_with(PriorityTier {
             recorders,
             priorities: PriorityVectors::round_robin(nodes, n_recorders),
-            outputs: Vec::new(),
-            node_incarnations: BTreeMap::new(),
             rejoining: Vec::new(),
-            n_nodes: nodes,
-        };
-        let watch: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-        for i in 0..world.recorders.len() {
-            let actions = world.recorders[i].start(SimTime::ZERO, &watch);
-            world.apply_recorder(SimTime::ZERO, i, actions);
-        }
-        world
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    fn alive(&self) -> Vec<bool> {
-        self.recorders.iter().map(|r| r.is_up()).collect()
-    }
-
-    fn refresh_required(&mut self) {
-        let live: Vec<StationId> = self
-            .recorders
-            .iter()
-            .filter(|r| r.is_up())
-            .filter(|r| {
-                !self
-                    .rejoining
-                    .iter()
-                    .any(|(i, _)| self.recorders[*i].node() == r.node())
-            })
-            .map(|r| r.station())
-            .collect();
-        if live.is_empty() {
-            // Every recorder is down: require them all, suspending traffic.
-            let all: Vec<StationId> = self.recorders.iter().map(|r| r.station()).collect();
-            self.lan.set_required_recorders(all);
-        } else {
-            self.lan.set_required_recorders(live);
-        }
-    }
-
-    /// Spawns a program on a node.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProgram`] for unregistered images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn spawn(
-        &mut self,
-        node: u32,
-        program: &str,
-        links: Vec<Link>,
-    ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn(now, program, links)?;
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
-    }
-
-    fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
-            match a {
-                KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                KernelAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, MEv::KernelTimer(node, token));
-                }
-                KernelAction::Output { pid, seq, bytes } => {
-                    self.outputs.push(OutputLine {
-                        at: now,
-                        pid,
-                        seq,
-                        bytes,
-                    });
-                }
-            }
-        }
-    }
-
-    fn apply_recorder(&mut self, now: SimTime, idx: usize, actions: Vec<RNAction>) {
-        for a in actions {
-            match a {
-                RNAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                RNAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, MEv::RecorderTimer(idx, token));
-                }
-                RNAction::RestartNode { node, .. } => {
-                    // §6.3: only the highest-priority live recorder acts.
-                    let responsible = self.priorities.responsible(node, &self.alive());
-                    if responsible != Some(idx) {
-                        self.recorders[idx].decline_node_restart(node);
-                        continue;
-                    }
-                    let inc = self.node_incarnations.entry(node.0).or_insert(0);
-                    *inc += 1;
-                    let incarnation = *inc;
-                    if let Some(k) = self.kernels.get_mut(&node.0) {
-                        k.restart_node(now, incarnation);
-                        self.lan.set_station_up(StationId(node.0), true);
-                    }
-                    let follow = self.recorders[idx].confirm_node_restarted(now, node, incarnation);
-                    self.apply_recorder(now, idx, follow);
-                }
-                RNAction::RecoveryDone { .. } => {}
-            }
-        }
-    }
-
-    fn apply_lan(&mut self, actions: Vec<LanAction>) {
-        for a in actions {
-            match a {
-                LanAction::Deliver {
-                    at,
-                    to,
-                    frame,
-                    recorder_ok,
-                } => {
-                    self.sched.schedule_at(
-                        at,
-                        MEv::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
-                }
-                LanAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, MEv::LanTimer(token));
-                }
-                LanAction::TxOutcome { .. } => {}
-            }
-        }
-    }
-
-    fn recorder_index(&self, station: u32) -> Option<usize> {
-        self.recorders.iter().position(|r| r.node().0 == station)
-    }
-
-    /// Processes one event.
-    pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.sched.pop() else {
-            return false;
-        };
-        match ev {
-            MEv::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
-            }
-            MEv::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
-            }
-            MEv::RecorderTimer(idx, token) => {
-                let actions = self.recorders[idx].on_timer(now, token);
-                self.apply_recorder(now, idx, actions);
-            }
-            MEv::Deliver {
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                if to < self.n_nodes {
-                    if let Some(k) = self.kernels.get_mut(&to) {
-                        let actions = k.on_frame(now, &frame, recorder_ok);
-                        self.apply_kernel(now, to, actions);
-                    }
-                } else if let Some(idx) = self.recorder_index(to) {
-                    let actions = self.recorders[idx].on_frame(now, &frame, recorder_ok);
-                    self.apply_recorder(now, idx, actions);
-                }
-            }
-        }
-        // Re-admit rejoining recorders once caught up.
-        if !self.rejoining.is_empty() {
-            let done: Vec<usize> = self
-                .rejoining
-                .iter()
-                .filter(|(i, since)| self.recorders[*i].recorder().caught_up(*since))
-                .map(|(i, _)| *i)
-                .collect();
-            if !done.is_empty() {
-                self.rejoining.retain(|(i, _)| !done.contains(i));
-                self.refresh_required();
-            }
-        }
-        true
-    }
-
-    /// Runs until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Crashes a recorder; survivors cover for it (required set shrinks).
-    pub fn crash_recorder(&mut self, idx: usize) {
-        self.recorders[idx].crash();
-        let st = self.recorders[idx].station();
-        self.lan.set_station_up(st, false);
-        self.rejoining.retain(|(i, _)| *i != idx);
-        self.refresh_required();
-    }
-
-    /// Restarts a recorder; it catches up via natural checkpointing
-    /// before the medium requires its acknowledgement again.
-    pub fn restart_recorder(&mut self, idx: usize) {
-        let now = self.now();
-        let st = self.recorders[idx].station();
-        self.lan.set_station_up(st, true);
-        let actions = self.recorders[idx].restart(now);
-        self.apply_recorder(now, idx, actions);
-        self.rejoining.push((idx, now));
-        self.refresh_required();
-    }
-
-    /// Crashes a process (detected fault).
-    pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
-        let now = self.now();
-        if let Some(k) = self.kernels.get_mut(&pid.node.0) {
-            let actions = k.crash_process(now, pid.local, reason);
-            self.apply_kernel(now, pid.node.0, actions);
-        }
-    }
-
-    /// Crashes a node; the responsible recorder restarts it.
-    pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(&node) {
-            k.crash_node();
-            self.lan.set_station_up(StationId(node), false);
-        }
-    }
-
-    /// Deduplicated outputs of one process.
-    pub fn outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        let mut by_seq: BTreeMap<u64, &OutputLine> = BTreeMap::new();
-        for o in self.outputs.iter().filter(|o| o.pid == pid) {
-            by_seq.entry(o.seq).or_insert(o);
-        }
-        by_seq
-            .values()
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
+        })
     }
 }

@@ -704,7 +704,12 @@ impl Recorder {
             ios.extend(self.store.write_checkpoint(now, cp));
         }
         for (key, payload) in &export.records {
-            ios.extend(self.store.append_message(now, *key, payload.clone()));
+            // A restarted quorum replica keeps its battery-backed records
+            // and then installs a leader snapshot covering the same
+            // sequences; under log matching they are the same bytes.
+            if !self.store.holds(*key) {
+                ios.extend(self.store.append_message(now, *key, payload.clone()));
+            }
         }
         let mut entry = ProcessEntry::new(now, export.pid, export.program_name.clone());
         entry.initial_links = export.initial_links;

@@ -1,6 +1,16 @@
 //! The complete published-communications world: processing nodes, a
-//! recording node, and a broadcast medium, driven by one deterministic
+//! recorder tier, and a broadcast medium, driven by one deterministic
 //! event loop — Figure 3.2 in executable form.
+//!
+//! The thesis's recorder is *separable*: §3.3's one passive recorder and
+//! §6.3's several differ only in who must acknowledge a frame and who
+//! restarts a dead node; nodes, medium and recovery stay the same.
+//! [`World`] is that sameness — scheduler, medium, kernels, outputs,
+//! node incarnations, crash/recovery instants, dispatch, run loops and
+//! the observability report — and [`RecorderTier`] is the difference.
+//! Four tiers implement it: a lone [`RecorderNode`] (the default),
+//! [`crate::multi::PriorityTier`], and the sharded and quorum tiers in
+//! their own crates.
 
 use crate::node::{RNAction, RecorderConfig, RecorderNode};
 use publishing_demos::costs::CostModel;
@@ -12,17 +22,153 @@ use publishing_demos::registry::{ProgramRegistry, UnknownProgram};
 use publishing_demos::transport::TransportConfig;
 use publishing_net::bus::PerfectBus;
 use publishing_net::frame::{Frame, StationId};
-use publishing_net::lan::{Lan, LanAction, LanConfig};
-use publishing_sim::event::Scheduler;
-use publishing_sim::time::SimTime;
+use publishing_net::lan::{Lan, LanAction, LanConfig, RecorderRouter};
+use publishing_obs::probe::{MediumHealth, RecoveryLag, SchedulerProbe};
+use publishing_obs::registry::MetricsRegistry;
+use publishing_obs::report::ObsReport;
+use publishing_obs::span::SpanLog;
+use publishing_sim::event::{FaultClock, Scheduler, Tick};
+use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+
+/// What differs between recorder tiers; everything else is [`World`].
+///
+/// A tier is a fixed-order list of member recorder nodes — member `i`
+/// runs on node id `nodes + i` — plus the policy around them. The
+/// per-member methods default to the member's [`RecorderNode`], so a
+/// tier of plain recorder nodes overrides only the policy.
+pub trait RecorderTier: Sized {
+    /// How many members the tier has admitted (live or not).
+    fn members(&self) -> usize;
+
+    /// Member `idx`'s recorder node.
+    fn node(&self, idx: usize) -> &RecorderNode;
+
+    /// Member `idx`'s recorder node, mutably — for settings and restart
+    /// confirmations, which pass straight through every tier. Frames,
+    /// timers and lifecycle go through the methods below.
+    fn node_mut(&mut self, idx: usize) -> &mut RecorderNode;
+
+    /// Begins member `idx`'s operation: watchdogs over `watch`.
+    fn start(&mut self, idx: usize, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
+        self.node_mut(idx).start(now, watch)
+    }
+
+    /// Hands member `idx` a frame it saw on the medium.
+    fn on_frame(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        frame: &Frame,
+        recorder_ok: bool,
+    ) -> Vec<RNAction> {
+        self.node_mut(idx).on_frame(now, frame, recorder_ok)
+    }
+
+    /// Fires one of member `idx`'s timers.
+    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64) -> Vec<RNAction> {
+        self.node_mut(idx).on_timer(now, token)
+    }
+
+    /// Crashes member `idx`: volatile state lost, its store survives.
+    fn crash(&mut self, idx: usize) {
+        self.node_mut(idx).crash();
+    }
+
+    /// Restarts member `idx` from its stable storage.
+    fn restart(&mut self, idx: usize, now: SimTime) -> Vec<RNAction> {
+        self.node_mut(idx).restart(now)
+    }
+
+    /// Whether member `idx`, whose watchdog found `node` dead, is the
+    /// one to restart it (§6.3's arbitration, generalized). Everyone
+    /// else declines and keeps watching.
+    fn leads_restart(&self, idx: usize, node: NodeId) -> bool;
+
+    /// Whether every live member is told of a node restart — each then
+    /// recovers, in parallel, the processes it is responsible for — or
+    /// the leader alone. Only the leader ever announces it.
+    const RESTART_FAN_OUT: bool = true;
+
+    /// The stations whose capture a frame needs to count as published
+    /// (the medium's fallback required set). If empty, the world
+    /// requires every member, suspending traffic (§3.3.4).
+    fn required(&self) -> Vec<StationId>;
+
+    /// A per-frame override of [`RecorderTier::required`].
+    fn router(&self) -> Option<RecorderRouter> {
+        None
+    }
+
+    /// Member `idx` has just crashed and its station is down: the
+    /// tier's bookkeeping (required set, failover).
+    fn member_crashed(_world: &mut World<Self>, _idx: usize) {}
+
+    /// Member `idx` has just been restarted: the tier's bookkeeping
+    /// (catch-up before it is required again).
+    fn member_restarted(_world: &mut World<Self>, _idx: usize) {}
+
+    /// Runs after every dispatched event (rejoin checks, watchdogs).
+    fn after_event(_world: &mut World<Self>, _now: SimTime) {}
+
+    /// A process was spawned.
+    fn on_spawn(&mut self, _pid: ProcessId) {}
+
+    /// The metric path prefix member `idx` files its instruments under.
+    fn metric_prefix(&self, idx: usize) -> String;
+
+    /// Recovery-lag probes, one per process, from whichever member is
+    /// authoritative for it. `suppressed`: packed sender pid → §4.7
+    /// suppression count.
+    fn recovery_lags(&self, now: SimTime, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag>;
+
+    /// Files the tier's own instruments (health probes, consensus
+    /// histograms) beside the per-member ones the world files.
+    fn collect(_world: &World<Self>, _reg: &mut MetricsRegistry) {}
+
+    /// Fills in the tier's own report sections.
+    fn report(_world: &World<Self>, _report: &mut ObsReport) {}
+}
+
+/// The §3.3 tier: one passive recorder that always leads, is always
+/// required (a crash suspends traffic rather than unpublishing it), and
+/// is the authority on every process.
+impl RecorderTier for RecorderNode {
+    fn members(&self) -> usize {
+        1
+    }
+
+    fn node(&self, _idx: usize) -> &RecorderNode {
+        self
+    }
+
+    fn node_mut(&mut self, _idx: usize) -> &mut RecorderNode {
+        self
+    }
+
+    fn leads_restart(&self, _idx: usize, _node: NodeId) -> bool {
+        true
+    }
+
+    fn required(&self) -> Vec<StationId> {
+        vec![self.station()]
+    }
+
+    fn metric_prefix(&self, _idx: usize) -> String {
+        "recorder".into()
+    }
+
+    fn recovery_lags(&self, now: SimTime, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        crate::obs::recovery_lags(self.recorder(), now, suppressed)
+    }
+}
 
 /// World events.
 #[derive(Debug)]
-enum WEv {
+enum Ev {
     LanTimer(u64),
     KernelTimer(u32, u64),
-    RecorderTimer(u64),
+    MemberTimer(usize, u64),
     Deliver {
         to: u32,
         frame: Frame,
@@ -34,7 +180,6 @@ enum WEv {
 pub struct WorldBuilder {
     nodes: u32,
     lan: Option<Box<dyn Lan>>,
-    lan_cfg: LanConfig,
     costs: CostModel,
     transport: TransportConfig,
     registry: ProgramRegistry,
@@ -44,12 +189,11 @@ pub struct WorldBuilder {
 
 impl WorldBuilder {
     /// Starts a builder for `nodes` processing nodes (node ids 0..n-1;
-    /// the recorder gets node id n).
+    /// the recorder tier's members get node ids n, n+1, ...).
     pub fn new(nodes: u32) -> Self {
         WorldBuilder {
             nodes,
             lan: None,
-            lan_cfg: LanConfig::default(),
             costs: CostModel::zero(),
             transport: TransportConfig::default(),
             registry: ProgramRegistry::new(),
@@ -58,16 +202,16 @@ impl WorldBuilder {
         }
     }
 
-    /// Uses a specific medium instead of the default [`PerfectBus`].
-    /// Stations 0..=n (nodes + recorder) must not yet be attached.
-    pub fn medium(mut self, lan: Box<dyn Lan>) -> Self {
-        self.lan = Some(lan);
-        self
+    /// The number of processing nodes; the tier's members go on the
+    /// node ids from here up.
+    pub fn nodes(&self) -> u32 {
+        self.nodes
     }
 
-    /// Sets the LAN configuration for the default medium.
-    pub fn lan_config(mut self, cfg: LanConfig) -> Self {
-        self.lan_cfg = cfg;
+    /// Uses a specific medium instead of the default [`PerfectBus`].
+    /// It must be fresh: stations are attached by the build.
+    pub fn medium(mut self, lan: Box<dyn Lan>) -> Self {
+        self.lan = Some(lan);
         self
     }
 
@@ -89,7 +233,7 @@ impl WorldBuilder {
         self
     }
 
-    /// Sets the recorder configuration.
+    /// Sets the recorder configuration ([`WorldBuilder::build`] only).
     pub fn recorder(mut self, cfg: RecorderConfig) -> Self {
         self.recorder_cfg = cfg;
         self
@@ -102,12 +246,22 @@ impl WorldBuilder {
         self
     }
 
-    /// Builds the world and starts the recorder's watchdogs.
+    /// Builds the single-recorder world and starts the recorder's
+    /// watchdogs.
     pub fn build(self) -> World {
-        let recorder_node = NodeId(self.nodes);
+        let recorder = RecorderNode::new(NodeId(self.nodes), self.recorder_cfg.clone());
+        self.build_with(recorder)
+    }
+
+    /// Builds a world around `tier` (whose members must sit on node ids
+    /// `nodes..`): installs its router and required set on the medium,
+    /// attaches kernels then members, points every kernel's notices at
+    /// every member, and starts each member's watchdogs.
+    pub fn build_with<T: RecorderTier>(self, tier: T) -> World<T> {
         let mut lan = self
             .lan
-            .unwrap_or_else(|| Box::new(PerfectBus::new(self.lan_cfg.clone())));
+            .unwrap_or_else(|| Box::new(PerfectBus::new(LanConfig::default())));
+        lan.set_recorder_router(tier.router());
         let mut kernels = BTreeMap::new();
         for n in 0..self.nodes {
             let mut k = Kernel::new(
@@ -117,55 +271,75 @@ impl WorldBuilder {
                 self.transport.clone(),
                 self.publishing,
             );
-            k.set_recorder(recorder_node);
+            for i in 0..tier.members() {
+                k.add_recorder(tier.node(i).node());
+            }
             lan.attach(k.station());
             kernels.insert(n, k);
         }
-        let recorder = RecorderNode::new(recorder_node, self.recorder_cfg);
-        lan.attach(recorder.station());
-        if self.publishing {
-            lan.set_required_recorders(vec![recorder.station()]);
+        for i in 0..tier.members() {
+            lan.attach(tier.node(i).station());
         }
         let mut world = World {
             sched: Scheduler::new(),
             lan,
             kernels,
-            recorder,
+            tier,
             outputs: Vec::new(),
-            publishing: self.publishing,
+            n_nodes: self.nodes,
+            node_incarnations: BTreeMap::new(),
             crashes: Vec::new(),
             recovered: BTreeMap::new(),
         };
-        let nodes: Vec<NodeId> = (0..self.nodes).map(NodeId).collect();
-        let actions = world.recorder.start(SimTime::ZERO, &nodes);
-        world.apply_recorder(SimTime::ZERO, actions);
+        if self.publishing {
+            world.refresh_required();
+        }
+        let watch = world.watch_list();
+        for i in 0..world.tier.members() {
+            let actions = world.tier.start(i, SimTime::ZERO, &watch);
+            world.apply_member(SimTime::ZERO, i, actions);
+        }
         world
     }
 }
 
-/// The running world.
-pub struct World {
-    sched: Scheduler<WEv>,
+/// The running world, generic over its recorder tier.
+pub struct World<T: RecorderTier = RecorderNode> {
+    sched: Scheduler<Ev>,
     /// The shared medium.
     pub lan: Box<dyn Lan>,
     /// Processing-node kernels by node id.
     pub kernels: BTreeMap<u32, Kernel>,
-    /// The recording node.
-    pub recorder: RecorderNode,
+    /// The recorder tier (in the default world, the recording node).
+    pub tier: T,
     /// All process outputs, in emission order (including replayed
     /// duplicates; use [`World::outputs_of`] for the deduplicated view).
     pub outputs: Vec<OutputLine>,
-    publishing: bool,
+    n_nodes: u32,
+    /// Authoritative node incarnations: a member that was down during a
+    /// restart must not hand out a stale one.
+    node_incarnations: BTreeMap<u32, u32>,
     /// Virtual instants of injected crashes, in injection order.
     crashes: Vec<SimTime>,
     /// Packed pid → virtual instant its recovery committed.
     recovered: BTreeMap<u64, SimTime>,
 }
 
-impl World {
+impl<T: RecorderTier> World<T> {
     /// Returns the current virtual time.
     pub fn now(&self) -> SimTime {
         self.sched.now()
+    }
+
+    /// The number of processing nodes (member `i` of the tier sits on
+    /// node id `nodes() + i`).
+    pub fn nodes(&self) -> u32 {
+        self.n_nodes
+    }
+
+    /// The nodes every member's watchdog watches.
+    pub fn watch_list(&self) -> Vec<NodeId> {
+        (0..self.n_nodes).map(NodeId).collect()
     }
 
     /// Spawns a program on a node with initial links.
@@ -183,32 +357,36 @@ impl World {
         program: &str,
         links: Vec<Link>,
     ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn(now, program, links)?;
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
+        self.spawn_as(node, program, links, true)
     }
 
     /// Spawns a program marked unrecoverable (§6.6.1): the recorder
-    /// publishes nothing for it and a crash is final.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProgram`] if the image is not registered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
+    /// publishes nothing for it and a crash is final. Errors and panics
+    /// as [`World::spawn`].
     pub fn spawn_unrecoverable(
         &mut self,
         node: u32,
         program: &str,
         links: Vec<Link>,
     ) -> Result<ProcessId, UnknownProgram> {
+        self.spawn_as(node, program, links, false)
+    }
+
+    fn spawn_as(
+        &mut self,
+        node: u32,
+        program: &str,
+        links: Vec<Link>,
+        recoverable: bool,
+    ) -> Result<ProcessId, UnknownProgram> {
         let now = self.now();
         let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn_unrecoverable(now, program, links)?;
+        let (pid, actions) = if recoverable {
+            k.spawn(now, program, links)?
+        } else {
+            k.spawn_unrecoverable(now, program, links)?
+        };
+        self.tier.on_spawn(pid);
         self.apply_kernel(now, node, actions);
         Ok(pid)
     }
@@ -216,12 +394,9 @@ impl World {
     fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
         for a in actions {
             match a {
-                KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
+                KernelAction::Transmit(frame) => self.submit(now, frame),
                 KernelAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, WEv::KernelTimer(node, token));
+                    self.sched.schedule_at(at, Ev::KernelTimer(node, token));
                 }
                 KernelAction::Output { pid, seq, bytes } => {
                     self.outputs.push(OutputLine {
@@ -235,26 +410,42 @@ impl World {
         }
     }
 
-    fn apply_recorder(&mut self, now: SimTime, actions: Vec<RNAction>) {
+    /// Performs the actions member `idx` of the tier asked for. Tier
+    /// operations (a restart, a log-segment import) route their members'
+    /// actions through here, exactly as dispatch does.
+    pub fn apply_member(&mut self, now: SimTime, idx: usize, actions: Vec<RNAction>) {
         for a in actions {
             match a {
-                RNAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
+                RNAction::Transmit(frame) => self.submit(now, frame),
                 RNAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, WEv::RecorderTimer(token));
+                    self.sched.schedule_at(at, Ev::MemberTimer(idx, token));
                 }
-                RNAction::RestartNode { node, incarnation } => {
-                    // The §4.6 operator action: reboot the processor (or a
-                    // spare assuming its identity), then let the manager
-                    // proceed.
+                RNAction::RestartNode { node, .. } => {
+                    if !self.tier.leads_restart(idx, node) {
+                        self.tier.node_mut(idx).decline_node_restart(node);
+                        continue;
+                    }
+                    let inc = self.node_incarnations.entry(node.0).or_insert(0);
+                    *inc += 1;
+                    let incarnation = *inc;
+                    // The §4.6 operator action: reboot the processor (or
+                    // a spare assuming its identity), then let the
+                    // managers proceed.
                     if let Some(k) = self.kernels.get_mut(&node.0) {
                         k.restart_node(now, incarnation);
                         self.lan.set_station_up(StationId(node.0), true);
                     }
-                    let follow = self.recorder.confirm_node_restarted(now, node, incarnation);
-                    self.apply_recorder(now, follow);
+                    for j in 0..self.tier.members() {
+                        if j == idx || (T::RESTART_FAN_OUT && self.tier.node(j).is_up()) {
+                            let follow = self.tier.node_mut(j).confirm_node_restarted_with(
+                                now,
+                                node,
+                                incarnation,
+                                j == idx,
+                            );
+                            self.apply_member(now, j, follow);
+                        }
+                    }
                 }
                 RNAction::RecoveryDone { pid } => {
                     self.recovered.insert(pid.as_u64(), now);
@@ -263,30 +454,47 @@ impl World {
         }
     }
 
-    fn apply_lan(&mut self, actions: Vec<LanAction>) {
-        for a in actions {
-            match a {
-                LanAction::Deliver {
-                    at,
-                    to,
-                    frame,
-                    recorder_ok,
-                } => {
-                    self.sched.schedule_at(
-                        at,
-                        WEv::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
-                }
-                LanAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, WEv::LanTimer(token));
-                }
-                LanAction::TxOutcome { .. } => {}
-            }
+    /// Puts a frame on the medium now.
+    pub fn submit(&mut self, now: SimTime, frame: Frame) {
+        for a in self.lan.submit(now, frame) {
+            self.apply_lan(a);
         }
+    }
+
+    fn apply_lan(&mut self, action: LanAction) {
+        match action {
+            LanAction::Deliver {
+                at,
+                to,
+                frame,
+                recorder_ok,
+            } => {
+                self.sched.schedule_at(
+                    at,
+                    Ev::Deliver {
+                        to: to.0,
+                        frame,
+                        recorder_ok,
+                    },
+                );
+            }
+            LanAction::SetTimer { at, token } => {
+                self.sched.schedule_at(at, Ev::LanTimer(token));
+            }
+            LanAction::TxOutcome { .. } => {}
+        }
+    }
+
+    /// Reinstalls the medium's fallback required set from the tier
+    /// (after any membership change).
+    pub fn refresh_required(&mut self) {
+        let mut required = self.tier.required();
+        if required.is_empty() {
+            required = (0..self.tier.members())
+                .map(|i| self.tier.node(i).station())
+                .collect();
+        }
+        self.lan.set_required_recorders(required);
     }
 
     /// Processes one event; returns `false` when the queue is empty.
@@ -298,50 +506,57 @@ impl World {
         true
     }
 
-    fn dispatch(&mut self, now: SimTime, ev: WEv) {
+    fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            WEv::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
+            Ev::LanTimer(token) => {
+                for a in self.lan.timer(now, token) {
+                    self.apply_lan(a);
+                }
             }
-            WEv::KernelTimer(node, token) => {
+            Ev::KernelTimer(node, token) => {
                 if let Some(k) = self.kernels.get_mut(&node) {
                     let actions = k.on_timer(now, token);
                     self.apply_kernel(now, node, actions);
                 }
             }
-            WEv::RecorderTimer(token) => {
-                let actions = self.recorder.on_timer(now, token);
-                self.apply_recorder(now, actions);
+            Ev::MemberTimer(idx, token) => {
+                let actions = self.tier.on_timer(idx, now, token);
+                self.apply_member(now, idx, actions);
             }
-            WEv::Deliver {
+            Ev::Deliver {
                 to,
                 frame,
                 recorder_ok,
             } => {
-                if to == self.recorder.node().0 {
-                    let actions = self.recorder.on_frame(now, &frame, recorder_ok);
-                    self.apply_recorder(now, actions);
-                } else if let Some(k) = self.kernels.get_mut(&to) {
-                    let actions = k.on_frame(now, &frame, recorder_ok);
-                    self.apply_kernel(now, to, actions);
+                if to < self.n_nodes {
+                    if let Some(k) = self.kernels.get_mut(&to) {
+                        let actions = k.on_frame(now, &frame, recorder_ok);
+                        self.apply_kernel(now, to, actions);
+                    }
+                } else {
+                    let idx = (to - self.n_nodes) as usize;
+                    if idx < self.tier.members() {
+                        let actions = self.tier.on_frame(idx, now, &frame, recorder_ok);
+                        self.apply_member(now, idx, actions);
+                    }
                 }
             }
         }
+        T::after_event(self, now);
     }
 
     /// Installs a fault clock: [`World::run_until_or_fault`] will pause
     /// at each of its instants so a chaos driver can inject faults.
-    pub fn set_fault_clock(&mut self, clock: publishing_sim::event::FaultClock) {
+    pub fn set_fault_clock(&mut self, clock: FaultClock) {
         self.sched.set_fault_clock(clock);
     }
 
     /// Runs until `deadline` or the next fault-clock instant, whichever
     /// comes first. Returns `Some(t)` when paused at a fault instant
     /// (the world's clock is at `t`; inject, then call again), `None`
-    /// once `deadline` is reached with no fault due before it.
+    /// once `deadline` is reached with no fault due before it — the
+    /// clock is then exactly at `deadline`.
     pub fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        use publishing_sim::event::Tick;
         loop {
             let fault_due = self.sched.next_fault().map(|f| f <= deadline);
             let event_due = self.sched.peek_time().map(|t| t <= deadline);
@@ -359,22 +574,14 @@ impl World {
         }
     }
 
-    /// Runs until `deadline` (watchdogs tick forever, so there is no
-    /// quiescence in a published world).
+    /// Runs until `deadline`, ignoring any fault clock; the clock ends
+    /// exactly there (watchdogs tick forever, so there is no quiescence
+    /// in a published world).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
+        while self.sched.peek_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
-        if self.sched.now() < deadline
-            && self
-                .sched
-                .peek_time()
-                .map(|t| t >= deadline)
-                .unwrap_or(true)
-        {
+        if self.sched.now() < deadline {
             self.sched.advance_to(deadline);
         }
     }
@@ -384,44 +591,48 @@ impl World {
     pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
         let now = self.now();
         if let Some(k) = self.kernels.get_mut(&pid.node.0) {
-            self.crashes.push(now);
             let actions = k.crash_process(now, pid.local, reason);
+            self.crashes.push(now);
             self.apply_kernel(now, pid.node.0, actions);
         }
     }
 
-    /// Crashes a whole node now; the watchdog will notice and the manager
-    /// will restart and re-populate it.
+    /// Crashes a whole node now; the watchdog of whichever member leads
+    /// its restart will notice, and the tier re-populates it.
     pub fn crash_node(&mut self, node: u32) {
         if let Some(k) = self.kernels.get_mut(&node) {
-            self.crashes.push(self.sched.now());
             k.crash_node();
+            self.crashes.push(self.sched.now());
             self.lan.set_station_up(StationId(node), false);
         }
     }
 
-    /// Crashes the recorder now. All publishable traffic suspends
-    /// (§3.3.4) until [`World::restart_recorder`].
-    pub fn crash_recorder(&mut self) {
-        self.crashes.push(self.now());
-        self.recorder.crash();
-        self.lan.set_station_up(self.recorder.station(), false);
-        // The station stays in the required set: traffic is suspended,
-        // not silently unpublished.
+    /// Crashes member `idx` of the tier (a no-op if it is already down):
+    /// volatile state lost, station down, then the tier's own reaction.
+    pub fn crash_member(&mut self, idx: usize) {
+        if !self.tier.node(idx).is_up() {
+            return;
+        }
+        self.crashes.push(self.sched.now());
+        self.tier.crash(idx);
+        let station = self.tier.node(idx).station();
+        self.lan.set_station_up(station, false);
+        T::member_crashed(self, idx);
     }
 
-    /// Restarts the recorder: database rebuild plus the §3.3.4 state
-    /// queries.
-    pub fn restart_recorder(&mut self) {
+    /// Restarts member `idx` of the tier (a no-op if it is up): station
+    /// up, rebuild from stable storage plus the §3.3.4 state queries,
+    /// then the tier's own reaction.
+    pub fn restart_member(&mut self, idx: usize) {
+        if self.tier.node(idx).is_up() {
+            return;
+        }
         let now = self.now();
-        self.lan.set_station_up(self.recorder.station(), true);
-        let actions = self.recorder.restart(now);
-        self.apply_recorder(now, actions);
-    }
-
-    /// Whether publishing is enabled.
-    pub fn publishing(&self) -> bool {
-        self.publishing
+        let station = self.tier.node(idx).station();
+        self.lan.set_station_up(station, true);
+        let actions = self.tier.restart(idx, now);
+        self.apply_member(now, idx, actions);
+        T::member_restarted(self, idx);
     }
 
     /// The deduplicated output lines of one process: exactly-once by
@@ -438,17 +649,8 @@ impl World {
             .collect()
     }
 
-    /// The raw (possibly duplicated) output lines of one process.
-    pub fn raw_outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        self.outputs
-            .iter()
-            .filter(|o| o.pid == pid)
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
-    }
-
     /// A fingerprint of every process's deduplicated output, for
-    /// equivalence oracles.
+    /// crash-free vs crashed-and-recovered equivalence oracles.
     pub fn output_fingerprint(&self) -> u64 {
         let mut per_pid: BTreeMap<ProcessId, BTreeMap<u64, &[u8]>> = BTreeMap::new();
         for o in &self.outputs {
@@ -476,22 +678,42 @@ impl World {
         h
     }
 
+    /// Total completed recoveries across the tier.
+    pub fn recoveries_completed(&self) -> u64 {
+        self.member_nodes()
+            .map(|rn| rn.manager().stats().completed.get())
+            .sum()
+    }
+
+    /// The tier's member recorder nodes, by index.
+    pub fn member_nodes(&self) -> impl Iterator<Item = &RecorderNode> {
+        (0..self.tier.members()).map(|i| self.tier.node(i))
+    }
+
     /// Every span log in the world, in deterministic order: kernels by
-    /// node id, then the recorder.
-    pub fn span_logs(&self) -> Vec<&publishing_obs::span::SpanLog> {
+    /// node id, then tier members by index.
+    pub fn span_logs(&self) -> Vec<&SpanLog> {
         let mut logs: Vec<_> = self.kernels.values().map(|k| k.spans()).collect();
-        logs.push(self.recorder.recorder().spans());
+        logs.extend(self.member_nodes().map(|rn| rn.recorder().spans()));
         logs
+    }
+
+    /// Caps every component span log (kernels and tier members) at
+    /// `capacity` retained events. `0` keeps fingerprints and totals
+    /// but retains nothing — the spans-disabled configuration of the
+    /// overhead benchmark.
+    pub fn set_span_capacity(&mut self, capacity: usize) {
+        for k in self.kernels.values_mut() {
+            k.set_span_capacity(capacity);
+        }
+        for i in 0..self.tier.members() {
+            self.tier.node_mut(i).set_span_capacity(capacity);
+        }
     }
 
     /// The happens-before DAG over every component's span log.
     pub fn causal_graph(&self) -> publishing_obs::causal::CausalGraph {
         publishing_obs::causal::CausalGraph::build(self.span_logs())
-    }
-
-    /// Virtual instants of every injected crash, in injection order.
-    pub fn crash_times(&self) -> &[SimTime] {
-        &self.crashes
     }
 
     /// Completed recoveries: packed pid → instant the manager committed.
@@ -513,48 +735,50 @@ impl World {
         publishing_obs::span::combined_fingerprint(self.span_logs())
     }
 
-    /// Assembles per-message lifecycle spans from every component's log.
-    pub fn spans(
-        &self,
-    ) -> BTreeMap<publishing_obs::span::MsgKey, publishing_obs::span::MessageSpan> {
-        publishing_obs::span::assemble(self.span_logs())
-    }
-
-    /// Snapshots every component's instruments into one registry.
-    pub fn collect_metrics(&self) -> publishing_obs::registry::MetricsRegistry {
+    /// Snapshots every component's instruments into one registry:
+    /// kernels under `node/<n>/`, each tier member under its
+    /// [`RecorderTier::metric_prefix`], the tier's own probes, and the
+    /// medium.
+    pub fn collect_metrics(&self) -> MetricsRegistry {
         let now = self.now();
-        let mut reg = publishing_obs::registry::MetricsRegistry::new();
+        let mut reg = MetricsRegistry::new();
         for k in self.kernels.values() {
             crate::obs::kernel_metrics(&mut reg, k);
         }
-        crate::obs::recorder_node_metrics(&mut reg, "recorder", &self.recorder, now);
-        publishing_obs::probe::MediumHealth::from_lan(self.lan.stats(), now)
-            .into_registry(&mut reg);
+        for (i, rn) in self.member_nodes().enumerate() {
+            crate::obs::recorder_node_metrics(&mut reg, &self.tier.metric_prefix(i), rn, now);
+        }
+        T::collect(self, &mut reg);
+        MediumHealth::from_lan(self.lan.stats(), now).into_registry(&mut reg);
         reg
     }
 
-    /// Recovery-lag probes for every process the recorder knows about.
-    pub fn recovery_lags(&self) -> Vec<publishing_obs::probe::RecoveryLag> {
+    /// Recovery-lag probes for every process the tier knows about.
+    pub fn recovery_lags(&self) -> Vec<RecoveryLag> {
         let suppressed = crate::obs::suppressed_by_sender(self.kernels.values().map(|k| k.spans()));
-        crate::obs::recovery_lags(self.recorder.recorder(), self.now(), &suppressed)
+        self.tier.recovery_lags(self.now(), &suppressed)
     }
 
     /// Builds the full observability report for the run so far.
-    pub fn obs_report(&self) -> publishing_obs::report::ObsReport {
+    pub fn obs_report(&self) -> ObsReport {
         let now = self.now();
         let horizon = now.saturating_since(SimTime::ZERO);
         let mut profile = publishing_obs::profile::TimeProfile::new();
-        let mut kernel_cpu = publishing_sim::time::SimDuration::ZERO;
+        let mut kernel_cpu = SimDuration::ZERO;
         for k in self.kernels.values() {
             kernel_cpu += k.stats().cpu_used;
         }
         profile.charge("kernel_cpu", kernel_cpu);
-        profile.charge("publish_cpu", self.recorder.recorder().stats().cpu_used);
-        let store = self.recorder.recorder().store();
-        let mut disk_busy = publishing_sim::time::SimDuration::ZERO;
-        for i in 0..store.n_disks() {
-            disk_busy += store.disk_stats(i).busy.busy_time(now);
+        let mut publish_cpu = SimDuration::ZERO;
+        let mut disk_busy = SimDuration::ZERO;
+        for rn in self.member_nodes() {
+            publish_cpu += rn.recorder().stats().cpu_used;
+            let store = rn.recorder().store();
+            for i in 0..store.n_disks() {
+                disk_busy += store.disk_stats(i).busy.busy_time(now);
+            }
         }
+        profile.charge("publish_cpu", publish_cpu);
         profile.charge("stable_store_io", disk_busy);
         profile.charge("medium_busy", self.lan.stats().busy.busy_time(now));
 
@@ -583,23 +807,27 @@ impl World {
             cp.into_registry(&mut metrics);
         }
 
-        let spans = self.spans();
+        let spans = publishing_obs::span::assemble(self.span_logs());
         let logs = self.span_logs();
-        publishing_obs::report::ObsReport {
+        let mut report = ObsReport {
             schema: publishing_obs::report::REPORT_SCHEMA_VERSION,
             at_ms: now.as_millis_f64(),
             metrics,
             recovery,
             shards: Vec::new(),
-            medium: Some(publishing_obs::probe::MediumHealth::from_lan(
-                self.lan.stats(),
-                now,
-            )),
+            medium: Some(MediumHealth::from_lan(self.lan.stats(), now)),
             profile,
             horizon,
             latencies: publishing_obs::profile::stage_latencies(&spans),
             sched: self.scheduler_probe(),
-            queue_depths: Some(self.recorder.recorder().stats().depth_hist.clone()),
+            // Every member's recorder shares one binning.
+            queue_depths: self
+                .member_nodes()
+                .map(|rn| rn.recorder().stats().depth_hist.clone())
+                .reduce(|mut all, h| {
+                    all.merge(&h);
+                    all
+                }),
             spans_total: logs.iter().map(|l| l.total()).sum(),
             span_fingerprint: self.obs_fingerprint(),
             critical_path,
@@ -609,22 +837,42 @@ impl World {
             workload: None,
             utilization: Some(crate::obs::utilization_report(
                 self.kernels.values(),
-                [(0, self.recorder.recorder())],
+                self.member_nodes()
+                    .enumerate()
+                    .map(|(i, rn)| (i as u32, rn.recorder())),
                 self.lan.as_ref(),
                 now,
             )),
             whatif: None,
             forensics: None,
-        }
+        };
+        T::report(self, &mut report);
+        report
     }
 
     /// Event-queue statistics of the world's scheduler.
-    pub fn scheduler_probe(&self) -> publishing_obs::probe::SchedulerProbe {
-        publishing_obs::probe::SchedulerProbe {
+    pub fn scheduler_probe(&self) -> SchedulerProbe {
+        SchedulerProbe {
             delivered: self.sched.delivered(),
             scheduled: self.sched.scheduled(),
             pending: self.sched.pending() as u64,
             peak_pending: self.sched.peak_pending() as u64,
         }
+    }
+}
+
+impl World {
+    /// Crashes the recorder now. All publishable traffic suspends
+    /// (§3.3.4) until [`World::restart_recorder`]: the station stays in
+    /// the required set, so traffic is suspended, not silently
+    /// unpublished.
+    pub fn crash_recorder(&mut self) {
+        self.crash_member(0);
+    }
+
+    /// Restarts the recorder: database rebuild plus the §3.3.4 state
+    /// queries.
+    pub fn restart_recorder(&mut self) {
+        self.restart_member(0);
     }
 }

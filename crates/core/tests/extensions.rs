@@ -2,7 +2,7 @@
 //! publishing, multiple recorders, and publishing over the contention
 //! media (Acknowledging Ethernet, token ring).
 
-use publishing_core::multi::MultiWorld;
+use publishing_core::multi::PriorityTier;
 use publishing_core::transactions::{tx_codes, TxCoordinator, TxOp, TxParticipant, TxRequest};
 use publishing_core::world::WorldBuilder;
 use publishing_demos::ids::{Channel, LinkId, NodeId, ProcessId};
@@ -212,14 +212,14 @@ fn multi_registry() -> ProgramRegistry {
 
 #[test]
 fn surviving_recorder_covers_for_dead_one() {
-    let mut w = MultiWorld::new(2, 2, multi_registry());
+    let mut w = PriorityTier::world(WorldBuilder::new(2).registry(multi_registry()), 2);
     let server = w.spawn(1, "echo", vec![]).unwrap();
     let client = w
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     w.run_until(SimTime::from_millis(30));
     // Kill recorder 0: the survivor covers; traffic keeps flowing.
-    w.crash_recorder(0);
+    w.crash_member(0);
     w.run_until(SimTime::from_secs(10));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 26, "{}", out.len());
@@ -228,7 +228,7 @@ fn surviving_recorder_covers_for_dead_one() {
 
 #[test]
 fn node_crash_handled_by_highest_priority_live_recorder() {
-    let mut w = MultiWorld::new(2, 2, multi_registry());
+    let mut w = PriorityTier::world(WorldBuilder::new(2).registry(multi_registry()), 2);
     let server = w.spawn(1, "echo", vec![]).unwrap();
     let client = w
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
@@ -236,34 +236,38 @@ fn node_crash_handled_by_highest_priority_live_recorder() {
     w.run_until(SimTime::from_millis(30));
     // Kill the recorder with top priority for node 1, then node 1 itself:
     // the lower-priority recorder must take over recovery.
-    let top = w.priorities.responsible(NodeId(1), &[true, true]).unwrap();
-    w.crash_recorder(top);
+    let top = w
+        .tier
+        .priorities
+        .responsible(NodeId(1), &[true, true])
+        .unwrap();
+    w.crash_member(top);
     w.run_until(SimTime::from_millis(60));
     w.crash_node(1);
     w.run_until(SimTime::from_secs(20));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 26, "{}", out.len());
     let other = 1 - top;
-    assert!(w.recorders[other].manager().stats().node_crashes.get() >= 1);
+    assert!(w.tier.recorders[other].manager().stats().node_crashes.get() >= 1);
 }
 
 #[test]
 fn crashed_recorder_rejoins_after_catching_up() {
-    let mut w = MultiWorld::new(2, 2, multi_registry());
+    let mut w = PriorityTier::world(WorldBuilder::new(2).registry(multi_registry()), 2);
     let server = w.spawn(1, "echo", vec![]).unwrap();
     let client = w
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     w.run_until(SimTime::from_millis(20));
-    w.crash_recorder(1);
+    w.crash_member(1);
     w.run_until(SimTime::from_millis(200));
-    w.restart_recorder(1);
+    w.restart_member(1);
     // Catch-up requires every process to checkpoint after the restart;
     // the default periodic policy (2 s) gets there.
     w.run_until(SimTime::from_secs(20));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 26, "{}", out.len());
-    assert!(w.recorders[1].is_up());
+    assert!(w.tier.recorders[1].is_up());
 }
 
 fn ping_registry(n: u64) -> ProgramRegistry {
@@ -392,10 +396,10 @@ fn unrecoverable_processes_are_not_published_and_stay_dead() {
         .spawn_unrecoverable(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     w.run_until(SimTime::from_millis(40));
-    let entry = w.recorder.recorder().entry(status).expect("registered");
+    let entry = w.tier.recorder().entry(status).expect("registered");
     assert!(!entry.recoverable);
     // Its inbound messages were never published.
-    assert!(w.recorder.recorder().replay_stream(status).is_empty());
+    assert!(w.tier.recorder().replay_stream(status).is_empty());
     w.crash_process(status, "fatal by choice");
     w.run_until(SimTime::from_secs(5));
     // Not recovered: still crashed.

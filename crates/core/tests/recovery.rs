@@ -57,8 +57,8 @@ fn server_crash_recovers_transparently() {
         );
     }
     // Recovery actually happened (this wasn't a lucky no-op).
-    assert_eq!(w.recorder.manager().stats().completed.get(), 1);
-    assert!(w.recorder.manager().stats().replayed.get() > 0);
+    assert_eq!(w.tier.manager().stats().completed.get(), 1);
+    assert!(w.tier.manager().stats().replayed.get() > 0);
 }
 
 #[test]
@@ -94,7 +94,7 @@ fn node_crash_detected_and_all_processes_recovered() {
     // The whole server node dies; the watchdog must notice.
     w.crash_node(1);
     w.run_until(secs(20));
-    assert!(w.recorder.manager().stats().node_crashes.get() >= 1);
+    assert!(w.tier.manager().stats().node_crashes.get() >= 1);
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 31, "{out:?}");
     assert_eq!(out.last().unwrap(), "done");
@@ -118,9 +118,9 @@ fn recovery_uses_checkpoint_not_initial_state() {
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     w.run_until(SimTime::from_millis(300));
-    let checkpoints_before = w.recorder.recorder().stats().checkpoints.get();
+    let checkpoints_before = w.tier.recorder().stats().checkpoints.get();
     assert!(checkpoints_before > 2, "checkpoints should have been taken");
-    let floor = w.recorder.recorder().entry(server).unwrap().read_floor;
+    let floor = w.tier.recorder().entry(server).unwrap().read_floor;
     assert!(floor > 0, "server checkpoint covers some reads");
     w.crash_process(server, "injected");
     w.run_until(secs(20));
@@ -128,7 +128,7 @@ fn recovery_uses_checkpoint_not_initial_state() {
     assert_eq!(out.len(), 41, "{out:?}");
     // Replay was bounded by the checkpoint: fewer messages than the
     // server's total read count.
-    let replayed = w.recorder.manager().stats().replayed.get();
+    let replayed = w.tier.manager().stats().replayed.get();
     let total_reads = w.kernels[&1].process(server.local).unwrap().read_count;
     assert!(
         replayed < total_reads,
@@ -194,7 +194,7 @@ fn crashed_and_crash_free_runs_are_equivalent() {
     };
     let (clean, _wclean) = run(false);
     let (crashed, wcrashed) = run(true);
-    assert!(wcrashed.recorder.manager().stats().completed.get() >= 2);
+    assert!(wcrashed.tier.manager().stats().completed.get() >= 2);
     assert_eq!(clean, crashed, "recovered run must be externally identical");
 }
 
@@ -244,7 +244,7 @@ fn recorder_restart_recovers_processes_that_died_while_it_was_down() {
     w.run_until(secs(30));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 21, "{out:?}");
-    assert!(w.recorder.manager().stats().completed.get() >= 1);
+    assert!(w.tier.manager().stats().completed.get() >= 1);
 }
 
 #[test]

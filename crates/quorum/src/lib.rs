@@ -38,5 +38,5 @@ pub mod replica;
 pub mod world;
 
 pub use raft::{Op, QMsg, RaftConfig, RaftCore, RaftOut, RaftStats, ReplicaId, Role};
-pub use replica::{QAction, QuorumReplica, ReplicaConfig};
-pub use world::{QuorumConfig, QuorumWorld};
+pub use replica::{QuorumReplica, ReplicaConfig};
+pub use world::{QuorumTier, QuorumWorld};

@@ -32,35 +32,6 @@ const QUORUM_TOKEN_BIT: u64 = 1 << 63;
 /// The recurring consensus tick.
 const TICK_TOKEN: u64 = QUORUM_TOKEN_BIT;
 
-/// An action a [`QuorumReplica`] asks the world to perform (the quorum
-/// analogue of [`RNAction`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QAction {
-    /// Put a frame on the medium.
-    Transmit(Frame),
-    /// Call [`QuorumReplica::on_timer`] with `token` at `at`.
-    SetTimer {
-        /// Callback time.
-        at: SimTime,
-        /// Token to hand back.
-        token: u64,
-    },
-    /// Physically restart a crashed processing node, then call
-    /// [`QuorumReplica::confirm_node_restarted`] (leader arbitration is
-    /// the world's job, exactly as in the sharded tier).
-    RestartNode {
-        /// The node.
-        node: NodeId,
-        /// Its new incarnation.
-        incarnation: u32,
-    },
-    /// A process finished recovering.
-    RecoveryDone {
-        /// The process.
-        pid: ProcessId,
-    },
-}
-
 /// Configuration for one quorum replica.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
@@ -215,6 +186,15 @@ impl QuorumReplica {
         &self.node
     }
 
+    /// The inner recorder node, mutably: for the settings and restart
+    /// confirmations that pass straight through the consensus layer
+    /// (span capacity, disk faults, `confirm_node_restarted_with`,
+    /// `decline_node_restart`). Frames, timers, crash and restart must
+    /// go through the replica.
+    pub fn recorder_node_mut(&mut self) -> &mut RecorderNode {
+        &mut self.node
+    }
+
     /// Read access to the consensus core.
     pub fn raft(&self) -> &RaftCore {
         &self.raft
@@ -244,41 +224,17 @@ impl QuorumReplica {
         &self.replication_lag
     }
 
-    /// Re-bounds the inner recorder's span ring (0 = fingerprint-only).
-    pub fn set_span_capacity(&mut self, capacity: usize) {
-        self.node.set_span_capacity(capacity);
-    }
-
-    /// Applies a disk-fault regime to the replica's store.
-    pub fn set_disk_faults(&mut self, faults: publishing_stable::disk::DiskFaults) {
-        self.node.set_disk_faults(faults);
-    }
-
     /// Begins operation: recorder watchdogs over `watch`, plus the
     /// consensus tick.
-    pub fn start(&mut self, now: SimTime, watch: &[NodeId]) -> Vec<QAction> {
-        let mut out = Vec::new();
-        Self::wrap(self.node.start(now, watch), &mut out);
+    pub fn start(&mut self, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
+        let mut out = self.node.start(now, watch);
         let routs = self.raft.start(now);
         self.process(now, routs, &mut out);
-        out.push(QAction::SetTimer {
+        out.push(RNAction::SetTimer {
             at: now + self.tick,
             token: TICK_TOKEN | self.tick_epoch,
         });
         out
-    }
-
-    fn wrap(actions: Vec<RNAction>, out: &mut Vec<QAction>) {
-        for a in actions {
-            out.push(match a {
-                RNAction::Transmit(frame) => QAction::Transmit(frame),
-                RNAction::SetTimer { at, token } => QAction::SetTimer { at, token },
-                RNAction::RestartNode { node, incarnation } => {
-                    QAction::RestartNode { node, incarnation }
-                }
-                RNAction::RecoveryDone { pid } => QAction::RecoveryDone { pid },
-            });
-        }
     }
 
     fn qframe(&self, to: ReplicaId, msg: &QMsg) -> Frame {
@@ -296,11 +252,11 @@ impl QuorumReplica {
 
     /// Runs consensus effects to quiescence, then applies committed
     /// entries and proposes any ready backlog.
-    fn process(&mut self, now: SimTime, routs: Vec<RaftOut>, out: &mut Vec<QAction>) {
+    fn process(&mut self, now: SimTime, routs: Vec<RaftOut>, out: &mut Vec<RNAction>) {
         let mut queue: VecDeque<RaftOut> = routs.into();
         while let Some(o) = queue.pop_front() {
             match o {
-                RaftOut::Send { to, msg } => out.push(QAction::Transmit(self.qframe(to, &msg))),
+                RaftOut::Send { to, msg } => out.push(RNAction::Transmit(self.qframe(to, &msg))),
                 RaftOut::NeedSnapshot { to } => {
                     let image = self.build_snapshot();
                     let mut more = Vec::new();
@@ -315,8 +271,7 @@ impl QuorumReplica {
                 } => {
                     if let Ok(exports) = decode_exports(&image) {
                         for export in exports {
-                            let actions = self.node.import_process(now, export);
-                            Self::wrap(actions, out);
+                            out.extend(self.node.import_process(now, export));
                         }
                     }
                     queue.extend(self.raft.snapshot_installed(leader, index, snap_term));
@@ -355,7 +310,7 @@ impl QuorumReplica {
         self.propose_ready(now, out);
     }
 
-    fn drain_commits(&mut self, now: SimTime, out: &mut Vec<QAction>) {
+    fn drain_commits(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
         for (idx, entry) in self.raft.take_applicable() {
             if let Some(proposed) = self.proposed_at.remove(&idx) {
                 self.commit_latency_us
@@ -384,8 +339,7 @@ impl QuorumReplica {
                         slot.insert(seq, msg.header.id);
                     }
                     self.acked_ids.remove(&msg.header.id);
-                    let actions = self.node.apply_committed(now, seq, &msg);
-                    Self::wrap(actions, out);
+                    out.extend(self.node.apply_committed(now, seq, &msg));
                 }
             }
         }
@@ -400,7 +354,7 @@ impl QuorumReplica {
         }
     }
 
-    fn propose_ready(&mut self, now: SimTime, out: &mut Vec<QAction>) {
+    fn propose_ready(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
         if self.raft.role() != Role::Leader || !self.term_settled || self.acked.is_empty() {
             return;
         }
@@ -431,7 +385,7 @@ impl QuorumReplica {
         let mut queue: VecDeque<RaftOut> = routs.into();
         while let Some(o) = queue.pop_front() {
             match o {
-                RaftOut::Send { to, msg } => out.push(QAction::Transmit(self.qframe(to, &msg))),
+                RaftOut::Send { to, msg } => out.push(RNAction::Transmit(self.qframe(to, &msg))),
                 RaftOut::NeedSnapshot { to } => {
                     let image = self.build_snapshot();
                     let mut more = Vec::new();
@@ -457,13 +411,13 @@ impl QuorumReplica {
     /// are consensus input and are processed whenever the replica is up
     /// (their loss tolerance comes from heartbeat retransmission, not
     /// the capture gate); everything else goes to the inner recorder.
-    pub fn on_frame(&mut self, now: SimTime, frame: &Frame, recorder_ok: bool) -> Vec<QAction> {
-        let mut out = Vec::new();
+    pub fn on_frame(&mut self, now: SimTime, frame: &Frame, recorder_ok: bool) -> Vec<RNAction> {
         if !self.up {
-            return out;
+            return Vec::new();
         }
         if frame.is_intact() {
             if let Ok(Wire::Quorum { group, payload, .. }) = Wire::decode_all(&frame.payload) {
+                let mut out = Vec::new();
                 if group == self.group && frame.dst.accepts(self.station()) {
                     if let Ok(qmsg) = QMsg::decode_all(&payload) {
                         let routs = self.raft.on_msg(now, qmsg);
@@ -473,8 +427,7 @@ impl QuorumReplica {
                 return out;
             }
         }
-        let actions = self.node.on_frame(now, frame, recorder_ok);
-        Self::wrap(actions, &mut out);
+        let mut out = self.node.on_frame(now, frame, recorder_ok);
         // An observed ack may be proposable immediately.
         self.collect_acks();
         self.propose_ready(now, &mut out);
@@ -482,7 +435,7 @@ impl QuorumReplica {
     }
 
     /// Handles a timer callback.
-    pub fn on_timer(&mut self, now: SimTime, token: u64) -> Vec<QAction> {
+    pub fn on_timer(&mut self, now: SimTime, token: u64) -> Vec<RNAction> {
         let mut out = Vec::new();
         if !self.up {
             return out;
@@ -499,40 +452,16 @@ impl QuorumReplica {
                 self.replication_lag
                     .record(self.raft.worst_follower_lag() as f64);
             }
-            out.push(QAction::SetTimer {
+            out.push(RNAction::SetTimer {
                 at: now + self.tick,
                 token: TICK_TOKEN | self.tick_epoch,
             });
         } else {
-            let actions = self.node.on_timer(now, token);
-            Self::wrap(actions, &mut out);
+            out = self.node.on_timer(now, token);
             self.collect_acks();
             self.propose_ready(now, &mut out);
         }
         out
-    }
-
-    /// The world completed a node restart this replica requested (or the
-    /// leader ordered); resets transport numbering and recovers the
-    /// node's processes. `announce` must be true on exactly one replica.
-    pub fn confirm_node_restarted(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        incarnation: u32,
-        announce: bool,
-    ) -> Vec<QAction> {
-        let mut out = Vec::new();
-        let actions = self
-            .node
-            .confirm_node_restarted_with(now, node, incarnation, announce);
-        Self::wrap(actions, &mut out);
-        out
-    }
-
-    /// Declines a node restart another replica is responsible for.
-    pub fn decline_node_restart(&mut self, node: NodeId) {
-        self.node.decline_node_restart(node);
     }
 
     /// Crashes the replica: recorder volatile state is lost (battery
@@ -553,13 +482,12 @@ impl QuorumReplica {
     /// Restarts the replica: recorder rebuild from stable storage, then
     /// rejoin the group as a follower and re-apply the committed prefix
     /// (idempotently) to repair any store writes the crash destroyed.
-    pub fn restart(&mut self, now: SimTime) -> Vec<QAction> {
-        let mut out = Vec::new();
+    pub fn restart(&mut self, now: SimTime) -> Vec<RNAction> {
         self.up = true;
-        Self::wrap(self.node.restart(now), &mut out);
+        let mut out = self.node.restart(now);
         let routs = self.raft.restart(now);
         self.process(now, routs, &mut out);
-        out.push(QAction::SetTimer {
+        out.push(RNAction::SetTimer {
             at: now + self.tick,
             token: TICK_TOKEN | self.tick_epoch,
         });

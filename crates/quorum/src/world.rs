@@ -1,81 +1,34 @@
-//! The replicated-recorder world: processing nodes plus a quorum group
-//! of recorder replicas on one broadcast medium, driven by a single
-//! deterministic event loop.
+//! The replicated-recorder tier: a quorum group of recorder replicas
+//! behind the shared world engine.
 //!
-//! Structure mirrors the single-recorder world of `publishing-core`
-//! and the sharded world of `publishing-shard`, with the recorder tier
-//! replaced by a consensus group: every replica captures every frame
+//! Where `publishing-core`'s default tier is one recorder and
+//! `publishing-shard`'s partitions the log, [`QuorumTier`] replaces the
+//! recorder with a consensus group: every replica captures every frame
 //! (the medium replicates bytes for free, §3.2), the elected leader
 //! sequences arrivals through the replicated log, and the group
 //! survives the crash of any minority — including the leader, mid-
 //! commit — without losing or duplicating an arrival sequence.
 
-use crate::replica::{QAction, QuorumReplica, ReplicaConfig};
-use publishing_core::node::RecorderConfig;
-use publishing_demos::costs::CostModel;
-use publishing_demos::harness::OutputLine;
+use crate::replica::{QuorumReplica, ReplicaConfig};
+use publishing_core::node::{RNAction, RecorderNode};
+use publishing_core::world::{RecorderTier, World, WorldBuilder};
 use publishing_demos::ids::{MessageId, NodeId, ProcessId};
-use publishing_demos::kernel::{Kernel, KernelAction};
-use publishing_demos::link::Link;
-use publishing_demos::registry::{ProgramRegistry, UnknownProgram};
-use publishing_demos::transport::{TransportConfig, Wire};
-use publishing_net::bus::PerfectBus;
+use publishing_demos::transport::Wire;
 use publishing_net::frame::{Frame, StationId};
-use publishing_net::lan::{Lan, LanAction, LanConfig, RecorderRouter};
+use publishing_net::lan::RecorderRouter;
+use publishing_obs::probe::{QuorumHealth, RecoveryLag};
+use publishing_obs::registry::MetricsRegistry;
+use publishing_obs::report::{ConsensusStats, ObsReport, WatchdogSummary};
 use publishing_obs::watchdog::{Watchdog, WatchdogConfig};
 use publishing_sim::codec::Decode;
-use publishing_sim::event::Scheduler;
+use publishing_sim::ledger::{ResourceKind, ResourceUsage, Timeline};
+use publishing_sim::stats::LogHistogram;
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Virtual-time cadence of the online invariant watchdog.
 const WATCHDOG_PERIOD: SimDuration = SimDuration::from_millis(25);
-
-/// World events.
-#[derive(Debug)]
-enum QEv {
-    LanTimer(u64),
-    KernelTimer(u32, u64),
-    ReplicaTimer(usize, u64),
-    Deliver {
-        to: u32,
-        frame: Frame,
-        recorder_ok: bool,
-    },
-}
-
-/// Configuration for a [`QuorumWorld`].
-#[derive(Debug, Clone)]
-pub struct QuorumConfig {
-    /// Processing nodes (node ids `0..nodes`).
-    pub nodes: u32,
-    /// Quorum replicas (node ids `nodes..nodes+replicas`). Use an odd
-    /// count; 1 degenerates to the single-recorder world.
-    pub replicas: usize,
-    /// Deterministic seed for election-timeout randomization.
-    pub seed: u64,
-    /// Per-replica configuration template (the group id and the inner
-    /// recorder/raft settings).
-    pub replica: ReplicaConfig,
-    /// Node CPU cost model (zero by default, as in protocol tests).
-    pub costs: CostModel,
-    /// Transport parameters for all processing nodes.
-    pub transport: TransportConfig,
-}
-
-impl Default for QuorumConfig {
-    fn default() -> Self {
-        QuorumConfig {
-            nodes: 2,
-            replicas: 3,
-            seed: 0,
-            replica: ReplicaConfig::default(),
-            costs: CostModel::zero(),
-            transport: TransportConfig::default(),
-        }
-    }
-}
 
 /// A recorder-consensus router: consensus, datagram, and kernel
 /// control traffic is never gated on capture (it must flow during
@@ -92,21 +45,11 @@ fn quorum_router() -> RecorderRouter {
     })
 }
 
-/// The running quorum world.
-pub struct QuorumWorld {
-    sched: Scheduler<QEv>,
-    /// The shared medium.
-    pub lan: Box<dyn Lan>,
-    /// Processing-node kernels by node id.
-    pub kernels: BTreeMap<u32, Kernel>,
+/// The quorum recorder tier: the replica group plus the safety
+/// bookkeeping that watches it.
+pub struct QuorumTier {
     /// The recorder quorum group, by replica index.
     pub replicas: Vec<QuorumReplica>,
-    /// All process outputs, in emission order.
-    pub outputs: Vec<OutputLine>,
-    n_nodes: u32,
-    node_incarnations: BTreeMap<u32, u32>,
-    crashes: Vec<SimTime>,
-    recovered: BTreeMap<u64, SimTime>,
     /// Leader observed for each term, with the election-safety
     /// violations found while tracking.
     term_leaders: BTreeMap<u64, u32>,
@@ -117,100 +60,228 @@ pub struct QuorumWorld {
     next_watchdog_scan: SimTime,
     /// Busy-while-leaderless availability meter: charged whenever a
     /// watchdog scan finds no leader, closed when one is observed.
-    leaderless: publishing_sim::ledger::Timeline,
+    leaderless: Timeline,
     leaderless_since: Option<SimTime>,
 }
 
-impl QuorumWorld {
-    /// Builds a world with `nodes` processing nodes and a `replicas`-way
-    /// recorder quorum on the default perfect bus.
-    pub fn new(nodes: u32, replicas: usize, registry: ProgramRegistry) -> Self {
-        QuorumWorld::with_config(
-            QuorumConfig {
-                nodes,
-                replicas,
-                ..QuorumConfig::default()
-            },
-            registry,
-            Box::new(PerfectBus::new(LanConfig::default())),
-        )
+/// The running quorum world. Crash and restart a replica with
+/// [`World::crash_member`] / [`World::restart_member`]: a minority crash
+/// leaves the group live — the capture gate shrinks to the survivors
+/// and, if the leader died, a new election begins within a few
+/// timeouts — and a restarted replica rejoins as a follower and catches
+/// up from the leader's log or a snapshot.
+pub type QuorumWorld = World<QuorumTier>;
+
+impl RecorderTier for QuorumTier {
+    fn members(&self) -> usize {
+        self.replicas.len()
     }
 
-    /// Builds a world from a full configuration on a caller-supplied
-    /// medium. The medium must be fresh: stations are attached here.
-    pub fn with_config(
-        cfg: QuorumConfig,
-        registry: ProgramRegistry,
-        mut lan: Box<dyn Lan>,
-    ) -> Self {
-        assert!(cfg.replicas >= 1, "a quorum needs at least one replica");
-        lan.set_recorder_router(Some(quorum_router()));
-        let peer_nodes: Vec<NodeId> = (0..cfg.replicas as u32)
-            .map(|i| NodeId(cfg.nodes + i))
-            .collect();
-        let mut kernels = BTreeMap::new();
-        for n in 0..cfg.nodes {
-            let mut k = Kernel::new(
-                NodeId(n),
-                registry.clone(),
-                cfg.costs.clone(),
-                cfg.transport.clone(),
-                true,
+    fn node(&self, idx: usize) -> &RecorderNode {
+        self.replicas[idx].recorder_node()
+    }
+
+    fn node_mut(&mut self, idx: usize) -> &mut RecorderNode {
+        self.replicas[idx].recorder_node_mut()
+    }
+
+    fn start(&mut self, idx: usize, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
+        let actions = self.replicas[idx].start(now, watch);
+        self.note_leadership(idx);
+        actions
+    }
+
+    fn on_frame(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        frame: &Frame,
+        recorder_ok: bool,
+    ) -> Vec<RNAction> {
+        let actions = self.replicas[idx].on_frame(now, frame, recorder_ok);
+        self.note_leadership(idx);
+        actions
+    }
+
+    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64) -> Vec<RNAction> {
+        let actions = self.replicas[idx].on_timer(now, token);
+        self.note_leadership(idx);
+        actions
+    }
+
+    fn crash(&mut self, idx: usize) {
+        self.replicas[idx].crash();
+    }
+
+    fn restart(&mut self, idx: usize, now: SimTime) -> Vec<RNAction> {
+        let actions = self.replicas[idx].restart(now);
+        self.note_leadership(idx);
+        actions
+    }
+
+    fn router(&self) -> Option<RecorderRouter> {
+        Some(quorum_router())
+    }
+
+    /// Restart arbitration is consensus-derived: only the group leader
+    /// reboots processors. Everyone else stands down and lets its
+    /// watchdog keep checking. Every live replica is then told, so all
+    /// reset transport numbering; the leader alone announces and drives
+    /// recovery (its responsibility filter reads the leader flag).
+    fn leads_restart(&self, idx: usize, _node: NodeId) -> bool {
+        self.replicas[idx].is_leader()
+    }
+
+    /// The capture gate follows group membership: every live replica
+    /// must capture a frame for it to count as published (§6.3's
+    /// "explicit act of the recovery layer" — here, of the consensus
+    /// layer).
+    fn required(&self) -> Vec<StationId> {
+        self.replicas
+            .iter()
+            .filter(|r| r.is_up())
+            .map(|r| r.station())
+            .collect()
+    }
+
+    /// Commit index is volatile state: a crashed replica re-learns it
+    /// from the leader after restart, so the watchdog's monotonicity
+    /// floor resets; the capture gate follows the live membership.
+    fn member_crashed(world: &mut World<Self>, idx: usize) {
+        let id = world.tier.replicas[idx].id();
+        world.tier.watchdog.reset_replica(id);
+        world.refresh_required();
+    }
+
+    /// The same two resets: the restarted replica starts from a fresh
+    /// commit floor and is required again at once.
+    fn member_restarted(world: &mut World<Self>, idx: usize) {
+        QuorumTier::member_crashed(world, idx);
+    }
+
+    fn after_event(world: &mut World<Self>, now: SimTime) {
+        let tier = &mut world.tier;
+        if now >= tier.next_watchdog_scan {
+            tier.watchdog_scan(now);
+            tier.next_watchdog_scan = now + WATCHDOG_PERIOD;
+        }
+    }
+
+    fn metric_prefix(&self, idx: usize) -> String {
+        format!("quorum/{idx}")
+    }
+
+    /// Read from the leader (or the first live replica when leaderless).
+    fn recovery_lags(&self, now: SimTime, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        let Some(idx) = self
+            .leader()
+            .or_else(|| self.replicas.iter().position(|r| r.is_up()))
+        else {
+            return Vec::new();
+        };
+        publishing_core::obs::recovery_lags(self.node(idx).recorder(), now, suppressed)
+    }
+
+    fn collect(world: &World<Self>, reg: &mut MetricsRegistry) {
+        let tier = &world.tier;
+        for (i, r) in tier.replicas.iter().enumerate() {
+            let consensus = format!("{}/consensus", tier.metric_prefix(i));
+            reg.histogram(
+                &format!("{consensus}/commit_latency_us"),
+                r.commit_latency_us(),
             );
-            for r in &peer_nodes {
-                k.add_recorder(*r);
+            reg.linear_histogram(
+                &format!("{consensus}/replication_lag"),
+                r.replication_lag_hist(),
+            );
+        }
+        for h in tier.quorum_health() {
+            h.into_registry(reg);
+        }
+        tier.watchdog.into_registry(reg);
+    }
+
+    /// The quorum health, consensus and watchdog sections, plus the
+    /// `consensus:leaderless` row of the utilization ledger.
+    fn report(world: &World<Self>, report: &mut ObsReport) {
+        let tier = &world.tier;
+        let quorum = tier.quorum_health();
+        let mut commit = LogHistogram::new();
+        for r in &tier.replicas {
+            commit.merge(r.commit_latency_us());
+        }
+        let consensus = ConsensusStats {
+            commits: commit.summary().count(),
+            commit_p50_us: commit.quantile(0.5),
+            commit_p99_us: commit.quantile(0.99),
+            // Samples are taken on the leader, once per consensus tick.
+            replication_lag_p95: tier
+                .replicas
+                .iter()
+                .map(|r| r.replication_lag_hist().clone())
+                .reduce(|mut all, h| {
+                    all.merge(&h);
+                    all
+                })
+                .map(|h| h.quantile(0.95))
+                .unwrap_or(0.0),
+            elections: quorum.iter().map(|h| h.elections).sum(),
+        };
+        let mut leaderless = tier.leaderless.clone();
+        if let Some(since) = tier.leaderless_since {
+            leaderless.add_busy(since, world.now());
+        }
+        if !leaderless.is_empty() {
+            if let Some(utilization) = &mut report.utilization {
+                utilization.resources.push(ResourceUsage::from_timeline(
+                    ResourceKind::Consensus,
+                    "consensus:leaderless".into(),
+                    0,
+                    0,
+                    &leaderless,
+                    report.horizon,
+                    0.0,
+                    0,
+                    consensus.elections,
+                    0,
+                ));
             }
-            lan.attach(k.station());
-            kernels.insert(n, k);
         }
-        let mut replicas = Vec::new();
-        for i in 0..cfg.replicas {
-            // Fork the seed per replica so election timeouts diverge.
-            let mut rc = cfg.replica.clone();
-            rc.node = RecorderConfig::default();
-            let rep = QuorumReplica::new(
-                i as u32,
-                peer_nodes.clone(),
-                cfg.seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)),
-                rc,
-            );
-            lan.attach(rep.station());
-            replicas.push(rep);
-        }
-        let mut world = QuorumWorld {
-            sched: Scheduler::new(),
-            lan,
-            kernels,
+        report.quorum = quorum;
+        report.consensus = Some(consensus);
+        report.watchdog = Some(WatchdogSummary {
+            checks: tier.watchdog.checks(),
+            violations: tier.watchdog.violations().to_vec(),
+        });
+    }
+}
+
+impl QuorumTier {
+    /// Builds a world with `replicas` quorum replicas on the node ids
+    /// after `builder`'s processing nodes — use an odd count; 1
+    /// degenerates to the single-recorder world. `seed` randomizes
+    /// election timeouts, deterministically.
+    pub fn world(builder: WorldBuilder, replicas: usize, seed: u64) -> QuorumWorld {
+        assert!(replicas >= 1, "a quorum needs at least one replica");
+        let peer_nodes: Vec<NodeId> = (0..replicas as u32)
+            .map(|i| NodeId(builder.nodes() + i))
+            .collect();
+        let replicas = (0..replicas as u32)
+            .map(|i| {
+                // Fork the seed per replica so election timeouts diverge.
+                let seed = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(i) + 1);
+                QuorumReplica::new(i, peer_nodes.clone(), seed, ReplicaConfig::default())
+            })
+            .collect();
+        builder.build_with(QuorumTier {
             replicas,
-            outputs: Vec::new(),
-            n_nodes: cfg.nodes,
-            node_incarnations: BTreeMap::new(),
-            crashes: Vec::new(),
-            recovered: BTreeMap::new(),
             term_leaders: BTreeMap::new(),
             election_violations: Vec::new(),
             watchdog: Watchdog::new(WatchdogConfig::default()),
             next_watchdog_scan: SimTime::ZERO,
-            leaderless: publishing_sim::ledger::Timeline::new(),
+            leaderless: Timeline::new(),
             leaderless_since: None,
-        };
-        world.refresh_required();
-        let watch: Vec<NodeId> = (0..cfg.nodes).map(NodeId).collect();
-        for i in 0..world.replicas.len() {
-            let actions = world.replicas[i].start(SimTime::ZERO, &watch);
-            world.apply_replica(SimTime::ZERO, i, actions);
-        }
-        world
-    }
-
-    /// Returns the current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.sched.now()
-    }
-
-    /// The number of replicas in the group.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        })
     }
 
     /// The index of the current leader, if any replica is leading.
@@ -223,122 +294,15 @@ impl QuorumWorld {
         self.replicas.iter().filter(|r| r.is_up()).count()
     }
 
-    /// The capture gate follows group membership: every live replica
-    /// must capture a frame for it to count as published (§6.3's
-    /// "explicit act of the recovery layer" — here, of the consensus
-    /// layer). With no replica up, all publishable traffic suspends
-    /// (§3.3.4), so the required set falls back to the full group.
-    fn refresh_required(&mut self) {
-        let live: Vec<StationId> = self
-            .replicas
-            .iter()
-            .filter(|r| r.is_up())
-            .map(|r| r.station())
-            .collect();
-        if live.is_empty() {
-            let all: Vec<StationId> = self.replicas.iter().map(|r| r.station()).collect();
-            self.lan.set_required_recorders(all);
-        } else {
-            self.lan.set_required_recorders(live);
-        }
-    }
-
-    /// Spawns a program on a node with initial links.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownProgram`] if the image is not registered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not exist.
-    pub fn spawn(
-        &mut self,
-        node: u32,
-        program: &str,
-        links: Vec<Link>,
-    ) -> Result<ProcessId, UnknownProgram> {
-        let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
-        let (pid, actions) = k.spawn(now, program, links)?;
-        self.apply_kernel(now, node, actions);
-        Ok(pid)
-    }
-
-    fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
-            match a {
-                KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                KernelAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, QEv::KernelTimer(node, token));
-                }
-                KernelAction::Output { pid, seq, bytes } => {
-                    self.outputs.push(OutputLine {
-                        at: now,
-                        pid,
-                        seq,
-                        bytes,
-                    });
-                }
-            }
-        }
-    }
-
-    fn apply_replica(&mut self, now: SimTime, idx: usize, actions: Vec<QAction>) {
-        for a in actions {
-            match a {
-                QAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
-                }
-                QAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, QEv::ReplicaTimer(idx, token));
-                }
-                QAction::RestartNode { node, .. } => {
-                    // Restart arbitration is consensus-derived: only the
-                    // group leader reboots processors. Everyone else
-                    // stands down and lets its watchdog keep checking.
-                    if !self.replicas[idx].is_leader() {
-                        self.replicas[idx].decline_node_restart(node);
-                        continue;
-                    }
-                    let inc = self.node_incarnations.entry(node.0).or_insert(0);
-                    *inc += 1;
-                    let incarnation = *inc;
-                    if let Some(k) = self.kernels.get_mut(&node.0) {
-                        k.restart_node(now, incarnation);
-                        self.lan.set_station_up(StationId(node.0), true);
-                    }
-                    // Every live replica resets transport numbering; the
-                    // leader alone announces NODE_RESTARTED and drives
-                    // recovery (its responsibility filter reads the
-                    // leader flag).
-                    let live: Vec<usize> = (0..self.replicas.len())
-                        .filter(|&j| self.replicas[j].is_up())
-                        .collect();
-                    for j in live {
-                        let follow = self.replicas[j].confirm_node_restarted(
-                            now,
-                            node,
-                            incarnation,
-                            j == idx,
-                        );
-                        self.apply_replica(now, j, follow);
-                    }
-                }
-                QAction::RecoveryDone { pid } => {
-                    self.recovered.insert(pid.as_u64(), now);
-                }
-            }
-        }
-        self.note_leadership(idx);
+    /// The online invariant watchdog's state so far.
+    pub fn watchdog(&self) -> &Watchdog {
+        &self.watchdog
     }
 
     /// Election-safety tracking: record who leads each term; two
     /// different leaders in one term is the canonical consensus bug.
+    /// Leadership only changes while a replica handles its own input,
+    /// so checking replica `idx` after each of its calls sees it all.
     fn note_leadership(&mut self, idx: usize) {
         let r = &self.replicas[idx];
         if !r.is_leader() {
@@ -356,81 +320,6 @@ impl QuorumWorld {
             None => {
                 self.term_leaders.insert(term, me);
             }
-        }
-    }
-
-    fn apply_lan(&mut self, actions: Vec<LanAction>) {
-        for a in actions {
-            match a {
-                LanAction::Deliver {
-                    at,
-                    to,
-                    frame,
-                    recorder_ok,
-                } => {
-                    self.sched.schedule_at(
-                        at,
-                        QEv::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
-                }
-                LanAction::SetTimer { at, token } => {
-                    self.sched.schedule_at(at, QEv::LanTimer(token));
-                }
-                LanAction::TxOutcome { .. } => {}
-            }
-        }
-    }
-
-    /// Processes one event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((now, ev)) = self.sched.pop() else {
-            return false;
-        };
-        self.dispatch(now, ev);
-        true
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: QEv) {
-        match ev {
-            QEv::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
-            }
-            QEv::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
-            }
-            QEv::ReplicaTimer(idx, token) => {
-                let actions = self.replicas[idx].on_timer(now, token);
-                self.apply_replica(now, idx, actions);
-            }
-            QEv::Deliver {
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                if to < self.n_nodes {
-                    if let Some(k) = self.kernels.get_mut(&to) {
-                        let actions = k.on_frame(now, &frame, recorder_ok);
-                        self.apply_kernel(now, to, actions);
-                    }
-                } else if let Some(idx) = (to as usize).checked_sub(self.n_nodes as usize) {
-                    if idx < self.replicas.len() {
-                        let actions = self.replicas[idx].on_frame(now, &frame, recorder_ok);
-                        self.apply_replica(now, idx, actions);
-                    }
-                }
-            }
-        }
-        if now >= self.next_watchdog_scan {
-            self.watchdog_scan(now);
-            self.next_watchdog_scan = now + WATCHDOG_PERIOD;
         }
     }
 
@@ -470,165 +359,6 @@ impl QuorumWorld {
             }
             _ => {}
         }
-    }
-
-    /// The online invariant watchdog's state so far.
-    pub fn watchdog(&self) -> &Watchdog {
-        &self.watchdog
-    }
-
-    /// Violations the watchdog has surfaced so far, in detection order.
-    pub fn watchdog_violations(&self) -> &[String] {
-        self.watchdog.violations()
-    }
-
-    /// Runs until `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.sched.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        if self.sched.now() < deadline
-            && self
-                .sched
-                .peek_time()
-                .map(|t| t >= deadline)
-                .unwrap_or(true)
-        {
-            self.sched.advance_to(deadline);
-        }
-    }
-
-    /// Installs a fault clock: [`QuorumWorld::run_until_or_fault`]
-    /// pauses at each of its instants so a chaos driver can inject
-    /// faults.
-    pub fn set_fault_clock(&mut self, clock: publishing_sim::event::FaultClock) {
-        self.sched.set_fault_clock(clock);
-    }
-
-    /// Runs until `deadline` or the next fault-clock instant, whichever
-    /// comes first. Returns `Some(t)` when paused at a fault instant,
-    /// `None` once `deadline` is reached with no fault due before it.
-    pub fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        use publishing_sim::event::Tick;
-        loop {
-            let fault_due = self.sched.next_fault().map(|f| f <= deadline);
-            let event_due = self.sched.peek_time().map(|t| t <= deadline);
-            if fault_due != Some(true) && event_due != Some(true) {
-                if self.sched.now() < deadline {
-                    self.sched.advance_to(deadline);
-                }
-                return None;
-            }
-            match self.sched.pop_or_fault() {
-                Some(Tick::Fault(t)) => return Some(t),
-                Some(Tick::Event(now, ev)) => self.dispatch(now, ev),
-                None => return None,
-            }
-        }
-    }
-
-    /// Crashes a process (detected fault); the group leader's manager
-    /// recovers it transparently.
-    pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
-        let now = self.now();
-        if let Some(k) = self.kernels.get_mut(&pid.node.0) {
-            self.crashes.push(now);
-            let actions = k.crash_process(now, pid.local, reason);
-            self.apply_kernel(now, pid.node.0, actions);
-        }
-    }
-
-    /// Crashes a node; the leader's watchdog restarts it and replays
-    /// its processes from the replicated arrival log.
-    pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(&node) {
-            self.crashes.push(self.sched.now());
-            k.crash_node();
-            self.lan.set_station_up(StationId(node), false);
-        }
-    }
-
-    /// Crashes one quorum replica. A minority crash leaves the group
-    /// live: the capture gate shrinks to the survivors and, if the
-    /// leader died, a new election begins within a few timeouts.
-    pub fn crash_replica(&mut self, idx: usize) {
-        if !self.replicas[idx].is_up() {
-            return;
-        }
-        self.crashes.push(self.now());
-        self.replicas[idx].crash();
-        // Commit index is volatile state: the restarted replica will
-        // re-learn it from the leader, so the monotonicity floor resets.
-        self.watchdog.reset_replica(self.replicas[idx].id());
-        self.lan.set_station_up(self.replicas[idx].station(), false);
-        self.refresh_required();
-    }
-
-    /// Restarts a crashed replica: recorder rebuild from stable
-    /// storage, rejoin as follower, catch up from the leader's log or a
-    /// snapshot.
-    pub fn restart_replica(&mut self, idx: usize) {
-        if self.replicas[idx].is_up() {
-            return;
-        }
-        let now = self.now();
-        self.lan.set_station_up(self.replicas[idx].station(), true);
-        self.watchdog.reset_replica(self.replicas[idx].id());
-        let actions = self.replicas[idx].restart(now);
-        self.apply_replica(now, idx, actions);
-        self.refresh_required();
-    }
-
-    /// Deduplicated outputs of one process.
-    pub fn outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        let mut by_seq: BTreeMap<u64, &OutputLine> = BTreeMap::new();
-        for o in self.outputs.iter().filter(|o| o.pid == pid) {
-            by_seq.entry(o.seq).or_insert(o);
-        }
-        by_seq
-            .values()
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
-    }
-
-    /// The raw (possibly duplicated) output lines of one process.
-    pub fn raw_outputs_of(&self, pid: ProcessId) -> Vec<String> {
-        self.outputs
-            .iter()
-            .filter(|o| o.pid == pid)
-            .map(|o| String::from_utf8_lossy(&o.bytes).into_owned())
-            .collect()
-    }
-
-    /// A fingerprint of every process's deduplicated output.
-    pub fn output_fingerprint(&self) -> u64 {
-        let mut per_pid: BTreeMap<ProcessId, BTreeMap<u64, &[u8]>> = BTreeMap::new();
-        for o in &self.outputs {
-            per_pid
-                .entry(o.pid)
-                .or_default()
-                .entry(o.seq)
-                .or_insert(&o.bytes);
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (pid, lines) in per_pid {
-            for (seq, bytes) in lines {
-                for b in pid
-                    .as_u64()
-                    .to_le_bytes()
-                    .iter()
-                    .chain(seq.to_le_bytes().iter())
-                    .chain(bytes.iter())
-                {
-                    h ^= *b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-            }
-        }
-        h
     }
 
     /// The quorum safety oracles, evaluated over the whole run:
@@ -671,14 +401,13 @@ impl QuorumWorld {
         }
         for (pid, seqs) in &union {
             let n = seqs.len() as u64;
-            if n > 0 {
-                let (&first, _) = seqs.iter().next().expect("non-empty");
-                let (&last, _) = seqs.iter().next_back().expect("non-empty");
-                if first != 0 || last + 1 != n {
-                    out.push(format!(
-                        "gap freedom: pid {pid:?} applied {n} seqs spanning [{first}, {last}]"
-                    ));
-                }
+            let (Some(&first), Some(&last)) = (seqs.keys().next(), seqs.keys().next_back()) else {
+                continue;
+            };
+            if first != 0 || last + 1 != n {
+                out.push(format!(
+                    "gap freedom: pid {pid:?} applied {n} seqs spanning [{first}, {last}]"
+                ));
             }
         }
         out
@@ -696,67 +425,13 @@ impl QuorumWorld {
         union.values().map(|s| s.len() as u64).sum()
     }
 
-    /// Total completed recoveries across the group.
-    pub fn recoveries_completed(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.recorder_node().manager().stats().completed.get())
-            .sum()
-    }
-
-    /// Every span log, in deterministic order: kernels by node id, then
-    /// replicas by index.
-    pub fn span_logs(&self) -> Vec<&publishing_obs::span::SpanLog> {
-        let mut logs: Vec<_> = self.kernels.values().map(|k| k.spans()).collect();
-        logs.extend(
-            self.replicas
-                .iter()
-                .map(|r| r.recorder_node().recorder().spans()),
-        );
-        logs
-    }
-
-    /// Order-sensitive fingerprint over every span log.
-    pub fn obs_fingerprint(&self) -> u64 {
-        publishing_obs::span::combined_fingerprint(self.span_logs())
-    }
-
-    /// The happens-before DAG over every component's span log.
-    pub fn causal_graph(&self) -> publishing_obs::causal::CausalGraph {
-        publishing_obs::causal::CausalGraph::build(self.span_logs())
-    }
-
-    /// Virtual instants of every injected crash, in injection order.
-    pub fn crash_times(&self) -> &[SimTime] {
-        &self.crashes
-    }
-
-    /// Completed recoveries: packed pid → instant the manager committed.
-    pub fn recoveries_done(&self) -> &BTreeMap<u64, SimTime> {
-        &self.recovered
-    }
-
-    /// The measured crash→convergence window.
-    pub fn recovery_window(&self) -> Option<(SimTime, SimTime)> {
-        let crash = *self.crashes.first()?;
-        let converged = *self.recovered.values().max()?;
-        (converged >= crash).then_some((crash, converged))
-    }
-
-    /// Assembles per-message lifecycle spans from every component's log.
-    pub fn spans(
-        &self,
-    ) -> BTreeMap<publishing_obs::span::MsgKey, publishing_obs::span::MessageSpan> {
-        publishing_obs::span::assemble(self.span_logs())
-    }
-
     /// Point-in-time consensus health of every replica.
-    pub fn quorum_health(&self) -> Vec<publishing_obs::probe::QuorumHealth> {
+    pub fn quorum_health(&self) -> Vec<QuorumHealth> {
         self.replicas
             .iter()
             .map(|r| {
                 let raft = r.raft();
-                publishing_obs::probe::QuorumHealth {
+                QuorumHealth {
                     replica: r.id(),
                     live: r.is_up(),
                     leader: r.is_leader(),
@@ -774,251 +449,15 @@ impl QuorumWorld {
             })
             .collect()
     }
-
-    /// Recovery-lag probes for every process, read from the leader (or
-    /// the first live replica when leaderless).
-    pub fn recovery_lags(&self) -> Vec<publishing_obs::probe::RecoveryLag> {
-        let Some(idx) = self
-            .leader()
-            .or_else(|| self.replicas.iter().position(|r| r.is_up()))
-        else {
-            return Vec::new();
-        };
-        let suppressed =
-            publishing_core::obs::suppressed_by_sender(self.kernels.values().map(|k| k.spans()));
-        publishing_core::obs::recovery_lags(
-            self.replicas[idx].recorder_node().recorder(),
-            self.now(),
-            &suppressed,
-        )
-    }
-
-    /// Snapshots every component's instruments into one registry.
-    pub fn collect_metrics(&self) -> publishing_obs::registry::MetricsRegistry {
-        let now = self.now();
-        let mut reg = publishing_obs::registry::MetricsRegistry::new();
-        for k in self.kernels.values() {
-            publishing_core::obs::kernel_metrics(&mut reg, k);
-        }
-        for (i, r) in self.replicas.iter().enumerate() {
-            publishing_core::obs::recorder_node_metrics(
-                &mut reg,
-                &format!("quorum/{i}"),
-                r.recorder_node(),
-                now,
-            );
-            reg.histogram(
-                &format!("quorum/{i}/consensus/commit_latency_us"),
-                r.commit_latency_us(),
-            );
-            reg.linear_histogram(
-                &format!("quorum/{i}/consensus/replication_lag"),
-                r.replication_lag_hist(),
-            );
-        }
-        for h in self.quorum_health() {
-            h.into_registry(&mut reg);
-        }
-        self.watchdog.into_registry(&mut reg);
-        publishing_obs::probe::MediumHealth::from_lan(self.lan.stats(), now)
-            .into_registry(&mut reg);
-        reg
-    }
-
-    /// Builds the full observability report for the run so far.
-    pub fn obs_report(&self) -> publishing_obs::report::ObsReport {
-        let now = self.now();
-        let horizon = now.saturating_since(SimTime::ZERO);
-        let mut profile = publishing_obs::profile::TimeProfile::new();
-        let mut kernel_cpu = publishing_sim::time::SimDuration::ZERO;
-        for k in self.kernels.values() {
-            kernel_cpu += k.stats().cpu_used;
-        }
-        profile.charge("kernel_cpu", kernel_cpu);
-        let mut publish_cpu = publishing_sim::time::SimDuration::ZERO;
-        let mut disk_busy = publishing_sim::time::SimDuration::ZERO;
-        for r in &self.replicas {
-            let rec = r.recorder_node().recorder();
-            publish_cpu += rec.stats().cpu_used;
-            let store = rec.store();
-            for i in 0..store.n_disks() {
-                disk_busy += store.disk_stats(i).busy.busy_time(now);
-            }
-        }
-        profile.charge("publish_cpu", publish_cpu);
-        profile.charge("stable_store_io", disk_busy);
-        profile.charge("medium_busy", self.lan.stats().busy.busy_time(now));
-
-        let mut metrics = self.collect_metrics();
-        let mut recovery = self.recovery_lags();
-        let graph = (!self.recovered.is_empty()).then(|| self.causal_graph());
-        if let Some(g) = &graph {
-            for lag in &mut recovery {
-                let Some(&done) = self.recovered.get(&lag.subject) else {
-                    continue;
-                };
-                let Some(&crash) = self.crashes.iter().filter(|&&c| c <= done).max() else {
-                    continue;
-                };
-                lag.recovery_ms = done.saturating_since(crash).as_millis_f64();
-                lag.critical_path_ms = g
-                    .critical_path(crash, done, Some(lag.subject))
-                    .map(|p| p.total().as_millis_f64())
-                    .unwrap_or(lag.recovery_ms);
-            }
-        }
-        let critical_path = self
-            .recovery_window()
-            .and_then(|(crash, converged)| graph.as_ref()?.critical_path(crash, converged, None));
-        if let Some(cp) = &critical_path {
-            cp.into_registry(&mut metrics);
-        }
-
-        let spans = self.spans();
-        let logs = self.span_logs();
-        let quorum = self.quorum_health();
-        let mut commit = publishing_sim::stats::LogHistogram::new();
-        for r in &self.replicas {
-            commit.merge(r.commit_latency_us());
-        }
-        let consensus = publishing_obs::report::ConsensusStats {
-            commits: commit.summary().count(),
-            commit_p50_us: commit.quantile(0.5),
-            commit_p99_us: commit.quantile(0.99),
-            replication_lag_p95: self
-                .replication_lag()
-                .map(|h| h.quantile(0.95))
-                .unwrap_or(0.0),
-            elections: quorum.iter().map(|h| h.elections).sum(),
-        };
-        let watchdog = publishing_obs::report::WatchdogSummary {
-            checks: self.watchdog.checks(),
-            violations: self.watchdog.violations().to_vec(),
-        };
-        let mut utilization = publishing_core::obs::utilization_report(
-            self.kernels.values(),
-            self.replicas
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as u32, r.recorder_node().recorder())),
-            self.lan.as_ref(),
-            now,
-        );
-        let mut leaderless = self.leaderless.clone();
-        if let Some(since) = self.leaderless_since {
-            leaderless.add_busy(since, now);
-        }
-        if !leaderless.is_empty() {
-            utilization
-                .resources
-                .push(publishing_sim::ledger::ResourceUsage::from_timeline(
-                    publishing_sim::ledger::ResourceKind::Consensus,
-                    "consensus:leaderless".into(),
-                    0,
-                    0,
-                    &leaderless,
-                    horizon,
-                    0.0,
-                    0,
-                    consensus.elections,
-                    0,
-                ));
-        }
-        publishing_obs::report::ObsReport {
-            schema: publishing_obs::report::REPORT_SCHEMA_VERSION,
-            at_ms: now.as_millis_f64(),
-            metrics,
-            recovery,
-            shards: Vec::new(),
-            medium: Some(publishing_obs::probe::MediumHealth::from_lan(
-                self.lan.stats(),
-                now,
-            )),
-            profile,
-            horizon,
-            latencies: publishing_obs::profile::stage_latencies(&spans),
-            sched: self.scheduler_probe(),
-            queue_depths: self.queue_depths(),
-            spans_total: logs.iter().map(|l| l.total()).sum(),
-            span_fingerprint: self.obs_fingerprint(),
-            critical_path,
-            quorum,
-            consensus: Some(consensus),
-            watchdog: Some(watchdog),
-            workload: None,
-            utilization: Some(utilization),
-            whatif: None,
-            forensics: None,
-        }
-    }
-
-    /// Follower replication-lag distribution merged across replicas
-    /// (samples are taken on the leader, once per consensus tick).
-    pub fn replication_lag(&self) -> Option<publishing_sim::stats::LinearHistogram> {
-        let mut merged: Option<publishing_sim::stats::LinearHistogram> = None;
-        for r in &self.replicas {
-            let h = r.replication_lag_hist();
-            match &mut merged {
-                Some(m) => m.merge(h),
-                None => merged = Some(h.clone()),
-            }
-        }
-        merged
-    }
-
-    /// Caps every component span log (kernels and replicas) at
-    /// `capacity` retained events. `0` keeps fingerprints and totals
-    /// but retains nothing — the spans-disabled configuration of the
-    /// overhead benchmark.
-    pub fn set_span_capacity(&mut self, capacity: usize) {
-        for k in self.kernels.values_mut() {
-            k.set_span_capacity(capacity);
-        }
-        for r in &mut self.replicas {
-            r.set_span_capacity(capacity);
-        }
-    }
-
-    /// Event-queue statistics of the world's scheduler.
-    pub fn scheduler_probe(&self) -> publishing_obs::probe::SchedulerProbe {
-        publishing_obs::probe::SchedulerProbe {
-            delivered: self.sched.delivered(),
-            scheduled: self.sched.scheduled(),
-            pending: self.sched.pending() as u64,
-            peak_pending: self.sched.peak_pending() as u64,
-        }
-    }
-
-    /// Pending-buffer depth distribution merged across every replica's
-    /// recorder.
-    pub fn queue_depths(&self) -> Option<publishing_sim::stats::LinearHistogram> {
-        let mut merged: Option<publishing_sim::stats::LinearHistogram> = None;
-        for r in &self.replicas {
-            let h = &r.recorder_node().recorder().stats().depth_hist;
-            match &mut merged {
-                Some(m) => m.merge(h),
-                None => merged = Some(h.clone()),
-            }
-        }
-        merged
-    }
-}
-
-impl core::fmt::Debug for QuorumWorld {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("QuorumWorld")
-            .field("nodes", &self.n_nodes)
-            .field("replicas", &self.replicas.len())
-            .field("leader", &self.leader())
-            .finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use publishing_demos::ids::Channel;
+    use publishing_demos::link::Link;
     use publishing_demos::programs::{self, PingClient};
+    use publishing_demos::registry::ProgramRegistry;
 
     fn registry() -> ProgramRegistry {
         let mut reg = ProgramRegistry::new();
@@ -1028,37 +467,26 @@ mod tests {
     }
 
     fn invariants_clean(w: &QuorumWorld) {
-        let fails = w.quorum_invariant_failures();
+        let fails = w.tier.quorum_invariant_failures();
         assert!(fails.is_empty(), "quorum invariants violated: {fails:?}");
     }
 
     #[test]
-    fn ping_completes_under_quorum_sequencing() {
-        let mut w = QuorumWorld::new(2, 3, registry());
-        let server = w.spawn(1, "echo", vec![]).unwrap();
-        let client = w
-            .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
-            .unwrap();
-        w.run_until(SimTime::from_secs(5));
-        let out = w.outputs_of(client);
-        assert_eq!(out.len(), 11, "{out:?}");
-        assert_eq!(out.last().unwrap(), "done");
-        assert!(w.leader().is_some(), "a leader was elected");
-        assert!(w.sequenced_total() > 0, "arrivals were quorum-sequenced");
-        invariants_clean(&w);
-    }
-
-    #[test]
     fn replicas_apply_identical_arrival_orders() {
-        let mut w = QuorumWorld::new(2, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry()), 3, 0);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let client = w
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
             .unwrap();
         w.run_until(SimTime::from_secs(5));
         assert_eq!(w.outputs_of(client).len(), 11);
+        assert!(w.tier.leader().is_some(), "a leader was elected");
+        assert!(
+            w.tier.sequenced_total() > 0,
+            "arrivals were quorum-sequenced"
+        );
         // Every live replica converges on the same applied log.
-        let logs: Vec<_> = w.replicas.iter().map(|r| r.applied_log()).collect();
+        let logs: Vec<_> = w.tier.replicas.iter().map(|r| r.applied_log()).collect();
         assert!(!logs[0].is_empty());
         assert_eq!(logs[0], logs[1]);
         assert_eq!(logs[1], logs[2]);
@@ -1067,17 +495,17 @@ mod tests {
 
     #[test]
     fn leader_crash_fails_over_without_gaps_or_dups() {
-        let mut w = QuorumWorld::new(2, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry()), 3, 0);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let client = w
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
             .unwrap();
         // Let traffic start and a leader emerge, then kill it mid-run.
         w.run_until(SimTime::from_millis(300));
-        let old = w.leader().expect("initial leader");
-        w.crash_replica(old);
+        let old = w.tier.leader().expect("initial leader");
+        w.crash_member(old);
         w.run_until(SimTime::from_secs(12));
-        let new = w.leader().expect("new leader elected");
+        let new = w.tier.leader().expect("new leader elected");
         assert_ne!(new, old, "a surviving replica leads");
         let out = w.outputs_of(client);
         assert_eq!(out.len(), 11, "{out:?}");
@@ -1086,30 +514,30 @@ mod tests {
 
     #[test]
     fn crashed_replica_rejoins_and_catches_up() {
-        let mut w = QuorumWorld::new(2, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry()), 3, 0);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let client = w
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
             .unwrap();
         w.run_until(SimTime::from_millis(200));
-        let victim = (w.leader().expect("leader") + 1) % 3;
-        w.crash_replica(victim);
+        let victim = (w.tier.leader().expect("leader") + 1) % 3;
+        w.crash_member(victim);
         w.run_until(SimTime::from_secs(4));
-        w.restart_replica(victim);
+        w.restart_member(victim);
         w.run_until(SimTime::from_secs(10));
         assert_eq!(w.outputs_of(client).len(), 11);
         // The rejoined follower's applied log converges with the rest.
-        let leader = w.leader().expect("leader");
+        let leader = w.tier.leader().expect("leader");
         assert_eq!(
-            w.replicas[victim].applied_log(),
-            w.replicas[leader].applied_log()
+            w.tier.replicas[victim].applied_log(),
+            w.tier.replicas[leader].applied_log()
         );
         invariants_clean(&w);
     }
 
     #[test]
     fn node_crash_recovers_via_leader_replay() {
-        let mut w = QuorumWorld::new(2, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry()), 3, 0);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let client = w
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
@@ -1125,14 +553,18 @@ mod tests {
 
     #[test]
     fn watchdog_runs_clean_and_report_has_consensus_sections() {
-        let mut w = QuorumWorld::new(2, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry()), 3, 0);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let _client = w
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
             .unwrap();
         w.run_until(SimTime::from_secs(5));
-        assert!(w.watchdog().checks() > 0, "watchdog scanned");
-        assert!(w.watchdog().is_clean(), "{:?}", w.watchdog_violations());
+        assert!(w.tier.watchdog().checks() > 0, "watchdog scanned");
+        assert!(
+            w.tier.watchdog().is_clean(),
+            "{:?}",
+            w.tier.watchdog().violations()
+        );
         let report = w.obs_report();
         assert_eq!(report.quorum.len(), 3);
         let c = report.consensus.as_ref().unwrap();
@@ -1149,14 +581,14 @@ mod tests {
     #[test]
     fn failover_records_election_spans() {
         use publishing_obs::span::Stage;
-        let mut w = QuorumWorld::new(2, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry()), 3, 0);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let client = w
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
             .unwrap();
         w.run_until(SimTime::from_millis(300));
-        let old = w.leader().expect("initial leader");
-        w.crash_replica(old);
+        let old = w.tier.leader().expect("initial leader");
+        w.crash_member(old);
         w.run_until(SimTime::from_secs(12));
         assert_eq!(w.outputs_of(client).len(), 11);
         let elects: usize = w
@@ -1169,14 +601,18 @@ mod tests {
             "both the initial election and the failover left tenure spans, got {elects}"
         );
         // The failover run still satisfies the online watchdog.
-        assert!(w.watchdog().is_clean(), "{:?}", w.watchdog_violations());
+        assert!(
+            w.tier.watchdog().is_clean(),
+            "{:?}",
+            w.tier.watchdog().violations()
+        );
     }
 
     #[test]
     fn quorum_health_probe_reflects_leadership() {
-        let mut w = QuorumWorld::new(1, 3, registry());
+        let mut w = QuorumTier::world(WorldBuilder::new(1).registry(registry()), 3, 0);
         w.run_until(SimTime::from_secs(1));
-        let health = w.quorum_health();
+        let health = w.tier.quorum_health();
         assert_eq!(health.len(), 3);
         assert_eq!(health.iter().filter(|h| h.leader).count(), 1);
         let term = health.iter().find(|h| h.leader).unwrap().term;

@@ -4,11 +4,12 @@
 //!
 //! Run with `cargo run -p publishing-shard --example failover_demo`.
 
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::Channel;
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
-use publishing_shard::ShardedWorld;
+use publishing_shard::ShardTier;
 use publishing_sim::time::SimTime;
 
 fn main() {
@@ -20,36 +21,36 @@ fn main() {
         Box::new(p)
     });
 
-    let mut w = ShardedWorld::new(2, 3, reg);
+    let mut w = ShardTier::world(WorldBuilder::new(2).registry(reg), 3);
     println!("tier: 2 processing nodes, 3 recorder shards, R = 2 capture sets");
 
     let server = w.spawn(1, "echo", vec![]).unwrap();
     let client = w
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
-    let caps = w.router().with_map(|m| m.capture_set(server, 2));
+    let caps = w.tier.router().with_map(|m| m.capture_set(server, 2));
     println!("server {server:?} captured by {caps:?}");
 
     w.run_until(SimTime::from_millis(40));
     println!("[40ms] crashing the server process");
     w.crash_process(server, "demo");
 
-    let resp = w.router().with_map(|m| m.responsible(server)).unwrap();
+    let resp = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
     w.run_until(SimTime::from_millis(42));
     println!("[42ms] killing {resp} while it drives the replay");
-    w.crash_shard(resp.0 as usize);
+    w.crash_member(resp.0 as usize);
     println!(
         "       responsibility fell to {}",
-        w.router().with_map(|m| m.responsible(server)).unwrap()
+        w.tier.router().with_map(|m| m.responsible(server)).unwrap()
     );
 
     w.run_until(SimTime::from_millis(500));
     println!("[500ms] adding a fourth shard (live rebalance)");
-    let sid = w.add_shard();
+    let sid = ShardTier::add_shard(&mut w);
     println!(
         "       {sid} admitted; map epoch {}, {} cutovers published",
-        w.router().with_map(|m| m.epoch()),
-        w.cutovers_published()
+        w.tier.router().with_map(|m| m.epoch()),
+        w.tier.cutovers_published()
     );
 
     w.run_until(SimTime::from_secs(30));
@@ -59,7 +60,7 @@ fn main() {
         out.len(),
         out.last().unwrap()
     );
-    for (i, s) in w.shards.iter().enumerate() {
+    for (i, s) in w.tier.shards.iter().enumerate() {
         println!(
             "shard{i}: up={} recoveries completed={}",
             s.is_up(),

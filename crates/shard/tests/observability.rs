@@ -4,12 +4,13 @@
 //! replayed prefix exactly matches the pre-crash delivery prefix, and
 //! identical span fingerprints for identical runs.
 
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
 use publishing_obs::span::check_replay_prefix;
-use publishing_shard::ShardedWorld;
+use publishing_shard::{ShardTier, ShardedWorld};
 use publishing_sim::time::SimTime;
 
 fn registry() -> ProgramRegistry {
@@ -27,7 +28,7 @@ fn registry() -> ProgramRegistry {
 /// mid-run, and drives to completion, tracking the maximum per-shard
 /// replay lag observed at any step. Returns the world and that maximum.
 fn crash_recovery_run() -> (ShardedWorld, u64, Vec<ProcessId>) {
-    let mut w = ShardedWorld::new(3, 4, registry());
+    let mut w = ShardTier::world(WorldBuilder::new(3).registry(registry()), 4);
     let mut servers = Vec::new();
     let mut clients = Vec::new();
     for i in 0..4u32 {
@@ -47,7 +48,7 @@ fn crash_recovery_run() -> (ShardedWorld, u64, Vec<ProcessId>) {
     let deadline = SimTime::from_secs(40);
     let mut max_lag = 0u64;
     while w.now() < deadline && w.step() {
-        for h in w.shard_health() {
+        for h in ShardTier::health(&w) {
             max_lag = max_lag.max(h.replay_lag);
         }
     }
@@ -84,7 +85,7 @@ fn crash_recovery_report_shows_replay_lag_draining_to_zero() {
             .is_some(),
         "manager metrics collected"
     );
-    let total_replayed: u64 = (0..w.shard_count())
+    let total_replayed: u64 = (0..w.tier.shards.len())
         .filter_map(|i| {
             report
                 .metrics

@@ -3,11 +3,12 @@
 //! crash schedules under random shard counts.
 
 use proptest::prelude::*;
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
-use publishing_shard::{ShardId, ShardMap, ShardedWorld};
+use publishing_shard::{ShardId, ShardMap, ShardTier};
 use publishing_sim::time::SimTime;
 use std::collections::BTreeSet;
 
@@ -134,7 +135,7 @@ proptest! {
                 p.think_ns = 3_000_000;
                 Box::new(p)
             });
-            let mut w = ShardedWorld::new(2, n_shards, reg);
+            let mut w = ShardTier::world(WorldBuilder::new(2).registry(reg), n_shards);
             let server = w.spawn(1, "echo", vec![]).unwrap();
             let client = w
                 .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
@@ -145,9 +146,9 @@ proptest! {
                 w.crash_process(victim, "injected");
                 // Killing the responsible shard needs a surviving backup.
                 if kill_responsible_shard && n_shards >= 2 {
-                    let resp = w.router().with_map(|m| m.responsible(victim)).unwrap();
+                    let resp = w.tier.router().with_map(|m| m.responsible(victim)).unwrap();
                     w.run_until(SimTime::from_millis(crash_at_ms + 2));
-                    w.crash_shard(resp.0 as usize);
+                    w.crash_member(resp.0 as usize);
                 }
             }
             w.run_until(SimTime::from_secs(60));

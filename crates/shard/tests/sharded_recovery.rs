@@ -3,11 +3,12 @@
 //! backup mid-replay, and recovery from a log segment that was migrated
 //! to a freshly added shard.
 
+use publishing_core::WorldBuilder;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
-use publishing_shard::{ShardId, ShardedWorld};
+use publishing_shard::{ShardId, ShardTier, ShardedWorld};
 use publishing_sim::time::SimTime;
 
 fn registry() -> ProgramRegistry {
@@ -33,7 +34,7 @@ fn secs(s: u64) -> SimTime {
 #[test]
 fn node_crash_replays_processes_in_parallel_from_distinct_shards() {
     let run = |crash: bool| -> (u64, ShardedWorld) {
-        let mut w = ShardedWorld::new(3, 4, registry());
+        let mut w = ShardTier::world(WorldBuilder::new(3).registry(registry()), 4);
         // Four servers on node 2 — the node we will crash — with a
         // client for each spread over nodes 0 and 1.
         let mut clients = Vec::new();
@@ -66,16 +67,18 @@ fn node_crash_replays_processes_in_parallel_from_distinct_shards() {
     // The node's processes were recovered by the shards responsible for
     // them — and those span at least two distinct shards, i.e. the
     // replay genuinely fanned out.
-    let recovering = w.recovering_shards();
+    let recovering: Vec<usize> = (0..w.tier.shards.len())
+        .filter(|&i| w.tier.shards[i].manager().stats().completed.get() > 0)
+        .collect();
     assert!(
         recovering.len() >= 2,
         "expected parallel replay from >= 2 shards, got {recovering:?}"
     );
     for i in 0..4u32 {
         let server = ProcessId::new(2, 2 * i + 1);
-        let responsible = w.router().with_map(|m| m.responsible(server)).unwrap();
+        let responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
         assert!(
-            w.shards[responsible.0 as usize]
+            w.tier.shards[responsible.0 as usize]
                 .manager()
                 .stats()
                 .completed
@@ -93,7 +96,7 @@ fn node_crash_replays_processes_in_parallel_from_distinct_shards() {
 #[test]
 fn shard_killed_mid_replay_fails_over_to_backup() {
     let run = |kill_shard: bool| -> (u64, ShardedWorld, ProcessId) {
-        let mut w = ShardedWorld::new(2, 3, registry());
+        let mut w = ShardTier::world(WorldBuilder::new(2).registry(registry()), 3);
         let server = w.spawn(1, "echo", vec![]).unwrap();
         let _client = w
             .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
@@ -103,10 +106,10 @@ fn shard_killed_mid_replay_fails_over_to_backup() {
         if kill_shard {
             // Let the responsible shard start the replay, then kill it
             // while the recovery is in flight.
-            let responsible = w.router().with_map(|m| m.responsible(server)).unwrap();
+            let responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
             w.run_until(SimTime::from_millis(42));
             assert_eq!(
-                w.shards[responsible.0 as usize]
+                w.tier.shards[responsible.0 as usize]
                     .manager()
                     .stats()
                     .completed
@@ -114,7 +117,7 @@ fn shard_killed_mid_replay_fails_over_to_backup() {
                 0,
                 "recovery must still be in flight when the shard dies"
             );
-            w.crash_shard(responsible.0 as usize);
+            w.crash_member(responsible.0 as usize);
         }
         w.run_until(secs(30));
         (w.output_fingerprint(), w, server)
@@ -123,9 +126,9 @@ fn shard_killed_mid_replay_fails_over_to_backup() {
     let (crashed, w, server) = run(true);
     assert_eq!(clean, crashed, "failover must not lose or duplicate output");
     // The recovery was completed by the *backup*, not the dead shard.
-    let now_responsible = w.router().with_map(|m| m.responsible(server)).unwrap();
+    let now_responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
     assert!(
-        w.shards[now_responsible.0 as usize]
+        w.tier.shards[now_responsible.0 as usize]
             .manager()
             .stats()
             .completed
@@ -140,7 +143,7 @@ fn shard_killed_mid_replay_fails_over_to_backup() {
 /// new shard from the migrated records.
 #[test]
 fn rebalanced_pid_recovers_from_migrated_log() {
-    let mut w = ShardedWorld::new(2, 2, registry());
+    let mut w = ShardTier::world(WorldBuilder::new(2).registry(registry()), 2);
     let mut pairs = Vec::new();
     for _ in 0..5u32 {
         let server = w.spawn(1, "echo", vec![]).unwrap();
@@ -150,14 +153,14 @@ fn rebalanced_pid_recovers_from_migrated_log() {
         pairs.push((server, client));
     }
     w.run_until(SimTime::from_millis(40));
-    let sid = w.add_shard();
+    let sid = ShardTier::add_shard(&mut w);
     assert_eq!(sid, ShardId(2));
     // At least one server's responsibility moved to the new shard
     // (HRW: it claims ~1/3 of the pids).
     let moved: Vec<ProcessId> = pairs
         .iter()
         .map(|&(s, _)| s)
-        .filter(|&s| w.router().with_map(|m| m.responsible(s)) == Some(sid))
+        .filter(|&s| w.tier.router().with_map(|m| m.responsible(s)) == Some(sid))
         .collect();
     assert!(
         !moved.is_empty(),
@@ -174,7 +177,7 @@ fn rebalanced_pid_recovers_from_migrated_log() {
     }
     // The new shard drove those recoveries from the migrated segments.
     assert!(
-        w.shards[2].manager().stats().completed.get() >= moved.len() as u64,
+        w.tier.shards[2].manager().stats().completed.get() >= moved.len() as u64,
         "new shard must recover the pids it claimed"
     );
 }
@@ -183,24 +186,24 @@ fn rebalanced_pid_recovers_from_migrated_log() {
 /// catching up, and the tier keeps running through both transitions.
 #[test]
 fn crashed_shard_rejoins_after_catching_up() {
-    let mut w = ShardedWorld::new(2, 3, registry());
+    let mut w = ShardTier::world(WorldBuilder::new(2).registry(registry()), 3);
     let server = w.spawn(1, "echo", vec![]).unwrap();
     let client = w
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     w.run_until(SimTime::from_millis(30));
-    w.crash_shard(0);
-    assert!(!w.router().with_map(|m| m.is_live(ShardId(0))));
+    w.crash_member(0);
+    assert!(!w.tier.router().with_map(|m| m.is_live(ShardId(0))));
     w.run_until(SimTime::from_millis(60));
-    w.restart_shard(0);
+    w.restart_member(0);
     w.run_until(secs(30));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 26, "{out:?}");
     assert_eq!(out.last().unwrap(), "done");
     assert!(
-        w.router().with_map(|m| m.is_live(ShardId(0))),
+        w.tier.router().with_map(|m| m.is_live(ShardId(0))),
         "restarted shard should be readmitted once caught up"
     );
     // Both cutovers (out and back in) were published on the medium.
-    assert!(w.cutovers_published() >= 2);
+    assert!(w.tier.cutovers_published() >= 2);
 }

@@ -312,6 +312,13 @@ impl StableStore {
         }
     }
 
+    /// Whether the log already holds a record under `key` (valid or
+    /// invalidated) — the check callers make before
+    /// [`StableStore::append_message`] when re-importing history.
+    pub fn holds(&self, key: RecordKey) -> bool {
+        self.records.contains_key(&key)
+    }
+
     /// Forces the open buffer to disk (checkpoint barriers, shutdown).
     pub fn flush(&mut self, now: SimTime) -> Vec<StoreIo> {
         if self.open.is_empty() {

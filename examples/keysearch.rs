@@ -204,6 +204,6 @@ fn main() {
     println!(
         "\nnode crash detected by watchdog, worker recovered, key found exactly once ({} node \
          restarts)",
-        world.recorder.manager().stats().node_crashes.get()
+        world.tier.manager().stats().node_crashes.get()
     );
 }

@@ -10,7 +10,8 @@
 //!
 //! Run with: `cargo run --example multi_recorder`
 
-use publishing::core::multi::MultiWorld;
+use publishing::core::multi::PriorityTier;
+use publishing::core::WorldBuilder;
 use publishing::demos::ids::{Channel, NodeId};
 use publishing::demos::link::Link;
 use publishing::demos::programs::{self, PingClient};
@@ -28,12 +29,13 @@ fn main() {
 
     // Nodes 0 and 1; recorders on nodes 2 and 3, with round-robin
     // priority vectors.
-    let mut world = MultiWorld::new(2, 2, registry);
+    let mut world = PriorityTier::world(WorldBuilder::new(2).registry(registry), 2);
     let server = world.spawn(1, "echo", vec![]).unwrap();
     let client = world
         .spawn(0, "ping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     let top = world
+        .tier
         .priorities
         .responsible(NodeId(1), &[true, true])
         .unwrap();
@@ -44,7 +46,7 @@ fn main() {
         "t={}  recorder {top} dies; the survivor covers its acks…",
         world.now()
     );
-    world.crash_recorder(top);
+    world.crash_member(top);
 
     world.run_until(SimTime::from_millis(60));
     println!("t={}  node 1 (the echo server's node) dies…", world.now());
@@ -54,11 +56,15 @@ fn main() {
     let other = 1 - top;
     println!(
         "t=5s  recorder {other} detected {} node crash(es) and ran the recovery",
-        world.recorders[other].manager().stats().node_crashes.get()
+        world.tier.recorders[other]
+            .manager()
+            .stats()
+            .node_crashes
+            .get()
     );
 
     println!("t=5s  recorder {top} rejoins and catches up via checkpoints…");
-    world.restart_recorder(top);
+    world.restart_member(top);
     world.run_until(SimTime::from_secs(30));
 
     let out = world.outputs_of(client);
@@ -69,6 +75,6 @@ fn main() {
     );
     assert_eq!(out.len(), 31);
     assert_eq!(out.last().unwrap(), "done");
-    assert!(world.recorders[top].is_up());
+    assert!(world.tier.recorders[top].is_up());
     println!("no message was lost across a recorder death, a node death, and a rejoin.");
 }

@@ -192,7 +192,7 @@ fn main() {
     println!("\nall 12 pages printed exactly once across the crash.");
     println!(
         "recorder stored {} checkpoints; replay covered {} messages.",
-        world.recorder.recorder().stats().checkpoints.get(),
-        world.recorder.manager().stats().replayed.get()
+        world.tier.recorder().stats().checkpoints.get(),
+        world.tier.manager().stats().replayed.get()
     );
 }

@@ -47,13 +47,13 @@ fn main() {
     for line in world.outputs_of(client) {
         println!("  {line}");
     }
-    let mgr = world.recorder.manager().stats();
+    let mgr = world.tier.manager().stats();
     println!(
         "\nrecovery manager: {} recovery, {} messages replayed",
         mgr.completed.get(),
         mgr.replayed.get()
     );
-    let rec = world.recorder.recorder().stats();
+    let rec = world.tier.recorder().stats();
     println!(
         "recorder: {} messages published, {} checkpoints stored",
         rec.published.get(),

@@ -101,8 +101,8 @@ fn main() {
     println!("expected 5+9+2+13+7+1 = 37 — something is wrong.\n");
 
     // Attach the §6.5 debugger to the published history.
-    let mut dbg = ReplayDebugger::attach(world.recorder.recorder(), &registry, acc)
-        .expect("history available");
+    let mut dbg =
+        ReplayDebugger::attach(world.tier.recorder(), &registry, acc).expect("history available");
     println!("replaying {} published messages…", dbg.stream_len());
 
     // Breakpoint: the first step where the total stops matching the sum.

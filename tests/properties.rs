@@ -197,7 +197,7 @@ proptest! {
                 proc.run
             );
         }
-        prop_assert!(!w.recorder.manager().busy(), "recovery jobs left open");
+        prop_assert!(!w.tier.manager().busy(), "recovery jobs left open");
     }
 }
 

@@ -76,7 +76,7 @@ fn identical_seeds_produce_identical_worlds() {
         w.run_until(SimTime::from_secs(5));
         (
             w.output_fingerprint(),
-            w.recorder.recorder().stats().published.get(),
+            w.tier.recorder().stats().published.get(),
             w.kernels[&0].stats().msgs_sent.get(),
         )
     };
@@ -231,7 +231,7 @@ fn many_sequential_crashes_survive() {
     // Each 40 ms crash lands while the previous recovery is still
     // replaying, so this exercises the §3.5 recursive-crash path over and
     // over; only the final recovery runs to completion.
-    let mgr = w.recorder.manager().stats();
+    let mgr = w.tier.manager().stats();
     assert!(
         mgr.recursive.get() >= 3,
         "recursive {}",
@@ -320,5 +320,5 @@ fn stable_store_survives_recorder_power_cycles() {
     w.run_until(SimTime::from_secs(60));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 41, "{}", out.len());
-    assert_eq!(w.recorder.recorder().restart_number(), 3);
+    assert_eq!(w.tier.recorder().restart_number(), 3);
 }
