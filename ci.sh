@@ -15,6 +15,9 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --release (net + sim: the sliced CRC and const-built tables as the optimiser builds them)"
+cargo test --release -q -p publishing-net -p publishing-sim
+
 echo "==> hostbench unit tests (the measured facade still binds)"
 cargo test --offline --manifest-path hostbench/Cargo.toml
 

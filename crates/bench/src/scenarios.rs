@@ -308,7 +308,7 @@ pub fn ethernet_run(
                 }
                 LanAction::Deliver { at, to, frame, .. } => {
                     // Data frames are >100 bytes; acks are 40.
-                    let data = frame.payload.len() >= 100;
+                    let data = frame.payload().len() >= 100;
                     if data {
                         delivered.inc();
                     }

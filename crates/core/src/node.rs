@@ -318,7 +318,7 @@ impl RecorderNode {
         if !self.up || !frame.is_intact() || !recorder_ok {
             return out;
         }
-        let Ok(wire) = Wire::decode_all(&frame.payload) else {
+        let Ok(wire) = Wire::decode_all(frame.payload()) else {
             return out;
         };
         match &wire {

@@ -164,6 +164,105 @@ impl ProcessEntry {
             bytes_since_checkpoint: 0,
         }
     }
+
+    /// The messages this process reads from its checkpoint's read floor
+    /// on, in read order.
+    fn read_order(&self) -> ReadOrder<'_> {
+        ReadOrder {
+            arrivals: &self.arrivals,
+            pins: &self.pins,
+            idx: self.read_floor,
+            used: BTreeSet::new(),
+            cursor: 0,
+        }
+    }
+
+    /// Projects which messages the process consumed before a checkpoint
+    /// image taken at `read_count`: read indices `[read_floor, read_count)`.
+    fn project_checkpoint(&self, read_count: u64) -> CheckpointProjection {
+        let reads = read_count.saturating_sub(self.read_floor) as usize;
+        let mut consumed: Vec<(u64, MessageId)> = Vec::new();
+        for (_, id, seq) in self.read_order().take(reads) {
+            // A pinned read may name a message that never arrived here.
+            let arrival_seq = || {
+                self.arrivals
+                    .iter()
+                    .find(|(_, aid)| *aid == id)
+                    .map(|a| a.0)
+            };
+            if let Some(seq) = seq.or_else(arrival_seq) {
+                consumed.push((seq, id));
+            }
+        }
+        // Conservative floor: first surviving arrival seq.
+        let consumed_seqs: BTreeSet<u64> = consumed.iter().map(|(s, _)| *s).collect();
+        let floor = self
+            .arrivals
+            .iter()
+            .map(|(s, _)| *s)
+            .find(|s| !consumed_seqs.contains(s))
+            .unwrap_or(self.next_arrival_seq);
+        let deltas = consumed_seqs
+            .iter()
+            .copied()
+            .filter(|s| *s >= floor)
+            .collect();
+        CheckpointProjection {
+            consumed,
+            floor,
+            deltas,
+        }
+    }
+}
+
+/// The §4.4.2 read order of one process: at each read index the message
+/// a notice pinned there, otherwise the earliest arrival no earlier read
+/// took. Ends at the first unpinned index with no arrival left.
+struct ReadOrder<'a> {
+    arrivals: &'a [(u64, MessageId)],
+    pins: &'a BTreeMap<u64, MessageId>,
+    idx: u64,
+    used: BTreeSet<MessageId>,
+    /// Every arrival before this position is in `used`; `used` only
+    /// grows, so one pass over `arrivals` serves every read index.
+    cursor: usize,
+}
+
+impl Iterator for ReadOrder<'_> {
+    /// `(read index, message, its arrival seq if it came off the arrival
+    /// order rather than a pin)`.
+    type Item = (u64, MessageId, Option<u64>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (id, seq) = match self.pins.get(&self.idx) {
+            Some(&id) => (id, None),
+            None => {
+                while let Some((_, id)) = self.arrivals.get(self.cursor) {
+                    if !self.used.contains(id) {
+                        break;
+                    }
+                    self.cursor += 1;
+                }
+                let &(seq, id) = self.arrivals.get(self.cursor)?;
+                (id, Some(seq))
+            }
+        };
+        self.used.insert(id);
+        let idx = self.idx;
+        self.idx += 1;
+        Some((idx, id, seq))
+    }
+}
+
+/// What a checkpoint consumes, as [`ProcessEntry::project_checkpoint`]
+/// computes it.
+struct CheckpointProjection {
+    /// Consumed messages as (arrival seq, id), in read order.
+    consumed: Vec<(u64, MessageId)>,
+    /// Conservative floor: the first surviving arrival seq.
+    floor: u64,
+    /// Consumed arrival seqs at or above the floor, ascending.
+    deltas: Vec<u64>,
 }
 
 /// Counters the recorder maintains.
@@ -762,39 +861,11 @@ impl Recorder {
             // One checkpoint in flight at a time; drop extras.
             return Vec::new();
         }
-        // Project which messages the process consumed before the image
-        // was taken: read indices [read_floor, d.read_count).
-        let mut used: BTreeSet<MessageId> = BTreeSet::new();
-        let mut consumed: Vec<(u64, MessageId)> = Vec::new();
-        for idx in entry.read_floor..d.read_count {
-            let id = match entry.pins.get(&idx) {
-                Some(&id) => id,
-                None => {
-                    let Some(&(_, id)) = entry.arrivals.iter().find(|(_, id)| !used.contains(id))
-                    else {
-                        break;
-                    };
-                    id
-                }
-            };
-            used.insert(id);
-            if let Some(&(seq, _)) = entry.arrivals.iter().find(|(_, aid)| *aid == id) {
-                consumed.push((seq, id));
-            }
-        }
-        // Conservative floor: first surviving arrival seq.
-        let consumed_seqs: BTreeSet<u64> = consumed.iter().map(|(s, _)| *s).collect();
-        let floor = entry
-            .arrivals
-            .iter()
-            .map(|(s, _)| *s)
-            .find(|s| !consumed_seqs.contains(s))
-            .unwrap_or(entry.next_arrival_seq);
-        let deltas: Vec<u64> = consumed_seqs
-            .iter()
-            .copied()
-            .filter(|s| *s >= floor)
-            .collect();
+        let CheckpointProjection {
+            consumed,
+            floor,
+            deltas,
+        } = entry.project_checkpoint(d.read_count);
         let pins: Vec<(u64, MessageId)> = entry
             .pins
             .iter()
@@ -901,23 +972,12 @@ impl Recorder {
                 by_id.insert(msg.header.id, msg);
             }
         }
-        let mut used: BTreeSet<MessageId> = BTreeSet::new();
         let mut out = Vec::new();
-        let mut idx = entry.read_floor;
-        loop {
-            let id = match entry.pins.get(&idx) {
-                Some(&id) => id,
-                None => match entry.arrivals.iter().find(|(_, id)| !used.contains(id)) {
-                    Some(&(_, id)) => id,
-                    None => break,
-                },
-            };
-            used.insert(id);
+        for (idx, id, _) in entry.read_order() {
             match by_id.get(&id) {
                 Some(msg) => out.push((idx, msg.clone())),
                 None => break,
             }
-            idx += 1;
         }
         out
     }
@@ -1076,6 +1136,7 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use publishing_demos::ids::Channel;
     use publishing_demos::message::MessageHeader;
 
@@ -1105,6 +1166,111 @@ mod tests {
         let mut q = ios;
         while let Some(io) = q.pop() {
             r.on_disk(io.at, io);
+        }
+    }
+
+    /// `on_deposit`'s projection as it stood before [`ReadOrder`]: the
+    /// scan for the next unused arrival restarts from the front at every
+    /// read index. Kept verbatim as the reference.
+    fn old_projection(
+        entry: &ProcessEntry,
+        read_count: u64,
+    ) -> (Vec<(u64, MessageId)>, u64, Vec<u64>) {
+        let mut used: BTreeSet<MessageId> = BTreeSet::new();
+        let mut consumed: Vec<(u64, MessageId)> = Vec::new();
+        for idx in entry.read_floor..read_count {
+            let id = match entry.pins.get(&idx) {
+                Some(&id) => id,
+                None => {
+                    let Some(&(_, id)) = entry.arrivals.iter().find(|(_, id)| !used.contains(id))
+                    else {
+                        break;
+                    };
+                    id
+                }
+            };
+            used.insert(id);
+            if let Some(&(seq, _)) = entry.arrivals.iter().find(|(_, aid)| *aid == id) {
+                consumed.push((seq, id));
+            }
+        }
+        let consumed_seqs: BTreeSet<u64> = consumed.iter().map(|(s, _)| *s).collect();
+        let floor = entry
+            .arrivals
+            .iter()
+            .map(|(s, _)| *s)
+            .find(|s| !consumed_seqs.contains(s))
+            .unwrap_or(entry.next_arrival_seq);
+        let deltas: Vec<u64> = consumed_seqs
+            .iter()
+            .copied()
+            .filter(|s| *s >= floor)
+            .collect();
+        (consumed, floor, deltas)
+    }
+
+    /// `replay_stream`'s plan loop as it stood before [`ReadOrder`], with
+    /// the store's contents reduced to the set of ids it holds.
+    fn old_replay_plan(entry: &ProcessEntry, by_id: &BTreeSet<MessageId>) -> Vec<(u64, MessageId)> {
+        let mut used: BTreeSet<MessageId> = BTreeSet::new();
+        let mut out = Vec::new();
+        let mut idx = entry.read_floor;
+        loop {
+            let id = match entry.pins.get(&idx) {
+                Some(&id) => id,
+                None => match entry.arrivals.iter().find(|(_, id)| !used.contains(id)) {
+                    Some(&(_, id)) => id,
+                    None => break,
+                },
+            };
+            used.insert(id);
+            match by_id.get(&id) {
+                Some(id) => out.push((idx, *id)),
+                None => break,
+            }
+            idx += 1;
+        }
+        out
+    }
+
+    proptest! {
+        /// The one-pass read order yields what the restart-from-the-front
+        /// scans did: same consumed list, floor, deltas and replay plan.
+        /// Ids come from a pool of 12 so pins collide with arrivals, name
+        /// messages that never arrived, and repeat.
+        #[test]
+        fn read_order_cursor_matches_the_quadratic_scan(
+            arrivals in proptest::collection::vec((0u64..3, 0u64..12), 0..16),
+            pins in proptest::collection::btree_map(0u64..24, 0u64..12, 0..8),
+            read_floor in 0u64..6,
+            read_count in 0u64..28,
+            stored in proptest::collection::vec(0u64..12, 0..12),
+        ) {
+            let id = |seq: u64| MessageId { sender: pid(1, 1), seq };
+            let mut entry = ProcessEntry::new(SimTime::ZERO, pid(2, 1), String::new());
+            let mut next_seq = 3;
+            for (gap, m) in arrivals {
+                next_seq += gap;
+                entry.arrivals.push((next_seq, id(m)));
+                next_seq += 1;
+            }
+            entry.next_arrival_seq = next_seq;
+            entry.pins = pins.into_iter().map(|(idx, m)| (idx, id(m))).collect();
+            entry.read_floor = read_floor;
+
+            let new = entry.project_checkpoint(read_count);
+            let (consumed, floor, deltas) = old_projection(&entry, read_count);
+            prop_assert_eq!(new.consumed, consumed);
+            prop_assert_eq!(new.floor, floor);
+            prop_assert_eq!(new.deltas, deltas);
+
+            let by_id: BTreeSet<MessageId> = stored.into_iter().map(id).collect();
+            let plan: Vec<(u64, MessageId)> = entry
+                .read_order()
+                .map(|(idx, id, _)| (idx, id))
+                .take_while(|(_, id)| by_id.contains(id))
+                .collect();
+            prop_assert_eq!(plan, old_replay_plan(&entry, &by_id));
         }
     }
 

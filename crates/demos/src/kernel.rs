@@ -537,7 +537,7 @@ impl Kernel {
             self.stats.recorder_blocked.inc();
             return out;
         }
-        let Ok(wire) = Wire::decode_all(&frame.payload) else {
+        let Ok(wire) = Wire::decode_all(frame.payload()) else {
             self.stats.bad_frames.inc();
             return out;
         };

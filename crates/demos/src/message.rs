@@ -84,6 +84,13 @@ impl Encode for Message {
         e.option(self.passed_link.as_ref(), |e, l| l.encode(e));
         e.bytes(&self.body);
     }
+
+    fn encoded_len(&self) -> usize {
+        // Header 30 (ids 16 + 8, code 4, channel 1, flag 1), link
+        // presence byte, body length prefix 8; a passed link adds 14.
+        let link = if self.passed_link.is_some() { 14 } else { 0 };
+        39 + link + self.body.len()
+    }
 }
 
 impl Decode for Message {
@@ -134,6 +141,16 @@ mod tests {
         m.passed_link = None;
         let buf = m.encode_to_vec();
         assert_eq!(Message::decode_all(&buf).unwrap(), m);
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let mut m = msg();
+        assert_eq!(m.encoded_len(), m.encode_to_vec().len());
+        m.passed_link = None;
+        assert_eq!(m.encoded_len(), m.encode_to_vec().len());
+        m.body.clear();
+        assert_eq!(m.encoded_len(), m.encode_to_vec().len());
     }
 
     #[test]

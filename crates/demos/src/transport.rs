@@ -148,6 +148,17 @@ impl Encode for Wire {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        // Tag 1, node 4, then the variant's fixed-width fields.
+        match self {
+            Wire::Data { msg, .. } => 5 + 4 + 4 + 8 + msg.encoded_len(),
+            Wire::Ack { .. } => 5 + 4 + 4 + 8 + 16 + 8,
+            Wire::Datagram { msg, .. } => 5 + msg.encoded_len(),
+            Wire::EpochNotice { .. } => 5 + 4,
+            Wire::Quorum { payload, .. } => 5 + 4 + 8 + payload.len(),
+        }
+    }
 }
 
 impl Decode for Wire {
@@ -741,6 +752,10 @@ mod tests {
     #[test]
     fn wire_codec_roundtrip() {
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 5, b"x");
+        let with_link = Message {
+            passed_link: Some(crate::link::Link::to(m.header.to, Channel(1), 11)),
+            ..m.clone()
+        };
         for wire in [
             Wire::Data {
                 src_node: NodeId(1),
@@ -748,6 +763,13 @@ mod tests {
                 peer_epoch: 1,
                 tseq: 9,
                 msg: m.clone(),
+            },
+            Wire::Data {
+                src_node: NodeId(1),
+                incarnation: 2,
+                peer_epoch: 1,
+                tseq: 10,
+                msg: with_link,
             },
             Wire::Ack {
                 src_node: NodeId(2),
@@ -773,6 +795,8 @@ mod tests {
         ] {
             let buf = wire.encode_to_vec();
             assert_eq!(Wire::decode_all(&buf).unwrap(), wire);
+            // Exact, so `encode_to_vec` allocates once and retains nothing.
+            assert_eq!(wire.encoded_len(), buf.len());
         }
     }
 

@@ -8,9 +8,9 @@
 //! is exercised fully; the contention-accurate media live in
 //! [`crate::ethernet`] and [`crate::token_ring`].
 
-use crate::frame::{Frame, StationId};
+use crate::frame::{Destination, Frame, StationId};
 use crate::lan::{
-    route_required, DeliveryFanout, Lan, LanAction, LanConfig, LanStats, RecorderRouter,
+    DeliveryFanout, FanoutScratch, Lan, LanAction, LanConfig, LanStats, RecorderRouter,
 };
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::rng::DetRng;
@@ -26,6 +26,7 @@ pub struct PerfectBus {
     faults: FaultPlan,
     rng: DetRng,
     stats: LanStats,
+    scratch: FanoutScratch,
     /// Accounting cursor: the virtual time at which a serial wire would
     /// finish every frame submitted so far. Delivery timing ignores it
     /// (the bus is contention-free); it exists so the busy ledger
@@ -48,30 +49,9 @@ impl PerfectBus {
             faults: FaultPlan::new(),
             rng,
             stats: LanStats::default(),
+            scratch: FanoutScratch::default(),
             wire_free_at: SimTime::ZERO,
         }
-    }
-
-    fn live_receivers(&self, frame: &Frame) -> Vec<StationId> {
-        // Every live station but the sender hears the frame; the sender
-        // also receives its own frame when it addressed itself — the
-        // published-intranode-message path of §4.4.1, where a node's
-        // messages to itself go out on the wire so the recorder sees them.
-        let to_self = frame.dst == crate::frame::Destination::Station(frame.src);
-        self.stations
-            .iter()
-            .filter(|&(&st, &up)| up && (st != frame.src || to_self))
-            .map(|(&st, _)| st)
-            .collect()
-    }
-
-    fn required_recorders(&self) -> Vec<StationId> {
-        // A required recorder gates traffic even while down — §3.3.4: "all
-        // message traffic to processes must be suspended whenever the
-        // recorder goes down." With multiple recorders, the survivors
-        // cover for a dead one by *removing* it from the required set
-        // (§6.3), an explicit act of the recovery layer.
-        self.recorders.clone()
     }
 }
 
@@ -111,15 +91,32 @@ impl Lan for PerfectBus {
         let ser_end = ser_start + self.cfg.frame_time(frame.wire_bytes());
         self.stats.busy.add_span(ser_start, ser_end);
         self.wire_free_at = ser_end;
-        let receivers = self.live_receivers(&frame);
-        let required = route_required(self.router.as_ref(), &frame, || self.required_recorders());
-        let mut actions = DeliveryFanout {
+        // Every live station but the sender hears the frame; the sender
+        // also receives its own frame when it addressed itself — the
+        // published-intranode-message path of §4.4.1, where a node's
+        // messages to itself go out on the wire so the recorder sees them.
+        let to_self = frame.dst == Destination::Station(sender);
+        let receivers = self
+            .stations
+            .iter()
+            .filter(|&(&st, &up)| up && (st != sender || to_self))
+            .map(|(&st, _)| st);
+        // A required recorder gates traffic even while down — §3.3.4: "all
+        // message traffic to processes must be suspended whenever the
+        // recorder goes down." With multiple recorders, the survivors
+        // cover for a dead one by *removing* it from the required set
+        // (§6.3), an explicit act of the recovery layer.
+        let routed = self.router.as_ref().and_then(|r| r(&frame));
+        let required = routed.as_deref().unwrap_or(&self.recorders);
+        let mut actions = Vec::with_capacity(self.stations.len() + 1);
+        DeliveryFanout {
             faults: &self.faults,
             rng: &mut self.rng,
             stats: &mut self.stats,
+            scratch: &mut self.scratch,
             dup_gap: self.cfg.interpacket,
         }
-        .run(tx_done, &frame, &receivers, &required);
+        .run(tx_done, &frame, receivers, required, &mut actions);
         actions.push(LanAction::TxOutcome {
             at: tx_done,
             station: sender,
@@ -145,7 +142,6 @@ impl Lan for PerfectBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Destination;
 
     fn bus_with(n: u32) -> PerfectBus {
         let mut bus = PerfectBus::new(LanConfig::default());
@@ -224,7 +220,7 @@ mod tests {
         let mut bus = bus_with(3);
         bus.set_required_recorders(vec![StationId(1)]);
         bus.set_recorder_router(Some(std::sync::Arc::new(|f: &Frame| {
-            Some(if f.payload.first().is_some_and(|b| b % 2 == 1) {
+            Some(if f.payload().first().is_some_and(|b| b % 2 == 1) {
                 vec![StationId(2)]
             } else {
                 vec![]

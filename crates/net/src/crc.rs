@@ -9,9 +9,13 @@
 /// The CRC-32/IEEE polynomial, reflected.
 const POLY: u32 = 0xEDB8_8320;
 
-/// Computes the lookup table at compile time.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Builds the slicing-by-8 tables at compile time.
+///
+/// `TABLES[0]` is the classic byte-at-a-time table; `TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight table reads fold
+/// eight input bytes into the register at once.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -24,15 +28,35 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
-/// Computes the CRC-32/IEEE checksum of `data`.
+/// Folds `data` into the CRC register one byte at a time: the tail of
+/// [`crc32`], and the reference its tests compare the sliced path to.
+fn update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// Computes the CRC-32/IEEE checksum of `data`, eight bytes per step
+/// (slicing-by-8) with a byte-wise tail.
 ///
 /// # Examples
 ///
@@ -42,41 +66,19 @@ static TABLE: [u32; 256] = build_table();
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][c[4] as usize]
+            ^ TABLES[2][c[5] as usize]
+            ^ TABLES[1][c[6] as usize]
+            ^ TABLES[0][c[7] as usize];
     }
-    !crc
-}
-
-/// Incremental CRC-32 computation for multi-part frames.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds more bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.state = (self.state >> 8) ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
-        }
-    }
-
-    /// Finishes and returns the checksum.
-    pub fn finish(&self) -> u32 {
-        !self.state
-    }
+    !update_bytewise(crc, chunks.remainder())
 }
 
 #[cfg(test)]
@@ -90,13 +92,32 @@ mod tests {
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
     }
 
+    /// The byte-at-a-time CRC the sliced path must equal.
+    fn reference(data: &[u8]) -> u32 {
+        !update_bytewise(0xFFFF_FFFF, data)
+    }
+
     #[test]
-    fn incremental_matches_oneshot() {
-        let data = b"published communications";
-        let mut h = Crc32::new();
-        h.update(&data[..7]);
-        h.update(&data[7..]);
-        assert_eq!(h.finish(), crc32(data));
+    fn sliced_matches_bytewise_at_every_short_length() {
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 73 + 11) as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&data[..len]), reference(&data[..len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn sliced_matches_bytewise_on_random_buffers_at_every_offset() {
+        // Start offsets 0..8 move the 8-byte chunks across every
+        // alignment of the underlying allocation.
+        let mut rng = publishing_sim::rng::DetRng::new(0xC4C);
+        for _ in 0..64 {
+            let len = rng.below(4097) as usize;
+            let buf: Vec<u8> = (0..len + 8).map(|_| rng.below(256) as u8).collect();
+            for off in 0..8 {
+                let data = &buf[off..off + len];
+                assert_eq!(crc32(data), reference(data), "len {len} offset {off}");
+            }
+        }
     }
 
     #[test]

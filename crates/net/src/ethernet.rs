@@ -13,8 +13,10 @@
 //! simultaneously when the medium frees, so convoys re-collide exactly as
 //! on a real Ethernet under load.
 
-use crate::frame::{Frame, StationId};
-use crate::lan::{DeliveryFanout, Lan, LanAction, LanConfig, LanStats, RecorderRouter};
+use crate::frame::{Destination, Frame, StationId};
+use crate::lan::{
+    DeliveryFanout, FanoutScratch, Lan, LanAction, LanConfig, LanStats, RecorderRouter,
+};
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::rng::DetRng;
 use publishing_sim::time::{SimDuration, SimTime};
@@ -39,9 +41,6 @@ enum MediumState {
         started: SimTime,
         end: SimTime,
         collided: bool,
-        /// Recorders gating this frame (routed per frame, or the global
-        /// set), fixed when transmission started.
-        required: Vec<StationId>,
         /// Length of the reserved ack slots after this frame.
         ack_len: SimDuration,
     },
@@ -67,11 +66,17 @@ pub struct Ethernet {
     recorders: Vec<StationId>,
     router: Option<RecorderRouter>,
     state: MediumState,
+    /// Recorders gating the frame on the wire (routed per frame, or the
+    /// global set), fixed when its transmission started; meaningful while
+    /// `state` is `Data`. Kept here, not in the state, so the buffer is
+    /// reused from frame to frame.
+    tx_required: Vec<StationId>,
     timers: HashMap<u64, TimerKind>,
     next_token: u64,
     faults: FaultPlan,
     rng: DetRng,
     stats: LanStats,
+    scratch: FanoutScratch,
 }
 
 impl Ethernet {
@@ -95,11 +100,13 @@ impl Ethernet {
             recorders: Vec::new(),
             router: None,
             state: MediumState::Idle,
+            tx_required: Vec::new(),
             timers: HashMap::new(),
             next_token: 0,
             faults: FaultPlan::new(),
             rng,
             stats: LanStats::default(),
+            scratch: FanoutScratch::default(),
         }
     }
 
@@ -172,27 +179,27 @@ impl Ethernet {
         };
         match decision {
             Decision::Start => {
-                let frame = self.stations[&st_id]
-                    .backlog
-                    .front()
-                    .expect("checked")
-                    .clone();
+                let frame = self.stations[&st_id].backlog.front().expect("checked");
                 let end = now + self.cfg.frame_time(frame.wire_bytes());
                 // Resolve this frame's recorder set now: in a sharded
                 // tier only the owning shard(s) get reserved ack slots.
-                let (required, ack_len) = match self.router.as_ref().and_then(|r| r(&frame)) {
+                let ack_len = match self.router.as_ref().and_then(|r| r(frame)) {
                     Some(set) => {
-                        let len = self.cfg.ack_slot.saturating_mul(1 + set.len() as u64);
-                        (set, len)
+                        self.tx_required = set;
+                        let slots = 1 + self.tx_required.len() as u64;
+                        self.cfg.ack_slot.saturating_mul(slots)
                     }
-                    None => (self.recorders.clone(), self.ack_slots_len()),
+                    None => {
+                        self.tx_required.clear();
+                        self.tx_required.extend_from_slice(&self.recorders);
+                        self.ack_slots_len()
+                    }
                 };
                 self.state = MediumState::Data {
                     from: st_id,
                     started: now,
                     end,
                     collided: false,
-                    required,
                     ack_len,
                 };
                 self.stats.busy.set_busy(now);
@@ -248,7 +255,6 @@ impl Ethernet {
             from,
             end,
             collided,
-            required,
             ack_len,
             ..
         } = std::mem::replace(&mut self.state, MediumState::Idle)
@@ -279,25 +285,24 @@ impl Ethernet {
         st.attempts = 0;
         // A self-addressed frame loops back to its sender (published
         // intranode messages, §4.4.1).
-        let to_self = frame.dst == crate::frame::Destination::Station(from);
-        let receivers: Vec<StationId> = self
+        let to_self = frame.dst == Destination::Station(from);
+        let receivers = self
             .stations
             .iter()
             .filter(|&(&id, s)| s.up && (id != from || to_self))
-            .map(|(&id, _)| id)
-            .collect();
+            .map(|(&id, _)| id);
         // A required recorder gates even while down (§3.3.4); survivors
         // cover for a dead peer by shrinking the set explicitly (§6.3),
-        // and a sharded tier routes it per frame (`required` was fixed
+        // and a sharded tier routes it per frame (`tx_required` was fixed
         // when this transmission started).
-        let mut deliveries = DeliveryFanout {
+        DeliveryFanout {
             faults: &self.faults,
             rng: &mut self.rng,
             stats: &mut self.stats,
+            scratch: &mut self.scratch,
             dup_gap: self.cfg.interpacket,
         }
-        .run(now, &frame, &receivers, &required);
-        out.append(&mut deliveries);
+        .run(now, &frame, receivers, &self.tx_required, out);
         out.push(LanAction::TxOutcome {
             at: now,
             station: from,
@@ -408,7 +413,6 @@ impl Lan for Ethernet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::Destination;
     use publishing_sim::event::Scheduler;
 
     /// Drives an Ethernet until quiescent, collecting deliveries/outcomes.

@@ -7,6 +7,7 @@
 
 use crate::crc::crc32;
 use core::fmt;
+use std::sync::Arc;
 
 /// A station attached to the LAN (a processing node's or recorder's
 /// network interface).
@@ -53,14 +54,28 @@ impl Destination {
 pub const HEADER_BYTES: usize = 18;
 
 /// A link-layer frame.
+///
+/// The payload bytes are immutable and shared: a broadcast medium hands
+/// every receiving station a clone, which is a reference-count bump, not
+/// a copy — one buffer per transmission, as on the paper's wire (§3.3).
+/// Because nothing can change the bytes behind a frame, the frame also
+/// remembers their checksum (`sum`) beside the FCS it carries (`fcs`),
+/// and every receiver's integrity check compares the two words instead
+/// of re-reading the payload. The only operation that yields different
+/// bytes, [`Frame::corrupt_in_flight`], writes them to a fresh buffer
+/// and recomputes `sum` for it, so `sum == crc32(payload())` holds for
+/// every frame this module can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Transmitting station.
     pub src: StationId,
     /// Link-layer destination.
     pub dst: Destination,
-    /// Opaque transport payload.
-    pub payload: Vec<u8>,
+    /// Opaque transport payload (`Arc`, not `Rc`: the live runtime sends
+    /// frames across threads).
+    payload: Arc<[u8]>,
+    /// Checksum of `payload`, computed when these bytes were written.
+    sum: u32,
     /// Frame check sequence as carried on the wire.
     fcs: u32,
 }
@@ -68,27 +83,37 @@ pub struct Frame {
 impl Frame {
     /// Builds a frame, computing its FCS over the payload.
     pub fn new(src: StationId, dst: Destination, payload: Vec<u8>) -> Self {
-        let fcs = crc32(&payload);
+        let sum = crc32(&payload);
         Frame {
             src,
             dst,
-            payload,
-            fcs,
+            payload: payload.into(),
+            sum,
+            fcs: sum,
         }
+    }
+
+    /// Returns the opaque transport payload.
+    pub fn payload(&self) -> &[u8] {
+        &self.payload
     }
 
     /// Returns `true` if the carried FCS matches the payload.
     pub fn is_intact(&self) -> bool {
-        crc32(&self.payload) == self.fcs
+        self.sum == self.fcs
     }
 
-    /// Corrupts the frame in flight by flipping one payload bit.
+    /// Corrupts the frame in flight by flipping one payload bit. Only
+    /// this frame is damaged: clones keep the undamaged bytes.
     pub fn corrupt_in_flight(&mut self) {
         if self.payload.is_empty() {
             // No payload bits to damage; damage the FCS itself.
             self.fcs = !self.fcs;
         } else {
-            self.payload[0] ^= 0x80;
+            let mut damaged = self.payload.to_vec();
+            damaged[0] ^= 0x80;
+            self.sum = crc32(&damaged);
+            self.payload = damaged.into();
         }
     }
 
@@ -107,6 +132,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn frame(payload: &[u8]) -> Frame {
         Frame::new(
@@ -145,6 +171,77 @@ mod tests {
         // ring model relies on never happening accidentally).
         f.invalidate_fcs();
         assert!(f.is_intact());
+    }
+
+    #[test]
+    fn corruption_is_copy_on_write() {
+        let original = frame(b"hello");
+        let copies: Vec<Frame> = (0..5).map(|_| original.clone()).collect();
+        assert_eq!(Arc::strong_count(&original.payload), 1 + copies.len());
+        let mut damaged = original.clone();
+        assert!(Arc::ptr_eq(&original.payload, &damaged.payload));
+        damaged.corrupt_in_flight();
+        assert!(!damaged.is_intact());
+        assert!(original.is_intact());
+        assert_eq!(original.payload(), b"hello");
+        assert_ne!(damaged.payload(), original.payload());
+    }
+
+    /// One step applied to one member of a family of clones.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Clone(usize),
+        Corrupt(usize),
+        InvalidateFcs(usize),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..16).prop_map(Op::Clone),
+            (0usize..16).prop_map(Op::Corrupt),
+            (0usize..16).prop_map(Op::InvalidateFcs),
+        ]
+    }
+
+    proptest! {
+        /// The memoised predicate is the from-scratch one for every frame
+        /// reachable through the public operations, damaging one clone
+        /// never shows in another, and a clone shares its source's buffer.
+        #[test]
+        fn memoised_fcs_check_equals_recompute(
+            payload in proptest::collection::vec(any::<u8>(), 0..300),
+            ops in proptest::collection::vec(arb_op(), 0..40),
+        ) {
+            let first = Frame::new(StationId(1), Destination::Broadcast, payload);
+            let mut family = vec![first];
+            for op in ops {
+                let i = match op {
+                    Op::Clone(i) | Op::Corrupt(i) | Op::InvalidateFcs(i) => i % family.len(),
+                };
+                // What every other member looks like before the step.
+                let before: Vec<(Vec<u8>, bool)> = family
+                    .iter()
+                    .map(|f| (f.payload().to_vec(), f.is_intact()))
+                    .collect();
+                match op {
+                    Op::Clone(_) => {
+                        let copy = family[i].clone();
+                        prop_assert!(Arc::ptr_eq(&copy.payload, &family[i].payload));
+                        prop_assert_eq!(&copy, &family[i]);
+                        family.push(copy);
+                    }
+                    Op::Corrupt(_) => family[i].corrupt_in_flight(),
+                    Op::InvalidateFcs(_) => family[i].invalidate_fcs(),
+                }
+                for (j, f) in family.iter().enumerate() {
+                    prop_assert_eq!(f.is_intact(), crc32(f.payload()) == f.fcs);
+                    if j != i && j < before.len() {
+                        prop_assert_eq!(f.payload(), &before[j].0[..]);
+                        prop_assert_eq!(f.is_intact(), before[j].1);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

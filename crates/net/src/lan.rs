@@ -163,16 +163,6 @@ impl LanStats {
 /// medium itself stays payload-agnostic.
 pub type RecorderRouter = std::sync::Arc<dyn Fn(&Frame) -> Option<Vec<StationId>> + Send + Sync>;
 
-/// Resolves the required-recorder set for one frame: router verdict if
-/// one is installed and speaks, otherwise the medium's global set.
-pub(crate) fn route_required(
-    router: Option<&RecorderRouter>,
-    frame: &Frame,
-    fallback: impl FnOnce() -> Vec<StationId>,
-) -> Vec<StationId> {
-    router.and_then(|r| r(frame)).unwrap_or_else(fallback)
-}
-
 /// A broadcast medium with publishing (recorder-acknowledgement) support.
 pub trait Lan {
     /// Attaches a station; it starts up.
@@ -216,6 +206,22 @@ pub trait Lan {
     }
 }
 
+/// A receiver's physical outcome for one frame.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fate {
+    Ok,
+    Lost,
+    Corrupt,
+}
+
+/// Per-receiver fates of the frame being fanned out. A medium keeps one
+/// and lends it to every [`DeliveryFanout`], so a fan-out allocates
+/// nothing but room for the deliveries it emits.
+#[derive(Debug, Default)]
+pub(crate) struct FanoutScratch {
+    fates: Vec<(StationId, Fate)>,
+}
+
 /// Shared per-delivery fault and recorder-gating logic used by all media.
 ///
 /// Given the set of receiving stations, rolls loss/corruption per receiver,
@@ -225,6 +231,7 @@ pub(crate) struct DeliveryFanout<'a> {
     pub faults: &'a FaultPlan,
     pub rng: &'a mut DetRng,
     pub stats: &'a mut LanStats,
+    pub scratch: &'a mut FanoutScratch,
     /// How much later a duplicated frame's second copy arrives. Media pass
     /// their natural re-arrival delay (a frame time, a hop latency); the
     /// fanout floors it at 1 ns so the two arrivals are always distinct.
@@ -232,71 +239,77 @@ pub(crate) struct DeliveryFanout<'a> {
 }
 
 impl DeliveryFanout<'_> {
-    /// Fans `frame` out to `receivers` at time `at`.
+    /// Fans `frame` out to `receivers` at time `at`, appending the
+    /// deliveries to `out`. Every delivery shares the frame's bytes; only
+    /// a corrupted one gets a (damaged) copy of its own.
     ///
     /// `required_recorders` must be a subset of `receivers` (down stations
     /// already filtered out by the caller). Stations that lose the frame
     /// get no delivery; corrupted deliveries arrive with a broken FCS; a
     /// duplication draw makes an intact delivery arrive a second time,
     /// `dup_gap` later.
+    ///
+    /// The draw order is part of the medium's behaviour (fault-plan runs
+    /// must repeat bit for bit): loss, then corruption, for every receiver
+    /// in order; then one duplication roll per intact delivery.
     pub fn run(
-        &mut self,
+        self,
         at: SimTime,
         frame: &Frame,
-        receivers: &[StationId],
+        receivers: impl IntoIterator<Item = StationId>,
         required_recorders: &[StationId],
-    ) -> Vec<LanAction> {
+        out: &mut Vec<LanAction>,
+    ) {
+        let DeliveryFanout {
+            faults,
+            rng,
+            stats,
+            scratch,
+            dup_gap,
+        } = self;
         // Decide each receiver's physical outcome first.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Fate {
-            Ok,
-            Lost,
-            Corrupt,
+        let fates = &mut scratch.fates;
+        fates.clear();
+        for st in receivers {
+            let fate = if faults.roll_loss(rng) {
+                Fate::Lost
+            } else if faults.roll_corruption(rng) {
+                Fate::Corrupt
+            } else {
+                Fate::Ok
+            };
+            fates.push((st, fate));
         }
-        let fates: Vec<(StationId, Fate)> = receivers
-            .iter()
-            .map(|&st| {
-                let fate = if self.faults.roll_loss(self.rng) {
-                    Fate::Lost
-                } else if self.faults.roll_corruption(self.rng) {
-                    Fate::Corrupt
-                } else {
-                    Fate::Ok
-                };
-                (st, fate)
-            })
-            .collect();
 
         // §6.1: the frame is usable only if every required recorder
         // captured it intact. A recorder that *sent* the frame trivially
         // has it.
-        let recorder_ok = required_recorders.iter().all(|r| {
-            *r == frame.src || fates.iter().any(|&(st, fate)| st == *r && fate == Fate::Ok)
-        });
-        if !recorder_ok && !required_recorders.is_empty() {
-            self.stats.recorder_blocked.inc();
+        let captured = |r: StationId| {
+            r == frame.src || fates.iter().any(|&(st, fate)| st == r && fate == Fate::Ok)
+        };
+        let recorder_ok = required_recorders.iter().all(|&r| captured(r));
+        if !recorder_ok {
+            stats.recorder_blocked.inc();
             // Attribute the stall to every required recorder that missed
             // the frame, so a sharded tier can see which shard is lossy.
-            for r in required_recorders {
-                let missed = *r != frame.src
-                    && !fates.iter().any(|&(st, fate)| st == *r && fate == Fate::Ok);
-                if missed {
-                    *self.stats.blocked_at_recorder.entry(*r).or_insert(0) += 1;
+            for &r in required_recorders {
+                if !captured(r) {
+                    *stats.blocked_at_recorder.entry(r).or_insert(0) += 1;
                 }
             }
         }
 
-        let mut out = Vec::with_capacity(fates.len());
-        for (st, fate) in fates {
+        out.reserve(fates.len());
+        for &(st, fate) in fates.iter() {
             match fate {
                 Fate::Lost => {
-                    self.stats.lost.inc();
+                    stats.lost.inc();
                 }
                 Fate::Corrupt => {
-                    self.stats.corrupted.inc();
+                    stats.corrupted.inc();
                     let mut f = frame.clone();
                     f.corrupt_in_flight();
-                    self.stats.delivered.inc();
+                    stats.delivered.inc();
                     out.push(LanAction::Deliver {
                         at,
                         to: st,
@@ -305,18 +318,18 @@ impl DeliveryFanout<'_> {
                     });
                 }
                 Fate::Ok => {
-                    self.stats.delivered.inc();
+                    stats.delivered.inc();
                     out.push(LanAction::Deliver {
                         at,
                         to: st,
                         frame: frame.clone(),
                         recorder_ok,
                     });
-                    if self.faults.roll_duplication(self.rng) {
-                        self.stats.duplicated.inc();
-                        self.stats.delivered.inc();
+                    if faults.roll_duplication(rng) {
+                        stats.duplicated.inc();
+                        stats.delivered.inc();
                         out.push(LanAction::Deliver {
-                            at: at + self.dup_gap.max(SimDuration::from_nanos(1)),
+                            at: at + dup_gap.max(SimDuration::from_nanos(1)),
                             to: st,
                             frame: frame.clone(),
                             recorder_ok,
@@ -325,7 +338,6 @@ impl DeliveryFanout<'_> {
                 }
             }
         }
-        out
     }
 }
 
@@ -363,20 +375,43 @@ mod tests {
         );
     }
 
+    /// Runs one fan-out (10 µs duplicate gap, fresh RNG and scratch).
+    fn fan_out(
+        faults: &FaultPlan,
+        seed: u64,
+        stats: &mut LanStats,
+        at: SimTime,
+        frame: &Frame,
+        receivers: &[StationId],
+        required: &[StationId],
+    ) -> Vec<LanAction> {
+        let mut out = Vec::new();
+        DeliveryFanout {
+            faults,
+            rng: &mut DetRng::new(seed),
+            stats,
+            scratch: &mut FanoutScratch::default(),
+            dup_gap: SimDuration::from_micros(10),
+        }
+        .run(at, frame, receivers.iter().copied(), required, &mut out);
+        out
+    }
+
     #[test]
     fn fanout_delivers_to_all_when_fault_free() {
         let faults = FaultPlan::new();
-        let mut rng = DetRng::new(1);
         let mut stats = LanStats::default();
         let frame = Frame::new(StationId(0), Destination::Broadcast, vec![1, 2, 3]);
         let receivers = [StationId(1), StationId(2), StationId(3)];
-        let actions = DeliveryFanout {
-            faults: &faults,
-            rng: &mut rng,
-            stats: &mut stats,
-            dup_gap: SimDuration::from_micros(10),
-        }
-        .run(SimTime::from_millis(1), &frame, &receivers, &[StationId(3)]);
+        let actions = fan_out(
+            &faults,
+            1,
+            &mut stats,
+            SimTime::from_millis(1),
+            &frame,
+            &receivers,
+            &[StationId(3)],
+        );
         assert_eq!(actions.len(), 3);
         for a in &actions {
             match a {
@@ -399,16 +434,12 @@ mod tests {
         // though nobody receives anything, the blocked counter reflects the
         // recorder gate.
         let faults = FaultPlan::new().with_frame_loss(1.0);
-        let mut rng = DetRng::new(2);
         let mut stats = LanStats::default();
         let frame = Frame::new(StationId(0), Destination::Broadcast, vec![9]);
-        let actions = DeliveryFanout {
-            faults: &faults,
-            rng: &mut rng,
-            stats: &mut stats,
-            dup_gap: SimDuration::from_micros(10),
-        }
-        .run(
+        let actions = fan_out(
+            &faults,
+            2,
+            &mut stats,
             SimTime::ZERO,
             &frame,
             &[StationId(1), StationId(2)],
@@ -426,16 +457,12 @@ mod tests {
     #[test]
     fn corruption_at_recorder_marks_unusable_for_receiver() {
         let faults = FaultPlan::new().with_frame_corruption(1.0);
-        let mut rng = DetRng::new(3);
         let mut stats = LanStats::default();
         let frame = Frame::new(StationId(0), Destination::Broadcast, vec![7, 7]);
-        let actions = DeliveryFanout {
-            faults: &faults,
-            rng: &mut rng,
-            stats: &mut stats,
-            dup_gap: SimDuration::from_micros(10),
-        }
-        .run(
+        let actions = fan_out(
+            &faults,
+            3,
+            &mut stats,
             SimTime::ZERO,
             &frame,
             &[StationId(1), StationId(9)],
@@ -458,16 +485,17 @@ mod tests {
     #[test]
     fn duplication_yields_second_delivery_later() {
         let faults = FaultPlan::new().with_frame_duplication(1.0);
-        let mut rng = DetRng::new(5);
         let mut stats = LanStats::default();
         let frame = Frame::new(StationId(0), Destination::Broadcast, vec![1]);
-        let actions = DeliveryFanout {
-            faults: &faults,
-            rng: &mut rng,
-            stats: &mut stats,
-            dup_gap: SimDuration::from_micros(10),
-        }
-        .run(SimTime::from_millis(1), &frame, &[StationId(1)], &[]);
+        let actions = fan_out(
+            &faults,
+            5,
+            &mut stats,
+            SimTime::from_millis(1),
+            &frame,
+            &[StationId(1)],
+            &[],
+        );
         let times: Vec<SimTime> = actions
             .iter()
             .filter_map(|a| match a {
@@ -484,16 +512,17 @@ mod tests {
     #[test]
     fn no_required_recorders_means_no_gating() {
         let faults = FaultPlan::new();
-        let mut rng = DetRng::new(4);
         let mut stats = LanStats::default();
         let frame = Frame::new(StationId(0), Destination::Broadcast, vec![]);
-        let actions = DeliveryFanout {
-            faults: &faults,
-            rng: &mut rng,
-            stats: &mut stats,
-            dup_gap: SimDuration::from_micros(10),
-        }
-        .run(SimTime::ZERO, &frame, &[StationId(1)], &[]);
+        let actions = fan_out(
+            &faults,
+            4,
+            &mut stats,
+            SimTime::ZERO,
+            &frame,
+            &[StationId(1)],
+            &[],
+        );
         match &actions[0] {
             LanAction::Deliver { recorder_ok, .. } => assert!(recorder_ok),
             _ => panic!(),

@@ -11,7 +11,7 @@
 //! destination sees it with the field filled.
 
 use crate::frame::{Frame, StationId};
-use crate::lan::{route_required, Lan, LanAction, LanConfig, LanStats, RecorderRouter};
+use crate::lan::{Lan, LanAction, LanConfig, LanStats, RecorderRouter};
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::rng::DetRng;
 use publishing_sim::time::{SimDuration, SimTime};
@@ -81,7 +81,8 @@ impl TokenRing {
         // empty; publishing mode is on iff any recorder is required, and
         // the field fills once every required recorder has read the
         // frame (a recorder that *sent* it trivially has it).
-        let required = route_required(self.router.as_ref(), &frame, || self.recorders.clone());
+        let routed = self.router.as_ref().and_then(|r| r(&frame));
+        let required = routed.as_deref().unwrap_or(&self.recorders);
         let publishing = !required.is_empty();
         let mut captured: Vec<StationId> = required
             .iter()

@@ -416,7 +416,7 @@ impl QuorumReplica {
             return Vec::new();
         }
         if frame.is_intact() {
-            if let Ok(Wire::Quorum { group, payload, .. }) = Wire::decode_all(&frame.payload) {
+            if let Ok(Wire::Quorum { group, payload, .. }) = Wire::decode_all(frame.payload()) {
                 let mut out = Vec::new();
                 if group == self.group && frame.dst.accepts(self.station()) {
                     if let Ok(qmsg) = QMsg::decode_all(&payload) {

@@ -35,7 +35,7 @@ const WATCHDOG_PERIOD: SimDuration = SimDuration::from_millis(25);
 /// elections and while replicas are down); everything else falls back
 /// to the live-replica required set.
 fn quorum_router() -> RecorderRouter {
-    Arc::new(|frame: &Frame| match Wire::decode_all(&frame.payload) {
+    Arc::new(|frame: &Frame| match Wire::decode_all(frame.payload()) {
         Ok(Wire::Quorum { .. } | Wire::Datagram { .. } | Wire::EpochNotice { .. }) => {
             Some(Vec::new())
         }

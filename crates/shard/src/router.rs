@@ -99,7 +99,7 @@ impl ShardRouter {
     pub fn recorder_router(&self) -> RecorderRouter {
         let this = self.clone();
         Arc::new(move |frame: &Frame| {
-            let dst = match Wire::decode_all(&frame.payload) {
+            let dst = match Wire::decode_all(frame.payload()) {
                 Ok(Wire::Data { msg, .. }) => msg.header.to,
                 Ok(Wire::Ack { dst_pid, .. }) => dst_pid,
                 // Datagrams, epoch notices, and quorum consensus traffic

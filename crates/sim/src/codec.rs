@@ -314,9 +314,19 @@ pub trait Encode {
     /// Appends this value's encoding to `e`.
     fn encode(&self, e: &mut Encoder);
 
-    /// Encodes into a fresh byte vector.
+    /// Returns the number of bytes [`encode`](Self::encode) will append,
+    /// for types that know it without encoding; 0 (the default) for the
+    /// rest. It only sizes [`encode_to_vec`](Self::encode_to_vec)'s
+    /// buffer, so an implementation must be exact: a low value costs a
+    /// regrowth, a high one is retained by whoever stores the bytes.
+    fn encoded_len(&self) -> usize {
+        0
+    }
+
+    /// Encodes into a fresh byte vector, allocated once when
+    /// [`encoded_len`](Self::encoded_len) is implemented.
     fn encode_to_vec(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let mut e = Encoder::with_capacity(self.encoded_len());
         self.encode(&mut e);
         e.finish()
     }

@@ -8,11 +8,6 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
-
-/// Opaque handle identifying a scheduled event, usable to cancel it.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
 
 struct Entry<E> {
     at: SimTime,
@@ -90,11 +85,14 @@ pub enum Tick<E> {
     Fault(SimTime),
 }
 
-/// A discrete-event scheduler: a virtual clock plus a cancellable,
-/// deterministically ordered pending-event queue.
+/// A discrete-event scheduler: a virtual clock plus a deterministically
+/// ordered pending-event queue.
 ///
 /// `E` is the world-specific event payload type. The scheduler never
-/// inspects payloads; it only orders and delivers them.
+/// inspects payloads; it only orders and delivers them. A scheduled
+/// event always fires: there is no cancellation, so the queue keeps no
+/// per-event bookkeeping beside the heap entry itself (a component that
+/// outlives a timer ignores the stale token when it arrives).
 ///
 /// # Examples
 ///
@@ -114,10 +112,6 @@ pub enum Tick<E> {
 pub struct Scheduler<E> {
     now: SimTime,
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs scheduled and not yet fired or cancelled.
-    live: HashSet<u64>,
-    /// Seqs cancelled but still physically present in the heap.
-    cancelled: HashSet<u64>,
     next_seq: u64,
     delivered: u64,
     peak_pending: usize,
@@ -136,8 +130,6 @@ impl<E> Scheduler<E> {
         Scheduler {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
             delivered: 0,
             peak_pending: 0,
@@ -155,14 +147,13 @@ impl<E> Scheduler<E> {
         self.delivered
     }
 
-    /// Returns the number of events scheduled but not yet fired or
-    /// cancelled.
+    /// Returns the number of events scheduled but not yet fired.
     pub fn pending(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 
-    /// Returns the total number of events ever scheduled (fired,
-    /// cancelled, or still pending).
+    /// Returns the total number of events ever scheduled (fired or
+    /// still pending).
     pub fn scheduled(&self) -> u64 {
         self.next_seq
     }
@@ -182,7 +173,7 @@ impl<E> Scheduler<E> {
     ///
     /// Panics if `at` is earlier than the current virtual time; scheduling
     /// into the past would silently reorder causality.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
             "event scheduled in the past: {at} < {}",
@@ -190,62 +181,30 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
-        self.peak_pending = self.peak_pending.max(self.live.len());
         self.heap.push(Entry { at, seq, payload });
-        EventId(seq)
+        self.peak_pending = self.peak_pending.max(self.heap.len());
     }
 
     /// Schedules `payload` to fire `after` from now.
-    pub fn schedule_after(&mut self, after: SimDuration, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, after: SimDuration, payload: E) {
         let at = self.now + after;
         self.schedule_at(at, payload)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet fired (and will now never
-    /// fire), `false` if it already fired or was already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live.remove(&id.0) {
-            return false;
-        }
-        // The entry stays in the heap as a tombstone; `pop`/`peek_time`
-        // reap it lazily.
-        self.cancelled.insert(id.0);
-        true
     }
 
     /// Removes and returns the next event as `(fire_time, payload)`,
     /// advancing the clock to the fire time. Returns `None` when the queue
     /// is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            self.live.remove(&entry.seq);
-            debug_assert!(entry.at >= self.now);
-            self.now = entry.at;
-            self.delivered += 1;
-            return Some((entry.at, entry.payload));
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.at >= self.now);
+        self.now = entry.at;
+        self.delivered += 1;
+        Some((entry.at, entry.payload))
     }
 
-    /// Returns the fire time of the next (non-cancelled) event without
-    /// delivering it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.at);
-        }
-        None
+    /// Returns the fire time of the next event without delivering it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|entry| entry.at)
     }
 
     /// Installs (or replaces) the fault clock consulted by
@@ -332,49 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_delivery() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        let a = s.schedule_after(SimDuration::from_millis(1), 1);
-        let _b = s.schedule_after(SimDuration::from_millis(2), 2);
-        assert!(s.cancel(a));
-        assert_eq!(s.pop().unwrap().1, 2);
-        assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_unknown_is_noop() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        assert!(!s.cancel(EventId(42)));
-    }
-
-    #[test]
-    fn double_cancel_returns_false() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        let a = s.schedule_after(SimDuration::from_millis(1), 1);
-        assert!(s.cancel(a));
-        assert!(!s.cancel(a));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        let a = s.schedule_after(SimDuration::from_millis(1), 1);
-        s.schedule_after(SimDuration::from_millis(3), 2);
-        s.cancel(a);
-        assert_eq!(s.peek_time(), Some(SimTime::from_millis(3)));
-    }
-
-    #[test]
-    fn pending_excludes_cancelled() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        let a = s.schedule_after(SimDuration::from_millis(1), 1);
-        s.schedule_after(SimDuration::from_millis(2), 2);
-        assert_eq!(s.pending(), 2);
-        s.cancel(a);
-        assert_eq!(s.pending(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "scheduled in the past")]
     fn scheduling_in_past_panics() {
         let mut s: Scheduler<()> = Scheduler::new();
@@ -449,16 +365,6 @@ mod tests {
         // Plain pop is the legacy path: no fault interleaving.
         assert_eq!(s.pop(), Some((SimTime::from_millis(10), 1)));
         assert_eq!(s.faults.remaining(), 1);
-    }
-
-    #[test]
-    fn delivered_counts_only_fired_events() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        let a = s.schedule_after(SimDuration::from_millis(1), 1);
-        s.schedule_after(SimDuration::from_millis(2), 2);
-        s.cancel(a);
-        s.pop();
-        assert_eq!(s.delivered(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! workspace builds on:
 //!
 //! - [`time`]: integer-nanosecond virtual instants and durations;
-//! - [`event`]: a totally ordered, cancellable event queue with a clock;
+//! - [`event`]: a totally ordered event queue with a clock;
 //! - [`rng`]: self-contained deterministic PRNG and the distributions the
 //!   evaluation workloads need;
 //! - [`codec`]: an explicit binary codec for checkpoints and wire messages;
@@ -33,7 +33,7 @@ pub mod time;
 pub mod trace;
 
 pub use codec::{CodecError, Decode, Decoder, Encode, Encoder};
-pub use event::{EventId, Scheduler};
+pub use event::Scheduler;
 pub use fault::{Crash, CrashTarget, FaultPlan};
 pub use ledger::{LevelGauge, ResourceKind, ResourceUsage, Timeline};
 pub use rng::DetRng;

@@ -2,7 +2,7 @@
 //! implementation (a sorted map with explicit FIFO tie-breaking).
 
 use proptest::prelude::*;
-use publishing_sim::event::{EventId, Scheduler};
+use publishing_sim::event::Scheduler;
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -10,8 +10,6 @@ use std::collections::BTreeMap;
 enum Op {
     /// Schedule at `now + delta_ns` with payload = op index.
     Schedule(u64),
-    /// Cancel the k-th oldest still-live event (if any).
-    Cancel(usize),
     /// Pop one event.
     Pop,
 }
@@ -19,7 +17,6 @@ enum Op {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..1_000_000).prop_map(Op::Schedule),
-        (0usize..8).prop_map(Op::Cancel),
         Just(Op::Pop),
         Just(Op::Pop), // bias toward popping so queues drain
     ]
@@ -31,27 +28,15 @@ proptest! {
         let mut sched: Scheduler<usize> = Scheduler::new();
         // Reference: (time, insertion counter) → payload.
         let mut model: BTreeMap<(SimTime, u64), usize> = BTreeMap::new();
-        let mut live: Vec<((SimTime, u64), EventId)> = Vec::new();
         let mut counter = 0u64;
 
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 Op::Schedule(delta) => {
                     let at = SimTime::from_nanos(sched.now().as_nanos() + delta);
-                    let id = sched.schedule_at(at, i);
+                    sched.schedule_at(at, i);
                     model.insert((at, counter), i);
-                    live.push(((at, counter), id));
                     counter += 1;
-                }
-                Op::Cancel(k) => {
-                    if !live.is_empty() {
-                        let k = k % live.len();
-                        let (key, id) = live.remove(k);
-                        prop_assert!(sched.cancel(id));
-                        model.remove(&key);
-                        // Double cancel must fail.
-                        prop_assert!(!sched.cancel(id));
-                    }
                 }
                 Op::Pop => {
                     let expected = model.iter().next().map(|(k, v)| (*k, *v));
@@ -61,7 +46,6 @@ proptest! {
                             prop_assert_eq!(t, at);
                             prop_assert_eq!(got, payload);
                             model.remove(&(at, key_ctr));
-                            live.retain(|(k, _)| *k != (at, key_ctr));
                         }
                         (e, g) => {
                             prop_assert!(false, "model {:?} vs sched {:?}", e, g.map(|x| x.0));

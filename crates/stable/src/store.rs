@@ -328,23 +328,26 @@ impl StableStore {
         // buffer somehow exceeds a page.
         let mut ios = Vec::new();
         while !self.open.is_empty() {
-            let mut e = Encoder::with_capacity(self.page_size);
-            e.u8(PAGE_KIND_MESSAGES);
+            // Kind byte + record count.
+            const PAGE_HEADER: usize = 1 + 8;
             let mut taken = Vec::new();
             let mut count = 0u64;
             let mut body = Encoder::new();
             for &key in &self.open {
                 let st = &self.records[&key];
                 let size = Self::record_size(&st.record);
-                if body.len() + size + e.len() + 8 > self.page_size && count > 0 {
+                if body.len() + size + PAGE_HEADER > self.page_size && count > 0 {
                     break;
                 }
                 st.record.encode(&mut body);
                 taken.push(key);
                 count += 1;
             }
-            e.u64(count);
             let body = body.finish();
+            // The disk keeps the buffer for as long as the page lives:
+            // size it to what the page holds, not to a full page.
+            let mut e = Encoder::with_capacity(PAGE_HEADER + body.len());
+            e.u8(PAGE_KIND_MESSAGES).u64(count);
             let mut buf = e.finish();
             buf.extend_from_slice(&body);
             assert!(buf.len() <= self.page_size, "page overflow: {}", buf.len());
@@ -382,7 +385,7 @@ impl StableStore {
         for i in 0..total {
             let lo = i * chunk_capacity;
             let hi = ((i + 1) * chunk_capacity).min(blob.len());
-            let mut e = Encoder::with_capacity(self.page_size);
+            let mut e = Encoder::with_capacity(self.page_size - chunk_capacity + (hi - lo));
             e.u8(PAGE_KIND_CHECKPOINT)
                 .u64(pid)
                 .u64(checkpoint.upto_seq)
