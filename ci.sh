@@ -24,6 +24,9 @@ cargo test --offline --manifest-path hostbench/Cargo.toml
 echo "==> hostbench --health 50 (every workload through the correctness gate + recovery oracle)"
 cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- --health 50
 
+echo "==> perf/pairs.py compiles (the paired runs themselves are timing-dependent and stay out of CI)"
+python3 -m py_compile perf/pairs.py
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

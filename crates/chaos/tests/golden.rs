@@ -12,6 +12,11 @@ use publishing_chaos::schedule::FaultSchedule;
 /// obs_report().sched.delivered, convergence_failures().is_empty())`.
 type Golden = (u64, u64, u64, u64, bool);
 
+/// The online watchdog's verdict, for the tier that runs one:
+/// `obs_report().watchdog` as `(checks, violations)`. The check count
+/// pins the scan cadence and the set of processes each scan covers.
+type WatchdogRow = Option<(u64, Vec<String>)>;
+
 const SEED: u64 = 21;
 
 /// Single and sharded: the process and node crashes land while the ping
@@ -44,7 +49,7 @@ fn schedule(topology: Topology) -> &'static str {
     }
 }
 
-fn run(topology: Topology, medium: Medium) -> Golden {
+fn run(topology: Topology, medium: Medium) -> (Golden, WatchdogRow) {
     let mut scenario = Scenario::new(topology, SEED);
     scenario.medium = medium;
     let sched: FaultSchedule = schedule(topology).parse().expect("literal parses");
@@ -60,13 +65,27 @@ fn run(topology: Topology, medium: Medium) -> Golden {
         }
         assert_eq!(t.convergence_failures(), Vec::<String>::new());
     }
+    let report = t.obs_report();
     (
-        t.output_fingerprint(),
-        t.obs_fingerprint(),
-        t.recoveries_completed(),
-        t.obs_report().sched.delivered,
-        t.convergence_failures().is_empty(),
+        (
+            t.output_fingerprint(),
+            t.obs_fingerprint(),
+            t.recoveries_completed(),
+            report.sched.delivered,
+            t.convergence_failures().is_empty(),
+        ),
+        report.watchdog.map(|w| (w.checks, w.violations)),
     )
+}
+
+/// The watchdog's checks on the two quorum rows, clean on both, captured
+/// while every scan still rebuilt the union of all applied sequences.
+fn watchdog_row(topology: Topology, medium: Medium) -> WatchdogRow {
+    match (topology, medium) {
+        (Topology::Quorum, Medium::Perfect) => Some((9742, Vec::new())),
+        (Topology::Quorum, Medium::Ethernet) => Some((9222, Vec::new())),
+        _ => None,
+    }
 }
 
 #[test]
@@ -105,7 +124,13 @@ fn every_tier_and_medium_matches_its_golden_row() {
     ];
     let mut wrong = Vec::new();
     for (topology, medium, want) in rows {
-        let got = run(topology, medium);
+        let (got, watchdog) = run(topology, medium);
+        let want_watchdog = watchdog_row(topology, medium);
+        if watchdog != want_watchdog {
+            wrong.push(format!(
+                "watchdog of {topology:?} on {medium:?}: {watchdog:?}, not {want_watchdog:?}"
+            ));
+        }
         if got != want {
             wrong.push(format!(
                 "(Topology::{topology:?}, Medium::{medium:?}, ({:#018x}, {:#018x}, {}, {}, {})),",

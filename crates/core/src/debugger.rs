@@ -306,7 +306,7 @@ mod tests {
                 passed_link: None,
                 body: (i * 10).to_le_bytes().to_vec(),
             };
-            recorder.on_data(SimTime::ZERO, &msg);
+            recorder.on_data(SimTime::ZERO, msg.clone());
             let ios = recorder.on_ack(SimTime::ZERO, msg.header.id, pid);
             for io in ios {
                 recorder.on_disk(io.at, io);

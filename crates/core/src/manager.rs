@@ -760,7 +760,7 @@ mod tests {
                 passed_link: None,
                 body: vec![i as u8],
             };
-            r.on_data(SimTime::ZERO, &msg);
+            r.on_data(SimTime::ZERO, msg.clone());
             let ios = r.on_ack(SimTime::ZERO, msg.header.id, pid);
             for io in ios {
                 r.on_disk(io.at, io);

@@ -321,9 +321,21 @@ impl RecorderNode {
         let Ok(wire) = Wire::decode_all(frame.payload()) else {
             return out;
         };
-        match &wire {
-            Wire::Data { msg, .. } => {
+        let addressed = frame.dst.accepts(self.station());
+        match wire {
+            // Merely overheard — almost all process traffic: the decoded
+            // message has no other reader, so the recorder takes it.
+            Wire::Data { msg, .. } if !addressed => {
                 self.recorder.on_data(now, msg);
+                return out;
+            }
+            // Ours as well: the transport below needs the message too.
+            // What is addressed to a recorder node is kernel control
+            // traffic, which the recorder never captures — no copy.
+            Wire::Data { ref msg, .. } => {
+                if !msg.header.to.is_kernel() {
+                    self.recorder.on_data(now, msg.clone());
+                }
             }
             Wire::Ack {
                 msg_id, dst_pid, ..
@@ -332,10 +344,10 @@ impl RecorderNode {
                     // Quorum mode: arrival-seq assignment waits for the
                     // replicated log to commit the entry.
                     if !dst_pid.is_kernel() {
-                        self.observed_acks.push((now, *msg_id, *dst_pid));
+                        self.observed_acks.push((now, msg_id, dst_pid));
                     }
                 } else {
-                    let ios = self.recorder.on_ack(now, *msg_id, *dst_pid);
+                    let ios = self.recorder.on_ack(now, msg_id, dst_pid);
                     self.schedule_ios(ios, &mut out);
                 }
             }
@@ -343,7 +355,7 @@ impl RecorderNode {
             // metadata, not process messages) are never published.
             Wire::Datagram { .. } | Wire::EpochNotice { .. } | Wire::Quorum { .. } => {}
         }
-        if frame.dst.accepts(self.station()) {
+        if addressed {
             let actions = self.transport.on_wire(now, wire);
             self.apply_transport(now, actions, &mut out);
         }

@@ -516,8 +516,11 @@ impl Recorder {
         &self.cpu_timeline
     }
 
-    /// Captures a process-destined data message seen on the wire.
-    pub fn on_data(&mut self, now: SimTime, msg: &Message) {
+    /// Captures a process-destined data message seen on the wire. The
+    /// message is taken by value and moved into the capture buffer; a
+    /// duplicate, a kernel message or one this recorder does not own is
+    /// dropped before anything is copied.
+    pub fn on_data(&mut self, now: SimTime, msg: Message) {
         let id = msg.header.id;
         if msg.header.to.is_kernel() || !self.owns(msg.header.to) {
             return;
@@ -537,7 +540,7 @@ impl Recorder {
         self.next_capture += 1;
         self.spans
             .record(now, id.into(), Stage::Capture, msg.header.to.as_u64(), cap);
-        self.pending.insert(cap, msg.clone());
+        self.pending.insert(cap, msg);
         self.pending_ids.insert(id, cap);
         self.stats.depth_hist.record(self.pending.len() as f64);
     }
@@ -1283,8 +1286,8 @@ mod tests {
         drain(&mut r, ios);
         let m1 = msg(pid(1, 1), pid(2, 1), 1, b"a");
         let m2 = msg(pid(1, 1), pid(2, 1), 2, b"b");
-        r.on_data(t, &m1);
-        r.on_data(t, &m2);
+        r.on_data(t, m1.clone());
+        r.on_data(t, m2.clone());
         // Acks arrive in reverse (m2's first copy reached the node; m1 was
         // retransmitted later).
         let ios = r.on_ack(t, m2.header.id, pid(2, 1));
@@ -1303,8 +1306,8 @@ mod tests {
         let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
         drain(&mut r, ios);
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
-        r.on_data(t, &m);
-        r.on_data(t, &m);
+        r.on_data(t, m.clone());
+        r.on_data(t, m.clone());
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
         drain(&mut r, ios);
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
@@ -1319,7 +1322,7 @@ mod tests {
         let mut r = recorder();
         let t = SimTime::ZERO;
         let m = msg(pid(1, 1), ProcessId::kernel_of(NodeId(2)), 1, b"ctl");
-        r.on_data(t, &m);
+        r.on_data(t, m.clone());
         let ios = r.on_ack(t, m.header.id, ProcessId::kernel_of(NodeId(2)));
         drain(&mut r, ios);
         assert_eq!(r.stats().captured.get(), 0);
@@ -1336,7 +1339,7 @@ mod tests {
             .map(|i| msg(pid(1, 1), pid(2, 1), i, &[i as u8]))
             .collect();
         for m in &msgs {
-            r.on_data(t, m);
+            r.on_data(t, m.clone());
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1363,7 +1366,7 @@ mod tests {
         drain(&mut r, ios);
         for i in 1..=4u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8]);
-            r.on_data(t, &m);
+            r.on_data(t, m.clone());
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1393,7 +1396,7 @@ mod tests {
             .map(|i| msg(pid(1, 1), pid(2, 1), i, &[i as u8]))
             .collect();
         for m in &msgs {
-            r.on_data(t, m);
+            r.on_data(t, m.clone());
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1436,7 +1439,7 @@ mod tests {
         drain(&mut r, ios);
         for (seq, dst) in [(1u64, pid(2, 1)), (2, pid(3, 1)), (3, pid(2, 1))] {
             let m = msg(pid(1, 1), dst, seq, b"z");
-            r.on_data(t, &m);
+            r.on_data(t, m.clone());
             let ios = r.on_ack(t, m.header.id, dst);
             drain(&mut r, ios);
         }
@@ -1453,7 +1456,7 @@ mod tests {
         drain(&mut r, ios);
         for i in 1..=5u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8; 32]);
-            r.on_data(t, &m);
+            r.on_data(t, m.clone());
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1494,7 +1497,7 @@ mod tests {
         let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
         drain(&mut r, ios);
         let m = msg(pid(1, 1), pid(2, 1), 1, b"unflushed");
-        r.on_data(t, &m);
+        r.on_data(t, m.clone());
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
         drain(&mut r, ios);
         // No flush happened (single small message); restart must keep it.
@@ -1511,7 +1514,7 @@ mod tests {
         let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
         drain(&mut r, ios);
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
-        r.on_data(t, &m);
+        r.on_data(t, m.clone());
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
         drain(&mut r, ios);
         let erase = r.on_destroyed(t, pid(2, 1));
@@ -1536,7 +1539,7 @@ mod tests {
         assert!(r.entry(pid(2, 2)).is_none(), "unowned create ignored");
         for (dst, seq) in [(pid(2, 1), 1u64), (pid(2, 2), 2)] {
             let m = msg(pid(1, 1), dst, seq, b"x");
-            r.on_data(t, &m);
+            r.on_data(t, m.clone());
             let ios = r.on_ack(t, m.header.id, dst);
             drain(&mut r, ios);
         }
@@ -1546,7 +1549,7 @@ mod tests {
         // Clearing the filter restores full capture.
         r.set_ownership_filter(None);
         let m = msg(pid(1, 1), pid(2, 2), 3, b"y");
-        r.on_data(t, &m);
+        r.on_data(t, m.clone());
         assert_eq!(r.stats().captured.get(), 2);
     }
 
@@ -1558,7 +1561,7 @@ mod tests {
         drain(&mut src, ios);
         for i in 1..=4u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8]);
-            src.on_data(t, &m);
+            src.on_data(t, m.clone());
             let ios = src.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut src, ios);
         }

@@ -763,6 +763,12 @@ impl<T: RecorderTier> World<T> {
     pub fn obs_report(&self) -> ObsReport {
         let now = self.now();
         let horizon = now.saturating_since(SimTime::ZERO);
+        // The assembled message spans are the report's largest
+        // temporary and only the stage latencies read them: build and
+        // drop them before anything else of the report is on the heap.
+        let latencies = publishing_obs::profile::stage_latencies(&publishing_obs::span::assemble(
+            self.span_logs(),
+        ));
         let mut profile = publishing_obs::profile::TimeProfile::new();
         let mut kernel_cpu = SimDuration::ZERO;
         for k in self.kernels.values() {
@@ -807,7 +813,6 @@ impl<T: RecorderTier> World<T> {
             cp.into_registry(&mut metrics);
         }
 
-        let spans = publishing_obs::span::assemble(self.span_logs());
         let logs = self.span_logs();
         let mut report = ObsReport {
             schema: publishing_obs::report::REPORT_SCHEMA_VERSION,
@@ -818,7 +823,7 @@ impl<T: RecorderTier> World<T> {
             medium: Some(MediumHealth::from_lan(self.lan.stats(), now)),
             profile,
             horizon,
-            latencies: publishing_obs::profile::stage_latencies(&spans),
+            latencies,
             sched: self.scheduler_probe(),
             // Every member's recorder shares one binning.
             queue_depths: self

@@ -96,6 +96,37 @@ const TAG_DATAGRAM: u8 = 3;
 const TAG_EPOCH: u8 = 4;
 const TAG_QUORUM: u8 = 5;
 
+/// Bytes a `Wire::Quorum` encoding spends before its payload: tag, node,
+/// group and the payload's length prefix.
+const QUORUM_HEADER: usize = 1 + 4 + 4 + 8;
+
+impl Wire {
+    /// Whether `bytes` carry the `Quorum` tag — one byte read, nothing
+    /// decoded, so a station can tell consensus traffic from process
+    /// traffic before deciding whether the frame is worth decoding.
+    pub fn is_quorum(bytes: &[u8]) -> bool {
+        bytes.first() == Some(&TAG_QUORUM)
+    }
+
+    /// The encoding of `Wire::Quorum { src_node, group, payload:
+    /// body.encode_to_vec() }`, written in one pass into one buffer:
+    /// the body is encoded behind the header instead of into a payload
+    /// vector that is then copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `body.encoded_len()` is not exact — the length prefix
+    /// is written from it before the body.
+    pub fn encode_quorum(src_node: NodeId, group: u32, body: &impl Encode) -> Vec<u8> {
+        let len = body.encoded_len();
+        let mut e = Encoder::with_capacity(QUORUM_HEADER + len);
+        e.u8(TAG_QUORUM).u32(src_node.0).u32(group).u64(len as u64);
+        body.encode(&mut e);
+        assert_eq!(e.len(), QUORUM_HEADER + len, "encoded_len must be exact");
+        e.finish()
+    }
+}
+
 impl Encode for Wire {
     fn encode(&self, e: &mut Encoder) {
         match self {
@@ -156,7 +187,7 @@ impl Encode for Wire {
             Wire::Ack { .. } => 5 + 4 + 4 + 8 + 16 + 8,
             Wire::Datagram { msg, .. } => 5 + msg.encoded_len(),
             Wire::EpochNotice { .. } => 5 + 4,
-            Wire::Quorum { payload, .. } => 5 + 4 + 8 + payload.len(),
+            Wire::Quorum { payload, .. } => QUORUM_HEADER + payload.len(),
         }
     }
 }
@@ -797,7 +828,28 @@ mod tests {
             assert_eq!(Wire::decode_all(&buf).unwrap(), wire);
             // Exact, so `encode_to_vec` allocates once and retains nothing.
             assert_eq!(wire.encoded_len(), buf.len());
+            // The tag alone tells quorum traffic apart.
+            assert_eq!(
+                Wire::is_quorum(&buf),
+                matches!(wire, Wire::Quorum { .. }),
+                "{wire:?}"
+            );
         }
+        assert!(!Wire::is_quorum(&[]));
+    }
+
+    #[test]
+    fn encode_quorum_writes_the_quorum_variant_in_one_pass() {
+        // Any body with an exact `encoded_len` will do: a message.
+        let body = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 5, b"consensus");
+        let wire = Wire::Quorum {
+            src_node: NodeId(3),
+            group: 7,
+            payload: body.encode_to_vec(),
+        };
+        let buf = Wire::encode_quorum(NodeId(3), 7, &body);
+        assert_eq!(buf, wire.encode_to_vec());
+        assert_eq!(buf.capacity(), buf.len(), "sized once, nothing retained");
     }
 
     #[test]

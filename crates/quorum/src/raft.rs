@@ -35,6 +35,7 @@ use publishing_sim::rng::DetRng;
 use publishing_sim::time::{SimDuration, SimTime};
 use publishing_stable::cell::DurableCell;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Index of a replica within its group (0-based, stable across crashes).
 pub type ReplicaId = u32;
@@ -83,6 +84,13 @@ impl Encode for Op {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        match self {
+            Op::Noop => 1,
+            Op::Sequence { msg, .. } => 1 + 8 + msg.encoded_len(),
+        }
+    }
 }
 
 impl Decode for Op {
@@ -112,6 +120,10 @@ impl Encode for LogEntry {
     fn encode(&self, e: &mut Encoder) {
         e.u64(self.term);
         self.op.encode(e);
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + self.op.encoded_len()
     }
 }
 
@@ -157,8 +169,10 @@ pub enum QMsg {
         prev_index: u64,
         /// Term of the entry preceding `entries`.
         prev_term: u64,
-        /// Entries to append (empty = heartbeat).
-        entries: Vec<LogEntry>,
+        /// Entries to append (empty = heartbeat), shared with the
+        /// sender's log: building an Append for a follower bumps a
+        /// reference count per entry instead of copying message bodies.
+        entries: Vec<Arc<LogEntry>>,
         /// Leader's commit index.
         commit: u64,
     },
@@ -276,6 +290,20 @@ impl Encode for QMsg {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        // Tag 1, term 8, replica id 4, then the variant's other fields.
+        13 + match self {
+            QMsg::RequestVote { .. } => 8 + 8,
+            QMsg::VoteReply { .. } => 1,
+            QMsg::Append { entries, .. } => {
+                8 + 8 + 8 + 8 + entries.iter().map(|e| e.encoded_len()).sum::<usize>()
+            }
+            QMsg::AppendReply { .. } => 1 + 8,
+            QMsg::Snapshot { image, .. } => 8 + 8 + 8 + image.len(),
+            QMsg::SnapshotReply { .. } => 8,
+        }
+    }
 }
 
 impl Decode for QMsg {
@@ -298,7 +326,7 @@ impl Decode for QMsg {
                 let prev_index = d.u64()?;
                 let prev_term = d.u64()?;
                 let commit = d.u64()?;
-                let entries = d.seq(LogEntry::decode)?;
+                let entries = d.seq(|d| LogEntry::decode(d).map(Arc::new))?;
                 Ok(QMsg::Append {
                     term,
                     leader,
@@ -424,8 +452,10 @@ pub struct RaftCore {
     role: Role,
     leader_hint: Option<ReplicaId>,
     /// `log[i]` holds the entry at index `snap_index + 1 + i` (Raft
-    /// indices start at 1; 0 is the empty-log sentinel).
-    log: Vec<LogEntry>,
+    /// indices start at 1; 0 is the empty-log sentinel). Entries are
+    /// shared, not copied, with the Appends that replicate them and the
+    /// applies that publish them.
+    log: Vec<Arc<LogEntry>>,
     snap_index: u64,
     snap_term: u64,
     commit: u64,
@@ -552,7 +582,7 @@ impl RaftCore {
         }
     }
 
-    fn entry_at(&self, index: u64) -> &LogEntry {
+    fn entry_at(&self, index: u64) -> &Arc<LogEntry> {
         &self.log[(index - self.snap_index - 1) as usize]
     }
 
@@ -685,10 +715,10 @@ impl RaftCore {
     }
 
     fn append_local(&mut self, op: Op) -> u64 {
-        self.log.push(LogEntry {
+        self.log.push(Arc::new(LogEntry {
             term: self.term,
             op,
-        });
+        }));
         let idx = self.last_index();
         self.match_index[self.id as usize] = idx;
         if self.n == 1 {
@@ -734,7 +764,12 @@ impl RaftCore {
             return;
         };
         let hi = last.min(prev_index + self.cfg.max_batch as u64);
-        let entries: Vec<LogEntry> = (next..=hi).map(|i| self.entry_at(i).clone()).collect();
+        let lo = (next - self.snap_index - 1) as usize;
+        let entries = self
+            .log
+            .get(lo..(hi - self.snap_index) as usize)
+            .unwrap_or_default()
+            .to_vec();
         out.push(RaftOut::Send {
             to,
             msg: QMsg::Append {
@@ -983,7 +1018,7 @@ impl RaftCore {
         leader: ReplicaId,
         mut prev_index: u64,
         mut prev_term: u64,
-        mut entries: Vec<LogEntry>,
+        mut entries: Vec<Arc<LogEntry>>,
         commit: u64,
         out: &mut Vec<RaftOut>,
     ) {
@@ -1069,7 +1104,7 @@ impl RaftCore {
     /// cursor. The caller applies them to the recorder in order; after a
     /// restart this re-yields the committed prefix above the snapshot
     /// floor (application is idempotent).
-    pub fn take_applicable(&mut self) -> Vec<(u64, LogEntry)> {
+    pub fn take_applicable(&mut self) -> Vec<(u64, Arc<LogEntry>)> {
         let mut out = Vec::new();
         while self.applied < self.commit {
             self.applied += 1;
@@ -1109,7 +1144,7 @@ mod tests {
         /// Replicas currently partitioned away (drop all their traffic).
         down: Vec<bool>,
         /// Every entry each live replica has applied, in apply order.
-        applied: Vec<Vec<(u64, LogEntry)>>,
+        applied: Vec<Vec<(u64, Arc<LogEntry>)>>,
     }
 
     impl Net {
@@ -1382,17 +1417,17 @@ mod tests {
                 prev_index: 9,
                 prev_term: 3,
                 entries: vec![
-                    LogEntry {
+                    Arc::new(LogEntry {
                         term: 4,
                         op: Op::Noop,
-                    },
-                    LogEntry {
+                    }),
+                    Arc::new(LogEntry {
                         term: 4,
                         op: Op::Sequence {
                             seq: 11,
                             msg: msg(5),
                         },
-                    },
+                    }),
                 ],
                 commit: 9,
             },
@@ -1418,6 +1453,40 @@ mod tests {
         for m in samples {
             let buf = m.encode_to_vec();
             assert_eq!(QMsg::decode_all(&buf).unwrap(), m);
+            assert_eq!(m.encoded_len(), buf.len(), "{m:?}");
+        }
+    }
+
+    /// `Wire::encode_quorum` writes a length prefix from `encoded_len`
+    /// before the body, so it must be exact for every variant.
+    #[test]
+    fn op_and_entry_encoded_len_is_exact() {
+        let mut linked = msg(7);
+        linked.passed_link = Some(publishing_demos::link::Link::to(
+            ProcessId::new(3, 2),
+            Channel(1),
+            5,
+        ));
+        let mut empty = msg(8);
+        empty.body.clear();
+        let ops = [
+            Op::Noop,
+            Op::Sequence {
+                seq: 0,
+                msg: msg(1),
+            },
+            Op::Sequence {
+                seq: u64::MAX,
+                msg: linked,
+            },
+            Op::Sequence { seq: 2, msg: empty },
+        ];
+        for op in ops {
+            assert_eq!(op.encoded_len(), op.encode_to_vec().len(), "{op:?}");
+            let entry = LogEntry { term: 6, op };
+            let buf = entry.encode_to_vec();
+            assert_eq!(entry.encoded_len(), buf.len(), "{entry:?}");
+            assert_eq!(LogEntry::decode_all(&buf).unwrap(), entry);
         }
     }
 

@@ -19,7 +19,7 @@ use publishing_demos::ids::{MessageId, NodeId, ProcessId};
 use publishing_demos::transport::Wire;
 use publishing_net::frame::{Destination, Frame, StationId};
 use publishing_obs::span::{MsgKey, Stage};
-use publishing_sim::codec::{Decode, Encode};
+use publishing_sim::codec::Decode;
 use publishing_sim::stats::{LinearHistogram, LogHistogram};
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -237,16 +237,13 @@ impl QuorumReplica {
         out
     }
 
+    /// The frame carrying `msg` to group member `to`: the bytes of
+    /// `Wire::Quorum { payload: msg.encode_to_vec(), .. }`, written once.
     fn qframe(&self, to: ReplicaId, msg: &QMsg) -> Frame {
-        let wire = Wire::Quorum {
-            src_node: self.node.node(),
-            group: self.group,
-            payload: msg.encode_to_vec(),
-        };
         Frame::new(
             self.station(),
             Destination::Station(StationId(self.peers[to as usize].0)),
-            wire.encode_to_vec(),
+            Wire::encode_quorum(self.node.node(), self.group, msg),
         )
     }
 
@@ -316,7 +313,7 @@ impl QuorumReplica {
                 self.commit_latency_us
                     .record(now.saturating_since(proposed).as_nanos() / 1_000);
             }
-            match entry.op {
+            match &entry.op {
                 Op::Noop => {
                     if self.raft.is_leader() && entry.term == self.raft.term() {
                         // Inherited entries are now applied: the
@@ -328,7 +325,7 @@ impl QuorumReplica {
                 Op::Sequence { seq, msg } => {
                     let dst = msg.header.to;
                     let slot = self.applied_log.entry(dst).or_default();
-                    if let Some(prev) = slot.get(&seq) {
+                    if let Some(prev) = slot.get(seq) {
                         if *prev != msg.header.id {
                             self.audit_violations.push(format!(
                                 "replica {}: pid {:?} seq {} applied as {:?} then {:?}",
@@ -336,10 +333,10 @@ impl QuorumReplica {
                             ));
                         }
                     } else {
-                        slot.insert(seq, msg.header.id);
+                        slot.insert(*seq, msg.header.id);
                     }
                     self.acked_ids.remove(&msg.header.id);
-                    out.extend(self.node.apply_committed(now, seq, &msg));
+                    out.extend(self.node.apply_committed(now, *seq, msg));
                 }
             }
         }
@@ -415,22 +412,36 @@ impl QuorumReplica {
         if !self.up {
             return Vec::new();
         }
-        if frame.is_intact() {
-            if let Ok(Wire::Quorum { group, payload, .. }) = Wire::decode_all(frame.payload()) {
-                let mut out = Vec::new();
-                if group == self.group && frame.dst.accepts(self.station()) {
-                    if let Ok(qmsg) = QMsg::decode_all(&payload) {
-                        let routs = self.raft.on_msg(now, qmsg);
-                        self.process(now, routs, &mut out);
-                    }
-                }
-                return out;
-            }
+        // Look before decoding: the tag tells consensus traffic apart;
+        // everything else the node decodes, once.
+        if frame.is_intact() && Wire::is_quorum(frame.payload()) {
+            return self.on_quorum_frame(now, frame);
         }
         let mut out = self.node.on_frame(now, frame, recorder_ok);
         // An observed ack may be proposable immediately.
         self.collect_acks();
         self.propose_ready(now, &mut out);
+        out
+    }
+
+    /// Consensus input. A quorum frame for another replica — every
+    /// unicast Append, as two of three replicas see it — is dropped
+    /// unparsed; one for another group or with a malformed payload is
+    /// ignored.
+    fn on_quorum_frame(&mut self, now: SimTime, frame: &Frame) -> Vec<RNAction> {
+        let mut out = Vec::new();
+        if !frame.dst.accepts(self.station()) {
+            return out;
+        }
+        let Ok(Wire::Quorum { group, payload, .. }) = Wire::decode_all(frame.payload()) else {
+            return out;
+        };
+        if group == self.group {
+            if let Ok(qmsg) = QMsg::decode_all(&payload) {
+                let routs = self.raft.on_msg(now, qmsg);
+                self.process(now, routs, &mut out);
+            }
+        }
         out
     }
 
@@ -492,5 +503,162 @@ impl QuorumReplica {
             token: TICK_TOKEN | self.tick_epoch,
         });
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use publishing_demos::ids::Channel;
+    use publishing_demos::message::{Message, MessageHeader};
+    use publishing_sim::codec::Encode;
+
+    fn group() -> Vec<QuorumReplica> {
+        let peers: Vec<NodeId> = (2..5).map(NodeId).collect();
+        (0..3)
+            .map(|i| {
+                let mut r = QuorumReplica::new(i, peers.clone(), 7, ReplicaConfig::default());
+                r.start(SimTime::ZERO, &[]);
+                r
+            })
+            .collect()
+    }
+
+    /// What a frame could change in a replica, as one comparable value.
+    fn state(r: &QuorumReplica) -> (u64, Role, u64, u64, u64, u64, u64) {
+        let recorder = r.recorder_node().recorder().stats();
+        (
+            r.raft().term(),
+            r.raft().role(),
+            r.raft().last_index(),
+            r.raft().commit_index(),
+            r.raft().stats().votes_granted,
+            recorder.captured.get(),
+            recorder.duplicates.get(),
+        )
+    }
+
+    fn vote_request() -> QMsg {
+        QMsg::RequestVote {
+            term: 9,
+            candidate: 0,
+            last_index: 0,
+            last_term: 0,
+        }
+    }
+
+    #[test]
+    fn qframe_bytes_are_the_wire_encoding_of_the_quorum_variant() {
+        let replicas = group();
+        let sequence = Op::Sequence {
+            seq: 3,
+            msg: data_message(),
+        };
+        let msgs = [
+            vote_request(),
+            QMsg::Append {
+                term: 2,
+                leader: 0,
+                prev_index: 4,
+                prev_term: 1,
+                entries: [Op::Noop, sequence]
+                    .map(|op| Arc::new(crate::raft::LogEntry { term: 2, op }))
+                    .to_vec(),
+                commit: 4,
+            },
+        ];
+        for msg in msgs {
+            let frame = replicas[0].qframe(1, &msg);
+            let wire = Wire::Quorum {
+                src_node: NodeId(2),
+                group: 0,
+                payload: msg.encode_to_vec(),
+            };
+            assert_eq!(frame.payload(), wire.encode_to_vec());
+            assert_eq!(frame.dst, Destination::Station(StationId(3)));
+        }
+    }
+
+    #[test]
+    fn quorum_frame_for_another_replica_is_dropped_unparsed() {
+        let mut replicas = group();
+        let frame = replicas[0].qframe(1, &vote_request());
+        let now = SimTime::from_millis(1);
+        // Replica 2 overhears it: no actions, nothing moved.
+        let before = state(&replicas[2]);
+        assert!(replicas[2].on_frame(now, &frame, true).is_empty());
+        assert_eq!(state(&replicas[2]), before);
+        // Replica 1 is addressed: it adopts the term and answers.
+        let actions = replicas[1].on_frame(now, &frame, true);
+        assert_eq!(replicas[1].raft().term(), 9);
+        assert!(matches!(actions[..], [RNAction::Transmit(_)]));
+    }
+
+    #[test]
+    fn malformed_quorum_payloads_are_ignored() {
+        let mut replicas = group();
+        let (src, dst) = (StationId(2), Destination::Station(StationId(3)));
+        let garbage = Wire::Quorum {
+            src_node: NodeId(2),
+            group: 0,
+            payload: vec![0xFF; 5],
+        };
+        let mut truncated = garbage.encode_to_vec();
+        truncated.truncate(7);
+        let other_group = Wire::Quorum {
+            src_node: NodeId(2),
+            group: 1,
+            payload: vote_request().encode_to_vec(),
+        };
+        let before = state(&replicas[1]);
+        for payload in [
+            garbage.encode_to_vec(),
+            truncated,
+            other_group.encode_to_vec(),
+        ] {
+            let frame = Frame::new(src, dst, payload);
+            let actions = replicas[1].on_frame(SimTime::from_millis(1), &frame, true);
+            assert!(actions.is_empty());
+            assert_eq!(state(&replicas[1]), before);
+        }
+    }
+
+    fn data_message() -> Message {
+        Message {
+            header: MessageHeader {
+                id: MessageId {
+                    sender: ProcessId::new(0, 1),
+                    seq: 1,
+                },
+                to: ProcessId::new(1, 1),
+                code: 0,
+                channel: Channel::DEFAULT,
+                deliver_to_kernel: false,
+            },
+            passed_link: None,
+            body: vec![7; 32],
+        }
+    }
+
+    #[test]
+    fn an_overheard_data_frame_reaches_the_recorder_exactly_once() {
+        let mut replicas = group();
+        let wire = Wire::Data {
+            src_node: NodeId(0),
+            incarnation: 0,
+            peer_epoch: 0,
+            tseq: 1,
+            msg: data_message(),
+        };
+        let frame = Frame::new(
+            StationId(0),
+            Destination::Station(StationId(1)),
+            wire.encode_to_vec(),
+        );
+        let actions = replicas[0].on_frame(SimTime::from_millis(1), &frame, true);
+        assert!(actions.is_empty());
+        let stats = replicas[0].recorder_node().recorder().stats();
+        assert_eq!(stats.captured.get(), 1);
+        assert_eq!(stats.duplicates.get(), 0);
     }
 }

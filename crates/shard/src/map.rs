@@ -175,6 +175,26 @@ impl ShardMap {
         v
     }
 
+    /// Whether `shard` sits in the capture set it evaluates for itself:
+    /// `capture_set_for(shard, pid, r).contains(&shard)`, answered
+    /// without building, sorting or allocating the set. The candidates
+    /// are the live shards plus `shard` if it is a member; `shard` is in
+    /// the top `max(r, 1)` iff fewer than that many other candidates
+    /// outrank it under the same `(Reverse(score), id)` order.
+    pub fn captures(&self, shard: ShardId, pid: ProcessId, r: usize) -> bool {
+        if !self.contains(shard) {
+            return false;
+        }
+        let top = r.max(1);
+        let own = (std::cmp::Reverse(score(shard, pid)), shard);
+        let outranking = self
+            .shards
+            .iter()
+            .filter(|&(&s, &live)| live && s != shard)
+            .filter(|&(&s, _)| (std::cmp::Reverse(score(s, pid)), s) < own);
+        outranking.take(top).count() < top
+    }
+
     /// The pids from `pids` whose owner is `shard`.
     pub fn owned_by<'a>(
         &'a self,

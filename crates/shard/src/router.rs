@@ -125,12 +125,7 @@ impl ShardRouter {
     /// recording its pids during catch-up.
     pub fn owner_filter(&self, shard: ShardId) -> PidFilter {
         let this = self.clone();
-        Arc::new(move |pid: ProcessId| {
-            this.with_map(|m| {
-                m.capture_set_for(shard, pid, this.replication)
-                    .contains(&shard)
-            })
-        })
+        Arc::new(move |pid: ProcessId| this.with_map(|m| m.captures(shard, pid, this.replication)))
     }
 
     /// The responsibility filter for `shard`'s recovery manager: drive a

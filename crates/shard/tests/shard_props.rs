@@ -110,6 +110,39 @@ proptest! {
             prop_assert_eq!(m.responsible(p).unwrap(), was);
         }
     }
+
+    /// The allocation-free ownership predicate answers exactly what the
+    /// sorted capture set does, for every shard asking — live members,
+    /// dead-but-member shards (which count themselves) and non-members —
+    /// over random memberships, liveness, replication and pids.
+    #[test]
+    fn captures_equals_membership_in_own_capture_set(
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 20..60),
+        n in 1u32..9,
+        removed in proptest::collection::vec(any::<u32>(), 0..3),
+        dead in proptest::collection::vec(any::<u32>(), 0..4),
+        r in 0usize..5,
+    ) {
+        let mut m = ShardMap::new(n);
+        for s in removed {
+            m.remove_shard(ShardId(s % n));
+        }
+        for s in dead {
+            m.set_live(ShardId(s % n), false);
+        }
+        for p in pid_set(raw) {
+            // 0..=n: every former and current member, plus one id that
+            // never was one.
+            for shard in (0..=n).map(ShardId) {
+                prop_assert_eq!(
+                    m.captures(shard, p, r),
+                    m.capture_set_for(shard, p, r).contains(&shard),
+                    "{:?} for {:?}, r {}, map {:?}",
+                    shard, p, r, m
+                );
+            }
+        }
+    }
 }
 
 proptest! {

@@ -330,28 +330,27 @@ impl StableStore {
         while !self.open.is_empty() {
             // Kind byte + record count.
             const PAGE_HEADER: usize = 1 + 8;
-            let mut taken = Vec::new();
-            let mut count = 0u64;
-            let mut body = Encoder::new();
-            for &key in &self.open {
-                let st = &self.records[&key];
-                let size = Self::record_size(&st.record);
-                if body.len() + size + PAGE_HEADER > self.page_size && count > 0 {
+            // The records that fit one page are a prefix of `open`.
+            let mut bytes = PAGE_HEADER;
+            let mut count = 0;
+            for key in &self.open {
+                let size = Self::record_size(&self.records[key].record);
+                if bytes + size > self.page_size && count > 0 {
                     break;
                 }
-                st.record.encode(&mut body);
-                taken.push(key);
+                bytes += size;
                 count += 1;
             }
-            let body = body.finish();
+            let taken: Vec<RecordKey> = self.open.drain(..count).collect();
             // The disk keeps the buffer for as long as the page lives:
             // size it to what the page holds, not to a full page.
-            let mut e = Encoder::with_capacity(PAGE_HEADER + body.len());
-            e.u8(PAGE_KIND_MESSAGES).u64(count);
-            let mut buf = e.finish();
-            buf.extend_from_slice(&body);
+            let mut e = Encoder::with_capacity(bytes);
+            e.u8(PAGE_KIND_MESSAGES).u64(count as u64);
+            for key in &taken {
+                self.records[key].record.encode(&mut e);
+            }
+            let buf = e.finish();
             assert!(buf.len() <= self.page_size, "page overflow: {}", buf.len());
-            self.open.retain(|k| !taken.contains(k));
             let page = self.alloc_page();
             for &k in &taken {
                 let st = self.records.get_mut(&k).expect("open record indexed");
@@ -949,6 +948,61 @@ mod tests {
             events.extend(s.on_disk_complete(io.at, io));
         }
         events
+    }
+
+    /// The bytes handed to the disk for a multi-record page, pinned as
+    /// constants captured before `flush` built the page in one buffer.
+    #[test]
+    fn flushed_page_bytes_are_pinned() {
+        let mut s = store(1);
+        let mut ios = Vec::new();
+        let bodies: [&[u8]; 3] = [b"first", b"", b"the third record"];
+        for (i, body) in bodies.iter().enumerate() {
+            let i = i as u64;
+            let at = SimTime::from_micros(7 + i);
+            ios.extend(s.append_message(at, key(0x0102 + i, 40 + i), body.to_vec()));
+        }
+        ios.extend(s.flush(SimTime::from_millis(1)));
+        drain(&mut s, ios);
+        #[rustfmt::skip]
+        const PAGE: [u8; 126] = [
+            0, 3, 0, 0, 0, 0, 0, 0, 0,
+            2, 1, 0, 0, 0, 0, 0, 0, 40, 0, 0, 0, 0, 0, 0, 0, 88, 27, 0, 0, 0, 0, 0, 0,
+            5, 0, 0, 0, 0, 0, 0, 0, 102, 105, 114, 115, 116,
+            3, 1, 0, 0, 0, 0, 0, 0, 41, 0, 0, 0, 0, 0, 0, 0, 64, 31, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            4, 1, 0, 0, 0, 0, 0, 0, 42, 0, 0, 0, 0, 0, 0, 0, 40, 35, 0, 0, 0, 0, 0, 0,
+            16, 0, 0, 0, 0, 0, 0, 0,
+            116, 104, 101, 32, 116, 104, 105, 114, 100, 32, 114, 101, 99, 111, 114, 100,
+        ];
+        let pages: Vec<(u64, &[u8])> = s.disks[0].pages().collect();
+        assert_eq!(pages, vec![(0, &PAGE[..])]);
+    }
+
+    /// An open buffer that fits a page only without the page header
+    /// flushes as two pages: the records taken are a prefix of the open
+    /// list and the rest stay queued for the next page, in order.
+    #[test]
+    fn flush_splits_an_overfull_buffer_in_order() {
+        let mut s = store(1);
+        let page = s.page_size;
+        // 32 bytes of record framing each; together 6 bytes short of a
+        // page, so no append flushes, but the 9-byte header does not fit.
+        let (a, b) = (page / 2 - 32, page - page / 2 - 32 - 6);
+        let mut ios = s.append_message(SimTime::ZERO, key(1, 0), vec![0xA; a]);
+        ios.extend(s.append_message(SimTime::ZERO, key(1, 1), vec![0xB; b]));
+        assert!(ios.is_empty(), "no flush while appending");
+        ios.extend(s.flush(SimTime::ZERO));
+        assert_eq!(ios.len(), 2);
+        assert!(s.open.is_empty());
+        drain(&mut s, ios);
+        let pages: Vec<(u64, &[u8])> = s.disks[0].pages().collect();
+        assert_eq!(pages.len(), 2);
+        for ((_, bytes), (len, fill)) in pages.iter().zip([(a, 0xA), (b, 0xB)]) {
+            assert_eq!(bytes[..9], [PAGE_KIND_MESSAGES, 1, 0, 0, 0, 0, 0, 0, 0]);
+            assert_eq!(bytes.len(), 9 + 32 + len);
+            assert!(bytes[9 + 32..].iter().all(|&x| x == fill));
+        }
     }
 
     #[test]

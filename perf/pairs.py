@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Paired parent/change runs of the repository's benchmark, in one command.
 
-    python3 perf/pairs.py [--pairs N]        (default 10; ~30 min)
+    python3 perf/pairs.py [--pairs N] [--record FILE]     (default 10; ~30 min)
 
 Reads the command, workloads, run length, end-to-end metrics and bounds
 from BENCHMARK.json. The *change* is this checkout as it stands; the
 *parent* is HEAD when tracked files have uncommitted edits (a change being
-prepared), otherwise HEAD~1, checked out as a `git worktree` under
+prepared), otherwise HEAD~1, unpacked by `git archive` under
 target/pairs/parent. Each side is built by one discarded run; then for
 every pair and every workload both sides run the command with the same
 fresh seed, and which side goes first alternates from pair to pair.
@@ -24,14 +24,20 @@ choosing-metrics guide:
               every run of the change beat every run of the parent;
   ok          none of the above: no worse than the parent within the bound.
 
+`--record FILE` also writes that table as JSON — commit ids, seeds and,
+per workload x metric, both medians and quartile pairs, the pairs won and
+lost and the verdict — so host speed keeps a history beside the virtual
+side's perf/BENCH_<n>.json (perf/HOST_<pr>.json).
+
 It reads BENCHMARK.json and runs what it names; it writes nothing but the
-worktree and the build outputs under it. Exit code 1 on a REGRESSION or a
-run that is not `correct` with `failed: 0`.
+parent's copy, the build outputs under it and the file `--record` names.
+Exit code 1 on a REGRESSION or a run that is not `correct` with `failed: 0`.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,17 +52,24 @@ def git(*args, cwd=ROOT):
                           stdout=subprocess.PIPE, text=True).stdout.strip()
 
 
-def parent_worktree():
-    """Checks the parent commit out under target/ and returns its id."""
+def parent_checkout():
+    """Unpacks the parent commit under target/ and returns its id and the
+    change's: HEAD, marked `+uncommitted` when tracked files are edited."""
+    head = git("rev-parse", "HEAD")
     dirty = git("status", "--porcelain", "--untracked-files=no") != ""
-    commit = git("rev-parse", "HEAD" if dirty else "HEAD~1")
-    if os.path.isdir(PARENT_DIR):
-        if git("rev-parse", "HEAD", cwd=PARENT_DIR) == commit:
-            return commit
-        git("worktree", "remove", "--force", PARENT_DIR)
-    git("worktree", "prune")
-    git("worktree", "add", "--detach", PARENT_DIR, commit)
-    return commit
+    commit = head if dirty else git("rev-parse", "HEAD~1")
+    stamp = os.path.join(PARENT_DIR, ".pairs_commit")
+    if not (os.path.isfile(stamp) and open(stamp).read() == commit):
+        shutil.rmtree(PARENT_DIR, ignore_errors=True)
+        os.makedirs(PARENT_DIR)
+        archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT,
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", PARENT_DIR], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            sys.exit(f"git archive {commit}: exit code {archive.returncode}")
+        with open(stamp, "w") as f:
+            f.write(commit)
+    return commit, head + ("+uncommitted" if dirty else "")
 
 
 def run_once(command, cwd, workload, seed, seconds):
@@ -97,7 +110,10 @@ def verdict(parent, change, better, bound):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", type=int, default=10)
-    pairs = ap.parse_args().pairs
+    ap.add_argument("--record", metavar="FILE",
+                    help="also write the verdict table to FILE as JSON")
+    args = ap.parse_args()
+    pairs = args.pairs
     if pairs < 2:
         sys.exit("--pairs must be at least 2 (quartiles need two runs a side)")
 
@@ -107,7 +123,7 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     metrics = bench["end_to_end"]
 
-    commit = parent_worktree()
+    commit, change_id = parent_checkout()
     sides = {"parent": PARENT_DIR, "change": ROOT}
     print(f"parent {commit[:12]} in {os.path.relpath(PARENT_DIR, ROOT)}, "
           f"change = this checkout; {pairs} pairs x {len(workloads)} workloads "
@@ -136,6 +152,7 @@ def main():
           "| change | pairs won | bound | verdict |")
     print("|---|---|---|---|---|---|---|---|")
     regressed = False
+    rows = []
     for w in workloads:
         for m in metrics:
             name = m["name"]
@@ -144,11 +161,22 @@ def main():
                                                m["better"], m["bound"])
             regressed |= word == "REGRESSION"
             change = (c[0] - p[0]) / p[0] if p[0] else 0.0
+            rows.append({"workload": w, "metric": name, "unit": m["unit"],
+                         "better": m["better"], "bound": m["bound"],
+                         "parent": dict(zip(("median", "q1", "q3"), p)),
+                         "change": dict(zip(("median", "q1", "q3"), c)),
+                         "pairs_won": wins, "pairs_lost": losses, "verdict": word})
             print(f"| {w} | {name} | {p[0]:.5g} ({p[1]:.5g}..{p[2]:.5g}) "
                   f"| {c[0]:.5g} ({c[1]:.5g}..{c[2]:.5g}) | {change:+.1%} "
                   f"| {wins} of {wins + losses} | {m['bound']:.0%} | {word} |")
     print(f"\n{pairs} pairs, seeds {base}..{base + pairs - 1}, parent {commit[:12]}, "
           f"{time.time() - started:.0f} s; every run correct, failed 0", file=sys.stderr)
+    if args.record:
+        with open(args.record, "w") as f:
+            json.dump({"parent": commit, "change": change_id, "pairs": pairs,
+                       "seeds": [base + i for i in range(pairs)],
+                       "run_seconds": seconds, "rows": rows}, f, indent=1)
+            f.write("\n")
     sys.exit(1 if regressed else 0)
 
 
