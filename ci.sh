@@ -32,50 +32,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (rustdoc warnings are errors; vendored shims excluded)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
-  --exclude proptest --exclude criterion --exclude crossbeam --exclude parking_lot
+  --exclude proptest --exclude crossbeam --exclude parking_lot
 
-echo "==> obs_report smoke run"
-cargo run -q --release -p publishing-bench --bin obs_report -- --smoke > /dev/null
+echo "==> lab smoke, twice (every gate of the one CLI; stdout, snapshot, trace and DOT byte-identical across two processes)"
+rm -rf target/smoke
+cargo run -q --release -p publishing-bench --bin lab -- smoke --dir target/smoke/a
+cargo run -q --release -p publishing-bench --bin lab -- smoke --dir target/smoke/b
+diff -r target/smoke/a target/smoke/b
 
-echo "==> chaos smoke run"
-cargo run -q --release -p publishing-bench --bin chaos -- --smoke > /dev/null
+echo "==> paper tables match the committed reference output"
+cmp target/smoke/a/tables.txt paper_tables_output.txt
 
-echo "==> quorum smoke run (seeded leader-crash failover gate)"
-cargo run -q --release -p publishing-bench --bin quorum -- --smoke > /dev/null
-
-echo "==> quorum obs_report smoke (consensus report + watchdog exit-code gate)"
-cargo run -q --release -p publishing-bench --bin obs_report -- --smoke --topology quorum > /dev/null
-
-echo "==> quorum explain smoke (election hop on the recovery critical path)"
-cargo run -q --release -p publishing-bench --bin explain -- --quorum --smoke > /dev/null
-
-echo "==> workload smoke run (capacity-knee determinism gate)"
-cargo run -q --release -p publishing-bench --bin workload -- --smoke > /dev/null
-
-echo "==> capacity smoke run (knee table over canonical shapes)"
-cargo run -q --release -p publishing-bench --bin capacity -- --smoke > /dev/null
-
-echo "==> lens smoke run (utilization attribution + what-if determinism gate)"
-# The lens gate gets its own directory: the bench step below recreates
-# target/perf from scratch and would clobber lens_a/lens_b.txt.
-rm -rf target/lens
-mkdir -p target/lens
-cargo run -q --release -p publishing-bench --bin lens -- --smoke > target/lens/lens_a.txt
-cargo run -q --release -p publishing-bench --bin lens -- --smoke > target/lens/lens_b.txt
-diff target/lens/lens_a.txt target/lens/lens_b.txt
-
-echo "==> forensics smoke run (self-diff emptiness + determinism gate)"
-cargo run -q --release -p publishing-bench --bin forensics -- --smoke > target/lens/forensics_a.txt
-cargo run -q --release -p publishing-bench --bin forensics -- --smoke > target/lens/forensics_b.txt
-diff target/lens/forensics_a.txt target/lens/forensics_b.txt
-
-echo "==> perf bench smoke + regression gate vs perf/BENCH_1.json"
-rm -rf target/perf
-cargo run -q --release -p publishing-bench --bin bench -- --smoke --dir target/perf
-cargo run -q --release -p publishing-bench --bin obs_report -- --smoke --trace target/perf/trace.json > /dev/null
-
-echo "==> causal explorer smoke run (critical path, attribution, DOT/flow stability)"
-cargo run -q --release -p publishing-bench --bin explain -- --smoke --dot target/perf/causal.dot > /dev/null
-cargo run -q --release -p publishing-bench --bin bench_compare -- --explain perf/BENCH_1.json target/perf/BENCH_1.json
+echo "==> perf regression gate vs perf/BENCH_1.json (with forensic attribution)"
+cargo run -q --release -p publishing-bench --bin lab -- compare --explain perf/BENCH_1.json target/smoke/a/BENCH_1.json
 
 echo "CI green."

@@ -1,8 +1,6 @@
-//! Capacity-knee explorer: the paper's Fig 5.5 experiment, generalized
-//! across workload shapes and recorder topologies.
-//!
-//! Usage: `capacity [--seed N] [--smoke] [--medium M] [--max-users U]
-//!                  [--spec S] [--topology T] [--no-chaos] [--json]`
+//! `lab capacity` — the capacity-knee explorer: the paper's Fig 5.5
+//! experiment, generalized across workload shapes and recorder
+//! topologies.
 //!
 //! - `--seed N` — base seed for the canonical shapes (default 1);
 //! - `--smoke` — quick run: two shapes, `--max-users 32`;
@@ -22,44 +20,24 @@
 //! one knee table: the largest user count each tier sustains within the
 //! default SLOs, every searched point also validated by the chaos
 //! recovery oracle. Knees are deterministic — the same build prints the
-//! same table — and the perf matrix gates them via `bench_compare`.
+//! same table — and the perf matrix gates them via `lab compare`.
 
-use publishing_chaos::{Medium, Topology};
+use super::{fail, Flags};
+use publishing_chaos::Topology;
+use publishing_obs::registry::json_escape;
 use publishing_obs::slo::SloSpec;
-use publishing_workload::capacity::topology_name;
+use publishing_workload::capacity::point_schedule;
 use publishing_workload::{canonical_shapes, find_knee, run_trial, SearchParams, WorkloadSpec};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: capacity [--seed N] [--smoke] [--medium ethernet|perfect] \
-         [--max-users U] [--no-chaos] [--json] [--spec S] \
-         [--topology single|sharded|quorum]"
-    );
-    std::process::exit(2);
-}
+pub(super) const USAGE: &str = "[--seed N] [--smoke] [--medium ethernet|perfect] \
+     [--max-users U] [--no-chaos] [--json] [--spec S] [--topology single|sharded|quorum]";
 
 /// Runs one literal at face value on one topology: the single fully
 /// judged operating point, verdict and workload accounting printed.
 fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<(), String> {
     let spec: WorkloadSpec = literal.parse()?;
     println!("spec: {spec}");
-    let sched = params.chaos.then(|| {
-        publishing_chaos::schedule::generate(&publishing_chaos::ChaosConfig {
-            seed: spec.seed.wrapping_add(u64::from(spec.users)),
-            nodes: publishing_chaos::NODES,
-            shards: match topology {
-                Topology::Sharded => publishing_chaos::scenario::SHARDS,
-                _ => 0,
-            },
-            replicas: match topology {
-                Topology::Quorum => publishing_chaos::scenario::REPLICAS,
-                _ => 0,
-            },
-            procs: spec.generators() + spec.subjects,
-            horizon_ms: spec.horizon_ms,
-            max_faults: 3,
-        })
-    });
+    let sched = params.chaos.then(|| point_schedule(topology, &spec));
     let t = run_trial(
         topology,
         &spec,
@@ -69,8 +47,7 @@ fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<
     );
     let w = t.report.workload.as_ref().expect("trial attaches stats");
     println!(
-        "[{}] users={} offered={} delivered={} goodput={:.3} offered/s={:.1}",
-        topology_name(topology),
+        "[{topology}] users={} offered={} delivered={} goodput={:.3} offered/s={:.1}",
         t.users,
         t.offered,
         t.delivered,
@@ -91,25 +68,11 @@ fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Sweeps `shapes` × the three topologies, emitting one JSON object:
 /// shape × topology × knee × the binding resource the utilization
 /// ledger named for it.
 fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
+    let quoted = |s: &str| format!("\"{}\"", json_escape(s));
     let mut rows = Vec::new();
     for (name, spec) in shapes {
         for topo in [Topology::Single, Topology::Sharded, Topology::Quorum] {
@@ -119,19 +82,18 @@ fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
                 .map(|t| {
                     t.rejected_by()
                         .iter()
-                        .map(|c| json_str(c))
+                        .map(|c| quoted(c))
                         .collect::<Vec<_>>()
                         .join(",")
                 })
                 .unwrap_or_default();
             rows.push(format!(
-                "{{\"shape\":{},\"topology\":{},\"knee_users\":{},\"binding\":{},\"rejected_by\":[{}],\"trials\":{}}}",
-                json_str(name),
-                json_str(topology_name(topo)),
+                "{{\"shape\":{},\"topology\":\"{topo}\",\"knee_users\":{},\"binding\":{},\"rejected_by\":[{}],\"trials\":{}}}",
+                quoted(name),
                 knee.knee_users,
                 knee.binding
                     .as_deref()
-                    .map(json_str)
+                    .map(quoted)
                     .unwrap_or_else(|| "null".into()),
                 clauses,
                 knee.trials.len(),
@@ -139,11 +101,8 @@ fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
         }
     }
     println!(
-        "{{\"medium\":{},\"max_users\":{},\"chaos\":{},\"knees\":[{}]}}",
-        json_str(match params.medium {
-            Medium::Perfect => "perfect",
-            Medium::Ethernet => "ethernet",
-        }),
+        "{{\"medium\":\"{}\",\"max_users\":{},\"chaos\":{},\"knees\":[{}]}}",
+        params.medium,
         params.max_users,
         params.chaos,
         rows.join(",")
@@ -154,10 +113,7 @@ fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
 fn sweep(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
     println!(
         "capacity knees (medium={}, max_users={}, chaos={})",
-        match params.medium {
-            Medium::Perfect => "perfect",
-            Medium::Ethernet => "ethernet",
-        },
+        params.medium,
         params.max_users,
         if params.chaos { "on" } else { "off" }
     );
@@ -182,7 +138,7 @@ fn sweep(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
             println!(
                 "{:<18} {:<8} {:>5} {:>7} {:>9} {:>10} {:>8.3} {:<14}",
                 name,
-                topology_name(topo),
+                topo,
                 knee.knee_users,
                 knee.trials.len(),
                 offered,
@@ -194,61 +150,33 @@ fn sweep(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 1u64;
-    let mut smoke = false;
-    let mut json = false;
-    let mut literal = None;
-    let mut topology = Topology::Single;
+pub(super) fn run(flags: &Flags) {
+    let seed = flags.parsed("--seed").unwrap_or(1);
+    let topology = flags.parsed("--topology").unwrap_or(Topology::Single);
     let mut params = SearchParams::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().map(|v| v.parse()) {
-                Some(Ok(v)) => seed = v,
-                _ => usage(),
-            },
-            "--smoke" => smoke = true,
-            "--medium" => match it.next().map(String::as_str) {
-                Some("ethernet") => params.medium = Medium::Ethernet,
-                Some("perfect") => params.medium = Medium::Perfect,
-                _ => usage(),
-            },
-            "--max-users" => match it.next().map(|v| v.parse()) {
-                Some(Ok(v)) => params.max_users = v,
-                _ => usage(),
-            },
-            "--no-chaos" => params.chaos = false,
-            "--json" => json = true,
-            "--spec" => match it.next() {
-                Some(v) => literal = Some(v.clone()),
-                None => usage(),
-            },
-            "--topology" => match it.next().map(String::as_str) {
-                Some("single") => topology = Topology::Single,
-                Some("sharded") => topology = Topology::Sharded,
-                Some("quorum") => topology = Topology::Quorum,
-                _ => usage(),
-            },
-            _ => usage(),
-        }
+    if let Some(medium) = flags.parsed("--medium") {
+        params.medium = medium;
+    }
+    if let Some(max_users) = flags.parsed("--max-users") {
+        params.max_users = max_users;
+    }
+    if flags.has("--no-chaos") {
+        params.chaos = false;
     }
 
-    if let Some(lit) = literal {
-        if let Err(e) = run_spec(&lit, topology, &params) {
-            eprintln!("{e}");
-            std::process::exit(1);
+    if let Some(lit) = flags.value("--spec") {
+        if let Err(e) = run_spec(lit, topology, &params) {
+            fail(1, e);
         }
         return;
     }
 
     let mut shapes = canonical_shapes(seed);
-    if smoke {
+    if flags.has("--smoke") {
         params.max_users = params.max_users.min(32);
         shapes.truncate(2);
     }
-    if json {
+    if flags.has("--json") {
         sweep_json(&shapes, &params);
     } else {
         sweep(&shapes, &params);

@@ -1,8 +1,9 @@
-//! Causal explorer over the published log: happens-before chains,
-//! recovery critical path, and replay-divergence diffing.
+//! `lab explain` — the causal explorer over the published log:
+//! happens-before chains, recovery critical path, and replay-divergence
+//! diffing.
 //!
-//! Drives the same deterministic crash/recovery scenario as
-//! `obs_report` — echo servers on one node, ping clients elsewhere, the
+//! Drives the same deterministic crash/recovery scenario as `lab
+//! report` — echo servers on one node, ping clients elsewhere, the
 //! server node crashed mid-run and recovered in parallel by the
 //! responsible shards — builds the happens-before DAG from every
 //! component's span log, and answers three questions:
@@ -16,9 +17,6 @@
 //! 3. **divergence diff** — align this run's span stream against the
 //!    fault-free baseline of the same workload and pinpoint the first
 //!    event where they part ways, with its causal ancestors.
-//!
-//! Usage: `explain [--smoke] [--key NODE.LOCAL#SEQ] [--dot PATH]
-//! [--flow PATH] [--diff] [--quorum]`
 //!
 //! - `--key K` explains message `K` (default: the latest suppressed or
 //!   delivered message of the run);
@@ -37,57 +35,26 @@
 //!   then cross an election-gate edge, attributing part of the recovery
 //!   window to the leader failover itself.
 
-use publishing_core::WorldBuilder;
-use publishing_demos::ids::Channel;
-use publishing_demos::link::Link;
-use publishing_demos::programs::{self, PingClient};
-use publishing_demos::registry::ProgramRegistry;
-use publishing_obs::causal::{CausalGraph, EdgeKind};
+use super::Flags;
+use crate::canonical::{self, Sizing};
+use publishing_obs::causal::{CausalGraph, CriticalPath, EdgeKind};
 use publishing_obs::span::{MsgKey, Stage};
-use publishing_perf::trace;
-use publishing_quorum::{QuorumTier, QuorumWorld};
-use publishing_shard::{ShardTier, ShardedWorld};
-use publishing_sim::time::SimTime;
+use publishing_shard::ShardedWorld;
+use publishing_sim::time::{SimDuration, SimTime};
 
-fn registry(pings: u64) -> ProgramRegistry {
-    let mut reg = ProgramRegistry::new();
-    programs::register_standard(&mut reg);
-    reg.register("pinger", move || {
-        let mut p = PingClient::new(pings);
-        p.think_ns = 2_000_000;
-        Box::new(p)
-    });
-    reg
-}
+pub(super) const USAGE: &str =
+    "[--smoke] [--key NODE.LOCAL#SEQ] [--dot PATH] [--flow PATH] [--diff] [--quorum]";
 
 /// Runs the canonical crash/recovery scenario (crash omitted for the
 /// fault-free baseline used by `--diff`).
-fn run_scenario(pings: u64, pairs: u32, horizon: SimTime, crash: bool) -> ShardedWorld {
-    let mut w = ShardTier::world(WorldBuilder::new(3).registry(registry(pings)), 4);
-    for i in 0..pairs {
-        let server = w.spawn(2, "echo", vec![]).expect("echo registered");
-        w.spawn(i % 2, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
-            .expect("pinger registered");
-    }
+fn run_scenario(sizing: &Sizing, crash: bool) -> ShardedWorld {
+    let (mut w, _) = canonical::ping_world(sizing, None);
     if crash {
-        w.run_until(SimTime::from_millis(50));
-        w.crash_node(2);
+        canonical::crash_server_node(&mut w, sizing.horizon);
+    } else {
+        w.run_until(sizing.horizon);
     }
-    w.run_until(horizon);
     w
-}
-
-/// The Chrome-trace export of a world's span logs, in the same
-/// component order as `ShardedWorld::span_logs()`.
-fn flow_trace(w: &ShardedWorld) -> trace::ChromeTrace {
-    let mut components = Vec::new();
-    for (n, k) in &w.kernels {
-        components.push((format!("node {n} kernel"), k.spans()));
-    }
-    for (i, rn) in w.tier.shards.iter().enumerate() {
-        components.push((format!("shard {i} recorder"), rn.recorder().spans()));
-    }
-    trace::from_spans(&components)
 }
 
 /// Picks the most interesting default key: the latest suppressed
@@ -102,26 +69,35 @@ fn default_key(g: &CausalGraph) -> Option<MsgKey> {
 }
 
 fn fail(msg: &str) -> ! {
-    eprintln!("explain: {msg}");
-    std::process::exit(1);
+    super::fail(1, format!("explain: {msg}"))
 }
 
-/// The committed leader-crash schedule of the `quorum` gate: traffic
-/// starts, the leader replica dies at 250ms (forcing an election), the
-/// server node dies at 400ms (forcing a replay under the new leader).
-fn run_quorum_scenario(horizon: SimTime) -> QuorumWorld {
-    let mut w = QuorumTier::world(WorldBuilder::new(2).registry(registry(10)), 3, 0);
-    let server = w.spawn(1, "echo", vec![]).expect("echo registered");
-    w.spawn(0, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .expect("pinger registered");
-    w.run_until(SimTime::from_millis(250));
-    if let Some(leader) = w.tier.leader() {
-        w.crash_member(leader);
+/// Prints the critical path and returns the measured crash→convergence
+/// window, which the path's attribution must sum to exactly.
+fn attributed_window(cp: &CriticalPath, crash: SimTime, conv: SimTime) -> SimDuration {
+    println!("\n{}", cp.render());
+    let measured = conv.saturating_since(crash);
+    if cp.total() != measured {
+        fail(&format!(
+            "critical-path attribution {:.3}ms does not sum to measured recovery lag {:.3}ms",
+            cp.total().as_millis_f64(),
+            measured.as_millis_f64()
+        ));
     }
-    w.run_until(SimTime::from_millis(400));
-    w.crash_node(1);
-    w.run_until(horizon);
-    w
+    measured
+}
+
+fn write(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        fail(&format!("cannot write {path}: {e}"));
+    }
+}
+
+fn write_dot(path: Option<&str>, g: &CausalGraph) {
+    if let Some(path) = path {
+        write(path, g.to_dot());
+        eprintln!("dot: {} nodes -> {path}", g.len());
+    }
 }
 
 /// Explains the leader-failover recovery of the quorum world: builds
@@ -130,7 +106,7 @@ fn run_quorum_scenario(horizon: SimTime) -> QuorumWorld {
 /// on the election hop actually appearing in the attribution.
 fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
     let horizon = SimTime::from_secs(12);
-    let w = run_quorum_scenario(horizon);
+    let (w, _) = canonical::quorum_failover_world(10, horizon);
     let g = w.causal_graph();
     if let Err(e) = g.validate() {
         fail(&format!("quorum causal graph failed validation: {e}"));
@@ -157,15 +133,7 @@ fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
     let Some(cp) = g.critical_path(crash, conv, None) else {
         fail("quorum run produced no critical path");
     };
-    println!("\n{}", cp.render());
-    let measured = conv.saturating_since(crash);
-    if cp.total() != measured {
-        fail(&format!(
-            "critical-path attribution {:.3}ms does not sum to measured recovery lag {:.3}ms",
-            cp.total().as_millis_f64(),
-            measured.as_millis_f64()
-        ));
-    }
+    let measured = attributed_window(&cp, crash, conv);
     let election = cp
         .by_stage()
         .into_iter()
@@ -181,15 +149,10 @@ fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
         None => println!("no election hop on the critical path"),
     }
 
-    if let Some(path) = dot_path {
-        if let Err(e) = std::fs::write(path, g.to_dot()) {
-            fail(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("dot: {} nodes -> {path}", g.len());
-    }
+    write_dot(dot_path, &g);
 
     if smoke {
-        let again = run_quorum_scenario(horizon);
+        let (again, _) = canonical::quorum_failover_world(10, horizon);
         if g.to_dot() != again.causal_graph().to_dot() {
             fail("quorum DOT export is not byte-stable across two runs");
         }
@@ -203,61 +166,15 @@ fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: explain [--smoke] [--key NODE.LOCAL#SEQ] [--dot PATH] [--flow PATH] \
-                 [--diff] [--quorum]";
-    let mut smoke = false;
-    let mut diff = false;
-    let mut quorum = false;
-    let mut key: Option<MsgKey> = None;
-    let mut dot_path: Option<String> = None;
-    let mut flow_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => smoke = true,
-            "--diff" => diff = true,
-            "--quorum" => quorum = true,
-            "--key" | "--dot" | "--flow" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    eprintln!("{flag} needs a value; {usage}");
-                    std::process::exit(2);
-                };
-                match flag.as_str() {
-                    "--key" => match v.parse::<MsgKey>() {
-                        Ok(k) => key = Some(k),
-                        Err(e) => {
-                            eprintln!("bad --key {v:?}: {e}");
-                            std::process::exit(2);
-                        }
-                    },
-                    "--dot" => dot_path = Some(v.clone()),
-                    _ => flow_path = Some(v.clone()),
-                }
-            }
-            bad => {
-                eprintln!("unknown argument {bad:?}; {usage}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
+pub(super) fn run(flags: &Flags) {
+    let smoke = flags.has("--smoke");
+    let dot_path = flags.value("--dot");
+    if flags.has("--quorum") {
+        return run_quorum_mode(smoke, dot_path);
     }
 
-    if quorum {
-        run_quorum_mode(smoke, dot_path.as_deref());
-        return;
-    }
-
-    let (pings, pairs, horizon) = if smoke {
-        (10u64, 2u32, SimTime::from_secs(20))
-    } else {
-        (25u64, 4u32, SimTime::from_secs(40))
-    };
-
-    let w = run_scenario(pings, pairs, horizon, true);
+    let sizing = Sizing::new(smoke);
+    let w = run_scenario(&sizing, true);
     let g = w.causal_graph();
     if let Err(e) = g.validate() {
         fail(&format!("causal graph failed validation: {e}"));
@@ -270,7 +187,7 @@ fn main() {
     );
 
     // 1. Explain: the requested (or most interesting) message's chain.
-    let key = key.or_else(|| default_key(&g));
+    let key = flags.parsed::<MsgKey>("--key").or_else(|| default_key(&g));
     let explanation = key.and_then(|k| g.explain(k));
     match (&key, &explanation) {
         (Some(k), Some(ex)) => {
@@ -293,15 +210,7 @@ fn main() {
     let cp = window.and_then(|(crash, conv)| g.critical_path(crash, conv, None));
     match (&window, &cp) {
         (Some((crash, conv)), Some(cp)) => {
-            println!("\n{}", cp.render());
-            let measured = conv.saturating_since(*crash);
-            if cp.total() != measured {
-                fail(&format!(
-                    "critical-path attribution {:.3}ms does not sum to measured recovery lag {:.3}ms",
-                    cp.total().as_millis_f64(),
-                    measured.as_millis_f64()
-                ));
-            }
+            let measured = attributed_window(cp, *crash, *conv);
             println!(
                 "attribution check: {} segments sum to {:.3}ms == measured crash→convergence window",
                 cp.segments.len(),
@@ -313,8 +222,8 @@ fn main() {
     }
 
     // 3. Divergence diff against the fault-free baseline.
-    if diff || smoke {
-        let baseline = run_scenario(pings, pairs, horizon, false);
+    if flags.has("--diff") || smoke {
+        let baseline = run_scenario(&sizing, false);
         let bg = baseline.causal_graph();
         match publishing_obs::divergence_diff(&bg, &g) {
             Some(d) => {
@@ -330,17 +239,10 @@ fn main() {
         }
     }
 
-    if let Some(path) = &dot_path {
-        if let Err(e) = std::fs::write(path, g.to_dot()) {
-            fail(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!("dot: {} nodes -> {path}", g.len());
-    }
-    if let Some(path) = &flow_path {
-        let t = flow_trace(&w);
-        if let Err(e) = std::fs::write(path, t.to_json()) {
-            fail(&format!("cannot write {path}: {e}"));
-        }
+    write_dot(dot_path, &g);
+    if let Some(path) = flags.value("--flow") {
+        let t = canonical::chrome_trace(&w, "shard");
+        write(path, t.to_json());
         eprintln!(
             "flow trace: {} events ({} flow endpoints) -> {path}",
             t.events.len(),
@@ -351,12 +253,14 @@ fn main() {
     // Smoke gate: DOT and Chrome-trace flow exports must be
     // byte-identical across two fresh runs of the same seed.
     if smoke {
-        let again = run_scenario(pings, pairs, horizon, true);
+        let again = run_scenario(&sizing, true);
         let g2 = again.causal_graph();
         if g.to_dot() != g2.to_dot() {
             fail("DOT export is not byte-stable across two runs");
         }
-        if flow_trace(&w).to_json() != flow_trace(&again).to_json() {
+        if canonical::chrome_trace(&w, "shard").to_json()
+            != canonical::chrome_trace(&again, "shard").to_json()
+        {
             fail("Chrome-trace flow export is not byte-stable across two runs");
         }
         // Per-process attribution must telescope too.

@@ -1,8 +1,5 @@
-//! Capacity lens: where did the knee come from, and what would move it?
-//!
-//! Usage: `lens [--medium ethernet|perfect|both] [--topology T]
-//!              [--spec S] [--max-users U] [--chaos] [--confirm]
-//!              [--json] [--smoke] [--verbose]`
+//! `lab lens` — the capacity lens: where did the knee come from, and
+//! what would move it?
 //!
 //! For each selected medium the lens runs the closed-loop capacity
 //! search, then answers the two questions a knee table leaves open:
@@ -30,42 +27,15 @@
 //! - `--verbose` — stream per-point knee-search verdicts (the SLO
 //!   clause that rejected each probe) to stderr.
 
+use super::{fail, Flags};
 use publishing_chaos::{Medium, Topology};
+use publishing_obs::registry::json_escape;
 use publishing_obs::slo::SloSpec;
-use publishing_workload::capacity::topology_name;
 use publishing_workload::{find_knee, run_whatif, SearchParams, WorkloadSpec};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: lens [--medium ethernet|perfect|both] \
-         [--topology single|sharded|quorum] [--spec S] [--max-users U] \
-         [--chaos] [--confirm] [--json] [--smoke] [--verbose]"
-    );
-    std::process::exit(2);
-}
-
-fn medium_name(m: Medium) -> &'static str {
-    match m {
-        Medium::Perfect => "perfect",
-        Medium::Ethernet => "ethernet",
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub(super) const USAGE: &str = "[--medium ethernet|perfect|both] \
+     [--topology single|sharded|quorum] [--spec S] [--max-users U] \
+     [--chaos] [--confirm] [--json] [--smoke] [--verbose]";
 
 /// Profiles one medium: search, attribute, run the what-if matrix.
 fn profile(
@@ -92,7 +62,7 @@ fn profile(
     let mut report = match sat {
         Some(t) => t.report.clone(),
         None => {
-            println!("[{}] no trials ran (max_users=0?)", medium_name(medium));
+            println!("[{medium}] no trials ran (max_users=0?)");
             return;
         }
     };
@@ -100,22 +70,18 @@ fn profile(
 
     if json {
         println!(
-            "{{\"medium\":{},\"topology\":{},\"knee\":{},\"binding\":{},\"clauses\":{},\"report\":{}}}",
-            json_str(medium_name(medium)),
-            json_str(topology_name(topology)),
+            "{{\"medium\":\"{medium}\",\"topology\":\"{topology}\",\"knee\":{},\"binding\":{},\"clauses\":\"{}\",\"report\":{}}}",
             knee.knee_users,
             knee.binding
                 .as_deref()
-                .map(json_str)
+                .map(|b| format!("\"{}\"", json_escape(b)))
                 .unwrap_or_else(|| "null".into()),
-            json_str(&clauses),
+            json_escape(&clauses),
             report.render_json(),
         );
     } else {
         println!(
-            "== lens: medium={} topology={} knee={} binding={}{}",
-            medium_name(medium),
-            topology_name(topology),
+            "== lens: medium={medium} topology={topology} knee={} binding={}{}",
             knee.knee_users,
             knee.binding.as_deref().unwrap_or("none"),
             if clauses.is_empty() {
@@ -135,67 +101,27 @@ fn profile(
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut media = vec![Medium::Perfect, Medium::Ethernet];
-    let mut topology = Topology::Single;
-    let mut literal = None;
-    let mut confirm = false;
-    let mut json = false;
-    let mut smoke = false;
+pub(super) fn run(flags: &Flags) {
+    let media = match flags.value("--medium") {
+        None | Some("both") => vec![Medium::Perfect, Medium::Ethernet],
+        Some(_) => flags.parsed("--medium").into_iter().collect(),
+    };
+    let topology = flags.parsed("--topology").unwrap_or(Topology::Single);
+    let smoke = flags.has("--smoke");
     let mut params = SearchParams {
-        chaos: false,
+        chaos: flags.has("--chaos"),
+        verbose: flags.has("--verbose"),
         ..SearchParams::default()
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--medium" => match it.next().map(String::as_str) {
-                Some("ethernet") => media = vec![Medium::Ethernet],
-                Some("perfect") => media = vec![Medium::Perfect],
-                Some("both") => {}
-                _ => usage(),
-            },
-            "--topology" => match it.next().map(String::as_str) {
-                Some("single") => topology = Topology::Single,
-                Some("sharded") => topology = Topology::Sharded,
-                Some("quorum") => topology = Topology::Quorum,
-                _ => usage(),
-            },
-            "--spec" => match it.next() {
-                Some(v) => literal = Some(v.clone()),
-                None => usage(),
-            },
-            "--max-users" => match it.next().map(|v| v.parse()) {
-                Some(Ok(v)) => params.max_users = v,
-                _ => usage(),
-            },
-            "--chaos" => params.chaos = true,
-            "--confirm" => confirm = true,
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--verbose" => params.verbose = true,
-            _ => usage(),
-        }
+    if let Some(max_users) = flags.parsed("--max-users") {
+        params.max_users = max_users;
     }
 
-    let spec: WorkloadSpec = match literal {
-        Some(lit) => match lit.parse() {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("--spec: {e}");
-                std::process::exit(2);
-            }
-        },
-        // Heavy enough that the knee sits *inside* the smoke cap on
-        // both media — a capped bracket is not a knee and would poison
-        // the what-if predictions.
-        None if smoke => WorkloadSpec {
-            subjects: 2,
-            rate_per_sec: 100,
-            horizon_ms: 400,
-            ..WorkloadSpec::default()
-        },
+    let spec: WorkloadSpec = match flags.value("--spec") {
+        Some(lit) => lit
+            .parse()
+            .unwrap_or_else(|e| fail(2, format!("--spec: {e}"))),
+        None if smoke => crate::canonical::lens_spec(),
         // The canonical operating point: the same default shape the
         // capacity sweep searches, so the lens profile explains the
         // knee table's numbers — the walkthrough in EXPERIMENTS.md
@@ -204,10 +130,10 @@ fn main() {
     };
     if smoke {
         params.max_users = params.max_users.min(12);
-        confirm = true;
     }
+    let confirm = smoke || flags.has("--confirm");
 
     for m in media {
-        profile(m, topology, &spec, &params, confirm, json);
+        profile(m, topology, &spec, &params, confirm, flags.has("--json"));
     }
 }

@@ -1,7 +1,5 @@
-//! Quorum gate: the replicated-recorder failover scenario as a CI
-//! check.
-//!
-//! Usage: `quorum [--seed N] [--schedules K] [--smoke]`
+//! `lab quorum` — the quorum gate: the replicated-recorder failover
+//! scenario as a CI check.
 //!
 //! Two parts, both judged by the chaos recovery oracle (which, on the
 //! quorum topology, folds in the consensus safety invariants — election
@@ -15,18 +13,20 @@
 //!    replica leading and the node's processes replayed by the
 //!    survivors;
 //! 2. `K` **generated schedules** (replica crash/restart storms, node
-//!    crashes, medium bursts) that must all pass the oracle.
+//!    crashes, medium bursts) that must all pass the oracle
+//!    (`--schedules K`, default 10; `--smoke` makes it 3).
+//!
+//! `--seed N` seeds both parts (default 17).
 
+use super::chaos::run_suite;
+use super::{fail, Flags};
 use publishing_chaos::driver::{run_schedule, Engine};
 use publishing_chaos::oracle::OracleOptions;
-use publishing_chaos::scenario::{Scenario, Topology, NODES, REPLICAS};
-use publishing_chaos::schedule::{self, ChaosConfig, Fault, FaultSchedule};
+use publishing_chaos::scenario::{Scenario, Topology};
+use publishing_chaos::schedule::{Fault, FaultSchedule};
 use publishing_sim::time::SimTime;
 
-fn usage() -> ! {
-    eprintln!("usage: quorum [--seed N] [--schedules K] [--smoke]");
-    std::process::exit(2);
-}
+pub(super) const USAGE: &str = "[--seed N] [--schedules K] [--smoke]";
 
 /// The committed acceptance scenario: crash the leader mid-commit,
 /// then a processing node; demand failover plus replica-served replay.
@@ -83,63 +83,14 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
     Ok(())
 }
 
-fn generated_gate(seed: u64, schedules: u64) -> Result<(), String> {
-    let eng = Engine::new(
-        Scenario::new(Topology::Quorum, seed),
-        OracleOptions::default(),
-    )
-    .map_err(|e| format!("baseline: {e}"))?;
-    for k in 0..schedules {
-        let sched = schedule::generate(&ChaosConfig {
-            seed: seed.wrapping_mul(1000).wrapping_add(k),
-            nodes: NODES,
-            shards: 0,
-            replicas: REPLICAS,
-            procs: 4,
-            horizon_ms: 1500,
-            max_faults: 7,
-        });
-        let failures = eng.run(&sched);
-        if failures.is_empty() {
-            println!("schedule {k}: ok ({} faults)", sched.faults.len());
-            continue;
-        }
-        println!("schedule {k}: FAILED");
-        for f in &failures {
-            println!("  - {f}");
-        }
-        let min = eng.shrink(&sched);
-        return Err(format!(
-            "minimal reproducer ({} faults), replay with:\n  \
-             chaos --schedule '{min}'",
-            min.faults.len()
-        ));
-    }
-    println!("{schedules} generated schedules passed");
-    Ok(())
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 17u64;
-    let mut schedules = 10u64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().map(|v| v.parse()) {
-                Some(Ok(v)) => seed = v,
-                _ => usage(),
-            },
-            "--schedules" => match it.next().map(|v| v.parse()) {
-                Some(Ok(v)) => schedules = v,
-                _ => usage(),
-            },
-            "--smoke" => schedules = 3,
-            _ => usage(),
-        }
-    }
-    if let Err(e) = leader_crash_gate(seed).and_then(|()| generated_gate(seed, schedules)) {
-        eprintln!("{e}");
-        std::process::exit(1);
+pub(super) fn run(flags: &Flags) {
+    let seed = flags.parsed("--seed").unwrap_or(17u64);
+    let schedules = flags
+        .parsed("--schedules")
+        .unwrap_or(if flags.has("--smoke") { 3u64 } else { 10 });
+    let result = leader_crash_gate(seed)
+        .and_then(|()| run_suite(Topology::Quorum, seed, schedules, "", "generated schedules"));
+    if let Err(e) = result {
+        fail(1, e);
     }
 }

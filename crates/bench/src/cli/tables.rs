@@ -1,12 +1,14 @@
-//! Regenerates every table and figure of the paper's evaluation.
+//! `lab tables` — regenerates every table and figure of the paper's
+//! evaluation.
 //!
-//! Usage: `paper_tables [section ...]` — with no arguments, prints all of
-//! them. Section names: fig2_1, fig3_1, young, fig5_1, fig5_2, fig5_3,
-//! fig5_4, fig5_5, capacity, shard_capacity, fig5_7, fig5_8,
-//! publish_cost, fig6_2,
+//! With no arguments, prints all of them (`paper_tables_output.txt` is
+//! that output, committed, and CI `cmp`s against it). Section names:
+//! fig2_1, fig3_1, young, fig5_1, fig5_2, fig5_3, fig5_4, fig5_5,
+//! capacity, shard_capacity, fig5_7, fig5_8, publish_cost, fig6_2,
 //! fig6_4, baselines, recovery_time, windowing, node_unit.
 
-use publishing_bench::scenarios;
+use super::Flags;
+use crate::scenarios;
 use publishing_core::baseline::{recovery_line_rule1, History};
 use publishing_core::checkpoint::{young_interval, young_overhead};
 use publishing_core::recorder::PublishCost;
@@ -27,13 +29,15 @@ fn section(name: &str, title: &str, wanted: &[String]) -> bool {
     true
 }
 
-fn main() {
-    let wanted: Vec<String> = std::env::args().skip(1).collect();
+pub(super) const USAGE: &str = "[section ...]";
+
+pub(super) fn run(flags: &Flags) {
+    let wanted = &flags.positional;
 
     if section(
         "fig2_1",
         "Recovery lines and the domino effect (baseline)",
-        &wanted,
+        wanted,
     ) {
         // The staircase history: every checkpoint bracketed by messages.
         let ms = SimTime::from_millis;
@@ -53,11 +57,7 @@ fn main() {
         println!("  (publishing would lose only P0's 5 ms since its last checkpoint)");
     }
 
-    if section(
-        "fig3_1",
-        "Recovery-time bound walkthrough (§3.2.3)",
-        &wanted,
-    ) {
+    if section("fig3_1", "Recovery-time bound walkthrough (§3.2.3)", wanted) {
         let p = LoadParams::figure_3_1();
         let mut est = RecoveryEstimator::new(SimTime::from_millis(100), 4);
         println!("t_cfix=100ms t_page=10ms/page t_mfix=2ms t_byte=0.01ms/B f_cpu=0.5");
@@ -80,7 +80,7 @@ fn main() {
     if section(
         "young",
         "Young's optimum checkpoint interval (§3.2.4)",
-        &wanted,
+        wanted,
     ) {
         let t_s = SimDuration::from_secs(1);
         let t_f = SimDuration::from_secs(200);
@@ -97,7 +97,7 @@ fn main() {
         }
     }
 
-    if section("fig5_1", "The open queuing model (topology)", &wanted) {
+    if section("fig5_1", "The open queuing model (topology)", wanted) {
         println!("sources (processing nodes) → network → recorder NIC → recorder CPU → disk(s)");
         println!("message classes: short 128 B (syscalls), long 1024 B (I/O),");
         println!("checkpoint 1024 B fragments; recorder acks return on the network.");
@@ -106,7 +106,7 @@ fn main() {
     if section(
         "fig5_2",
         "Hardware parameters for the queuing model",
-        &wanted,
+        wanted,
     ) {
         println!("Ethernet interface interpacket delay   1.6 ms");
         println!("Network bandwidth                      10 megabits per second");
@@ -118,7 +118,7 @@ fn main() {
     if section(
         "fig5_3",
         "State sizes for UNIX processes (synthesized)",
-        &wanted,
+        wanted,
     ) {
         let mut rng = DetRng::new(53);
         let d = StateSizes::default();
@@ -141,7 +141,7 @@ fn main() {
         }
     }
 
-    if section("fig5_4", "Operating points for the queuing model", &wanted) {
+    if section("fig5_4", "Operating points for the queuing model", wanted) {
         println!(
             "{:<18} {:>10} {:>12} {:>10} {:>10} {:>12}",
             "point", "procs/node", "state (KB)", "short/s", "long/s", "ckpt msgs/s"
@@ -162,7 +162,7 @@ fn main() {
     if section(
         "fig5_5",
         "Utilization of system components (1–5 nodes, 1–3 disks)",
-        &wanted,
+        wanted,
     ) {
         for buffered in [true, false] {
             println!(
@@ -195,7 +195,7 @@ fn main() {
     if section(
         "capacity",
         "Recorder capacity (abstract: 115 users)",
-        &wanted,
+        wanted,
     ) {
         let users = max_users(&SystemConfig::default());
         println!("max users at the mean operating point before any component saturates: {users}");
@@ -207,7 +207,7 @@ fn main() {
     if section(
         "shard_capacity",
         "User capacity vs recorder shard count (sharded tier)",
-        &wanted,
+        wanted,
     ) {
         let r1 = shard_capacity_curve(8, 1);
         let r2 = shard_capacity_curve(8, 2);
@@ -230,7 +230,7 @@ fn main() {
     if section(
         "fig5_7",
         "Per-message overheads, with/without publishing",
-        &wanted,
+        wanted,
     ) {
         let with = scenarios::per_message_costs(true, 512);
         let without = scenarios::per_message_costs(false, 512);
@@ -250,7 +250,7 @@ fn main() {
         );
     }
 
-    if section("fig5_8", "Per-process create/destroy overheads", &wanted) {
+    if section("fig5_8", "Per-process create/destroy overheads", wanted) {
         let with = scenarios::per_process_costs(true, 25);
         let without = scenarios::per_process_costs(false, 25);
         println!("(25 create/destroy cycles of a null process via the control chain)");
@@ -262,7 +262,7 @@ fn main() {
     if section(
         "publish_cost",
         "Recorder per-message publish CPU (§5.2.2)",
-        &wanted,
+        wanted,
     ) {
         for (mode, label) in [
             (PublishCost::FullStack, "full protocol stack (measured)"),
@@ -279,7 +279,7 @@ fn main() {
     if section(
         "fig6_2",
         "Standard vs Acknowledging Ethernet under load",
-        &wanted,
+        wanted,
     ) {
         let horizon = SimTime::from_secs(5);
         println!(
@@ -301,7 +301,7 @@ fn main() {
     if section(
         "fig6_4",
         "Token ring with the recorder acknowledge field",
-        &wanted,
+        wanted,
     ) {
         println!("{:>20} {:>16}", "recorder position", "mean latency");
         for recorder in [1, 3, 5, 7] {
@@ -317,7 +317,7 @@ fn main() {
     if section(
         "baselines",
         "Work lost after a crash: Chapter 2 methods vs publishing",
-        &wanted,
+        wanted,
     ) {
         let c = scenarios::baseline_comparison(100, 7);
         println!("mean work discarded per crash (4 processes, 10 s histories):");
@@ -351,7 +351,7 @@ fn main() {
     if section(
         "recovery_time",
         "Measured recovery latency vs checkpoint interval",
-        &wanted,
+        wanted,
     ) {
         println!("{:>20} {:>16}", "checkpoint every", "recovery takes");
         for interval in [0u64, 200, 100, 50] {
@@ -369,7 +369,7 @@ fn main() {
     if section(
         "windowing",
         "Stop-and-wait vs windowed transport (§4.3.3)",
-        &wanted,
+        wanted,
     ) {
         println!("{:>10} {:>18}", "window", "40-msg flood time");
         for window in [1usize, 2, 4, 8] {
@@ -383,7 +383,7 @@ fn main() {
     if section(
         "node_unit",
         "Recovering nodes rather than processes (§6.6.2)",
-        &wanted,
+        wanted,
     ) {
         use publishing_core::node_recovery::{run_workload, NodeUnit};
         let mut rng = DetRng::new(21);

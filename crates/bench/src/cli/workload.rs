@@ -1,6 +1,5 @@
-//! Workload gate: the closed-loop capacity search as a CI check.
-//!
-//! Usage: `workload [--seed N] [--smoke]`
+//! `lab workload` — the workload gate: the closed-loop capacity search
+//! as a CI check.
 //!
 //! - `--seed N` — base seed for the swept shapes (default 1);
 //! - `--smoke` — small CI run: the flash-crowd shape only, search
@@ -12,20 +11,17 @@
 //! oracle — then re-runs the whole search and fails unless the second
 //! pass reproduces the first exactly: same knee, same searched user
 //! sequence, same per-point verdicts. A nondeterministic knee would
-//! make the `bench_compare` capacity gate flaky, so determinism is
+//! make the `lab compare` capacity gate flaky, so determinism is
 //! itself the tested invariant. The single-recorder knee must also be
 //! at least one user: the paper's medium sustains *some* load, and a
 //! zero knee there means the stack regressed below it.
 
+use super::{fail, Flags};
 use publishing_chaos::Topology;
 use publishing_obs::slo::SloSpec;
-use publishing_workload::capacity::topology_name;
 use publishing_workload::{canonical_shapes, find_knee, SearchParams, WorkloadSpec};
 
-fn usage() -> ! {
-    eprintln!("usage: workload [--seed N] [--smoke]");
-    std::process::exit(2);
-}
+pub(super) const USAGE: &str = "[--seed N] [--smoke]";
 
 /// One search pass reduced to its comparable skeleton.
 fn skeleton(knee: &publishing_workload::Knee) -> (u32, Vec<(u32, bool)>) {
@@ -37,12 +33,11 @@ fn skeleton(knee: &publishing_workload::Knee) -> (u32, Vec<(u32, bool)>) {
 
 fn gate(name: &str, spec: &WorkloadSpec, params: &SearchParams) -> Result<(), String> {
     for topo in [Topology::Single, Topology::Sharded, Topology::Quorum] {
-        let tn = topology_name(topo);
         let first = find_knee(name, topo, spec, &SloSpec::default(), params);
         let second = find_knee(name, topo, spec, &SloSpec::default(), params);
         if skeleton(&first) != skeleton(&second) {
             return Err(format!(
-                "[{name}/{tn}] knee search is not deterministic: \
+                "[{name}/{topo}] knee search is not deterministic: \
                  {:?} vs {:?}",
                 skeleton(&first),
                 skeleton(&second)
@@ -50,7 +45,7 @@ fn gate(name: &str, spec: &WorkloadSpec, params: &SearchParams) -> Result<(), St
         }
         if topo == Topology::Single && first.knee_users == 0 {
             return Err(format!(
-                "[{name}/{tn}] zero capacity: even one user missed the SLOs \
+                "[{name}/{topo}] zero capacity: even one user missed the SLOs \
                  ({})",
                 first
                     .trials
@@ -60,7 +55,7 @@ fn gate(name: &str, spec: &WorkloadSpec, params: &SearchParams) -> Result<(), St
             ));
         }
         println!(
-            "[{name}/{tn}] knee={} users ({} trials, deterministic)",
+            "[{name}/{topo}] knee={} users ({} trials, deterministic)",
             first.knee_users,
             first.trials.len()
         );
@@ -68,39 +63,19 @@ fn gate(name: &str, spec: &WorkloadSpec, params: &SearchParams) -> Result<(), St
     Ok(())
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut seed = 1u64;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => match it.next().map(|v| v.parse()) {
-                Some(Ok(v)) => seed = v,
-                _ => usage(),
-            },
-            "--smoke" => smoke = true,
-            _ => usage(),
-        }
-    }
-
+pub(super) fn run(flags: &Flags) {
+    let smoke = flags.has("--smoke");
     let params = SearchParams {
         max_users: if smoke { 16 } else { 64 },
         ..SearchParams::default()
     };
-    let shapes = canonical_shapes(seed);
-    let swept: Vec<_> = if smoke {
-        shapes
-            .into_iter()
-            .filter(|(n, _)| *n == "flash_crowd")
-            .collect()
-    } else {
-        shapes
-    };
+    let mut swept = canonical_shapes(flags.parsed("--seed").unwrap_or(1));
+    if smoke {
+        swept.retain(|(n, _)| *n == "flash_crowd");
+    }
     for (name, spec) in &swept {
         if let Err(e) = gate(name, spec, &params) {
-            eprintln!("{e}");
-            std::process::exit(1);
+            fail(1, e);
         }
     }
     println!("workload gate passed ({} shape(s))", swept.len());

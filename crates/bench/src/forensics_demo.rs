@@ -1,4 +1,4 @@
-//! The seeded A/B pair behind the `forensics` binary and the
+//! The seeded A/B pair behind `lab forensics` and the
 //! regression-forensics acceptance test.
 //!
 //! One side of the pair is two deterministic runs at a fixed seed: a
@@ -77,7 +77,7 @@ pub fn ab_spec() -> WorkloadSpec {
 }
 
 /// Runs one side of the pair under `tuning`. Deterministic: the same
-/// tuning yields a byte-identical `snapshot.virtual_json()`.
+/// tuning yields a byte-identical `snapshot.to_json()`.
 pub fn run_side(tuning: &Tuning) -> AbRun {
     let trial = run_trial_tuned(
         Topology::Single,

@@ -1,104 +1,29 @@
-//! The perf-observatory scenario matrix behind the `bench` binary.
+//! The perf-observatory scenario matrix behind `lab bench`.
 //!
-//! Four canonical scenarios at fixed seeds — fault-free steady state,
-//! crash+replay, mid-run shard rebalance, and one generated chaos
-//! schedule — each reduced to a [`ScenarioSnapshot`] of virtual-time
-//! metrics, output/span fingerprints, and host readings. The virtual
-//! sections are deterministic: [`run_matrix`] twice at the same mode
-//! yields byte-identical `Snapshot::virtual_json`.
-//!
-//! Host readings (wall clock, allocation counts) only carry data when
-//! the process installed `publishing_perf::alloc::CountingAlloc` as the
-//! global allocator (the `bench` binary does; tests don't need to).
+//! Eight canonical scenarios at fixed seeds — fault-free steady state,
+//! crash+replay, mid-run shard rebalance, one generated chaos schedule,
+//! the quorum sweep, observability overhead, and the capacity and lens
+//! searches — each reduced to a [`ScenarioSnapshot`] of virtual-time
+//! metrics and output/span fingerprints. Everything is deterministic:
+//! [`run_matrix`] twice at the same mode yields byte-identical
+//! `Snapshot::to_json`.
 
+use crate::canonical::{self, Sizing};
 use publishing_chaos::driver::run_schedule;
-use publishing_chaos::scenario::{Scenario, Topology, NODES, SHARDS};
+use publishing_chaos::scenario::{Scenario, Topology};
 use publishing_chaos::schedule::{self, ChaosConfig};
 use publishing_core::WorldBuilder;
-use publishing_demos::ids::Channel;
-use publishing_demos::link::Link;
-use publishing_demos::programs::{self, PingClient};
-use publishing_demos::registry::ProgramRegistry;
-use publishing_perf::alloc;
 use publishing_perf::snapshot::{scenario_from_report, ScenarioSnapshot, Snapshot};
 use publishing_quorum::QuorumTier;
 use publishing_shard::{ShardTier, ShardedWorld};
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
 
-/// Scenario-matrix sizing: the smoke matrix is the CI gate (< 1 s), the
-/// full matrix is for local investigation.
-pub struct MatrixParams {
-    /// Pings per client.
-    pub pings: u64,
-    /// Ping/echo pairs.
-    pub pairs: u32,
-    /// Run horizon for the non-chaos scenarios.
-    pub horizon: SimTime,
-    /// Injection horizon for the chaos schedule (ms).
-    pub chaos_horizon_ms: u64,
-    /// Fault budget for the chaos schedule.
-    pub chaos_faults: usize,
+fn build_world(p: &Sizing) -> ShardedWorld {
+    canonical::ping_world(p, None).0
 }
 
-impl MatrixParams {
-    /// The canonical sizing for `smoke` or full mode.
-    pub fn new(smoke: bool) -> MatrixParams {
-        if smoke {
-            MatrixParams {
-                pings: 10,
-                pairs: 2,
-                horizon: SimTime::from_secs(20),
-                chaos_horizon_ms: 800,
-                chaos_faults: 5,
-            }
-        } else {
-            MatrixParams {
-                pings: 25,
-                pairs: 4,
-                horizon: SimTime::from_secs(40),
-                chaos_horizon_ms: 1500,
-                chaos_faults: 7,
-            }
-        }
-    }
-}
-
-/// The standard ping/echo world every non-chaos scenario drives: echo
-/// servers on node 2, pingers on nodes 0/1, four recorder shards.
-pub fn build_world(p: &MatrixParams) -> ShardedWorld {
-    let pings = p.pings;
-    let mut reg = ProgramRegistry::new();
-    programs::register_standard(&mut reg);
-    reg.register("pinger", move || {
-        let mut c = PingClient::new(pings);
-        c.think_ns = 2_000_000;
-        Box::new(c)
-    });
-    let mut w = ShardTier::world(WorldBuilder::new(3).registry(reg), 4);
-    for i in 0..p.pairs {
-        let server = w.spawn(2, "echo", vec![]).expect("echo registered");
-        w.spawn(i % 2, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
-            .expect("pinger registered");
-    }
-    w
-}
-
-/// Runs one scenario body under the wall-clock and allocation meters and
-/// files the host section.
-fn metered(body: impl FnOnce() -> ScenarioSnapshot) -> ScenarioSnapshot {
-    let alloc_before = alloc::snapshot();
-    let wall_before = std::time::Instant::now();
-    let mut s = body();
-    let wall_ms = wall_before.elapsed().as_secs_f64() * 1e3;
-    let grew = alloc::snapshot().since(alloc_before);
-    s.host("wall_ms", wall_ms);
-    s.host("allocations", grew.allocs as f64);
-    s.host("alloc_bytes", grew.bytes as f64);
-    s
-}
-
-fn steady_state(p: &MatrixParams) -> ScenarioSnapshot {
+fn steady_state(p: &Sizing) -> ScenarioSnapshot {
     let mut w = build_world(p);
     w.run_until(p.horizon);
     let mut s = scenario_from_report("steady_state", &w.obs_report());
@@ -107,18 +32,16 @@ fn steady_state(p: &MatrixParams) -> ScenarioSnapshot {
     s
 }
 
-fn crash_replay(p: &MatrixParams) -> ScenarioSnapshot {
+fn crash_replay(p: &Sizing) -> ScenarioSnapshot {
     let mut w = build_world(p);
-    w.run_until(SimTime::from_millis(50));
-    w.crash_node(2);
-    w.run_until(p.horizon);
+    canonical::crash_server_node(&mut w, p.horizon);
     let mut s = scenario_from_report("crash_replay", &w.obs_report());
     s.fingerprint("output", w.output_fingerprint());
     s.virt("recoveries_completed", w.recoveries_completed() as f64);
     s
 }
 
-fn rebalance(p: &MatrixParams) -> ScenarioSnapshot {
+fn rebalance(p: &Sizing) -> ScenarioSnapshot {
     let mut w = build_world(p);
     w.run_until(SimTime::from_millis(40));
     ShardTier::add_shard(&mut w);
@@ -129,15 +52,11 @@ fn rebalance(p: &MatrixParams) -> ScenarioSnapshot {
     s
 }
 
-fn chaos_smoke(p: &MatrixParams) -> ScenarioSnapshot {
+fn chaos_smoke(p: &Sizing) -> ScenarioSnapshot {
     let sched = schedule::generate(&ChaosConfig {
-        seed: 42,
-        nodes: NODES,
-        shards: SHARDS,
-        replicas: 0,
-        procs: 4,
         horizon_ms: p.chaos_horizon_ms,
         max_faults: p.chaos_faults,
+        ..ChaosConfig::for_topology(Topology::Sharded, 42)
     });
     let mut t = Scenario::new(Topology::Sharded, 42).build();
     run_schedule(t.as_mut(), &sched);
@@ -153,31 +72,17 @@ fn chaos_smoke(p: &MatrixParams) -> ScenarioSnapshot {
 /// the virtual completion time (consensus commit latency shows up
 /// directly here), the quorum-sequenced arrival count, and how many
 /// elections the group needed — the cost surface of replicated capture.
-fn quorum_sweep(p: &MatrixParams) -> ScenarioSnapshot {
+fn quorum_sweep(p: &Sizing) -> ScenarioSnapshot {
     let mut entries: Vec<(String, f64)> = Vec::new();
     let mut last_report = None;
     let mut output_fp = 0u64;
     for &replicas in &[1usize, 3, 5] {
         for &loss_pct in &[0u32, 10] {
-            let pings = p.pings;
-            let mut reg = ProgramRegistry::new();
-            programs::register_standard(&mut reg);
-            reg.register("pinger", move || {
-                let mut c = PingClient::new(pings);
-                c.think_ns = 2_000_000;
-                Box::new(c)
-            });
-            let mut w = QuorumTier::world(WorldBuilder::new(3).registry(reg), replicas, 42);
+            let builder = WorldBuilder::new(3).registry(canonical::registry(p.pings));
+            let mut w = QuorumTier::world(builder, replicas, 42);
             w.lan
                 .set_faults(FaultPlan::new().with_frame_loss(f64::from(loss_pct) / 100.0));
-            let mut clients = Vec::new();
-            for i in 0..p.pairs {
-                let server = w.spawn(2, "echo", vec![]).expect("echo registered");
-                let client = w
-                    .spawn(i % 2, "pinger", vec![Link::to(server, Channel::DEFAULT, 7)])
-                    .expect("pinger registered");
-                clients.push(client);
-            }
+            let (_, clients) = canonical::spawn_pairs(&mut w, p.pairs, 2);
             w.run_until(p.horizon);
             let done_at = clients
                 .iter()
@@ -230,25 +135,21 @@ fn quorum_sweep(p: &MatrixParams) -> ScenarioSnapshot {
 ///
 /// **Storage**: every span event the steady-state world recorded is
 /// replayed, in order, into the legacy row-oriented ring and into the
-/// columnar store that replaced it, under the allocation meter. Both
-/// must agree on the fingerprint and on the happens-before DAG built
-/// from their event streams, and the columnar store must retain the
-/// same events in at least 3x less steady-state memory.
+/// columnar store that replaced it. Both must agree on the fingerprint
+/// and on the happens-before DAG built from their event streams, and
+/// the columnar store must retain the same events in at least 3x less
+/// steady-state memory.
 ///
 /// **Tracing tax**: the same workload runs once instrumented and once
 /// with spans disabled (capacity 0); the workload's outputs must be
-/// identical either way (observability never perturbs the run), and
-/// both run bodies are metered so the host section carries the
-/// allocation cost of keeping spans on.
-fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
+/// identical either way (observability never perturbs the run).
+fn obs_overhead(p: &Sizing) -> ScenarioSnapshot {
     use publishing_obs::causal::CausalGraph;
     use publishing_obs::span::SpanLog;
     use publishing_obs::RowSpanLog;
 
-    let alloc_on = alloc::snapshot();
     let mut w = build_world(p);
     w.run_until(p.horizon);
-    let grew_on = alloc::snapshot().since(alloc_on);
 
     let logs = w.span_logs();
     let events: Vec<Vec<_>> = logs.iter().map(|l| l.events().collect()).collect();
@@ -260,7 +161,6 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
         );
     }
 
-    let alloc_row = alloc::snapshot();
     let mut rows: Vec<RowSpanLog> = Vec::new();
     for stream in &events {
         let mut log = RowSpanLog::new(publishing_obs::span::DEFAULT_SPAN_CAPACITY);
@@ -269,9 +169,7 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
         }
         rows.push(log);
     }
-    let grew_row = alloc::snapshot().since(alloc_row);
 
-    let alloc_col = alloc::snapshot();
     let mut cols: Vec<SpanLog> = Vec::new();
     for stream in &events {
         let mut log = SpanLog::new(publishing_obs::span::DEFAULT_SPAN_CAPACITY);
@@ -280,7 +178,6 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
         }
         cols.push(log);
     }
-    let grew_col = alloc::snapshot().since(alloc_col);
 
     let row_bytes: usize = rows.iter().map(|l| l.retained_bytes()).sum();
     let col_bytes: usize = cols.iter().map(|l| l.retained_bytes()).sum();
@@ -301,11 +198,9 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
         "columnar store must cut steady-state span memory 3x (got {ratio:.2}x)"
     );
 
-    let alloc_off = alloc::snapshot();
     let mut off = build_world(p);
     off.set_span_capacity(0);
     off.run_until(p.horizon);
-    let grew_off = alloc::snapshot().since(alloc_off);
     assert_eq!(
         w.output_fingerprint(),
         off.output_fingerprint(),
@@ -332,10 +227,6 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
     s.virt("row_retained_bytes", row_bytes as f64);
     s.virt("columnar_retained_bytes", col_bytes as f64);
     s.virt("columnar_shrink_ratio", (ratio * 100.0).round() / 100.0);
-    s.host("instrumented_alloc_bytes", grew_on.bytes as f64);
-    s.host("disabled_alloc_bytes", grew_off.bytes as f64);
-    s.host("row_store_alloc_bytes", grew_row.bytes as f64);
-    s.host("columnar_store_alloc_bytes", grew_col.bytes as f64);
     s
 }
 
@@ -349,7 +240,6 @@ fn obs_overhead(p: &MatrixParams) -> ScenarioSnapshot {
 fn capacity(smoke: bool) -> ScenarioSnapshot {
     use publishing_chaos::Medium;
     use publishing_obs::slo::SloSpec;
-    use publishing_workload::capacity::topology_name;
     use publishing_workload::{find_knee, SearchParams, WorkloadSpec};
 
     let base = WorkloadSpec::default();
@@ -367,12 +257,11 @@ fn capacity(smoke: bool) -> ScenarioSnapshot {
         .enumerate()
     {
         let knee = find_knee("default", topo, &base, &SloSpec::default(), &params);
-        let name = topology_name(topo);
-        s.virt(format!("{name}_capacity_users"), f64::from(knee.knee_users));
-        s.virt(format!("{name}_trials"), knee.trials.len() as f64);
+        s.virt(format!("{topo}_capacity_users"), f64::from(knee.knee_users));
+        s.virt(format!("{topo}_trials"), knee.trials.len() as f64);
         if let Some(t) = knee.knee_trial() {
-            s.virt(format!("{name}_knee_offered"), t.offered as f64);
-            s.virt(format!("{name}_knee_delivered"), t.delivered as f64);
+            s.virt(format!("{topo}_knee_offered"), t.offered as f64);
+            s.virt(format!("{topo}_knee_delivered"), t.delivered as f64);
         }
         delivered_total += knee.trials.iter().map(|t| t.delivered).sum::<u64>();
         fp ^= (u64::from(knee.knee_users) << 32 | knee.trials.len() as u64)
@@ -390,32 +279,19 @@ fn capacity(smoke: bool) -> ScenarioSnapshot {
 /// confirmed what-if matrix — on both media. Knees, binding names, and
 /// cross-validation verdicts are deterministic, so the comparator gates
 /// them exactly (`lens_knee` may not shrink, `xval_divergences` may not
-/// grow); the host section is the lens tax on top of the search itself.
-/// Both modes run the same sizing: this scenario gates the lens
+/// grow). Both modes run the same sizing: this scenario gates the lens
 /// *machinery*, while the full-scale knees belong to `capacity`.
-fn lens_overhead(_smoke: bool) -> ScenarioSnapshot {
+fn lens_overhead() -> ScenarioSnapshot {
     use publishing_chaos::Medium;
     use publishing_obs::slo::SloSpec;
-    use publishing_workload::{find_knee, run_whatif, SearchParams, WorkloadSpec};
+    use publishing_workload::{find_knee, run_whatif, SearchParams};
 
-    // The same loaded point `lens --smoke` profiles: heavy enough that
-    // both media knee inside the bracket (a capped bracket is not a
-    // knee and would poison the what-if predictions).
-    let spec = WorkloadSpec {
-        subjects: 2,
-        rate_per_sec: 100,
-        horizon_ms: 400,
-        ..WorkloadSpec::default()
-    };
+    let spec = canonical::lens_spec();
     let slo = SloSpec::default();
     let mut s = ScenarioSnapshot::new("lens_overhead");
     let mut fp = 0u64;
     let mut delivered_total = 0u64;
     for (i, medium) in [Medium::Perfect, Medium::Ethernet].into_iter().enumerate() {
-        let name = match medium {
-            Medium::Perfect => "perfect",
-            Medium::Ethernet => "ethernet",
-        };
         let params = SearchParams {
             max_users: 12,
             chaos: false,
@@ -439,17 +315,17 @@ fn lens_overhead(_smoke: bool) -> ScenarioSnapshot {
             "the lens must name a binding resource past the knee"
         );
         let divergences = util.xval.iter().filter(|r| !r.ok).count();
-        s.virt(format!("{name}_lens_knee"), f64::from(knee.knee_users));
-        s.virt(format!("{name}_whatif_rows"), whatif.rows.len() as f64);
-        s.virt(format!("{name}_xval_rows"), util.xval.len() as f64);
-        s.virt(format!("{name}_xval_divergences"), divergences as f64);
+        s.virt(format!("{medium}_lens_knee"), f64::from(knee.knee_users));
+        s.virt(format!("{medium}_whatif_rows"), whatif.rows.len() as f64);
+        s.virt(format!("{medium}_xval_rows"), util.xval.len() as f64);
+        s.virt(format!("{medium}_xval_divergences"), divergences as f64);
         for row in &whatif.rows {
             s.virt(
-                format!("{name}_{}_predicted", row.knob),
+                format!("{medium}_{}_predicted", row.knob),
                 f64::from(row.predicted_knee),
             );
             if let Some(c) = row.confirmed_knee {
-                s.virt(format!("{name}_{}_confirmed", row.knob), f64::from(c));
+                s.virt(format!("{medium}_{}_confirmed", row.knob), f64::from(c));
             }
         }
         delivered_total += knee.trials.iter().map(|t| t.delivered).sum::<u64>();
@@ -466,15 +342,17 @@ fn lens_overhead(_smoke: bool) -> ScenarioSnapshot {
 
 /// Runs the whole matrix and assembles the snapshot.
 pub fn run_matrix(smoke: bool) -> Snapshot {
-    let p = MatrixParams::new(smoke);
+    let p = Sizing::new(smoke);
     let mut snap = Snapshot::new(if smoke { "smoke" } else { "full" });
-    snap.scenarios.push(metered(|| steady_state(&p)));
-    snap.scenarios.push(metered(|| crash_replay(&p)));
-    snap.scenarios.push(metered(|| rebalance(&p)));
-    snap.scenarios.push(metered(|| chaos_smoke(&p)));
-    snap.scenarios.push(metered(|| quorum_sweep(&p)));
-    snap.scenarios.push(metered(|| obs_overhead(&p)));
-    snap.scenarios.push(metered(|| capacity(smoke)));
-    snap.scenarios.push(metered(|| lens_overhead(smoke)));
+    snap.scenarios = vec![
+        steady_state(&p),
+        crash_replay(&p),
+        rebalance(&p),
+        chaos_smoke(&p),
+        quorum_sweep(&p),
+        obs_overhead(&p),
+        capacity(smoke),
+        lens_overhead(),
+    ];
     snap
 }

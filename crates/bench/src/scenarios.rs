@@ -1,14 +1,13 @@
 //! Benchmark scenarios: the runnable experiments behind every table and
 //! figure in the evaluation. Each function builds a world (or medium, or
 //! model), runs the paper's experiment, and returns the numbers the paper
-//! reports. The `paper_tables` binary prints them; the Criterion benches
-//! time them.
+//! reports. `lab tables` prints them.
 
 use publishing_core::node::RecorderConfig;
 use publishing_core::world::{World, WorldBuilder};
 use publishing_demos::costs::CostModel;
 use publishing_demos::driver::SHORT_BYTES;
-use publishing_demos::ids::{Channel, ChannelSet, LinkId, NodeId, ProcessId};
+use publishing_demos::ids::{Channel, LinkId, NodeId, ProcessId};
 use publishing_demos::kernel::{decode_ctl, encode_ctl};
 use publishing_demos::link::Link;
 use publishing_demos::program::{Ctx, Program, Received};
@@ -590,12 +589,6 @@ pub fn chatter_world(seed: u64) -> (World, Vec<ProcessId>) {
     )
     .unwrap();
     (w, vec![a, b, c])
-}
-
-// Suppress an unused-import lint when ChannelSet isn't referenced here.
-#[allow(unused)]
-fn _mask_check(m: ChannelSet) -> bool {
-    m.contains(Channel(0))
 }
 
 #[cfg(test)]

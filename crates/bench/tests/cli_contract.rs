@@ -1,0 +1,133 @@
+//! The `lab` command-line contract, checked on the real executable:
+//! command-line errors exit 2 with the usage on stderr, `lab compare`
+//! keeps its 0 / 1 / 2 exit codes, and `lab chaos --schedule` picks its
+//! topology from the literal.
+
+use publishing_perf::snapshot::Snapshot;
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn lab(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_lab"))
+        .args(args)
+        .output()
+        .expect("lab runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn command_line_errors_exit_2_with_usage_on_stderr() {
+    for (args, names) in [
+        // No command, or one that does not exist: the command list.
+        (&[][..], "lab tables"),
+        (&["paper_tables"][..], "lab tables"),
+        // An unknown flag, a flag missing its value, a malformed value,
+        // a stray positional: the command's own usage line.
+        (
+            &["bench", "--fast"][..],
+            "usage: lab bench [--smoke] [--dir DIR]",
+        ),
+        (
+            &["bench", "--dir"][..],
+            "usage: lab bench [--smoke] [--dir DIR]",
+        ),
+        (&["chaos", "--seed", "many"][..], "usage: lab chaos "),
+        (&["lens", "--medium", "aether"][..], "usage: lab lens "),
+        (
+            &["report", "--topology", "single"][..],
+            "usage: lab report ",
+        ),
+        (
+            &["forensics", "--inject", "proto_cpu"][..],
+            "usage: lab forensics ",
+        ),
+        (&["workload", "stray"][..], "usage: lab workload "),
+        (&["compare", "only-one.json"][..], "usage: lab compare "),
+        (&["smoke"][..], "usage: lab smoke --dir DIR"),
+    ] {
+        let out = lab(args);
+        assert_eq!(out.status.code(), Some(2), "lab {args:?}");
+        assert!(out.stdout.is_empty(), "lab {args:?} wrote to stdout");
+        let err = stderr(&out);
+        assert!(err.contains(names), "lab {args:?} stderr:\n{err}");
+    }
+}
+
+#[test]
+fn compare_exits_0_1_2_on_self_regression_and_mismatch() {
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../perf/BENCH_1.json");
+    let snap = Snapshot::from_json(&std::fs::read_to_string(baseline).expect("baseline reads"))
+        .expect("baseline parses");
+    let dir = std::env::temp_dir().join(format!("lab-cli-contract-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = |name: &str, snap: &Snapshot| -> PathBuf {
+        let path = dir.join(name);
+        std::fs::write(&path, snap.to_json()).expect("temp file writes");
+        path
+    };
+
+    let mut halved = snap.clone();
+    for sc in &mut halved.scenarios {
+        if let Some(v) = sc.virt.get_mut("events_per_virtual_sec") {
+            *v *= 0.5;
+        }
+    }
+    let mut other_schema = snap.clone();
+    other_schema.schema += 1;
+
+    for (new, code, says) in [
+        (file("same.json", &snap), 0, "PASS: "),
+        (
+            file("halved.json", &halved),
+            1,
+            "REGRESSION events_per_virtual_sec",
+        ),
+        (
+            file("schema.json", &other_schema),
+            2,
+            "snapshots not comparable: schema",
+        ),
+    ] {
+        let out = lab(&["compare", baseline, new.to_str().expect("utf-8 path")]);
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(code), "{}:\n{text}", new.display());
+        assert!(text.contains(says), "{}:\n{text}", new.display());
+    }
+    // An unreadable input is exit 2 as well, with nothing on stdout.
+    let out = lab(&["compare", baseline, "/nonexistent/BENCH_9.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    std::fs::remove_dir_all(&dir).expect("temp dir removes");
+}
+
+#[test]
+fn chaos_replay_picks_its_topology_from_the_literal() {
+    for (literal, topology) in [
+        ("seed=1 horizon=600ms crash_node@200ms#2", "single"),
+        ("seed=1 horizon=600ms crash_recorder@200ms#0", "single"),
+        ("seed=1 horizon=600ms crash_recorder@200ms#2", "sharded"),
+        ("seed=1 horizon=600ms add_shard@150ms", "sharded"),
+        (
+            "seed=1 horizon=600ms crash_recorder@200ms#2 crash_replica@250ms#0.1",
+            "quorum",
+        ),
+    ] {
+        let out = lab(&["chaos", "--schedule", literal]);
+        assert_eq!(out.status.code(), Some(0), "{literal}: {}", stderr(&out));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            format!("schedule passed: {literal}\n")
+        );
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!("replaying on the {topology} world")),
+            "{literal}: {err}"
+        );
+    }
+    // A literal that does not parse fails the replay, not the parser.
+    let out = lab(&["chaos", "--schedule", "seed=1 horizon=soon"]);
+    assert_eq!(out.status.code(), Some(1));
+}

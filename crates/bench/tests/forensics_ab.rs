@@ -7,7 +7,7 @@ use publishing_bench::forensics_demo::{
     annotate_remediation, baseline_tuning, injected_tuning, run_side,
 };
 use publishing_obs::forensics::SuspectKind;
-use publishing_perf::forensics::{diff_reports, diff_snapshots, ForensicsOptions};
+use publishing_perf::forensics::{diff_reports, diff_snapshots};
 
 /// Suspect names that all mean "the protocol-CPU physics got slower":
 /// the cost-model profile categories and the ledger kinds the
@@ -24,10 +24,8 @@ const CPU_FAMILY: &[&str] = &[
 fn doubled_protocol_cpu_is_caught_and_attributed() {
     let baseline = run_side(&baseline_tuning());
     let injected = run_side(&injected_tuning("proto_cpu", 2.0));
-    let opts = ForensicsOptions::default();
 
-    let (c, mut diagnosis) =
-        diff_snapshots("baseline", &baseline.snapshot, &injected.snapshot, &opts);
+    let (c, mut diagnosis) = diff_snapshots("baseline", &baseline.snapshot, &injected.snapshot);
     assert_eq!(
         c.exit_code(),
         1,
@@ -88,7 +86,6 @@ fn doubled_protocol_cpu_is_caught_and_attributed() {
         "baseline/trial",
         &baseline.trial_report,
         &injected.trial_report,
-        &opts,
     );
     let profile = trial_diag
         .findings
@@ -113,22 +110,21 @@ fn doubled_protocol_cpu_is_caught_and_attributed() {
 #[test]
 fn self_diff_is_empty_at_both_granularities() {
     let side = run_side(&baseline_tuning());
-    let opts = ForensicsOptions::default();
-    let (c, snap_diag) = diff_snapshots("self", &side.snapshot, &side.snapshot, &opts);
+    let (c, snap_diag) = diff_snapshots("self", &side.snapshot, &side.snapshot);
     assert_eq!(c.exit_code(), 0);
     assert!(snap_diag.is_empty(), "{}", snap_diag.render());
-    let trial = diff_reports("self", &side.trial_report, &side.trial_report, &opts);
+    let trial = diff_reports("self", &side.trial_report, &side.trial_report);
     assert!(trial.is_empty(), "{}", trial.render());
-    let crash = diff_reports("self", &side.crash_report, &side.crash_report, &opts);
+    let crash = diff_reports("self", &side.crash_report, &side.crash_report);
     assert!(crash.is_empty(), "{}", crash.render());
 }
 
 #[test]
 fn ab_sides_are_deterministic() {
     // Two runs of the same side must agree byte-for-byte on the
-    // deterministic half of the snapshot — the property that makes any
-    // surviving diff a real change rather than noise.
+    // snapshot — the property that makes any surviving diff a real
+    // change rather than noise.
     let a1 = run_side(&baseline_tuning());
     let a2 = run_side(&baseline_tuning());
-    assert_eq!(a1.snapshot.virtual_json(), a2.snapshot.virtual_json());
+    assert_eq!(a1.snapshot.to_json(), a2.snapshot.to_json());
 }

@@ -1,14 +1,15 @@
-//! Smoke test for the `paper_tables` binary: runs the real executable
-//! and checks the headline numbers, including the sharded-tier capacity
-//! table's monotone growth.
+//! Smoke test for `lab tables`: runs the real executable and checks the
+//! headline numbers, including the sharded-tier capacity table's
+//! monotone growth.
 
 use std::process::Command;
 
 fn run(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_paper_tables"))
+    let out = Command::new(env!("CARGO_BIN_EXE_lab"))
+        .arg("tables")
         .args(args)
         .output()
-        .expect("paper_tables runs");
+        .expect("lab tables runs");
     assert!(out.status.success(), "exit: {:?}", out.status);
     String::from_utf8(out.stdout).expect("utf-8 output")
 }

@@ -2,24 +2,23 @@
 //! snapshot round-tripping, comparator gating, and Chrome-trace export
 //! of a crash+replay run.
 
-use publishing_bench::perf_matrix::{build_world, run_matrix, MatrixParams};
+use publishing_bench::canonical::{self, Sizing};
+use publishing_bench::perf_matrix::run_matrix;
 use publishing_obs::span::Stage;
 use publishing_perf::compare::{compare, default_rules};
 use publishing_perf::snapshot::Snapshot;
-use publishing_perf::trace::{self, ChromeTrace};
-use publishing_sim::time::SimTime;
+use publishing_perf::trace::ChromeTrace;
 
-/// Two matrix runs at the same seed must agree byte-for-byte on every
-/// virtual-time metric and fingerprint. (Host readings — wall clock,
-/// allocations — are excluded by `virtual_json` by design.)
+/// Two matrix runs at the same seed must write byte-identical artifacts:
+/// every metric is a virtual-time metric, and virtual time replays.
 #[test]
 fn bench_matrix_virtual_metrics_are_deterministic() {
     let a = run_matrix(true);
     let b = run_matrix(true);
-    assert_eq!(a.virtual_json(), b.virtual_json());
+    assert_eq!(a.to_json(), b.to_json());
 }
 
-/// The full snapshot (host section included) survives its own JSON.
+/// The snapshot survives its own JSON.
 #[test]
 fn snapshot_round_trips_through_json() {
     let snap = run_matrix(true);
@@ -56,20 +55,10 @@ fn comparator_gates_an_injected_throughput_regression() {
 /// without loss.
 #[test]
 fn crash_replay_trace_covers_lifecycle_stages_and_round_trips() {
-    let p = MatrixParams::new(true);
-    let mut w = build_world(&p);
-    w.run_until(SimTime::from_millis(50));
-    w.crash_node(2);
-    w.run_until(p.horizon);
-
-    let mut components = Vec::new();
-    for (n, k) in &w.kernels {
-        components.push((format!("node {n} kernel"), k.spans()));
-    }
-    for (i, rn) in w.tier.shards.iter().enumerate() {
-        components.push((format!("shard {i} recorder"), rn.recorder().spans()));
-    }
-    let t = trace::from_spans(&components);
+    let p = Sizing::new(true);
+    let (mut w, _) = canonical::ping_world(&p, None);
+    canonical::crash_server_node(&mut w, p.horizon);
+    let t = canonical::chrome_trace(&w, "shard");
 
     for stage in [
         Stage::Publish,
@@ -81,7 +70,7 @@ fn crash_replay_trace_covers_lifecycle_stages_and_round_trips() {
         assert!(t.has_stage(stage), "missing lifecycle stage {stage:?}");
     }
     // One metadata row per component plus the message-lifecycle lane.
-    assert_eq!(t.count_phase('M'), components.len() + 1);
+    assert_eq!(t.count_phase('M'), w.span_logs().len() + 1);
     // Stage-gap slices exist (publish→capture etc.).
     assert!(t.count_phase('X') > 0);
 

@@ -28,6 +28,7 @@
 //! [`FaultSchedule`]: schedule::FaultSchedule
 //! [`ChaosConfig`]: schedule::ChaosConfig
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod driver;

@@ -29,6 +29,8 @@ use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
 use publishing_stable::disk::DiskFaults;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::str::FromStr;
 
 /// Which recorder tier the scenario runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +52,52 @@ pub enum Medium {
     /// The paper's 1983 experimental ethernet: `LanConfig::default()`'s
     /// 10 Mb/s + 1.6 ms interpacket gap, with contention.
     Ethernet,
+}
+
+impl fmt::Display for Topology {
+    /// The topology's short name (CLI values, report keys, table rows).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Topology::Single => "single",
+            Topology::Sharded => "sharded",
+            Topology::Quorum => "quorum",
+        })
+    }
+}
+
+impl FromStr for Topology {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "single" => Ok(Topology::Single),
+            "sharded" => Ok(Topology::Sharded),
+            "quorum" => Ok(Topology::Quorum),
+            _ => Err(format!("unknown topology {s:?}")),
+        }
+    }
+}
+
+impl fmt::Display for Medium {
+    /// The medium's short name (CLI values, report keys).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Medium::Perfect => "perfect",
+            Medium::Ethernet => "ethernet",
+        })
+    }
+}
+
+impl FromStr for Medium {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "perfect" => Ok(Medium::Perfect),
+            "ethernet" => Ok(Medium::Ethernet),
+            _ => Err(format!("unknown medium {s:?}")),
+        }
+    }
 }
 
 /// A deterministic workload: by default `pairs` ping/echo FIFO pairs
@@ -114,13 +162,6 @@ impl Scenario {
             medium: Medium::Perfect,
             tuning: Tuning::default(),
         }
-    }
-
-    /// The scenario on the paper's 1983 ethernet instead of the perfect
-    /// bus.
-    pub fn on_ethernet(mut self) -> Self {
-        self.medium = Medium::Ethernet;
-        self
     }
 
     /// The scenario with explicit physical-constant knobs.

@@ -7,6 +7,7 @@
 //! reproducer), so a failure found by the generator is a string a human
 //! can paste back in.
 
+use crate::scenario::{Topology, NODES, REPLICAS, SHARDS};
 use publishing_sim::rng::DetRng;
 use std::fmt;
 use std::str::FromStr;
@@ -435,6 +436,31 @@ pub struct ChaosConfig {
     /// Upper bound on generated faults (crash/restart pairs count as
     /// two).
     pub max_faults: usize,
+}
+
+impl ChaosConfig {
+    /// The default generator knobs sized for the chaos [`Scenario`] on
+    /// `topology`: its node count, and its shard or replica count on the
+    /// tiers that have one.
+    ///
+    /// [`Scenario`]: crate::scenario::Scenario
+    pub fn for_topology(topology: Topology, seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            seed,
+            nodes: NODES,
+            shards: if topology == Topology::Sharded {
+                SHARDS
+            } else {
+                0
+            },
+            replicas: if topology == Topology::Quorum {
+                REPLICAS
+            } else {
+                0
+            },
+            ..ChaosConfig::default()
+        }
+    }
 }
 
 impl Default for ChaosConfig {

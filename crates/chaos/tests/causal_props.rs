@@ -6,24 +6,14 @@
 
 use proptest::prelude::*;
 use publishing_chaos::driver::run_schedule;
-use publishing_chaos::scenario::{Scenario, Topology, NODES, REPLICAS, SHARDS};
+use publishing_chaos::scenario::{Scenario, Topology};
 use publishing_chaos::schedule::{self, ChaosConfig};
 
 fn config(topology: Topology, seed: u64, max_faults: usize) -> ChaosConfig {
     ChaosConfig {
-        seed,
-        nodes: NODES,
-        shards: match topology {
-            Topology::Sharded => SHARDS,
-            _ => 0,
-        },
-        replicas: match topology {
-            Topology::Quorum => REPLICAS,
-            _ => 0,
-        },
-        procs: 4,
         horizon_ms: 800,
         max_faults,
+        ..ChaosConfig::for_topology(topology, seed)
     }
 }
 

@@ -4,7 +4,7 @@
 
 use publishing_chaos::driver::Engine;
 use publishing_chaos::oracle::OracleOptions;
-use publishing_chaos::scenario::{Scenario, Topology, NODES, REPLICAS, SHARDS};
+use publishing_chaos::scenario::{Scenario, Topology};
 use publishing_chaos::schedule::{self, ChaosConfig, Fault, FaultSchedule};
 use publishing_sim::time::SimTime;
 
@@ -14,19 +14,9 @@ fn engine(topology: Topology, seed: u64, opts: OracleOptions) -> Engine {
 
 fn config(topology: Topology, seed: u64) -> ChaosConfig {
     ChaosConfig {
-        seed,
-        nodes: NODES,
-        shards: match topology {
-            Topology::Sharded => SHARDS,
-            _ => 0,
-        },
-        replicas: match topology {
-            Topology::Quorum => REPLICAS,
-            _ => 0,
-        },
-        procs: 4,
         horizon_ms: 1000,
         max_faults: 6,
+        ..ChaosConfig::for_topology(topology, seed)
     }
 }
 

@@ -512,11 +512,6 @@ impl RecoveryManager {
         }
     }
 
-    /// The nodes this manager watches.
-    pub fn watched_nodes(&self) -> Vec<NodeId> {
-        self.nodes.keys().copied().collect()
-    }
-
     /// Handles a watchdog ALIVE reply.
     pub fn on_alive_reply(&mut self, node: NodeId, nonce: u64) {
         if let Some(w) = self.nodes.get_mut(&node) {

@@ -589,15 +589,6 @@ impl RecorderNode {
         self.manager.cancel_restart(node);
     }
 
-    /// Starts recovery of one process (driven by a crash notice normally;
-    /// public for tests and the debugger).
-    pub fn recover_process(&mut self, now: SimTime, pid: ProcessId) -> Vec<RNAction> {
-        let mut out = Vec::new();
-        let cmds = self.manager.start_recovery(now, &mut self.recorder, pid);
-        self.apply_cmds(now, cmds, &mut out);
-        out
-    }
-
     /// Crashes the recorder (volatile state lost; store survives). While
     /// down, the medium's recorder gating suspends all traffic (§3.3.4).
     pub fn crash(&mut self) {

@@ -154,7 +154,6 @@ pub struct Kernel {
     dones: HashMap<u64, DoneRec>,
     next_token: u64,
     next_done: u64,
-    route_overrides: BTreeMap<ProcessId, NodeId>,
     dispatch_armed: bool,
     up: bool,
     stats: KernelStats,
@@ -194,7 +193,6 @@ impl Kernel {
             dones: HashMap::new(),
             next_token: 0,
             next_done: 0,
-            route_overrides: BTreeMap::new(),
             dispatch_armed: false,
             up: true,
             stats: KernelStats::default(),
@@ -303,16 +301,6 @@ impl Kernel {
     /// Iterates the node's processes.
     pub fn processes(&self) -> impl Iterator<Item = &Process> {
         self.procs.values()
-    }
-
-    /// Overrides routing for a process recovered on a different node
-    /// (§3.3.3's migration case).
-    pub fn set_route_override(&mut self, pid: ProcessId, node: NodeId) {
-        self.route_overrides.insert(pid, node);
-    }
-
-    fn route(&self, pid: ProcessId) -> NodeId {
-        self.route_overrides.get(&pid).copied().unwrap_or(pid.node)
     }
 
     fn recorder_kernels(&self) -> Vec<ProcessId> {
@@ -462,7 +450,7 @@ impl Kernel {
     }
 
     fn route_and_send(&mut self, now: SimTime, msg: Message, out: &mut Vec<KernelAction>) {
-        let dst_node = self.route(msg.header.to);
+        let dst_node = msg.header.to.node;
         self.stats.msgs_sent.inc();
         // Kernel-to-kernel control traffic is never published; only
         // process-destined messages get lifecycle spans.
@@ -557,9 +545,9 @@ impl Kernel {
 
     fn accept_message(&mut self, now: SimTime, msg: Message, out: &mut Vec<KernelAction>) {
         let to = msg.header.to;
-        if self.route(to) != self.node {
+        if to.node != self.node {
             // Routed here by an out-of-date sender; forward along.
-            let actions = self.transport.send_guaranteed(now, self.route(to), msg);
+            let actions = self.transport.send_guaranteed(now, to.node, msg);
             self.apply_transport(now, actions, out);
             return;
         }
@@ -1028,9 +1016,7 @@ impl Kernel {
                     return;
                 };
                 let state = match self.procs.get(&q.pid.local) {
-                    _ if self.route(q.pid) != self.node || q.pid.node != self.node => {
-                        protocol::ReportedState::Unknown
-                    }
+                    _ if q.pid.node != self.node => protocol::ReportedState::Unknown,
                     None => protocol::ReportedState::Unknown,
                     Some(p) => match p.run {
                         RunState::Crashed => protocol::ReportedState::Crashed,
@@ -1371,18 +1357,6 @@ impl Kernel {
         for rk in self.recorder_kernels() {
             self.kernel_send(now, rk, codes::CHECKPOINT_DEPOSIT, body.clone(), None, out);
         }
-    }
-
-    /// Requests a checkpoint of a local process (world/test entry point;
-    /// the recorder's policy normally sends [`codes::REQUEST_CHECKPOINT`]).
-    pub fn checkpoint_now(&mut self, now: SimTime, local: u32) -> Vec<KernelAction> {
-        let mut out = Vec::new();
-        if self.active == Some(local) {
-            self.pending_checkpoints.push(local);
-        } else {
-            self.capture_checkpoint(now, local, &mut out);
-        }
-        out
     }
 }
 

@@ -104,11 +104,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Returns this process's network-wide id.
-    pub fn my_pid(&self) -> ProcessId {
-        self.pid
-    }
-
     /// Creates a link to this process on `channel` with `code`, for
     /// passing to other processes so they can send to us.
     pub fn create_link(&mut self, channel: Channel, code: u32) -> LinkId {

@@ -110,11 +110,6 @@ impl Ethernet {
         }
     }
 
-    /// Returns whether the medium is currently idle.
-    pub fn is_idle(&self) -> bool {
-        matches!(self.state, MediumState::Idle)
-    }
-
     fn set_timer(&mut self, at: SimTime, kind: TimerKind, out: &mut Vec<LanAction>) {
         let token = self.next_token;
         self.next_token += 1;

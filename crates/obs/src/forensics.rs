@@ -29,8 +29,6 @@ pub enum SuspectKind {
     BindingFlip,
     /// A crash→convergence critical-path hop.
     CriticalPath,
-    /// A host-side allocation-meter reading.
-    Allocation,
 }
 
 impl SuspectKind {
@@ -41,7 +39,6 @@ impl SuspectKind {
             SuspectKind::Resource => "resource",
             SuspectKind::BindingFlip => "binding_flip",
             SuspectKind::CriticalPath => "critical_path",
-            SuspectKind::Allocation => "allocation",
         }
     }
 }
@@ -85,7 +82,7 @@ pub struct Finding {
     /// report-level findings, e.g. `run`).
     pub scenario: String,
     /// What regressed or drifted: a gated metric name, or a domain such
-    /// as `binding_flip`, `critical_path`, `utilization`, `allocations`.
+    /// as `binding_flip`, `critical_path`, `utilization`.
     pub subject: String,
     /// Baseline-side value of the subject (0.0 for domain findings).
     pub prev: f64,
@@ -275,7 +272,6 @@ mod tests {
             (SuspectKind::Resource, "resource"),
             (SuspectKind::BindingFlip, "binding_flip"),
             (SuspectKind::CriticalPath, "critical_path"),
-            (SuspectKind::Allocation, "allocation"),
         ] {
             assert_eq!(kind.label(), want);
         }

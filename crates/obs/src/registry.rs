@@ -173,8 +173,10 @@ impl MetricsRegistry {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal (the
+/// workspace's one escaper: quotes, backslash, `\n` `\r` `\t`, and
+/// `\u00XX` for the remaining control characters).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -190,8 +192,9 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON number (finite values only; callers clamp).
-pub(crate) fn json_f64(v: f64) -> String {
+/// Formats an `f64` as a JSON number, whole values keeping a decimal
+/// point (finite values only; callers clamp).
+pub fn json_f64(v: f64) -> String {
     if v == v.trunc() && v.abs() < 1e15 {
         format!("{}.0", v.trunc() as i64)
     } else {

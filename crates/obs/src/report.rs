@@ -40,8 +40,8 @@ use publishing_sim::time::SimDuration;
 /// - **6**: adds the optional `forensics` section — the differential
 ///   diagnosis of this run against a named baseline (ranked suspects
 ///   per finding: stages, resources, binding flips, critical-path
-///   hops, allocation deltas). Absent unless a forensics pass diffed
-///   the run, so v5 documents still parse and v5 readers keep working.
+///   hops). Absent unless a forensics pass diffed the run, so v5
+///   documents still parse and v5 readers keep working.
 pub const REPORT_SCHEMA_VERSION: u32 = 6;
 
 /// Consensus-level aggregates for the quorum section (schema v3).

@@ -1,10 +1,9 @@
 //! The perf-regression comparator behind the CI gate.
 //!
-//! Diffs two snapshots scenario-by-scenario over their *virtual*
-//! metrics only — host readings (wall clock, allocations) are noise by
-//! design and never gated. Each metric is matched to a [`Rule`] by name
-//! suffix; a change is a regression when it moves in the rule's "worse"
-//! direction by more than `max(rel · previous, abs)`. Metrics no rule
+//! Diffs two snapshots scenario-by-scenario over their virtual metrics.
+//! Each metric is matched to a [`Rule`] by name suffix; a change is a
+//! regression when it moves in the rule's "worse" direction by more
+//! than `max(rel · previous, abs)`. Metrics no rule
 //! matches are reported but never gate, as are fingerprint changes
 //! (fingerprints legitimately change whenever behavior-affecting code
 //! changes; the determinism *tests* are what pin same-build stability).
@@ -193,7 +192,7 @@ impl Comparison {
         s
     }
 
-    /// Serializes the verdict as one JSON document (`bench_compare
+    /// Serializes the verdict as one JSON document (`lab compare
     /// --json`). The exit-code contract is embedded so scripts need not
     /// re-derive it.
     pub fn to_json(&self) -> String {

@@ -1,7 +1,7 @@
 //! A minimal JSON document model.
 //!
 //! The workspace deliberately carries no serde; every artifact so far
-//! (metrics JSONL, `obs_report --json`) is *written* by hand. The perf
+//! (metrics JSONL, `lab report --json`) is *written* by hand. The perf
 //! observatory also has to *read* its artifacts back — the comparator
 //! diffs two snapshots, and the trace exporter proves its output
 //! round-trips — so this module adds the missing half: a small
@@ -12,6 +12,7 @@
 //! maps), so `parse(text).write() == text` for any text this module
 //! itself produced — the property the round-trip tests pin.
 
+use publishing_obs::registry::{json_escape, json_f64};
 use std::fmt;
 
 /// One JSON value.
@@ -111,32 +112,20 @@ impl Json {
     }
 }
 
-/// Writes a finite `f64` so whole values keep a decimal point (matching
-/// the obs registry's JSON convention) and round-trip exactly.
+/// Writes a number under the obs registry's convention (whole values
+/// keep a decimal point, so they round-trip exactly); non-finite values,
+/// which JSON cannot carry, clamp to zero.
 fn write_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0.0".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}.0", v.trunc() as i64)
+    if v.is_finite() {
+        json_f64(v)
     } else {
-        format!("{v}")
+        "0.0".to_string()
     }
 }
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&json_escape(s));
     out.push('"');
 }
 

@@ -1,41 +1,37 @@
 //! The perf observatory for the PUBLISHING reproduction.
 //!
-//! Three pieces, all machine-readable and all deterministic over virtual
-//! time:
+//! The observatory measures *virtual* time and nothing else: every piece
+//! is machine-readable and exactly replayable. Host cost (wall clock,
+//! allocations) is `hostbench`'s alone (`BENCHMARK.json`).
 //!
 //! - [`snapshot`]: the versioned `BENCH_<n>.json` artifact — one entry
-//!   per canonical bench scenario, with the deterministic virtual-time
-//!   metrics (events/sec, stage-latency percentiles, peak queue depths,
-//!   bytes published, fingerprints) kept separate from noisy host-side
-//!   readings (wall clock, allocations), so two runs at the same seed
-//!   compare byte-for-byte on the virtual half;
+//!   per canonical bench scenario, carrying its virtual-time metrics
+//!   (events/sec, stage-latency percentiles, peak queue depths, bytes
+//!   published) and fingerprints, so two runs at the same seed write
+//!   byte-identical files;
 //! - [`compare`]: the regression comparator that diffs two snapshots
 //!   under per-metric direction and noise thresholds, and backs the CI
 //!   perf gate (nonzero exit on regression);
 //! - [`forensics`]: the regression-forensics engine that explains a
 //!   comparator verdict — ranked suspects per violated rule from the
 //!   snapshot's attribution families (profile categories, ledger busy
-//!   times, critical-path stages, what-if knees, allocation meters) and
-//!   a report-level differ over histograms, ledgers, and aligned
-//!   critical paths;
+//!   times, critical-path stages, what-if knees) and a report-level
+//!   differ over histograms, ledgers, and aligned critical paths;
 //! - [`trace`]: the Chrome-trace (Perfetto JSON) exporter that turns
 //!   `publishing-obs` lifecycle span logs into per-component timelines
 //!   with per-message lifecycle slices, loadable in `chrome://tracing`
 //!   or <https://ui.perfetto.dev>;
-//! - [`alloc`]: a counting global allocator the `bench` binary installs
-//!   to report allocation counts/bytes per scenario (host-side metrics);
 //! - [`json`]: the minimal JSON document model the other modules parse
 //!   and emit with (the workspace has no serde — artifacts round-trip
 //!   through this model instead).
 //!
 //! Dependency discipline: like `publishing-obs`, this crate sits below
-//! the world drivers. The `bench` binary (in `publishing-bench`) builds
-//! the worlds and hands their reports to this crate's builders.
+//! the world drivers. The `lab bench` command (in `publishing-bench`)
+//! builds the worlds and hands their reports to this crate's builders.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 pub mod compare;
 pub mod forensics;
 pub mod json;

@@ -1,17 +1,18 @@
 //! The versioned `BENCH_<n>.json` snapshot artifact.
 //!
 //! One snapshot is one run of the canonical bench scenario matrix. Each
-//! scenario carries three sections:
+//! scenario carries two sections:
 //!
 //! - `virtual` — metrics derived purely from virtual time and
 //!   deterministic counters (events/sec of *virtual* time, stage-latency
-//!   percentiles, peak queue depths, bytes published). Two runs at the
-//!   same seed produce byte-identical virtual sections; the CI gate and
-//!   the determinism tests compare only these.
+//!   percentiles, peak queue depths, bytes published);
 //! - `fingerprints` — the run's output/span fingerprints, as hex
 //!   strings (u64 does not survive an f64 JSON number).
-//! - `host` — wall-clock milliseconds and allocation counts. Noisy by
-//!   nature; recorded for humans, never gated on.
+//!
+//! Both are exactly replayable, so two runs of the same build write
+//! byte-identical artifacts: `cmp` against the committed baseline is the
+//! identity gate for a behaviour-preserving change. Host cost (wall
+//! clock, allocations) is not recorded here — it is `hostbench`'s alone.
 //!
 //! The artifact is self-describing: `schema` names the layout version
 //! and `mode` the scenario matrix variant (`smoke` or `full`), and the
@@ -34,8 +35,6 @@ pub struct ScenarioSnapshot {
     pub virt: BTreeMap<String, f64>,
     /// Determinism fingerprints, by name, as `0x`-prefixed hex.
     pub fingerprints: BTreeMap<String, String>,
-    /// Host-side readings (wall clock, allocations). Never gated.
-    pub host: BTreeMap<String, f64>,
 }
 
 impl ScenarioSnapshot {
@@ -58,22 +57,17 @@ impl ScenarioSnapshot {
             .insert(name.into(), format!("{value:#018x}"));
     }
 
-    /// Files a host-side reading.
-    pub fn host(&mut self, name: impl Into<String>, value: f64) {
-        self.host.insert(name.into(), value);
-    }
-
-    fn section_json(map: &BTreeMap<String, f64>) -> Json {
-        Json::Obj(
-            map.iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                .collect(),
-        )
-    }
-
-    fn virtual_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         ObjBuilder::new()
-            .field("virtual", Self::section_json(&self.virt))
+            .field(
+                "virtual",
+                Json::Obj(
+                    self.virt
+                        .iter()
+                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
+                        .collect(),
+                ),
+            )
             .field(
                 "fingerprints",
                 Json::Obj(
@@ -84,14 +78,6 @@ impl ScenarioSnapshot {
                 ),
             )
             .build()
-    }
-
-    fn to_json(&self) -> Json {
-        let Json::Obj(mut pairs) = self.virtual_json() else {
-            unreachable!("virtual_json builds an object");
-        };
-        pairs.push(("host".into(), Self::section_json(&self.host)));
-        Json::Obj(pairs)
     }
 }
 
@@ -121,19 +107,9 @@ impl Snapshot {
         self.scenarios.iter().find(|s| s.name == name)
     }
 
-    /// Serializes the whole artifact (virtual + fingerprints + host).
+    /// Serializes the artifact. Two runs at the same seed produce
+    /// byte-identical output.
     pub fn to_json(&self) -> String {
-        self.doc(true).write()
-    }
-
-    /// Serializes only the deterministic half: schema, mode, and each
-    /// scenario's virtual metrics and fingerprints. Two runs at the same
-    /// seed must produce byte-identical output here.
-    pub fn virtual_json(&self) -> String {
-        self.doc(false).write()
-    }
-
-    fn doc(&self, with_host: bool) -> Json {
         ObjBuilder::new()
             .field("schema", Json::Num(self.schema as f64))
             .field("mode", Json::Str(self.mode.clone()))
@@ -142,18 +118,12 @@ impl Snapshot {
                 Json::Obj(
                     self.scenarios
                         .iter()
-                        .map(|s| {
-                            let body = if with_host {
-                                s.to_json()
-                            } else {
-                                s.virtual_json()
-                            };
-                            (s.name.clone(), body)
-                        })
+                        .map(|s| (s.name.clone(), s.to_json()))
                         .collect(),
                 ),
             )
             .build()
+            .write()
     }
 
     /// Parses an artifact previously produced by [`Snapshot::to_json`].
@@ -179,20 +149,14 @@ impl Snapshot {
             .ok_or_else(|| bad("a scenarios object"))?
         {
             let mut s = ScenarioSnapshot::new(name.clone());
-            let section = |key: &str| -> Result<BTreeMap<String, f64>, ParseError> {
-                let mut out = BTreeMap::new();
-                if let Some(pairs) = body.get(key).and_then(Json::as_obj) {
-                    for (k, v) in pairs {
-                        out.insert(
-                            k.clone(),
-                            v.as_f64().ok_or_else(|| bad("a numeric metric"))?,
-                        );
-                    }
+            if let Some(pairs) = body.get("virtual").and_then(Json::as_obj) {
+                for (k, v) in pairs {
+                    s.virt(
+                        k.clone(),
+                        v.as_f64().ok_or_else(|| bad("a numeric metric"))?,
+                    );
                 }
-                Ok(out)
-            };
-            s.virt = section("virtual")?;
-            s.host = section("host")?;
+            }
             if let Some(pairs) = body.get("fingerprints").and_then(Json::as_obj) {
                 for (k, v) in pairs {
                     s.fingerprints.insert(
@@ -217,7 +181,7 @@ impl Snapshot {
 /// metrics: scheduler throughput over virtual time, stage-latency
 /// percentiles, queue-depth distribution, bytes published, and the span
 /// fingerprint. The caller adds its own extra fingerprints (e.g. the
-/// output fingerprint) and the host section.
+/// output fingerprint).
 pub fn scenario_from_report(name: &str, report: &ObsReport) -> ScenarioSnapshot {
     let mut s = ScenarioSnapshot::new(name);
     s.virt("at_ms", report.at_ms);
@@ -337,8 +301,6 @@ mod tests {
         s.virt("publish_to_deliver_us_p99", 2048.0);
         s.virt("peak_queue_depth", 3.0);
         s.fingerprint("output", 0xdead_beef);
-        s.host("wall_ms", 17.25);
-        s.host("allocations", 100_000.0);
         snap.scenarios.push(s);
         snap
     }
@@ -353,14 +315,17 @@ mod tests {
     }
 
     #[test]
-    fn virtual_json_excludes_host_readings() {
-        let snap = sample();
-        let v = snap.virtual_json();
-        assert!(v.contains("events_per_virtual_sec"));
-        assert!(v.contains("0x00000000deadbeef"));
-        assert!(!v.contains("wall_ms"));
-        assert!(!v.contains("allocations"));
-        assert!(v.contains("\"schema\":1.0"));
+    fn a_host_section_from_an_older_artifact_is_ignored() {
+        let text = sample().to_json();
+        assert!(text.contains("\"schema\":1.0"));
+        assert!(text.contains("0x00000000deadbeef"));
+        let older = text.replacen(
+            "\"fingerprints\":",
+            "\"host\":{\"allocations\":7.0},\"fingerprints\":",
+            1,
+        );
+        assert_ne!(older, text);
+        assert_eq!(Snapshot::from_json(&older).expect("parses"), sample());
     }
 
     #[test]

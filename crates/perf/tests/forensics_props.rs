@@ -2,7 +2,7 @@
 //!
 //! - **Self-diff emptiness**: any generated snapshot diffed against
 //!   itself yields a passing comparison and an empty diagnosis — no
-//!   metric family, fingerprint set, or host section may break it.
+//!   metric family or fingerprint set may break it.
 //! - **Antisymmetry**: `metric_deltas(a, b)` and `metric_deltas(b, a)`
 //!   pair up with exactly negated deltas and identical significance
 //!   verdicts, so "who is the baseline" never changes what is real.
@@ -11,9 +11,7 @@
 //!   both snapshots.
 
 use proptest::prelude::*;
-use publishing_perf::forensics::{
-    diff_snapshots, metric_deltas, ForensicsOptions, NoiseModel, Section,
-};
+use publishing_perf::forensics::{diff_snapshots, metric_deltas};
 use publishing_perf::snapshot::{ScenarioSnapshot, Snapshot};
 
 /// Metric-name pool mixing gated suffixes, attribution families, and
@@ -34,23 +32,17 @@ const METRICS: &[&str] = &[
     "spans_total",
 ];
 
-const HOST: &[&str] = &["wall_ms", "allocations", "alloc_bytes"];
-
 fn arb_scenario(name: &'static str) -> impl Strategy<Value = ScenarioSnapshot> {
     // The vendored proptest shim has integer range strategies only, so
     // values are drawn as micro-units and scaled into f64 readings.
     (
         proptest::collection::vec((0usize..METRICS.len(), 0u64..1_000_000_000), 0..10),
-        proptest::collection::vec((0usize..HOST.len(), 0u64..10_000_000_000), 0..3),
         proptest::option::of(0u64..4),
     )
-        .prop_map(move |(virt, host, binding)| {
+        .prop_map(move |(virt, binding)| {
             let mut s = ScenarioSnapshot::new(name);
             for (i, v) in virt {
                 s.virt(METRICS[i], v as f64 / 1e3);
-            }
-            for (i, v) in host {
-                s.host(HOST[i], v as f64 / 1e3);
             }
             if let Some(b) = binding {
                 s.fingerprints
@@ -72,8 +64,7 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
 proptest! {
     #[test]
     fn self_diff_is_always_empty(snap in arb_snapshot()) {
-        let (c, diagnosis) =
-            diff_snapshots("self", &snap, &snap, &ForensicsOptions::default());
+        let (c, diagnosis) = diff_snapshots("self", &snap, &snap);
         prop_assert_eq!(c.exit_code(), 0, "self-compare must pass:\n{}", c.render());
         prop_assert!(
             diagnosis.is_empty(),
@@ -87,15 +78,13 @@ proptest! {
         a in arb_scenario("alpha"),
         b in arb_scenario("alpha"),
     ) {
-        let noise = NoiseModel::default();
-        let fwd = metric_deltas(&a, &b, &noise);
-        let rev = metric_deltas(&b, &a, &noise);
+        let fwd = metric_deltas(&a, &b);
+        let rev = metric_deltas(&b, &a);
         // Both directions see the same both-sided metric set, in the
-        // same order (virtual first, then host, name-sorted).
+        // same (name-sorted) order.
         prop_assert_eq!(fwd.len(), rev.len());
         for (f, r) in fwd.iter().zip(&rev) {
             prop_assert_eq!(&f.metric, &r.metric);
-            prop_assert_eq!(f.section, r.section);
             prop_assert_eq!(f.delta(), -r.delta(), "signed deltas must negate");
             prop_assert_eq!(
                 f.significant, r.significant,
@@ -106,31 +95,11 @@ proptest! {
     }
 
     #[test]
-    fn wall_clock_is_never_significant(
-        a in arb_scenario("alpha"),
-        b in arb_scenario("alpha"),
-    ) {
-        let mut b = b;
-        b.host("wall_ms", 1e9); // absurd wall-clock jump
-        let with_wall = {
-            let mut a = a.clone();
-            a.host("wall_ms", 0.001);
-            a
-        };
-        for m in metric_deltas(&with_wall, &b, &NoiseModel::default()) {
-            if m.metric == "wall_ms" {
-                prop_assert!(!m.significant, "wall_ms can never be significant");
-            }
-        }
-    }
-
-    #[test]
     fn suspects_only_name_moved_metrics(
         prev in arb_snapshot(),
         new in arb_snapshot(),
     ) {
-        let (_, diagnosis) =
-            diff_snapshots("base", &prev, &new, &ForensicsOptions::default());
+        let (_, diagnosis) = diff_snapshots("base", &prev, &new);
         for f in &diagnosis.findings {
             let (Some(ps), Some(ns)) = (prev.scenario(&f.scenario), new.scenario(&f.scenario))
             else {
@@ -150,16 +119,6 @@ proptest! {
                     prop_assert_eq!(s.prev, pv);
                     prop_assert_eq!(s.new, nv);
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn section_tags_match_their_source(a in arb_scenario("alpha"), b in arb_scenario("alpha")) {
-        for m in metric_deltas(&a, &b, &NoiseModel::default()) {
-            match m.section {
-                Section::Virt => prop_assert!(a.virt.contains_key(&m.metric)),
-                Section::Host => prop_assert!(a.host.contains_key(&m.metric)),
             }
         }
     }

@@ -1,47 +1,45 @@
-//! Schema compatibility for the `obs_report` JSON artifact.
+//! Schema compatibility for the `ObsReport` JSON artifact.
 //!
-//! Version 1 reports carried no `schema` field — readers must treat its
-//! absence as version 1 and still find every v1 section. Version 2 adds
+//! The report grew by addition only: version 1 carried no `schema`
+//! field (readers treat its absence as version 1); version 2 added
 //! `schema`, `spans_partial`, per-recovery `recovery_ms` /
-//! `critical_path_ms`, and the optional `critical_path` object. Version
-//! 3 adds the consensus sections — `quorum`, `consensus`, `watchdog` —
-//! all optional: non-quorum reports omit them entirely, so v2 readers
-//! that ignore unknown keys keep working unchanged. Version 4 adds the
-//! optional `workload` section (offered load vs. goodput plus the SLO
-//! violations the run tripped), again omitted when a run was not driven
-//! through the workload engine. Version 5 adds the optional capacity-
-//! lens sections — `utilization` (the per-resource busy ledger with the
-//! binding resource named, plus the queueing cross-validation rows) and
-//! `whatif` (the virtual-speedup sensitivity matrix) — omitted unless a
-//! ledger or profiler populated them. Version 6 adds the optional
-//! `forensics` section — the differential diagnosis attached when a
-//! forensics pass diffed the run against a baseline — omitted otherwise.
-//! The parser in this crate must read all six shapes.
+//! `critical_path_ms` and the optional `critical_path`; 3 the optional
+//! consensus sections `quorum`, `consensus`, `watchdog`; 4 the optional
+//! `workload`; 5 the optional lens sections `utilization` and `whatif`;
+//! 6 the optional `forensics`. A reader written against any version
+//! keeps working as long as the current render still carries every key
+//! that version introduced, and omits the optional sections nobody
+//! populated. Both halves are stated here as tables over one rendered
+//! report; the one canned fixture kept is the shape the code can no
+//! longer produce — a version-1 artifact without the `schema` field.
 
+use publishing_obs::causal::{CriticalPath, Segment};
+use publishing_obs::forensics::{Finding, ForensicsReport, Suspect, SuspectKind};
+use publishing_obs::probe::{QuorumHealth, RecoveryLag};
 use publishing_obs::report::{ObsReport, WorkloadStats, REPORT_SCHEMA_VERSION};
-use publishing_obs::{ConsensusStats, WatchdogSummary};
+use publishing_obs::{
+    ConsensusStats, UtilizationReport, WatchdogSummary, WhatIfReport, WhatIfRow, XvalRow,
+};
 use publishing_perf::json::{parse, Json};
+use publishing_sim::ledger::{ResourceKind, ResourceUsage};
+use publishing_sim::time::SimTime;
 
 /// A trimmed-down report rendered by the pre-v2 code: no `schema`, no
 /// `spans_partial`, no `critical_path`, recovery entries without the
 /// window fields.
 const V1_REPORT: &str = r#"{"at_ms":100.0,"spans_total":42,"span_fingerprint":"0x00000000deadbeef","shards":[{"shard":0,"live":true,"catching_up":false,"queue_depth":0,"known_processes":3,"recoveries_in_flight":0,"replay_lag":0,"gating_stalls":1,"published":10}],"recovery":[{"pid":17,"recovering":false,"messages_behind":2,"checkpoint_age_ms":5.5,"suppressed":0}],"sched":{"delivered":90,"scheduled":96,"pending":6,"peak_pending":14},"profile":{"kernel_cpu":10.0},"metrics":{"node/0/kernel/msgs_sent":7}}"#;
 
-/// A report rendered by the v2 code: `schema:2`, `spans_partial`, the
-/// recovery window fields — but none of the v3 consensus sections.
-const V2_REPORT: &str = r#"{"schema":2,"at_ms":100.0,"spans_total":42,"spans_partial":3,"span_fingerprint":"0x00000000deadbeef","shards":[{"shard":0,"live":true,"catching_up":false,"queue_depth":0,"known_processes":3,"recoveries_in_flight":0,"replay_lag":0,"gating_stalls":1,"published":10}],"recovery":[{"pid":17,"recovering":false,"messages_behind":2,"checkpoint_age_ms":5.5,"suppressed":0,"recovery_ms":12.5,"critical_path_ms":9.0}],"critical_path":{"crash_at_ms":50.0,"converged_at_ms":59.0,"total_ms":9.0,"by_stage":{"replay":9.0}},"sched":{"delivered":90,"scheduled":96,"pending":6,"peak_pending":14},"profile":{"kernel_cpu":10.0},"metrics":{"node/0/kernel/msgs_sent":7}}"#;
-
-/// A report rendered by the v3 code: consensus sections present,
-/// `schema:3` — but no `workload` section.
-const V3_REPORT: &str = r#"{"schema":3,"at_ms":100.0,"spans_total":42,"spans_partial":0,"span_fingerprint":"0x00000000deadbeef","shards":[],"recovery":[],"quorum":[{"replica":0,"role":"leader","term":2,"commit_index":40,"log_len":41,"match_floor":40}],"consensus":{"commits":40,"commit_p50_us":900,"commit_p99_us":4200,"replication_lag_p95":2.0,"elections":2},"watchdog":{"checks":123,"violations":[]},"sched":{"delivered":90,"scheduled":96,"pending":6,"peak_pending":14},"profile":{"kernel_cpu":10.0},"metrics":{"node/0/kernel/msgs_sent":7}}"#;
-
-/// A report rendered by the v4 code: `workload` present, `schema:4` —
-/// but none of the v5 capacity-lens sections.
-const V4_REPORT: &str = r#"{"schema":4,"at_ms":100.0,"spans_total":42,"spans_partial":0,"span_fingerprint":"0x00000000deadbeef","shards":[],"recovery":[],"workload":{"offered":200,"delivered":180,"goodput":0.9,"offered_per_sec":500,"slo_violations":["deliver p99 262144us > 150000us"]},"sched":{"delivered":90,"scheduled":96,"pending":6,"peak_pending":14},"profile":{"kernel_cpu":10.0},"metrics":{"node/0/kernel/msgs_sent":7}}"#;
-
-/// A report rendered by the v5 code: lens sections present, `schema:5`
-/// — but no `forensics` section.
-const V5_REPORT: &str = r#"{"schema":5,"at_ms":100.0,"spans_total":42,"spans_partial":0,"span_fingerprint":"0x00000000deadbeef","shards":[],"recovery":[],"utilization":{"window_ms":100.0,"bin_ms":16.78,"binding":"xport 0->2","resources":[{"kind":"transport","name":"xport 0->2","index":0,"peer":2,"busy_ms":95.0,"util":0.95,"active_util":0.95,"peak_util":0.98,"mean_queue":7.5,"peak_queue":12,"events":88,"contention":0}],"xval":[{"resource":"medium","quantity":"utilization","measured":0.5,"predicted":0.52,"rel_err":0.04,"tolerance":0.2,"ok":true}]},"whatif":{"baseline_knee":141,"rows":[{"knob":"sink_recv","multiplier":0.5,"predicted_knee":280,"confirmed_knee":270,"binding_after":"medium"}]},"sched":{"delivered":90,"scheduled":96,"pending":6,"peak_pending":14},"profile":{"kernel_cpu":10.0},"metrics":{"node/0/kernel/msgs_sent":7}}"#;
+/// The sections added after version 2, all optional.
+const OPTIONAL_SECTIONS: &[&str] = &[
+    "critical_path",
+    "quorum",
+    "consensus",
+    "watchdog",
+    "workload",
+    "utilization",
+    "whatif",
+    "forensics",
+];
 
 /// Schema of a parsed report document: the explicit `schema` number, or
 /// 1 when the field is absent (the pre-versioning shape).
@@ -49,167 +47,71 @@ fn schema_of(doc: &Json) -> u32 {
     doc.get("schema").and_then(Json::as_f64).unwrap_or(1.0) as u32
 }
 
-#[test]
-fn v1_report_without_schema_field_still_reads() {
-    let doc = parse(V1_REPORT).expect("v1 artifact parses");
-    assert_eq!(schema_of(&doc), 1, "absent schema field means version 1");
-    // Every v1 section is still addressable.
-    assert_eq!(doc.get("spans_total").and_then(Json::as_f64), Some(42.0));
-    assert_eq!(
-        doc.get("span_fingerprint").and_then(Json::as_str),
-        Some("0x00000000deadbeef")
-    );
-    let recovery = doc
-        .get("recovery")
-        .and_then(Json::as_arr)
-        .expect("recovery array");
-    let first = recovery.first().expect("one recovery entry");
-    assert_eq!(first.get("pid").and_then(Json::as_f64), Some(17.0));
-    // v2-only fields are simply absent, not an error.
-    assert!(doc.get("spans_partial").is_none());
-    assert!(doc.get("critical_path").is_none());
-    assert!(first.get("recovery_ms").is_none());
+/// Walks a `/`-separated path of object keys and array indices.
+fn at<'a>(doc: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('/').try_fold(doc, |v, step| match v {
+        Json::Arr(items) => items.get(step.parse::<usize>().ok()?),
+        _ => v.get(step),
+    })
 }
 
-#[test]
-fn v2_report_still_reads_and_lacks_consensus_sections() {
-    let doc = parse(V2_REPORT).expect("v2 artifact parses");
-    assert_eq!(schema_of(&doc), 2, "canned v2 artifact declares schema 2");
-    // Every v2 section is still addressable.
-    assert_eq!(doc.get("spans_partial").and_then(Json::as_f64), Some(3.0));
-    let cp = doc.get("critical_path").expect("critical_path object");
-    assert_eq!(cp.get("total_ms").and_then(Json::as_f64), Some(9.0));
-    let recovery = doc
-        .get("recovery")
-        .and_then(Json::as_arr)
-        .expect("recovery array");
-    let first = recovery.first().expect("one recovery entry");
-    assert_eq!(first.get("recovery_ms").and_then(Json::as_f64), Some(12.5));
-    // v3-only sections are simply absent, not an error.
-    assert!(doc.get("quorum").is_none());
-    assert!(doc.get("consensus").is_none());
-    assert!(doc.get("watchdog").is_none());
-}
-
-#[test]
-fn current_report_declares_schema_and_new_sections() {
+/// A report with every section of every schema version populated.
+fn full_report() -> ObsReport {
     let mut report = ObsReport {
         at_ms: 100.0,
         spans_total: 42,
+        span_fingerprint: 0xdead_beef,
         ..Default::default()
     };
     report.latencies.partial = 3;
-    let doc = parse(&report.render_json()).expect("current artifact parses");
-    assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
-    assert_eq!(doc.get("spans_partial").and_then(Json::as_f64), Some(3.0));
-    // Both shapes read through the same accessors.
-    assert_eq!(doc.get("spans_total").and_then(Json::as_f64), Some(42.0));
-}
-
-#[test]
-fn v3_consensus_sections_are_optional_and_omitted_by_default() {
-    // A sharded (non-quorum) report renders no consensus sections at
-    // all — a v2 reader that ignores unknown keys sees nothing new
-    // beyond the schema bump.
-    let report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
-    let doc = parse(&report.render_json()).expect("default artifact parses");
-    assert!(doc.get("quorum").is_none());
-    assert!(doc.get("consensus").is_none());
-    assert!(doc.get("watchdog").is_none());
-}
-
-#[test]
-fn v3_report_still_reads_and_lacks_workload_section() {
-    let doc = parse(V3_REPORT).expect("v3 artifact parses");
-    assert_eq!(schema_of(&doc), 3, "canned v3 artifact declares schema 3");
-    // Every v3 section is still addressable.
-    let consensus = doc.get("consensus").expect("consensus object");
-    assert_eq!(consensus.get("commits").and_then(Json::as_f64), Some(40.0));
-    let quorum = doc
-        .get("quorum")
-        .and_then(Json::as_arr)
-        .expect("quorum array");
-    assert_eq!(quorum[0].get("role").and_then(Json::as_str), Some("leader"));
-    // The v4-only section is simply absent, not an error.
-    assert!(doc.get("workload").is_none());
-}
-
-#[test]
-fn v4_workload_section_is_optional_and_omitted_by_default() {
-    // A run not driven through the workload engine renders no workload
-    // section at all — a v3 reader that ignores unknown keys sees
-    // nothing new beyond the schema bump.
-    let report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
-    let doc = parse(&report.render_json()).expect("default artifact parses");
-    assert!(doc.get("workload").is_none());
-}
-
-#[test]
-fn v4_workload_section_renders_when_populated() {
-    let mut report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
+    report.recovery.push(RecoveryLag {
+        subject: 17,
+        recovering: false,
+        messages_behind: 2,
+        checkpoint_age_ms: 5.5,
+        suppressed: 0,
+        recovery_ms: 12.5,
+        critical_path_ms: 9.0,
+    });
+    report.critical_path = Some(CriticalPath {
+        crash_at: SimTime::from_millis(50),
+        converged_at: SimTime::from_millis(59),
+        segments: vec![Segment {
+            category: "replay",
+            kind: None,
+            from: SimTime::from_millis(50),
+            to: SimTime::from_millis(59),
+            label: "replay hop".into(),
+        }],
+    });
+    report.quorum.push(QuorumHealth {
+        replica: 0,
+        live: true,
+        leader: true,
+        term: 2,
+        elections: 1,
+        commit_index: 40,
+        applied_index: 40,
+        replication_lag: 0,
+        compacted: 0,
+    });
+    report.consensus = Some(ConsensusStats {
+        commits: 40,
+        commit_p50_us: 900,
+        commit_p99_us: 4200,
+        replication_lag_p95: 2.0,
+        elections: 2,
+    });
+    report.watchdog = Some(WatchdogSummary {
+        checks: 123,
+        violations: vec!["commit index moved backwards".into()],
+    });
     report.workload = Some(WorkloadStats {
         offered: 200,
         delivered: 180,
         offered_per_sec: 500.0,
         slo_violations: vec!["deliver p99 262144us > 150000us".into()],
     });
-    let doc = parse(&report.render_json()).expect("workload artifact parses");
-    assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
-    let wl = doc.get("workload").expect("workload object");
-    assert_eq!(wl.get("offered").and_then(Json::as_f64), Some(200.0));
-    assert_eq!(wl.get("delivered").and_then(Json::as_f64), Some(180.0));
-    assert_eq!(wl.get("goodput").and_then(Json::as_f64), Some(0.9));
-    let violations = wl
-        .get("slo_violations")
-        .and_then(Json::as_arr)
-        .expect("violations array");
-    assert_eq!(violations.len(), 1);
-}
-
-#[test]
-fn v4_report_still_reads_and_lacks_lens_sections() {
-    let doc = parse(V4_REPORT).expect("v4 artifact parses");
-    assert_eq!(schema_of(&doc), 4, "canned v4 artifact declares schema 4");
-    // Every v4 section is still addressable.
-    let wl = doc.get("workload").expect("workload object");
-    assert_eq!(wl.get("offered").and_then(Json::as_f64), Some(200.0));
-    assert_eq!(wl.get("goodput").and_then(Json::as_f64), Some(0.9));
-    // The v5-only sections are simply absent, not an error.
-    assert!(doc.get("utilization").is_none());
-    assert!(doc.get("whatif").is_none());
-}
-
-#[test]
-fn v5_lens_sections_are_optional_and_omitted_by_default() {
-    // A run with no utilization ledger or what-if profiler attached
-    // renders neither section — a v4 reader that ignores unknown keys
-    // sees nothing new beyond the schema bump.
-    let report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
-    let doc = parse(&report.render_json()).expect("default artifact parses");
-    assert!(doc.get("utilization").is_none());
-    assert!(doc.get("whatif").is_none());
-}
-
-#[test]
-fn v5_lens_sections_render_when_populated() {
-    use publishing_obs::{UtilizationReport, WhatIfReport, WhatIfRow, XvalRow};
-    use publishing_sim::ledger::{ResourceKind, ResourceUsage};
-    let mut report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
     report.utilization = Some(UtilizationReport {
         window_ms: 100.0,
         bin_ms: 16.78,
@@ -240,78 +142,6 @@ fn v5_lens_sections_render_when_populated() {
             binding_after: "medium".into(),
         }],
     });
-    let doc = parse(&report.render_json()).expect("lens artifact parses");
-    assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
-    let util = doc.get("utilization").expect("utilization object");
-    assert_eq!(
-        util.get("binding").and_then(Json::as_str),
-        Some("xport 0->2")
-    );
-    let resources = util
-        .get("resources")
-        .and_then(Json::as_arr)
-        .expect("resources array");
-    assert!(!resources.is_empty());
-    assert_eq!(
-        resources[0].get("kind").and_then(Json::as_str),
-        Some("transport")
-    );
-    let xval = util.get("xval").and_then(Json::as_arr).expect("xval array");
-    assert!(xval.iter().all(|row| row.get("ok").is_some()));
-    let whatif = doc.get("whatif").expect("whatif object");
-    assert_eq!(
-        whatif.get("baseline_knee").and_then(Json::as_f64),
-        Some(141.0)
-    );
-    let rows = whatif
-        .get("rows")
-        .and_then(Json::as_arr)
-        .expect("whatif rows");
-    assert_eq!(
-        rows[0].get("knob").and_then(Json::as_str),
-        Some("sink_recv")
-    );
-}
-
-#[test]
-fn v5_report_still_reads_and_lacks_forensics_section() {
-    let doc = parse(V5_REPORT).expect("v5 artifact parses");
-    assert_eq!(schema_of(&doc), 5, "canned v5 artifact declares schema 5");
-    // Every v5 section is still addressable.
-    let util = doc.get("utilization").expect("utilization object");
-    assert_eq!(
-        util.get("binding").and_then(Json::as_str),
-        Some("xport 0->2")
-    );
-    let whatif = doc.get("whatif").expect("whatif object");
-    assert_eq!(
-        whatif.get("baseline_knee").and_then(Json::as_f64),
-        Some(141.0)
-    );
-    // The v6-only section is simply absent, not an error.
-    assert!(doc.get("forensics").is_none());
-}
-
-#[test]
-fn v6_forensics_section_is_optional_and_omitted_by_default() {
-    // A run never diffed against a baseline renders no forensics
-    // section at all — a v5 reader that ignores unknown keys sees
-    // nothing new beyond the schema bump.
-    let report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
-    let doc = parse(&report.render_json()).expect("default artifact parses");
-    assert!(doc.get("forensics").is_none());
-}
-
-#[test]
-fn v6_forensics_section_renders_when_populated() {
-    use publishing_obs::forensics::{Finding, ForensicsReport, Suspect, SuspectKind};
-    let mut report = ObsReport {
-        at_ms: 100.0,
-        ..Default::default()
-    };
     report.forensics = Some(ForensicsReport {
         baseline: "BENCH_1".into(),
         findings: vec![Finding {
@@ -328,64 +158,105 @@ fn v6_forensics_section_renders_when_populated() {
             }],
         }],
     });
-    let doc = parse(&report.render_json()).expect("forensics artifact parses");
-    assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
-    let fx = doc.get("forensics").expect("forensics object");
-    assert_eq!(fx.get("baseline").and_then(Json::as_str), Some("BENCH_1"));
-    let findings = fx
-        .get("findings")
-        .and_then(Json::as_arr)
-        .expect("findings array");
-    assert_eq!(findings.len(), 1);
-    assert_eq!(
-        findings[0].get("subject").and_then(Json::as_str),
-        Some("publish_to_deliver_us_p99")
-    );
-    let suspects = findings[0]
-        .get("suspects")
-        .and_then(Json::as_arr)
-        .expect("suspects array");
-    assert_eq!(
-        suspects[0].get("kind").and_then(Json::as_str),
-        Some("resource")
-    );
-    assert_eq!(
-        suspects[0].get("delta").and_then(Json::as_f64),
-        Some(10146.6 - 5073.3)
-    );
+    report
 }
 
 #[test]
-fn v3_consensus_sections_render_when_populated() {
-    let mut report = ObsReport {
+fn v1_report_without_schema_field_still_reads() {
+    let doc = parse(V1_REPORT).expect("v1 artifact parses");
+    assert_eq!(schema_of(&doc), 1, "absent schema field means version 1");
+    // Every v1 section is still addressable.
+    assert_eq!(at(&doc, "spans_total"), Some(&Json::Num(42.0)));
+    assert_eq!(
+        at(&doc, "span_fingerprint"),
+        Some(&Json::Str("0x00000000deadbeef".into()))
+    );
+    assert_eq!(at(&doc, "recovery/0/pid"), Some(&Json::Num(17.0)));
+    // Later fields are simply absent, not an error.
+    assert_eq!(at(&doc, "spans_partial"), None);
+    assert_eq!(at(&doc, "recovery/0/recovery_ms"), None);
+    for section in OPTIONAL_SECTIONS {
+        assert_eq!(at(&doc, section), None, "{section}");
+    }
+}
+
+#[test]
+fn current_render_carries_every_key_of_every_version() {
+    let num = Json::Num;
+    let text = |s: &str| Json::Str(s.into());
+    let doc = parse(&full_report().render_json()).expect("current artifact parses");
+    assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
+    for (path, want) in [
+        // v1
+        ("spans_total", num(42.0)),
+        ("span_fingerprint", text("0x00000000deadbeef")),
+        ("recovery/0/pid", num(17.0)),
+        // v2
+        ("spans_partial", num(3.0)),
+        ("recovery/0/recovery_ms", num(12.5)),
+        ("critical_path/total_ms", num(9.0)),
+        // v3
+        ("quorum/0/leader", Json::Bool(true)),
+        ("consensus/commits", num(40.0)),
+        ("consensus/commit_p99_us", num(4200.0)),
+        ("watchdog/checks", num(123.0)),
+        (
+            "watchdog/violations/0",
+            text("commit index moved backwards"),
+        ),
+        // v4
+        ("workload/offered", num(200.0)),
+        ("workload/delivered", num(180.0)),
+        ("workload/goodput", num(0.9)),
+        (
+            "workload/slo_violations/0",
+            text("deliver p99 262144us > 150000us"),
+        ),
+        // v5
+        ("utilization/binding", text("xport 0->2")),
+        ("utilization/resources/0/kind", text("transport")),
+        ("utilization/xval/0/ok", Json::Bool(true)),
+        ("whatif/baseline_knee", num(141.0)),
+        ("whatif/rows/0/knob", text("sink_recv")),
+        // v6
+        ("forensics/baseline", text("BENCH_1")),
+        (
+            "forensics/findings/0/subject",
+            text("publish_to_deliver_us_p99"),
+        ),
+        ("forensics/findings/0/suspects/0/kind", text("resource")),
+        (
+            "forensics/findings/0/suspects/0/delta",
+            num(10146.6 - 5073.3),
+        ),
+    ] {
+        assert_eq!(at(&doc, path), Some(&want), "{path}");
+    }
+    // One element each, not merely a first one.
+    for list in [
+        "watchdog/violations",
+        "workload/slo_violations",
+        "forensics/findings",
+    ] {
+        assert_eq!(
+            at(&doc, list).and_then(Json::as_arr).map(<[_]>::len),
+            Some(1)
+        );
+    }
+}
+
+#[test]
+fn optional_sections_are_omitted_by_default() {
+    // A report nobody attached a section to renders none of them — a
+    // reader of an older version that ignores unknown keys sees nothing
+    // new beyond the schema bump.
+    let report = ObsReport {
         at_ms: 100.0,
         ..Default::default()
     };
-    report.consensus = Some(ConsensusStats {
-        commits: 40,
-        commit_p50_us: 900,
-        commit_p99_us: 4200,
-        replication_lag_p95: 2.0,
-        elections: 2,
-    });
-    report.watchdog = Some(WatchdogSummary {
-        checks: 123,
-        violations: vec!["commit index moved backwards".into()],
-    });
-    let doc = parse(&report.render_json()).expect("quorum artifact parses");
+    let doc = parse(&report.render_json()).expect("default artifact parses");
     assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
-    let consensus = doc.get("consensus").expect("consensus object");
-    assert_eq!(consensus.get("commits").and_then(Json::as_f64), Some(40.0));
-    assert_eq!(
-        consensus.get("commit_p99_us").and_then(Json::as_f64),
-        Some(4200.0)
-    );
-    let watchdog = doc.get("watchdog").expect("watchdog object");
-    assert_eq!(watchdog.get("checks").and_then(Json::as_f64), Some(123.0));
-    let violations = watchdog
-        .get("violations")
-        .and_then(Json::as_arr)
-        .expect("violations array");
-    assert_eq!(violations.len(), 1);
-    assert_eq!(violations[0].as_str(), Some("commit index moved backwards"));
+    for section in OPTIONAL_SECTIONS {
+        assert_eq!(at(&doc, section), None, "{section}");
+    }
 }

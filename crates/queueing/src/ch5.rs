@@ -67,11 +67,6 @@ impl OperatingPoint {
         self.traffic.bytes_per_sec() / CHECKPOINT_BYTES as f64
     }
 
-    /// All published (data) messages per second per process.
-    pub fn data_msgs_per_proc(&self) -> f64 {
-        self.traffic.msgs_per_sec() + self.checkpoint_msgs_per_proc()
-    }
-
     /// All published bytes per second per process (messages +
     /// checkpoints).
     pub fn data_bytes_per_proc(&self) -> f64 {

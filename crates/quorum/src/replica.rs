@@ -161,11 +161,6 @@ impl QuorumReplica {
         self.group
     }
 
-    /// The node this replica runs on.
-    pub fn node_id(&self) -> NodeId {
-        self.node.node()
-    }
-
     /// This replica's station.
     pub fn station(&self) -> StationId {
         self.node.station()

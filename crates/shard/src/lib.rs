@@ -2,6 +2,8 @@
 //! checkpoint store across N recorder instances by rendezvous (HRW)
 //! hashing over destination `ProcessId`.
 
+#![forbid(unsafe_code)]
+
 pub mod map;
 pub mod router;
 pub mod world;

@@ -194,16 +194,6 @@ impl ShardMap {
             .filter(|&(&s, _)| (std::cmp::Reverse(score(s, pid)), s) < own);
         outranking.take(top).count() < top
     }
-
-    /// The pids from `pids` whose owner is `shard`.
-    pub fn owned_by<'a>(
-        &'a self,
-        shard: ShardId,
-        pids: impl IntoIterator<Item = ProcessId> + 'a,
-    ) -> impl Iterator<Item = ProcessId> + 'a {
-        pids.into_iter()
-            .filter(move |&p| self.owner(p) == Some(shard))
-    }
 }
 
 #[cfg(test)]

@@ -64,11 +64,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Records a [`SimDuration`] sample in milliseconds.
-    pub fn record_duration_ms(&mut self, d: SimDuration) {
-        self.record(d.as_millis_f64());
-    }
-
     /// Returns the sample count.
     pub fn count(&self) -> u64 {
         self.n

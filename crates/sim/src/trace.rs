@@ -73,11 +73,6 @@ impl Trace {
         t
     }
 
-    /// Enables or disables event storage (hashing continues regardless).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
     /// Records an event.
     pub fn emit(&mut self, at: SimTime, category: Category, text: impl Into<String>) {
         let text = text.into();

@@ -16,7 +16,7 @@ use crate::compile::CompiledWorkload;
 use crate::spec::WorkloadSpec;
 use publishing_chaos::driver::run_schedule;
 use publishing_chaos::oracle::{self, Baseline, OracleOptions};
-use publishing_chaos::{FaultSchedule, Medium, Scenario, Topology, Tuning};
+use publishing_chaos::{ChaosConfig, FaultSchedule, Medium, Scenario, Topology, Tuning};
 use publishing_obs::report::{ObsReport, WorkloadStats};
 use publishing_obs::slo::SloSpec;
 
@@ -160,15 +160,6 @@ impl Knee {
     }
 }
 
-/// Short name for a topology (report keys, table rows).
-pub fn topology_name(t: Topology) -> &'static str {
-    match t {
-        Topology::Single => "single",
-        Topology::Sharded => "sharded",
-        Topology::Quorum => "quorum",
-    }
-}
-
 fn scenario(topology: Topology, spec: &WorkloadSpec, medium: Medium, tuning: &Tuning) -> Scenario {
     let mut s = Scenario::new(topology, spec.seed);
     s.medium = medium;
@@ -304,23 +295,13 @@ pub fn run_trial_tuned(
     }
 }
 
-/// The seeded fault schedule validating the point at `users`.
-fn point_schedule(topology: Topology, spec: &WorkloadSpec) -> FaultSchedule {
-    use publishing_chaos::scenario::{REPLICAS, SHARDS};
-    publishing_chaos::schedule::generate(&publishing_chaos::ChaosConfig {
-        seed: spec.seed.wrapping_add(spec.users as u64),
-        nodes: publishing_chaos::NODES,
-        shards: match topology {
-            Topology::Sharded => SHARDS,
-            _ => 0,
-        },
-        replicas: match topology {
-            Topology::Quorum => REPLICAS,
-            _ => 0,
-        },
+/// The seeded fault schedule validating the point at `spec.users`.
+pub fn point_schedule(topology: Topology, spec: &WorkloadSpec) -> FaultSchedule {
+    publishing_chaos::schedule::generate(&ChaosConfig {
         procs: spec.generators() + spec.subjects,
         horizon_ms: spec.horizon_ms,
         max_faults: 3,
+        ..ChaosConfig::for_topology(topology, spec.seed.wrapping_add(spec.users as u64))
     })
 }
 
@@ -351,18 +332,14 @@ pub fn find_knee(
         let pass = t.pass;
         if params.verbose {
             if pass {
-                eprintln!(
-                    "knee[{shape}/{}] users={users}: PASS",
-                    topology_name(topology)
-                );
+                eprintln!("knee[{shape}/{topology}] users={users}: PASS");
             } else {
                 // Name the clause that rejected the point — "the SLO
                 // failed" hides whether latency, recovery, or goodput
                 // was the wall — plus the first concrete violation and
                 // the resource the ledger blames.
                 eprintln!(
-                    "knee[{shape}/{}] users={users}: FAIL clause={} binding={} ({})",
-                    topology_name(topology),
+                    "knee[{shape}/{topology}] users={users}: FAIL clause={} binding={} ({})",
                     t.rejected_by().join("+"),
                     t.binding.as_deref().unwrap_or("none"),
                     t.violations

@@ -26,6 +26,7 @@
 //!   oracle), emitting the "capacity knee" — the modern analogue of the
 //!   paper's 115-user result — per workload shape × topology.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capacity;
@@ -35,8 +36,8 @@ pub mod spec;
 pub mod whatif;
 
 pub use capacity::{
-    find_knee, rejecting_clauses, run_trial, run_trial_tuned, slo_clause, topology_name, Knee,
-    SearchParams, TrialOutcome,
+    find_knee, rejecting_clauses, run_trial, run_trial_tuned, slo_clause, Knee, SearchParams,
+    TrialOutcome,
 };
 pub use compile::CompiledWorkload;
 pub use drivers::{LoadGen, SubjectSink};
