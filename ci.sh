@@ -15,8 +15,8 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> cargo test --release (net + sim: the sliced CRC and const-built tables as the optimiser builds them)"
-cargo test --release -q -p publishing-net -p publishing-sim
+echo "==> cargo test --release (net + sim + stable: the sliced CRC, const-built tables and the indexed store as the optimiser builds them)"
+cargo test --release -q -p publishing-net -p publishing-sim -p publishing-stable
 
 echo "==> hostbench unit tests (the measured facade still binds)"
 cargo test --offline --manifest-path hostbench/Cargo.toml
@@ -26,6 +26,10 @@ cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- --
 
 echo "==> perf/pairs.py compiles (the paired runs themselves are timing-dependent and stay out of CI)"
 python3 -m py_compile perf/pairs.py
+
+echo "==> hostprof builds and its resolver compiles (sampling itself is timing-dependent and stays out of CI)"
+cargo build --release --offline --manifest-path perf/hostprof/Cargo.toml
+python3 -m py_compile perf/hostprof.py
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -132,9 +132,7 @@ pub fn quorum_failover_world(pings: u64, horizon: SimTime) -> (QuorumWorld, Proc
 /// in [`World::span_logs`] order: kernels by node id, then tier members
 /// (`member` names them: `shard`, `replica`) by index.
 pub fn chrome_trace<T: RecorderTier>(w: &World<T>, member: &str) -> ChromeTrace {
-    let names = w
-        .kernels
-        .keys()
+    let names = (0..w.kernels.len())
         .map(|n| format!("node {n} kernel"))
         .chain((0..).map(|i| format!("{member} {i} recorder")));
     let components: Vec<_> = names.zip(w.span_logs()).collect();

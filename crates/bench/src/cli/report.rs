@@ -77,7 +77,7 @@ fn emit<T: RecorderTier>(
         println!("{}", report.render_text());
         println!("replay-prefix check (crashed node {crashed}):");
         for server in servers {
-            match check_replay_prefix(w.kernels[&crashed].spans(), server.as_u64()) {
+            match check_replay_prefix(w.kernels[crashed as usize].spans(), server.as_u64()) {
                 Ok(n) => println!("  pid {server}: {n} replayed reads match the pre-crash prefix"),
                 Err(e) => println!("  pid {server}: DIVERGED: {e}"),
             }

@@ -89,7 +89,7 @@ pub fn per_message_costs(publishing: bool, rounds: u64) -> PerMessageCosts {
     }
     let mut w = builder.build();
     let pid = w.spawn(0, "selfping", vec![]).unwrap();
-    let start_cpu = w.kernels[&0].stats().cpu_used;
+    let start_cpu = w.kernels[0].stats().cpu_used;
     let start_real = w.now();
     // Stop as soon as the program reports completion so background
     // watchdog chatter doesn't pollute the measurement.
@@ -100,7 +100,7 @@ pub fn per_message_costs(publishing: bool, rounds: u64) -> PerMessageCosts {
         }
     }
     assert_eq!(w.outputs_of(pid).len(), 1, "self-ping must complete");
-    let cpu = w.kernels[&0].stats().cpu_used - start_cpu;
+    let cpu = w.kernels[0].stats().cpu_used - start_cpu;
     let done_at = w
         .outputs
         .iter()
@@ -225,7 +225,7 @@ pub fn per_process_costs(publishing: bool, cycles: u64) -> f64 {
     let procmgr = w
         .spawn(0, "procmgr", vec![Link::to(memsched, Channel::DEFAULT, 0)])
         .unwrap();
-    let start_cpu = w.kernels[&0].stats().cpu_used;
+    let start_cpu = w.kernels[0].stats().cpu_used;
     let driver = w
         .spawn(0, "driver", vec![Link::to(procmgr, Channel::DEFAULT, 0)])
         .unwrap();
@@ -236,7 +236,7 @@ pub fn per_process_costs(publishing: bool, cycles: u64) -> f64 {
         }
     }
     assert_eq!(w.outputs_of(driver).len(), 1, "driver must complete");
-    (w.kernels[&0].stats().cpu_used - start_cpu).as_millis_f64()
+    (w.kernels[0].stats().cpu_used - start_cpu).as_millis_f64()
 }
 
 // ---------------------------------------------------------------------
@@ -724,7 +724,7 @@ pub fn flood_completion_ms(window: usize, count: u64) -> f64 {
         .unwrap();
     for step in 1..200_000u64 {
         w.run_until(SimTime::from_millis(step * 5));
-        let done = w.kernels[&1]
+        let done = w.kernels[1]
             .process(sink.local)
             .map(|p| p.read_count >= count)
             .unwrap_or(false);

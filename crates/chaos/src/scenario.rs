@@ -646,7 +646,7 @@ impl<T: ChaosTier> ChaosWorld for Target<T> {
 
     fn replay_prefix_failures(&self) -> Vec<String> {
         let mut out = Vec::new();
-        for (node, k) in &self.w.kernels {
+        for (node, k) in self.w.kernels.iter().enumerate() {
             for pid in &self.procs {
                 if let Err(e) = check_replay_prefix(k.spans(), pid.as_u64()) {
                     out.push(format!("node {node}, subject {pid}: {e}"));
@@ -661,7 +661,7 @@ impl<T: ChaosTier> ChaosWorld for Target<T> {
     /// the scenario spawned, and (b) a run that completed no recovery
     /// must show no suppressions at all.
     fn suppression_failures(&self) -> Vec<String> {
-        let logs = self.w.kernels.values().map(|k| k.spans());
+        let logs = self.w.kernels.iter().map(|k| k.spans());
         let by_sender = publishing_core::obs::suppressed_by_sender(logs);
         let mut out = Vec::new();
         for (&sender, &n) in &by_sender {

@@ -21,8 +21,9 @@ use publishing_demos::kernel::encode_ctl;
 use publishing_demos::protocol::{self, codes, ReportedState};
 use publishing_sim::codec::{Encode, Encoder};
 use publishing_sim::stats::Counter;
+use publishing_sim::table::TokenTable;
 use publishing_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A command for the recorder node to execute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,8 +142,7 @@ pub struct RecoveryManager {
     cfg: ManagerConfig,
     nodes: BTreeMap<NodeId, Watch>,
     jobs: BTreeMap<ProcessId, Job>,
-    timers: HashMap<u64, TimerKind>,
-    next_token: u64,
+    timers: TokenTable<TimerKind>,
     next_nonce: u64,
     /// When set, only processes the filter accepts are recovered here.
     /// A sharded tier sets "pid is my shard's responsibility" so exactly
@@ -159,8 +159,7 @@ impl RecoveryManager {
             cfg,
             nodes: BTreeMap::new(),
             jobs: BTreeMap::new(),
-            timers: HashMap::new(),
-            next_token: 0,
+            timers: TokenTable::new(),
             next_nonce: 0,
             recovery_filter: None,
             stats: ManagerStats::default(),
@@ -197,9 +196,7 @@ impl RecoveryManager {
     }
 
     fn timer(&mut self, at: SimTime, kind: TimerKind, out: &mut Vec<MgrCmd>) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, kind);
+        let token = self.timers.insert(kind);
         out.push(MgrCmd::SetTimer { at, token });
     }
 
@@ -233,7 +230,7 @@ impl RecoveryManager {
     /// Handles a manager timer.
     pub fn on_timer(&mut self, now: SimTime, recorder: &mut Recorder, token: u64) -> Vec<MgrCmd> {
         let mut out = Vec::new();
-        let Some(kind) = self.timers.remove(&token) else {
+        let Some(kind) = self.timers.take(token) else {
             return out;
         };
         match kind {

@@ -13,10 +13,11 @@ use publishing_demos::protocol::{self, codes};
 use publishing_demos::transport::{TAction, Transport, TransportConfig, Wire};
 use publishing_net::frame::{Destination, Frame, StationId};
 use publishing_sim::codec::{Decode, Decoder, Encode, Encoder};
+use publishing_sim::table::TokenTable;
 use publishing_sim::time::{SimDuration, SimTime};
 use publishing_stable::disk::DiskParams;
 use publishing_stable::store::StoreIo;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// An action the recorder node asks the world to perform.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +95,10 @@ pub struct RecorderNode {
     manager: RecoveryManager,
     transport: Transport,
     kernel_seq: u64,
-    timers: HashMap<u64, RTimer>,
-    next_token: u64,
+    /// Outstanding timers by the token handed to the world. A crash
+    /// clears the table; late timers — disk completions among them —
+    /// then find nothing.
+    timers: TokenTable<RTimer>,
     checkpoint_requested: HashSet<ProcessId>,
     up: bool,
     /// When set (quorum mode), observed destination acks are queued in
@@ -121,8 +124,7 @@ impl RecorderNode {
             manager,
             transport,
             kernel_seq: 0,
-            timers: HashMap::new(),
-            next_token: 0,
+            timers: TokenTable::new(),
             checkpoint_requested: HashSet::new(),
             up: true,
             defer_sequencing: false,
@@ -224,9 +226,7 @@ impl RecorderNode {
     }
 
     fn arm(&mut self, at: SimTime, kind: RTimer, out: &mut Vec<RNAction>) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, kind);
+        let token = self.timers.insert(kind);
         out.push(RNAction::SetTimer { at, token });
     }
 
@@ -444,7 +444,7 @@ impl RecorderNode {
         if !self.up {
             return out;
         }
-        match self.timers.remove(&token) {
+        match self.timers.take(token) {
             None => {}
             Some(RTimer::Transport(t)) => {
                 let actions = self.transport.timer(now, t);

@@ -9,6 +9,13 @@
 //! notices (§4.4.2) pin deviations between arrival order and read order;
 //! the *replay stream* for a process is arrival order corrected by pins.
 //!
+//! Captures are numbered as they arrive, so the pending buffer is a
+//! [`TokenTable`] indexed by capture number (acks come in near-capture
+//! order: its front drains). "Is this id new, captured or published?" is
+//! one lookup in one id → state table ([`IdMap`]: message ids are
+//! per-sender counters, but kernel senders carry `incarnation << 40`, so
+//! they are hashed — keylessly — rather than windowed per sender).
+//!
 //! Each database entry holds what §4.5 lists: the ids of messages
 //! received since the last checkpoint, the latest checkpoint, the highest
 //! sequence acknowledged per destination (for resend suppression), and
@@ -24,9 +31,11 @@ use publishing_obs::span::{MsgKey, SpanLog, Stage};
 use publishing_sim::codec::{CodecError, Decode, Decoder, Encode, Encoder};
 use publishing_sim::ledger::Timeline;
 use publishing_sim::stats::{Counter, LinearHistogram};
+use publishing_sim::table::{IdMap, TokenTable};
 use publishing_sim::time::{SimDuration, SimTime};
 use publishing_stable::disk::DiskParams;
 use publishing_stable::store::{Checkpoint, RecordKey, StableStore, StoreEvent, StoreIo};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Recorder-side per-message CPU cost, §5.2.2's three operating points.
@@ -354,6 +363,16 @@ pub struct ProcessExport {
     pub checkpoint_image: Option<Vec<u8>>,
 }
 
+/// Where a message id stands with the recorder; an id it has not seen
+/// (or has forgotten with its destination) has no entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IdState {
+    /// In the pending buffer under this capture number.
+    Captured(u64),
+    /// Sequenced and appended to the store.
+    Published,
+}
+
 /// The passive recorder: capture pipeline, process database, and stable
 /// store.
 pub struct Recorder {
@@ -365,11 +384,11 @@ pub struct Recorder {
     /// acknowledged a frame in the instant before a recorder crash, and
     /// "no messages or checkpoints can be lost" — restart drains it into
     /// the streams.
-    pending: BTreeMap<u64, Message>,
-    pending_ids: HashMap<MessageId, u64>,
-    next_capture: u64,
-    /// Ids already sequenced (volatile; rebuilt from store on restart).
-    sequenced: BTreeSet<MessageId>,
+    pending: TokenTable<Message>,
+    /// Every id captured or published. The `Published` half is volatile
+    /// (rebuilt from the store on restart); the `Captured` half mirrors
+    /// `pending`.
+    ids: IdMap<MessageId, IdState>,
     pending_deposits: HashMap<ProcessId, PendingDeposit>,
     drained_ios: Vec<StoreIo>,
     restart_number: u64,
@@ -394,10 +413,8 @@ impl Recorder {
             node,
             store: StableStore::new(disk, n_disks),
             db: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            pending_ids: HashMap::new(),
-            next_capture: 0,
-            sequenced: BTreeSet::new(),
+            pending: TokenTable::new(),
+            ids: IdMap::default(),
             pending_deposits: HashMap::new(),
             drained_ios: Vec::new(),
             restart_number: 0,
@@ -525,23 +542,19 @@ impl Recorder {
         if msg.header.to.is_kernel() || !self.owns(msg.header.to) {
             return;
         }
-        if let Some(e) = self.db.get(&msg.header.to) {
-            if !e.recoverable {
-                return;
-            }
-        }
-        if self.sequenced.contains(&id) || self.pending_ids.contains_key(&id) {
-            self.stats.duplicates.inc();
+        if self.db.get(&msg.header.to).is_some_and(|e| !e.recoverable) {
             return;
         }
+        let Entry::Vacant(state) = self.ids.entry(id) else {
+            self.stats.duplicates.inc();
+            return;
+        };
+        let to = msg.header.to.as_u64();
+        let cap = self.pending.insert(msg);
+        state.insert(IdState::Captured(cap));
         self.charge(now);
         self.stats.captured.inc();
-        let cap = self.next_capture;
-        self.next_capture += 1;
-        self.spans
-            .record(now, id.into(), Stage::Capture, msg.header.to.as_u64(), cap);
-        self.pending.insert(cap, msg);
-        self.pending_ids.insert(id, cap);
+        self.spans.record(now, id.into(), Stage::Capture, to, cap);
         self.stats.depth_hist.record(self.pending.len() as f64);
     }
 
@@ -551,30 +564,32 @@ impl Recorder {
         if dst_pid.is_kernel() || !self.owns(dst_pid) {
             return Vec::new();
         }
-        if self.sequenced.contains(&msg_id) {
-            self.stats.duplicates.inc();
-            return Vec::new();
-        }
-        let Some(cap) = self.pending_ids.remove(&msg_id) else {
+        let Some(state) = self.ids.get_mut(&msg_id) else {
             self.stats.orphan_acks.inc();
             return Vec::new();
         };
-        let msg = self.pending.remove(&cap).expect("pending indexed");
-        self.sequence_message(now, msg)
+        let IdState::Captured(cap) = *state else {
+            self.stats.duplicates.inc();
+            return Vec::new();
+        };
+        *state = IdState::Published;
+        let msg = self.pending.take(cap).expect("pending indexed");
+        self.sequence_message_at(now, None, msg)
     }
 
     /// Looks up a captured-but-unsequenced message by id (the quorum
     /// leader reads these out of the battery-backed buffer to build
     /// replication proposals).
     pub fn pending_message(&self, id: MessageId) -> Option<&Message> {
-        self.pending_ids
-            .get(&id)
-            .and_then(|cap| self.pending.get(cap))
+        match self.ids.get(&id)? {
+            IdState::Captured(cap) => self.pending.get(*cap),
+            IdState::Published => None,
+        }
     }
 
     /// Whether a message id has already been sequenced (published).
     pub fn is_sequenced(&self, id: MessageId) -> bool {
-        self.sequenced.contains(&id)
+        self.ids.get(&id) == Some(&IdState::Published)
     }
 
     /// Next arrival sequence the destination would be assigned (0 for an
@@ -596,32 +611,29 @@ impl Recorder {
         if dst.is_kernel() || !self.owns(dst) {
             return Vec::new();
         }
-        if self.sequenced.contains(&id) {
+        let state = self.ids.get(&id).copied();
+        // Published already, or the slot is occupied (rebuilt from a
+        // durable record whose id matches under log matching).
+        if state == Some(IdState::Published)
+            || self
+                .db
+                .get(&dst)
+                .is_some_and(|e| e.arrivals.iter().any(|&(s, _)| s == seq))
+        {
             self.stats.duplicates.inc();
             return Vec::new();
         }
-        if let Some(e) = self.db.get(&dst) {
-            if e.arrivals.iter().any(|&(s, _)| s == seq) {
-                // The slot is already occupied (rebuilt from a durable
-                // record whose id matches under log matching).
-                self.stats.duplicates.inc();
-                return Vec::new();
-            }
+        if let Some(IdState::Captured(cap)) = state {
+            self.pending.take(cap);
         }
-        if let Some(cap) = self.pending_ids.remove(&id) {
-            self.pending.remove(&cap);
-        }
+        self.ids.insert(id, IdState::Published);
         self.sequence_message_at(now, Some(seq), msg.clone())
     }
 
-    /// Assigns the next arrival sequence for the message's destination
-    /// and appends it to the stable store.
-    fn sequence_message(&mut self, now: SimTime, msg: Message) -> Vec<StoreIo> {
-        self.sequence_message_at(now, None, msg)
-    }
-
-    /// Publishes `msg` at `fixed_seq` (quorum commit) or at the entry's
-    /// next arrival sequence (standalone recorder).
+    /// Publishes `msg`, whose id the caller has marked
+    /// [`IdState::Published`], at `fixed_seq` (quorum commit) or at the
+    /// entry's next arrival sequence (standalone recorder), and appends
+    /// it to the stable store.
     fn sequence_message_at(
         &mut self,
         now: SimTime,
@@ -630,7 +642,6 @@ impl Recorder {
     ) -> Vec<StoreIo> {
         let msg_id = msg.header.id;
         let dst_pid = msg.header.to;
-        self.sequenced.insert(msg_id);
         let bytes = msg.encode_to_vec();
         let len = bytes.len();
         let entry = self
@@ -740,19 +751,22 @@ impl Recorder {
     pub fn on_destroyed(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
         if let Some(e) = self.db.remove(&pid) {
             for (_, id) in &e.arrivals {
-                self.sequenced.remove(id);
+                self.ids.remove(id);
             }
         }
-        // Drop not-yet-acknowledged captures for the process too.
+        // Drop not-yet-acknowledged captures for the process too (the
+        // buffer holds only what is in flight: a short window).
         let stale: Vec<u64> = self
             .pending
             .iter()
             .filter(|(_, m)| m.header.to == pid)
-            .map(|(&cap, _)| cap)
+            .map(|(cap, _)| cap)
             .collect();
         for cap in stale {
-            if let Some(m) = self.pending.remove(&cap) {
-                self.pending_ids.remove(&m.header.id);
+            let id = self.pending.take(cap).expect("listed").header.id;
+            // An imported arrival may have published the id since.
+            if self.ids.get(&id) == Some(&IdState::Captured(cap)) {
+                self.ids.remove(&id);
             }
         }
         self.pending_deposits.remove(&pid);
@@ -774,9 +788,9 @@ impl Recorder {
             .collect();
         let pending = self
             .pending
-            .values()
-            .filter(|m| m.header.to == pid)
-            .cloned()
+            .iter()
+            .filter(|(_, m)| m.header.to == pid)
+            .map(|(_, m)| m.clone())
             .collect();
         Some(ProcessExport {
             pid,
@@ -823,18 +837,13 @@ impl Recorder {
         entry.recoverable = export.recoverable;
         entry.checkpoint_image = export.checkpoint_image;
         for (_, id) in &entry.arrivals {
-            self.sequenced.insert(*id);
+            self.ids.insert(*id, IdState::Published);
         }
         self.db.insert(export.pid, entry);
         for msg in export.pending {
-            let id = msg.header.id;
-            if self.sequenced.contains(&id) || self.pending_ids.contains_key(&id) {
-                continue;
+            if let Entry::Vacant(state) = self.ids.entry(msg.header.id) {
+                state.insert(IdState::Captured(self.pending.insert(msg)));
             }
-            let cap = self.next_capture;
-            self.next_capture += 1;
-            self.pending.insert(cap, msg);
-            self.pending_ids.insert(id, cap);
         }
         ios
     }
@@ -1005,8 +1014,12 @@ impl Recorder {
     /// set, database) is lost; the store and its battery-backed buffer
     /// survive.
     pub fn crash(&mut self) {
-        // The pending capture buffer is battery-backed and survives.
-        self.sequenced.clear();
+        // The pending capture buffer is battery-backed and survives, and
+        // with it the captured half of the id table.
+        self.ids.clear();
+        for (cap, m) in self.pending.iter() {
+            self.ids.insert(m.header.id, IdState::Captured(cap));
+        }
         self.db.clear();
         self.pending_deposits.clear();
         self.store.crash_volatile_state();
@@ -1048,7 +1061,7 @@ impl Recorder {
                 if let Ok(msg) = Message::decode_all(&rec.payload) {
                     entry.arrivals.push((rec.key.seq, msg.header.id));
                     entry.next_arrival_seq = entry.next_arrival_seq.max(rec.key.seq + 1);
-                    self.sequenced.insert(msg.header.id);
+                    self.ids.insert(msg.header.id, IdState::Published);
                 }
             }
             self.db.insert(pid, entry);
@@ -1088,24 +1101,30 @@ impl Recorder {
             // replicated log. Survivors stay in the battery-backed
             // buffer until a committed entry publishes them (or a
             // committed entry already did — drop those).
-            let sequenced = &self.sequenced;
-            self.pending
-                .retain(|_, m| !sequenced.contains(&m.header.id));
-            self.pending_ids = self
+            let published: Vec<u64> = self
                 .pending
                 .iter()
-                .map(|(cap, m)| (m.header.id, *cap))
+                .filter(|(_, m)| self.ids.get(&m.header.id) == Some(&IdState::Published))
+                .map(|(cap, _)| cap)
                 .collect();
+            for cap in published {
+                self.pending.take(cap);
+            }
         } else {
-            let drained: Vec<Message> = std::mem::take(&mut self.pending).into_values().collect();
-            self.pending_ids.clear();
+            let drained: Vec<Message> = self.pending.drain().collect();
             let mut pending_ios = Vec::new();
             for msg in drained {
-                if self.sequenced.contains(&msg.header.id) {
+                let id = msg.header.id;
+                if self.ids.get(&id) == Some(&IdState::Published) {
                     continue;
                 }
+                // No longer captured either way: published now, or
+                // dropped with a destination nobody knows.
                 if self.db.contains_key(&msg.header.to) {
-                    pending_ios.extend(self.sequence_message(now, msg));
+                    self.ids.insert(id, IdState::Published);
+                    pending_ios.extend(self.sequence_message_at(now, None, msg));
+                } else {
+                    self.ids.remove(&id);
                 }
             }
             self.drained_ios = pending_ios;

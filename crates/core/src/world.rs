@@ -262,7 +262,7 @@ impl WorldBuilder {
             .lan
             .unwrap_or_else(|| Box::new(PerfectBus::new(LanConfig::default())));
         lan.set_recorder_router(tier.router());
-        let mut kernels = BTreeMap::new();
+        let mut kernels = Vec::with_capacity(self.nodes as usize);
         for n in 0..self.nodes {
             let mut k = Kernel::new(
                 NodeId(n),
@@ -275,7 +275,7 @@ impl WorldBuilder {
                 k.add_recorder(tier.node(i).node());
             }
             lan.attach(k.station());
-            kernels.insert(n, k);
+            kernels.push(k);
         }
         for i in 0..tier.members() {
             lan.attach(tier.node(i).station());
@@ -308,8 +308,8 @@ pub struct World<T: RecorderTier = RecorderNode> {
     sched: Scheduler<Ev>,
     /// The shared medium.
     pub lan: Box<dyn Lan>,
-    /// Processing-node kernels by node id.
-    pub kernels: BTreeMap<u32, Kernel>,
+    /// Processing-node kernels, indexed by node id.
+    pub kernels: Vec<Kernel>,
     /// The recorder tier (in the default world, the recording node).
     pub tier: T,
     /// All process outputs, in emission order (including replayed
@@ -380,7 +380,7 @@ impl<T: RecorderTier> World<T> {
         recoverable: bool,
     ) -> Result<ProcessId, UnknownProgram> {
         let now = self.now();
-        let k = self.kernels.get_mut(&node).expect("node exists");
+        let k = self.kernels.get_mut(node as usize).expect("node exists");
         let (pid, actions) = if recoverable {
             k.spawn(now, program, links)?
         } else {
@@ -431,7 +431,7 @@ impl<T: RecorderTier> World<T> {
                     // The §4.6 operator action: reboot the processor (or
                     // a spare assuming its identity), then let the
                     // managers proceed.
-                    if let Some(k) = self.kernels.get_mut(&node.0) {
+                    if let Some(k) = self.kernels.get_mut(node.0 as usize) {
                         k.restart_node(now, incarnation);
                         self.lan.set_station_up(StationId(node.0), true);
                     }
@@ -514,7 +514,7 @@ impl<T: RecorderTier> World<T> {
                 }
             }
             Ev::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
+                if let Some(k) = self.kernels.get_mut(node as usize) {
                     let actions = k.on_timer(now, token);
                     self.apply_kernel(now, node, actions);
                 }
@@ -529,7 +529,7 @@ impl<T: RecorderTier> World<T> {
                 recorder_ok,
             } => {
                 if to < self.n_nodes {
-                    if let Some(k) = self.kernels.get_mut(&to) {
+                    if let Some(k) = self.kernels.get_mut(to as usize) {
                         let actions = k.on_frame(now, &frame, recorder_ok);
                         self.apply_kernel(now, to, actions);
                     }
@@ -590,7 +590,7 @@ impl<T: RecorderTier> World<T> {
     /// notifies the recovery manager, which recovers it transparently.
     pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
         let now = self.now();
-        if let Some(k) = self.kernels.get_mut(&pid.node.0) {
+        if let Some(k) = self.kernels.get_mut(pid.node.0 as usize) {
             let actions = k.crash_process(now, pid.local, reason);
             self.crashes.push(now);
             self.apply_kernel(now, pid.node.0, actions);
@@ -600,7 +600,7 @@ impl<T: RecorderTier> World<T> {
     /// Crashes a whole node now; the watchdog of whichever member leads
     /// its restart will notice, and the tier re-populates it.
     pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(&node) {
+        if let Some(k) = self.kernels.get_mut(node as usize) {
             k.crash_node();
             self.crashes.push(self.sched.now());
             self.lan.set_station_up(StationId(node), false);
@@ -693,7 +693,7 @@ impl<T: RecorderTier> World<T> {
     /// Every span log in the world, in deterministic order: kernels by
     /// node id, then tier members by index.
     pub fn span_logs(&self) -> Vec<&SpanLog> {
-        let mut logs: Vec<_> = self.kernels.values().map(|k| k.spans()).collect();
+        let mut logs: Vec<_> = self.kernels.iter().map(|k| k.spans()).collect();
         logs.extend(self.member_nodes().map(|rn| rn.recorder().spans()));
         logs
     }
@@ -703,7 +703,7 @@ impl<T: RecorderTier> World<T> {
     /// but retains nothing — the spans-disabled configuration of the
     /// overhead benchmark.
     pub fn set_span_capacity(&mut self, capacity: usize) {
-        for k in self.kernels.values_mut() {
+        for k in &mut self.kernels {
             k.set_span_capacity(capacity);
         }
         for i in 0..self.tier.members() {
@@ -742,7 +742,7 @@ impl<T: RecorderTier> World<T> {
     pub fn collect_metrics(&self) -> MetricsRegistry {
         let now = self.now();
         let mut reg = MetricsRegistry::new();
-        for k in self.kernels.values() {
+        for k in &self.kernels {
             crate::obs::kernel_metrics(&mut reg, k);
         }
         for (i, rn) in self.member_nodes().enumerate() {
@@ -755,7 +755,7 @@ impl<T: RecorderTier> World<T> {
 
     /// Recovery-lag probes for every process the tier knows about.
     pub fn recovery_lags(&self) -> Vec<RecoveryLag> {
-        let suppressed = crate::obs::suppressed_by_sender(self.kernels.values().map(|k| k.spans()));
+        let suppressed = crate::obs::suppressed_by_sender(self.kernels.iter().map(|k| k.spans()));
         self.tier.recovery_lags(self.now(), &suppressed)
     }
 
@@ -771,7 +771,7 @@ impl<T: RecorderTier> World<T> {
         ));
         let mut profile = publishing_obs::profile::TimeProfile::new();
         let mut kernel_cpu = SimDuration::ZERO;
-        for k in self.kernels.values() {
+        for k in &self.kernels {
             kernel_cpu += k.stats().cpu_used;
         }
         profile.charge("kernel_cpu", kernel_cpu);
@@ -841,7 +841,7 @@ impl<T: RecorderTier> World<T> {
             watchdog: None,
             workload: None,
             utilization: Some(crate::obs::utilization_report(
-                self.kernels.values(),
+                self.kernels.iter(),
                 self.member_nodes()
                     .enumerate()
                     .map(|(i, rn)| (i as u32, rn.recorder())),

@@ -109,7 +109,7 @@ fn tx_registry(transfers: u64) -> ProgramRegistry {
 
 /// Reads a participant's balances out of a world via its snapshot.
 fn balance(w: &publishing_core::world::World, pid: ProcessId, account: &str) -> i64 {
-    let proc = w.kernels[&pid.node.0].process(pid.local).unwrap();
+    let proc = w.kernels[pid.node.0 as usize].process(pid.local).unwrap();
     let mut p = TxParticipant::default();
     p.restore(&proc.program.snapshot()).unwrap();
     p.accounts.get(account).copied().unwrap_or(i64::MIN)
@@ -403,6 +403,6 @@ fn unrecoverable_processes_are_not_published_and_stay_dead() {
     w.crash_process(status, "fatal by choice");
     w.run_until(SimTime::from_secs(5));
     // Not recovered: still crashed.
-    let p = w.kernels[&0].process(status.local).unwrap();
+    let p = w.kernels[0].process(status.local).unwrap();
     assert_eq!(p.run, publishing_demos::process::RunState::Crashed);
 }

@@ -77,7 +77,7 @@ fn client_crash_recovers_and_finishes() {
     assert_eq!(out.len(), 21, "{out:?}");
     assert_eq!(out.last().unwrap(), "done");
     // The server never executed a duplicate request: 20 echoes exactly.
-    let sp = w.kernels[&1].process(server.local).unwrap();
+    let sp = w.kernels[1].process(server.local).unwrap();
     assert_eq!(sp.read_count, 20);
 }
 
@@ -129,7 +129,7 @@ fn recovery_uses_checkpoint_not_initial_state() {
     // Replay was bounded by the checkpoint: fewer messages than the
     // server's total read count.
     let replayed = w.tier.manager().stats().replayed.get();
-    let total_reads = w.kernels[&1].process(server.local).unwrap().read_count;
+    let total_reads = w.kernels[1].process(server.local).unwrap().read_count;
     assert!(
         replayed < total_reads,
         "replayed {replayed} should be less than total reads {total_reads}"

@@ -37,8 +37,9 @@ use publishing_obs::span::{SpanLog, Stage};
 use publishing_sim::codec::{Decode, Encode, Encoder};
 use publishing_sim::ledger::{LevelGauge, Timeline};
 use publishing_sim::stats::Counter;
+use publishing_sim::table::{slot_mut, TokenTable};
 use publishing_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Encodes a control payload with its leading code tag.
 pub fn encode_ctl<T: Encode>(code: u32, payload: &T) -> Vec<u8> {
@@ -132,6 +133,28 @@ struct DoneRec {
     work: DoneWork,
 }
 
+/// Everything the kernel keeps per local process id. Local ids are a
+/// counter ([`Kernel::spawn`] hands out the next), so the slots are a
+/// vector indexed by them; a slot outlives its process (ids are never
+/// reused), which is why the process itself is boxed.
+#[derive(Default)]
+struct ProcSlot {
+    /// The process, while it exists. Activations borrow it in place.
+    proc: Option<Box<Process>>,
+    /// The incarnation of the process an in-flight activation must
+    /// match; bumped by a crash, renewed by a (re)creation, dropped with
+    /// the process.
+    epoch: Option<u32>,
+    /// Whether the id sits on the run queue.
+    queued: bool,
+}
+
+/// The process in slot `local`, borrowing only the slots — so the
+/// kernel's counters and span log stay usable beside it.
+fn live_proc(slots: &mut [ProcSlot], local: u32) -> Option<&mut Process> {
+    slots.get_mut(local as usize)?.proc.as_deref_mut()
+}
+
 /// The per-node message kernel.
 pub struct Kernel {
     node: NodeId,
@@ -139,8 +162,8 @@ pub struct Kernel {
     costs: CostModel,
     publishing: bool,
     recorders: Vec<NodeId>,
-    procs: BTreeMap<u32, Process>,
-    proc_epochs: BTreeMap<u32, u32>,
+    /// Indexed by local process id.
+    slots: Vec<ProcSlot>,
     next_local: u32,
     next_epoch: u32,
     transport: Transport,
@@ -148,12 +171,12 @@ pub struct Kernel {
     cpu_busy_until: SimTime,
     active: Option<u32>,
     run_queue: VecDeque<u32>,
-    on_run_queue: BTreeMap<u32, bool>,
     pending_checkpoints: Vec<u32>,
-    timers: HashMap<u64, TimerKind>,
-    dones: HashMap<u64, DoneRec>,
-    next_token: u64,
-    next_done: u64,
+    /// Outstanding timers by the token handed to the world. A node crash
+    /// clears both tables; late timers then find nothing.
+    timers: TokenTable<TimerKind>,
+    /// Activations in flight, by the id their `Done` timer carries.
+    dones: TokenTable<DoneRec>,
     dispatch_armed: bool,
     up: bool,
     stats: KernelStats,
@@ -178,8 +201,7 @@ impl Kernel {
             costs,
             publishing,
             recorders: Vec::new(),
-            procs: BTreeMap::new(),
-            proc_epochs: BTreeMap::new(),
+            slots: Vec::new(),
             next_local: KERNEL_LOCAL + 1,
             next_epoch: 0,
             transport: Transport::new(node, transport),
@@ -187,12 +209,9 @@ impl Kernel {
             cpu_busy_until: SimTime::ZERO,
             active: None,
             run_queue: VecDeque::new(),
-            on_run_queue: BTreeMap::new(),
             pending_checkpoints: Vec::new(),
-            timers: HashMap::new(),
-            dones: HashMap::new(),
-            next_token: 0,
-            next_done: 0,
+            timers: TokenTable::new(),
+            dones: TokenTable::new(),
             dispatch_armed: false,
             up: true,
             stats: KernelStats::default(),
@@ -276,10 +295,11 @@ impl Kernel {
         &self.run_gauge
     }
 
-    /// Per-destination guaranteed-transport channel meters (sender side).
+    /// Per-destination guaranteed-transport channel meters (sender
+    /// side), by ascending destination.
     pub fn channel_meters(
         &self,
-    ) -> &std::collections::BTreeMap<NodeId, crate::transport::ChannelMeter> {
+    ) -> impl Iterator<Item = (NodeId, &crate::transport::ChannelMeter)> {
         self.transport.channel_meters()
     }
 
@@ -295,12 +315,17 @@ impl Kernel {
 
     /// Looks up a process by local id.
     pub fn process(&self, local: u32) -> Option<&Process> {
-        self.procs.get(&local)
+        self.slots.get(local as usize)?.proc.as_deref()
     }
 
-    /// Iterates the node's processes.
+    /// Iterates the node's processes, by ascending local id.
     pub fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.procs.values()
+        self.slots.iter().filter_map(|s| s.proc.as_deref())
+    }
+
+    /// Slot `local`, growing the table to reach it.
+    fn slot_mut(&mut self, local: u32) -> &mut ProcSlot {
+        slot_mut(&mut self.slots, local as usize)
     }
 
     fn recorder_kernels(&self) -> Vec<ProcessId> {
@@ -311,10 +336,7 @@ impl Kernel {
     }
 
     fn new_timer(&mut self, kind: TimerKind) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, kind);
-        token
+        self.timers.insert(kind)
     }
 
     fn charge(&mut self, d: SimDuration) {
@@ -410,7 +432,7 @@ impl Kernel {
         passed: Option<Link>,
         out: &mut Vec<KernelAction>,
     ) {
-        let Some(proc) = self.procs.get_mut(&local) else {
+        let Some(proc) = live_proc(&mut self.slots, local) else {
             return;
         };
         let seq = proc.next_seq();
@@ -555,7 +577,7 @@ impl Kernel {
             self.kernel_ctl(now, msg, out);
             return;
         }
-        let Some(proc) = self.procs.get_mut(&to.local) else {
+        let Some(proc) = live_proc(&mut self.slots, to.local) else {
             return;
         };
         match proc.run {
@@ -584,17 +606,19 @@ impl Kernel {
     }
 
     fn wake(&mut self, local: u32) {
-        let Some(proc) = self.procs.get(&local) else {
+        let Some(slot) = self.slots.get_mut(local as usize) else {
+            return;
+        };
+        let Some(proc) = slot.proc.as_deref() else {
             return;
         };
         if matches!(proc.run, RunState::Crashed) {
             return;
         }
         let runnable = !proc.started || proc.queue.has_deliverable(proc.recv_mask);
-        let queued = self.on_run_queue.get(&local).copied().unwrap_or(false);
-        if runnable && !queued {
+        if runnable && !slot.queued {
+            slot.queued = true;
             self.run_queue.push_back(local);
-            self.on_run_queue.insert(local, true);
         }
     }
 
@@ -620,8 +644,11 @@ impl Kernel {
             return;
         }
         while let Some(local) = self.run_queue.pop_front() {
-            self.on_run_queue.insert(local, false);
-            let Some(proc) = self.procs.get(&local) else {
+            let Some(slot) = self.slots.get_mut(local as usize) else {
+                continue;
+            };
+            slot.queued = false;
+            let Some(proc) = slot.proc.as_deref() else {
                 continue;
             };
             if matches!(proc.run, RunState::Crashed) {
@@ -649,18 +676,17 @@ impl Kernel {
         work: DoneWork,
         out: &mut Vec<KernelAction>,
     ) {
-        let epoch = self.proc_epochs.get(&local).copied().unwrap_or(0);
-        let done_id = self.next_done;
-        self.next_done += 1;
-        self.dones.insert(
-            done_id,
-            DoneRec {
-                local,
-                epoch,
-                cost,
-                work,
-            },
-        );
+        let epoch = self
+            .slots
+            .get(local as usize)
+            .and_then(|s| s.epoch)
+            .unwrap_or(0);
+        let done_id = self.dones.insert(DoneRec {
+            local,
+            epoch,
+            cost,
+            work,
+        });
         self.active = Some(local);
         self.cpu_busy_until = now + cost;
         self.prog_cpu.add_busy(now, self.cpu_busy_until);
@@ -672,7 +698,7 @@ impl Kernel {
     }
 
     fn run_start(&mut self, now: SimTime, local: u32, out: &mut Vec<KernelAction>) {
-        let Some(mut proc) = self.procs.remove(&local) else {
+        let Some(proc) = live_proc(&mut self.slots, local) else {
             return;
         };
         proc.started = true;
@@ -686,23 +712,21 @@ impl Kernel {
                 links,
                 recv_mask,
                 ..
-            } = &mut proc;
+            } = proc;
             let mut ctx = Ctx::new(pid, links, &mut effects, recv_mask, &mut stop, &mut compute);
             program.on_start(&mut ctx);
         }
         self.stats.activations.inc();
-        self.procs.insert(local, proc);
         let cost = self.costs.activation_base + compute;
         self.schedule_done(now, local, cost, DoneWork::App { effects, stop }, out);
     }
 
     fn run_activation(&mut self, now: SimTime, local: u32, out: &mut Vec<KernelAction>) {
-        let Some(mut proc) = self.procs.remove(&local) else {
+        let Some(mut proc) = live_proc(&mut self.slots, local) else {
             return;
         };
         let pid = proc.pid;
         let Some(read) = proc.queue.receive_for_process(proc.recv_mask) else {
-            self.procs.insert(local, proc);
             return;
         };
         let read_index = proc.read_count;
@@ -729,18 +753,17 @@ impl Kernel {
                 };
                 self.stats.read_order_notices.inc();
                 let body = encode_ctl(codes::READ_ORDER_NOTICE, &notice);
-                // Re-insert the process before sending from the kernel.
-                self.procs.insert(local, proc);
+                // Sending from the kernel needs all of it: let go of the
+                // process, which a send to a recorder never touches.
                 for rk in self.recorder_kernels() {
                     self.kernel_send(now, rk, codes::READ_ORDER_NOTICE, body.clone(), None, out);
                 }
-                proc = self.procs.remove(&local).expect("just inserted");
+                proc = live_proc(&mut self.slots, local).expect("notices leave processes be");
             }
         }
         let mut msg = read.message;
         if msg.header.deliver_to_kernel {
             // Process-control: the kernel executes it (§4.4.3).
-            self.procs.insert(local, proc);
             let cost = self.costs.kernel_call;
             self.schedule_done(now, local, cost, DoneWork::Control(msg), out);
             return;
@@ -761,13 +784,12 @@ impl Kernel {
                 links,
                 recv_mask,
                 ..
-            } = &mut proc;
+            } = &mut *proc;
             let mut ctx = Ctx::new(pid, links, &mut effects, recv_mask, &mut stop, &mut compute);
             program.on_message(&mut ctx, received);
         }
         self.stats.activations.inc();
         proc.cpu_since_checkpoint += compute;
-        self.procs.insert(local, proc);
         let cost = self.costs.activation_base + compute;
         self.schedule_done(now, local, cost, DoneWork::App { effects, stop }, out);
     }
@@ -778,14 +800,14 @@ impl Kernel {
         if !self.up {
             return out;
         }
-        match self.timers.remove(&token) {
+        match self.timers.take(token) {
             None => {}
             Some(TimerKind::Transport(t)) => {
                 let actions = self.transport.timer(now, t);
                 self.apply_transport(now, actions, &mut out);
             }
             Some(TimerKind::Done(id)) => {
-                if let Some(rec) = self.dones.remove(&id) {
+                if let Some(rec) = self.dones.take(id) {
                     self.finish_activation(now, rec, &mut out);
                 }
             }
@@ -801,22 +823,27 @@ impl Kernel {
         self.active = None;
         self.charge(rec.cost);
         let local = rec.local;
-        let current_epoch = self.proc_epochs.get(&local).copied().unwrap_or(u32::MAX);
-        if current_epoch != rec.epoch || !self.procs.contains_key(&local) {
+        let Some((pid, epoch)) = self
+            .slots
+            .get(local as usize)
+            .and_then(|s| Some((s.proc.as_deref()?.pid, s.epoch)))
+        else {
+            return;
+        };
+        if epoch.unwrap_or(u32::MAX) != rec.epoch {
             // The process crashed or was recreated mid-activation; its
             // effects die with it (§1.1.2 rounds faults up to crashes).
             return;
         }
         match rec.work {
             DoneWork::App { effects, stop } => {
-                let pid = self.procs[&local].pid;
                 for effect in effects {
                     match effect {
                         Effect::Send { link, body, passed } => {
                             self.send_as(now, local, link, body, passed, out);
                         }
                         Effect::Output(bytes) => {
-                            let proc = self.procs.get_mut(&local).expect("checked");
+                            let proc = live_proc(&mut self.slots, local).expect("checked");
                             proc.outputs_emitted += 1;
                             let seq = proc.outputs_emitted;
                             out.push(KernelAction::Output { pid, seq, bytes });
@@ -834,9 +861,7 @@ impl Kernel {
             self.pending_checkpoints.remove(pos);
             self.capture_checkpoint(now, local, out);
         }
-        if self.procs.contains_key(&local) {
-            self.wake(local);
-        }
+        self.wake(local);
     }
 
     // ------------------------------------------------------------------
@@ -873,9 +898,7 @@ impl Kernel {
                 let Ok(fetch) = protocol::MoveLinkFetch::decode_all(payload) else {
                     return;
                 };
-                let link = self
-                    .procs
-                    .get_mut(&local)
+                let link = live_proc(&mut self.slots, local)
                     .and_then(|p| p.links.remove(crate::ids::LinkId(fetch.link_id)));
                 let Some(link) = link else { return };
                 let mut e = Encoder::new();
@@ -896,7 +919,7 @@ impl Kernel {
                 let Some(passed) = msg.passed_link else {
                     return;
                 };
-                let Some(proc) = self.procs.get_mut(&local) else {
+                let Some(proc) = live_proc(&mut self.slots, local) else {
                     return;
                 };
                 let id = proc.links.insert(passed);
@@ -988,10 +1011,10 @@ impl Kernel {
                 let Ok(pid) = ProcessId::decode_all(payload) else {
                     return;
                 };
-                if let Some(proc) = self.procs.get_mut(&pid.local) {
-                    if let Some(book) = proc.recovery.as_mut() {
-                        book.holding = true;
-                    }
+                if let Some(book) =
+                    live_proc(&mut self.slots, pid.local).and_then(|proc| proc.recovery.as_mut())
+                {
+                    book.holding = true;
                 }
                 let mut e = Encoder::new();
                 e.u32(codes::PREPARE_FINISH_REPLY);
@@ -1015,7 +1038,7 @@ impl Kernel {
                 let Ok(q) = protocol::StateQuery::decode_all(payload) else {
                     return;
                 };
-                let state = match self.procs.get(&q.pid.local) {
+                let state = match self.process(q.pid.local) {
                     _ if q.pid.node != self.node => protocol::ReportedState::Unknown,
                     None => protocol::ReportedState::Unknown,
                     Some(p) => match p.run {
@@ -1126,8 +1149,9 @@ impl Kernel {
         }
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        self.proc_epochs.insert(local, epoch);
-        self.procs.insert(local, proc);
+        let slot = self.slot_mut(local);
+        slot.epoch = Some(epoch);
+        slot.proc = Some(Box::new(proc));
         self.stats.creates.inc();
         self.charge(self.costs.process_create);
         // §4.5: "send a message whenever a process is created".
@@ -1155,11 +1179,14 @@ impl Kernel {
     }
 
     fn destroy_process(&mut self, now: SimTime, local: u32, out: &mut Vec<KernelAction>) {
-        let Some(proc) = self.procs.remove(&local) else {
+        let Some(slot) = self.slots.get_mut(local as usize) else {
+            return;
+        };
+        let Some(proc) = slot.proc.take() else {
             return;
         };
         let pid = proc.pid;
-        self.proc_epochs.remove(&local);
+        slot.epoch = None;
         self.stats.destroys.inc();
         self.charge(self.costs.process_create);
         if self.publishing {
@@ -1187,15 +1214,17 @@ impl Kernel {
     /// it halts and a crash notice goes to the recovery manager.
     pub fn crash_process(&mut self, now: SimTime, local: u32, reason: &str) -> Vec<KernelAction> {
         let mut out = Vec::new();
-        let Some(proc) = self.procs.get_mut(&local) else {
+        let Some(slot) = self.slots.get_mut(local as usize) else {
+            return out;
+        };
+        let Some(proc) = slot.proc.as_deref_mut() else {
             return out;
         };
         proc.run = RunState::Crashed;
         proc.queue.clear();
         let pid = proc.pid;
         // Invalidate any in-flight activation.
-        let epoch = self.proc_epochs.entry(local).or_insert(0);
-        *epoch = epoch.wrapping_add(1);
+        slot.epoch = Some(slot.epoch.unwrap_or(0).wrapping_add(1));
         if self.active == Some(local) {
             self.active = None;
         }
@@ -1220,10 +1249,8 @@ impl Kernel {
     /// Takes the whole node down (§1.1.2: the crash of all its processes).
     pub fn crash_node(&mut self) {
         self.up = false;
-        self.procs.clear();
-        self.proc_epochs.clear();
+        self.slots.clear();
         self.run_queue.clear();
-        self.on_run_queue.clear();
         self.dones.clear();
         self.timers.clear();
         self.pending_checkpoints.clear();
@@ -1248,7 +1275,7 @@ impl Kernel {
         }
         let local = req.pid.local;
         // §4.7: "If the process already exists, it is destroyed."
-        self.procs.remove(&local);
+        self.slot_mut(local).proc = None;
         let Ok(fresh) = self.registry.instantiate(&req.program_name) else {
             return false;
         };
@@ -1279,16 +1306,17 @@ impl Kernel {
         proc.run = RunState::Recovering;
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        self.proc_epochs.insert(local, epoch);
         self.next_local = self.next_local.max(local + 1);
-        self.procs.insert(local, proc);
+        let slot = self.slot_mut(local);
+        slot.epoch = Some(epoch);
+        slot.proc = Some(Box::new(proc));
         self.charge(self.costs.process_create);
         self.wake(local);
         true
     }
 
     fn inject_replay(&mut self, now: SimTime, rep: protocol::Replay, out: &mut Vec<KernelAction>) {
-        let Some(proc) = self.procs.get_mut(&rep.dst.local) else {
+        let Some(proc) = live_proc(&mut self.slots, rep.dst.local) else {
             return;
         };
         if !matches!(proc.run, RunState::Recovering) {
@@ -1314,7 +1342,7 @@ impl Kernel {
     }
 
     fn commit_finish(&mut self, now: SimTime, pid: ProcessId, out: &mut Vec<KernelAction>) {
-        let Some(proc) = self.procs.get_mut(&pid.local) else {
+        let Some(proc) = live_proc(&mut self.slots, pid.local) else {
             return;
         };
         let Some(book) = proc.recovery.take() else {
@@ -1335,7 +1363,7 @@ impl Kernel {
     }
 
     fn capture_checkpoint(&mut self, now: SimTime, local: u32, out: &mut Vec<KernelAction>) {
-        let Some(proc) = self.procs.get_mut(&local) else {
+        let Some(proc) = live_proc(&mut self.slots, local) else {
             return;
         };
         if matches!(proc.run, RunState::Crashed | RunState::Recovering) {
@@ -1365,7 +1393,7 @@ impl core::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("node", &self.node)
             .field("up", &self.up)
-            .field("procs", &self.procs.len())
+            .field("procs", &self.processes().count())
             .field("publishing", &self.publishing)
             .finish()
     }
@@ -1388,6 +1416,172 @@ mod tests {
             TransportConfig::default(),
             publishing,
         )
+    }
+
+    /// Fires, in order, every timer in `actions` that is due at `now`
+    /// (activations cost nothing under `CostModel::zero`; retransmission
+    /// timers lie 20 ms out and stay unfired), and returns everything
+    /// else the kernel asked for.
+    fn settle(k: &mut Kernel, now: SimTime, actions: Vec<KernelAction>) -> Vec<KernelAction> {
+        let mut rest = Vec::new();
+        let mut queue: VecDeque<KernelAction> = actions.into();
+        while let Some(a) = queue.pop_front() {
+            match a {
+                KernelAction::SetTimer { at, token } if at <= now => {
+                    queue.extend(k.on_timer(now, token));
+                }
+                other => rest.push(other),
+            }
+        }
+        rest
+    }
+
+    /// Hands `msg` to the kernel as the transport would after delivery.
+    fn arrive(k: &mut Kernel, now: SimTime, msg: Message) -> Vec<KernelAction> {
+        let mut out = Vec::new();
+        k.accept_message(now, msg, &mut out);
+        k.try_dispatch(now, &mut out);
+        out
+    }
+
+    fn to(dst: ProcessId, seq: u64, channel: u8, control: Option<u32>) -> Message {
+        Message {
+            header: MessageHeader {
+                id: MessageId {
+                    sender: ProcessId::new(7, 1),
+                    seq,
+                },
+                to: dst,
+                code: 0,
+                channel: Channel(channel),
+                deliver_to_kernel: control.is_some(),
+            },
+            passed_link: None,
+            body: control.map_or_else(|| b"hello".to_vec(), |code| code.to_le_bytes().to_vec()),
+        }
+    }
+
+    // An activation borrows its process where it sits. Each way out of
+    // `run_start` / `run_activation` / `finish_activation` must leave the
+    // process in its slot (or leave the slot empty because the process
+    // is gone) — never lose one, never resurrect one.
+
+    #[test]
+    fn activation_of_nothing_leaves_everything_alone() {
+        let mut k = kernel(false);
+        let t = SimTime::ZERO;
+        let (pid, actions) = k.spawn(t, "echo", vec![]).unwrap();
+        assert!(settle(&mut k, t, actions).is_empty());
+        let mut out = Vec::new();
+        // Nothing queued: the receive finds nothing and the process stays.
+        k.run_activation(t, pid.local, &mut out);
+        // No such process, in the table's range and beyond it.
+        k.run_start(t, 0, &mut out);
+        k.run_start(t, 99, &mut out);
+        k.run_activation(t, 99, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(k.active, None);
+        assert_eq!(k.stats().activations.get(), 1, "the start only");
+        let proc = k.process(pid.local).expect("still in its slot");
+        assert!(proc.started && proc.read_count == 0);
+        assert_eq!(k.processes().count(), 1);
+    }
+
+    #[test]
+    fn control_message_keeps_the_process_in_its_slot_until_it_says_stop() {
+        let mut k = kernel(false);
+        let t = SimTime::ZERO;
+        let (pid, actions) = k.spawn(t, "echo", vec![]).unwrap();
+        settle(&mut k, t, actions);
+        // A control code nobody implements: the kernel call runs, as the
+        // process, and changes nothing.
+        let actions = arrive(&mut k, t, to(pid, 1, 0, Some(0xFFFF)));
+        assert_eq!(k.active, Some(pid.local), "kernel call in flight");
+        assert_eq!(k.process(pid.local).expect("in its slot").read_count, 1);
+        settle(&mut k, t, actions);
+        assert_eq!(k.active, None);
+        assert!(k.process(pid.local).is_some());
+        // STOP_PROCESS: in its slot while the call runs, gone after.
+        let actions = arrive(&mut k, t, to(pid, 2, 0, Some(codes::STOP_PROCESS)));
+        assert!(k.process(pid.local).is_some());
+        settle(&mut k, t, actions);
+        assert!(k.process(pid.local).is_none());
+        assert_eq!(k.stats().destroys.get(), 1);
+        assert_eq!(
+            k.stats().activations.get(),
+            1,
+            "control is not an activation"
+        );
+    }
+
+    #[test]
+    fn read_order_notice_is_sent_mid_activation_and_the_activation_completes() {
+        let mut reg = ProgramRegistry::new();
+        reg.register("reader", || {
+            Box::new(crate::programs::ChannelReader::new(Channel(1)))
+        });
+        let cfg = TransportConfig::default();
+        let mut k = Kernel::new(NodeId(1), reg, CostModel::zero(), cfg, true);
+        k.set_recorder(NodeId(9));
+        let t = SimTime::ZERO;
+        let (pid, actions) = k.spawn(t, "reader", vec![]).unwrap();
+        settle(&mut k, t, actions);
+        // The reader accepts channel 1 only: a channel-0 message waits at
+        // the head of its queue, and the channel-1 message behind it is
+        // read first — which the recorder must be told (§4.4.2).
+        assert!(arrive(&mut k, t, to(pid, 1, 0, None)).is_empty());
+        let sent_before = k.transport_stats().sent.get();
+        let actions = arrive(&mut k, t, to(pid, 2, 1, None));
+        assert_eq!(k.stats().read_order_notices.get(), 1);
+        assert_eq!(
+            k.transport_stats().sent.get(),
+            sent_before + 1,
+            "the notice"
+        );
+        assert_eq!(k.active, Some(pid.local));
+        let proc = k.process(pid.local).expect("in its slot");
+        assert_eq!((proc.read_count, proc.queue.len()), (1, 1));
+        let rest = settle(&mut k, t, actions);
+        let outputs: Vec<&[u8]> = rest
+            .iter()
+            .filter_map(|a| match a {
+                KernelAction::Output { bytes, .. } => Some(bytes.as_slice()),
+                _ => None,
+            })
+            .collect();
+        // The reader then opens every channel and reads the waiting head.
+        assert_eq!(outputs, [&b"read 1 ch1 [5]"[..], &b"read 2 ch0 [5]"[..]]);
+        assert_eq!(k.stats().activations.get(), 3);
+        assert_eq!(k.process(pid.local).expect("in its slot").read_count, 2);
+    }
+
+    #[test]
+    fn process_gone_or_crashed_before_its_done_timer_fires() {
+        let mut k = kernel(false);
+        let t = SimTime::ZERO;
+        // Destroyed mid-activation: the Done timer finds an empty slot.
+        let (gone, start) = k.spawn(t, "echo", vec![]).unwrap();
+        assert_eq!(k.active, Some(gone.local), "start activation in flight");
+        let mut out = Vec::new();
+        k.destroy_process(t, gone.local, &mut out);
+        assert!(settle(&mut k, t, start).is_empty());
+        assert_eq!(k.active, None);
+        assert!(k.process(gone.local).is_none());
+        // Crashed mid-activation: the process stays in its slot, halted,
+        // and the activation's effects die with the old incarnation.
+        let (crashed, start) = k.spawn(t, "echo", vec![]).unwrap();
+        assert_ne!(crashed.local, gone.local, "local ids are never reused");
+        k.crash_process(t, crashed.local, "test");
+        assert!(settle(&mut k, t, start).is_empty());
+        assert_eq!(
+            k.process(crashed.local).expect("in its slot").run,
+            RunState::Crashed
+        );
+        assert_eq!(k.processes().count(), 1);
+        // A message for either is dropped without a trace.
+        assert!(arrive(&mut k, t, to(gone, 1, 0, None)).is_empty());
+        assert!(arrive(&mut k, t, to(crashed, 1, 0, None)).is_empty());
+        assert_eq!(k.stats().msgs_received.get(), 0);
     }
 
     #[test]

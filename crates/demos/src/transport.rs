@@ -22,8 +22,9 @@ use crate::message::Message;
 use publishing_sim::codec::{CodecError, Decode, Decoder, Encode, Encoder};
 use publishing_sim::ledger::LevelGauge;
 use publishing_sim::stats::{Counter, Utilization};
+use publishing_sim::table::{slot_mut, TokenTable};
 use publishing_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A transport-layer frame payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,12 +101,44 @@ const TAG_QUORUM: u8 = 5;
 /// group and the payload's length prefix.
 const QUORUM_HEADER: usize = 1 + 4 + 4 + 8;
 
+/// Bytes a `Wire::Data` encoding spends before its message: tag, node,
+/// incarnation, peer epoch and transport sequence.
+const DATA_HEADER: usize = 1 + 4 + 4 + 4 + 8;
+
 impl Wire {
     /// Whether `bytes` carry the `Quorum` tag — one byte read, nothing
     /// decoded, so a station can tell consensus traffic from process
     /// traffic before deciding whether the frame is worth decoding.
     pub fn is_quorum(bytes: &[u8]) -> bool {
         bytes.first() == Some(&TAG_QUORUM)
+    }
+
+    /// The encoding of `Wire::Data { src_node, incarnation, peer_epoch,
+    /// tseq, msg: msg.clone() }`, written from the borrowed message: a
+    /// (re)transmission copies the body once, into the frame's bytes,
+    /// not first into a `Wire` that is dropped a line later.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg.encoded_len()` is not exact — the buffer is sized
+    /// from it.
+    pub fn encode_data(
+        src_node: NodeId,
+        incarnation: u32,
+        peer_epoch: u32,
+        tseq: u64,
+        msg: &Message,
+    ) -> Vec<u8> {
+        let len = DATA_HEADER + msg.encoded_len();
+        let mut e = Encoder::with_capacity(len);
+        e.u8(TAG_DATA)
+            .u32(src_node.0)
+            .u32(incarnation)
+            .u32(peer_epoch)
+            .u64(tseq);
+        msg.encode(&mut e);
+        assert_eq!(e.len(), len, "encoded_len must be exact");
+        e.finish()
     }
 
     /// The encoding of `Wire::Quorum { src_node, group, payload:
@@ -183,7 +216,7 @@ impl Encode for Wire {
     fn encoded_len(&self) -> usize {
         // Tag 1, node 4, then the variant's fixed-width fields.
         match self {
-            Wire::Data { msg, .. } => 5 + 4 + 4 + 8 + msg.encoded_len(),
+            Wire::Data { msg, .. } => DATA_HEADER + msg.encoded_len(),
             Wire::Ack { .. } => 5 + 4 + 4 + 8 + 16 + 8,
             Wire::Datagram { msg, .. } => 5 + msg.encoded_len(),
             Wire::EpochNotice { .. } => 5 + 4,
@@ -320,11 +353,21 @@ struct Inflight {
     rto: SimDuration,
 }
 
+/// Entries keyed by the transport sequence they went out under, oldest
+/// first. Sequences are issued in order and the window is a handful at
+/// most, so a search from the front finds any of them; unlike a map, an
+/// emptied window keeps its buffer for the next message.
+type BySeq<T> = VecDeque<(u64, T)>;
+
+fn position<T>(window: &BySeq<T>, tseq: u64) -> Option<usize> {
+    window.iter().position(|e| e.0 == tseq)
+}
+
 struct OutState {
     /// The receiver incarnation we currently target.
     epoch: u32,
     next_tseq: u64,
-    inflight: BTreeMap<u64, Inflight>,
+    inflight: BySeq<Inflight>,
     queue: VecDeque<Message>,
 }
 
@@ -333,7 +376,7 @@ impl OutState {
         OutState {
             epoch: 0,
             next_tseq: 1,
-            inflight: BTreeMap::new(),
+            inflight: BySeq::new(),
             queue: VecDeque::new(),
         }
     }
@@ -368,7 +411,7 @@ pub struct ChannelMeter {
     /// `OutState::queue`).
     enq_queue: VecDeque<SimTime>,
     /// Accept times of messages in flight, by tseq.
-    enq_inflight: BTreeMap<u64, SimTime>,
+    enq_inflight: BySeq<SimTime>,
 }
 
 impl ChannelMeter {
@@ -391,17 +434,25 @@ impl ChannelMeter {
     }
 }
 
+/// What the transport keeps per peer node, each part made on first use.
+#[derive(Default)]
+struct Peer {
+    out: Option<OutState>,
+    inc: Option<InState>,
+    meter: Option<ChannelMeter>,
+}
+
 /// The per-node transport state machine.
 pub struct Transport {
     node: NodeId,
     incarnation: u32,
     cfg: TransportConfig,
-    out: BTreeMap<NodeId, OutState>,
-    inc: BTreeMap<NodeId, InState>,
-    timers: HashMap<u64, (NodeId, u64)>,
-    next_token: u64,
+    /// Indexed by the peer's node id (node ids count up from 0).
+    peers: Vec<Peer>,
+    /// Retransmission timers, (destination, tseq) by the token handed to
+    /// the kernel. A restart clears it; late timers then find nothing.
+    timers: TokenTable<(NodeId, u64)>,
     stats: TransportStats,
-    meters: BTreeMap<NodeId, ChannelMeter>,
     last_now: SimTime,
 }
 
@@ -412,12 +463,9 @@ impl Transport {
             node,
             incarnation: 0,
             cfg,
-            out: BTreeMap::new(),
-            inc: BTreeMap::new(),
-            timers: HashMap::new(),
-            next_token: 0,
+            peers: Vec::new(),
+            timers: TokenTable::new(),
             stats: TransportStats::default(),
-            meters: BTreeMap::new(),
             last_now: SimTime::ZERO,
         }
     }
@@ -432,9 +480,13 @@ impl Transport {
         &self.stats
     }
 
-    /// Returns the per-destination channel meters (sender side).
-    pub fn channel_meters(&self) -> &BTreeMap<NodeId, ChannelMeter> {
-        &self.meters
+    /// Returns the per-destination channel meters (sender side), by
+    /// ascending destination.
+    pub fn channel_meters(&self) -> impl Iterator<Item = (NodeId, &ChannelMeter)> {
+        self.peers
+            .iter()
+            .enumerate()
+            .filter_map(|(n, p)| Some((NodeId(n as u32), p.meter.as_ref()?)))
     }
 
     /// Clears all state and bumps the incarnation — the node restarted.
@@ -443,14 +495,16 @@ impl Transport {
     pub fn restart(&mut self, incarnation: u32) {
         assert!(incarnation > self.incarnation, "incarnation must increase");
         self.incarnation = incarnation;
-        self.out.clear();
-        self.inc.clear();
         self.timers.clear();
         let now = self.last_now;
-        for meter in self.meters.values_mut() {
-            meter.enq_queue.clear();
-            meter.enq_inflight.clear();
-            meter.set_level(now, 0);
+        for peer in &mut self.peers {
+            peer.out = None;
+            peer.inc = None;
+            if let Some(meter) = &mut peer.meter {
+                meter.enq_queue.clear();
+                meter.enq_inflight.clear();
+                meter.set_level(now, 0);
+            }
         }
     }
 
@@ -460,20 +514,19 @@ impl Transport {
     pub fn reset_peer(&mut self, now: SimTime, peer: NodeId, new_epoch: u32) -> Vec<TAction> {
         self.last_now = now;
         let mut actions = Vec::new();
-        let out = self.out.entry(peer).or_insert_with(OutState::new);
+        let slot = slot_mut(&mut self.peers, peer.0 as usize);
+        let out = slot.out.get_or_insert_with(OutState::new);
         if out.epoch >= new_epoch {
             return actions;
         }
         // Re-queue in sequence order ahead of anything already queued.
-        let inflight = std::mem::take(&mut out.inflight);
-        for (_, inf) in inflight.into_iter().rev() {
+        for (_, inf) in out.inflight.drain(..).rev() {
             out.queue.push_front(inf.msg);
         }
         // Re-queue the matching accept timestamps in the same order so
         // sojourn accounting follows the messages through renumbering.
-        let meter = self.meters.entry(peer).or_default();
-        let stamps = std::mem::take(&mut meter.enq_inflight);
-        for (_, t) in stamps.into_iter().rev() {
+        let meter = slot.meter.get_or_insert_with(ChannelMeter::default);
+        for (_, t) in meter.enq_inflight.drain(..).rev() {
             meter.enq_queue.push_front(t);
         }
         out.epoch = new_epoch;
@@ -492,16 +545,11 @@ impl Transport {
         self.stats.sent.inc();
         self.last_now = now;
         let mut actions = Vec::new();
-        self.out
-            .entry(dst_node)
-            .or_insert_with(OutState::new)
-            .queue
-            .push_back(msg);
-        self.meters
-            .entry(dst_node)
-            .or_default()
-            .enq_queue
-            .push_back(now);
+        let slot = slot_mut(&mut self.peers, dst_node.0 as usize);
+        let out = slot.out.get_or_insert_with(OutState::new);
+        out.queue.push_back(msg);
+        let meter = slot.meter.get_or_insert_with(ChannelMeter::default);
+        meter.enq_queue.push_back(now);
         self.pump(now, dst_node, &mut actions);
         actions
     }
@@ -520,10 +568,13 @@ impl Transport {
     }
 
     fn pump(&mut self, now: SimTime, dst_node: NodeId, actions: &mut Vec<TAction>) {
-        let Some(out) = self.out.get_mut(&dst_node) else {
+        let Some(slot) = self.peers.get_mut(dst_node.0 as usize) else {
             return;
         };
-        let meter = self.meters.entry(dst_node).or_default();
+        let Some(out) = &mut slot.out else {
+            return;
+        };
+        let meter = slot.meter.get_or_insert_with(ChannelMeter::default);
         while out.inflight.len() < self.cfg.window {
             let Some(msg) = out.queue.pop_front() else {
                 break;
@@ -531,29 +582,13 @@ impl Transport {
             let tseq = out.next_tseq;
             out.next_tseq += 1;
             if let Some(t) = meter.enq_queue.pop_front() {
-                meter.enq_inflight.insert(tseq, t);
+                meter.enq_inflight.push_back((tseq, t));
             }
-            let wire = Wire::Data {
-                src_node: self.node,
-                incarnation: self.incarnation,
-                peer_epoch: out.epoch,
-                tseq,
-                msg: msg.clone(),
-            };
-            actions.push(TAction::Transmit {
-                dst_node,
-                payload: wire.encode_to_vec(),
-            });
-            out.inflight.insert(
-                tseq,
-                Inflight {
-                    msg,
-                    rto: self.cfg.rto,
-                },
-            );
-            let token = self.next_token;
-            self.next_token += 1;
-            self.timers.insert(token, (dst_node, tseq));
+            let payload = Wire::encode_data(self.node, self.incarnation, out.epoch, tseq, &msg);
+            actions.push(TAction::Transmit { dst_node, payload });
+            let rto = self.cfg.rto;
+            out.inflight.push_back((tseq, Inflight { msg, rto }));
+            let token = self.timers.insert((dst_node, tseq));
             actions.push(TAction::SetTimer {
                 at: now + self.cfg.rto,
                 token,
@@ -566,36 +601,27 @@ impl Transport {
     /// Handles a retransmission timer.
     pub fn timer(&mut self, now: SimTime, token: u64) -> Vec<TAction> {
         let mut actions = Vec::new();
-        let Some((dst_node, tseq)) = self.timers.remove(&token) else {
+        let Some((dst_node, tseq)) = self.timers.take(token) else {
             return actions;
         };
-        let Some(out) = self.out.get_mut(&dst_node) else {
+        let Some(out) = self
+            .peers
+            .get_mut(dst_node.0 as usize)
+            .and_then(|p| p.out.as_mut())
+        else {
             return actions;
         };
-        let epoch = out.epoch;
-        let incarnation = self.incarnation;
-        let src_node = self.node;
-        let Some(inf) = out.inflight.get_mut(&tseq) else {
+        let Some(at) = position(&out.inflight, tseq) else {
             return actions;
         };
+        let inf = &mut out.inflight[at].1;
         // Still unacknowledged: resend with doubled (capped) timeout.
         self.stats.retransmits.inc();
         inf.rto = (inf.rto.saturating_mul(2)).min(self.cfg.max_rto);
-        let wire = Wire::Data {
-            src_node,
-            incarnation,
-            peer_epoch: epoch,
-            tseq,
-            msg: inf.msg.clone(),
-        };
         let rto = inf.rto;
-        actions.push(TAction::Transmit {
-            dst_node,
-            payload: wire.encode_to_vec(),
-        });
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, (dst_node, tseq));
+        let payload = Wire::encode_data(self.node, self.incarnation, out.epoch, tseq, &inf.msg);
+        actions.push(TAction::Transmit { dst_node, payload });
+        let token = self.timers.insert((dst_node, tseq));
         actions.push(TAction::SetTimer {
             at: now + rto,
             token,
@@ -656,11 +682,13 @@ impl Transport {
             });
             return actions;
         }
-        let st = self.inc.entry(src_node).or_insert_with(|| InState {
-            peer_incarnation: incarnation,
-            expected: 1,
-            reorder: BTreeMap::new(),
-        });
+        let st = slot_mut(&mut self.peers, src_node.0 as usize)
+            .inc
+            .get_or_insert_with(|| InState {
+                peer_incarnation: incarnation,
+                expected: 1,
+                reorder: BTreeMap::new(),
+            });
         if st.peer_incarnation != incarnation {
             // The sender restarted: its numbering starts over.
             st.peer_incarnation = incarnation;
@@ -705,18 +733,23 @@ impl Transport {
 
     fn on_ack(&mut self, now: SimTime, acker: NodeId, peer_epoch: u32, tseq: u64) -> Vec<TAction> {
         let mut actions = Vec::new();
-        let Some(out) = self.out.get_mut(&acker) else {
+        let Some(slot) = self.peers.get_mut(acker.0 as usize) else {
+            return actions;
+        };
+        let Some(out) = &mut slot.out else {
             return actions;
         };
         if out.epoch != peer_epoch {
             self.stats.stale_epoch.inc();
             return actions;
         }
-        if out.inflight.remove(&tseq).is_some() {
+        if let Some(at) = position(&out.inflight, tseq) {
+            out.inflight.remove(at);
             self.stats.acked.inc();
             self.last_now = now;
-            let meter = self.meters.entry(acker).or_default();
-            if let Some(t) = meter.enq_inflight.remove(&tseq) {
+            let meter = slot.meter.get_or_insert_with(ChannelMeter::default);
+            if let Some(at) = position(&meter.enq_inflight, tseq) {
+                let (_, t) = meter.enq_inflight.remove(at).expect("found");
                 meter.completed += 1;
                 meter.sojourn_ns += u128::from(now.saturating_since(t).as_nanos());
             }
@@ -727,8 +760,9 @@ impl Transport {
 
     /// Returns `true` if any guaranteed traffic is outstanding or queued.
     pub fn has_unacked(&self) -> bool {
-        self.out
-            .values()
+        self.peers
+            .iter()
+            .filter_map(|p| p.out.as_ref())
             .any(|o| !o.inflight.is_empty() || !o.queue.is_empty())
     }
 }
@@ -758,6 +792,11 @@ mod tests {
             Transport::new(NodeId(1), TransportConfig::default()),
             Transport::new(NodeId(2), TransportConfig::default()),
         )
+    }
+
+    fn meter_to(t: &Transport, dst: NodeId) -> &ChannelMeter {
+        let mut meters = t.channel_meters();
+        meters.find(|(n, _)| *n == dst).expect("channel used").1
     }
 
     fn payload_of(actions: &[TAction]) -> Vec<Vec<u8>> {
@@ -836,6 +875,39 @@ mod tests {
             );
         }
         assert!(!Wire::is_quorum(&[]));
+    }
+
+    proptest::proptest! {
+        /// The borrowed-message encoder writes the bytes the `Wire::Data`
+        /// value did, with and without a passed link, in a buffer sized
+        /// once.
+        #[test]
+        fn encode_data_matches_the_wire_value(
+            route in (0u32..9, 0u32..5, 0u32..5, 1u64..u64::MAX),
+            ids in (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            link in proptest::option::of((0u64..u64::MAX, 0u32..99, 0u8..4, 0u8..2)),
+            body in proptest::collection::vec(0u8..=255, 0..1500),
+        ) {
+            let (src, incarnation, peer_epoch, tseq) = route;
+            let (sender, to, seq) = ids;
+            let mut m = msg(ProcessId::from_u64(sender), ProcessId::from_u64(to), seq, &body);
+            m.passed_link = link.map(|(dest, code, channel, dtk)| crate::link::Link {
+                dest: ProcessId::from_u64(dest),
+                code,
+                channel: Channel(channel),
+                deliver_to_kernel: dtk == 1,
+            });
+            let buf = Wire::encode_data(NodeId(src), incarnation, peer_epoch, tseq, &m);
+            let wire = Wire::Data {
+                src_node: NodeId(src),
+                incarnation,
+                peer_epoch,
+                tseq,
+                msg: m,
+            };
+            proptest::prop_assert_eq!(&buf, &wire.encode_to_vec());
+            proptest::prop_assert_eq!(buf.capacity(), buf.len());
+        }
     }
 
     #[test]
@@ -925,7 +997,7 @@ mod tests {
         let m2 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 2, b"2");
         let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m1);
         a.send_guaranteed(SimTime::ZERO, NodeId(2), m2);
-        let meter = &a.channel_meters()[&NodeId(2)];
+        let meter = meter_to(&a, NodeId(2));
         assert!(meter.busy.is_busy());
         assert_eq!(meter.level.level(), 2);
         // Ack the first at t=10ms: one completes (sojourn 10ms), the
@@ -935,7 +1007,7 @@ mod tests {
         let ack = Wire::decode_all(&payload_of(&back)[0]).unwrap();
         let out2 = a.on_wire(SimTime::from_millis(10), ack);
         assert_eq!(payload_of(&out2).len(), 1);
-        let meter = &a.channel_meters()[&NodeId(2)];
+        let meter = meter_to(&a, NodeId(2));
         assert_eq!(meter.completed, 1);
         assert!((meter.mean_sojourn_ms() - 10.0).abs() < 1e-9);
         assert_eq!(meter.level.level(), 1);
@@ -945,7 +1017,7 @@ mod tests {
         let back2 = b.on_wire(SimTime::from_millis(20), wire2);
         let ack2 = Wire::decode_all(&payload_of(&back2)[0]).unwrap();
         a.on_wire(SimTime::from_millis(30), ack2);
-        let meter = &a.channel_meters()[&NodeId(2)];
+        let meter = meter_to(&a, NodeId(2));
         assert_eq!(meter.completed, 2);
         assert!(!meter.busy.is_busy());
         assert_eq!(

@@ -14,13 +14,15 @@ use crate::lan::{
 };
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::rng::DetRng;
+use publishing_sim::table::slot_mut;
 use publishing_sim::time::SimTime;
-use std::collections::BTreeMap;
 
 /// An idealized contention-free broadcast medium.
 pub struct PerfectBus {
     cfg: LanConfig,
-    stations: BTreeMap<StationId, bool>,
+    /// Whether each station is up, indexed by station id; `None` = never
+    /// attached.
+    stations: Vec<Option<bool>>,
     recorders: Vec<StationId>,
     router: Option<RecorderRouter>,
     faults: FaultPlan,
@@ -43,7 +45,7 @@ impl PerfectBus {
         let rng = DetRng::new(cfg.seed ^ 0xB05);
         PerfectBus {
             cfg,
-            stations: BTreeMap::new(),
+            stations: Vec::new(),
             recorders: Vec::new(),
             router: None,
             faults: FaultPlan::new(),
@@ -57,11 +59,11 @@ impl PerfectBus {
 
 impl Lan for PerfectBus {
     fn attach(&mut self, station: StationId) {
-        self.stations.insert(station, true);
+        *slot_mut(&mut self.stations, station.0 as usize) = Some(true);
     }
 
     fn set_station_up(&mut self, station: StationId, up: bool) {
-        if let Some(s) = self.stations.get_mut(&station) {
+        if let Some(Some(s)) = self.stations.get_mut(station.0 as usize) {
             *s = up;
         }
     }
@@ -99,8 +101,10 @@ impl Lan for PerfectBus {
         let receivers = self
             .stations
             .iter()
-            .filter(|&(&st, &up)| up && (st != sender || to_self))
-            .map(|(&st, _)| st);
+            .enumerate()
+            .filter(|&(_, &up)| up == Some(true))
+            .map(|(st, _)| StationId(st as u32))
+            .filter(|&st| st != sender || to_self);
         // A required recorder gates traffic even while down — §3.3.4: "all
         // message traffic to processes must be suspended whenever the
         // recorder goes down." With multiple recorders, the survivors

@@ -19,8 +19,9 @@ use crate::lan::{
 };
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::rng::DetRng;
+use publishing_sim::table::slot_mut;
 use publishing_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
@@ -32,6 +33,37 @@ enum TimerKind {
     Retry(StationId),
 }
 
+/// Low bits of a timer token: two of tag, the rest the retrying station.
+const KIND_BITS: u32 = 18;
+
+/// Stations a medium can attach: what fits a token beside the tag.
+const MAX_STATIONS: u32 = 1 << (KIND_BITS - 2);
+
+impl TimerKind {
+    /// The token for the `seq`-th timer the medium sets. Every timer set
+    /// fires exactly once and none is ever revoked, so the token carries
+    /// its own meaning and no table remembers it; the count on top keeps
+    /// tokens distinct and in the order they were issued.
+    fn token(self, seq: u64) -> u64 {
+        let kind = match self {
+            TimerKind::EndData => 0,
+            TimerKind::EndAckSlots => 1,
+            TimerKind::Retry(st) => 2 | u64::from(st.0) << 2,
+        };
+        seq << KIND_BITS | kind
+    }
+
+    fn of(token: u64) -> Option<TimerKind> {
+        let kind = token & ((1 << KIND_BITS) - 1);
+        match kind & 3 {
+            0 => Some(TimerKind::EndData),
+            1 => Some(TimerKind::EndAckSlots),
+            2 => Some(TimerKind::Retry(StationId((kind >> 2) as u32))),
+            _ => None,
+        }
+    }
+}
+
 #[derive(Debug)]
 enum MediumState {
     Idle,
@@ -41,6 +73,8 @@ enum MediumState {
         started: SimTime,
         end: SimTime,
         collided: bool,
+        /// The transmitter went down before the frame ended.
+        cut: bool,
         /// Length of the reserved ack slots after this frame.
         ack_len: SimDuration,
     },
@@ -62,7 +96,8 @@ struct Station {
 pub struct Ethernet {
     cfg: LanConfig,
     ack_mode: bool,
-    stations: BTreeMap<StationId, Station>,
+    /// Indexed by station id; `None` = never attached.
+    stations: Vec<Option<Station>>,
     recorders: Vec<StationId>,
     router: Option<RecorderRouter>,
     state: MediumState,
@@ -71,8 +106,8 @@ pub struct Ethernet {
     /// `state` is `Data`. Kept here, not in the state, so the buffer is
     /// reused from frame to frame.
     tx_required: Vec<StationId>,
-    timers: HashMap<u64, TimerKind>,
-    next_token: u64,
+    /// Timers set so far (see [`TimerKind::token`]).
+    timers_set: u64,
     faults: FaultPlan,
     rng: DetRng,
     stats: LanStats,
@@ -96,13 +131,12 @@ impl Ethernet {
         Ethernet {
             cfg,
             ack_mode,
-            stations: BTreeMap::new(),
+            stations: Vec::new(),
             recorders: Vec::new(),
             router: None,
             state: MediumState::Idle,
             tx_required: Vec::new(),
-            timers: HashMap::new(),
-            next_token: 0,
+            timers_set: 0,
             faults: FaultPlan::new(),
             rng,
             stats: LanStats::default(),
@@ -111,10 +145,17 @@ impl Ethernet {
     }
 
     fn set_timer(&mut self, at: SimTime, kind: TimerKind, out: &mut Vec<LanAction>) {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, kind);
+        let token = kind.token(self.timers_set);
+        self.timers_set += 1;
         out.push(LanAction::SetTimer { at, token });
+    }
+
+    fn station(&self, id: StationId) -> Option<&Station> {
+        self.stations.get(id.0 as usize)?.as_ref()
+    }
+
+    fn station_mut(&mut self, id: StationId) -> Option<&mut Station> {
+        self.stations.get_mut(id.0 as usize)?.as_mut()
     }
 
     fn busy_until(&self) -> Option<SimTime> {
@@ -133,7 +174,7 @@ impl Ethernet {
         let live_recorders = self
             .recorders
             .iter()
-            .filter(|r| self.stations.get(r).map(|s| s.up).unwrap_or(false))
+            .filter(|&&r| self.station(r).is_some_and(|s| s.up))
             .count() as u64;
         self.cfg.ack_slot.saturating_mul(1 + live_recorders)
     }
@@ -145,7 +186,7 @@ impl Ethernet {
     }
 
     fn try_start(&mut self, now: SimTime, st_id: StationId, out: &mut Vec<LanAction>) {
-        let Some(st) = self.stations.get(&st_id) else {
+        let Some(st) = self.station(st_id) else {
             return;
         };
         if !st.up || st.backlog.is_empty() || st.waiting_retry {
@@ -174,7 +215,8 @@ impl Ethernet {
         };
         match decision {
             Decision::Start => {
-                let frame = self.stations[&st_id].backlog.front().expect("checked");
+                let st = self.station(st_id).expect("checked");
+                let frame = st.backlog.front().expect("checked");
                 let end = now + self.cfg.frame_time(frame.wire_bytes());
                 // Resolve this frame's recorder set now: in a sharded
                 // tier only the owning shard(s) get reserved ack slots.
@@ -195,6 +237,7 @@ impl Ethernet {
                     started: now,
                     end,
                     collided: false,
+                    cut: false,
                     ack_len,
                 };
                 self.stats.busy.set_busy(now);
@@ -206,7 +249,7 @@ impl Ethernet {
                 self.stats.collisions.inc();
                 // The newcomer backs off now; the current transmitter backs
                 // off when its EndData timer fires.
-                let st = self.stations.get_mut(&st_id).expect("checked");
+                let st = self.station_mut(st_id).expect("checked");
                 st.attempts += 1;
                 st.waiting_retry = true;
                 let attempts = st.attempts;
@@ -223,13 +266,13 @@ impl Ethernet {
 
     fn defer(&mut self, st_id: StationId, out: &mut Vec<LanAction>) {
         let until = self.busy_until().expect("medium busy");
-        let st = self.stations.get_mut(&st_id).expect("attached");
+        let st = self.station_mut(st_id).expect("attached");
         st.waiting_retry = true;
         self.set_timer(until, TimerKind::Retry(st_id), out);
     }
 
     fn give_up(&mut self, now: SimTime, st_id: StationId, out: &mut Vec<LanAction>) {
-        let st = self.stations.get_mut(&st_id).expect("attached");
+        let st = self.station_mut(st_id).expect("attached");
         let collisions = st.attempts;
         st.backlog.pop_front();
         st.attempts = 0;
@@ -250,6 +293,7 @@ impl Ethernet {
             from,
             end,
             collided,
+            cut,
             ack_len,
             ..
         } = std::mem::replace(&mut self.state, MediumState::Idle)
@@ -260,7 +304,7 @@ impl Ethernet {
         if collided {
             self.stats.busy.set_idle(now);
             // The transmitter's frame died; back off and retry.
-            let st = self.stations.get_mut(&from).expect("attached");
+            let st = self.station_mut(from).expect("attached");
             st.attempts += 1;
             st.waiting_retry = true;
             let attempts = st.attempts;
@@ -272,9 +316,17 @@ impl Ethernet {
             }
             return;
         }
+        if cut {
+            // The transmitter went down mid-frame and took its backlog
+            // with it: the frame is truncated. Nobody receives it, no ack
+            // slots follow, the medium is free from now; stations that
+            // deferred behind it keep their retry timers.
+            self.stats.busy.set_idle(now);
+            return;
+        }
         // Successful transmission: deliver to every live station but the
         // sender; recorder gating per §6.1.
-        let st = self.stations.get_mut(&from).expect("attached");
+        let st = self.station_mut(from).expect("attached");
         let frame = st.backlog.pop_front().expect("frame in flight");
         let collisions = st.attempts;
         st.attempts = 0;
@@ -284,8 +336,10 @@ impl Ethernet {
         let receivers = self
             .stations
             .iter()
-            .filter(|&(&id, s)| s.up && (id != from || to_self))
-            .map(|(&id, _)| id);
+            .enumerate()
+            .filter_map(|(id, s)| Some((StationId(id as u32), s.as_ref()?)))
+            .filter(|&(id, s)| s.up && (id != from || to_self))
+            .map(|(id, _)| id);
         // A required recorder gates even while down (§3.3.4); survivors
         // cover for a dead peer by shrinking the set explicitly (§6.3),
         // and a sharded tier routes it per frame (`tx_required` was fixed
@@ -318,11 +372,11 @@ impl Ethernet {
         if matches!(self.state, MediumState::AckSlots { .. }) {
             self.state = MediumState::Idle;
             self.stats.busy.set_idle(now);
-            // Any station with a backlog and no pending retry may start.
-            let ids: Vec<StationId> = self.stations.keys().copied().collect();
-            for id in ids {
+            // Any station with a backlog and no pending retry may start,
+            // lowest id first.
+            for id in 0..self.stations.len() as u32 {
                 if matches!(self.state, MediumState::Idle) {
-                    self.try_start(now, id, out);
+                    self.try_start(now, StationId(id), out);
                 }
             }
         }
@@ -331,21 +385,28 @@ impl Ethernet {
 
 impl Lan for Ethernet {
     fn attach(&mut self, station: StationId) {
-        self.stations.insert(
-            station,
-            Station {
-                up: true,
-                ..Station::default()
-            },
+        assert!(
+            station.0 < MAX_STATIONS,
+            "station id {} too large",
+            station.0
         );
+        *slot_mut(&mut self.stations, station.0 as usize) = Some(Station {
+            up: true,
+            ..Station::default()
+        });
     }
 
     fn set_station_up(&mut self, station: StationId, up: bool) {
-        if let Some(s) = self.stations.get_mut(&station) {
-            s.up = up;
-            if !up {
-                s.backlog.clear();
-                s.attempts = 0;
+        let Some(s) = self.station_mut(station) else {
+            return;
+        };
+        s.up = up;
+        if !up {
+            s.backlog.clear();
+            s.attempts = 0;
+            // Its frame on the wire, if any, ends here.
+            if let MediumState::Data { from, cut, .. } = &mut self.state {
+                *cut |= *from == station;
             }
         }
     }
@@ -365,7 +426,11 @@ impl Lan for Ethernet {
     fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction> {
         let mut out = Vec::new();
         let src = frame.src;
-        let Some(st) = self.stations.get_mut(&src) else {
+        let Some(st) = self
+            .stations
+            .get_mut(src.0 as usize)
+            .and_then(Option::as_mut)
+        else {
             return out;
         };
         if !st.up {
@@ -380,14 +445,14 @@ impl Lan for Ethernet {
 
     fn timer(&mut self, now: SimTime, token: u64) -> Vec<LanAction> {
         let mut out = Vec::new();
-        let Some(kind) = self.timers.remove(&token) else {
+        let Some(kind) = TimerKind::of(token) else {
             return out;
         };
         match kind {
             TimerKind::EndData => self.end_data(now, &mut out),
             TimerKind::EndAckSlots => self.end_ack_slots(now, &mut out),
             TimerKind::Retry(st_id) => {
-                if let Some(st) = self.stations.get_mut(&st_id) {
+                if let Some(st) = self.station_mut(st_id) {
                     st.waiting_retry = false;
                 }
                 self.try_start(now, st_id, &mut out);

@@ -14,6 +14,7 @@ use crate::frame::{Frame, StationId};
 use crate::lan::{Lan, LanAction, LanConfig, LanStats, RecorderRouter};
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::rng::DetRng;
+use publishing_sim::table::TokenTable;
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -32,8 +33,8 @@ pub struct TokenRing {
     token_at: usize,
     /// `true` while a frame is circulating.
     circulating: bool,
-    timers: BTreeMap<u64, ()>,
-    next_token: u64,
+    /// The strip timer of the frame on the ring, by its token.
+    timers: TokenTable<()>,
     faults: FaultPlan,
     rng: DetRng,
     stats: LanStats,
@@ -54,8 +55,7 @@ impl TokenRing {
             router: None,
             token_at: 0,
             circulating: false,
-            timers: BTreeMap::new(),
-            next_token: 0,
+            timers: TokenTable::new(),
             faults: FaultPlan::new(),
             rng,
             stats: LanStats::default(),
@@ -245,9 +245,7 @@ impl TokenRing {
             collisions: 0,
         });
         // After stripping, the token moves to the next station.
-        let token = self.next_token;
-        self.next_token += 1;
-        self.timers.insert(token, ());
+        let token = self.timers.insert(());
         out.push(LanAction::SetTimer { at: strip, token });
     }
 }
@@ -299,7 +297,7 @@ impl Lan for TokenRing {
 
     fn timer(&mut self, now: SimTime, token: u64) -> Vec<LanAction> {
         let mut out = Vec::new();
-        if self.timers.remove(&token).is_some() {
+        if self.timers.take(token).is_some() {
             // A frame was stripped; the ring frees.
             self.circulating = false;
             self.token_at = (self.token_at + 1) % self.order.len().max(1);

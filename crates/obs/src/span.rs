@@ -42,17 +42,18 @@ pub(crate) fn fnv_fold_event(
     subject: u64,
     aux: u64,
 ) -> u64 {
-    for b in seq
-        .to_le_bytes()
-        .iter()
-        .chain(at.as_nanos().to_le_bytes().iter())
-        .chain(key.sender.to_le_bytes().iter())
-        .chain(key.seq.to_le_bytes().iter())
-        .chain([stage as u8].iter())
-        .chain(subject.to_le_bytes().iter())
-        .chain(aux.to_le_bytes().iter())
-    {
-        h ^= *b as u64;
+    // One buffer, one straight loop: the seven-way iterator chain this
+    // replaces spent more time choosing its next link than hashing.
+    let mut bytes = [0u8; 49];
+    bytes[0..8].copy_from_slice(&seq.to_le_bytes());
+    bytes[8..16].copy_from_slice(&at.as_nanos().to_le_bytes());
+    bytes[16..24].copy_from_slice(&key.sender.to_le_bytes());
+    bytes[24..32].copy_from_slice(&key.seq.to_le_bytes());
+    bytes[32] = stage as u8;
+    bytes[33..41].copy_from_slice(&subject.to_le_bytes());
+    bytes[41..49].copy_from_slice(&aux.to_le_bytes());
+    for b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
@@ -459,6 +460,56 @@ mod tests {
 
     fn key(sender: u64, seq: u64) -> MsgKey {
         MsgKey { sender, seq }
+    }
+
+    /// The fold as it was written before the one-buffer loop: the same 49
+    /// bytes through a seven-way iterator chain. Kept as the reference.
+    fn chained_fold(mut h: u64, e: &SpanEvent) -> u64 {
+        for b in e
+            .seq
+            .to_le_bytes()
+            .iter()
+            .chain(e.at.as_nanos().to_le_bytes().iter())
+            .chain(e.key.sender.to_le_bytes().iter())
+            .chain(e.key.seq.to_le_bytes().iter())
+            .chain([e.stage as u8].iter())
+            .chain(e.subject.to_le_bytes().iter())
+            .chain(e.aux.to_le_bytes().iter())
+        {
+            h ^= *b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_buffer_fold_equals_the_chained_fold(
+            h in 0u64..=u64::MAX,
+            words in proptest::collection::vec(0u64..=u64::MAX, 6),
+            stage in 0usize..Stage::COUNT,
+        ) {
+            const STAGES: [Stage; Stage::COUNT] = [
+                Stage::Publish,
+                Stage::Capture,
+                Stage::Sequence,
+                Stage::Deliver,
+                Stage::Replay,
+                Stage::Suppress,
+                Stage::Checkpoint,
+                Stage::Elect,
+            ];
+            let e = SpanEvent {
+                seq: words[0],
+                at: SimTime::from_nanos(words[1]),
+                key: key(words[2], words[3]),
+                stage: STAGES[stage],
+                subject: words[4],
+                aux: words[5],
+            };
+            let folded = fnv_fold_event(h, e.seq, e.at, e.key, e.stage, e.subject, e.aux);
+            proptest::prop_assert_eq!(folded, chained_fold(h, &e));
+        }
     }
 
     #[test]

@@ -231,7 +231,7 @@ impl ShardTier {
         let rn = new_shard(&world.tier.router, sid, node);
         world.lan.attach(rn.station());
         world.tier.shards.push(rn);
-        for k in world.kernels.values_mut() {
+        for k in &mut world.kernels {
             k.add_recorder(node);
         }
         let watch = world.watch_list();
@@ -364,8 +364,7 @@ impl ShardTier {
         let body = encode_ctl(codes::SHARD_CUTOVER, &ShardCutover { epoch, live_shards });
         tier.cutovers_published += 1;
         let seq = (epoch << 16) | tier.cutovers_published;
-        let nodes: Vec<u32> = world.kernels.keys().copied().collect();
-        for n in nodes {
+        for n in 0..world.nodes() {
             let msg = Message {
                 header: MessageHeader {
                     id: MessageId {

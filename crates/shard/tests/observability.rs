@@ -118,7 +118,7 @@ fn replayed_span_prefix_matches_pre_crash_prefix() {
     // The crashed node's kernel span log holds the pre-crash Deliver
     // events and the post-crash Replay events; every replayed read
     // index must carry exactly the message first delivered there.
-    let kernel = &w.kernels[&2];
+    let kernel = &w.kernels[2];
     let mut checked_total = 0;
     for server in servers {
         let checked = check_replay_prefix(kernel.spans(), server.as_u64())

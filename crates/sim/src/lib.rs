@@ -15,6 +15,8 @@
 //!   and the binding-resource ranking behind the capacity lens;
 //! - [`trace`]: a bounded trace ring whose running fingerprint doubles as
 //!   the determinism oracle in the test suite;
+//! - [`table`]: tables indexed by the tokens and ids the simulation hands
+//!   out itself (timers, IO, captures; process and message ids);
 //! - [`fault`]: crash schedules and message-fault probabilities.
 //!
 //! Nothing here knows about networks, kernels, or recorders; those live in
@@ -29,6 +31,7 @@ pub mod fault;
 pub mod ledger;
 pub mod rng;
 pub mod stats;
+pub mod table;
 pub mod time;
 pub mod trace;
 
@@ -38,5 +41,6 @@ pub use fault::{Crash, CrashTarget, FaultPlan};
 pub use ledger::{LevelGauge, ResourceKind, ResourceUsage, Timeline};
 pub use rng::DetRng;
 pub use stats::{Counter, LinearHistogram, LogHistogram, Summary, Utilization};
+pub use table::{IdMap, TokenTable};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Category, Trace, TraceEvent};

@@ -8,8 +8,8 @@
 
 use publishing_sim::rng::DetRng;
 use publishing_sim::stats::{Counter, Summary, Utilization};
+use publishing_sim::table::{slot_mut, TokenTable};
 use publishing_sim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Disk service parameters.
 #[derive(Debug, Clone)]
@@ -148,10 +148,14 @@ struct Pending {
 /// completion time, and then calls [`Disk::complete`].
 pub struct Disk {
     params: DiskParams,
-    pages: HashMap<u64, Vec<u8>>,
-    pending: HashMap<IoToken, Pending>,
+    /// Page contents by page number; `None` = never written or wiped.
+    /// The store allocates the lowest free page, so the numbers are dense.
+    pages: Vec<Option<Vec<u8>>>,
+    /// In-flight operations by the [`IoToken`] they were issued. A single
+    /// server completes them in near-submission order, so the table's
+    /// window stays as short as the queue.
+    pending: TokenTable<Pending>,
     busy_until: SimTime,
-    next_token: u64,
     stats: DiskStats,
     faults: DiskFaults,
     fault_rng: DetRng,
@@ -162,10 +166,9 @@ impl Disk {
     pub fn new(params: DiskParams) -> Self {
         Disk {
             params,
-            pages: HashMap::new(),
-            pending: HashMap::new(),
+            pages: Vec::new(),
+            pending: TokenTable::new(),
             busy_until: SimTime::ZERO,
-            next_token: 0,
             stats: DiskStats::default(),
             faults: DiskFaults::default(),
             fault_rng: DetRng::new(0xD15C),
@@ -223,22 +226,17 @@ impl Disk {
         let completes = start + self.params.service_time(bytes);
         self.stats.busy.set_busy(start);
         self.busy_until = completes;
-        let token = IoToken(self.next_token);
-        self.next_token += 1;
         // The fault draw happens at submission (and only when injection is
         // on, so fault-free disks consume no randomness).
         let fails =
             self.faults.transient_error > 0.0 && self.fault_rng.chance(self.faults.transient_error);
-        self.pending.insert(
-            token,
-            Pending {
-                op,
-                submitted: now,
-                completes,
-                fails,
-            },
-        );
-        (token, completes)
+        let token = self.pending.insert(Pending {
+            op,
+            submitted: now,
+            completes,
+            fails,
+        });
+        (IoToken(token), completes)
     }
 
     /// Completes an operation; the driver must call this exactly at (or
@@ -248,7 +246,7 @@ impl Disk {
     ///
     /// Panics if the token is unknown or completion is early.
     pub fn complete(&mut self, now: SimTime, token: IoToken) -> DiskResult {
-        let p = self.pending.remove(&token).expect("unknown disk token");
+        let p = self.pending.take(token.0).expect("unknown disk token");
         assert!(
             now >= p.completes,
             "early completion: {now} < {}",
@@ -268,12 +266,12 @@ impl Disk {
             DiskOp::Write { page, data } => {
                 self.stats.writes.inc();
                 self.stats.bytes_written.add(data.len() as u64);
-                self.pages.insert(page, data);
+                self.store_page(page, data);
                 DiskResult::Written { page }
             }
             DiskOp::Read { page } => {
                 self.stats.reads.inc();
-                let data = self.pages.get(&page).cloned().unwrap_or_default();
+                let data = self.peek_page(page).map(<[u8]>::to_vec).unwrap_or_default();
                 self.stats.bytes_read.add(data.len() as u64);
                 DiskResult::Data { page, data }
             }
@@ -285,15 +283,21 @@ impl Disk {
     /// This is the "open the disk pack in the lab" operation used by
     /// rebuild logic and assertions, not by the simulated dataflow.
     pub fn peek_page(&self, page: u64) -> Option<&[u8]> {
-        self.pages.get(&page).map(|v| v.as_slice())
+        let slot = self.pages.get(usize::try_from(page).ok()?)?;
+        slot.as_deref()
     }
 
-    /// Iterates all non-empty pages (for rebuild scans).
+    fn store_page(&mut self, page: u64, data: Vec<u8>) {
+        *slot_mut(&mut self.pages, page as usize) = Some(data);
+    }
+
+    /// Iterates every page ever written and not wiped — erased (empty)
+    /// ones included — in page order (for rebuild scans).
     pub fn pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
-        keys.sort_unstable();
-        keys.into_iter()
-            .map(move |k| (k, self.pages[&k].as_slice()))
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(page, data)| Some((page as u64, data.as_deref()?)))
     }
 
     /// Crash hook: if torn writes are enabled, every in-flight write is
@@ -306,15 +310,15 @@ impl Disk {
         if !self.faults.torn_writes {
             return;
         }
-        let mut tokens: Vec<IoToken> = self
+        // In submission order: two torn writes to one page leave the later.
+        let tokens: Vec<u64> = self
             .pending
             .iter()
             .filter(|(_, p)| matches!(p.op, DiskOp::Write { .. }))
-            .map(|(&t, _)| t)
+            .map(|(t, _)| t)
             .collect();
-        tokens.sort_unstable();
         for t in tokens {
-            let p = self.pending.remove(&t).expect("listed");
+            let p = self.pending.take(t).expect("listed");
             if let DiskOp::Write { page, data } = p.op {
                 // An empty write is a trim: there is no transfer to tear,
                 // so it either happened (at completion) or it didn't.
@@ -322,7 +326,7 @@ impl Disk {
                     continue;
                 }
                 self.stats.torn_writes.inc();
-                self.pages.insert(page, data[..data.len() / 2].to_vec());
+                self.store_page(page, data[..data.len() / 2].to_vec());
             }
         }
     }
@@ -337,7 +341,12 @@ impl Disk {
     /// superseded checkpoint found during recovery) — the scan already
     /// owns the disk exclusively at that point.
     pub fn wipe_page(&mut self, page: u64) {
-        self.pages.remove(&page);
+        if let Some(slot) = usize::try_from(page)
+            .ok()
+            .and_then(|at| self.pages.get_mut(at))
+        {
+            *slot = None;
+        }
     }
 }
 

@@ -11,6 +11,14 @@
 //! records ("before allocating a buffer to a disk page, the disk page is
 //! read in … and the buffer is compacted").
 //!
+//! The index has the shape of that database entry. Arrival sequences and
+//! page numbers are counters — the recorder hands out the one, this store
+//! the other — so a process's records sit in a log indexed by
+//! `seq - base` and what a page holds in a table indexed by page number:
+//! an append, a flush, a completion or an invalidation reaches its record
+//! by position, and a purge walks one process's log and the pages it
+//! names instead of everyone's.
+//!
 //! The open buffer is battery-backed solid-state memory per §3.3.4, so it
 //! survives recorder crashes; [`StableStore::rebuild_index`] reconstructs
 //! the in-memory index from pages plus that buffer, which is the recorder
@@ -20,8 +28,9 @@
 use crate::disk::{Disk, DiskOp, DiskParams, DiskResult, IoToken};
 use publishing_sim::codec::{CodecError, Decoder, Encoder};
 use publishing_sim::stats::Counter;
+use publishing_sim::table::{slot_mut, IdMap, TokenTable};
 use publishing_sim::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Identifies a stored message: destination process and receive-order
 /// sequence number at that process.
@@ -45,13 +54,6 @@ pub struct MsgRecord {
 }
 
 impl MsgRecord {
-    fn encode(&self, e: &mut Encoder) {
-        e.u64(self.key.pid)
-            .u64(self.key.seq)
-            .u64(self.received_at.as_nanos());
-        e.bytes(&self.payload);
-    }
-
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let pid = d.u64()?;
         let seq = d.u64()?;
@@ -88,12 +90,126 @@ enum Location {
     Page(u64),
 }
 
-#[derive(Debug, Clone)]
+/// One live record; its key is its place in its process's [`ProcLog`].
+/// Invalidated records leave the index at once (their bytes linger on
+/// the page until it is compacted — see [`PageSlot::dead`]).
+#[derive(Debug)]
 struct RecordState {
-    record: MsgRecord,
+    received_at: SimTime,
+    payload: Vec<u8>,
     location: Location,
     durable: bool,
-    valid: bool,
+}
+
+impl RecordState {
+    /// Encoded size: pid + seq + timestamp + length prefix + payload.
+    fn size(&self) -> usize {
+        8 + 8 + 8 + 8 + self.payload.len()
+    }
+
+    fn encode(&self, key: RecordKey, e: &mut Encoder) {
+        e.u64(key.pid).u64(key.seq).u64(self.received_at.as_nanos());
+        e.bytes(&self.payload);
+    }
+}
+
+/// One process's log — §4.5's database entry listing "the messages
+/// received since the last checkpoint": live records indexed by
+/// `seq - base`. Arrival sequences are a counter the recorder hands out,
+/// so the window from the oldest live record to the newest is dense;
+/// holes stay representable (precise invalidation punches them above the
+/// checkpoint floor, and a quorum re-apply can commit a sequence below
+/// records rebuilt from disk).
+#[derive(Debug, Default)]
+struct ProcLog {
+    /// Sequence of `slots[0]`.
+    base: u64,
+    /// Both ends are occupied (or the log is empty).
+    slots: VecDeque<Option<RecordState>>,
+    /// Pages physically holding invalidated records of this process,
+    /// exactly: a purge must scrub them too.
+    dead_pages: Vec<u64>,
+}
+
+impl ProcLog {
+    fn index(&self, seq: u64) -> Option<usize> {
+        usize::try_from(seq.checked_sub(self.base)?).ok()
+    }
+
+    fn get(&self, seq: u64) -> Option<&RecordState> {
+        self.slots.get(self.index(seq)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut RecordState> {
+        let at = self.index(seq)?;
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    /// Files `st` under `seq`, widening the window at either end.
+    fn insert(&mut self, seq: u64, st: RecordState) {
+        if self.slots.is_empty() {
+            self.base = seq;
+        }
+        while seq < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let at = self.index(seq).expect("seq at or above base");
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || None);
+        }
+        debug_assert!(self.slots[at].is_none(), "slot {seq} occupied");
+        self.slots[at] = Some(st);
+    }
+
+    fn remove(&mut self, seq: u64) -> Option<RecordState> {
+        let at = self.index(seq)?;
+        let st = self.slots.get_mut(at)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(st)
+    }
+
+    /// Live records with `seq >= from_seq`, ascending.
+    fn iter_from(&self, from_seq: u64) -> impl Iterator<Item = (u64, &RecordState)> {
+        let skip = usize::try_from(from_seq.saturating_sub(self.base)).unwrap_or(usize::MAX);
+        self.slots
+            .iter()
+            .enumerate()
+            .skip(skip)
+            .filter_map(|(i, st)| Some((self.base + i as u64, st.as_ref()?)))
+    }
+
+    /// Remembers that `page` physically holds an invalidated record of
+    /// this process.
+    fn note_dead(&mut self, page: u64) {
+        if !self.dead_pages.contains(&page) {
+            self.dead_pages.push(page);
+        }
+    }
+
+    /// One past the highest live sequence.
+    fn end(&self) -> u64 {
+        self.base + self.slots.len() as u64
+    }
+}
+
+/// What the index knows of one message page, by the page number
+/// [`StableStore::alloc_page`] issued. Both lists empty = not a message
+/// page (free, or holding a checkpoint chunk).
+#[derive(Debug, Default)]
+struct PageSlot {
+    /// Live records on the page. Never empty while `dead` is not: a
+    /// page whose last live record goes is freed.
+    live: Vec<RecordKey>,
+    /// Invalidated records still physically present (compaction
+    /// candidates; consulted by purge so no stale byte survives).
+    dead: Vec<RecordKey>,
 }
 
 #[derive(Debug)]
@@ -168,21 +284,25 @@ struct PendingCheckpoint {
 }
 
 /// The recorder's stable store.
+///
+/// The index is §4.5's shape: a log per process in receive order
+/// (`ProcLog`, found through a small pid map) and a table of which
+/// pages hold what (`PageSlot`, indexed by page number); what the store
+/// is waiting on from each disk sits in a token table that issues the
+/// same tokens the disk does.
 pub struct StableStore {
     disks: Vec<Disk>,
     page_size: usize,
-    /// Battery-backed open buffer of not-yet-flushed records.
-    open: Vec<RecordKey>,
+    /// Battery-backed open buffer of not-yet-flushed records, each with
+    /// its encoded size.
+    open: Vec<(RecordKey, usize)>,
     open_bytes: usize,
-    records: BTreeMap<RecordKey, RecordState>,
-    /// Live (valid) record count per page.
-    page_live: HashMap<u64, Vec<RecordKey>>,
-    /// Invalidated records still physically present per page (compaction
-    /// candidates; consulted by purge so no stale byte survives).
-    page_dead: HashMap<u64, Vec<RecordKey>>,
+    logs: IdMap<u64, ProcLog>,
+    pages: Vec<PageSlot>,
     free_pages: BTreeSet<u64>,
     next_page: u64,
-    pending: HashMap<(usize, IoToken), PendingIo>,
+    /// Per disk: what each in-flight operation was for.
+    pending: Vec<TokenTable<PendingIo>>,
     /// Durable checkpoints by process.
     checkpoints: BTreeMap<u64, Checkpoint>,
     /// Pages holding each process's durable checkpoint.
@@ -206,12 +326,11 @@ impl StableStore {
             page_size,
             open: Vec::new(),
             open_bytes: 0,
-            records: BTreeMap::new(),
-            page_live: HashMap::new(),
-            page_dead: HashMap::new(),
+            logs: IdMap::default(),
+            pages: Vec::new(),
             free_pages: BTreeSet::new(),
             next_page: 0,
-            pending: HashMap::new(),
+            pending: (0..n_disks).map(|_| TokenTable::new()).collect(),
             checkpoints: BTreeMap::new(),
             checkpoint_pages: BTreeMap::new(),
             pending_checkpoints: HashMap::new(),
@@ -235,6 +354,13 @@ impl StableStore {
         self.disks.len()
     }
 
+    /// Peeks at a page's durable contents on whichever disk holds it,
+    /// without timing cost — [`Disk::peek_page`] for the striped store
+    /// (assertions and trace pins, never the simulated dataflow).
+    pub fn peek_page(&self, page: u64) -> Option<&[u8]> {
+        self.disks[self.disk_for_page(page)].peek_page(page)
+    }
+
     /// Installs injected disk failure modes on every disk (seeds are
     /// varied per disk so their fault streams are independent). Transient
     /// errors are retried internally — see
@@ -251,24 +377,42 @@ impl StableStore {
         }
     }
 
+    /// Hands out the lowest free page: the number picks the disk.
     fn alloc_page(&mut self) -> u64 {
-        if let Some(&p) = self.free_pages.iter().next() {
-            self.free_pages.remove(&p);
-            p
-        } else {
+        self.free_pages.pop_first().unwrap_or_else(|| {
             let p = self.next_page;
             self.next_page += 1;
             p
-        }
+        })
     }
 
     fn disk_for_page(&self, page: u64) -> usize {
         (page % self.disks.len() as u64) as usize
     }
 
-    fn record_size(r: &MsgRecord) -> usize {
-        // pid + seq + timestamp + length prefix + payload.
-        8 + 8 + 8 + 8 + r.payload.len()
+    /// The index entry of `page`, growing the table to reach it.
+    fn page_slot(&mut self, page: u64) -> &mut PageSlot {
+        slot_mut(&mut self.pages, page as usize)
+    }
+
+    fn record_mut(&mut self, key: RecordKey) -> Option<&mut RecordState> {
+        self.logs.get_mut(&key.pid)?.get_mut(key.seq)
+    }
+
+    /// Submits `op` to the disk holding `page` and files what it was for
+    /// under the token the disk issued.
+    fn submit(&mut self, now: SimTime, page: u64, op: DiskOp, what: PendingIo) -> StoreIo {
+        let disk = self.disk_for_page(page);
+        self.submit_to(now, disk, op, what)
+    }
+
+    fn submit_to(&mut self, now: SimTime, disk: usize, op: DiskOp, what: PendingIo) -> StoreIo {
+        let (token, at) = self.disks[disk].submit(now, op);
+        // Store and disk file one entry per operation each, so their
+        // tables issue the same tokens.
+        let filed = self.pending[disk].insert(what);
+        assert_eq!(filed, token.0, "store and disk count IO alike");
+        StoreIo { disk, token, at }
     }
 
     /// Appends a message to the log. Returns any disk IO started (a page
@@ -286,24 +430,18 @@ impl StableStore {
         key: RecordKey,
         payload: Vec<u8>,
     ) -> Vec<StoreIo> {
-        assert!(!self.records.contains_key(&key), "duplicate record {key:?}");
-        let record = MsgRecord {
-            key,
+        let log = self.logs.entry(key.pid).or_default();
+        assert!(log.get(key.seq).is_none(), "duplicate record {key:?}");
+        let st = RecordState {
             received_at: now,
             payload,
+            location: Location::Open,
+            durable: false,
         };
-        let size = Self::record_size(&record);
+        let size = st.size();
+        log.insert(key.seq, st);
         self.stats.appended.inc();
-        self.records.insert(
-            key,
-            RecordState {
-                record,
-                location: Location::Open,
-                durable: false,
-                valid: true,
-            },
-        );
-        self.open.push(key);
+        self.open.push((key, size));
         self.open_bytes += size;
         if self.open_bytes + 1 >= self.page_size {
             self.flush(now)
@@ -312,11 +450,13 @@ impl StableStore {
         }
     }
 
-    /// Whether the log already holds a record under `key` (valid or
-    /// invalidated) — the check callers make before
-    /// [`StableStore::append_message`] when re-importing history.
+    /// Whether the log holds a live record under `key` — the check
+    /// callers make before [`StableStore::append_message`] when
+    /// re-importing history.
     pub fn holds(&self, key: RecordKey) -> bool {
-        self.records.contains_key(&key)
+        self.logs
+            .get(&key.pid)
+            .is_some_and(|log| log.get(key.seq).is_some())
     }
 
     /// Forces the open buffer to disk (checkpoint barriers, shutdown).
@@ -324,8 +464,8 @@ impl StableStore {
         if self.open.is_empty() {
             return Vec::new();
         }
-        // Encode as many open records as fit in one page; loop if the
-        // buffer somehow exceeds a page.
+        // One page per pass; more than one only if the buffer somehow
+        // exceeds a page.
         let mut ios = Vec::new();
         while !self.open.is_empty() {
             // Kind byte + record count.
@@ -333,36 +473,35 @@ impl StableStore {
             // The records that fit one page are a prefix of `open`.
             let mut bytes = PAGE_HEADER;
             let mut count = 0;
-            for key in &self.open {
-                let size = Self::record_size(&self.records[key].record);
+            for &(_, size) in &self.open {
                 if bytes + size > self.page_size && count > 0 {
                     break;
                 }
                 bytes += size;
                 count += 1;
             }
-            let taken: Vec<RecordKey> = self.open.drain(..count).collect();
+            let page = self.alloc_page();
             // The disk keeps the buffer for as long as the page lives:
             // size it to what the page holds, not to a full page.
             let mut e = Encoder::with_capacity(bytes);
             e.u8(PAGE_KIND_MESSAGES).u64(count as u64);
-            for key in &taken {
-                self.records[key].record.encode(&mut e);
+            let mut taken = Vec::with_capacity(count);
+            for (key, _) in self.open.drain(..count) {
+                let st = self
+                    .logs
+                    .get_mut(&key.pid)
+                    .and_then(|log| log.get_mut(key.seq))
+                    .expect("open record indexed");
+                st.encode(key, &mut e);
+                st.location = Location::Page(page);
+                taken.push(key);
             }
             let buf = e.finish();
             assert!(buf.len() <= self.page_size, "page overflow: {}", buf.len());
-            let page = self.alloc_page();
-            for &k in &taken {
-                let st = self.records.get_mut(&k).expect("open record indexed");
-                st.location = Location::Page(page);
-            }
-            self.page_live.insert(page, taken.clone());
-            let disk = self.disk_for_page(page);
-            let (token, at) = self.disks[disk].submit(now, DiskOp::Write { page, data: buf });
-            self.pending
-                .insert((disk, token), PendingIo::PageWrite { keys: taken });
+            self.page_slot(page).live = taken.clone();
+            let op = DiskOp::Write { page, data: buf };
+            ios.push(self.submit(now, page, op, PendingIo::PageWrite { keys: taken }));
             self.stats.pages_written.inc();
-            ios.push(StoreIo { disk, token, at });
         }
         self.open_bytes = 0;
         ios
@@ -390,16 +529,13 @@ impl StableStore {
                 .u64(checkpoint.upto_seq)
                 .u64(i as u64)
                 .u64(total as u64);
-            e.bytes(&blob[lo..hi]);
+            e.bytes(&checkpoint.blob[lo..hi]);
             let buf = e.finish();
             assert!(buf.len() <= self.page_size);
             let page = self.alloc_page();
             pages.push(page);
-            let disk = self.disk_for_page(page);
-            let (token, at) = self.disks[disk].submit(now, DiskOp::Write { page, data: buf });
-            self.pending
-                .insert((disk, token), PendingIo::CheckpointWrite { pid, ticket });
-            ios.push(StoreIo { disk, token, at });
+            let op = DiskOp::Write { page, data: buf };
+            ios.push(self.submit(now, page, op, PendingIo::CheckpointWrite { pid, ticket }));
         }
         self.pending_checkpoints.insert(
             ticket,
@@ -416,7 +552,7 @@ impl StableStore {
     /// of a [`StoreIo`].
     pub fn on_disk_complete(&mut self, now: SimTime, io: StoreIo) -> Vec<StoreEvent> {
         let result = self.disks[io.disk].complete(now, io.token);
-        let Some(pending) = self.pending.remove(&(io.disk, io.token)) else {
+        let Some(pending) = self.pending[io.disk].take(io.token.0) else {
             return Vec::new();
         };
         // A transient disk error is retried in place: the same operation
@@ -424,25 +560,19 @@ impl StableStore {
         // layers above see nothing but added latency.
         if let DiskResult::TransientError { op } = result {
             self.stats.io_retries.inc();
-            let (token, at) = self.disks[io.disk].submit(now, op);
-            self.pending.insert((io.disk, token), pending);
-            return vec![StoreEvent::FollowUpIo(StoreIo {
-                disk: io.disk,
-                token,
-                at,
-            })];
+            let retry = self.submit_to(now, io.disk, op, pending);
+            return vec![StoreEvent::FollowUpIo(retry)];
         }
         match (pending, result) {
             (PendingIo::PageWrite { keys }, DiskResult::Written { .. }) => {
-                let mut durable = Vec::new();
-                for k in keys {
-                    if let Some(st) = self.records.get_mut(&k) {
+                let mut durable = keys;
+                durable.retain(|&k| match self.record_mut(k) {
+                    Some(st) => {
                         st.durable = true;
-                        if st.valid {
-                            durable.push(k);
-                        }
+                        true
                     }
-                }
+                    None => false,
+                });
                 vec![StoreEvent::MessagesDurable(durable)]
             }
             (PendingIo::CheckpointWrite { pid, ticket }, DiskResult::Written { .. }) => {
@@ -465,7 +595,7 @@ impl StableStore {
                 if let Some(old) = self.checkpoint_pages.remove(&pid) {
                     for p in old {
                         self.free_pages.insert(p);
-                        retire_ios.extend(self.erase_page(now, p));
+                        retire_ios.push(self.erase_page(now, p));
                     }
                 }
                 self.checkpoint_pages.insert(pid, pc.pages);
@@ -475,13 +605,9 @@ impl StableStore {
                 // page that became fully dead.
                 let freed = self.invalidate_below(pid, upto_seq);
                 let mut events = vec![StoreEvent::CheckpointDurable { pid, upto_seq }];
-                for io in retire_ios {
-                    events.push(StoreEvent::FollowUpIo(io));
-                }
+                events.extend(retire_ios.into_iter().map(StoreEvent::FollowUpIo));
                 for page in freed {
-                    for io in self.erase_page(now, page) {
-                        events.push(StoreEvent::FollowUpIo(io));
-                    }
+                    events.push(StoreEvent::FollowUpIo(self.erase_page(now, page)));
                 }
                 events
             }
@@ -493,14 +619,14 @@ impl StableStore {
         }
     }
 
+    /// Invalidates `pid`'s records below `upto_seq`, ascending; returns
+    /// the pages that freed.
     fn invalidate_below(&mut self, pid: u64, upto_seq: u64) -> Vec<u64> {
-        let keys: Vec<RecordKey> = self
-            .records
-            .range(RecordKey { pid, seq: 0 }..RecordKey { pid, seq: upto_seq })
-            .map(|(k, _)| *k)
-            .collect();
-        keys.into_iter()
-            .filter_map(|k| self.invalidate(k))
+        let Some(log) = self.logs.get(&pid) else {
+            return Vec::new();
+        };
+        (log.base..log.end().min(upto_seq))
+            .filter_map(|seq| self.invalidate(RecordKey { pid, seq }))
             .collect()
     }
 
@@ -508,38 +634,59 @@ impl StableStore {
     /// whole page (the caller must erase it — stale bytes on freed pages
     /// would resurrect at the next rebuild).
     fn invalidate(&mut self, key: RecordKey) -> Option<u64> {
-        let st = self.records.get_mut(&key)?;
-        if !st.valid {
+        let log = self.logs.get_mut(&key.pid)?;
+        let st = log.remove(key.seq)?;
+        let page = match st.location {
+            Location::Open => {
+                self.open.retain(|(k, _)| *k != key);
+                self.open_bytes = self.open_bytes.saturating_sub(st.size());
+                return None;
+            }
+            Location::Page(page) => page,
+        };
+        let slot = self.pages.get_mut(page as usize)?;
+        if slot.live.is_empty() {
             return None;
         }
-        st.valid = false;
-        match st.location {
-            Location::Open => {
-                self.open.retain(|k| *k != key);
-                self.open_bytes = self
-                    .open_bytes
-                    .saturating_sub(Self::record_size(&st.record));
-                self.records.remove(&key);
-                None
-            }
-            Location::Page(page) => {
-                let mut freed = None;
-                if let Some(live) = self.page_live.get_mut(&page) {
-                    live.retain(|k| *k != key);
-                    if live.is_empty() {
-                        self.page_live.remove(&page);
-                        self.page_dead.remove(&page);
-                        self.free_pages.insert(page);
-                        self.stats.pages_freed.inc();
-                        freed = Some(page);
-                    } else {
-                        self.page_dead.entry(page).or_default().push(key);
-                    }
-                }
-                self.records.remove(&key);
-                freed
+        slot.live.retain(|k| *k != key);
+        if !slot.live.is_empty() {
+            slot.dead.push(key);
+            log.note_dead(page);
+            return None;
+        }
+        self.drop_dead(page);
+        self.free_pages.insert(page);
+        self.stats.pages_freed.inc();
+        Some(page)
+    }
+
+    /// Forgets the invalidated records `page` physically holds (it is
+    /// about to be erased), here and in their processes' logs.
+    fn drop_dead(&mut self, page: u64) {
+        for key in std::mem::take(&mut self.pages[page as usize].dead) {
+            if let Some(log) = self.logs.get_mut(&key.pid) {
+                log.dead_pages.retain(|p| *p != page);
             }
         }
+    }
+
+    /// Moves `page`'s surviving records back to the open buffer and
+    /// forgets the page (compaction, and the rewrite a purge forces on
+    /// pages the purged process shared). Returns how many moved.
+    fn reopen_survivors(&mut self, page: u64) -> usize {
+        self.drop_dead(page);
+        let live = std::mem::take(&mut self.pages[page as usize].live);
+        self.stats.compactions.inc();
+        self.stats.records_compacted.add(live.len() as u64);
+        for &k in &live {
+            let st = self.record_mut(k).expect("live record indexed");
+            st.location = Location::Open;
+            st.durable = false;
+            let size = st.size();
+            self.open_bytes += size;
+            self.open.push((k, size));
+        }
+        live.len()
     }
 
     /// Invalidates a single record (precise GC for consumed-out-of-order
@@ -547,7 +694,7 @@ impl StableStore {
     /// checkpoint floor). Returns erase IO if a page became fully dead.
     pub fn invalidate_record(&mut self, now: SimTime, key: RecordKey) -> Vec<StoreIo> {
         match self.invalidate(key) {
-            Some(page) => self.erase_page(now, page),
+            Some(page) => vec![self.erase_page(now, page)],
             None => Vec::new(),
         }
     }
@@ -559,111 +706,77 @@ impl StableStore {
     /// [`StableStore::rebuild_index`] scan of stale pages. Returns the
     /// erase IO started, if any.
     pub fn purge_process(&mut self, now: SimTime, pid: u64) -> Vec<StoreIo> {
-        let keys: Vec<RecordKey> = self
-            .records
-            .range(RecordKey { pid, seq: 0 }..=RecordKey { pid, seq: u64::MAX })
-            .map(|(k, _)| *k)
-            .collect();
         // Pages physically holding any of this process's records — live
         // or already-invalidated-but-not-yet-compacted — must be erased:
         // stale bytes would otherwise resurrect the process at the next
         // rebuild (its checkpoint floor dies with it). Shared pages are
         // compacted (survivors move to the open buffer) first.
-        let mut touched: BTreeSet<u64> = keys
-            .iter()
-            .filter_map(|k| match self.records.get(k).map(|st| st.location) {
-                Some(Location::Page(p)) => Some(p),
-                _ => None,
-            })
-            .collect();
-        touched.extend(
-            self.page_dead
-                .iter()
-                .filter(|(_, dead)| dead.iter().any(|k| k.pid == pid))
-                .map(|(p, _)| *p),
-        );
-        for k in keys {
-            let _ = self.invalidate(k);
+        let mut touched: BTreeSet<u64> = BTreeSet::new();
+        let mut seqs = Vec::new();
+        if let Some(log) = self.logs.get(&pid) {
+            touched.extend(log.dead_pages.iter().copied());
+            for (seq, st) in log.iter_from(0) {
+                seqs.push(seq);
+                if let Location::Page(p) = st.location {
+                    touched.insert(p);
+                }
+            }
+        }
+        for seq in seqs {
+            let _ = self.invalidate(RecordKey { pid, seq });
         }
         let mut ios = Vec::new();
         for page in touched {
-            if let Some(live) = self.page_live.remove(&page) {
+            if !self.pages[page as usize].live.is_empty() {
                 // Other processes' records share the page: rewrite them.
-                self.page_dead.remove(&page);
-                self.stats.compactions.inc();
-                self.stats.records_compacted.add(live.len() as u64);
-                for k in &live {
-                    let st = self.records.get_mut(k).expect("live record indexed");
-                    st.location = Location::Open;
-                    st.durable = false;
-                    self.open_bytes += Self::record_size(&st.record);
-                    self.open.push(*k);
-                }
+                self.reopen_survivors(page);
             }
             self.free_pages.insert(page);
-            ios.extend(self.erase_page(now, page));
+            ios.push(self.erase_page(now, page));
             if self.open_bytes + 1 >= self.page_size {
                 ios.extend(self.flush(now));
             }
         }
+        self.logs.remove(&pid);
         self.checkpoints.remove(&pid);
         if let Some(pages) = self.checkpoint_pages.remove(&pid) {
             for page in pages {
                 self.free_pages.insert(page);
-                ios.extend(self.erase_page(now, page));
+                ios.push(self.erase_page(now, page));
             }
         }
         ios
     }
 
-    fn erase_page(&mut self, now: SimTime, page: u64) -> Vec<StoreIo> {
-        let disk = self.disk_for_page(page);
-        let (token, at) = self.disks[disk].submit(
-            now,
-            DiskOp::Write {
-                page,
-                data: Vec::new(),
-            },
-        );
-        self.pending.insert((disk, token), PendingIo::Erase);
-        vec![StoreIo { disk, token, at }]
+    fn erase_page(&mut self, now: SimTime, page: u64) -> StoreIo {
+        let op = DiskOp::Write {
+            page,
+            data: Vec::new(),
+        };
+        self.submit(now, page, op, PendingIo::Erase)
     }
 
     /// Compacts the fullest-invalid page: reads it back (timing) and
     /// rewrites its live records into the open buffer. Returns the IO
     /// started, or an empty vector if nothing needs compaction.
     pub fn compact_one(&mut self, now: SimTime) -> Vec<StoreIo> {
-        // Compact the page carrying the most dead space; a page with no
-        // invalidated records is not worth rewriting.
-        let Some((&page, _)) = self
-            .page_dead
-            .iter()
-            .filter(|(_, dead)| !dead.is_empty())
-            .max_by_key(|(p, dead)| (dead.len(), std::cmp::Reverse(**p)))
+        // Compact the page carrying the most dead space, the lowest such
+        // page on a tie; a page with no invalidated records is not worth
+        // rewriting.
+        let Some(page) = (0..self.pages.len())
+            .filter(|&p| !self.pages[p].dead.is_empty())
+            .max_by_key(|&p| (self.pages[p].dead.len(), std::cmp::Reverse(p)))
         else {
             return Vec::new();
         };
-        let live = self.page_live.remove(&page).expect("selected");
-        self.page_dead.remove(&page);
-        self.stats.compactions.inc();
-        self.stats.records_compacted.add(live.len() as u64);
-        // Move the survivors back to the open buffer.
-        for k in &live {
-            let st = self.records.get_mut(k).expect("live record indexed");
-            st.location = Location::Open;
-            st.durable = false;
-            self.open_bytes += Self::record_size(&st.record);
-            self.open.push(*k);
-        }
+        let page = page as u64;
+        self.reopen_survivors(page);
         self.free_pages.insert(page);
         // Timing-only read of the old page, then a physical erase so the
         // stale copy cannot resurrect at a rebuild.
-        let disk = self.disk_for_page(page);
-        let (token, at) = self.disks[disk].submit(now, DiskOp::Read { page });
-        self.pending
-            .insert((disk, token), PendingIo::CompactionRead);
-        let mut ios = vec![StoreIo { disk, token, at }];
-        ios.extend(self.erase_page(now, page));
+        let read = DiskOp::Read { page };
+        let mut ios = vec![self.submit(now, page, read, PendingIo::CompactionRead)];
+        ios.push(self.erase_page(now, page));
         if self.open_bytes + 1 >= self.page_size {
             ios.extend(self.flush(now));
         }
@@ -679,33 +792,35 @@ impl StableStore {
     /// sequence order. Contents are exact; use [`StableStore::replay_reads`]
     /// to charge the disk time for fetching them.
     pub fn messages_from(&self, pid: u64, from_seq: u64) -> Vec<MsgRecord> {
-        self.records
-            .range(RecordKey { pid, seq: from_seq }..=RecordKey { pid, seq: u64::MAX })
-            .filter(|(_, st)| st.valid)
-            .map(|(_, st)| st.record.clone())
+        let Some(log) = self.logs.get(&pid) else {
+            return Vec::new();
+        };
+        log.iter_from(from_seq)
+            .map(|(seq, st)| MsgRecord {
+                key: RecordKey { pid, seq },
+                received_at: st.received_at,
+                payload: st.payload.clone(),
+            })
             .collect()
     }
 
     /// Issues timing reads for the pages holding `pid`'s replayable
     /// messages; the driver waits for their completions before replaying.
     pub fn replay_reads(&mut self, now: SimTime, pid: u64, from_seq: u64) -> Vec<StoreIo> {
-        let mut pages = BTreeSet::new();
-        for (_, st) in self
-            .records
-            .range(RecordKey { pid, seq: from_seq }..=RecordKey { pid, seq: u64::MAX })
-        {
-            if let Location::Page(p) = st.location {
-                pages.insert(p);
-            }
-        }
-        let mut ios = Vec::new();
-        for page in pages {
-            let disk = self.disk_for_page(page);
-            let (token, at) = self.disks[disk].submit(now, DiskOp::Read { page });
-            self.pending.insert((disk, token), PendingIo::ReplayRead);
-            ios.push(StoreIo { disk, token, at });
-        }
-        ios
+        let pages: BTreeSet<u64> = self
+            .logs
+            .get(&pid)
+            .into_iter()
+            .flat_map(|log| log.iter_from(from_seq))
+            .filter_map(|(_, st)| match st.location {
+                Location::Page(p) => Some(p),
+                Location::Open => None,
+            })
+            .collect();
+        pages
+            .into_iter()
+            .map(|page| self.submit(now, page, DiskOp::Read { page }, PendingIo::ReplayRead))
+            .collect()
     }
 
     /// Rebuilds the in-memory index from durable pages plus the
@@ -714,18 +829,15 @@ impl StableStore {
     /// Returns the set of process ids that have state in the store.
     pub fn rebuild_index(&mut self) -> BTreeSet<u64> {
         // Preserve the open (battery-backed) records.
-        let open_records: Vec<MsgRecord> = self
-            .open
-            .iter()
-            .filter_map(|k| self.records.get(k).map(|st| st.record.clone()))
+        let open_records: Vec<(RecordKey, RecordState)> = std::mem::take(&mut self.open)
+            .into_iter()
+            .filter_map(|(k, _)| Some((k, self.logs.get_mut(&k.pid)?.remove(k.seq)?)))
             .collect();
-        self.records.clear();
-        self.page_live.clear();
-        self.page_dead.clear();
+        self.logs.clear();
+        self.pages.clear();
         self.checkpoints.clear();
         self.checkpoint_pages.clear();
         self.free_pages.clear();
-        self.open.clear();
         self.open_bytes = 0;
 
         // Scan every durable page on every disk. Chunk tuples are
@@ -782,9 +894,7 @@ impl StableStore {
                 chunks.len() == total && chunks.iter().enumerate().all(|(i, c)| c.0 == i as u64);
             if !complete {
                 for c in chunks {
-                    self.free_pages.insert(c.2);
-                    let disk = self.disk_for_page(c.2);
-                    self.disks[disk].wipe_page(c.2);
+                    self.scrap_page(c.2);
                 }
                 continue;
             }
@@ -798,9 +908,7 @@ impl StableStore {
             if better {
                 if let Some(old) = self.checkpoint_pages.remove(&pid) {
                     for p in old {
-                        self.free_pages.insert(p);
-                        let disk = self.disk_for_page(p);
-                        self.disks[disk].wipe_page(p);
+                        self.scrap_page(p);
                     }
                 }
                 self.checkpoints.insert(
@@ -814,9 +922,7 @@ impl StableStore {
                 self.checkpoint_pages.insert(pid, pages);
             } else {
                 for p in pages {
-                    self.free_pages.insert(p);
-                    let disk = self.disk_for_page(p);
-                    self.disks[disk].wipe_page(p);
+                    self.scrap_page(p);
                 }
             }
         }
@@ -824,66 +930,66 @@ impl StableStore {
         // Re-index message records, dropping ones superseded by
         // checkpoints — but remembering the dropped ones as dead bytes on
         // their page, so compaction and purge keep scrubbing them.
+        let mut pids: BTreeSet<u64> = self.checkpoints.keys().copied().collect();
         for (page, recs) in message_pages {
-            let mut live = Vec::new();
+            let mut slot = PageSlot::default();
             for r in recs {
-                let floor = self
-                    .checkpoints
-                    .get(&r.key.pid)
-                    .map(|c| c.upto_seq)
-                    .unwrap_or(0);
-                if r.key.seq < floor || self.records.contains_key(&r.key) {
-                    self.page_dead.entry(page).or_default().push(r.key);
+                if self.superseded(r.key) {
+                    slot.dead.push(r.key);
                     continue;
                 }
-                live.push(r.key);
-                self.records.insert(
-                    r.key,
+                slot.live.push(r.key);
+                pids.insert(r.key.pid);
+                self.logs.entry(r.key.pid).or_default().insert(
+                    r.key.seq,
                     RecordState {
-                        record: r,
+                        received_at: r.received_at,
+                        payload: r.payload,
                         location: Location::Page(page),
                         durable: true,
-                        valid: true,
                     },
                 );
             }
-            if live.is_empty() {
-                self.free_pages.insert(page);
-                self.page_dead.remove(&page);
-                let disk = self.disk_for_page(page);
-                self.disks[disk].wipe_page(page);
-            } else {
-                self.page_live.insert(page, live);
+            if slot.live.is_empty() {
+                self.scrap_page(page);
+                continue;
             }
+            for key in &slot.dead {
+                self.logs.entry(key.pid).or_default().note_dead(page);
+            }
+            *self.page_slot(page) = slot;
         }
 
         // Restore the battery-backed open buffer.
-        for r in open_records {
-            let floor = self
-                .checkpoints
-                .get(&r.key.pid)
-                .map(|c| c.upto_seq)
-                .unwrap_or(0);
-            if r.key.seq < floor || self.records.contains_key(&r.key) {
+        for (key, mut st) in open_records {
+            if self.superseded(key) {
                 continue;
             }
-            let key = r.key;
-            self.open_bytes += Self::record_size(&r);
-            self.open.push(key);
-            self.records.insert(
-                key,
-                RecordState {
-                    record: r,
-                    location: Location::Open,
-                    durable: false,
-                    valid: true,
-                },
-            );
+            st.location = Location::Open;
+            st.durable = false;
+            let size = st.size();
+            self.open_bytes += size;
+            self.open.push((key, size));
+            pids.insert(key.pid);
+            self.logs.entry(key.pid).or_default().insert(key.seq, st);
         }
-
-        let mut pids: BTreeSet<u64> = self.records.keys().map(|k| k.pid).collect();
-        pids.extend(self.checkpoints.keys().copied());
         pids
+    }
+
+    /// Whether a rebuild drops a record found under `key`: below its
+    /// process's checkpoint floor, or a second copy of one already
+    /// indexed.
+    fn superseded(&self, key: RecordKey) -> bool {
+        let floor = self.checkpoints.get(&key.pid).map_or(0, |c| c.upto_seq);
+        key.seq < floor || self.holds(key)
+    }
+
+    /// Frees a page the rebuild scan found to hold only garbage, and
+    /// scrubs it at once (the scan owns the disks).
+    fn scrap_page(&mut self, page: u64) {
+        self.free_pages.insert(page);
+        let disk = self.disk_for_page(page);
+        self.disks[disk].wipe_page(page);
     }
 
     /// Simulates loss of non-battery-backed state at a recorder crash: the
@@ -902,21 +1008,23 @@ impl StableStore {
         // [`crate::disk::DiskFaults`]) each in-flight write leaves a
         // partial page, which the rebuild scan tolerates as a truncated
         // decode. All other in-flight bookkeeping dies with the host.
-        let mut inflight: Vec<((usize, IoToken), PendingIo)> =
-            std::mem::take(&mut self.pending).into_iter().collect();
-        inflight.sort_by_key(|(k, _)| *k);
-        for (_, p) in inflight {
-            let PendingIo::PageWrite { keys } = p else {
-                continue;
-            };
-            for k in keys {
-                let Some(st) = self.records.get_mut(&k) else {
+        // Disk by disk, each in submission order.
+        for disk in 0..self.pending.len() {
+            let inflight: Vec<PendingIo> = self.pending[disk].drain().collect();
+            for p in inflight {
+                let PendingIo::PageWrite { keys } = p else {
                     continue;
                 };
-                if !st.durable && st.valid && st.location != Location::Open {
-                    st.location = Location::Open;
-                    self.open_bytes += Self::record_size(&st.record);
-                    self.open.push(k);
+                for k in keys {
+                    let Some(st) = self.record_mut(k) else {
+                        continue;
+                    };
+                    if !st.durable && st.location != Location::Open {
+                        st.location = Location::Open;
+                        let size = st.size();
+                        self.open_bytes += size;
+                        self.open.push((k, size));
+                    }
                 }
             }
         }

@@ -309,3 +309,309 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a over everything a trace pin observes.
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Self {
+        Fold(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn bytes(&mut self, b: &[u8]) {
+        self.u64(b.len() as u64);
+        for &x in b {
+            self.0 ^= u64::from(x);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn ios(&mut self, ios: &[StoreIo]) {
+        self.u64(ios.len() as u64);
+        for io in ios {
+            self.u64(io.disk as u64);
+            self.u64(io.token.0);
+            self.u64(io.at.as_nanos());
+        }
+    }
+
+    fn event(&mut self, ev: &StoreEvent) {
+        match ev {
+            StoreEvent::MessagesDurable(keys) => {
+                self.u64(1);
+                self.u64(keys.len() as u64);
+                for k in keys {
+                    self.u64(k.pid);
+                    self.u64(k.seq);
+                }
+            }
+            StoreEvent::CheckpointDurable { pid, upto_seq } => {
+                self.u64(2);
+                self.u64(*pid);
+                self.u64(*upto_seq);
+            }
+            StoreEvent::ReadDone => self.u64(3),
+            StoreEvent::FollowUpIo(io) => {
+                self.u64(4);
+                self.ios(std::slice::from_ref(io));
+            }
+        }
+    }
+
+    fn store(&mut self, store: &StableStore) {
+        let s = store.stats();
+        for c in [
+            &s.appended,
+            &s.pages_written,
+            &s.pages_freed,
+            &s.compactions,
+            &s.records_compacted,
+            &s.checkpoints,
+            &s.io_retries,
+        ] {
+            self.u64(c.get());
+        }
+    }
+}
+
+/// Completes one IO at its completion time, folding the events and
+/// queueing the follow-up IO they carry.
+fn deliver(
+    store: &mut StableStore,
+    f: &mut Fold,
+    outstanding: &mut VecDeque<StoreIo>,
+    now: &mut SimTime,
+    io: StoreIo,
+) {
+    *now = (*now).max(io.at);
+    for ev in store.on_disk_complete(*now, io) {
+        f.event(&ev);
+        if let StoreEvent::FollowUpIo(next) = ev {
+            outstanding.push_back(next);
+        }
+    }
+}
+
+/// One fixed operation sequence over every `pub fn` of the store, with
+/// transient disk errors and torn writes on and completions delivered in
+/// submission order, in reverse and not at all (a crash drops them).
+/// Every `StoreIo`, `StoreEvent`, counter, query answer and — at the end
+/// — page byte is folded into one value. Two record maps that index the
+/// same log must fold alike, whatever they are made of.
+fn store_trace(n_disks: usize) -> u64 {
+    const PIDS: u64 = 4;
+    let mut store = StableStore::new(DiskParams::default(), n_disks);
+    store.set_disk_faults(DiskFaults {
+        transient_error: 0.15,
+        torn_writes: true,
+        seed: 7,
+    });
+    let mut f = Fold::new();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = move |n: u64| {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % n
+    };
+    let mut next_seq = [0u64; PIDS as usize];
+    // Sequences skipped on purpose: a later append fills them, the way a
+    // quorum re-apply commits below records rebuilt from disk.
+    let mut holes: Vec<RecordKey> = Vec::new();
+    let mut floor = [0u64; PIDS as usize];
+    let mut outstanding: VecDeque<StoreIo> = VecDeque::new();
+    let mut now = SimTime::ZERO;
+    for step in 0..700u64 {
+        now = now.max(SimTime::from_micros((step + 1) * 700));
+        let op = draw(30);
+        f.u64(op);
+        match op {
+            0..=9 => {
+                let p = draw(PIDS);
+                if draw(8) == 0 {
+                    holes.push(RecordKey {
+                        pid: p + 1,
+                        seq: next_seq[p as usize],
+                    });
+                    next_seq[p as usize] += 1;
+                }
+                let key = RecordKey {
+                    pid: p + 1,
+                    seq: next_seq[p as usize],
+                };
+                next_seq[p as usize] += 1;
+                let len = if draw(5) == 0 { 900 } else { 20 } + draw(200) as usize;
+                // A crash can drop a purge's erases, and the rebuild then
+                // resurrects the purged records under their old keys.
+                let held = store.holds(key);
+                f.u64(u64::from(held));
+                if !held {
+                    let ios = store.append_message(now, key, vec![(key.seq % 251) as u8; len]);
+                    f.ios(&ios);
+                    outstanding.extend(ios);
+                }
+            }
+            10 => {
+                if let Some(key) = holes.pop() {
+                    let held = store.holds(key);
+                    f.u64(u64::from(held));
+                    if !held && key.seq < next_seq[(key.pid - 1) as usize] {
+                        let ios = store.append_message(now, key, vec![0xEE; 33]);
+                        f.ios(&ios);
+                        outstanding.extend(ios);
+                    }
+                }
+            }
+            11 | 12 => {
+                let ios = store.flush(now);
+                f.ios(&ios);
+                outstanding.extend(ios);
+            }
+            13 | 14 => {
+                let p = draw(PIDS) as usize;
+                floor[p] = next_seq[p].min(floor[p] + draw(7));
+                let len = if draw(4) == 0 {
+                    5000 + draw(4000)
+                } else {
+                    40 + draw(300)
+                } as usize;
+                let blob: Vec<u8> = (0..len)
+                    .map(|j| (step as u8).wrapping_add(j as u8))
+                    .collect();
+                let cp = Checkpoint {
+                    pid: p as u64 + 1,
+                    upto_seq: floor[p],
+                    blob,
+                };
+                let ios = store.write_checkpoint(now, cp);
+                f.ios(&ios);
+                outstanding.extend(ios);
+            }
+            15 | 16 => {
+                let ios = store.compact_one(now);
+                f.ios(&ios);
+                outstanding.extend(ios);
+            }
+            17 => {
+                let p = draw(PIDS) as usize;
+                let ios = store.purge_process(now, p as u64 + 1);
+                f.ios(&ios);
+                outstanding.extend(ios);
+                next_seq[p] = 0;
+                floor[p] = 0;
+                holes.retain(|k| k.pid != p as u64 + 1);
+            }
+            18 | 19 => {
+                let p = draw(PIDS) as usize;
+                let key = RecordKey {
+                    pid: p as u64 + 1,
+                    seq: draw(next_seq[p] + 1),
+                };
+                let ios = store.invalidate_record(now, key);
+                f.ios(&ios);
+                outstanding.extend(ios);
+            }
+            20 => {
+                let p = draw(PIDS);
+                let ios = store.replay_reads(now, p + 1, draw(next_seq[p as usize] + 1));
+                f.ios(&ios);
+                outstanding.extend(ios);
+            }
+            21..=24 => {
+                if let Some(io) = outstanding.pop_front() {
+                    deliver(&mut store, &mut f, &mut outstanding, &mut now, io);
+                }
+            }
+            25 | 26 => {
+                if let Some(io) = outstanding.pop_back() {
+                    deliver(&mut store, &mut f, &mut outstanding, &mut now, io);
+                }
+            }
+            27 => {
+                while let Some(io) = outstanding.pop_front() {
+                    deliver(&mut store, &mut f, &mut outstanding, &mut now, io);
+                }
+            }
+            28 => {
+                // The recorder-crash path: undelivered completions die
+                // with the host, in-flight writes tear.
+                outstanding.clear();
+                store.crash_volatile_state();
+                for pid in store.rebuild_index() {
+                    f.u64(pid);
+                }
+            }
+            _ => {
+                // A rebuild of a quiescent store.
+                while let Some(io) = outstanding.pop_front() {
+                    deliver(&mut store, &mut f, &mut outstanding, &mut now, io);
+                }
+                for pid in store.rebuild_index() {
+                    f.u64(pid);
+                }
+            }
+        }
+        f.store(&store);
+        if step % 8 == 7 {
+            for pid in 1..=PIDS {
+                for r in store.messages_from(pid, draw(3)) {
+                    f.u64(r.key.seq);
+                    f.u64(r.received_at.as_nanos());
+                    f.bytes(&r.payload);
+                }
+                match store.latest_checkpoint(pid) {
+                    Some(cp) => {
+                        f.u64(cp.upto_seq);
+                        f.bytes(&cp.blob);
+                    }
+                    None => f.u64(u64::MAX),
+                }
+            }
+        }
+    }
+    while let Some(io) = outstanding.pop_front() {
+        deliver(&mut store, &mut f, &mut outstanding, &mut now, io);
+    }
+    f.store(&store);
+    for page in 0..512 {
+        match store.peek_page(page) {
+            Some(bytes) => f.bytes(bytes),
+            None => f.u64(u64::MAX),
+        }
+    }
+    for d in 0..n_disks {
+        let s = store.disk_stats(d);
+        for c in [
+            &s.writes,
+            &s.reads,
+            &s.bytes_written,
+            &s.bytes_read,
+            &s.transient_errors,
+            &s.torn_writes,
+        ] {
+            f.u64(c.get());
+        }
+        f.u64(s.response_ms.count());
+        f.u64(s.busy.busy_time(now).as_nanos());
+    }
+    // The trace is only a pin if it went everywhere.
+    let s = store.stats();
+    assert!(s.pages_freed.get() > 0 && s.compactions.get() > 0 && s.io_retries.get() > 0);
+    assert!(s.checkpoints.get() > 10 && s.pages_written.get() > 40);
+    f.0
+}
+
+/// Constants captured on the `BTreeMap<RecordKey, RecordState>` store,
+/// before the per-process logs and the page table replaced it.
+#[test]
+fn store_trace_is_pinned_on_one_and_two_disks() {
+    assert_eq!(store_trace(1), 15_270_552_759_505_856_666, "1 disk");
+    assert_eq!(store_trace(2), 13_389_227_163_172_641_349, "2 disks");
+}

@@ -91,7 +91,7 @@ fn main() {
     world.run_until(SimTime::from_secs(2));
 
     let live_total = total_of(
-        &world.kernels[&1]
+        &world.kernels[1]
             .process(acc.local)
             .unwrap()
             .program

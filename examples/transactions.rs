@@ -139,7 +139,7 @@ fn main() {
     }
 
     let read_balance = |pid: publishing::demos::ids::ProcessId, name: &str| -> i64 {
-        let snap = world.kernels[&pid.node.0]
+        let snap = world.kernels[pid.node.0 as usize]
             .process(pid.local)
             .unwrap()
             .program

@@ -185,7 +185,7 @@ proptest! {
             // Dense: sequences 1..=max all present exactly once.
             prop_assert_eq!(deduped.len() as u64, max_seq, "gaps for {}", p);
             // Healthy: nobody is left crashed or mid-recovery.
-            let proc = w.kernels[&p.node.0].process(p.local).expect("alive");
+            let proc = w.kernels[p.node.0 as usize].process(p.local).expect("alive");
             prop_assert!(
                 matches!(
                     proc.run,

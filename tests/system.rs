@@ -77,7 +77,7 @@ fn identical_seeds_produce_identical_worlds() {
         (
             w.output_fingerprint(),
             w.tier.recorder().stats().published.get(),
-            w.kernels[&0].stats().msgs_sent.get(),
+            w.kernels[0].stats().msgs_sent.get(),
         )
     };
     assert_eq!(run(7), run(7), "bit-identical replays");
