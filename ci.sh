@@ -24,6 +24,9 @@ cargo test --offline --manifest-path hostbench/Cargo.toml
 echo "==> hostbench --health 50 (every workload through the correctness gate + recovery oracle)"
 cargo run --release --quiet --offline --manifest-path hostbench/Cargo.toml -- --health 50
 
+echo "==> allocation budget (allocs_per_msg per workload at --seconds 0 is a function of the build: held to perf/alloc_budget.py's numbers)"
+python3 perf/alloc_budget.py
+
 echo "==> perf/pairs.py compiles (the paired runs themselves are timing-dependent and stay out of CI)"
 python3 -m py_compile perf/pairs.py
 

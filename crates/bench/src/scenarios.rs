@@ -299,8 +299,10 @@ pub fn ethernet_run(
     let mut delivered = Counter::new();
     let mut offered = Counter::new();
 
-    fn apply(sched: &mut Scheduler<Ev>, actions: Vec<LanAction>, delivered: &mut Counter) {
-        for a in actions {
+    // The loop's one action buffer: the medium appends, `apply` drains.
+    let mut actions = Vec::new();
+    fn apply(sched: &mut Scheduler<Ev>, actions: &mut Vec<LanAction>, delivered: &mut Counter) {
+        for a in actions.drain(..) {
             match a {
                 LanAction::SetTimer { at, token } => {
                     sched.schedule_at(at, Ev::LanTimer(token));
@@ -331,14 +333,14 @@ pub fn ethernet_run(
                     Destination::Station(StationId(to)),
                     vec![0; 200],
                 );
-                let actions = lan.submit(now, frame);
-                apply(&mut sched, actions, &mut delivered);
+                lan.submit_into(now, frame, &mut actions);
+                apply(&mut sched, &mut actions, &mut delivered);
                 let dt = SimDuration::from_secs_f64(rng.exponential(gap));
                 sched.schedule_at(now + dt, Ev::Submit { from });
             }
             Ev::LanTimer(token) => {
-                let actions = lan.timer(now, token);
-                apply(&mut sched, actions, &mut delivered);
+                lan.timer_into(now, token, &mut actions);
+                apply(&mut sched, &mut actions, &mut delivered);
             }
             Ev::Deliver { to, data } => {
                 if data && !acknowledging {
@@ -347,8 +349,8 @@ pub fn ethernet_run(
                     let target = StationId((to + 1) % stations); // ack goes back; dst irrelevant
                     let frame =
                         Frame::new(StationId(to), Destination::Station(target), vec![0; 40]);
-                    let actions = lan.submit(now, frame);
-                    apply(&mut sched, actions, &mut delivered);
+                    lan.submit_into(now, frame, &mut actions);
+                    apply(&mut sched, &mut actions, &mut delivered);
                 }
             }
         }
@@ -391,6 +393,7 @@ pub fn token_ring_run(stations: u32, recorder: u32, sends: u32) -> RingRun {
     ring.set_required_recorders(vec![StationId(recorder)]);
     let mut latency_us = Summary::new();
     let mut now = SimTime::ZERO;
+    let (mut actions, mut more) = (Vec::new(), Vec::new());
     for i in 0..sends {
         let from = 0u32;
         let to = 1 + (i % (stations - 1));
@@ -402,7 +405,8 @@ pub fn token_ring_run(stations: u32, recorder: u32, sends: u32) -> RingRun {
             Destination::Station(StationId(to)),
             vec![0; SHORT_BYTES],
         );
-        let actions = ring.submit(now, frame);
+        actions.clear();
+        ring.submit_into(now, frame, &mut actions);
         let mut strip = now;
         for a in &actions {
             match a {
@@ -422,7 +426,8 @@ pub fn token_ring_run(stations: u32, recorder: u32, sends: u32) -> RingRun {
             .iter()
             .find(|a| matches!(a, LanAction::SetTimer { .. }))
         {
-            let more = ring.timer(*at, *token);
+            more.clear();
+            ring.timer_into(*at, *token, &mut more);
             assert!(more
                 .iter()
                 .all(|a| matches!(a, LanAction::TxOutcome { .. })));

@@ -304,9 +304,13 @@ mod tests {
                     deliver_to_kernel: false,
                 },
                 passed_link: None,
-                body: (i * 10).to_le_bytes().to_vec(),
+                body: (i * 10).to_le_bytes().to_vec().into(),
             };
-            recorder.on_data(SimTime::ZERO, msg.clone());
+            recorder.on_data(
+                SimTime::ZERO,
+                msg.clone(),
+                publishing_sim::codec::Encode::encode_to_bytes(&msg),
+            );
             let ios = recorder.on_ack(SimTime::ZERO, msg.header.id, pid);
             for io in ios {
                 recorder.on_disk(io.at, io);

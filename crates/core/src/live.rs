@@ -197,24 +197,27 @@ fn node_loop(
     outputs: Arc<Mutex<Vec<OutputLine>>>,
 ) {
     let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
+    // The loop's one action buffer: each call appends, `apply_kernel`
+    // drains.
+    let mut actions = Vec::new();
     let ticker = tick(Duration::from_millis(1));
     loop {
         // Fire due timers.
         let now = now_sim(epoch);
         while timers.peek().map(|t| t.at <= now).unwrap_or(false) {
             let t = timers.pop().expect("peeked");
-            let actions = kernel.on_timer(now_sim(epoch), t.token);
-            apply_kernel(epoch, actions, &hub_tx, &outputs, &mut timers);
+            kernel.on_timer(now_sim(epoch), t.token, &mut actions);
+            apply_kernel(epoch, &mut actions, &hub_tx, &outputs, &mut timers);
         }
         select! {
             recv(rx) -> msg => match msg {
                 Ok(ToNode::Frame(frame, ok)) => {
-                    let actions = kernel.on_frame(now_sim(epoch), &frame, ok);
-                    apply_kernel(epoch, actions, &hub_tx, &outputs, &mut timers);
+                    kernel.on_frame(now_sim(epoch), &frame, ok, &mut actions);
+                    apply_kernel(epoch, &mut actions, &hub_tx, &outputs, &mut timers);
                 }
                 Ok(ToNode::CrashProcess(local, reason)) => {
-                    let actions = kernel.crash_process(now_sim(epoch), local, &reason);
-                    apply_kernel(epoch, actions, &hub_tx, &outputs, &mut timers);
+                    kernel.crash_process(now_sim(epoch), local, &reason, &mut actions);
+                    apply_kernel(epoch, &mut actions, &hub_tx, &outputs, &mut timers);
                 }
                 Ok(ToNode::Quit) | Err(_) => return,
             },
@@ -225,12 +228,12 @@ fn node_loop(
 
 fn apply_kernel(
     epoch: Instant,
-    actions: Vec<KernelAction>,
+    actions: &mut Vec<KernelAction>,
     hub_tx: &Sender<HubMsg>,
     outputs: &Arc<Mutex<Vec<OutputLine>>>,
     timers: &mut BinaryHeap<PendingTimer>,
 ) {
-    for a in actions {
+    for a in actions.drain(..) {
         match a {
             KernelAction::Transmit(frame) => {
                 let _ = hub_tx.send(HubMsg { frame });
@@ -258,21 +261,22 @@ fn recorder_loop(
     hub_tx: Sender<HubMsg>,
 ) {
     let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
-    let start = rn.start(now_sim(epoch), watch);
-    apply_recorder(rn, start, &hub_tx, &mut timers);
+    let mut actions = Vec::new();
+    rn.start(now_sim(epoch), watch, &mut actions);
+    apply_recorder(rn, &mut actions, &hub_tx, &mut timers);
     let ticker = tick(Duration::from_millis(1));
     loop {
         let now = now_sim(epoch);
         while timers.peek().map(|t| t.at <= now).unwrap_or(false) {
             let t = timers.pop().expect("peeked");
-            let actions = rn.on_timer(now_sim(epoch), t.token);
-            apply_recorder(rn, actions, &hub_tx, &mut timers);
+            rn.on_timer(now_sim(epoch), t.token, &mut actions);
+            apply_recorder(rn, &mut actions, &hub_tx, &mut timers);
         }
         select! {
             recv(rx) -> msg => match msg {
                 Ok(ToNode::Frame(frame, ok)) => {
-                    let actions = rn.on_frame(now_sim(epoch), &frame, ok);
-                    apply_recorder(rn, actions, &hub_tx, &mut timers);
+                    rn.on_frame(now_sim(epoch), &frame, ok, &mut actions);
+                    apply_recorder(rn, &mut actions, &hub_tx, &mut timers);
                 }
                 Ok(ToNode::CrashProcess(..)) => {}
                 Ok(ToNode::Quit) | Err(_) => return,
@@ -284,11 +288,11 @@ fn recorder_loop(
 
 fn apply_recorder(
     rn: &mut RecorderNode,
-    actions: Vec<RNAction>,
+    actions: &mut Vec<RNAction>,
     hub_tx: &Sender<HubMsg>,
     timers: &mut BinaryHeap<PendingTimer>,
 ) {
-    for a in actions {
+    for a in actions.drain(..) {
         match a {
             RNAction::Transmit(frame) => {
                 let _ = hub_tx.send(HubMsg { frame });

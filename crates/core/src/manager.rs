@@ -13,13 +13,14 @@
 //!
 //! The manager is a pure state machine: it consumes protocol replies and
 //! timer callbacks plus read access to the [`Recorder`] database, and
-//! emits [`MgrCmd`]s the recorder node executes.
+//! appends [`MgrCmd`]s, in the order the recorder node must execute them,
+//! to a buffer the node owns and reuses.
 
 use crate::recorder::{PidFilter, Recorder};
 use publishing_demos::ids::{NodeId, ProcessId};
 use publishing_demos::kernel::encode_ctl;
 use publishing_demos::protocol::{self, codes, ReportedState};
-use publishing_sim::codec::{Encode, Encoder};
+use publishing_sim::codec::{Bytes, Encode, Encoder};
 use publishing_sim::stats::Counter;
 use publishing_sim::table::TokenTable;
 use publishing_sim::time::{SimDuration, SimTime};
@@ -33,7 +34,7 @@ pub enum MgrCmd {
         /// Destination node.
         node: NodeId,
         /// Encoded control body (code + payload).
-        body: Vec<u8>,
+        body: Bytes,
     },
     /// Send an unguaranteed datagram to a node's kernel endpoint
     /// (watchdog pings; no retransmission toward dead nodes).
@@ -41,7 +42,7 @@ pub enum MgrCmd {
         /// Destination node.
         node: NodeId,
         /// Encoded control body.
-        body: Vec<u8>,
+        body: Bytes,
     },
     /// Physically restart a crashed node (the §4.6 operator action /
     /// spare processor assuming its identity); the world calls back
@@ -202,8 +203,7 @@ impl RecoveryManager {
 
     /// Starts watching a node: arms its watchdog (§4.6: "creates, on the
     /// recording node, a watch process for each processor").
-    pub fn watch_node(&mut self, now: SimTime, node: NodeId) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+    pub fn watch_node(&mut self, now: SimTime, node: NodeId, out: &mut Vec<MgrCmd>) {
         self.nodes.insert(
             node,
             Watch {
@@ -222,47 +222,39 @@ impl RecoveryManager {
         self.timer(
             now + self.cfg.ping_interval + phase,
             TimerKind::Ping(node),
-            &mut out,
+            out,
         );
-        out
     }
 
     /// Handles a manager timer.
-    pub fn on_timer(&mut self, now: SimTime, recorder: &mut Recorder, token: u64) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, token: u64, out: &mut Vec<MgrCmd>) {
         let Some(kind) = self.timers.take(token) else {
-            return out;
+            return;
         };
         match kind {
             TimerKind::Ping(node) => {
                 let Some(w) = self.nodes.get_mut(&node) else {
-                    return out;
+                    return;
                 };
                 if w.state == NodeState::Up {
                     let nonce = self.next_nonce;
                     self.next_nonce += 1;
                     w.outstanding = Some(nonce);
-                    let mut e = Encoder::new();
-                    e.u32(codes::ARE_YOU_ALIVE).u64(nonce);
                     out.push(MgrCmd::SendKernelDatagram {
                         node,
-                        body: e.finish(),
+                        body: encode_ctl(codes::ARE_YOU_ALIVE, &nonce),
                     });
                     self.timer(
                         now + self.cfg.ping_timeout,
                         TimerKind::PingTimeout(node, nonce),
-                        &mut out,
+                        out,
                     );
                 }
-                self.timer(
-                    now + self.cfg.ping_interval,
-                    TimerKind::Ping(node),
-                    &mut out,
-                );
+                self.timer(now + self.cfg.ping_interval, TimerKind::Ping(node), out);
             }
             TimerKind::PingTimeout(node, nonce) => {
                 let Some(w) = self.nodes.get_mut(&node) else {
-                    return out;
+                    return;
                 };
                 if w.state == NodeState::Up && w.outstanding == Some(nonce) {
                     // §4.6: no reply within the interval — the node crashed.
@@ -272,10 +264,8 @@ impl RecoveryManager {
                     let incarnation = w.incarnation;
                     out.push(MgrCmd::RestartNode { node, incarnation });
                 }
-                let _ = recorder;
             }
         }
-        out
     }
 
     /// Called by the world after it physically restarted `node`:
@@ -287,8 +277,9 @@ impl RecoveryManager {
         recorder: &mut Recorder,
         node: NodeId,
         incarnation: u32,
-    ) -> Vec<MgrCmd> {
-        self.on_node_restarted_with(now, recorder, node, incarnation, true)
+        out: &mut Vec<MgrCmd>,
+    ) {
+        self.on_node_restarted_with(now, recorder, node, incarnation, true, out)
     }
 
     /// [`RecoveryManager::on_node_restarted`] with an explicit `announce`
@@ -302,10 +293,10 @@ impl RecoveryManager {
         node: NodeId,
         incarnation: u32,
         announce: bool,
-    ) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+        out: &mut Vec<MgrCmd>,
+    ) {
         let Some(w) = self.nodes.get_mut(&node) else {
-            return out;
+            return;
         };
         w.state = NodeState::Up;
         w.outstanding = None;
@@ -326,9 +317,8 @@ impl RecoveryManager {
         self.jobs.retain(|p, _| p.node != node);
         let pids: Vec<ProcessId> = recorder.known_pids().filter(|p| p.node == node).collect();
         for pid in pids {
-            out.extend(self.start_recovery(now, recorder, pid));
+            self.start_recovery(now, recorder, pid, out);
         }
-        out
     }
 
     /// Starts (or restarts, §3.5) recovery of one process.
@@ -337,8 +327,8 @@ impl RecoveryManager {
         _now: SimTime,
         recorder: &mut Recorder,
         pid: ProcessId,
-    ) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+        out: &mut Vec<MgrCmd>,
+    ) {
         if !self
             .recovery_filter
             .as_ref()
@@ -346,28 +336,28 @@ impl RecoveryManager {
             .unwrap_or(true)
         {
             // Another shard's responsibility; its manager will handle it.
-            return out;
+            return;
         }
         if self.jobs.contains_key(&pid) {
             // A recovery is already in flight; a second trigger (e.g. a
             // state-query reply racing a retransmitted crash notice) must
             // not wipe its progress. Genuine recursive crashes remove the
             // job first (§3.5).
-            return out;
+            return;
         }
         let Some(entry) = recorder.entry(pid) else {
-            return out;
+            return;
         };
         if !entry.recoverable {
             // §6.6.1: the process opted out of recovery; its crash is
             // final and nothing was published for it.
-            return out;
+            return;
         }
         let program_name = entry.program_name.clone();
         let initial_links = entry.initial_links.clone();
         if program_name.is_empty() {
             // We never saw a creation notice; nothing to recreate from.
-            return out;
+            return;
         }
         self.stats.process_recoveries.inc();
         recorder.set_recovering(pid, true);
@@ -388,7 +378,6 @@ impl RecoveryManager {
             node: pid.node,
             body: encode_ctl(codes::RECREATE, &req),
         });
-        out
     }
 
     /// Handles a RECREATE_REPLY: streams the replay and the prepare.
@@ -398,13 +387,13 @@ impl RecoveryManager {
         recorder: &Recorder,
         pid: ProcessId,
         ok: bool,
-    ) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+        out: &mut Vec<MgrCmd>,
+    ) {
         let Some(job) = self.jobs.get_mut(&pid) else {
-            return out;
+            return;
         };
         if job.phase != Phase::WaitRecreate || !ok {
-            return out;
+            return;
         }
         // §3.3.3 step 3: send all messages received between the last
         // checkpoint and the crash, in original (read) order. FIFO
@@ -429,10 +418,9 @@ impl RecoveryManager {
         pid.encode(&mut e);
         out.push(MgrCmd::SendKernel {
             node: pid.node,
-            body: e.finish(),
+            body: e.finish().into(),
         });
         job.phase = Phase::Preparing { next_index };
-        out
     }
 
     /// Handles a PREPARE_FINISH_REPLY: replays stragglers published since
@@ -442,13 +430,13 @@ impl RecoveryManager {
         _now: SimTime,
         recorder: &mut Recorder,
         pid: ProcessId,
-    ) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+        out: &mut Vec<MgrCmd>,
+    ) {
         let Some(job) = self.jobs.get_mut(&pid) else {
-            return out;
+            return;
         };
         let Phase::Preparing { next_index } = job.phase else {
-            return out;
+            return;
         };
         for (idx, msg) in recorder.replay_stream(pid) {
             if idx < next_index {
@@ -470,13 +458,12 @@ impl RecoveryManager {
         pid.encode(&mut e);
         out.push(MgrCmd::SendKernel {
             node: pid.node,
-            body: e.finish(),
+            body: e.finish().into(),
         });
         self.jobs.remove(&pid);
         recorder.set_recovering(pid, false);
         self.stats.completed.inc();
         out.push(MgrCmd::RecoveryDone { pid });
-        out
     }
 
     /// Handles a §3.3.2 crash notice from a kernel.
@@ -485,13 +472,14 @@ impl RecoveryManager {
         now: SimTime,
         recorder: &mut Recorder,
         pid: ProcessId,
-    ) -> Vec<MgrCmd> {
+        out: &mut Vec<MgrCmd>,
+    ) {
         // A crash of a recovering process is the §3.5 recursive case:
         // terminate the old job and start over.
         if self.jobs.remove(&pid).is_some() {
             self.stats.recursive.inc();
         }
-        self.start_recovery(now, recorder, pid)
+        self.start_recovery(now, recorder, pid, out)
     }
 
     /// Declines a restart this manager proposed (another recorder of
@@ -525,8 +513,8 @@ impl RecoveryManager {
         now: SimTime,
         recorder: &mut Recorder,
         known: &[ProcessId],
-    ) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+        out: &mut Vec<MgrCmd>,
+    ) {
         self.jobs.clear();
         for &pid in known {
             let q = protocol::StateQuery {
@@ -545,13 +533,8 @@ impl RecoveryManager {
                 w.outstanding = None;
                 w.state = NodeState::Up;
             }
-            self.timer(
-                now + self.cfg.ping_interval,
-                TimerKind::Ping(node),
-                &mut out,
-            );
+            self.timer(now + self.cfg.ping_interval, TimerKind::Ping(node), out);
         }
-        out
     }
 
     /// Queries the state of specific processes without disturbing
@@ -567,8 +550,8 @@ impl RecoveryManager {
         _now: SimTime,
         recorder: &Recorder,
         pids: &[ProcessId],
-    ) -> Vec<MgrCmd> {
-        let mut out = Vec::new();
+        out: &mut Vec<MgrCmd>,
+    ) {
         for &pid in pids {
             let q = protocol::StateQuery {
                 pid,
@@ -579,7 +562,6 @@ impl RecoveryManager {
                 body: encode_ctl(codes::STATE_QUERY, &q),
             });
         }
-        out
     }
 
     /// Handles a STATE_REPLY during recorder restart (§3.3.4's four
@@ -589,17 +571,18 @@ impl RecoveryManager {
         now: SimTime,
         recorder: &mut Recorder,
         reply: &protocol::StateReply,
-    ) -> Vec<MgrCmd> {
+        out: &mut Vec<MgrCmd>,
+    ) {
         if reply.restart_number != recorder.restart_number() {
             self.stats.stale_replies.inc();
-            return Vec::new();
+            return;
         }
         match reply.state {
-            ReportedState::Functioning => Vec::new(),
+            ReportedState::Functioning => {}
             ReportedState::Crashed | ReportedState::Unknown | ReportedState::Recovering => {
                 // Crashed while (or before) we were down — or an orphaned
                 // half-recovery; recreate destroys and starts clean.
-                self.start_recovery(now, recorder, reply.pid)
+                self.start_recovery(now, recorder, reply.pid, out)
             }
         }
     }
@@ -610,6 +593,13 @@ mod tests {
     use super::*;
     use crate::recorder::PublishCost;
     use publishing_stable::disk::DiskParams;
+
+    /// The commands one manager call appends.
+    fn run(call: impl FnOnce(&mut Vec<MgrCmd>)) -> Vec<MgrCmd> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
 
     fn recorder() -> Recorder {
         Recorder::new(NodeId(9), DiskParams::default(), 1, PublishCost::MediaLayer)
@@ -627,13 +617,12 @@ mod tests {
     #[test]
     fn watchdog_pings_periodically() {
         let mut m = RecoveryManager::new(ManagerConfig::default());
-        let mut r = recorder();
-        let cmds = m.watch_node(SimTime::ZERO, NodeId(1));
+        let cmds = run(|c| m.watch_node(SimTime::ZERO, NodeId(1), c));
         let (at, token) = match &cmds[0] {
             MgrCmd::SetTimer { at, token } => (*at, *token),
             other => panic!("unexpected {other:?}"),
         };
-        let cmds = m.on_timer(at, &mut r, token);
+        let cmds = run(|c| m.on_timer(at, token, c));
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MgrCmd::SendKernelDatagram { node, .. } if *node == NodeId(1))));
@@ -649,13 +638,12 @@ mod tests {
     #[test]
     fn missed_ping_declares_node_crashed() {
         let mut m = RecoveryManager::new(ManagerConfig::default());
-        let mut r = recorder();
-        let cmds = m.watch_node(SimTime::ZERO, NodeId(1));
+        let cmds = run(|c| m.watch_node(SimTime::ZERO, NodeId(1), c));
         let (at, token) = match &cmds[0] {
             MgrCmd::SetTimer { at, token } => (*at, *token),
             _ => panic!(),
         };
-        let cmds = m.on_timer(at, &mut r, token);
+        let cmds = run(|c| m.on_timer(at, token, c));
         // Find the timeout timer (first SetTimer after the ping).
         let timeout = cmds
             .iter()
@@ -665,7 +653,7 @@ mod tests {
             })
             .next()
             .unwrap();
-        let cmds = m.on_timer(timeout.0, &mut r, timeout.1);
+        let cmds = run(|c| m.on_timer(timeout.0, timeout.1, c));
         assert!(cmds.iter().any(
             |c| matches!(c, MgrCmd::RestartNode { node, incarnation: 1 } if *node == NodeId(1))
         ));
@@ -676,13 +664,12 @@ mod tests {
     #[test]
     fn alive_reply_cancels_timeout() {
         let mut m = RecoveryManager::new(ManagerConfig::default());
-        let mut r = recorder();
-        let cmds = m.watch_node(SimTime::ZERO, NodeId(1));
+        let cmds = run(|c| m.watch_node(SimTime::ZERO, NodeId(1), c));
         let (at, token) = match &cmds[0] {
             MgrCmd::SetTimer { at, token } => (*at, *token),
             _ => panic!(),
         };
-        let cmds = m.on_timer(at, &mut r, token);
+        let cmds = run(|c| m.on_timer(at, token, c));
         // Extract the ping nonce from the datagram body.
         let nonce = cmds
             .iter()
@@ -702,7 +689,7 @@ mod tests {
             })
             .next()
             .unwrap();
-        let cmds = m.on_timer(timeout.0, &mut r, timeout.1);
+        let cmds = run(|c| m.on_timer(timeout.0, timeout.1, c));
         assert!(!cmds.iter().any(|c| matches!(c, MgrCmd::RestartNode { .. })));
         assert_eq!(m.stats().node_crashes.get(), 0);
     }
@@ -712,16 +699,16 @@ mod tests {
         let mut m = RecoveryManager::new(ManagerConfig::default());
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        let cmds = m.start_recovery(SimTime::ZERO, &mut r, pid);
+        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
         assert!(matches!(&cmds[0], MgrCmd::SendKernel { node, .. } if *node == pid.node));
         assert!(r.entry(pid).unwrap().recovering);
         assert!(m.busy());
 
-        let cmds = m.on_recreate_reply(SimTime::ZERO, &r, pid, true);
+        let cmds = run(|c| m.on_recreate_reply(SimTime::ZERO, &r, pid, true, c));
         // No messages published yet: just the prepare.
         assert_eq!(cmds.len(), 1);
 
-        let cmds = m.on_prepare_reply(SimTime::ZERO, &mut r, pid);
+        let cmds = run(|c| m.on_prepare_reply(SimTime::ZERO, &mut r, pid, c));
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MgrCmd::RecoveryDone { .. })));
@@ -750,16 +737,16 @@ mod tests {
                     deliver_to_kernel: false,
                 },
                 passed_link: None,
-                body: vec![i as u8],
+                body: vec![i as u8].into(),
             };
-            r.on_data(SimTime::ZERO, msg.clone());
+            r.on_data(SimTime::ZERO, msg.clone(), msg.encode_to_bytes());
             let ios = r.on_ack(SimTime::ZERO, msg.header.id, pid);
             for io in ios {
                 r.on_disk(io.at, io);
             }
         }
-        m.start_recovery(SimTime::ZERO, &mut r, pid);
-        let cmds = m.on_recreate_reply(SimTime::ZERO, &r, pid, true);
+        run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
+        let cmds = run(|c| m.on_recreate_reply(SimTime::ZERO, &r, pid, true, c));
         // 3 replays + 1 prepare.
         assert_eq!(cmds.len(), 4);
         assert_eq!(m.stats().replayed.get(), 3);
@@ -769,7 +756,7 @@ mod tests {
     fn unknown_process_cannot_recover() {
         let mut m = RecoveryManager::new(ManagerConfig::default());
         let mut r = recorder();
-        let cmds = m.start_recovery(SimTime::ZERO, &mut r, ProcessId::new(5, 5));
+        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, ProcessId::new(5, 5), c));
         assert!(cmds.is_empty());
     }
 
@@ -778,9 +765,9 @@ mod tests {
         let mut m = RecoveryManager::new(ManagerConfig::default());
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        m.start_recovery(SimTime::ZERO, &mut r, pid);
+        run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
         // The recovering process crashes again (§3.5).
-        let cmds = m.on_crash_notice(SimTime::ZERO, &mut r, pid);
+        let cmds = run(|c| m.on_crash_notice(SimTime::ZERO, &mut r, pid, c));
         assert!(cmds.iter().any(|c| matches!(c, MgrCmd::SendKernel { .. })));
         assert_eq!(m.stats().recursive.get(), 1);
     }
@@ -791,11 +778,11 @@ mod tests {
         let mut r = recorder();
         let pid = setup_process(&mut r);
         m.set_recovery_filter(Some(std::sync::Arc::new(|_| false)));
-        let cmds = m.start_recovery(SimTime::ZERO, &mut r, pid);
+        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
         assert!(cmds.is_empty());
         assert!(!m.busy());
         m.set_recovery_filter(None);
-        let cmds = m.start_recovery(SimTime::ZERO, &mut r, pid);
+        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
         assert!(!cmds.is_empty());
     }
 
@@ -805,7 +792,7 @@ mod tests {
         let mut r = recorder();
         let pid = setup_process(&mut r);
         let other = ProcessId::new(3, 1);
-        let cmds = m.query_states(SimTime::ZERO, &r, &[pid, other]);
+        let cmds = run(|c| m.query_states(SimTime::ZERO, &r, &[pid, other], c));
         assert_eq!(cmds.len(), 2);
         assert!(cmds.iter().all(|c| matches!(c, MgrCmd::SendKernel { .. })));
         assert!(!m.busy(), "queries alone start no jobs");
@@ -816,9 +803,9 @@ mod tests {
         let mut m = RecoveryManager::new(ManagerConfig::default());
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        m.watch_node(SimTime::ZERO, pid.node);
-        m.watch_node(SimTime::ZERO, NodeId(7));
-        let cmds = m.on_node_restarted_with(SimTime::ZERO, &mut r, pid.node, 1, false);
+        run(|c| m.watch_node(SimTime::ZERO, pid.node, c));
+        run(|c| m.watch_node(SimTime::ZERO, NodeId(7), c));
+        let cmds = run(|c| m.on_node_restarted_with(SimTime::ZERO, &mut r, pid.node, 1, false, c));
         // Recovery of the node's process starts, but no NODE_RESTARTED
         // broadcast goes to node 7: the only kernel send is the RECREATE
         // to the restarted node itself.
@@ -839,7 +826,7 @@ mod tests {
             state: ReportedState::Crashed,
             restart_number: 0,
         };
-        let cmds = m.on_state_reply(SimTime::from_millis(2), &mut r, &reply);
+        let cmds = run(|c| m.on_state_reply(SimTime::from_millis(2), &mut r, &reply, c));
         assert!(cmds.is_empty());
         assert_eq!(m.stats().stale_replies.get(), 1);
     }

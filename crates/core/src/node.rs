@@ -2,6 +2,12 @@
 //! checkpoint policy behind one network endpoint (Figure 3.2's "recording
 //! node … in charge of recording all messages on the network and of
 //! initiating and directing all recovery operations").
+//!
+//! Like the kernel, the node is a sans-IO state machine: every entry
+//! point appends [`RNAction`]s, in the order they must be performed, to a
+//! buffer the world owns and reuses, and the node keeps buffers of its
+//! own for what its transport and its manager ask of it. An overheard
+//! frame is decoded in place and captured as a slice of itself.
 
 use crate::checkpoint::CheckpointPolicy;
 use crate::manager::{ManagerConfig, MgrCmd, RecoveryManager};
@@ -12,7 +18,7 @@ use publishing_demos::message::{Message, MessageHeader};
 use publishing_demos::protocol::{self, codes};
 use publishing_demos::transport::{TAction, Transport, TransportConfig, Wire};
 use publishing_net::frame::{Destination, Frame, StationId};
-use publishing_sim::codec::{Decode, Decoder, Encode, Encoder};
+use publishing_sim::codec::{Bytes, Decode, Decoder, Encode, Encoder};
 use publishing_sim::table::TokenTable;
 use publishing_sim::time::{SimDuration, SimTime};
 use publishing_stable::disk::DiskParams;
@@ -94,6 +100,12 @@ pub struct RecorderNode {
     recorder: Recorder,
     manager: RecoveryManager,
     transport: Transport,
+    /// Spare buffers for what the transport, and the manager, ask for
+    /// during a call: one is popped, filled, drained and pushed back by
+    /// [`RecorderNode::with_transport`] / [`RecorderNode::with_manager`];
+    /// one per depth of nesting ever reached.
+    transport_actions: Vec<Vec<TAction>>,
+    manager_cmds: Vec<Vec<MgrCmd>>,
     kernel_seq: u64,
     /// Outstanding timers by the token handed to the world. A crash
     /// clears the table; late timers — disk completions among them —
@@ -123,6 +135,8 @@ impl RecorderNode {
             recorder,
             manager,
             transport,
+            transport_actions: Vec::new(),
+            manager_cmds: Vec::new(),
             kernel_seq: 0,
             timers: TokenTable::new(),
             checkpoint_requested: HashSet::new(),
@@ -155,11 +169,15 @@ impl RecorderNode {
     /// Applies one committed quorum log entry: publishes `msg` at the
     /// arrival sequence the replicated log assigned it and schedules the
     /// resulting store IO.
-    pub fn apply_committed(&mut self, now: SimTime, seq: u64, msg: &Message) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn apply_committed(
+        &mut self,
+        now: SimTime,
+        seq: u64,
+        msg: &Message,
+        out: &mut Vec<RNAction>,
+    ) {
         let ios = self.recorder.apply_sequenced_at(now, seq, msg);
-        self.schedule_ios(ios, &mut out);
-        out
+        self.schedule_ios(ios, out);
     }
 
     /// Returns the node id.
@@ -215,14 +233,11 @@ impl RecorderNode {
 
     /// Begins operation: watchdogs for `nodes`, plus the checkpoint-policy
     /// tick.
-    pub fn start(&mut self, now: SimTime, nodes: &[NodeId]) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn start(&mut self, now: SimTime, nodes: &[NodeId], out: &mut Vec<RNAction>) {
         for &n in nodes {
-            let cmds = self.manager.watch_node(now, n);
-            self.apply_cmds(now, cmds, &mut out);
+            self.with_manager(now, out, |m, _, cmds| m.watch_node(now, n, cmds));
         }
-        self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, &mut out);
-        out
+        self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, out);
     }
 
     fn arm(&mut self, at: SimTime, kind: RTimer, out: &mut Vec<RNAction>) {
@@ -243,7 +258,7 @@ impl RecorderNode {
         &mut self,
         now: SimTime,
         node: NodeId,
-        body: Vec<u8>,
+        body: Bytes,
         guaranteed: bool,
         out: &mut Vec<RNAction>,
     ) {
@@ -261,16 +276,27 @@ impl RecorderNode {
             passed_link: None,
             body,
         };
-        let actions = if guaranteed {
-            self.transport.send_guaranteed(now, node, msg)
-        } else {
-            self.transport.send_datagram(now, node, msg)
-        };
-        self.apply_transport(now, actions, out);
+        self.with_transport(now, out, |t, actions| {
+            if guaranteed {
+                t.send_guaranteed(now, node, msg, actions)
+            } else {
+                t.send_datagram(now, node, msg, actions)
+            }
+        });
     }
 
-    fn apply_transport(&mut self, now: SimTime, actions: Vec<TAction>, out: &mut Vec<RNAction>) {
-        for a in actions {
+    /// Runs one transport entry point over a spare action buffer, then
+    /// performs what it appended, in order. A delivered control message
+    /// can make the manager send: that nested call takes the next spare.
+    fn with_transport(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<RNAction>,
+        call: impl FnOnce(&mut Transport, &mut Vec<TAction>),
+    ) {
+        let mut actions = self.transport_actions.pop().unwrap_or_default();
+        call(&mut self.transport, &mut actions);
+        for a in actions.drain(..) {
             match a {
                 TAction::Transmit { dst_node, payload } => {
                     let frame = Frame::new(
@@ -284,10 +310,21 @@ impl RecorderNode {
                 TAction::SetTimer { at, token } => self.arm(at, RTimer::Transport(token), out),
             }
         }
+        self.transport_actions.push(actions);
     }
 
-    fn apply_cmds(&mut self, now: SimTime, cmds: Vec<MgrCmd>, out: &mut Vec<RNAction>) {
-        for c in cmds {
+    /// Runs one manager entry point (it reads and marks the recorder
+    /// database) over a spare command buffer, then executes what it
+    /// appended, in order.
+    fn with_manager(
+        &mut self,
+        now: SimTime,
+        out: &mut Vec<RNAction>,
+        call: impl FnOnce(&mut RecoveryManager, &mut Recorder, &mut Vec<MgrCmd>),
+    ) {
+        let mut cmds = self.manager_cmds.pop().unwrap_or_default();
+        call(&mut self.manager, &mut self.recorder, &mut cmds);
+        for c in cmds.drain(..) {
             match c {
                 MgrCmd::SendKernel { node, body } => self.kernel_send(now, node, body, true, out),
                 MgrCmd::SendKernelDatagram { node, body } => {
@@ -303,6 +340,7 @@ impl RecorderNode {
                 }
             }
         }
+        self.manager_cmds.push(cmds);
     }
 
     fn schedule_ios(&mut self, ios: Vec<StoreIo>, out: &mut Vec<RNAction>) {
@@ -313,28 +351,36 @@ impl RecorderNode {
 
     /// Handles a frame seen on the medium: passive capture of everything,
     /// plus normal endpoint processing for frames addressed to us.
-    pub fn on_frame(&mut self, now: SimTime, frame: &Frame, recorder_ok: bool) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn on_frame(
+        &mut self,
+        now: SimTime,
+        frame: &Frame,
+        recorder_ok: bool,
+        out: &mut Vec<RNAction>,
+    ) {
         if !self.up || !frame.is_intact() || !recorder_ok {
-            return out;
+            return;
         }
-        let Ok(wire) = Wire::decode_all(frame.payload()) else {
-            return out;
+        let Ok(wire) = frame.decode_payload::<Wire>() else {
+            return;
         };
         let addressed = frame.dst.accepts(self.station());
         match wire {
             // Merely overheard — almost all process traffic: the decoded
-            // message has no other reader, so the recorder takes it.
+            // message has no other reader, so the recorder takes it,
+            // with the slice of the frame that is its encoding.
             Wire::Data { msg, .. } if !addressed => {
-                self.recorder.on_data(now, msg);
-                return out;
+                let encoded = Wire::data_message(&frame.payload_bytes());
+                self.recorder.on_data(now, msg, encoded);
+                return;
             }
             // Ours as well: the transport below needs the message too.
             // What is addressed to a recorder node is kernel control
-            // traffic, which the recorder never captures — no copy.
+            // traffic, which the recorder never captures.
             Wire::Data { ref msg, .. } => {
                 if !msg.header.to.is_kernel() {
-                    self.recorder.on_data(now, msg.clone());
+                    let encoded = Wire::data_message(&frame.payload_bytes());
+                    self.recorder.on_data(now, msg.clone(), encoded);
                 }
             }
             Wire::Ack {
@@ -348,7 +394,7 @@ impl RecorderNode {
                     }
                 } else {
                     let ios = self.recorder.on_ack(now, msg_id, dst_pid);
-                    self.schedule_ios(ios, &mut out);
+                    self.schedule_ios(ios, out);
                 }
             }
             // Datagrams, epoch notices, and quorum traffic (consensus
@@ -356,10 +402,8 @@ impl RecorderNode {
             Wire::Datagram { .. } | Wire::EpochNotice { .. } | Wire::Quorum { .. } => {}
         }
         if addressed {
-            let actions = self.transport.on_wire(now, wire);
-            self.apply_transport(now, actions, &mut out);
+            self.with_transport(now, out, |t, actions| t.on_wire(now, wire, actions));
         }
-        out
     }
 
     fn handle_kernel_msg(&mut self, now: SimTime, msg: Message, out: &mut Vec<RNAction>) {
@@ -399,28 +443,30 @@ impl RecorderNode {
             }
             codes::PROCESS_CRASH_NOTICE => {
                 if let Ok(n) = protocol::CrashNotice::decode_all(payload) {
-                    let cmds = self.manager.on_crash_notice(now, &mut self.recorder, n.pid);
-                    self.apply_cmds(now, cmds, out);
+                    self.with_manager(now, out, |m, r, cmds| {
+                        m.on_crash_notice(now, r, n.pid, cmds)
+                    });
                 }
             }
             codes::RECREATE_REPLY => {
                 let mut d = Decoder::new(payload);
                 if let (Ok(pid), Ok(ok)) = (ProcessId::decode(&mut d), d.bool()) {
-                    let cmds = self.manager.on_recreate_reply(now, &self.recorder, pid, ok);
-                    self.apply_cmds(now, cmds, out);
+                    self.with_manager(now, out, |m, r, cmds| {
+                        m.on_recreate_reply(now, r, pid, ok, cmds)
+                    });
                 }
             }
             codes::PREPARE_FINISH_REPLY => {
                 let mut d = Decoder::new(payload);
                 if let Ok(pid) = ProcessId::decode(&mut d) {
-                    let cmds = self.manager.on_prepare_reply(now, &mut self.recorder, pid);
-                    self.apply_cmds(now, cmds, out);
+                    self.with_manager(now, out, |m, r, cmds| m.on_prepare_reply(now, r, pid, cmds));
                 }
             }
             codes::STATE_REPLY => {
                 if let Ok(reply) = protocol::StateReply::decode_all(payload) {
-                    let cmds = self.manager.on_state_reply(now, &mut self.recorder, &reply);
-                    self.apply_cmds(now, cmds, out);
+                    self.with_manager(now, out, |m, r, cmds| {
+                        m.on_state_reply(now, r, &reply, cmds)
+                    });
                 }
             }
             codes::ALIVE_REPLY => {
@@ -430,8 +476,9 @@ impl RecorderNode {
             }
             codes::NODE_RESTARTED => {
                 if let Ok(n) = protocol::NodeRestarted::decode_all(payload) {
-                    let actions = self.transport.reset_peer(now, n.node, n.incarnation);
-                    self.apply_transport(now, actions, out);
+                    self.with_transport(now, out, |t, actions| {
+                        t.reset_peer(now, n.node, n.incarnation, actions)
+                    });
                 }
             }
             _ => {}
@@ -439,20 +486,17 @@ impl RecorderNode {
     }
 
     /// Handles a timer callback.
-    pub fn on_timer(&mut self, now: SimTime, token: u64) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
         if !self.up {
-            return out;
+            return;
         }
         match self.timers.take(token) {
             None => {}
             Some(RTimer::Transport(t)) => {
-                let actions = self.transport.timer(now, t);
-                self.apply_transport(now, actions, &mut out);
+                self.with_transport(now, out, |tr, actions| tr.timer(now, t, actions));
             }
             Some(RTimer::Manager(t)) => {
-                let cmds = self.manager.on_timer(now, &mut self.recorder, t);
-                self.apply_cmds(now, cmds, &mut out);
+                self.with_manager(now, out, |m, _, cmds| m.on_timer(now, t, cmds));
             }
             Some(RTimer::Disk(io)) => {
                 let durable = self.recorder.on_disk(now, io);
@@ -460,16 +504,15 @@ impl RecorderNode {
                     self.checkpoint_requested.remove(&pid);
                 }
                 let follow = self.recorder.take_drained_ios();
-                self.schedule_ios(follow, &mut out);
+                self.schedule_ios(follow, out);
             }
             Some(RTimer::PolicyTick) => {
-                self.policy_tick(now, &mut out);
+                self.policy_tick(now, out);
                 let ios = self.recorder.maintain(now);
-                self.schedule_ios(ios, &mut out);
-                self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, &mut out);
+                self.schedule_ios(ios, out);
+                self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, out);
             }
         }
-        out
     }
 
     fn policy_tick(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
@@ -492,7 +535,7 @@ impl RecorderNode {
             let mut e = Encoder::new();
             e.u32(codes::REQUEST_CHECKPOINT);
             pid.encode(&mut e);
-            self.kernel_send(now, pid.node, e.finish(), true, out);
+            self.kernel_send(now, pid.node, e.finish().into(), true, out);
         }
     }
 
@@ -503,8 +546,9 @@ impl RecorderNode {
         now: SimTime,
         node: NodeId,
         incarnation: u32,
-    ) -> Vec<RNAction> {
-        self.confirm_node_restarted_with(now, node, incarnation, true)
+        out: &mut Vec<RNAction>,
+    ) {
+        self.confirm_node_restarted_with(now, node, incarnation, true, out)
     }
 
     /// [`RecorderNode::confirm_node_restarted`] with an explicit
@@ -518,21 +562,16 @@ impl RecorderNode {
         node: NodeId,
         incarnation: u32,
         announce: bool,
-    ) -> Vec<RNAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<RNAction>,
+    ) {
         // Reset our own numbering toward the restarted node before any
         // recovery traffic is queued.
-        let actions = self.transport.reset_peer(now, node, incarnation);
-        self.apply_transport(now, actions, &mut out);
-        let cmds = self.manager.on_node_restarted_with(
-            now,
-            &mut self.recorder,
-            node,
-            incarnation,
-            announce,
-        );
-        self.apply_cmds(now, cmds, &mut out);
-        out
+        self.with_transport(now, out, |t, actions| {
+            t.reset_peer(now, node, incarnation, actions)
+        });
+        self.with_manager(now, out, |m, r, cmds| {
+            m.on_node_restarted_with(now, r, node, incarnation, announce, cmds)
+        });
     }
 
     /// Installs the shard ownership filter on the recorder and the
@@ -549,11 +588,13 @@ impl RecorderNode {
     /// Issues targeted STATE_QUERYs for `pids` (shard failover: the
     /// inheriting shard asks which of the dead shard's processes need
     /// recovery).
-    pub fn query_process_states(&mut self, now: SimTime, pids: &[ProcessId]) -> Vec<RNAction> {
-        let mut out = Vec::new();
-        let cmds = self.manager.query_states(now, &self.recorder, pids);
-        self.apply_cmds(now, cmds, &mut out);
-        out
+    pub fn query_process_states(
+        &mut self,
+        now: SimTime,
+        pids: &[ProcessId],
+        out: &mut Vec<RNAction>,
+    ) {
+        self.with_manager(now, out, |m, r, cmds| m.query_states(now, r, pids, cmds));
     }
 
     /// Snapshots one owned process for handoff to another shard.
@@ -567,20 +608,17 @@ impl RecorderNode {
         &mut self,
         now: SimTime,
         export: crate::recorder::ProcessExport,
-    ) -> Vec<RNAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<RNAction>,
+    ) {
         let ios = self.recorder.import_process(now, export);
-        self.schedule_ios(ios, &mut out);
-        out
+        self.schedule_ios(ios, out);
     }
 
     /// Drops one process from this shard after a successful handoff.
-    pub fn release_process(&mut self, now: SimTime, pid: ProcessId) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn release_process(&mut self, now: SimTime, pid: ProcessId, out: &mut Vec<RNAction>) {
         let ios = self.recorder.on_destroyed(now, pid);
-        self.schedule_ios(ios, &mut out);
+        self.schedule_ios(ios, out);
         self.checkpoint_requested.remove(&pid);
-        out
     }
 
     /// Declines a proposed node restart (§6.3: a higher-priority recorder
@@ -601,15 +639,14 @@ impl RecorderNode {
 
     /// Restarts the recorder (§3.3.4): rebuild from stable storage,
     /// announce the new incarnation, query every known process's state.
-    pub fn restart(&mut self, now: SimTime) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn restart(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
         self.up = true;
         let incarnation = self.transport.incarnation() + 1;
         self.transport.restart(incarnation);
         self.kernel_seq = 0;
         let known = self.recorder.restart(now);
         let drained = self.recorder.take_drained_ios();
-        self.schedule_ios(drained, &mut out);
+        self.schedule_ios(drained, out);
         // Peers must renumber toward us.
         let restarted = protocol::NodeRestarted {
             node: self.node,
@@ -625,14 +662,12 @@ impl RecorderNode {
         let mut sorted = nodes;
         sorted.sort();
         for n in &sorted {
-            self.kernel_send(now, *n, body.clone(), true, &mut out);
+            self.kernel_send(now, *n, body.clone(), true, out);
         }
-        let cmds = self
-            .manager
-            .on_recorder_restart(now, &mut self.recorder, &known);
-        self.apply_cmds(now, cmds, &mut out);
-        self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, &mut out);
-        out
+        self.with_manager(now, out, |m, r, cmds| {
+            m.on_recorder_restart(now, r, &known, cmds)
+        });
+        self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, out);
     }
 }
 

@@ -9,6 +9,15 @@
 //! notices (§4.4.2) pin deviations between arrival order and read order;
 //! the *replay stream* for a process is arrival order corrected by pins.
 //!
+//! A captured message is kept beside its encoding *as it arrived*: the
+//! slice of the overheard frame behind the transport header. The
+//! encoding is canonical (`publishing-demos` pins it), so when the ack
+//! comes that slice is the log record — the recorder never encodes what
+//! it overheard, and message body, pending entry and stored record are
+//! views of the one buffer the transmission was written into. A record
+//! keeps that buffer alive until a checkpoint invalidates it: the
+//! transport header (21 bytes) more than the record itself.
+//!
 //! Captures are numbered as they arrive, so the pending buffer is a
 //! [`TokenTable`] indexed by capture number (acks come in near-capture
 //! order: its front drains). "Is this id new, captured or published?" is
@@ -28,7 +37,7 @@ use publishing_demos::ids::{MessageId, NodeId, ProcessId};
 use publishing_demos::message::Message;
 use publishing_demos::protocol::{CheckpointDeposit, ReadOrderNotice};
 use publishing_obs::span::{MsgKey, SpanLog, Stage};
-use publishing_sim::codec::{CodecError, Decode, Decoder, Encode, Encoder};
+use publishing_sim::codec::{Bytes, CodecError, Decode, Decoder, Encode, Encoder};
 use publishing_sim::ledger::Timeline;
 use publishing_sim::stats::{Counter, LinearHistogram};
 use publishing_sim::table::{IdMap, TokenTable};
@@ -339,7 +348,7 @@ pub struct ProcessExport {
     /// Latest durable checkpoint (pid, floor, metadata blob).
     pub checkpoint: Option<Checkpoint>,
     /// Surviving log records in seq order.
-    pub records: Vec<(RecordKey, Vec<u8>)>,
+    pub records: Vec<(RecordKey, Bytes)>,
     /// Captured-but-unacknowledged messages for the process, in capture
     /// order (the battery-backed buffer's slice for this destination).
     pub pending: Vec<Message>,
@@ -373,6 +382,13 @@ enum IdState {
     Published,
 }
 
+/// A message in the pending buffer with its canonical encoding — the
+/// bytes that become its log record.
+struct Captured {
+    msg: Message,
+    encoded: Bytes,
+}
+
 /// The passive recorder: capture pipeline, process database, and stable
 /// store.
 pub struct Recorder {
@@ -384,7 +400,7 @@ pub struct Recorder {
     /// acknowledged a frame in the instant before a recorder crash, and
     /// "no messages or checkpoints can be lost" — restart drains it into
     /// the streams.
-    pending: TokenTable<Message>,
+    pending: TokenTable<Captured>,
     /// Every id captured or published. The `Published` half is volatile
     /// (rebuilt from the store on restart); the `Captured` half mirrors
     /// `pending`.
@@ -533,11 +549,12 @@ impl Recorder {
         &self.cpu_timeline
     }
 
-    /// Captures a process-destined data message seen on the wire. The
-    /// message is taken by value and moved into the capture buffer; a
-    /// duplicate, a kernel message or one this recorder does not own is
-    /// dropped before anything is copied.
-    pub fn on_data(&mut self, now: SimTime, msg: Message) {
+    /// Captures a process-destined data message seen on the wire, with
+    /// its encoding as it arrived (`Wire::data_message` of the frame: the
+    /// bytes `msg.encode_to_vec()` would produce). Both move into the
+    /// capture buffer; a duplicate, a kernel message or one this recorder
+    /// does not own is dropped, and nothing is ever copied.
+    pub fn on_data(&mut self, now: SimTime, msg: Message, encoded: Bytes) {
         let id = msg.header.id;
         if msg.header.to.is_kernel() || !self.owns(msg.header.to) {
             return;
@@ -550,7 +567,7 @@ impl Recorder {
             return;
         };
         let to = msg.header.to.as_u64();
-        let cap = self.pending.insert(msg);
+        let cap = self.pending.insert(Captured { msg, encoded });
         state.insert(IdState::Captured(cap));
         self.charge(now);
         self.stats.captured.inc();
@@ -573,8 +590,8 @@ impl Recorder {
             return Vec::new();
         };
         *state = IdState::Published;
-        let msg = self.pending.take(cap).expect("pending indexed");
-        self.sequence_message_at(now, None, msg)
+        let Captured { msg, encoded } = self.pending.take(cap).expect("pending indexed");
+        self.sequence_message_at(now, None, &msg, encoded)
     }
 
     /// Looks up a captured-but-unsequenced message by id (the quorum
@@ -582,7 +599,7 @@ impl Recorder {
     /// replication proposals).
     pub fn pending_message(&self, id: MessageId) -> Option<&Message> {
         match self.ids.get(&id)? {
-            IdState::Captured(cap) => self.pending.get(*cap),
+            IdState::Captured(cap) => self.pending.get(*cap).map(|c| &c.msg),
             IdState::Published => None,
         }
     }
@@ -623,27 +640,32 @@ impl Recorder {
             self.stats.duplicates.inc();
             return Vec::new();
         }
-        if let Some(IdState::Captured(cap)) = state {
-            self.pending.take(cap);
-        }
+        // Every replica overhears the frame, so the bytes are usually in
+        // the capture buffer already; a replica that missed it (it was
+        // down, or catching up) encodes the committed entry instead.
+        let captured = match state {
+            Some(IdState::Captured(cap)) => self.pending.take(cap),
+            _ => None,
+        };
+        let encoded = captured.map_or_else(|| msg.encode_to_bytes(), |c| c.encoded);
         self.ids.insert(id, IdState::Published);
-        self.sequence_message_at(now, Some(seq), msg.clone())
+        self.sequence_message_at(now, Some(seq), msg, encoded)
     }
 
     /// Publishes `msg`, whose id the caller has marked
     /// [`IdState::Published`], at `fixed_seq` (quorum commit) or at the
     /// entry's next arrival sequence (standalone recorder), and appends
-    /// it to the stable store.
+    /// `encoded` — its canonical encoding — to the stable store.
     fn sequence_message_at(
         &mut self,
         now: SimTime,
         fixed_seq: Option<u64>,
-        msg: Message,
+        msg: &Message,
+        encoded: Bytes,
     ) -> Vec<StoreIo> {
         let msg_id = msg.header.id;
         let dst_pid = msg.header.to;
-        let bytes = msg.encode_to_vec();
-        let len = bytes.len();
+        let len = encoded.len();
         let entry = self
             .db
             .entry(dst_pid)
@@ -690,7 +712,7 @@ impl Recorder {
                 pid: dst_pid.as_u64(),
                 seq,
             },
-            bytes,
+            encoded,
         )
     }
 
@@ -759,11 +781,11 @@ impl Recorder {
         let stale: Vec<u64> = self
             .pending
             .iter()
-            .filter(|(_, m)| m.header.to == pid)
+            .filter(|(_, c)| c.msg.header.to == pid)
             .map(|(cap, _)| cap)
             .collect();
         for cap in stale {
-            let id = self.pending.take(cap).expect("listed").header.id;
+            let id = self.pending.take(cap).expect("listed").msg.header.id;
             // An imported arrival may have published the id since.
             if self.ids.get(&id) == Some(&IdState::Captured(cap)) {
                 self.ids.remove(&id);
@@ -789,8 +811,8 @@ impl Recorder {
         let pending = self
             .pending
             .iter()
-            .filter(|(_, m)| m.header.to == pid)
-            .map(|(_, m)| m.clone())
+            .filter(|(_, c)| c.msg.header.to == pid)
+            .map(|(_, c)| c.msg.clone())
             .collect();
         Some(ProcessExport {
             pid,
@@ -842,7 +864,9 @@ impl Recorder {
         self.db.insert(export.pid, entry);
         for msg in export.pending {
             if let Entry::Vacant(state) = self.ids.entry(msg.header.id) {
-                state.insert(IdState::Captured(self.pending.insert(msg)));
+                let encoded = msg.encode_to_bytes();
+                let cap = self.pending.insert(Captured { msg, encoded });
+                state.insert(IdState::Captured(cap));
             }
         }
         ios
@@ -977,10 +1001,11 @@ impl Recorder {
         let Some(entry) = self.db.get(&pid) else {
             return Vec::new();
         };
-        // Message contents by id, from the store.
+        // Message contents by id, from the store (bodies view the
+        // records' bytes).
         let mut by_id: HashMap<MessageId, Message> = HashMap::new();
         for rec in self.store.messages_from(pid.as_u64(), 0) {
-            if let Ok(msg) = Message::decode_all(&rec.payload) {
+            if let Ok(msg) = Message::decode_shared(&rec.payload) {
                 by_id.insert(msg.header.id, msg);
             }
         }
@@ -1017,8 +1042,8 @@ impl Recorder {
         // The pending capture buffer is battery-backed and survives, and
         // with it the captured half of the id table.
         self.ids.clear();
-        for (cap, m) in self.pending.iter() {
-            self.ids.insert(m.header.id, IdState::Captured(cap));
+        for (cap, c) in self.pending.iter() {
+            self.ids.insert(c.msg.header.id, IdState::Captured(cap));
         }
         self.db.clear();
         self.pending_deposits.clear();
@@ -1104,16 +1129,16 @@ impl Recorder {
             let published: Vec<u64> = self
                 .pending
                 .iter()
-                .filter(|(_, m)| self.ids.get(&m.header.id) == Some(&IdState::Published))
+                .filter(|(_, c)| self.ids.get(&c.msg.header.id) == Some(&IdState::Published))
                 .map(|(cap, _)| cap)
                 .collect();
             for cap in published {
                 self.pending.take(cap);
             }
         } else {
-            let drained: Vec<Message> = self.pending.drain().collect();
+            let drained: Vec<Captured> = self.pending.drain().collect();
             let mut pending_ios = Vec::new();
-            for msg in drained {
+            for Captured { msg, encoded } in drained {
                 let id = msg.header.id;
                 if self.ids.get(&id) == Some(&IdState::Published) {
                     continue;
@@ -1122,7 +1147,7 @@ impl Recorder {
                 // dropped with a destination nobody knows.
                 if self.db.contains_key(&msg.header.to) {
                     self.ids.insert(id, IdState::Published);
-                    pending_ios.extend(self.sequence_message_at(now, None, msg));
+                    pending_ios.extend(self.sequence_message_at(now, None, &msg, encoded));
                 } else {
                     self.ids.remove(&id);
                 }
@@ -1176,8 +1201,13 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: body.to_vec(),
+            body: body.to_vec().into(),
         }
+    }
+
+    /// Captures `m` as the node does: the message and its encoding.
+    fn capture(r: &mut Recorder, t: SimTime, m: &Message) {
+        r.on_data(t, m.clone(), m.encode_to_bytes());
     }
 
     fn recorder() -> Recorder {
@@ -1305,8 +1335,8 @@ mod tests {
         drain(&mut r, ios);
         let m1 = msg(pid(1, 1), pid(2, 1), 1, b"a");
         let m2 = msg(pid(1, 1), pid(2, 1), 2, b"b");
-        r.on_data(t, m1.clone());
-        r.on_data(t, m2.clone());
+        capture(&mut r, t, &m1);
+        capture(&mut r, t, &m2);
         // Acks arrive in reverse (m2's first copy reached the node; m1 was
         // retransmitted later).
         let ios = r.on_ack(t, m2.header.id, pid(2, 1));
@@ -1314,7 +1344,7 @@ mod tests {
         let ios = r.on_ack(t, m1.header.id, pid(2, 1));
         drain(&mut r, ios);
         let stream = r.replay_stream(pid(2, 1));
-        let bodies: Vec<&[u8]> = stream.iter().map(|(_, m)| m.body.as_slice()).collect();
+        let bodies: Vec<&[u8]> = stream.iter().map(|(_, m)| &m.body[..]).collect();
         assert_eq!(bodies, vec![b"b".as_slice(), b"a".as_slice()]);
     }
 
@@ -1325,8 +1355,8 @@ mod tests {
         let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
         drain(&mut r, ios);
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
-        r.on_data(t, m.clone());
-        r.on_data(t, m.clone());
+        capture(&mut r, t, &m);
+        capture(&mut r, t, &m);
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
         drain(&mut r, ios);
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
@@ -1341,7 +1371,7 @@ mod tests {
         let mut r = recorder();
         let t = SimTime::ZERO;
         let m = msg(pid(1, 1), ProcessId::kernel_of(NodeId(2)), 1, b"ctl");
-        r.on_data(t, m.clone());
+        capture(&mut r, t, &m);
         let ios = r.on_ack(t, m.header.id, ProcessId::kernel_of(NodeId(2)));
         drain(&mut r, ios);
         assert_eq!(r.stats().captured.get(), 0);
@@ -1358,7 +1388,7 @@ mod tests {
             .map(|i| msg(pid(1, 1), pid(2, 1), i, &[i as u8]))
             .collect();
         for m in &msgs {
-            r.on_data(t, m.clone());
+            capture(&mut r, t, m);
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1385,7 +1415,7 @@ mod tests {
         drain(&mut r, ios);
         for i in 1..=4u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8]);
-            r.on_data(t, m.clone());
+            capture(&mut r, t, &m);
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1415,7 +1445,7 @@ mod tests {
             .map(|i| msg(pid(1, 1), pid(2, 1), i, &[i as u8]))
             .collect();
         for m in &msgs {
-            r.on_data(t, m.clone());
+            capture(&mut r, t, m);
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1458,7 +1488,7 @@ mod tests {
         drain(&mut r, ios);
         for (seq, dst) in [(1u64, pid(2, 1)), (2, pid(3, 1)), (3, pid(2, 1))] {
             let m = msg(pid(1, 1), dst, seq, b"z");
-            r.on_data(t, m.clone());
+            capture(&mut r, t, &m);
             let ios = r.on_ack(t, m.header.id, dst);
             drain(&mut r, ios);
         }
@@ -1475,7 +1505,7 @@ mod tests {
         drain(&mut r, ios);
         for i in 1..=5u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8; 32]);
-            r.on_data(t, m.clone());
+            capture(&mut r, t, &m);
             let ios = r.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut r, ios);
         }
@@ -1516,7 +1546,7 @@ mod tests {
         let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
         drain(&mut r, ios);
         let m = msg(pid(1, 1), pid(2, 1), 1, b"unflushed");
-        r.on_data(t, m.clone());
+        capture(&mut r, t, &m);
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
         drain(&mut r, ios);
         // No flush happened (single small message); restart must keep it.
@@ -1533,7 +1563,7 @@ mod tests {
         let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
         drain(&mut r, ios);
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
-        r.on_data(t, m.clone());
+        capture(&mut r, t, &m);
         let ios = r.on_ack(t, m.header.id, pid(2, 1));
         drain(&mut r, ios);
         let erase = r.on_destroyed(t, pid(2, 1));
@@ -1558,7 +1588,7 @@ mod tests {
         assert!(r.entry(pid(2, 2)).is_none(), "unowned create ignored");
         for (dst, seq) in [(pid(2, 1), 1u64), (pid(2, 2), 2)] {
             let m = msg(pid(1, 1), dst, seq, b"x");
-            r.on_data(t, m.clone());
+            capture(&mut r, t, &m);
             let ios = r.on_ack(t, m.header.id, dst);
             drain(&mut r, ios);
         }
@@ -1568,7 +1598,7 @@ mod tests {
         // Clearing the filter restores full capture.
         r.set_ownership_filter(None);
         let m = msg(pid(1, 1), pid(2, 2), 3, b"y");
-        r.on_data(t, m.clone());
+        capture(&mut r, t, &m);
         assert_eq!(r.stats().captured.get(), 2);
     }
 
@@ -1580,7 +1610,7 @@ mod tests {
         drain(&mut src, ios);
         for i in 1..=4u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8]);
-            src.on_data(t, m.clone());
+            capture(&mut src, t, &m);
             let ios = src.on_ack(t, m.header.id, pid(2, 1));
             drain(&mut src, ios);
         }

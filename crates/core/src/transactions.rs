@@ -162,12 +162,11 @@ impl TxCoordinator {
         } else {
             tx_codes::TX_ABORT
         };
-        let mut body = Encoder::new();
-        body.u32(code).u64(tx);
+        let body = encode_ctl(code, &tx);
         let participants = st.participants.clone();
         let client_link = st.client_link;
         for p in participants {
-            let _ = ctx.send(LinkId(p), body.clone().finish());
+            let _ = ctx.send(LinkId(p), body.clone());
         }
         // Reply to the client; the outcome is decided (2PC's commit point
         // is the coordinator's state change, which publishing preserves).

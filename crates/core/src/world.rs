@@ -11,6 +11,13 @@
 //! Four tiers implement it: a lone [`RecorderNode`] (the default),
 //! [`crate::multi::PriorityTier`], and the sharded and quorum tiers in
 //! their own crates.
+//!
+//! Kernels, tier members and the medium answer an event by appending
+//! actions to a buffer; the world owns one buffer per action type, lends
+//! it for the call, performs what was appended in order and keeps the
+//! buffer for the next event (`with_kernel`, [`World::with_member`],
+//! `with_lan`) — a steady-state event allocates nothing to say what
+//! happens next.
 
 use crate::node::{RNAction, RecorderConfig, RecorderNode};
 use publishing_demos::costs::CostModel;
@@ -49,9 +56,11 @@ pub trait RecorderTier: Sized {
     /// timers and lifecycle go through the methods below.
     fn node_mut(&mut self, idx: usize) -> &mut RecorderNode;
 
-    /// Begins member `idx`'s operation: watchdogs over `watch`.
-    fn start(&mut self, idx: usize, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
-        self.node_mut(idx).start(now, watch)
+    /// Begins member `idx`'s operation: watchdogs over `watch`. This
+    /// and the three entry points below append what the world must do,
+    /// in order, to `out`.
+    fn start(&mut self, idx: usize, now: SimTime, watch: &[NodeId], out: &mut Vec<RNAction>) {
+        self.node_mut(idx).start(now, watch, out)
     }
 
     /// Hands member `idx` a frame it saw on the medium.
@@ -61,13 +70,14 @@ pub trait RecorderTier: Sized {
         now: SimTime,
         frame: &Frame,
         recorder_ok: bool,
-    ) -> Vec<RNAction> {
-        self.node_mut(idx).on_frame(now, frame, recorder_ok)
+        out: &mut Vec<RNAction>,
+    ) {
+        self.node_mut(idx).on_frame(now, frame, recorder_ok, out)
     }
 
     /// Fires one of member `idx`'s timers.
-    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64) -> Vec<RNAction> {
-        self.node_mut(idx).on_timer(now, token)
+    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
+        self.node_mut(idx).on_timer(now, token, out)
     }
 
     /// Crashes member `idx`: volatile state lost, its store survives.
@@ -76,8 +86,8 @@ pub trait RecorderTier: Sized {
     }
 
     /// Restarts member `idx` from its stable storage.
-    fn restart(&mut self, idx: usize, now: SimTime) -> Vec<RNAction> {
-        self.node_mut(idx).restart(now)
+    fn restart(&mut self, idx: usize, now: SimTime, out: &mut Vec<RNAction>) {
+        self.node_mut(idx).restart(now, out)
     }
 
     /// Whether member `idx`, whose watchdog found `node` dead, is the
@@ -290,14 +300,18 @@ impl WorldBuilder {
             node_incarnations: BTreeMap::new(),
             crashes: Vec::new(),
             recovered: BTreeMap::new(),
+            kernel_actions: Vec::new(),
+            member_actions: Vec::new(),
+            lan_actions: Vec::new(),
         };
         if self.publishing {
             world.refresh_required();
         }
         let watch = world.watch_list();
         for i in 0..world.tier.members() {
-            let actions = world.tier.start(i, SimTime::ZERO, &watch);
-            world.apply_member(SimTime::ZERO, i, actions);
+            world.with_member(SimTime::ZERO, i, |tier, out| {
+                tier.start(i, SimTime::ZERO, &watch, out)
+            });
         }
         world
     }
@@ -323,6 +337,11 @@ pub struct World<T: RecorderTier = RecorderNode> {
     crashes: Vec<SimTime>,
     /// Packed pid → virtual instant its recovery committed.
     recovered: BTreeMap<u64, SimTime>,
+    /// Reused from event to event: what a kernel, a tier member and the
+    /// medium asked for during the call in progress.
+    kernel_actions: Vec<KernelAction>,
+    member_actions: Vec<RNAction>,
+    lan_actions: Vec<LanAction>,
 }
 
 impl<T: RecorderTier> World<T> {
@@ -380,19 +399,31 @@ impl<T: RecorderTier> World<T> {
         recoverable: bool,
     ) -> Result<ProcessId, UnknownProgram> {
         let now = self.now();
-        let k = self.kernels.get_mut(node as usize).expect("node exists");
-        let (pid, actions) = if recoverable {
-            k.spawn(now, program, links)?
-        } else {
-            k.spawn_unrecoverable(now, program, links)?
-        };
+        let spawned = self.with_kernel(now, node, |k, out| {
+            if recoverable {
+                k.spawn(now, program, links, out)
+            } else {
+                k.spawn_unrecoverable(now, program, links, out)
+            }
+        });
+        let pid = spawned.expect("node exists")?;
         self.tier.on_spawn(pid);
-        self.apply_kernel(now, node, actions);
         Ok(pid)
     }
 
-    fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
+    /// Runs `call` on `node`'s kernel with the world's kernel-action
+    /// buffer, then performs at `now` what it appended. `None` if there
+    /// is no such node.
+    fn with_kernel<R>(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        call: impl FnOnce(&mut Kernel, &mut Vec<KernelAction>) -> R,
+    ) -> Option<R> {
+        let k = self.kernels.get_mut(node as usize)?;
+        let mut actions = std::mem::take(&mut self.kernel_actions);
+        let result = call(k, &mut actions);
+        for a in actions.drain(..) {
             match a {
                 KernelAction::Transmit(frame) => self.submit(now, frame),
                 KernelAction::SetTimer { at, token } => {
@@ -408,13 +439,30 @@ impl<T: RecorderTier> World<T> {
                 }
             }
         }
+        self.kernel_actions = actions;
+        Some(result)
     }
 
-    /// Performs the actions member `idx` of the tier asked for. Tier
+    /// Runs `call` on the tier with the world's member-action buffer,
+    /// then performs at `now`, as member `idx`, what it appended. Tier
     /// operations (a restart, a log-segment import) route their members'
-    /// actions through here, exactly as dispatch does.
-    pub fn apply_member(&mut self, now: SimTime, idx: usize, actions: Vec<RNAction>) {
-        for a in actions {
+    /// actions through here, exactly as dispatch does. A node restart
+    /// re-enters (every live member confirms it): the nested call finds
+    /// the buffer taken and fills a fresh one.
+    pub fn with_member(
+        &mut self,
+        now: SimTime,
+        idx: usize,
+        call: impl FnOnce(&mut T, &mut Vec<RNAction>),
+    ) {
+        let mut actions = std::mem::take(&mut self.member_actions);
+        call(&mut self.tier, &mut actions);
+        self.apply_member(now, idx, &mut actions);
+        self.member_actions = actions;
+    }
+
+    fn apply_member(&mut self, now: SimTime, idx: usize, actions: &mut Vec<RNAction>) {
+        for a in actions.drain(..) {
             match a {
                 RNAction::Transmit(frame) => self.submit(now, frame),
                 RNAction::SetTimer { at, token } => {
@@ -437,13 +485,15 @@ impl<T: RecorderTier> World<T> {
                     }
                     for j in 0..self.tier.members() {
                         if j == idx || (T::RESTART_FAN_OUT && self.tier.node(j).is_up()) {
-                            let follow = self.tier.node_mut(j).confirm_node_restarted_with(
-                                now,
-                                node,
-                                incarnation,
-                                j == idx,
-                            );
-                            self.apply_member(now, j, follow);
+                            self.with_member(now, j, |tier, out| {
+                                tier.node_mut(j).confirm_node_restarted_with(
+                                    now,
+                                    node,
+                                    incarnation,
+                                    j == idx,
+                                    out,
+                                )
+                            });
                         }
                     }
                 }
@@ -456,32 +506,35 @@ impl<T: RecorderTier> World<T> {
 
     /// Puts a frame on the medium now.
     pub fn submit(&mut self, now: SimTime, frame: Frame) {
-        for a in self.lan.submit(now, frame) {
-            self.apply_lan(a);
-        }
+        self.with_lan(|lan, out| lan.submit_into(now, frame, out));
     }
 
-    fn apply_lan(&mut self, action: LanAction) {
-        match action {
-            LanAction::Deliver {
-                at,
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                self.sched.schedule_at(
+    /// Runs `call` on the medium with the world's medium-action buffer,
+    /// then schedules what it appended.
+    fn with_lan(&mut self, call: impl FnOnce(&mut dyn Lan, &mut Vec<LanAction>)) {
+        call(self.lan.as_mut(), &mut self.lan_actions);
+        for action in self.lan_actions.drain(..) {
+            match action {
+                LanAction::Deliver {
                     at,
-                    Ev::Deliver {
-                        to: to.0,
-                        frame,
-                        recorder_ok,
-                    },
-                );
+                    to,
+                    frame,
+                    recorder_ok,
+                } => {
+                    self.sched.schedule_at(
+                        at,
+                        Ev::Deliver {
+                            to: to.0,
+                            frame,
+                            recorder_ok,
+                        },
+                    );
+                }
+                LanAction::SetTimer { at, token } => {
+                    self.sched.schedule_at(at, Ev::LanTimer(token));
+                }
+                LanAction::TxOutcome { .. } => {}
             }
-            LanAction::SetTimer { at, token } => {
-                self.sched.schedule_at(at, Ev::LanTimer(token));
-            }
-            LanAction::TxOutcome { .. } => {}
         }
     }
 
@@ -509,19 +562,13 @@ impl<T: RecorderTier> World<T> {
     fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::LanTimer(token) => {
-                for a in self.lan.timer(now, token) {
-                    self.apply_lan(a);
-                }
+                self.with_lan(|lan, out| lan.timer_into(now, token, out));
             }
             Ev::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(node as usize) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
+                self.with_kernel(now, node, |k, out| k.on_timer(now, token, out));
             }
             Ev::MemberTimer(idx, token) => {
-                let actions = self.tier.on_timer(idx, now, token);
-                self.apply_member(now, idx, actions);
+                self.with_member(now, idx, |tier, out| tier.on_timer(idx, now, token, out));
             }
             Ev::Deliver {
                 to,
@@ -529,15 +576,13 @@ impl<T: RecorderTier> World<T> {
                 recorder_ok,
             } => {
                 if to < self.n_nodes {
-                    if let Some(k) = self.kernels.get_mut(to as usize) {
-                        let actions = k.on_frame(now, &frame, recorder_ok);
-                        self.apply_kernel(now, to, actions);
-                    }
+                    self.with_kernel(now, to, |k, out| k.on_frame(now, &frame, recorder_ok, out));
                 } else {
                     let idx = (to - self.n_nodes) as usize;
                     if idx < self.tier.members() {
-                        let actions = self.tier.on_frame(idx, now, &frame, recorder_ok);
-                        self.apply_member(now, idx, actions);
+                        self.with_member(now, idx, |tier, out| {
+                            tier.on_frame(idx, now, &frame, recorder_ok, out)
+                        });
                     }
                 }
             }
@@ -590,10 +635,11 @@ impl<T: RecorderTier> World<T> {
     /// notifies the recovery manager, which recovers it transparently.
     pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
         let now = self.now();
-        if let Some(k) = self.kernels.get_mut(pid.node.0 as usize) {
-            let actions = k.crash_process(now, pid.local, reason);
+        let crashed = self.with_kernel(now, pid.node.0, |k, out| {
+            k.crash_process(now, pid.local, reason, out)
+        });
+        if crashed.is_some() {
             self.crashes.push(now);
-            self.apply_kernel(now, pid.node.0, actions);
         }
     }
 
@@ -630,8 +676,7 @@ impl<T: RecorderTier> World<T> {
         let now = self.now();
         let station = self.tier.node(idx).station();
         self.lan.set_station_up(station, true);
-        let actions = self.tier.restart(idx, now);
-        self.apply_member(now, idx, actions);
+        self.with_member(now, idx, |tier, out| tier.restart(idx, now, out));
         T::member_restarted(self, idx);
     }
 

@@ -15,6 +15,7 @@ use publishing_demos::ids::{Channel, MessageId, NodeId, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::message::{Message, MessageHeader};
 use publishing_demos::protocol::{CheckpointDeposit, ReadOrderNotice};
+use publishing_sim::codec::Encode;
 use publishing_sim::time::SimTime;
 use publishing_stable::disk::DiskParams;
 use publishing_stable::store::StoreIo;
@@ -192,7 +193,7 @@ impl Script {
                 deliver_to_kernel: false,
             },
             passed_link: (self.draw(6) == 0).then(|| Link::to(to, Channel(1), 11)),
-            body: vec![seq as u8; len],
+            body: vec![seq as u8; len].into(),
         }
     }
 
@@ -226,9 +227,9 @@ impl Script {
             }
             3..=13 => {
                 let msg = self.message();
-                self.r.on_data(self.now, msg.clone());
+                self.r.on_data(self.now, msg.clone(), msg.encode_to_bytes());
                 if self.draw(7) == 0 {
-                    self.r.on_data(self.now, msg.clone());
+                    self.r.on_data(self.now, msg.clone(), msg.encode_to_bytes());
                 }
                 self.unacked.push(msg);
             }

@@ -5,6 +5,8 @@
 
 use crate::ids::ProcessId;
 use crate::kernel::{Kernel, KernelAction};
+use crate::link::Link;
+use crate::registry::UnknownProgram;
 use publishing_net::frame::Frame;
 use publishing_net::lan::{Lan, LanAction};
 use publishing_sim::event::Scheduler;
@@ -52,6 +54,10 @@ pub struct Harness {
     pub kernels: BTreeMap<u32, Kernel>,
     /// Collected process outputs, in emission order.
     pub outputs: Vec<OutputLine>,
+    /// Reused from event to event: what a kernel, then the medium, asked
+    /// for during the call in progress.
+    kernel_actions: Vec<KernelAction>,
+    lan_actions: Vec<LanAction>,
 }
 
 impl Harness {
@@ -62,6 +68,8 @@ impl Harness {
             lan,
             kernels: BTreeMap::new(),
             outputs: Vec::new(),
+            kernel_actions: Vec::new(),
+            lan_actions: Vec::new(),
         }
     }
 
@@ -71,13 +79,42 @@ impl Harness {
         self.kernels.insert(kernel.node().0, kernel);
     }
 
-    /// Applies kernel actions at time `now`.
-    pub fn apply_kernel(&mut self, now: SimTime, node: u32, actions: Vec<KernelAction>) {
-        for a in actions {
+    /// Spawns `program` on `node` now, with `links` installed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownProgram`] if the image is not registered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node does not exist.
+    pub fn spawn(
+        &mut self,
+        node: u32,
+        program: &str,
+        links: Vec<Link>,
+    ) -> Result<ProcessId, UnknownProgram> {
+        let now = self.now();
+        self.with_kernel(now, node, |k, out| k.spawn(now, program, links, out))
+            .expect("node exists")
+    }
+
+    /// Runs `call` on `node`'s kernel with the harness's action buffer,
+    /// then performs at time `now` what the kernel appended. `None` if
+    /// there is no such node.
+    pub fn with_kernel<R>(
+        &mut self,
+        now: SimTime,
+        node: u32,
+        call: impl FnOnce(&mut Kernel, &mut Vec<KernelAction>) -> R,
+    ) -> Option<R> {
+        let k = self.kernels.get_mut(&node)?;
+        let mut actions = std::mem::take(&mut self.kernel_actions);
+        let result = call(k, &mut actions);
+        for a in actions.drain(..) {
             match a {
                 KernelAction::Transmit(frame) => {
-                    let lan_actions = self.lan.submit(now, frame);
-                    self.apply_lan(lan_actions);
+                    self.with_lan(|lan, out| lan.submit_into(now, frame, out));
                 }
                 KernelAction::SetTimer { at, token } => {
                     self.sched.schedule_at(at, Ev::KernelTimer(node, token));
@@ -92,10 +129,15 @@ impl Harness {
                 }
             }
         }
+        self.kernel_actions = actions;
+        Some(result)
     }
 
-    fn apply_lan(&mut self, actions: Vec<LanAction>) {
-        for a in actions {
+    /// Runs `call` on the medium with the harness's action buffer, then
+    /// schedules what the medium appended.
+    fn with_lan(&mut self, call: impl FnOnce(&mut dyn Lan, &mut Vec<LanAction>)) {
+        call(self.lan.as_mut(), &mut self.lan_actions);
+        for a in self.lan_actions.drain(..) {
             match a {
                 LanAction::Deliver {
                     at,
@@ -127,24 +169,17 @@ impl Harness {
         };
         match ev {
             Ev::LanTimer(token) => {
-                let actions = self.lan.timer(now, token);
-                self.apply_lan(actions);
+                self.with_lan(|lan, out| lan.timer_into(now, token, out));
             }
             Ev::KernelTimer(node, token) => {
-                if let Some(k) = self.kernels.get_mut(&node) {
-                    let actions = k.on_timer(now, token);
-                    self.apply_kernel(now, node, actions);
-                }
+                self.with_kernel(now, node, |k, out| k.on_timer(now, token, out));
             }
             Ev::Deliver {
                 to,
                 frame,
                 recorder_ok,
             } => {
-                if let Some(k) = self.kernels.get_mut(&to) {
-                    let actions = k.on_frame(now, &frame, recorder_ok);
-                    self.apply_kernel(now, to, actions);
-                }
+                self.with_kernel(now, to, |k, out| k.on_frame(now, &frame, recorder_ok, out));
             }
         }
         true

@@ -20,7 +20,10 @@
 //! - process creation/destruction is reported to the recorder (§4.5).
 //!
 //! The kernel is a sans-IO state machine: the world feeds it frames and
-//! timers; it emits [`KernelAction`]s.
+//! timers; it appends [`KernelAction`]s, in the order they must be
+//! performed, to a buffer the world owns and reuses. It reads a frame in
+//! place: the message it queues, and the body a program receives, are
+//! views of the frame's bytes.
 
 use crate::costs::CostModel;
 use crate::ids::{Channel, MessageId, NodeId, ProcessId, KERNEL_LOCAL};
@@ -34,19 +37,30 @@ use crate::registry::{ProgramRegistry, UnknownProgram};
 use crate::transport::{TAction, Transport, TransportConfig, Wire};
 use publishing_net::frame::{Destination, Frame, StationId};
 use publishing_obs::span::{SpanLog, Stage};
-use publishing_sim::codec::{Decode, Encode, Encoder};
+use publishing_sim::codec::{Bytes, Decode, Encode, Encoder};
 use publishing_sim::ledger::{LevelGauge, Timeline};
 use publishing_sim::stats::Counter;
 use publishing_sim::table::{slot_mut, TokenTable};
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Encodes a control payload with its leading code tag.
-pub fn encode_ctl<T: Encode>(code: u32, payload: &T) -> Vec<u8> {
-    let mut e = Encoder::new();
-    e.u32(code);
-    payload.encode(&mut e);
-    e.finish()
+/// Encodes a control payload with its leading code tag, as a message
+/// body: written in place when the payload knows its
+/// [`encoded_len`](Encode::encoded_len) — the payloads of steady-state
+/// control traffic do — and through a growing vector otherwise.
+pub fn encode_ctl<T: Encode>(code: u32, payload: &T) -> Bytes {
+    match payload.encoded_len() {
+        0 => {
+            let mut e = Encoder::new();
+            e.u32(code);
+            payload.encode(&mut e);
+            e.finish().into()
+        }
+        len => Bytes::encoded(4 + len, |e| {
+            e.u32(code);
+            payload.encode(e);
+        }),
+    }
 }
 
 /// Splits a control body into its code and remaining payload bytes.
@@ -167,6 +181,12 @@ pub struct Kernel {
     next_local: u32,
     next_epoch: u32,
     transport: Transport,
+    /// Spare buffers for what the transport asks for during a call: one
+    /// is popped, filled, drained and pushed back by
+    /// [`Kernel::with_transport`], so a steady-state event allocates
+    /// nothing to say what happens next. One per depth of nesting ever
+    /// reached (a control reply sent while a delivery is performed: two).
+    transport_actions: Vec<Vec<TAction>>,
     kernel_seq: u64,
     cpu_busy_until: SimTime,
     active: Option<u32>,
@@ -205,6 +225,7 @@ impl Kernel {
             next_local: KERNEL_LOCAL + 1,
             next_epoch: 0,
             transport: Transport::new(node, transport),
+            transport_actions: Vec::new(),
             kernel_seq: 0,
             cpu_busy_until: SimTime::ZERO,
             active: None,
@@ -374,7 +395,7 @@ impl Kernel {
         now: SimTime,
         to: ProcessId,
         code: u32,
-        body: Vec<u8>,
+        body: Bytes,
         passed: Option<Link>,
         out: &mut Vec<KernelAction>,
     ) {
@@ -400,7 +421,7 @@ impl Kernel {
         &mut self,
         now: SimTime,
         link: Link,
-        body: Vec<u8>,
+        body: Bytes,
         passed: Option<Link>,
         out: &mut Vec<KernelAction>,
     ) {
@@ -428,7 +449,7 @@ impl Kernel {
         now: SimTime,
         local: u32,
         link: Link,
-        body: Vec<u8>,
+        body: Bytes,
         passed: Option<Link>,
         out: &mut Vec<KernelAction>,
     ) {
@@ -493,17 +514,24 @@ impl Kernel {
         }
         // Published (or remote) path: onto the wire via the transport.
         self.charge_busy(now, self.costs.send_cost(msg.wire_len()));
-        let actions = self.transport.send_guaranteed(now, dst_node, msg);
-        self.apply_transport(now, actions, out);
+        self.with_transport(now, out, |t, actions| {
+            t.send_guaranteed(now, dst_node, msg, actions)
+        });
     }
 
-    fn apply_transport(
+    /// Runs one transport entry point over a spare action buffer, then
+    /// performs what it appended, in order. Performing a delivery can
+    /// send (a forward, a control reply): that nested call takes the
+    /// next spare.
+    fn with_transport(
         &mut self,
         now: SimTime,
-        actions: Vec<TAction>,
         out: &mut Vec<KernelAction>,
+        call: impl FnOnce(&mut Transport, &mut Vec<TAction>),
     ) {
-        for a in actions {
+        let mut actions = self.transport_actions.pop().unwrap_or_default();
+        call(&mut self.transport, &mut actions);
+        for a in actions.drain(..) {
             match a {
                 TAction::Transmit { dst_node, payload } => {
                     let frame = Frame::new(
@@ -520,6 +548,7 @@ impl Kernel {
                 }
             }
         }
+        self.transport_actions.push(actions);
     }
 
     // ------------------------------------------------------------------
@@ -532,29 +561,27 @@ impl Kernel {
         now: SimTime,
         frame: &Frame,
         recorder_ok: bool,
-    ) -> Vec<KernelAction> {
-        let mut out = Vec::new();
+        out: &mut Vec<KernelAction>,
+    ) {
         if !self.up || !frame.dst.accepts(self.station()) {
-            return out;
+            return;
         }
         // Link layer (§4.3.3): only error-free messages go up.
         if !frame.is_intact() {
             self.stats.bad_frames.inc();
-            return out;
+            return;
         }
         // §4.4.1: a message the recorder missed must not be used.
         if self.publishing && !recorder_ok {
             self.stats.recorder_blocked.inc();
-            return out;
+            return;
         }
-        let Ok(wire) = Wire::decode_all(frame.payload()) else {
+        let Ok(wire) = frame.decode_payload::<Wire>() else {
             self.stats.bad_frames.inc();
-            return out;
+            return;
         };
-        let actions = self.transport.on_wire(now, wire);
-        self.apply_transport(now, actions, &mut out);
-        self.try_dispatch(now, &mut out);
-        out
+        self.with_transport(now, out, |t, actions| t.on_wire(now, wire, actions));
+        self.try_dispatch(now, out);
     }
 
     fn deliver_up(&mut self, now: SimTime, msg: Message, out: &mut Vec<KernelAction>) {
@@ -569,8 +596,9 @@ impl Kernel {
         let to = msg.header.to;
         if to.node != self.node {
             // Routed here by an out-of-date sender; forward along.
-            let actions = self.transport.send_guaranteed(now, to.node, msg);
-            self.apply_transport(now, actions, out);
+            self.with_transport(now, out, |t, actions| {
+                t.send_guaranteed(now, to.node, msg, actions)
+            });
             return;
         }
         if to.is_kernel() {
@@ -795,28 +823,25 @@ impl Kernel {
     }
 
     /// Handles a kernel timer.
-    pub fn on_timer(&mut self, now: SimTime, token: u64) -> Vec<KernelAction> {
-        let mut out = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, token: u64, out: &mut Vec<KernelAction>) {
         if !self.up {
-            return out;
+            return;
         }
         match self.timers.take(token) {
             None => {}
             Some(TimerKind::Transport(t)) => {
-                let actions = self.transport.timer(now, t);
-                self.apply_transport(now, actions, &mut out);
+                self.with_transport(now, out, |tr, actions| tr.timer(now, t, actions));
             }
             Some(TimerKind::Done(id)) => {
                 if let Some(rec) = self.dones.take(id) {
-                    self.finish_activation(now, rec, &mut out);
+                    self.finish_activation(now, rec, out);
                 }
             }
             Some(TimerKind::Dispatch) => {
                 self.dispatch_armed = false;
             }
         }
-        self.try_dispatch(now, &mut out);
-        out
+        self.try_dispatch(now, out);
     }
 
     fn finish_activation(&mut self, now: SimTime, rec: DoneRec, out: &mut Vec<KernelAction>) {
@@ -907,7 +932,7 @@ impl Kernel {
                     now,
                     local,
                     Link::control(requester, 0),
-                    e.finish(),
+                    e.finish().into(),
                     Some(link),
                     out,
                 );
@@ -927,7 +952,7 @@ impl Kernel {
                 let done_link = Link::to(pid, Channel::DEFAULT, 0);
                 let mut e = Encoder::new();
                 e.u32(codes::MOVELINK_DONE).u32(id.0);
-                self.send_as(now, local, done_link, e.finish(), None, out);
+                self.send_as(now, local, done_link, e.finish().into(), None, out);
             }
             codes::STOP_PROCESS => {
                 self.destroy_process(now, local, out);
@@ -987,8 +1012,9 @@ impl Kernel {
                     passed_link: None,
                     body,
                 };
-                let actions = self.transport.send_datagram(now, requester.node, msg);
-                self.apply_transport(now, actions, out);
+                self.with_transport(now, out, |t, actions| {
+                    t.send_datagram(now, requester.node, msg, actions)
+                });
             }
             codes::RECREATE => {
                 let Ok(req) = protocol::Recreate::decode_all(payload) else {
@@ -999,10 +1025,12 @@ impl Kernel {
                 e.u32(codes::RECREATE_REPLY);
                 req.pid.encode(&mut e);
                 e.bool(ok);
-                self.kernel_send(now, requester, codes::RECREATE_REPLY, e.finish(), None, out);
+                let body = e.finish().into();
+                self.kernel_send(now, requester, codes::RECREATE_REPLY, body, None, out);
             }
             codes::REPLAY => {
-                let Ok(rep) = protocol::Replay::decode_all(payload) else {
+                // The replayed message's body stays a view of the frame.
+                let Ok(rep) = protocol::Replay::decode_shared(&msg.body.slice(4..)) else {
                     return;
                 };
                 self.inject_replay(now, rep, out);
@@ -1023,7 +1051,7 @@ impl Kernel {
                     now,
                     requester,
                     codes::PREPARE_FINISH_REPLY,
-                    e.finish(),
+                    e.finish().into(),
                     None,
                     out,
                 );
@@ -1059,8 +1087,9 @@ impl Kernel {
                 let Ok(n) = protocol::NodeRestarted::decode_all(payload) else {
                     return;
                 };
-                let actions = self.transport.reset_peer(now, n.node, n.incarnation);
-                self.apply_transport(now, actions, out);
+                self.with_transport(now, out, |t, actions| {
+                    t.reset_peer(now, n.node, n.incarnation, actions)
+                });
             }
             codes::REQUEST_CHECKPOINT => {
                 let Ok(pid) = ProcessId::decode_all(payload) else {
@@ -1093,8 +1122,9 @@ impl Kernel {
         now: SimTime,
         program_name: &str,
         initial_links: Vec<Link>,
-    ) -> Result<(ProcessId, Vec<KernelAction>), UnknownProgram> {
-        self.spawn_opts(now, program_name, initial_links, true)
+        out: &mut Vec<KernelAction>,
+    ) -> Result<ProcessId, UnknownProgram> {
+        self.spawn_opts(now, program_name, initial_links, true, out)
     }
 
     /// Like [`Kernel::spawn`] but with `recoverable = false`: the §6.6.1
@@ -1106,8 +1136,9 @@ impl Kernel {
         now: SimTime,
         program_name: &str,
         initial_links: Vec<Link>,
-    ) -> Result<(ProcessId, Vec<KernelAction>), UnknownProgram> {
-        self.spawn_opts(now, program_name, initial_links, false)
+        out: &mut Vec<KernelAction>,
+    ) -> Result<ProcessId, UnknownProgram> {
+        self.spawn_opts(now, program_name, initial_links, false, out)
     }
 
     fn spawn_opts(
@@ -1116,16 +1147,16 @@ impl Kernel {
         program_name: &str,
         initial_links: Vec<Link>,
         recoverable: bool,
-    ) -> Result<(ProcessId, Vec<KernelAction>), UnknownProgram> {
+        out: &mut Vec<KernelAction>,
+    ) -> Result<ProcessId, UnknownProgram> {
         if !self.registry.contains(program_name) {
             return Err(UnknownProgram(program_name.to_string()));
         }
-        let mut out = Vec::new();
         let pid = self
-            .spawn_inner(now, program_name, initial_links, recoverable, &mut out)
+            .spawn_inner(now, program_name, initial_links, recoverable, out)
             .expect("registry checked");
-        self.try_dispatch(now, &mut out);
-        Ok((pid, out))
+        self.try_dispatch(now, out);
+        Ok(pid)
     }
 
     fn spawn_inner(
@@ -1212,13 +1243,18 @@ impl Kernel {
 
     /// Crashes one process (a detected, non-deterministic fault §3.3.2):
     /// it halts and a crash notice goes to the recovery manager.
-    pub fn crash_process(&mut self, now: SimTime, local: u32, reason: &str) -> Vec<KernelAction> {
-        let mut out = Vec::new();
+    pub fn crash_process(
+        &mut self,
+        now: SimTime,
+        local: u32,
+        reason: &str,
+        out: &mut Vec<KernelAction>,
+    ) {
         let Some(slot) = self.slots.get_mut(local as usize) else {
-            return out;
+            return;
         };
         let Some(proc) = slot.proc.as_deref_mut() else {
-            return out;
+            return;
         };
         proc.run = RunState::Crashed;
         proc.queue.clear();
@@ -1240,10 +1276,9 @@ impl Kernel {
                 codes::PROCESS_CRASH_NOTICE,
                 body.clone(),
                 None,
-                &mut out,
+                out,
             );
         }
-        out
     }
 
     /// Takes the whole node down (§1.1.2: the crash of all its processes).
@@ -1418,6 +1453,37 @@ mod tests {
         )
     }
 
+    // The entry points append to a caller's buffer; a test wants the
+    // actions of one call.
+    fn spawn(
+        k: &mut Kernel,
+        now: SimTime,
+        program: &str,
+        links: Vec<Link>,
+    ) -> Result<(ProcessId, Vec<KernelAction>), UnknownProgram> {
+        let mut out = Vec::new();
+        let pid = k.spawn(now, program, links, &mut out)?;
+        Ok((pid, out))
+    }
+
+    fn on_frame(k: &mut Kernel, now: SimTime, frame: &Frame, ok: bool) -> Vec<KernelAction> {
+        let mut out = Vec::new();
+        k.on_frame(now, frame, ok, &mut out);
+        out
+    }
+
+    fn on_timer(k: &mut Kernel, now: SimTime, token: u64) -> Vec<KernelAction> {
+        let mut out = Vec::new();
+        k.on_timer(now, token, &mut out);
+        out
+    }
+
+    fn crash_process(k: &mut Kernel, now: SimTime, local: u32, why: &str) -> Vec<KernelAction> {
+        let mut out = Vec::new();
+        k.crash_process(now, local, why, &mut out);
+        out
+    }
+
     /// Fires, in order, every timer in `actions` that is due at `now`
     /// (activations cost nothing under `CostModel::zero`; retransmission
     /// timers lie 20 ms out and stay unfired), and returns everything
@@ -1428,7 +1494,7 @@ mod tests {
         while let Some(a) = queue.pop_front() {
             match a {
                 KernelAction::SetTimer { at, token } if at <= now => {
-                    queue.extend(k.on_timer(now, token));
+                    queue.extend(on_timer(k, now, token));
                 }
                 other => rest.push(other),
             }
@@ -1457,7 +1523,9 @@ mod tests {
                 deliver_to_kernel: control.is_some(),
             },
             passed_link: None,
-            body: control.map_or_else(|| b"hello".to_vec(), |code| code.to_le_bytes().to_vec()),
+            body: control
+                .map_or_else(|| b"hello".to_vec(), |code| code.to_le_bytes().to_vec())
+                .into(),
         }
     }
 
@@ -1470,7 +1538,7 @@ mod tests {
     fn activation_of_nothing_leaves_everything_alone() {
         let mut k = kernel(false);
         let t = SimTime::ZERO;
-        let (pid, actions) = k.spawn(t, "echo", vec![]).unwrap();
+        let (pid, actions) = spawn(&mut k, t, "echo", vec![]).unwrap();
         assert!(settle(&mut k, t, actions).is_empty());
         let mut out = Vec::new();
         // Nothing queued: the receive finds nothing and the process stays.
@@ -1491,7 +1559,7 @@ mod tests {
     fn control_message_keeps_the_process_in_its_slot_until_it_says_stop() {
         let mut k = kernel(false);
         let t = SimTime::ZERO;
-        let (pid, actions) = k.spawn(t, "echo", vec![]).unwrap();
+        let (pid, actions) = spawn(&mut k, t, "echo", vec![]).unwrap();
         settle(&mut k, t, actions);
         // A control code nobody implements: the kernel call runs, as the
         // process, and changes nothing.
@@ -1524,7 +1592,7 @@ mod tests {
         let mut k = Kernel::new(NodeId(1), reg, CostModel::zero(), cfg, true);
         k.set_recorder(NodeId(9));
         let t = SimTime::ZERO;
-        let (pid, actions) = k.spawn(t, "reader", vec![]).unwrap();
+        let (pid, actions) = spawn(&mut k, t, "reader", vec![]).unwrap();
         settle(&mut k, t, actions);
         // The reader accepts channel 1 only: a channel-0 message waits at
         // the head of its queue, and the channel-1 message behind it is
@@ -1560,7 +1628,7 @@ mod tests {
         let mut k = kernel(false);
         let t = SimTime::ZERO;
         // Destroyed mid-activation: the Done timer finds an empty slot.
-        let (gone, start) = k.spawn(t, "echo", vec![]).unwrap();
+        let (gone, start) = spawn(&mut k, t, "echo", vec![]).unwrap();
         assert_eq!(k.active, Some(gone.local), "start activation in flight");
         let mut out = Vec::new();
         k.destroy_process(t, gone.local, &mut out);
@@ -1569,9 +1637,9 @@ mod tests {
         assert!(k.process(gone.local).is_none());
         // Crashed mid-activation: the process stays in its slot, halted,
         // and the activation's effects die with the old incarnation.
-        let (crashed, start) = k.spawn(t, "echo", vec![]).unwrap();
+        let (crashed, start) = spawn(&mut k, t, "echo", vec![]).unwrap();
         assert_ne!(crashed.local, gone.local, "local ids are never reused");
-        k.crash_process(t, crashed.local, "test");
+        crash_process(&mut k, t, crashed.local, "test");
         assert!(settle(&mut k, t, start).is_empty());
         assert_eq!(
             k.process(crashed.local).expect("in its slot").run,
@@ -1600,8 +1668,8 @@ mod tests {
     #[test]
     fn spawn_assigns_fresh_local_ids() {
         let mut k = kernel(false);
-        let (a, _) = k.spawn(SimTime::ZERO, "echo", vec![]).unwrap();
-        let (b, _) = k.spawn(SimTime::ZERO, "echo", vec![]).unwrap();
+        let (a, _) = spawn(&mut k, SimTime::ZERO, "echo", vec![]).unwrap();
+        let (b, _) = spawn(&mut k, SimTime::ZERO, "echo", vec![]).unwrap();
         assert_ne!(a, b);
         assert_eq!(a.node, NodeId(1));
         assert!(a.local >= 1, "local 0 is the kernel endpoint");
@@ -1611,14 +1679,14 @@ mod tests {
     #[test]
     fn unknown_program_rejected() {
         let mut k = kernel(false);
-        assert!(k.spawn(SimTime::ZERO, "ghost", vec![]).is_err());
+        assert!(spawn(&mut k, SimTime::ZERO, "ghost", vec![]).is_err());
     }
 
     #[test]
     fn publishing_spawn_emits_created_notice() {
         let mut k = kernel(true);
         k.set_recorder(NodeId(9));
-        let (_, actions) = k.spawn(SimTime::ZERO, "echo", vec![]).unwrap();
+        let (_, actions) = spawn(&mut k, SimTime::ZERO, "echo", vec![]).unwrap();
         let transmits = actions
             .iter()
             .filter(|a| matches!(a, KernelAction::Transmit(_)))
@@ -1630,7 +1698,7 @@ mod tests {
     fn non_publishing_spawn_is_silent() {
         let mut k = kernel(false);
         k.set_recorder(NodeId(9));
-        let (_, actions) = k.spawn(SimTime::ZERO, "echo", vec![]).unwrap();
+        let (_, actions) = spawn(&mut k, SimTime::ZERO, "echo", vec![]).unwrap();
         assert!(actions
             .iter()
             .all(|a| !matches!(a, KernelAction::Transmit(_))));
@@ -1640,9 +1708,9 @@ mod tests {
     fn crash_marks_process_and_notifies_manager() {
         let mut k = kernel(true);
         k.set_recorder(NodeId(9));
-        let (pid, _) = k.spawn(SimTime::ZERO, "echo", vec![]).unwrap();
+        let (pid, _) = spawn(&mut k, SimTime::ZERO, "echo", vec![]).unwrap();
         let sent_before = k.transport_stats().sent.get();
-        let actions = k.crash_process(SimTime::ZERO, pid.local, "test");
+        let actions = crash_process(&mut k, SimTime::ZERO, pid.local, "test");
         assert_eq!(k.process(pid.local).unwrap().run, RunState::Crashed);
         // The crash notice was handed to the transport (it may queue
         // behind the unacked creation notice under stop-and-wait).
@@ -1653,7 +1721,7 @@ mod tests {
     #[test]
     fn node_crash_wipes_processes_and_restart_bumps_incarnation() {
         let mut k = kernel(false);
-        k.spawn(SimTime::ZERO, "echo", vec![]).unwrap();
+        spawn(&mut k, SimTime::ZERO, "echo", vec![]).unwrap();
         assert_eq!(k.processes().count(), 1);
         k.crash_node();
         assert!(!k.is_up());
@@ -1671,14 +1739,14 @@ mod tests {
             Destination::Station(StationId(3)), // not us
             vec![1, 2, 3],
         );
-        assert!(k.on_frame(SimTime::ZERO, &frame, true).is_empty());
+        assert!(on_frame(&mut k, SimTime::ZERO, &frame, true).is_empty());
     }
 
     #[test]
     fn recorder_blocked_frames_are_dropped() {
         let mut k = kernel(true);
         let frame = Frame::new(StationId(7), Destination::Station(StationId(1)), vec![1]);
-        let out = k.on_frame(SimTime::ZERO, &frame, false);
+        let out = on_frame(&mut k, SimTime::ZERO, &frame, false);
         assert!(out.is_empty());
         assert_eq!(k.stats().recorder_blocked.get(), 1);
     }
@@ -1688,7 +1756,7 @@ mod tests {
         let mut k = kernel(false);
         let mut frame = Frame::new(StationId(7), Destination::Station(StationId(1)), vec![1]);
         frame.corrupt_in_flight();
-        let out = k.on_frame(SimTime::ZERO, &frame, true);
+        let out = on_frame(&mut k, SimTime::ZERO, &frame, true);
         assert!(out.is_empty());
         assert_eq!(k.stats().bad_frames.get(), 1);
     }

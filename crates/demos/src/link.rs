@@ -55,6 +55,11 @@ impl Encode for Link {
             .u8(self.channel.0)
             .bool(self.deliver_to_kernel);
     }
+
+    fn encoded_len(&self) -> usize {
+        // Destination 8, code 4, channel 1, flag 1.
+        14
+    }
 }
 
 impl Decode for Link {
@@ -204,6 +209,18 @@ mod tests {
     fn control_links_flagged() {
         assert!(Link::control(pid(1, 1), 0).deliver_to_kernel);
         assert!(!Link::to(pid(1, 1), Channel(0), 0).deliver_to_kernel);
+    }
+
+    #[test]
+    fn link_codec_roundtrip_and_exact_length() {
+        for link in [
+            Link::control(pid(7, 1), u32::MAX),
+            Link::to(pid(1, 1), Channel(3), 0),
+        ] {
+            let buf = link.encode_to_vec();
+            assert_eq!(Link::decode_all(&buf).unwrap(), link);
+            assert_eq!(link.encoded_len(), buf.len());
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::ids::{Channel, MessageId, ProcessId};
 use crate::link::Link;
-use publishing_sim::codec::{CodecError, Decode, Decoder, Encode, Encoder};
+use publishing_sim::codec::{Bytes, CodecError, Decode, Decoder, Encode, Encoder};
 
 /// A message header. Code and channel come from the link the message was
 /// sent over; the ids support duplicate suppression and publishing.
@@ -64,8 +64,9 @@ pub struct Message {
     /// from the sender's table and is installed in the receiver's on read.
     pub passed_link: Option<Link>,
     /// Uninterpreted body; "it is left to the communicating processes to
-    /// agree as to the contents and format".
-    pub body: Vec<u8>,
+    /// agree as to the contents and format". A message decoded out of a
+    /// frame views the frame's bytes here.
+    pub body: Bytes,
 }
 
 impl Message {
@@ -97,7 +98,7 @@ impl Decode for Message {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let header = MessageHeader::decode(d)?;
         let passed_link = d.option(Link::decode)?;
-        let body = d.bytes()?;
+        let body = d.shared_bytes()?;
         Ok(Message {
             header,
             passed_link,
@@ -124,7 +125,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: Some(Link::to(ProcessId::new(1, 5), Channel(1), 11)),
-            body: vec![1, 2, 3, 4],
+            body: vec![1, 2, 3, 4].into(),
         }
     }
 
@@ -149,7 +150,7 @@ mod tests {
         assert_eq!(m.encoded_len(), m.encode_to_vec().len());
         m.passed_link = None;
         assert_eq!(m.encoded_len(), m.encode_to_vec().len());
-        m.body.clear();
+        m.body = Vec::new().into();
         assert_eq!(m.encoded_len(), m.encode_to_vec().len());
     }
 
@@ -171,7 +172,7 @@ mod tests {
         without.passed_link = None;
         assert!(with.wire_len() > without.wire_len());
         let mut big = msg();
-        big.body = vec![0; 1024];
+        big.body = vec![0; 1024].into();
         assert_eq!(big.wire_len() - with.wire_len(), 1020);
     }
 

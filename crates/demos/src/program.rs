@@ -14,7 +14,7 @@
 
 use crate::ids::{Channel, ChannelSet, LinkId, ProcessId};
 use crate::link::{Link, LinkTable};
-use publishing_sim::codec::CodecError;
+use publishing_sim::codec::{Bytes, CodecError};
 use publishing_sim::time::SimDuration;
 
 /// A message as seen by the receiving program.
@@ -25,8 +25,8 @@ pub struct Received {
     pub code: u32,
     /// The channel the message arrived on.
     pub channel: Channel,
-    /// Message body.
-    pub body: Vec<u8>,
+    /// Message body (the bytes of the frame it arrived in, not a copy).
+    pub body: Bytes,
     /// If the message carried a link, the id it was installed under in
     /// this process's link table.
     pub link: Option<LinkId>,
@@ -41,7 +41,7 @@ pub enum Effect {
         /// The resolved link.
         link: Link,
         /// Message body.
-        body: Vec<u8>,
+        body: Bytes,
         /// A link to ride in the message (already removed from the table).
         passed: Option<Link>,
     },
@@ -127,12 +127,14 @@ impl<'a> Ctx<'a> {
         self.links.insert(link)
     }
 
-    /// Sends `body` over the link `id`.
-    pub fn send(&mut self, id: LinkId, body: Vec<u8>) -> Result<(), SyscallError> {
+    /// Sends `body` over the link `id`. Shared bytes (a received body
+    /// passed on, a body built with [`Bytes::filled`]) go out as they
+    /// are; a `Vec<u8>` is copied.
+    pub fn send(&mut self, id: LinkId, body: impl Into<Bytes>) -> Result<(), SyscallError> {
         let link = *self.links.get(id).ok_or(SyscallError::BadLink(id))?;
         self.effects.push(Effect::Send {
             link,
-            body,
+            body: body.into(),
             passed: None,
         });
         Ok(())
@@ -143,14 +145,14 @@ impl<'a> Ctx<'a> {
     pub fn send_passing(
         &mut self,
         id: LinkId,
-        body: Vec<u8>,
+        body: impl Into<Bytes>,
         pass: LinkId,
     ) -> Result<(), SyscallError> {
         let link = *self.links.get(id).ok_or(SyscallError::BadLink(id))?;
         let passed = self.links.remove(pass).ok_or(SyscallError::BadLink(pass))?;
         self.effects.push(Effect::Send {
             link,
-            body,
+            body: body.into(),
             passed: Some(passed),
         });
         Ok(())

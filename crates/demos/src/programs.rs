@@ -8,7 +8,7 @@
 
 use crate::ids::{Channel, ChannelSet, LinkId};
 use crate::program::{Ctx, Program, Received};
-use publishing_sim::codec::{CodecError, Decoder, Encoder};
+use publishing_sim::codec::{Bytes, CodecError, Decoder, Encoder};
 use publishing_sim::time::SimDuration;
 
 /// Echoes every message body back over the link passed with the request,
@@ -27,8 +27,12 @@ impl Program for EchoServer {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Received) {
         self.echoed += 1;
         if let Some(reply) = msg.link {
-            let mut body = msg.body;
-            body.extend_from_slice(&self.echoed.to_le_bytes());
+            let count = self.echoed.to_le_bytes();
+            let body = Bytes::filled(msg.body.len() + count.len(), |buf| {
+                let (echo, tail) = buf.split_at_mut(msg.body.len());
+                echo.copy_from_slice(&msg.body);
+                tail.copy_from_slice(&count);
+            });
             let _ = ctx.send(reply, body);
         }
     }
@@ -139,7 +143,7 @@ impl Program for Accumulator {
             }
             return;
         }
-        if let Ok(arr) = <[u8; 8]>::try_from(msg.body.as_slice()) {
+        if let Ok(arr) = <[u8; 8]>::try_from(&msg.body[..]) {
             self.total = self.total.wrapping_add(u64::from_le_bytes(arr));
             self.count += 1;
         }
@@ -227,7 +231,7 @@ impl Program for DigestSink {
         } else {
             self.digest
         };
-        for &b in &msg.body {
+        for &b in &msg.body[..] {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
@@ -304,7 +308,7 @@ impl Program for Chatter {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Received) {
         self.received += 1;
         // Fold the body into the state so behaviour depends on content.
-        for &b in &msg.body {
+        for &b in &msg.body[..] {
             self.state = self.state.wrapping_add(b as u64).rotate_left(7);
         }
         let r = self.next();
@@ -489,7 +493,7 @@ mod tests {
                         Received {
                             code: 0,
                             channel: Channel(0),
-                            body: i.to_le_bytes().to_vec(),
+                            body: i.to_le_bytes().to_vec().into(),
                             link: None,
                         },
                     )
@@ -513,7 +517,7 @@ mod tests {
                     Received {
                         code: 0,
                         channel: Channel(0),
-                        body: v.to_le_bytes().to_vec(),
+                        body: v.to_le_bytes().to_vec().into(),
                         link: None,
                     },
                 )
@@ -525,7 +529,7 @@ mod tests {
                 Received {
                     code: 0,
                     channel: Channel(0),
-                    body: vec![],
+                    body: vec![].into(),
                     link: None,
                 },
             )
@@ -551,7 +555,7 @@ mod tests {
                 Received {
                     code: 0,
                     channel: Channel(0),
-                    body: vec![1],
+                    body: vec![1].into(),
                     link: None,
                 },
             )
@@ -562,7 +566,7 @@ mod tests {
                 Received {
                     code: 0,
                     channel: Channel(0),
-                    body: vec![2],
+                    body: vec![2].into(),
                     link: None,
                 },
             )
@@ -605,7 +609,7 @@ mod tests {
                 Received {
                     code: 0,
                     channel: Channel(5),
-                    body: vec![],
+                    body: vec![].into(),
                     link: None,
                 },
             );

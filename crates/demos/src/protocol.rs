@@ -194,6 +194,10 @@ impl Encode for AliveReply {
     fn encode(&self, e: &mut Encoder) {
         e.u32(self.node.0).u32(self.incarnation).u64(self.nonce);
     }
+
+    fn encoded_len(&self) -> usize {
+        4 + 4 + 8
+    }
 }
 
 impl Decode for AliveReply {
@@ -278,6 +282,10 @@ impl Encode for Replay {
         self.dst.encode(e);
         e.u64(self.read_seq);
         self.msg.encode(e);
+    }
+
+    fn encoded_len(&self) -> usize {
+        8 + 8 + self.msg.encoded_len()
     }
 }
 
@@ -371,6 +379,12 @@ impl Encode for CreatedNotice {
         e.seq(&self.initial_links, |e, l| l.encode(e));
         e.bool(self.recoverable);
     }
+
+    fn encoded_len(&self) -> usize {
+        // Pid 8, name and link count prefixed 8 each, flag 1.
+        let links: usize = self.initial_links.iter().map(Encode::encoded_len).sum();
+        8 + 8 + self.program_name.len() + 8 + links + 1
+    }
 }
 
 impl Decode for CreatedNotice {
@@ -404,6 +418,11 @@ impl Encode for ReadOrderNotice {
         e.u64(self.read_index);
         self.read_id.encode(e);
         self.head_id.encode(e);
+    }
+
+    fn encoded_len(&self) -> usize {
+        // Pid 8, read index 8, two message ids of 16.
+        8 + 8 + 16 + 16
     }
 }
 
@@ -615,10 +634,22 @@ mod tests {
                     deliver_to_kernel: false,
                 },
                 passed_link: None,
-                body: vec![5, 5],
+                body: vec![5, 5].into(),
             },
         };
         assert_eq!(Replay::decode_all(&r.encode_to_vec()).unwrap(), r);
+        assert_eq!(r.encoded_len(), r.encode_to_vec().len());
+    }
+
+    #[test]
+    fn alive_reply_roundtrip() {
+        let a = AliveReply {
+            node: NodeId(2),
+            incarnation: 3,
+            nonce: u64::MAX - 1,
+        };
+        assert_eq!(AliveReply::decode_all(&a.encode_to_vec()).unwrap(), a);
+        assert_eq!(a.encoded_len(), a.encode_to_vec().len());
     }
 
     #[test]
@@ -650,6 +681,13 @@ mod tests {
             CreatedNotice::decode_all(&created.encode_to_vec()).unwrap(),
             created
         );
+        assert_eq!(created.encoded_len(), created.encode_to_vec().len());
+        let destroyed = CreatedNotice {
+            program_name: String::new(),
+            initial_links: Vec::new(),
+            ..created
+        };
+        assert_eq!(destroyed.encoded_len(), destroyed.encode_to_vec().len());
 
         let read = ReadOrderNotice {
             pid: ProcessId::new(1, 5),
@@ -667,6 +705,7 @@ mod tests {
             ReadOrderNotice::decode_all(&read.encode_to_vec()).unwrap(),
             read
         );
+        assert_eq!(read.encoded_len(), read.encode_to_vec().len());
 
         let crash = CrashNotice {
             pid: ProcessId::new(2, 2),

@@ -134,7 +134,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: vec![],
+            body: vec![].into(),
         }
     }
 

@@ -19,7 +19,7 @@
 
 use crate::ids::{MessageId, NodeId, ProcessId};
 use crate::message::Message;
-use publishing_sim::codec::{CodecError, Decode, Decoder, Encode, Encoder};
+use publishing_sim::codec::{Bytes, CodecError, Decode, Decoder, Encode, Encoder};
 use publishing_sim::ledger::LevelGauge;
 use publishing_sim::stats::{Counter, Utilization};
 use publishing_sim::table::{slot_mut, TokenTable};
@@ -87,7 +87,7 @@ pub enum Wire {
         /// Recorder group the message belongs to.
         group: u32,
         /// Encoded quorum protocol message.
-        payload: Vec<u8>,
+        payload: Bytes,
     },
 }
 
@@ -102,8 +102,9 @@ const TAG_QUORUM: u8 = 5;
 const QUORUM_HEADER: usize = 1 + 4 + 4 + 8;
 
 /// Bytes a `Wire::Data` encoding spends before its message: tag, node,
-/// incarnation, peer epoch and transport sequence.
-const DATA_HEADER: usize = 1 + 4 + 4 + 4 + 8;
+/// incarnation, peer epoch and transport sequence. What follows is the
+/// message's own encoding, byte for byte ([`Wire::data_message`]).
+pub const DATA_HEADER: usize = 1 + 4 + 4 + 4 + 8;
 
 impl Wire {
     /// Whether `bytes` carry the `Quorum` tag — one byte read, nothing
@@ -113,10 +114,23 @@ impl Wire {
         bytes.first() == Some(&TAG_QUORUM)
     }
 
+    /// The encoded message inside the bytes of a `Data` frame, as a view
+    /// of them: the encoding is canonical, so these are the bytes
+    /// `msg.encode_to_vec()` would produce for the decoded message — what
+    /// the recorder logs without encoding anything again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` is shorter than a `Data` header; call it on
+    /// bytes that decoded as `Wire::Data`.
+    pub fn data_message(frame: &Bytes) -> Bytes {
+        frame.slice(DATA_HEADER..)
+    }
+
     /// The encoding of `Wire::Data { src_node, incarnation, peer_epoch,
-    /// tseq, msg: msg.clone() }`, written from the borrowed message: a
-    /// (re)transmission copies the body once, into the frame's bytes,
-    /// not first into a `Wire` that is dropped a line later.
+    /// tseq, msg: msg.clone() }`, written from the borrowed message
+    /// straight into the buffer that becomes the frame's: a
+    /// (re)transmission allocates once and copies the body once.
     ///
     /// # Panics
     ///
@@ -128,35 +142,32 @@ impl Wire {
         peer_epoch: u32,
         tseq: u64,
         msg: &Message,
-    ) -> Vec<u8> {
-        let len = DATA_HEADER + msg.encoded_len();
-        let mut e = Encoder::with_capacity(len);
-        e.u8(TAG_DATA)
-            .u32(src_node.0)
-            .u32(incarnation)
-            .u32(peer_epoch)
-            .u64(tseq);
-        msg.encode(&mut e);
-        assert_eq!(e.len(), len, "encoded_len must be exact");
-        e.finish()
+    ) -> Bytes {
+        Bytes::encoded(DATA_HEADER + msg.encoded_len(), |e| {
+            e.u8(TAG_DATA)
+                .u32(src_node.0)
+                .u32(incarnation)
+                .u32(peer_epoch)
+                .u64(tseq);
+            msg.encode(e);
+        })
     }
 
     /// The encoding of `Wire::Quorum { src_node, group, payload:
-    /// body.encode_to_vec() }`, written in one pass into one buffer:
-    /// the body is encoded behind the header instead of into a payload
-    /// vector that is then copied.
+    /// body.encode_to_vec() }`, written in one pass into the buffer that
+    /// becomes the frame's: the body is encoded behind the header
+    /// instead of into a payload vector that is then copied.
     ///
     /// # Panics
     ///
     /// Panics if `body.encoded_len()` is not exact — the length prefix
     /// is written from it before the body.
-    pub fn encode_quorum(src_node: NodeId, group: u32, body: &impl Encode) -> Vec<u8> {
+    pub fn encode_quorum(src_node: NodeId, group: u32, body: &impl Encode) -> Bytes {
         let len = body.encoded_len();
-        let mut e = Encoder::with_capacity(QUORUM_HEADER + len);
-        e.u8(TAG_QUORUM).u32(src_node.0).u32(group).u64(len as u64);
-        body.encode(&mut e);
-        assert_eq!(e.len(), QUORUM_HEADER + len, "encoded_len must be exact");
-        e.finish()
+        Bytes::encoded(QUORUM_HEADER + len, |e| {
+            e.u8(TAG_QUORUM).u32(src_node.0).u32(group).u64(len as u64);
+            body.encode(e);
+        })
     }
 }
 
@@ -274,7 +285,7 @@ impl Decode for Wire {
             TAG_QUORUM => {
                 let src_node = NodeId(d.u32()?);
                 let group = d.u32()?;
-                let payload = d.bytes()?;
+                let payload = d.shared_bytes()?;
                 Ok(Wire::Quorum {
                     src_node,
                     group,
@@ -308,15 +319,17 @@ impl Default for TransportConfig {
     }
 }
 
-/// Actions the transport asks its kernel to perform.
+/// Actions the transport asks its kernel to perform. Every entry point
+/// appends them, in the order they must be performed, to a buffer its
+/// caller owns and reuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TAction {
     /// Put an encoded [`Wire`] payload on the medium addressed to a node.
     Transmit {
         /// Destination node.
         dst_node: NodeId,
-        /// Encoded payload.
-        payload: Vec<u8>,
+        /// Encoded payload: the frame's bytes, written once.
+        payload: Bytes,
     },
     /// Deliver a message up to the kernel's routing layer.
     Deliver(Message),
@@ -511,13 +524,18 @@ impl Transport {
     /// Notes that `peer` restarted with `new_epoch`: outstanding and
     /// queued traffic to it is renumbered from 1 under the new epoch and
     /// retransmitted.
-    pub fn reset_peer(&mut self, now: SimTime, peer: NodeId, new_epoch: u32) -> Vec<TAction> {
+    pub fn reset_peer(
+        &mut self,
+        now: SimTime,
+        peer: NodeId,
+        new_epoch: u32,
+        actions: &mut Vec<TAction>,
+    ) {
         self.last_now = now;
-        let mut actions = Vec::new();
         let slot = slot_mut(&mut self.peers, peer.0 as usize);
         let out = slot.out.get_or_insert_with(OutState::new);
         if out.epoch >= new_epoch {
-            return actions;
+            return;
         }
         // Re-queue in sequence order ahead of anything already queued.
         for (_, inf) in out.inflight.drain(..).rev() {
@@ -531,8 +549,7 @@ impl Transport {
         }
         out.epoch = new_epoch;
         out.next_tseq = 1;
-        self.pump(now, peer, &mut actions);
-        actions
+        self.pump(now, peer, actions);
     }
 
     /// Sends a guaranteed message to a process on `dst_node`.
@@ -541,30 +558,35 @@ impl Transport {
         now: SimTime,
         dst_node: NodeId,
         msg: Message,
-    ) -> Vec<TAction> {
+        actions: &mut Vec<TAction>,
+    ) {
         self.stats.sent.inc();
         self.last_now = now;
-        let mut actions = Vec::new();
         let slot = slot_mut(&mut self.peers, dst_node.0 as usize);
         let out = slot.out.get_or_insert_with(OutState::new);
         out.queue.push_back(msg);
         let meter = slot.meter.get_or_insert_with(ChannelMeter::default);
         meter.enq_queue.push_back(now);
-        self.pump(now, dst_node, &mut actions);
-        actions
+        self.pump(now, dst_node, actions);
     }
 
     /// Sends an unguaranteed datagram.
-    pub fn send_datagram(&mut self, _now: SimTime, dst_node: NodeId, msg: Message) -> Vec<TAction> {
+    pub fn send_datagram(
+        &mut self,
+        _now: SimTime,
+        dst_node: NodeId,
+        msg: Message,
+        actions: &mut Vec<TAction>,
+    ) {
         self.stats.datagrams.inc();
         let wire = Wire::Datagram {
             src_node: self.node,
             msg,
         };
-        vec![TAction::Transmit {
+        actions.push(TAction::Transmit {
             dst_node,
-            payload: wire.encode_to_vec(),
-        }]
+            payload: wire.encode_to_bytes(),
+        });
     }
 
     fn pump(&mut self, now: SimTime, dst_node: NodeId, actions: &mut Vec<TAction>) {
@@ -599,20 +621,19 @@ impl Transport {
     }
 
     /// Handles a retransmission timer.
-    pub fn timer(&mut self, now: SimTime, token: u64) -> Vec<TAction> {
-        let mut actions = Vec::new();
+    pub fn timer(&mut self, now: SimTime, token: u64, actions: &mut Vec<TAction>) {
         let Some((dst_node, tseq)) = self.timers.take(token) else {
-            return actions;
+            return;
         };
         let Some(out) = self
             .peers
             .get_mut(dst_node.0 as usize)
             .and_then(|p| p.out.as_mut())
         else {
-            return actions;
+            return;
         };
         let Some(at) = position(&out.inflight, tseq) else {
-            return actions;
+            return;
         };
         let inf = &mut out.inflight[at].1;
         // Still unacknowledged: resend with doubled (capped) timeout.
@@ -626,11 +647,10 @@ impl Transport {
             at: now + rto,
             token,
         });
-        actions
     }
 
     /// Handles a received, link-layer-clean [`Wire`] payload.
-    pub fn on_wire(&mut self, now: SimTime, wire: Wire) -> Vec<TAction> {
+    pub fn on_wire(&mut self, now: SimTime, wire: Wire, actions: &mut Vec<TAction>) {
         match wire {
             Wire::Data {
                 src_node,
@@ -638,21 +658,21 @@ impl Transport {
                 peer_epoch,
                 tseq,
                 msg,
-            } => self.on_data(src_node, incarnation, peer_epoch, tseq, msg),
+            } => self.on_data(src_node, incarnation, peer_epoch, tseq, msg, actions),
             Wire::Ack {
                 src_node,
                 peer_epoch,
                 tseq,
                 ..
-            } => self.on_ack(now, src_node, peer_epoch, tseq),
-            Wire::Datagram { msg, .. } => vec![TAction::Deliver(msg)],
+            } => self.on_ack(now, src_node, peer_epoch, tseq, actions),
+            Wire::Datagram { msg, .. } => actions.push(TAction::Deliver(msg)),
             Wire::EpochNotice {
                 src_node,
                 incarnation,
-            } => self.reset_peer(now, src_node, incarnation),
+            } => self.reset_peer(now, src_node, incarnation, actions),
             // Quorum traffic is consumed by the quorum layer, not the
             // transport endpoint.
-            Wire::Quorum { .. } => Vec::new(),
+            Wire::Quorum { .. } => {}
         }
     }
 
@@ -663,8 +683,8 @@ impl Transport {
         peer_epoch: u32,
         tseq: u64,
         msg: Message,
-    ) -> Vec<TAction> {
-        let mut actions = Vec::new();
+        actions: &mut Vec<TAction>,
+    ) {
         // A frame aimed at a previous incarnation of this node is stale:
         // reject it (no ack — nothing was delivered) and tell the sender
         // our current incarnation so it renumbers and retransmits. The
@@ -678,9 +698,9 @@ impl Transport {
             };
             actions.push(TAction::Transmit {
                 dst_node: src_node,
-                payload: notice.encode_to_vec(),
+                payload: notice.encode_to_bytes(),
             });
-            return actions;
+            return;
         }
         let st = slot_mut(&mut self.peers, src_node.0 as usize)
             .inc
@@ -708,16 +728,16 @@ impl Transport {
         };
         actions.push(TAction::Transmit {
             dst_node: src_node,
-            payload: ack.encode_to_vec(),
+            payload: ack.encode_to_bytes(),
         });
         if tseq < st.expected {
             self.stats.duplicates.inc();
-            return actions;
+            return;
         }
         if tseq > st.expected {
             // Out of order (window > 1): hold for in-order delivery.
             st.reorder.insert(tseq, msg);
-            return actions;
+            return;
         }
         st.expected += 1;
         self.stats.delivered.inc();
@@ -728,20 +748,25 @@ impl Transport {
             self.stats.delivered.inc();
             actions.push(TAction::Deliver(next));
         }
-        actions
     }
 
-    fn on_ack(&mut self, now: SimTime, acker: NodeId, peer_epoch: u32, tseq: u64) -> Vec<TAction> {
-        let mut actions = Vec::new();
+    fn on_ack(
+        &mut self,
+        now: SimTime,
+        acker: NodeId,
+        peer_epoch: u32,
+        tseq: u64,
+        actions: &mut Vec<TAction>,
+    ) {
         let Some(slot) = self.peers.get_mut(acker.0 as usize) else {
-            return actions;
+            return;
         };
         let Some(out) = &mut slot.out else {
-            return actions;
+            return;
         };
         if out.epoch != peer_epoch {
             self.stats.stale_epoch.inc();
-            return actions;
+            return;
         }
         if let Some(at) = position(&out.inflight, tseq) {
             out.inflight.remove(at);
@@ -753,9 +778,8 @@ impl Transport {
                 meter.completed += 1;
                 meter.sojourn_ns += u128::from(now.saturating_since(t).as_nanos());
             }
-            self.pump(now, acker, &mut actions);
+            self.pump(now, acker, actions);
         }
-        actions
     }
 
     /// Returns `true` if any guaranteed traffic is outstanding or queued.
@@ -783,7 +807,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: body.to_vec(),
+            body: body.into(),
         }
     }
 
@@ -794,12 +818,44 @@ mod tests {
         )
     }
 
+    // The entry points append to a caller's buffer; a test wants the
+    // actions of one call.
+    fn send_guaranteed(t: &mut Transport, now: SimTime, dst: NodeId, m: Message) -> Vec<TAction> {
+        let mut out = Vec::new();
+        t.send_guaranteed(now, dst, m, &mut out);
+        out
+    }
+
+    fn send_datagram(t: &mut Transport, now: SimTime, dst: NodeId, m: Message) -> Vec<TAction> {
+        let mut out = Vec::new();
+        t.send_datagram(now, dst, m, &mut out);
+        out
+    }
+
+    fn on_wire(t: &mut Transport, now: SimTime, wire: Wire) -> Vec<TAction> {
+        let mut out = Vec::new();
+        t.on_wire(now, wire, &mut out);
+        out
+    }
+
+    fn fire(t: &mut Transport, now: SimTime, token: u64) -> Vec<TAction> {
+        let mut out = Vec::new();
+        t.timer(now, token, &mut out);
+        out
+    }
+
+    fn reset_peer(t: &mut Transport, now: SimTime, peer: NodeId, epoch: u32) -> Vec<TAction> {
+        let mut out = Vec::new();
+        t.reset_peer(now, peer, epoch, &mut out);
+        out
+    }
+
     fn meter_to(t: &Transport, dst: NodeId) -> &ChannelMeter {
         let mut meters = t.channel_meters();
         meters.find(|(n, _)| *n == dst).expect("channel used").1
     }
 
-    fn payload_of(actions: &[TAction]) -> Vec<Vec<u8>> {
+    fn payload_of(actions: &[TAction]) -> Vec<Bytes> {
         actions
             .iter()
             .filter_map(|a| match a {
@@ -860,7 +916,7 @@ mod tests {
             Wire::Quorum {
                 src_node: NodeId(3),
                 group: 7,
-                payload: vec![1, 2, 3, 4],
+                payload: vec![1, 2, 3, 4].into(),
             },
         ] {
             let buf = wire.encode_to_vec();
@@ -906,7 +962,10 @@ mod tests {
                 msg: m,
             };
             proptest::prop_assert_eq!(&buf, &wire.encode_to_vec());
-            proptest::prop_assert_eq!(buf.capacity(), buf.len());
+            proptest::prop_assert_eq!(&buf, &wire.encode_to_bytes());
+            // The message's own encoding follows the header, byte for byte.
+            let Wire::Data { msg, .. } = &wire else { unreachable!() };
+            proptest::prop_assert_eq!(Wire::data_message(&buf), msg.encode_to_vec());
         }
     }
 
@@ -917,11 +976,11 @@ mod tests {
         let wire = Wire::Quorum {
             src_node: NodeId(3),
             group: 7,
-            payload: body.encode_to_vec(),
+            payload: body.encode_to_bytes(),
         };
         let buf = Wire::encode_quorum(NodeId(3), 7, &body);
         assert_eq!(buf, wire.encode_to_vec());
-        assert_eq!(buf.capacity(), buf.len(), "sized once, nothing retained");
+        assert_eq!(buf.ref_count(), 1, "written in place, nothing beside it");
     }
 
     #[test]
@@ -935,9 +994,9 @@ mod tests {
         b.restart(1);
         b.restart(2);
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"late");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m.clone());
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m.clone());
         let stale = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let back = b.on_wire(SimTime::from_millis(1), stale);
+        let back = on_wire(&mut b, SimTime::from_millis(1), stale);
         // Rejected, not delivered, and not acknowledged.
         assert!(deliveries_of(&back).is_empty());
         assert_eq!(b.stats().stale_epoch.get(), 1);
@@ -945,10 +1004,10 @@ mod tests {
         assert!(matches!(notice, Wire::EpochNotice { incarnation: 2, .. }));
         // The notice makes the sender renumber and retransmit; the
         // retransmission now lands.
-        let resent = a.on_wire(SimTime::from_millis(2), notice);
+        let resent = on_wire(&mut a, SimTime::from_millis(2), notice);
         let wire = Wire::decode_all(&payload_of(&resent)[0]).unwrap();
         assert!(matches!(wire, Wire::Data { peer_epoch: 2, .. }));
-        let delivered = b.on_wire(SimTime::from_millis(3), wire);
+        let delivered = on_wire(&mut b, SimTime::from_millis(3), wire);
         assert_eq!(deliveries_of(&delivered), vec![m]);
         // A duplicate notice is idempotent: nothing to renumber again.
         let dup = Wire::EpochNotice {
@@ -956,8 +1015,8 @@ mod tests {
             incarnation: 2,
         };
         let ack = Wire::decode_all(&payload_of(&delivered)[0]).unwrap();
-        a.on_wire(SimTime::from_millis(4), ack);
-        assert!(payload_of(&a.on_wire(SimTime::from_millis(5), dup)).is_empty());
+        on_wire(&mut a, SimTime::from_millis(4), ack);
+        assert!(payload_of(&on_wire(&mut a, SimTime::from_millis(5), dup)).is_empty());
         assert!(!a.has_unacked());
     }
 
@@ -965,15 +1024,15 @@ mod tests {
     fn send_deliver_ack_roundtrip() {
         let (mut a, mut b) = transports();
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"hello");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m.clone());
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m.clone());
         let payloads = payload_of(&out);
         assert_eq!(payloads.len(), 1);
         let wire = Wire::decode_all(&payloads[0]).unwrap();
-        let back = b.on_wire(SimTime::from_millis(1), wire);
+        let back = on_wire(&mut b, SimTime::from_millis(1), wire);
         assert_eq!(deliveries_of(&back), vec![m]);
         // The ack releases the sender's in-flight slot.
         let ack = Wire::decode_all(&payload_of(&back)[0]).unwrap();
-        a.on_wire(SimTime::from_millis(2), ack);
+        on_wire(&mut a, SimTime::from_millis(2), ack);
         assert!(!a.has_unacked());
         assert_eq!(a.stats().acked.get(), 1);
     }
@@ -983,9 +1042,9 @@ mod tests {
         let (mut a, _) = transports();
         let m1 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"1");
         let m2 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 2, b"2");
-        let out1 = a.send_guaranteed(SimTime::ZERO, NodeId(2), m1);
+        let out1 = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m1);
         assert_eq!(payload_of(&out1).len(), 1);
-        let out2 = a.send_guaranteed(SimTime::ZERO, NodeId(2), m2);
+        let out2 = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m2);
         // Window 1: the second message waits for the first's ack.
         assert!(payload_of(&out2).is_empty());
     }
@@ -995,17 +1054,17 @@ mod tests {
         let (mut a, mut b) = transports();
         let m1 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"1");
         let m2 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 2, b"2");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m1);
-        a.send_guaranteed(SimTime::ZERO, NodeId(2), m2);
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m1);
+        send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m2);
         let meter = meter_to(&a, NodeId(2));
         assert!(meter.busy.is_busy());
         assert_eq!(meter.level.level(), 2);
         // Ack the first at t=10ms: one completes (sojourn 10ms), the
         // second is pumped and stays in flight.
         let wire = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let back = b.on_wire(SimTime::from_millis(5), wire);
+        let back = on_wire(&mut b, SimTime::from_millis(5), wire);
         let ack = Wire::decode_all(&payload_of(&back)[0]).unwrap();
-        let out2 = a.on_wire(SimTime::from_millis(10), ack);
+        let out2 = on_wire(&mut a, SimTime::from_millis(10), ack);
         assert_eq!(payload_of(&out2).len(), 1);
         let meter = meter_to(&a, NodeId(2));
         assert_eq!(meter.completed, 1);
@@ -1014,9 +1073,9 @@ mod tests {
         assert!(meter.busy.is_busy());
         // Ack the second at t=30ms: channel drains and goes idle.
         let wire2 = Wire::decode_all(&payload_of(&out2)[0]).unwrap();
-        let back2 = b.on_wire(SimTime::from_millis(20), wire2);
+        let back2 = on_wire(&mut b, SimTime::from_millis(20), wire2);
         let ack2 = Wire::decode_all(&payload_of(&back2)[0]).unwrap();
-        a.on_wire(SimTime::from_millis(30), ack2);
+        on_wire(&mut a, SimTime::from_millis(30), ack2);
         let meter = meter_to(&a, NodeId(2));
         assert_eq!(meter.completed, 2);
         assert!(!meter.busy.is_busy());
@@ -1040,7 +1099,7 @@ mod tests {
     fn retransmit_until_acked() {
         let (mut a, mut b) = transports();
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"r");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m.clone());
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m.clone());
         let timer = out
             .iter()
             .find_map(|t| match t {
@@ -1049,10 +1108,10 @@ mod tests {
             })
             .unwrap();
         // First copy "lost": fire the retransmit timer.
-        let re = a.timer(timer.0, timer.1);
+        let re = fire(&mut a, timer.0, timer.1);
         assert_eq!(a.stats().retransmits.get(), 1);
         let wire = Wire::decode_all(&payload_of(&re)[0]).unwrap();
-        let back = b.on_wire(timer.0, wire);
+        let back = on_wire(&mut b, timer.0, wire);
         assert_eq!(deliveries_of(&back).len(), 1);
     }
 
@@ -1060,11 +1119,11 @@ mod tests {
     fn duplicate_data_suppressed_but_reacked() {
         let (mut a, mut b) = transports();
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"d");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m);
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m);
         let wire = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let first = b.on_wire(SimTime::from_millis(1), wire.clone());
+        let first = on_wire(&mut b, SimTime::from_millis(1), wire.clone());
         assert_eq!(deliveries_of(&first).len(), 1);
-        let second = b.on_wire(SimTime::from_millis(2), wire);
+        let second = on_wire(&mut b, SimTime::from_millis(2), wire);
         assert!(deliveries_of(&second).is_empty());
         // But the ack is repeated so the sender unblocks.
         assert_eq!(payload_of(&second).len(), 1);
@@ -1082,7 +1141,7 @@ mod tests {
         let mut frames = Vec::new();
         for i in 1..=3u64 {
             let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), i, &[i as u8]);
-            let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m);
+            let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m);
             frames.extend(payload_of(&out));
         }
         assert_eq!(frames.len(), 3, "window 4 admits all three at once");
@@ -1090,11 +1149,11 @@ mod tests {
         let w3 = Wire::decode_all(&frames[2]).unwrap();
         let w1 = Wire::decode_all(&frames[0]).unwrap();
         let w2 = Wire::decode_all(&frames[1]).unwrap();
-        let d3 = deliveries_of(&b.on_wire(SimTime::from_millis(1), w3));
+        let d3 = deliveries_of(&on_wire(&mut b, SimTime::from_millis(1), w3));
         assert!(d3.is_empty(), "out-of-order frame held");
-        let d1 = deliveries_of(&b.on_wire(SimTime::from_millis(2), w1));
+        let d1 = deliveries_of(&on_wire(&mut b, SimTime::from_millis(2), w1));
         assert_eq!(d1.len(), 1);
-        let d2 = deliveries_of(&b.on_wire(SimTime::from_millis(3), w2));
+        let d2 = deliveries_of(&on_wire(&mut b, SimTime::from_millis(3), w2));
         assert_eq!(d2.len(), 2, "frame 2 releases buffered frame 3");
         let seqs: Vec<u64> = d1.iter().chain(&d2).map(|m| m.header.id.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
@@ -1105,22 +1164,22 @@ mod tests {
         let (mut a, mut b) = transports();
         // Deliver one message normally.
         let m1 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"1");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m1);
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m1);
         let w = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let back = b.on_wire(SimTime::from_millis(1), w);
+        let back = on_wire(&mut b, SimTime::from_millis(1), w);
         let ack = Wire::decode_all(&payload_of(&back)[0]).unwrap();
-        a.on_wire(SimTime::from_millis(2), ack);
+        on_wire(&mut a, SimTime::from_millis(2), ack);
         // Send another; it goes out as tseq 2, then the receiver restarts.
         let m2 = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 2, b"2");
-        let out2 = a.send_guaranteed(SimTime::from_millis(3), NodeId(2), m2.clone());
+        let out2 = send_guaranteed(&mut a, SimTime::from_millis(3), NodeId(2), m2.clone());
         b.restart(1);
         let w2 = Wire::decode_all(&payload_of(&out2)[0]).unwrap();
         // Stale epoch: the restarted node ignores it.
-        let dropped = b.on_wire(SimTime::from_millis(4), w2);
+        let dropped = on_wire(&mut b, SimTime::from_millis(4), w2);
         assert!(deliveries_of(&dropped).is_empty());
         assert_eq!(b.stats().stale_epoch.get(), 1);
         // The recovery manager tells the sender about the restart.
-        let resent = a.reset_peer(SimTime::from_millis(5), NodeId(2), 1);
+        let resent = reset_peer(&mut a, SimTime::from_millis(5), NodeId(2), 1);
         let w2b = Wire::decode_all(&payload_of(&resent)[0]).unwrap();
         match &w2b {
             Wire::Data {
@@ -1131,7 +1190,7 @@ mod tests {
             }
             _ => panic!(),
         }
-        let delivered = deliveries_of(&b.on_wire(SimTime::from_millis(6), w2b));
+        let delivered = deliveries_of(&on_wire(&mut b, SimTime::from_millis(6), w2b));
         assert_eq!(delivered, vec![m2]);
     }
 
@@ -1140,22 +1199,22 @@ mod tests {
         let (mut a, mut b) = transports();
         for i in 1..=2u64 {
             let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), i, &[i as u8]);
-            let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m);
+            let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m);
             for p in payload_of(&out) {
                 let w = Wire::decode_all(&p).unwrap();
-                let back = b.on_wire(SimTime::from_millis(i), w);
+                let back = on_wire(&mut b, SimTime::from_millis(i), w);
                 for p2 in payload_of(&back) {
                     let ack = Wire::decode_all(&p2).unwrap();
-                    a.on_wire(SimTime::from_millis(i), ack);
+                    on_wire(&mut a, SimTime::from_millis(i), ack);
                 }
             }
         }
         // Sender restarts; its numbering starts over at tseq 1.
         a.restart(1);
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 3, b"3");
-        let out = a.send_guaranteed(SimTime::from_millis(10), NodeId(2), m.clone());
+        let out = send_guaranteed(&mut a, SimTime::from_millis(10), NodeId(2), m.clone());
         let w = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let delivered = deliveries_of(&b.on_wire(SimTime::from_millis(11), w));
+        let delivered = deliveries_of(&on_wire(&mut b, SimTime::from_millis(11), w));
         assert_eq!(delivered, vec![m], "receiver accepts the fresh incarnation");
     }
 
@@ -1163,10 +1222,10 @@ mod tests {
     fn datagram_needs_no_ack() {
         let (mut a, mut b) = transports();
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"dg");
-        let out = a.send_datagram(SimTime::ZERO, NodeId(2), m.clone());
+        let out = send_datagram(&mut a, SimTime::ZERO, NodeId(2), m.clone());
         assert!(!out.iter().any(|t| matches!(t, TAction::SetTimer { .. })));
         let w = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let back = b.on_wire(SimTime::from_millis(1), w);
+        let back = on_wire(&mut b, SimTime::from_millis(1), w);
         assert_eq!(deliveries_of(&back), vec![m]);
         assert!(payload_of(&back).is_empty(), "no ack for datagrams");
         assert!(!a.has_unacked());
@@ -1176,7 +1235,7 @@ mod tests {
     fn stale_timer_after_ack_is_harmless() {
         let (mut a, mut b) = transports();
         let m = msg(ProcessId::new(1, 1), ProcessId::new(2, 1), 1, b"x");
-        let out = a.send_guaranteed(SimTime::ZERO, NodeId(2), m);
+        let out = send_guaranteed(&mut a, SimTime::ZERO, NodeId(2), m);
         let (at, token) = out
             .iter()
             .find_map(|t| match t {
@@ -1185,11 +1244,11 @@ mod tests {
             })
             .unwrap();
         let w = Wire::decode_all(&payload_of(&out)[0]).unwrap();
-        let back = b.on_wire(SimTime::from_millis(1), w);
+        let back = on_wire(&mut b, SimTime::from_millis(1), w);
         let ack = Wire::decode_all(&payload_of(&back)[0]).unwrap();
-        a.on_wire(SimTime::from_millis(2), ack);
+        on_wire(&mut a, SimTime::from_millis(2), ack);
         // Timer fires after the ack: nothing should be retransmitted.
-        let actions = a.timer(at, token);
+        let actions = fire(&mut a, at, token);
         assert!(actions.is_empty());
         assert_eq!(a.stats().retransmits.get(), 0);
     }

@@ -44,23 +44,12 @@ fn harness(nodes: u32, publishing: bool) -> Harness {
 #[test]
 fn internode_ping_pong_completes() {
     let mut h = harness(2, false);
-    let t0 = SimTime::ZERO;
     // Echo server on node 1.
-    let (server, acts) = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .spawn(t0, "echo", vec![])
-        .unwrap();
-    h.apply_kernel(t0, 1, acts);
+    let server = h.spawn(1, "echo", vec![]).unwrap();
     // Ping client on node 0 with a link to the server.
-    let (client, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "ping3", vec![Link::to(server, Channel::DEFAULT, 7)])
+    let client = h
+        .spawn(0, "ping3", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_to_quiescence();
     let out = h.outputs_of(client);
     assert_eq!(out.len(), 4, "3 pongs + done: {out:?}");
@@ -76,21 +65,10 @@ fn internode_ping_pong_completes() {
 fn published_intranode_messages_cross_the_wire() {
     let mut h = harness(1, true);
     h.kernels.get_mut(&0).unwrap().set_recorder(NodeId(0));
-    let t0 = SimTime::ZERO;
-    let (server, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "echo", vec![])
+    let server = h.spawn(0, "echo", vec![]).unwrap();
+    let client = h
+        .spawn(0, "ping3", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
-    let (client, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "ping3", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_to_quiescence();
     assert_eq!(h.outputs_of(client).len(), 4);
     // Everything went over the medium: pings, pongs, acks.
@@ -101,20 +79,10 @@ fn published_intranode_messages_cross_the_wire() {
     );
     // Publishing also made real time much longer than the local path.
     let mut local = harness(1, false);
-    let (server2, acts) = local
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "echo", vec![])
+    let server2 = local.spawn(0, "echo", vec![]).unwrap();
+    let _c2 = local
+        .spawn(0, "ping3", vec![Link::to(server2, Channel::DEFAULT, 7)])
         .unwrap();
-    local.apply_kernel(t0, 0, acts);
-    let (_c2, acts) = local
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "ping3", vec![Link::to(server2, Channel::DEFAULT, 7)])
-        .unwrap();
-    local.apply_kernel(t0, 0, acts);
     local.run_to_quiescence();
     assert_eq!(
         local.lan.stats().submitted.get(),
@@ -142,14 +110,7 @@ fn transport_masks_frame_loss() {
         bus.attach(publishing_net::frame::StationId(n));
     }
     h.lan = Box::new(bus);
-    let t0 = SimTime::ZERO;
-    let (server, acts) = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .spawn(t0, "echo", vec![])
-        .unwrap();
-    h.apply_kernel(t0, 1, acts);
+    let server = h.spawn(1, "echo", vec![]).unwrap();
     let mut reg = registry();
     reg.register("ping20", || Box::new(PingClient::new(20)));
     let mut k0 = Kernel::new(
@@ -162,13 +123,9 @@ fn transport_masks_frame_loss() {
     k0.set_recorder(NodeId(0));
     // Replace node 0's kernel with one knowing ping20.
     h.kernels.insert(0, k0);
-    let (client, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "ping20", vec![Link::to(server, Channel::DEFAULT, 7)])
+    let client = h
+        .spawn(0, "ping20", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_to_quiescence();
     let out = h.outputs_of(client);
     assert_eq!(out.len(), 21, "all 20 pongs arrive despite loss");
@@ -241,32 +198,15 @@ fn movelink_dance_transfers_a_link() {
             false,
         ));
     }
-    let t0 = SimTime::ZERO;
-    let (sink, acts) = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .spawn(t0, "accumulator", vec![])
-        .unwrap();
-    h.apply_kernel(t0, 1, acts);
-    let (taker, acts) = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .spawn(t0, "taker", vec![])
-        .unwrap();
-    h.apply_kernel(t0, 1, acts);
-    let (giver, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
+    let sink = h.spawn(1, "accumulator", vec![]).unwrap();
+    let taker = h.spawn(1, "taker", vec![]).unwrap();
+    let giver = h
         .spawn(
-            t0,
+            0,
             "giver",
             vec![Link::control(taker, 0), Link::to(sink, Channel::DEFAULT, 0)],
         )
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_to_quiescence();
     // B sent 42 to the accumulator via the moved link.
     let sink_proc = h.kernels[&1].process(sink.local).unwrap();
@@ -342,15 +282,11 @@ fn create_chain_spawns_process_on_remote_node() {
             false,
         ));
     }
-    let t0 = SimTime::ZERO;
     // Boot the control chain: memsched with links to both kernels, then
     // procmgr with a link to memsched.
-    let (memsched, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
+    let memsched = h
         .spawn(
-            t0,
+            0,
             "memsched",
             vec![
                 Link::to(ProcessId::kernel_of(NodeId(0)), Channel::DEFAULT, 0),
@@ -358,21 +294,12 @@ fn create_chain_spawns_process_on_remote_node() {
             ],
         )
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
-    let (procmgr, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "procmgr", vec![Link::to(memsched, Channel::DEFAULT, 0)])
+    let procmgr = h
+        .spawn(0, "procmgr", vec![Link::to(memsched, Channel::DEFAULT, 0)])
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
-    let (user, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "user", vec![Link::to(procmgr, Channel::DEFAULT, 0)])
+    let user = h
+        .spawn(0, "user", vec![Link::to(procmgr, Channel::DEFAULT, 0)])
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_to_quiescence();
     let out = h.outputs_of(user);
     assert_eq!(out.len(), 1);
@@ -426,20 +353,10 @@ fn selective_receive_emits_read_order_notices() {
         k.set_recorder(NodeId(2));
         h.add_kernel(k);
     }
-    let t0 = SimTime::ZERO;
-    let (reader, acts) = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .spawn(t0, "reader", vec![])
-        .unwrap();
-    h.apply_kernel(t0, 1, acts);
-    let (_feeder, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
+    let reader = h.spawn(1, "reader", vec![]).unwrap();
+    let _feeder = h
         .spawn(
-            t0,
+            0,
             "feeder",
             vec![
                 Link::to(reader, Channel(0), 0),
@@ -447,7 +364,6 @@ fn selective_receive_emits_read_order_notices() {
             ],
         )
         .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_to_quiescence();
     // The reader starts urgent-only, so it reads "urgent" (skipping two
     // queued low messages) → at least one notice.
@@ -467,26 +383,13 @@ fn selective_receive_emits_read_order_notices() {
 fn crashed_process_discards_messages() {
     let mut h = harness(2, false);
     let t0 = SimTime::ZERO;
-    let (server, acts) = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .spawn(t0, "echo", vec![])
+    let server = h.spawn(1, "echo", vec![]).unwrap();
+    h.with_kernel(t0, 1, |k, out| {
+        k.crash_process(t0, server.local, "injected", out)
+    });
+    let client = h
+        .spawn(0, "ping3", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
-    h.apply_kernel(t0, 1, acts);
-    let acts = h
-        .kernels
-        .get_mut(&1)
-        .unwrap()
-        .crash_process(t0, server.local, "injected");
-    h.apply_kernel(t0, 1, acts);
-    let (client, acts) = h
-        .kernels
-        .get_mut(&0)
-        .unwrap()
-        .spawn(t0, "ping3", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .unwrap();
-    h.apply_kernel(t0, 0, acts);
     h.run_until(SimTime::ZERO + SimDuration::from_secs(2));
     // No pongs: the crashed server consumed nothing.
     assert!(h.outputs_of(client).is_empty());

@@ -80,7 +80,7 @@ impl Lan for PerfectBus {
         self.faults = faults;
     }
 
-    fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction> {
+    fn submit_into(&mut self, now: SimTime, frame: Frame, out: &mut Vec<LanAction>) {
         self.stats.submitted.inc();
         self.stats.wire_bytes.add(frame.wire_bytes() as u64);
         let sender = frame.src;
@@ -112,7 +112,6 @@ impl Lan for PerfectBus {
         // (§6.3), an explicit act of the recovery layer.
         let routed = self.router.as_ref().and_then(|r| r(&frame));
         let required = routed.as_deref().unwrap_or(&self.recorders);
-        let mut actions = Vec::with_capacity(self.stations.len() + 1);
         DeliveryFanout {
             faults: &self.faults,
             rng: &mut self.rng,
@@ -120,19 +119,16 @@ impl Lan for PerfectBus {
             scratch: &mut self.scratch,
             dup_gap: self.cfg.interpacket,
         }
-        .run(tx_done, &frame, receivers, required, &mut actions);
-        actions.push(LanAction::TxOutcome {
+        .run(tx_done, &frame, receivers, required, out);
+        out.push(LanAction::TxOutcome {
             at: tx_done,
             station: sender,
             ok: true,
             collisions: 0,
         });
-        actions
     }
 
-    fn timer(&mut self, _now: SimTime, _token: u64) -> Vec<LanAction> {
-        Vec::new()
-    }
+    fn timer_into(&mut self, _now: SimTime, _token: u64, _out: &mut Vec<LanAction>) {}
 
     fn stats(&self) -> &LanStats {
         &self.stats

@@ -423,42 +423,38 @@ impl Lan for Ethernet {
         self.faults = faults;
     }
 
-    fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction> {
-        let mut out = Vec::new();
+    fn submit_into(&mut self, now: SimTime, frame: Frame, out: &mut Vec<LanAction>) {
         let src = frame.src;
         let Some(st) = self
             .stations
             .get_mut(src.0 as usize)
             .and_then(Option::as_mut)
         else {
-            return out;
+            return;
         };
         if !st.up {
-            return out;
+            return;
         }
         self.stats.submitted.inc();
         self.stats.wire_bytes.add(frame.wire_bytes() as u64);
         st.backlog.push_back(frame);
-        self.try_start(now, src, &mut out);
-        out
+        self.try_start(now, src, out);
     }
 
-    fn timer(&mut self, now: SimTime, token: u64) -> Vec<LanAction> {
-        let mut out = Vec::new();
+    fn timer_into(&mut self, now: SimTime, token: u64, out: &mut Vec<LanAction>) {
         let Some(kind) = TimerKind::of(token) else {
-            return out;
+            return;
         };
         match kind {
-            TimerKind::EndData => self.end_data(now, &mut out),
-            TimerKind::EndAckSlots => self.end_ack_slots(now, &mut out),
+            TimerKind::EndData => self.end_data(now, out),
+            TimerKind::EndAckSlots => self.end_ack_slots(now, out),
             TimerKind::Retry(st_id) => {
                 if let Some(st) = self.station_mut(st_id) {
                     st.waiting_retry = false;
                 }
-                self.try_start(now, st_id, &mut out);
+                self.try_start(now, st_id, out);
             }
         }
-        out
     }
 
     fn stats(&self) -> &LanStats {

@@ -3,7 +3,8 @@
 //! Every medium model (CSMA/CD Ethernet, Acknowledging Ethernet, token
 //! ring, star hub, and the idealized bus) implements [`Lan`]. A driver —
 //! the simulation world, or a unit test — feeds it transmissions and timer
-//! callbacks and executes the [`LanAction`]s it emits. The medium owns all
+//! callbacks and executes the [`LanAction`]s it appends to the driver's
+//! buffer. The medium owns all
 //! physical-layer concerns: serialization delay, contention, loss and
 //! corruption draws, and the *recorder acknowledgement* semantics of §6.1
 //! ("if the recorder cannot receive a message, the processor for which the
@@ -188,11 +189,33 @@ pub trait Lan {
     /// fault bursts; the medium's RNG stream is unaffected by the swap.
     fn set_faults(&mut self, faults: FaultPlan);
 
-    /// Submits a frame for transmission from `frame.src`.
-    fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction>;
+    /// Submits a frame for transmission from `frame.src`, appending
+    /// what the driver must do about it to `out` (a buffer the driver
+    /// owns and reuses; the order of the actions is part of the medium's
+    /// behaviour).
+    fn submit_into(&mut self, now: SimTime, frame: Frame, out: &mut Vec<LanAction>);
 
-    /// Delivers a previously requested timer callback.
-    fn timer(&mut self, now: SimTime, token: u64) -> Vec<LanAction>;
+    /// Delivers a previously requested timer callback, appending the
+    /// resulting actions to `out`.
+    fn timer_into(&mut self, now: SimTime, token: u64, out: &mut Vec<LanAction>);
+
+    /// [`Lan::submit_into`] with a vector made for the call. `hostbench/`
+    /// binds this form (its README, *Measured surface*) and a change that
+    /// claims a gain may not edit it; unit tests use it too. An event
+    /// loop calls `submit_into` with its own buffer.
+    fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction> {
+        let mut out = Vec::new();
+        self.submit_into(now, frame, &mut out);
+        out
+    }
+
+    /// [`Lan::timer_into`] with a vector made for the call — kept for
+    /// `hostbench/`, as [`Lan::submit`] is.
+    fn timer(&mut self, now: SimTime, token: u64) -> Vec<LanAction> {
+        let mut out = Vec::new();
+        self.timer_into(now, token, &mut out);
+        out
+    }
 
     /// Returns the medium's counters.
     fn stats(&self) -> &LanStats;

@@ -69,11 +69,10 @@ impl Lan for StarHub {
         self.faults = faults;
     }
 
-    fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction> {
-        let mut out = Vec::new();
+    fn submit_into(&mut self, now: SimTime, frame: Frame, out: &mut Vec<LanAction>) {
         let src = frame.src;
         if !self.is_up(src) {
-            return out;
+            return;
         }
         self.stats.submitted.inc();
         self.stats.wire_bytes.add(frame.wire_bytes() as u64);
@@ -88,18 +87,18 @@ impl Lan for StarHub {
         if !self.is_up(self.hub) {
             // Hub (recorder) down: the frame vanishes; transport retries.
             self.stats.recorder_blocked.inc();
-            return out;
+            return;
         }
         // Uplink fault?
         if self.faults.roll_loss(&mut self.rng) {
             self.stats.lost.inc();
-            return out;
+            return;
         }
         if self.faults.roll_corruption(&mut self.rng) {
             // "Received incorrectly by the recorder": not passed on.
             self.stats.corrupted.inc();
             self.stats.recorder_blocked.inc();
-            return out;
+            return;
         }
         // The hub records the frame (delivery to the hub station itself,
         // unless the hub sent it).
@@ -161,12 +160,9 @@ impl Lan for StarHub {
                 });
             }
         }
-        out
     }
 
-    fn timer(&mut self, _now: SimTime, _token: u64) -> Vec<LanAction> {
-        Vec::new()
-    }
+    fn timer_into(&mut self, _now: SimTime, _token: u64, _out: &mut Vec<LanAction>) {}
 
     fn stats(&self) -> &LanStats {
         &self.stats

@@ -280,10 +280,9 @@ impl Lan for TokenRing {
         self.faults = faults;
     }
 
-    fn submit(&mut self, now: SimTime, frame: Frame) -> Vec<LanAction> {
-        let mut out = Vec::new();
+    fn submit_into(&mut self, now: SimTime, frame: Frame, out: &mut Vec<LanAction>) {
         if !self.is_up(frame.src) || self.ring_index(frame.src).is_none() {
-            return out;
+            return;
         }
         self.stats.submitted.inc();
         self.stats.wire_bytes.add(frame.wire_bytes() as u64);
@@ -291,20 +290,17 @@ impl Lan for TokenRing {
             .get_mut(&frame.src)
             .expect("attached")
             .push_back(frame);
-        self.start_next(now, &mut out);
-        out
+        self.start_next(now, out);
     }
 
-    fn timer(&mut self, now: SimTime, token: u64) -> Vec<LanAction> {
-        let mut out = Vec::new();
+    fn timer_into(&mut self, now: SimTime, token: u64, out: &mut Vec<LanAction>) {
         if self.timers.take(token).is_some() {
             // A frame was stripped; the ring frees.
             self.circulating = false;
             self.token_at = (self.token_at + 1) % self.order.len().max(1);
             self.stats.busy.set_idle(now);
-            self.start_next(now, &mut out);
+            self.start_next(now, out);
         }
-        out
     }
 
     fn stats(&self) -> &LanStats {

@@ -60,7 +60,7 @@ fn decode_export(d: &mut Decoder<'_>) -> Result<ProcessExport, CodecError> {
             pid: d.u64()?,
             seq: d.u64()?,
         };
-        Ok((key, d.bytes()?))
+        Ok((key, d.shared_bytes()?))
     })?;
     let pending = d.seq(Message::decode)?;
     let arrivals = d.seq(|d| Ok((d.u64()?, MessageId::decode(d)?)))?;
@@ -127,7 +127,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: vec![n as u8; 3],
+            body: vec![n as u8; 3].into(),
         }
     }
 
@@ -145,7 +145,7 @@ mod tests {
                     pid: pid(2, 7).as_u64(),
                     seq: 4,
                 },
-                vec![1, 2, 3],
+                vec![1, 2, 3].into(),
             )],
             pending: vec![msg(5), msg(6)],
             arrivals: vec![(4, msg(4).header.id)],

@@ -1133,7 +1133,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: vec![seq as u8],
+            body: vec![seq as u8].into(),
         }
     }
 
@@ -1468,7 +1468,7 @@ mod tests {
             5,
         ));
         let mut empty = msg(8);
-        empty.body.clear();
+        empty.body = Vec::new().into();
         let ops = [
             Op::Noop,
             Op::Sequence {

@@ -11,6 +11,12 @@
 //! guarantee ("the recorder remembers the order in which messages
 //! arrive") thereby survives the permanent loss of any minority of
 //! replicas.
+//!
+//! A consensus frame's payload is read in place, but the log entries in
+//! it are *copied out* of it (`on_quorum_frame`): an entry is kept for as
+//! long as the log is, the multi-entry `Append` frame it arrived in for
+//! one event, and a view would pin the frame. Snapshot images are decoded
+//! the same way, for the same reason.
 
 use crate::codec::{decode_exports, encode_exports};
 use crate::raft::{Op, QMsg, RaftConfig, RaftCore, RaftOut, ReplicaId, Role};
@@ -221,15 +227,14 @@ impl QuorumReplica {
 
     /// Begins operation: recorder watchdogs over `watch`, plus the
     /// consensus tick.
-    pub fn start(&mut self, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
-        let mut out = self.node.start(now, watch);
+    pub fn start(&mut self, now: SimTime, watch: &[NodeId], out: &mut Vec<RNAction>) {
+        self.node.start(now, watch, out);
         let routs = self.raft.start(now);
-        self.process(now, routs, &mut out);
+        self.process(now, routs, out);
         out.push(RNAction::SetTimer {
             at: now + self.tick,
             token: TICK_TOKEN | self.tick_epoch,
         });
-        out
     }
 
     /// The frame carrying `msg` to group member `to`: the bytes of
@@ -263,7 +268,7 @@ impl QuorumReplica {
                 } => {
                     if let Ok(exports) = decode_exports(&image) {
                         for export in exports {
-                            out.extend(self.node.import_process(now, export));
+                            self.node.import_process(now, export, out);
                         }
                     }
                     queue.extend(self.raft.snapshot_installed(leader, index, snap_term));
@@ -331,7 +336,7 @@ impl QuorumReplica {
                         slot.insert(*seq, msg.header.id);
                     }
                     self.acked_ids.remove(&msg.header.id);
-                    out.extend(self.node.apply_committed(now, *seq, msg));
+                    self.node.apply_committed(now, *seq, msg, out);
                 }
             }
         }
@@ -403,57 +408,64 @@ impl QuorumReplica {
     /// are consensus input and are processed whenever the replica is up
     /// (their loss tolerance comes from heartbeat retransmission, not
     /// the capture gate); everything else goes to the inner recorder.
-    pub fn on_frame(&mut self, now: SimTime, frame: &Frame, recorder_ok: bool) -> Vec<RNAction> {
+    pub fn on_frame(
+        &mut self,
+        now: SimTime,
+        frame: &Frame,
+        recorder_ok: bool,
+        out: &mut Vec<RNAction>,
+    ) {
         if !self.up {
-            return Vec::new();
+            return;
         }
         // Look before decoding: the tag tells consensus traffic apart;
         // everything else the node decodes, once.
         if frame.is_intact() && Wire::is_quorum(frame.payload()) {
-            return self.on_quorum_frame(now, frame);
+            return self.on_quorum_frame(now, frame, out);
         }
-        let mut out = self.node.on_frame(now, frame, recorder_ok);
+        self.node.on_frame(now, frame, recorder_ok, out);
         // An observed ack may be proposable immediately.
         self.collect_acks();
-        self.propose_ready(now, &mut out);
-        out
+        self.propose_ready(now, out);
     }
 
     /// Consensus input. A quorum frame for another replica — every
     /// unicast Append, as two of three replicas see it — is dropped
     /// unparsed; one for another group or with a malformed payload is
     /// ignored.
-    fn on_quorum_frame(&mut self, now: SimTime, frame: &Frame) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    ///
+    /// The payload is a view of the frame; the message inside it is
+    /// decoded over the plain slice, which copies every entry's body
+    /// out: a log entry outlives by far the multi-entry frame it came
+    /// in, and a view would keep that whole frame alive.
+    fn on_quorum_frame(&mut self, now: SimTime, frame: &Frame, out: &mut Vec<RNAction>) {
         if !frame.dst.accepts(self.station()) {
-            return out;
+            return;
         }
-        let Ok(Wire::Quorum { group, payload, .. }) = Wire::decode_all(frame.payload()) else {
-            return out;
+        let Ok(Wire::Quorum { group, payload, .. }) = frame.decode_payload::<Wire>() else {
+            return;
         };
         if group == self.group {
             if let Ok(qmsg) = QMsg::decode_all(&payload) {
                 let routs = self.raft.on_msg(now, qmsg);
-                self.process(now, routs, &mut out);
+                self.process(now, routs, out);
             }
         }
-        out
     }
 
     /// Handles a timer callback.
-    pub fn on_timer(&mut self, now: SimTime, token: u64) -> Vec<RNAction> {
-        let mut out = Vec::new();
+    pub fn on_timer(&mut self, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
         if !self.up {
-            return out;
+            return;
         }
         if token & QUORUM_TOKEN_BIT != 0 {
             if token != (TICK_TOKEN | self.tick_epoch) {
                 // A tick armed before a crash; the restart began a fresh
                 // chain.
-                return out;
+                return;
             }
             let routs = self.raft.tick(now);
-            self.process(now, routs, &mut out);
+            self.process(now, routs, out);
             if self.raft.is_leader() {
                 self.replication_lag
                     .record(self.raft.worst_follower_lag() as f64);
@@ -463,11 +475,10 @@ impl QuorumReplica {
                 token: TICK_TOKEN | self.tick_epoch,
             });
         } else {
-            out = self.node.on_timer(now, token);
+            self.node.on_timer(now, token, out);
             self.collect_acks();
-            self.propose_ready(now, &mut out);
+            self.propose_ready(now, out);
         }
-        out
     }
 
     /// Crashes the replica: recorder volatile state is lost (battery
@@ -488,16 +499,15 @@ impl QuorumReplica {
     /// Restarts the replica: recorder rebuild from stable storage, then
     /// rejoin the group as a follower and re-apply the committed prefix
     /// (idempotently) to repair any store writes the crash destroyed.
-    pub fn restart(&mut self, now: SimTime) -> Vec<RNAction> {
+    pub fn restart(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
         self.up = true;
-        let mut out = self.node.restart(now);
+        self.node.restart(now, out);
         let routs = self.raft.restart(now);
-        self.process(now, routs, &mut out);
+        self.process(now, routs, out);
         out.push(RNAction::SetTimer {
             at: now + self.tick,
             token: TICK_TOKEN | self.tick_epoch,
         });
-        out
     }
 }
 
@@ -508,12 +518,19 @@ mod tests {
     use publishing_demos::message::{Message, MessageHeader};
     use publishing_sim::codec::Encode;
 
+    /// The actions one frame makes a replica append.
+    fn on_frame(r: &mut QuorumReplica, now: SimTime, frame: &Frame, ok: bool) -> Vec<RNAction> {
+        let mut out = Vec::new();
+        r.on_frame(now, frame, ok, &mut out);
+        out
+    }
+
     fn group() -> Vec<QuorumReplica> {
         let peers: Vec<NodeId> = (2..5).map(NodeId).collect();
         (0..3)
             .map(|i| {
                 let mut r = QuorumReplica::new(i, peers.clone(), 7, ReplicaConfig::default());
-                r.start(SimTime::ZERO, &[]);
+                r.start(SimTime::ZERO, &[], &mut Vec::new());
                 r
             })
             .collect()
@@ -567,7 +584,7 @@ mod tests {
             let wire = Wire::Quorum {
                 src_node: NodeId(2),
                 group: 0,
-                payload: msg.encode_to_vec(),
+                payload: msg.encode_to_vec().into(),
             };
             assert_eq!(frame.payload(), wire.encode_to_vec());
             assert_eq!(frame.dst, Destination::Station(StationId(3)));
@@ -581,10 +598,10 @@ mod tests {
         let now = SimTime::from_millis(1);
         // Replica 2 overhears it: no actions, nothing moved.
         let before = state(&replicas[2]);
-        assert!(replicas[2].on_frame(now, &frame, true).is_empty());
+        assert!(on_frame(&mut replicas[2], now, &frame, true).is_empty());
         assert_eq!(state(&replicas[2]), before);
         // Replica 1 is addressed: it adopts the term and answers.
-        let actions = replicas[1].on_frame(now, &frame, true);
+        let actions = on_frame(&mut replicas[1], now, &frame, true);
         assert_eq!(replicas[1].raft().term(), 9);
         assert!(matches!(actions[..], [RNAction::Transmit(_)]));
     }
@@ -596,14 +613,14 @@ mod tests {
         let garbage = Wire::Quorum {
             src_node: NodeId(2),
             group: 0,
-            payload: vec![0xFF; 5],
+            payload: vec![0xFF; 5].into(),
         };
         let mut truncated = garbage.encode_to_vec();
         truncated.truncate(7);
         let other_group = Wire::Quorum {
             src_node: NodeId(2),
             group: 1,
-            payload: vote_request().encode_to_vec(),
+            payload: vote_request().encode_to_vec().into(),
         };
         let before = state(&replicas[1]);
         for payload in [
@@ -612,7 +629,7 @@ mod tests {
             other_group.encode_to_vec(),
         ] {
             let frame = Frame::new(src, dst, payload);
-            let actions = replicas[1].on_frame(SimTime::from_millis(1), &frame, true);
+            let actions = on_frame(&mut replicas[1], SimTime::from_millis(1), &frame, true);
             assert!(actions.is_empty());
             assert_eq!(state(&replicas[1]), before);
         }
@@ -631,7 +648,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: vec![7; 32],
+            body: vec![7; 32].into(),
         }
     }
 
@@ -650,7 +667,7 @@ mod tests {
             Destination::Station(StationId(1)),
             wire.encode_to_vec(),
         );
-        let actions = replicas[0].on_frame(SimTime::from_millis(1), &frame, true);
+        let actions = on_frame(&mut replicas[0], SimTime::from_millis(1), &frame, true);
         assert!(actions.is_empty());
         let stats = replicas[0].recorder_node().recorder().stats();
         assert_eq!(stats.captured.get(), 1);

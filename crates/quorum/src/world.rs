@@ -91,10 +91,9 @@ impl RecorderTier for QuorumTier {
         self.replicas[idx].recorder_node_mut()
     }
 
-    fn start(&mut self, idx: usize, now: SimTime, watch: &[NodeId]) -> Vec<RNAction> {
-        let actions = self.replicas[idx].start(now, watch);
+    fn start(&mut self, idx: usize, now: SimTime, watch: &[NodeId], out: &mut Vec<RNAction>) {
+        self.replicas[idx].start(now, watch, out);
         self.note_leadership(idx);
-        actions
     }
 
     fn on_frame(
@@ -103,26 +102,24 @@ impl RecorderTier for QuorumTier {
         now: SimTime,
         frame: &Frame,
         recorder_ok: bool,
-    ) -> Vec<RNAction> {
-        let actions = self.replicas[idx].on_frame(now, frame, recorder_ok);
+        out: &mut Vec<RNAction>,
+    ) {
+        self.replicas[idx].on_frame(now, frame, recorder_ok, out);
         self.note_leadership(idx);
-        actions
     }
 
-    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64) -> Vec<RNAction> {
-        let actions = self.replicas[idx].on_timer(now, token);
+    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
+        self.replicas[idx].on_timer(now, token, out);
         self.note_leadership(idx);
-        actions
     }
 
     fn crash(&mut self, idx: usize) {
         self.replicas[idx].crash();
     }
 
-    fn restart(&mut self, idx: usize, now: SimTime) -> Vec<RNAction> {
-        let actions = self.replicas[idx].restart(now);
+    fn restart(&mut self, idx: usize, now: SimTime, out: &mut Vec<RNAction>) {
+        self.replicas[idx].restart(now, out);
         self.note_leadership(idx);
-        actions
     }
 
     fn router(&self) -> Option<RecorderRouter> {

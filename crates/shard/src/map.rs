@@ -74,12 +74,8 @@ impl ShardMap {
     }
 
     /// All live shards, in id order.
-    pub fn live(&self) -> Vec<ShardId> {
-        self.shards
-            .iter()
-            .filter(|(_, &l)| l)
-            .map(|(&s, _)| s)
-            .collect()
+    pub fn live(&self) -> impl Iterator<Item = ShardId> + '_ {
+        self.shards.iter().filter(|(_, &l)| l).map(|(&s, _)| s)
     }
 
     pub fn contains(&self, shard: ShardId) -> bool {
@@ -141,10 +137,7 @@ impl ShardMap {
     /// The shard answering for `pid` right now: the top-ranked *live*
     /// shard (the owner, unless it is dead and a backup stands in).
     pub fn responsible(&self, pid: ProcessId) -> Option<ShardId> {
-        self.shards
-            .iter()
-            .filter(|(_, &l)| l)
-            .map(|(&s, _)| s)
+        self.live()
             .max_by_key(|&s| (score(s, pid), std::cmp::Reverse(s)))
     }
 
@@ -152,10 +145,27 @@ impl ShardMap {
     /// (record + ack) the pid's traffic so that `r`-way replication
     /// holds. With fewer than `r` live shards, all of them.
     pub fn capture_set(&self, pid: ProcessId, r: usize) -> Vec<ShardId> {
-        let mut live: Vec<ShardId> = self.live();
-        live.sort_by_key(|&s| (std::cmp::Reverse(score(s, pid)), s));
-        live.truncate(r.max(1));
-        live
+        self.capture_order(pid, r).collect()
+    }
+
+    /// [`ShardMap::capture_set`], best first, one shard at a time and
+    /// without building or sorting anything: each step takes the best
+    /// live shard ranked after the previous pick. The medium asks this
+    /// for every frame, of a map that changes per failover; `r` and the
+    /// shard count are small.
+    pub fn capture_order(&self, pid: ProcessId, r: usize) -> impl Iterator<Item = ShardId> + '_ {
+        let rank = move |s: ShardId| (std::cmp::Reverse(score(s, pid)), s);
+        let mut last = None;
+        std::iter::from_fn(move || {
+            let next = self
+                .live()
+                .map(rank)
+                .filter(|&k| last.is_none_or(|picked| k > picked))
+                .min()?;
+            last = Some(next);
+            Some(next.1)
+        })
+        .take(r.max(1))
     }
 
     /// The capture set as `shard` itself evaluates it: the top-`r` of
@@ -166,7 +176,7 @@ impl ShardMap {
     /// recording its pids (and receiving their checkpoints) while it
     /// catches up.
     pub fn capture_set_for(&self, shard: ShardId, pid: ProcessId, r: usize) -> Vec<ShardId> {
-        let mut v: Vec<ShardId> = self.live();
+        let mut v: Vec<ShardId> = self.live().collect();
         if self.contains(shard) && !v.contains(&shard) {
             v.push(shard);
         }
@@ -269,6 +279,33 @@ mod tests {
             assert_eq!(caps.len(), 2);
             assert!(!caps.contains(&ShardId(1)));
             assert_eq!(caps[0], m.responsible(p).unwrap());
+        }
+    }
+
+    #[test]
+    fn capture_order_is_the_sorted_live_set_cut_to_r() {
+        // The reference: collect the live shards, sort by rank, truncate.
+        let sorted = |m: &ShardMap, p: ProcessId, r: usize| {
+            let mut live: Vec<ShardId> = m.live().collect();
+            live.sort_by_key(|&s| (std::cmp::Reverse(score(s, p)), s));
+            live.truncate(r.max(1));
+            live
+        };
+        let mut m = ShardMap::new(6);
+        // Every liveness pattern of six shards, every r from 0 past 6.
+        for alive in 0u32..64 {
+            for s in 0..6 {
+                m.set_live(ShardId(s), alive >> s & 1 == 1);
+            }
+            for p in pids(24) {
+                for r in 0..8 {
+                    assert_eq!(
+                        m.capture_set(p, r),
+                        sorted(&m, p, r),
+                        "{alive:b} {p:?} r={r}"
+                    );
+                }
+            }
         }
     }
 

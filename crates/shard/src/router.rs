@@ -25,7 +25,6 @@ use publishing_demos::ids::{NodeId, ProcessId};
 use publishing_demos::transport::Wire;
 use publishing_net::frame::{Frame, StationId};
 use publishing_net::lan::RecorderRouter;
-use publishing_sim::codec::Decode;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
@@ -82,24 +81,31 @@ impl ShardRouter {
     /// returns — §3.3.4's recorder-down behaviour. Returning the empty
     /// set instead would let messages flow unrecorded, breaking the
     /// publish-before-use rule.
+    ///
+    /// Answered from the map in place: the returned vector is the only
+    /// thing built.
     pub fn required_for(&self, pid: ProcessId) -> Vec<StationId> {
-        let shards = self.with_map(|m| {
-            let set = m.capture_set(pid, self.replication);
-            if set.is_empty() {
-                m.members()
-            } else {
-                set
-            }
-        });
         let dir = self.stations.read().expect("station directory lock");
-        shards.iter().filter_map(|s| dir.get(s).copied()).collect()
+        self.with_map(|m| {
+            let mut required = Vec::with_capacity(self.replication);
+            let mut any_live = false;
+            for s in m.capture_order(pid, self.replication) {
+                any_live = true;
+                required.extend(dir.get(&s));
+            }
+            if !any_live {
+                required.extend(m.members().iter().filter_map(|s| dir.get(s)));
+            }
+            required
+        })
     }
 
     /// Builds the per-frame required-recorder closure for the medium.
     pub fn recorder_router(&self) -> RecorderRouter {
         let this = self.clone();
         Arc::new(move |frame: &Frame| {
-            let dst = match Wire::decode_all(frame.payload()) {
+            // Decoded as views of the frame: a header parse, no body copy.
+            let dst = match frame.decode_payload::<Wire>() {
                 Ok(Wire::Data { msg, .. }) => msg.header.to,
                 Ok(Wire::Ack { dst_pid, .. }) => dst_pid,
                 // Datagrams, epoch notices, and quorum consensus traffic
@@ -151,7 +157,7 @@ impl core::fmt::Debug for ShardRouter {
             f.debug_struct("ShardRouter")
                 .field("epoch", &m.epoch())
                 .field("members", &m.len())
-                .field("live", &m.live().len())
+                .field("live", &m.live().count())
                 .field("replication", &self.replication)
                 .finish()
         })
@@ -187,7 +193,7 @@ mod tests {
                 deliver_to_kernel: false,
             },
             passed_link: None,
-            body: vec![1, 2, 3],
+            body: vec![1, 2, 3].into(),
         };
         let wire = Wire::Data {
             src_node: NodeId(1),

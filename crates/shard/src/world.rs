@@ -103,11 +103,11 @@ impl RecorderTier for ShardTier {
     /// Only undecodable frames ever consult it; everything else goes
     /// through the per-frame router.
     fn required(&self) -> Vec<StationId> {
-        self.router
-            .with_map(|m| m.live())
-            .iter()
-            .map(|s| self.shards[s.0 as usize].station())
-            .collect()
+        self.router.with_map(|m| {
+            m.live()
+                .map(|s| self.shards[s.0 as usize].station())
+                .collect()
+        })
     }
 
     /// The dead shard's pids fail over to their next-ranked live shard
@@ -235,8 +235,9 @@ impl ShardTier {
             k.add_recorder(node);
         }
         let watch = world.watch_list();
-        let actions = world.tier.shards[idx].start(now, &watch);
-        world.apply_member(now, idx, actions);
+        world.with_member(now, idx, |tier, out| {
+            tier.shards[idx].start(now, &watch, out)
+        });
         // Cutover: membership change first (one atomic epoch bump every
         // closure sees), then drain/release against the old placement.
         world.tier.router.with_map_mut(|m| m.add_shard(sid));
@@ -326,15 +327,17 @@ impl ShardTier {
                     }
                 });
                 if let Some(export) = export {
-                    let actions = shards[tgt].import_process(now, export);
-                    world.apply_member(now, tgt, actions);
+                    world.with_member(now, tgt, |tier, out| {
+                        tier.shards[tgt].import_process(now, export, out)
+                    });
                 }
             }
             for &s in old_set.iter().filter(|s| !new_set.contains(s)) {
                 let src = s.0 as usize;
                 if world.tier.shards[src].is_up() {
-                    let actions = world.tier.shards[src].release_process(now, pid);
-                    world.apply_member(now, src, actions);
+                    world.with_member(now, src, |tier, out| {
+                        tier.shards[src].release_process(now, pid, out)
+                    });
                 }
             }
             let new_resp = world.tier.router.with_map(|m| m.responsible(pid));
@@ -345,8 +348,9 @@ impl ShardTier {
             }
         }
         for (idx, pids) in queries {
-            let actions = world.tier.shards[idx].query_process_states(now, &pids);
-            world.apply_member(now, idx, actions);
+            world.with_member(now, idx, |tier, out| {
+                tier.shards[idx].query_process_states(now, &pids, out)
+            });
         }
     }
 
@@ -356,7 +360,9 @@ impl ShardTier {
     /// history, not a side channel.
     fn publish_cutover(world: &mut World<Self>, now: SimTime) {
         let tier = &mut world.tier;
-        let (epoch, live_shards) = tier.router.with_map(|m| (m.epoch(), m.live().len() as u32));
+        let (epoch, live_shards) = tier
+            .router
+            .with_map(|m| (m.epoch(), m.live().count() as u32));
         let Some(src) = tier.shards.iter().find(|s| s.is_up()) else {
             return;
         };
@@ -383,7 +389,7 @@ impl ShardTier {
             let frame = Frame::new(
                 StationId(src_node.0),
                 Destination::Station(StationId(n)),
-                wire.encode_to_vec(),
+                wire.encode_to_bytes(),
             );
             world.submit(now, frame);
         }

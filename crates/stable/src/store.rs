@@ -26,7 +26,7 @@
 //! disk").
 
 use crate::disk::{Disk, DiskOp, DiskParams, DiskResult, IoToken};
-use publishing_sim::codec::{CodecError, Decoder, Encoder};
+use publishing_sim::codec::{Bytes, CodecError, Decoder, Encoder};
 use publishing_sim::stats::Counter;
 use publishing_sim::table::{slot_mut, IdMap, TokenTable};
 use publishing_sim::time::SimTime;
@@ -49,8 +49,9 @@ pub struct MsgRecord {
     pub key: RecordKey,
     /// Recorder timestamp.
     pub received_at: SimTime,
-    /// The message bytes as seen on the wire.
-    pub payload: Vec<u8>,
+    /// The message bytes as seen on the wire — when the recorder
+    /// appended them, a view of the frame they arrived in.
+    pub payload: Bytes,
 }
 
 impl MsgRecord {
@@ -58,7 +59,7 @@ impl MsgRecord {
         let pid = d.u64()?;
         let seq = d.u64()?;
         let at = d.u64()?;
-        let payload = d.bytes()?;
+        let payload = d.shared_bytes()?;
         Ok(MsgRecord {
             key: RecordKey { pid, seq },
             received_at: SimTime::from_nanos(at),
@@ -96,7 +97,7 @@ enum Location {
 #[derive(Debug)]
 struct RecordState {
     received_at: SimTime,
-    payload: Vec<u8>,
+    payload: Bytes,
     location: Location,
     durable: bool,
 }
@@ -420,6 +421,10 @@ impl StableStore {
     ///
     /// The record is immediately *stable* (battery-backed buffer) but not
     /// yet *durable*; [`StoreEvent::MessagesDurable`] reports durability.
+    /// Shared bytes are kept as they are (a view keeps its frame's buffer
+    /// alive — some twenty header bytes more than the record — until the
+    /// record is invalidated); a `Vec<u8>` is copied into a buffer of its
+    /// own.
     ///
     /// # Panics
     ///
@@ -428,13 +433,13 @@ impl StableStore {
         &mut self,
         now: SimTime,
         key: RecordKey,
-        payload: Vec<u8>,
+        payload: impl Into<Bytes>,
     ) -> Vec<StoreIo> {
         let log = self.logs.entry(key.pid).or_default();
         assert!(log.get(key.seq).is_none(), "duplicate record {key:?}");
         let st = RecordState {
             received_at: now,
-            payload,
+            payload: payload.into(),
             location: Location::Open,
             durable: false,
         };

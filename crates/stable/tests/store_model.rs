@@ -103,7 +103,7 @@ proptest! {
                 let got: Vec<(u64, Vec<u8>)> = store
                     .messages_from(pid, 0)
                     .into_iter()
-                    .map(|r| (r.key.seq, r.payload))
+                    .map(|r| (r.key.seq, r.payload.to_vec()))
                     .collect();
                 prop_assert_eq!(&got, &expect, "pid {} after op {}", pid, i);
             }
@@ -252,7 +252,7 @@ proptest! {
                 let got: BTreeMap<u64, Vec<u8>> = store
                     .messages_from(pid, 0)
                     .into_iter()
-                    .map(|r| (r.key.seq, r.payload))
+                    .map(|r| (r.key.seq, r.payload.to_vec()))
                     .collect();
                 for (&seq, payload) in m {
                     prop_assert_eq!(
@@ -289,7 +289,7 @@ proptest! {
             let got: BTreeMap<u64, Vec<u8>> = store
                 .messages_from(pid, 0)
                 .into_iter()
-                .map(|r| (r.key.seq, r.payload))
+                .map(|r| (r.key.seq, r.payload.to_vec()))
                 .collect();
             for (&seq, payload) in m {
                 prop_assert_eq!(got.get(&seq), Some(payload), "pid {} seq {} lost at end", pid, seq);

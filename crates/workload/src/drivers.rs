@@ -30,7 +30,7 @@ use crate::spec::WorkloadSpec;
 use publishing_demos::driver::{lcg_next, CHECKPOINT_BYTES};
 use publishing_demos::ids::{Channel, LinkId};
 use publishing_demos::program::{Ctx, Program, Received};
-use publishing_sim::codec::{CodecError, Decoder, Encoder};
+use publishing_sim::codec::{Bytes, CodecError, Decoder, Encoder};
 use publishing_sim::time::SimDuration;
 
 /// Link code for user→sink data links.
@@ -50,11 +50,13 @@ pub const KIND_STORM: u8 = 3;
 /// Minimum body size: kind byte + u32 logical-time stamp + padding.
 pub const MIN_BODY: usize = 8;
 
-fn body(kind: u8, logical_ms: u64, size: usize) -> Vec<u8> {
-    let mut b = vec![0u8; size.max(MIN_BODY)];
-    b[0] = kind;
-    b[1..5].copy_from_slice(&(logical_ms as u32).to_le_bytes());
-    b
+/// A message body, built as the shared bytes it is sent as: one
+/// allocation, where a vector would be copied into them.
+fn body(kind: u8, logical_ms: u64, size: usize) -> Bytes {
+    Bytes::filled(size.max(MIN_BODY), |b| {
+        b[0] = kind;
+        b[1..5].copy_from_slice(&(logical_ms as u32).to_le_bytes());
+    })
 }
 
 fn stamp_of(b: &[u8]) -> u64 {

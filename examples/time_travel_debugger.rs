@@ -30,7 +30,7 @@ impl Program for BuggyAccumulator {
     fn on_start(&mut self, _: &mut Ctx<'_>) {}
 
     fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Received) {
-        if let Ok(arr) = <[u8; 8]>::try_from(msg.body.as_slice()) {
+        if let Ok(arr) = <[u8; 8]>::try_from(&msg.body[..]) {
             let v = u64::from_le_bytes(arr);
             if v == 13 {
                 // The bug.

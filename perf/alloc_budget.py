@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""The allocation budget: `allocs_per_msg` may not creep back.
+
+    python3 perf/alloc_budget.py            (~5 s once hostbench is built)
+
+Runs the BENCHMARK.json command once per workload with `--seed 1
+--seconds 0 --trace 0`. Zero seconds means four fixed repetitions of a
+fixed world set, so `allocs_per_msg` is a function of the build and the
+seed — it repeats to the last digit — and can be held to a number, which
+no timing can. Fails (exit code 1) if a run is not `correct`, reports
+`failed` != 0, or allocates more per message than BUDGET allows.
+
+BUDGET is what the tree measured when the number was last moved on
+purpose, plus 5 %: room for a field added to a message, not for a vector
+per event. A change that lowers a count by more than that should lower its
+budget; one that must raise it says why in the same commit. For the
+record, before one-buffer-per-transmission and the action sinks (PR 20)
+the five read 20.09 / 156.21 / 73.58 / 456.03 / 46.88.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# workload -> allocs_per_msg ceiling (measured at PR 20, seed 1: 6.11 /
+# 30.30 / 21.60 / 207.68 / 16.31, times 1.05).
+BUDGET = {
+    "steady_bus": 6.42,
+    "ether_contend": 31.81,
+    "shard_replay": 22.68,
+    "quorum_replay": 218.06,
+    "knee_search": 17.12,
+}
+
+
+def main():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        bench = json.load(f)
+    names = [w["name"] for w in bench["workloads"]]
+    if sorted(names) != sorted(BUDGET):
+        sys.exit(f"BUDGET names {sorted(BUDGET)} but BENCHMARK.json runs {sorted(names)}")
+    over = False
+    for name in names:
+        argv = bench["command"] + ["--workload", name, "--seed", "1", "--seconds", "0", "--trace", "0"]
+        done = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        lines = done.stdout.strip().splitlines()
+        if done.returncode != 0 or not lines:
+            sys.exit(f"{name}: exit code {done.returncode}, no result line")
+        result = json.loads(lines[-1])
+        got = result["metrics"]["allocs_per_msg"]["value"]
+        healthy = result["correct"] is True and result["failed"] == 0
+        verdict = "ok" if healthy and got <= BUDGET[name] else "OVER BUDGET" if healthy else "NOT CORRECT"
+        over |= verdict != "ok"
+        print(f"{name:14s} allocs_per_msg {got:9.3f}  budget {BUDGET[name]:8.2f}  "
+              f"correct={result['correct']} failed={result['failed']}  {verdict}")
+    sys.exit(1 if over else 0)
+
+
+if __name__ == "__main__":
+    main()

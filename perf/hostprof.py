@@ -2,6 +2,7 @@
 """Resolve a `hostprof` sample file and print where the host time went.
 
     python3 perf/hostprof.py perf/hostprof/out/steady_bus-11.txt [--top N]
+    python3 perf/hostprof.py <file from `hostprof --allocs 211`> --per-msg 20.09
 
 `perf/hostprof` (see its `src/main.rs`) samples the call stack inside
 `run_schedule` / `find_knee` and writes raw return addresses. This script
@@ -20,6 +21,14 @@ as ordered-map time) and prints the three tables DESIGN.md §19-§21 use:
 Shares are of all samples; families overlap (an allocation inside a
 B-tree insert counts for both). Needs binutils' `addr2line` on PATH and
 the executable the samples came from, unchanged, at the recorded path.
+
+A file written by `hostprof --allocs <n>` holds the stack of every n-th
+allocation instead: one table, allocations by call site (DESIGN.md §22) —
+the nearest first-party function and line, and when that is a helper in
+`codec.rs` or `frame.rs` (an encoder's buffer, a frame's bytes) the
+nearest caller that is not, `site <- caller`. With
+`--per-msg <allocs_per_msg>` (hostbench's number for the workload and
+build) each share is also given as allocations per message.
 """
 
 import argparse
@@ -33,6 +42,14 @@ import sys
 # names (`contains<MessageId, ...>`), so what they belong to is read off
 # the file they were inlined from.
 FIRST_PARTY = re.compile(r" @ .*/(crates/[a-z]+/(src|tests)|hostbench/src|perf/hostprof/src)/|^<?publishing_[a-z]+::[^@]* @ \?\?")
+# The profiler's own counting allocator sits under every allocation (how
+# many of its frames survive inlining is the optimiser's business): its
+# frames are dropped from every stack. In `--allocs` stacks the shims
+# above it are innermost and go too. HELPER_FILES: files whose functions
+# allocate on behalf of their callers.
+HOOK = re.compile(r"(alloc|alloc_zeroed|realloc|dealloc|count_allocation|record_stack)\b[^@]* @ .*/perf/hostprof/src/main\.rs:")
+SHIM = re.compile(r"__rust_alloc|__rust_realloc|__rg_|__rustc")
+HELPER_FILES = re.compile(r"/(sim/src/codec|net/src/frame)\.rs:")
 FAMILIES = [
     ("ordered map", re.compile(r"alloc::collections::btree|/collections/btree/")),
     ("hash", re.compile(r"hashbrown|/collections/hash/|/src/hash/|core::hash::|std::hash::|\bsip")),
@@ -113,6 +130,33 @@ def where(loc):
     return f"{m.group(1)}:{m.group(2)}" if m else loc.rsplit("/", 1)[-1]
 
 
+def named(stack, frames_of):
+    """A stack as "function @ file:line" frames, innermost first, inlines
+    expanded, the profiler's allocator hook left out."""
+    frames = (f"{fn} @ {loc}" for depth, addr in enumerate(stack) for fn, loc in frames_of[(addr, depth > 0)])
+    return [f for f in frames if not HOOK.search(f)]
+
+
+def allocation_sites(stacks, frames_of, total, top, per_msg):
+    """The `--allocs` table: sampled allocations by first-party call site."""
+    sites = collections.Counter()
+    for stack in stacks:
+        frames = named(stack, frames_of)
+        while frames and SHIM.search(frames[0]):
+            frames.pop(0)
+        ours = [f for f in frames if FIRST_PARTY.search(f)]
+        chain = ours[:1]
+        if chain and HELPER_FILES.search(chain[0]):
+            # A helper allocated: name the nearest caller it served too.
+            chain += [f for f in ours[1:] if not HELPER_FILES.search(f)][:1]
+        sites[" <- ".join(f"{short(f)}  ({where(f.partition(' @ ')[2])})" for f in chain) or "[no first-party frame]"] += 1
+    unit = f", of {per_msg} allocations per message" if per_msg else ""
+    print(f"\nallocations by call site (share of sampled allocations{unit})")
+    for text, n in sites.most_common(top):
+        per = f"  {per_msg * n / total:6.2f}/msg" if per_msg else ""
+        print(f"  {100.0 * n / total:5.1f} %{per}  {text}")
+
+
 def table(title, rows, total, top):
     print(f"\n{title}")
     for share, text in sorted(rows, reverse=True)[:top]:
@@ -126,6 +170,8 @@ def main():
     ap.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
     ap.add_argument("--on-stack", metavar="TEXT", action="append", default=[],
                     help="also print the on-stack share of every first-party function whose name contains TEXT")
+    ap.add_argument("--per-msg", type=float, metavar="ALLOCS",
+                    help="for a `hostprof --allocs` file: the workload's allocs_per_msg, to scale shares by")
     args = ap.parse_args()
 
     header, maps, stacks = read_samples(args.samples)
@@ -133,6 +179,12 @@ def main():
         sys.exit("no samples in " + args.samples)
     frames_of = resolve(header["exe"], header["base"], maps, stacks)
     total = len(stacks)
+    if "every" in header:
+        print(f"{header.get('workload')} seed={header.get('seed')}: {total} stacks, one per {header['every']} of "
+              f"{header.get('allocs')} allocations over {header.get('timed_s')} s timed in {header.get('worlds')} "
+              f"worlds ({header.get('dropped', '0')} dropped)")
+        allocation_sites(stacks, frames_of, total, args.top, args.per_msg)
+        return
     print(f"{header.get('workload')} seed={header.get('seed')}: {total} samples at {header.get('hz')} Hz "
           f"over {header.get('timed_s')} s timed in {header.get('worlds')} worlds "
           f"({header.get('dropped', '0')} dropped)")
@@ -143,7 +195,7 @@ def main():
     callers = {name: collections.Counter() for name, _ in FAMILIES}
     handler = 0
     for stack in stacks:
-        frames = [f"{fn} @ {loc}" for depth, addr in enumerate(stack) for fn, loc in frames_of[(addr, depth > 0)]]
+        frames = named(stack, frames_of)
         handler += any("on_sigprof" in f for f in frames)
         first = [short(f) for f in frames if FIRST_PARTY.search(f)]
         own[first[0] if first else "[none]"] += 1

@@ -1,7 +1,7 @@
 //! `hostprof`: where `hostbench`'s workloads spend their host time.
 //!
 //! ```text
-//! hostprof --workload <name> [--seed <n>] [--seconds <s>] [--hz <n>]
+//! hostprof --workload <name> [--seed <n>] [--seconds <s>] [--hz <n> | --allocs <n>]
 //! ```
 //!
 //! Runs the named `hostbench` workload — the same literals and the same
@@ -14,6 +14,15 @@
 //! go to `perf/hostprof/out/<workload>-<seed>.txt` with the executable's
 //! load address; `perf/hostprof.py` resolves them through `addr2line`
 //! and prints the tables DESIGN.md §19–§21 are made of.
+//!
+//! `--allocs <n>` asks *who allocates* instead of *where time goes*: no
+//! timer; the program's counting `#[global_allocator]` takes the same
+//! `backtrace` at every `n`-th allocation (`alloc`, `alloc_zeroed`, a
+//! growing `realloc` — what `hostbench` counts as `allocs_per_msg`)
+//! inside the timed regions, and the total is written beside the stacks.
+//! A prime `n` (211) keeps the sampling out of step with per-message
+//! patterns. `hostprof.py --per-msg <allocs_per_msg>` turns the shares
+//! into allocations per message by call site (DESIGN.md §22).
 //!
 //! Linux, x86-64/aarch64 glibc only (the three `extern "C"` declarations
 //! below are all it binds); std only.
@@ -29,6 +38,7 @@ use publishing_chaos::driver::run_schedule;
 use publishing_chaos::{FaultSchedule, Scenario};
 use publishing_obs::slo::SloSpec;
 use publishing_workload::{find_knee, CompiledWorkload, SearchParams, WorkloadSpec};
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::ffi::{c_int, c_void};
 use std::io::Write;
 use std::path::PathBuf;
@@ -37,12 +47,15 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use workloads::{Kind, Workload, MAX_USERS};
 
-const USAGE: &str = "usage: hostprof --workload <name> [--seed <n>] [--seconds <s>] [--hz <n>]";
+const USAGE: &str =
+    "usage: hostprof --workload <name> [--seed <n>] [--seconds <s>] [--hz <n> | --allocs <n>]";
 
-/// Return addresses kept per sample, innermost first, after the two
-/// frames of the signal delivery itself.
+/// Return addresses kept per sample, innermost first, after the frames
+/// of the sampling itself.
 const DEPTH: usize = 62;
-/// `backtrace` also reports the handler and the signal trampoline.
+/// `backtrace` also reports the handler and the signal trampoline. (The
+/// allocator hook skips nothing: how much of it is inlined is the
+/// optimiser's business, so the resolver drops its frames by name.)
 const SKIP: usize = 2;
 /// Words per sample: a frame count, then the frames.
 const STRIDE: usize = 1 + DEPTH;
@@ -79,10 +92,79 @@ static BUFFER: AtomicPtr<usize> = AtomicPtr::new(std::ptr::null_mut());
 /// Samples taken, including the ones the full buffer dropped.
 static TAKEN: AtomicUsize = AtomicUsize::new(0);
 
-extern "C" fn on_sigprof(_signum: c_int) {
-    if !SAMPLING.load(Ordering::Relaxed) {
+/// `--allocs <n>`: every how many allocations a stack is taken (0: time
+/// mode, the allocator only forwards).
+static ALLOC_EVERY: AtomicUsize = AtomicUsize::new(0);
+/// Allocations counted inside timed regions in `--allocs` mode.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Set while the allocator hook takes a stack, so an allocation made on
+/// its behalf is neither counted nor sampled.
+static IN_HOOK: AtomicBool = AtomicBool::new(false);
+
+/// The system allocator, counting: in `--allocs` mode every `n`-th
+/// allocation inside a timed region leaves its stack in the sample
+/// buffer.
+struct Counting;
+
+/// What `hostbench`'s meter counts as one allocation.
+#[inline]
+fn count_allocation() {
+    let every = ALLOC_EVERY.load(Ordering::Relaxed);
+    if every == 0 || !SAMPLING.load(Ordering::Relaxed) || IN_HOOK.swap(true, Ordering::Relaxed) {
         return;
     }
+    if ALLOCS.fetch_add(1, Ordering::Relaxed) % every == 0 {
+        record_stack(0);
+    }
+    IN_HOOK.store(false, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given, so `System`'s guarantees are this allocator's; the counting
+// beside it touches only atomics and the leaked sample buffer and never
+// the memory being handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's contract for `alloc`, passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        // SAFETY: the caller's contract for `alloc_zeroed`, unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            count_allocation();
+        }
+        // SAFETY: the caller's contract for `realloc`, passed on unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed on unchanged.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+extern "C" fn on_sigprof(_signum: c_int) {
+    if SAMPLING.load(Ordering::Relaxed) {
+        record_stack(SKIP);
+    }
+}
+
+/// Takes the current call stack, less its `skip` innermost frames, into
+/// the next slot of the sample buffer. Called from the `SIGPROF` handler
+/// (time mode) or from the allocator hook (`--allocs`), never both in
+/// one run; always inlined, so it adds no frame of its own to skip.
+#[inline(always)]
+fn record_stack(skip: usize) {
     let at = TAKEN.fetch_add(1, Ordering::Relaxed);
     let buffer = BUFFER.load(Ordering::Relaxed);
     if at >= MAX_SAMPLES || buffer.is_null() {
@@ -91,28 +173,39 @@ extern "C" fn on_sigprof(_signum: c_int) {
     let mut frames = [std::ptr::null_mut::<c_void>(); SKIP + DEPTH];
     // SAFETY: `frames` has room for the `SKIP + DEPTH` entries asked for.
     // `backtrace` is not formally async-signal-safe — its first call may
-    // load libgcc — so `main` calls it once before the timer starts; from
-    // then on it only walks unwind tables and writes into `frames`.
+    // load libgcc (and allocate) — so `main` calls it once before any
+    // sample can be taken; from then on it only walks unwind tables and
+    // writes into `frames`.
     let n = unsafe { backtrace(frames.as_mut_ptr(), (SKIP + DEPTH) as c_int) };
-    let kept = (n.max(0) as usize).saturating_sub(SKIP);
+    let kept = (n.max(0) as usize).saturating_sub(skip).min(DEPTH);
     // SAFETY: `buffer` points at `MAX_SAMPLES * STRIDE` words that live
     // for the whole process, `at < MAX_SAMPLES`, `kept <= DEPTH`, and the
     // one thread of this program is the only writer (the handler does
-    // not nest: SIGPROF is blocked while it runs).
+    // not nest: SIGPROF is blocked while it runs; the allocator hook does
+    // not nest: `IN_HOOK` is set; and a run arms only one of them).
     unsafe {
         let slot = buffer.add(at * STRIDE);
         slot.write(kept);
-        for (i, frame) in frames[SKIP..SKIP + kept].iter().enumerate() {
+        for (i, frame) in frames[skip..skip + kept].iter().enumerate() {
             slot.add(1 + i).write(*frame as usize);
         }
     }
 }
 
-fn start_sampler(hz: u64) {
+/// Allocates the sample buffer, warms `backtrace` up, and arms the one
+/// sampler the run uses: the allocator hook every `allocs`-th allocation
+/// if that is not 0, the `SIGPROF` timer at `hz` otherwise.
+fn start_sampler(hz: u64, allocs: usize) {
     let buffer: &'static mut [usize] =
         Box::leak(vec![0usize; MAX_SAMPLES * STRIDE].into_boxed_slice());
     BUFFER.store(buffer.as_mut_ptr(), Ordering::Relaxed);
     let mut warm = [std::ptr::null_mut::<c_void>(); 4];
+    if allocs != 0 {
+        // SAFETY: `warm` has room for the 4 entries asked for.
+        unsafe { backtrace(warm.as_mut_ptr(), 4) };
+        ALLOC_EVERY.store(allocs, Ordering::Relaxed);
+        return;
+    }
     let tick = Timeval {
         sec: 0,
         usec: (1_000_000 / hz.max(1)) as i64,
@@ -181,6 +274,7 @@ fn write_samples(
     w: &Workload,
     seed: u64,
     hz: u64,
+    allocs_every: usize,
     spent: Duration,
     worlds: u64,
 ) -> std::io::Result<PathBuf> {
@@ -190,9 +284,14 @@ fn write_samples(
     let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
     let taken = TAKEN.load(Ordering::Relaxed);
     let kept = taken.min(MAX_SAMPLES);
+    // Time mode samples at `hz`; `--allocs` every `every`-th of `allocs`.
+    let mode = match allocs_every {
+        0 => format!("hz={hz}"),
+        n => format!("every={n} allocs={}", ALLOCS.load(Ordering::Relaxed)),
+    };
     writeln!(
         out,
-        "# hostprof workload={} seed={seed} hz={hz} timed_s={:.3} worlds={worlds} samples={kept} dropped={}",
+        "# hostprof workload={} seed={seed} {mode} timed_s={:.3} worlds={worlds} samples={kept} dropped={}",
         w.name,
         spent.as_secs_f64(),
         taken - kept
@@ -232,6 +331,7 @@ fn write_samples(
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (mut name, mut seed, mut seconds, mut hz) = (None, 11u64, 12.0f64, 250u64);
+    let mut allocs_every = 0usize;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it.next().map(String::as_str).unwrap_or("");
@@ -246,6 +346,10 @@ fn main() -> ExitCode {
                 .parse()
                 .map(|v| hz = v)
                 .is_ok_and(|()| (1..=1000).contains(&hz)),
+            "--allocs" => value
+                .parse()
+                .map(|v| allocs_every = v)
+                .is_ok_and(|()| allocs_every > 0),
             _ => false,
         };
         if !ok {
@@ -259,7 +363,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    start_sampler(hz);
+    start_sampler(hz, allocs_every);
     let mut sub_seeds = stats::SplitMix64::new(seed);
     let mut spent = Duration::ZERO;
     let mut worlds = 0u64;
@@ -274,11 +378,17 @@ fn main() -> ExitCode {
     // SAFETY: a valid, all-zero `struct itimerval` disarms the timer.
     unsafe { setitimer(ITIMER_PROF, &stop, std::ptr::null_mut()) };
 
-    match write_samples(w, seed, hz, spent, worlds) {
+    ALLOC_EVERY.store(0, Ordering::Relaxed);
+
+    match write_samples(w, seed, hz, allocs_every, spent, worlds) {
         Ok(path) => {
             let kept = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
+            let of = match allocs_every {
+                0 => String::new(),
+                _ => format!(" of {} allocations", ALLOCS.load(Ordering::Relaxed)),
+            };
             eprintln!(
-                "{}: {worlds} worlds, {:.1} s timed, {kept} samples -> {}",
+                "{}: {worlds} worlds, {:.1} s timed, {kept} samples{of} -> {}",
                 w.name,
                 spent.as_secs_f64(),
                 path.display()

@@ -239,7 +239,7 @@ fn arb_message() -> impl Strategy<Value = Message> {
                     deliver_to_kernel: ctl,
                 },
                 passed_link,
-                body,
+                body: body.into(),
             },
         )
 }
@@ -305,7 +305,7 @@ proptest! {
                     deliver_to_kernel: *ctl,
                 },
                 passed_link: None,
-                body: vec![],
+                body: vec![].into(),
             };
             q.enqueue(msg);
             model.push((i as u64 + 1, *ch, *ctl));
