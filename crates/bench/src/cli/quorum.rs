@@ -11,7 +11,8 @@
 //!    schedule kills exactly that replica mid-commit and then a
 //!    processing node, and the run must converge with a *different*
 //!    replica leading and the node's processes replayed by the
-//!    survivors;
+//!    survivors; it ends by printing what the group transmitted for
+//!    that — consensus frames and log entries per sequenced message;
 //! 2. `K` **generated schedules** (replica crash/restart storms, node
 //!    crashes, medium bursts) that must all pass the oracle
 //!    (`--schedules K`, default 10; `--smoke` makes it 3).
@@ -79,6 +80,25 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
         "leader-crash gate: replica {old_leader} crashed at {crash_at}ms, \
          replica {new_leader} took over, {} recoveries completed",
         t.recoveries_completed()
+    );
+    // What the group said to sequence that: every replica's frames and
+    // the entries in them (heartbeats through the heal included), over
+    // the proposals the leaders saw commit.
+    let report = t.obs_report();
+    let sent = |what: &str| -> u64 {
+        let of = |i| format!("quorum/{i}/consensus/{what}");
+        let replicas = 0..report.quorum.len();
+        replicas
+            .filter_map(|i| report.metrics.counter_value(&of(i)))
+            .sum()
+    };
+    let (frames, entries) = (sent("frames_sent"), sent("entries_sent"));
+    let messages = report.consensus.as_ref().map_or(0, |c| c.commits).max(1);
+    println!(
+        "consensus traffic: {frames} frames and {entries} entries for {messages} sequenced \
+         messages ({:.1} frames, {:.2} entries per message)",
+        frames as f64 / messages as f64,
+        entries as f64 / messages as f64
     );
     Ok(())
 }

@@ -69,10 +69,10 @@ fn compare_exits_0_1_2_on_self_regression_and_mismatch() {
         path
     };
 
-    let mut halved = snap.clone();
-    for sc in &mut halved.scenarios {
-        if let Some(v) = sc.virt.get_mut("events_per_virtual_sec") {
-            *v *= 0.5;
+    let mut slower = snap.clone();
+    for sc in &mut slower.scenarios {
+        if let Some(v) = sc.virt.get_mut("publish_to_deliver_us_p99") {
+            *v *= 2.0;
         }
     }
     let mut other_schema = snap.clone();
@@ -81,9 +81,9 @@ fn compare_exits_0_1_2_on_self_regression_and_mismatch() {
     for (new, code, says) in [
         (file("same.json", &snap), 0, "PASS: "),
         (
-            file("halved.json", &halved),
+            file("slower.json", &slower),
             1,
-            "REGRESSION events_per_virtual_sec",
+            "REGRESSION publish_to_deliver_us_p99",
         ),
         (
             file("schema.json", &other_schema),

@@ -28,21 +28,21 @@ fn snapshot_round_trips_through_json() {
 }
 
 /// The comparator passes a snapshot against itself and fails it against
-/// a doctored copy whose throughput halved.
+/// a doctored copy whose delivery latency doubled.
 #[test]
-fn comparator_gates_an_injected_throughput_regression() {
+fn comparator_gates_an_injected_latency_regression() {
     let prev = run_matrix(true);
     let same = Snapshot::from_json(&prev.to_json()).unwrap();
     assert_eq!(compare(&prev, &same, &default_rules()).exit_code(), 0);
 
     let mut worse = Snapshot::from_json(&prev.to_json()).unwrap();
     for sc in &mut worse.scenarios {
-        // The capacity scenario carries knees instead of throughput;
+        // The capacity scenario carries knees instead of latencies;
         // skip scenarios without the doctored metric.
-        let Some(&v) = sc.virt.get("events_per_virtual_sec") else {
+        let Some(&v) = sc.virt.get("publish_to_deliver_us_p99") else {
             continue;
         };
-        sc.virt("events_per_virtual_sec", v * 0.5);
+        sc.virt("publish_to_deliver_us_p99", v * 2.0);
     }
     let c = compare(&prev, &worse, &default_rules());
     assert_eq!(c.exit_code(), 1, "{}", c.render());

@@ -78,12 +78,27 @@ fn run(topology: Topology, medium: Medium) -> (Golden, WatchdogRow) {
     )
 }
 
-/// The watchdog's checks on the two quorum rows, clean on both, captured
-/// while every scan still rebuilt the union of all applied sequences.
+/// The watchdog's verdict on the two quorum rows. Clean on the bus. The
+/// ethernet row is one draw from a tier that does not hold a leader on
+/// that medium (EXPERIMENTS.md has seeds 1-24 of this schedule: every
+/// world leaves a client unfinished, 28 violations, 4 411 elections):
+/// it pins the engine, not a verdict.
 fn watchdog_row(topology: Topology, medium: Medium) -> WatchdogRow {
+    let leaderless = |since: &str, now: &str| {
+        format!(
+            "watchdog: ack gating stalled: majority live but leaderless since {since}ms \
+             (now {now}ms)"
+        )
+    };
     match (topology, medium) {
-        (Topology::Quorum, Medium::Perfect) => Some((9742, Vec::new())),
-        (Topology::Quorum, Medium::Ethernet) => Some((9222, Vec::new())),
+        (Topology::Quorum, Medium::Perfect) => Some((9544, Vec::new())),
+        (Topology::Quorum, Medium::Ethernet) => Some((
+            10431,
+            vec![
+                leaderless("2431.724", "3431.757"),
+                leaderless("3713.370", "4714.070"),
+            ],
+        )),
         _ => None,
     }
 }
@@ -94,32 +109,32 @@ fn every_tier_and_medium_matches_its_golden_row() {
         (
             Topology::Single,
             Medium::Perfect,
-            (0x97532fa7538daa12, 0x36eefd99b726eb8b, 2, 3308, true),
+            (0x97532fa7538daa12, 0x36eefd99b726eb8b, 2, 1805, true),
         ),
         (
             Topology::Single,
             Medium::Ethernet,
-            (0x97532fa7538daa12, 0x689b95a1abcb51e4, 2, 13609, true),
+            (0x97532fa7538daa12, 0x689b95a1abcb51e4, 2, 11462, true),
         ),
         (
             Topology::Sharded,
             Medium::Perfect,
-            (0x4aab1e967b3016f8, 0x1b909289411f1538, 3, 20936, true),
+            (0x4aab1e967b3016f8, 0x1b909289411f1538, 3, 15156, true),
         ),
         (
             Topology::Sharded,
             Medium::Ethernet,
-            (0xcbf29ce484222325, 0xc8ad0c0a07b37686, 2, 48047, true),
+            (0xcbf29ce484222325, 0xc8ad0c0a07b37686, 2, 42166, true),
         ),
         (
             Topology::Quorum,
             Medium::Perfect,
-            (0x4aab1e967b3016f8, 0xe64615520ffb0923, 3, 48513, true),
+            (0x4aab1e967b3016f8, 0x81b3f29548431ea1, 3, 15253, true),
         ),
         (
             Topology::Quorum,
             Medium::Ethernet,
-            (0x897dabfe8ffa9e49, 0x0cec8b5bfa6b07da, 2, 115709, true),
+            (0xbc3a1224db261e5d, 0x89936d349e963017, 7, 88224, false),
         ),
     ];
     let mut wrong = Vec::new();

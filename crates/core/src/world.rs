@@ -75,6 +75,13 @@ pub trait RecorderTier: Sized {
         self.node_mut(idx).on_frame(now, frame, recorder_ok, out)
     }
 
+    /// Whether member `idx` will look at `frame`. The world schedules no
+    /// delivery for a member that says no, so a tier may decline only
+    /// what its `on_frame` would return from with nothing changed.
+    fn listens(&self, _idx: usize, _frame: &Frame) -> bool {
+        true
+    }
+
     /// Fires one of member `idx`'s timers.
     fn on_timer(&mut self, idx: usize, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
         self.node_mut(idx).on_timer(now, token, out)
@@ -509,11 +516,26 @@ impl<T: RecorderTier> World<T> {
         self.with_lan(|lan, out| lan.submit_into(now, frame, out));
     }
 
+    /// Whether the station the medium delivers `frame` to will look at
+    /// it: a kernel reads what is addressed to it (`Kernel::on_frame`
+    /// returns at once from anything else), a tier member whatever its
+    /// tier says it listens to.
+    fn listens(&self, to: StationId, frame: &Frame) -> bool {
+        if to.0 < self.n_nodes {
+            return frame.dst.accepts(to);
+        }
+        let idx = (to.0 - self.n_nodes) as usize;
+        idx < self.tier.members() && self.tier.listens(idx, frame)
+    }
+
     /// Runs `call` on the medium with the world's medium-action buffer,
-    /// then schedules what it appended.
+    /// then schedules what it appended — a delivery only for a station
+    /// that listens: the medium reaches every station (its statistics
+    /// say so), the world wakes those that will look.
     fn with_lan(&mut self, call: impl FnOnce(&mut dyn Lan, &mut Vec<LanAction>)) {
         call(self.lan.as_mut(), &mut self.lan_actions);
-        for action in self.lan_actions.drain(..) {
+        let mut actions = std::mem::take(&mut self.lan_actions);
+        for action in actions.drain(..) {
             match action {
                 LanAction::Deliver {
                     at,
@@ -521,14 +543,16 @@ impl<T: RecorderTier> World<T> {
                     frame,
                     recorder_ok,
                 } => {
-                    self.sched.schedule_at(
-                        at,
-                        Ev::Deliver {
-                            to: to.0,
-                            frame,
-                            recorder_ok,
-                        },
-                    );
+                    if self.listens(to, &frame) {
+                        self.sched.schedule_at(
+                            at,
+                            Ev::Deliver {
+                                to: to.0,
+                                frame,
+                                recorder_ok,
+                            },
+                        );
+                    }
                 }
                 LanAction::SetTimer { at, token } => {
                     self.sched.schedule_at(at, Ev::LanTimer(token));
@@ -536,6 +560,7 @@ impl<T: RecorderTier> World<T> {
                 LanAction::TxOutcome { .. } => {}
             }
         }
+        self.lan_actions = actions;
     }
 
     /// Reinstalls the medium's fallback required set from the tier

@@ -513,7 +513,7 @@ impl Kernel {
             return;
         }
         // Published (or remote) path: onto the wire via the transport.
-        self.charge_busy(now, self.costs.send_cost(msg.wire_len()));
+        self.charge_busy(now, self.costs.send_cost(msg.encoded_len()));
         self.with_transport(now, out, |t, actions| {
             t.send_guaranteed(now, dst_node, msg, actions)
         });
@@ -588,7 +588,7 @@ impl Kernel {
         // Receive-side network protocol CPU: charged only for messages
         // that actually crossed the wire (this path), never for the
         // non-published local fast path.
-        self.charge_busy(now, self.costs.receive_cost(msg.wire_len()));
+        self.charge_busy(now, self.costs.receive_cost(msg.encoded_len()));
         self.accept_message(now, msg, out);
     }
 

@@ -69,16 +69,6 @@ pub struct Message {
     pub body: Bytes,
 }
 
-impl Message {
-    /// Returns the message's size in bytes as carried on the wire
-    /// (header fields + optional link + body), for timing models.
-    pub fn wire_len(&self) -> usize {
-        let header = 8 + 8 + 8 + 4 + 1 + 1; // ids, code, channel, flag
-        let link = if self.passed_link.is_some() { 14 } else { 1 };
-        header + link + 8 + self.body.len()
-    }
-}
-
 impl Encode for Message {
     fn encode(&self, e: &mut Encoder) {
         self.header.encode(e);
@@ -86,6 +76,8 @@ impl Encode for Message {
         e.bytes(&self.body);
     }
 
+    /// The message's size as carried on the wire — what the timing
+    /// models charge for as well.
     fn encoded_len(&self) -> usize {
         // Header 30 (ids 16 + 8, code 4, channel 1, flag 1), link
         // presence byte, body length prefix 8; a passed link adds 14.
@@ -163,17 +155,6 @@ mod tests {
                 local: 5
             }
         );
-    }
-
-    #[test]
-    fn wire_len_tracks_body_and_link() {
-        let with = msg();
-        let mut without = msg();
-        without.passed_link = None;
-        assert!(with.wire_len() > without.wire_len());
-        let mut big = msg();
-        big.body = vec![0; 1024].into();
-        assert_eq!(big.wire_len() - with.wire_len(), 1020);
     }
 
     #[test]

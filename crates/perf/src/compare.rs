@@ -19,7 +19,7 @@ use crate::snapshot::Snapshot;
 pub enum Direction {
     /// Growth is a regression (latency, queue depth).
     HigherIsWorse,
-    /// Shrinkage is a regression (throughput).
+    /// Shrinkage is a regression (capacity).
     LowerIsWorse,
 }
 
@@ -65,12 +65,6 @@ pub fn default_rules() -> Vec<Rule> {
             direction: Direction::HigherIsWorse,
             rel: 0.0,
             abs: 0.0,
-        },
-        Rule {
-            suffix: "events_per_virtual_sec",
-            direction: Direction::LowerIsWorse,
-            rel: 0.10,
-            abs: 1.0,
         },
         Rule {
             suffix: "_p50",
@@ -311,23 +305,37 @@ mod tests {
 
     #[test]
     fn within_noise_passes() {
-        let prev = snap(&[
-            ("events_per_virtual_sec", 1000.0),
-            ("deliver_us_p99", 400.0),
-        ]);
-        let new = snap(&[("events_per_virtual_sec", 950.0), ("deliver_us_p99", 440.0)]);
+        let prev = snap(&[("peak_queue_depth", 40.0), ("deliver_us_p99", 400.0)]);
+        let new = snap(&[("peak_queue_depth", 55.0), ("deliver_us_p99", 440.0)]);
         let c = compare(&prev, &new, &default_rules());
         assert_eq!(c.exit_code(), 0, "{}", c.render());
     }
 
     #[test]
-    fn throughput_drop_beyond_threshold_fails() {
-        let prev = snap(&[("events_per_virtual_sec", 1000.0)]);
-        let new = snap(&[("events_per_virtual_sec", 850.0)]);
+    fn queue_growth_beyond_threshold_fails() {
+        let prev = snap(&[("peak_queue_depth", 40.0)]);
+        let new = snap(&[("peak_queue_depth", 61.0)]);
         let c = compare(&prev, &new, &default_rules());
         assert_eq!(c.exit_code(), 1);
         assert_eq!(c.regressions().count(), 1);
         assert!(c.render().contains("REGRESSION"));
+    }
+
+    /// Events per virtual second is a cost of fixed work, not a
+    /// throughput: a change that does the same work in fewer events is
+    /// not a regression, and neither direction gates.
+    #[test]
+    fn event_rate_is_reported_but_never_gates() {
+        let prev = snap(&[("events_per_virtual_sec", 1000.0)]);
+        for new in [300.0, 3000.0] {
+            let c = compare(
+                &prev,
+                &snap(&[("events_per_virtual_sec", new)]),
+                &default_rules(),
+            );
+            assert_eq!(c.exit_code(), 0, "{}", c.render());
+            assert!(c.render().contains("[ungated]"));
+        }
     }
 
     #[test]
@@ -438,8 +446,8 @@ mod tests {
     #[test]
     fn json_verdict_parses_and_carries_the_exit_code() {
         use crate::json::parse;
-        let prev = snap(&[("events_per_virtual_sec", 1000.0)]);
-        let new = snap(&[("events_per_virtual_sec", 850.0)]);
+        let prev = snap(&[("deliver_us_p99", 1000.0)]);
+        let new = snap(&[("deliver_us_p99", 1500.0)]);
         let c = compare(&prev, &new, &default_rules());
         let doc = parse(&c.to_json()).expect("valid json");
         assert_eq!(
@@ -456,7 +464,7 @@ mod tests {
         assert_eq!(deltas.len(), 1);
         assert_eq!(
             deltas[0].get("metric").and_then(crate::json::Json::as_str),
-            Some("events_per_virtual_sec")
+            Some("deliver_us_p99")
         );
         let incomparable = compare(&prev, &Snapshot::new("full"), &default_rules());
         let doc = parse(&incomparable.to_json()).expect("valid json");

@@ -6,9 +6,20 @@
 //! the §3.2 sequencing decision is quorum-durable before any replica
 //! publishes the message to its stable store. The core is sans-IO in
 //! the same style as the transport and recovery manager: inputs are
-//! [`RaftCore::on_msg`], [`RaftCore::tick`], and [`RaftCore::propose`];
-//! outputs are [`RaftOut`] values the replica turns into LAN frames and
-//! recorder applies.
+//! [`RaftCore::on_msg`], [`RaftCore::tick`] (due at
+//! [`RaftCore::deadline`]), and [`RaftCore::propose`] +
+//! [`RaftCore::replicate`]; outputs are [`RaftOut`] values the replica
+//! turns into LAN frames and recorder applies.
+//!
+//! Replication is pipelined and says everything once: an Append moves
+//! the follower's `next_index` past what it carries when it is *sent*,
+//! so each entry goes to each follower in exactly one Append unless one
+//! is lost. A lost Append shows as a refusal of the next one (or of the
+//! next heartbeat); the first such refusal rewinds and resends from
+//! where the follower's log ends, and the refusals of everything else
+//! that was pipelined behind the lost frame are recognised as asking for
+//! nothing new. A lost reply costs nothing: the next reply carries the
+//! same match index.
 //!
 //! Durability model, mirroring the paper's recorder (§3.3.4):
 //!
@@ -433,6 +444,9 @@ pub struct RaftStats {
     pub votes_granted: u64,
     /// Append rejections this replica issued (log repair events).
     pub appends_rejected: u64,
+    /// Log entries this replica put into Appends. Fault-free, each
+    /// entry goes to each follower once.
+    pub entries_sent: u64,
     /// Snapshots this replica shipped to lagging followers.
     pub snapshots_sent: u64,
     /// Times this replica stepped down from leadership.
@@ -460,8 +474,19 @@ pub struct RaftCore {
     snap_term: u64,
     commit: u64,
     applied: u64,
+    /// The first entry not yet *sent* to each follower: an Append moves
+    /// it past what it carries without waiting for the reply, so every
+    /// entry goes out once and later Appends pipeline behind it. Only a
+    /// refusal moves it back.
     next_index: Vec<u64>,
     match_index: Vec<u64>,
+    /// Where the last rewind resent each follower from, while that
+    /// resend is unanswered. Every Append pipelined behind a lost one is
+    /// refused too; only a refusal that asks for something earlier than
+    /// this resends again. An acknowledgement that covers it clears it,
+    /// and so does each heartbeat — a lost resend is repaired a round
+    /// later.
+    repair_from: Vec<Option<u64>>,
     votes: BTreeSet<ReplicaId>,
     election_deadline: SimTime,
     heartbeat_due: SimTime,
@@ -491,6 +516,7 @@ impl RaftCore {
             applied: 0,
             next_index: vec![1; n as usize],
             match_index: vec![0; n as usize],
+            repair_from: vec![None; n as usize],
             votes: BTreeSet::new(),
             election_deadline: SimTime::ZERO,
             heartbeat_due: SimTime::ZERO,
@@ -641,13 +667,24 @@ impl RaftCore {
         Vec::new()
     }
 
-    /// Periodic driver: election timeout and leader heartbeats.
+    /// The instant [`RaftCore::tick`] next has something to do: the
+    /// heartbeat a leader owes, the election timeout of anyone else.
+    pub fn deadline(&self) -> SimTime {
+        match self.role {
+            Role::Leader => self.heartbeat_due,
+            Role::Follower | Role::Candidate => self.election_deadline,
+        }
+    }
+
+    /// Timer driver: election timeout and leader heartbeats. A call
+    /// before [`RaftCore::deadline`] does nothing.
     pub fn tick(&mut self, now: SimTime) -> Vec<RaftOut> {
         let mut out = Vec::new();
         match self.role {
             Role::Leader => {
                 if now >= self.heartbeat_due {
                     self.heartbeat_due = now + self.cfg.heartbeat;
+                    self.repair_from.fill(None);
                     self.replicate_all(&mut out, true);
                 }
             }
@@ -657,7 +694,6 @@ impl RaftCore {
                 }
             }
         }
-        self.maybe_compact();
         out
     }
 
@@ -705,6 +741,7 @@ impl RaftCore {
         self.next_index = vec![next; self.n as usize];
         self.match_index = vec![0; self.n as usize];
         self.match_index[self.id as usize] = self.last_index();
+        self.repair_from.fill(None);
         out.push(RaftOut::BecameLeader);
         // Committing a no-op in the new term proves leadership and pins
         // every inherited entry committed (Raft §5.4.2: a leader may not
@@ -727,17 +764,21 @@ impl RaftCore {
         idx
     }
 
-    /// Leader-only: appends `op` to the replicated log and starts
-    /// replicating it. Returns the entry's index, or `None` if this
-    /// replica is not the leader (the caller re-observes and retries via
-    /// the next leader).
-    pub fn propose(&mut self, op: Op, out: &mut Vec<RaftOut>) -> Option<u64> {
-        if self.role != Role::Leader {
-            return None;
+    /// Leader-only: appends `op` to the replicated log. Returns the
+    /// entry's index, or `None` if this replica is not the leader (the
+    /// caller re-observes and retries via the next leader). Nothing is
+    /// sent until [`RaftCore::replicate`], so a backlog proposed
+    /// together travels together.
+    pub fn propose(&mut self, op: Op) -> Option<u64> {
+        (self.role == Role::Leader).then(|| self.append_local(op))
+    }
+
+    /// Sends each follower the entries it has not been sent, up to
+    /// `max_batch` in one Append; what exceeds that rides on the reply.
+    pub fn replicate(&mut self, out: &mut Vec<RaftOut>) {
+        if self.role == Role::Leader {
+            self.replicate_all(out, false);
         }
-        let idx = self.append_local(op);
-        self.replicate_all(out, false);
-        Some(idx)
     }
 
     fn replicate_all(&mut self, out: &mut Vec<RaftOut>, force_empty: bool) {
@@ -770,6 +811,8 @@ impl RaftCore {
             .get(lo..(hi - self.snap_index) as usize)
             .unwrap_or_default()
             .to_vec();
+        self.next_index[to as usize] = hi + 1;
+        self.stats.entries_sent += entries.len() as u64;
         out.push(RaftOut::Send {
             to,
             msg: QMsg::Append {
@@ -793,6 +836,7 @@ impl RaftCore {
         }
         self.compact_to_applied();
         self.stats.snapshots_sent += 1;
+        self.next_index[to as usize] = self.snap_index + 1;
         out.push(RaftOut::Send {
             to,
             msg: QMsg::Snapshot {
@@ -947,19 +991,23 @@ impl RaftCore {
                 }
                 let f = from as usize;
                 if ok {
-                    if index > self.match_index[f] {
-                        self.match_index[f] = index;
-                    }
-                    self.next_index[f] = self.match_index[f] + 1;
-                    self.advance_commit();
-                    if self.next_index[f] <= self.last_index() {
-                        self.replicate_one(from, &mut out, false);
-                    }
+                    self.acknowledged(from, index, &mut out);
                 } else {
                     self.stats.appends_rejected += 1;
-                    let fallback = self.next_index[f].saturating_sub(1).max(1);
-                    self.next_index[f] = fallback.min(index + 1).max(1);
-                    self.replicate_one(from, &mut out, true);
+                    // Back to where the follower says its log ends, but
+                    // never to what it has acknowledged.
+                    let hinted = (self.next_index[f] - 1).min(index + 1);
+                    let rewind = hinted.max(self.match_index[f] + 1);
+                    // Refuses an Append whose entries were acknowledged
+                    // since, or one sent before a rewind that already
+                    // went this far back.
+                    let stale = rewind >= self.next_index[f]
+                        || self.repair_from[f].is_some_and(|from| rewind >= from);
+                    if !stale {
+                        self.next_index[f] = rewind;
+                        self.repair_from[f] = Some(rewind);
+                        self.replicate_one(from, &mut out, true);
+                    }
                 }
             }
             QMsg::Snapshot {
@@ -999,18 +1047,26 @@ impl RaftCore {
                 if self.role != Role::Leader || term != self.term {
                     return out;
                 }
-                let f = from as usize;
-                if index > self.match_index[f] {
-                    self.match_index[f] = index;
-                }
-                self.next_index[f] = self.match_index[f].max(self.snap_index) + 1;
-                self.advance_commit();
-                if self.next_index[f] <= self.last_index() {
-                    self.replicate_one(from, &mut out, false);
-                }
+                self.acknowledged(from, index, &mut out);
             }
         }
         out
+    }
+
+    /// Follower `from` holds the leader's log through `index`. An
+    /// acknowledgement never moves `next_index` back — it may answer an
+    /// Append sent long before the latest.
+    fn acknowledged(&mut self, from: ReplicaId, index: u64, out: &mut Vec<RaftOut>) {
+        let f = from as usize;
+        self.match_index[f] = self.match_index[f].max(index);
+        self.next_index[f] = self.next_index[f].max(self.match_index[f] + 1);
+        if self.repair_from[f].is_some_and(|from| index >= from) {
+            self.repair_from[f] = None;
+        }
+        self.advance_commit();
+        if self.next_index[f] <= self.last_index() {
+            self.replicate_one(from, out, false);
+        }
     }
 
     fn on_append(
@@ -1110,6 +1166,8 @@ impl RaftCore {
             self.applied += 1;
             out.push((self.applied, self.entry_at(self.applied).clone()));
         }
+        // Only an apply makes more of the log droppable.
+        self.maybe_compact();
         out
     }
 }
@@ -1245,6 +1303,164 @@ mod tests {
         fn leader(&self) -> Option<usize> {
             self.cores.iter().position(|c| c.is_leader())
         }
+
+        /// A settled three-replica group: its leader and two followers.
+        fn settled() -> (Self, usize, [usize; 2]) {
+            let mut net = Net::new(3);
+            net.run(0, 500);
+            let l = net.leader().expect("leader");
+            let followers = [(l + 1) % 3, (l + 2) % 3];
+            (net, l, followers)
+        }
+
+        /// Proposes `n` entries of `body_len` bytes on replica `l` and
+        /// replicates once; the messages this sends, by destination.
+        fn propose(&mut self, l: usize, n: u64, body_len: usize) -> Vec<(ReplicaId, QMsg)> {
+            let base = self.cores[l].last_index();
+            for i in 0..n {
+                let mut m = msg(base + i);
+                m.body = vec![0; body_len].into();
+                let op = Op::Sequence {
+                    seq: base + i,
+                    msg: m,
+                };
+                self.cores[l].propose(op).expect("leader");
+            }
+            let mut out = Vec::new();
+            self.cores[l].replicate(&mut out);
+            sends(out)
+        }
+
+        /// Hands `m` to replica `to` by itself; what it sends in answer.
+        fn deliver(&mut self, to: usize, m: QMsg) -> Vec<(ReplicaId, QMsg)> {
+            sends(self.cores[to].on_msg(NOW, m))
+        }
+
+        fn entries_sent(&self) -> u64 {
+            self.cores.iter().map(|c| c.stats().entries_sent).sum()
+        }
+    }
+
+    /// After the 500 ms the harness takes to settle; no timer is due.
+    const NOW: SimTime = SimTime::from_millis(501);
+
+    fn sends(outs: Vec<RaftOut>) -> Vec<(ReplicaId, QMsg)> {
+        let sent = |o| match o {
+            RaftOut::Send { to, msg } => Some((to, msg)),
+            _ => None,
+        };
+        outs.into_iter().filter_map(sent).collect()
+    }
+
+    /// The one message of `sent` addressed to `to`.
+    fn only_to(sent: &[(ReplicaId, QMsg)], to: usize) -> QMsg {
+        let mut mine = sent.iter().filter(|(dst, _)| *dst as usize == to);
+        let (_, m) = mine.next().expect("a message for it");
+        assert!(mine.next().is_none(), "one message for {to}: {sent:?}");
+        m.clone()
+    }
+
+    fn carried(m: &QMsg) -> usize {
+        match m {
+            QMsg::Append { entries, .. } => entries.len(),
+            other => panic!("not an Append: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fault_free_every_entry_goes_to_every_follower_once() {
+        let (mut net, l, _) = Net::settled();
+        for round in 0..20u64 {
+            // Singles, and backlogs proposed together up to past the
+            // per-frame cap.
+            let sent = net.propose(l, 1 + round % 18, 8);
+            let outs = sent.into_iter().map(|(to, msg)| RaftOut::Send { to, msg });
+            net.dispatch(SimTime::from_millis(500 + round), l as u32, outs.collect());
+        }
+        net.run(520, 700);
+        let last = net.cores[l].last_index();
+        assert!(last > 150, "{last} entries");
+        for c in &net.cores {
+            assert_eq!(c.commit_index(), last);
+            assert_eq!(c.stats().appends_rejected, 0);
+        }
+        assert_eq!(net.entries_sent(), last * 2, "entries x followers");
+    }
+
+    #[test]
+    fn a_dropped_append_is_repaired_by_one_resend() {
+        let (mut net, l, [f, _]) = Net::settled();
+        let before = net.entries_sent();
+        // Five Appends pipelined to `f`; the first never arrives and the
+        // four behind it are refused.
+        let pipelined: Vec<QMsg> = (0..5).map(|_| only_to(&net.propose(l, 1, 8), f)).collect();
+        let mut refusals = Vec::new();
+        for m in pipelined.into_iter().skip(1) {
+            refusals.push(only_to(&net.deliver(f, m), l));
+        }
+        let mut resent = Vec::new();
+        for refusal in refusals {
+            assert!(matches!(refusal, QMsg::AppendReply { ok: false, .. }));
+            resent.extend(net.deliver(l, refusal));
+        }
+        let resend = only_to(&resent, f);
+        assert_eq!(carried(&resend), 5, "the lost entry and all behind it");
+        assert_eq!(net.cores[l].stats().appends_rejected, 4);
+        let ack = only_to(&net.deliver(f, resend), l);
+        assert!(net.deliver(l, ack).is_empty());
+        assert_eq!(net.cores[f].last_index(), net.cores[l].last_index());
+        assert_eq!(net.cores[l].commit_index(), net.cores[l].last_index());
+        // 5 entries to each follower, and the 5 resent.
+        assert_eq!(net.entries_sent() - before, 15);
+    }
+
+    /// Frame time grows with size on the bus, so a small Append sent
+    /// just behind a 1 KiB one arrives first.
+    #[test]
+    fn a_small_append_overtaking_a_large_one_converges() {
+        let (mut net, l, [f, _]) = Net::settled();
+        for replies_swapped in [false, true] {
+            let large = only_to(&net.propose(l, 1, 1024), f);
+            let small = only_to(&net.propose(l, 1, 8), f);
+            let mut replies = net.deliver(f, small);
+            replies.extend(net.deliver(f, large));
+            assert!(matches!(replies[0].1, QMsg::AppendReply { ok: false, .. }));
+            assert!(matches!(replies[1].1, QMsg::AppendReply { ok: true, .. }));
+            if replies_swapped {
+                replies.swap(0, 1);
+            }
+            // Whatever the replies set off runs to quiescence.
+            let mut pending: std::collections::VecDeque<_> = replies.into();
+            while let Some((to, m)) = pending.pop_front() {
+                pending.extend(net.deliver(to as usize, m));
+            }
+            let last = net.cores[l].last_index();
+            assert_eq!(net.cores[f].last_index(), last);
+            assert_eq!(net.cores[l].match_index[f], last);
+            assert_eq!(net.cores[l].next_index[f], last + 1);
+            assert_eq!(net.cores[l].commit_index(), last);
+        }
+    }
+
+    #[test]
+    fn a_lost_reply_stalls_commit_no_longer_than_a_heartbeat() {
+        let (mut net, l, [f, other]) = Net::settled();
+        // With the other follower away, commit waits on `f`'s replies.
+        net.down[other] = true;
+        let append = only_to(&net.propose(l, 1, 8), f);
+        let last = net.cores[l].last_index();
+        let lost_reply = net.deliver(f, append);
+        assert_eq!(lost_reply.len(), 1);
+        assert_eq!(net.cores[l].commit_index(), last - 1);
+        let before = net.entries_sent();
+        // The next heartbeat's reply carries the same match index.
+        let due = net.cores[l].deadline();
+        let heartbeat = only_to(&sends(net.cores[l].tick(due)), f);
+        assert_eq!(carried(&heartbeat), 0);
+        let ack = only_to(&net.deliver(f, heartbeat), l);
+        net.deliver(l, ack);
+        assert_eq!(net.cores[l].commit_index(), last);
+        assert_eq!(net.entries_sent(), before, "nothing is sent twice");
     }
 
     #[test]
@@ -1253,13 +1469,11 @@ mod tests {
         net.run(0, 300);
         assert_eq!(net.leader(), Some(0));
         let mut out = Vec::new();
-        let idx = net.cores[0].propose(
-            Op::Sequence {
-                seq: 0,
-                msg: msg(1),
-            },
-            &mut out,
-        );
+        let idx = net.cores[0].propose(Op::Sequence {
+            seq: 0,
+            msg: msg(1),
+        });
+        net.cores[0].replicate(&mut out);
         assert!(idx.is_some());
         assert_eq!(net.cores[0].commit_index(), idx.unwrap());
     }
@@ -1285,13 +1499,11 @@ mod tests {
         let l = net.leader().expect("leader");
         for i in 0..10u64 {
             let mut out = Vec::new();
-            net.cores[l].propose(
-                Op::Sequence {
-                    seq: i,
-                    msg: msg(i + 1),
-                },
-                &mut out,
-            );
+            net.cores[l].propose(Op::Sequence {
+                seq: i,
+                msg: msg(i + 1),
+            });
+            net.cores[l].replicate(&mut out);
             net.dispatch(SimTime::from_millis(500 + i), l as u32, out);
         }
         net.run(500, 600);
@@ -1309,13 +1521,11 @@ mod tests {
         let l = net.leader().expect("leader");
         for i in 0..5u64 {
             let mut out = Vec::new();
-            net.cores[l].propose(
-                Op::Sequence {
-                    seq: i,
-                    msg: msg(i + 1),
-                },
-                &mut out,
-            );
+            net.cores[l].propose(Op::Sequence {
+                seq: i,
+                msg: msg(i + 1),
+            });
+            net.cores[l].replicate(&mut out);
             net.dispatch(SimTime::from_millis(500 + i), l as u32, out);
         }
         net.run(500, 520);
@@ -1333,13 +1543,11 @@ mod tests {
         // The new leader retained every committed entry.
         assert!(net.cores[l2].last_index() >= committed_before);
         let mut out = Vec::new();
-        net.cores[l2].propose(
-            Op::Sequence {
-                seq: 100,
-                msg: msg(100),
-            },
-            &mut out,
-        );
+        net.cores[l2].propose(Op::Sequence {
+            seq: 100,
+            msg: msg(100),
+        });
+        net.cores[l2].replicate(&mut out);
         net.dispatch(SimTime::from_millis(1000), l2 as u32, out);
         net.run(1000, 1100);
         assert!(net.cores[l2].commit_index() > committed_before);
@@ -1354,20 +1562,16 @@ mod tests {
         // never acknowledged and must be discarded after failover.
         net.down[l] = true;
         let mut sink = Vec::new();
-        net.cores[l].propose(
-            Op::Sequence {
-                seq: 50,
-                msg: msg(50),
-            },
-            &mut sink,
-        );
-        net.cores[l].propose(
-            Op::Sequence {
-                seq: 51,
-                msg: msg(51),
-            },
-            &mut sink,
-        );
+        net.cores[l].propose(Op::Sequence {
+            seq: 50,
+            msg: msg(50),
+        });
+        net.cores[l].replicate(&mut sink);
+        net.cores[l].propose(Op::Sequence {
+            seq: 51,
+            msg: msg(51),
+        });
+        net.cores[l].replicate(&mut sink);
         net.run(500, 1000);
         let l2 = net
             .cores
@@ -1376,13 +1580,11 @@ mod tests {
             .expect("new leader");
         assert_ne!(l2, l);
         let mut out = Vec::new();
-        net.cores[l2].propose(
-            Op::Sequence {
-                seq: 1,
-                msg: msg(60),
-            },
-            &mut out,
-        );
+        net.cores[l2].propose(Op::Sequence {
+            seq: 1,
+            msg: msg(60),
+        });
+        net.cores[l2].replicate(&mut out);
         net.dispatch(SimTime::from_millis(1000), l2 as u32, out);
         net.run(1000, 1050);
         // Heal: the old leader rejoins and its stale suffix is replaced.
@@ -1513,13 +1715,11 @@ mod tests {
         net.down[lagger] = true;
         for i in 0..40u64 {
             let mut out = Vec::new();
-            net.cores[l].propose(
-                Op::Sequence {
-                    seq: i,
-                    msg: msg(i + 1),
-                },
-                &mut out,
-            );
+            net.cores[l].propose(Op::Sequence {
+                seq: i,
+                msg: msg(i + 1),
+            });
+            net.cores[l].replicate(&mut out);
             net.dispatch(SimTime::from_millis(500 + i), l as u32, out);
         }
         // Run long enough for ticks to compact the applied prefix.

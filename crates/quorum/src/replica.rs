@@ -35,8 +35,28 @@ use std::sync::Arc;
 /// Timer-token namespace bit: tokens with it set belong to the quorum
 /// layer; the rest are forwarded to the inner recorder node.
 const QUORUM_TOKEN_BIT: u64 = 1 << 63;
-/// The recurring consensus tick.
+/// The consensus timer.
 const TICK_TOKEN: u64 = QUORUM_TOKEN_BIT;
+
+/// What one replica has applied: per destination process, the message
+/// at each arrival sequence. The leader hands sequences out densely from
+/// 0, so the sequence is the index; `None` is one this replica never
+/// applied (it was down, or installed a snapshot past it).
+pub type AppliedLog = BTreeMap<ProcessId, Vec<Option<MessageId>>>;
+
+/// The entry of `log` for `pid`'s arrival sequence `seq`.
+pub(crate) fn applied_slot(
+    log: &mut AppliedLog,
+    pid: ProcessId,
+    seq: u64,
+) -> &mut Option<MessageId> {
+    let slots = log.entry(pid).or_default();
+    let seq = seq as usize;
+    if slots.len() <= seq {
+        slots.resize(seq + 1, None);
+    }
+    &mut slots[seq]
+}
 
 /// Configuration for one quorum replica.
 #[derive(Debug, Clone)]
@@ -45,7 +65,9 @@ pub struct ReplicaConfig {
     pub group: u32,
     /// Consensus pacing.
     pub raft: RaftConfig,
-    /// How often the consensus core ticks (election/heartbeat driver).
+    /// The grid consensus deadlines are rounded up to: the core's
+    /// election and heartbeat timers fire on multiples of this after the
+    /// replica's (re)start.
     pub tick: SimDuration,
     /// Inner recorder-node configuration.
     pub node: RecorderConfig,
@@ -87,15 +109,18 @@ pub struct QuorumReplica {
     /// Shared flag the recovery-responsibility filter reads: only the
     /// group leader directs process recovery.
     leader_flag: Arc<AtomicBool>,
-    /// Bumped on crash so stale consensus-tick timers from a previous
-    /// incarnation are ignored instead of forking a second tick chain.
-    tick_epoch: u64,
+    /// When this incarnation began: the origin of its timer grid.
+    grid_origin: SimTime,
+    /// The instant the consensus timer is armed for. A timer firing at
+    /// any other — superseded by an earlier deadline, or armed before a
+    /// crash — is ignored instead of forking a second chain.
+    armed_at: Option<SimTime>,
     /// Audit trail for the quorum oracles: every `(seq, id)` this
     /// replica has applied, per destination. Survives crashes (it
     /// belongs to the test harness, not the node) and records a
     /// violation if a sequence is ever re-applied with a different
     /// message — the state-machine-safety check.
-    applied_log: BTreeMap<ProcessId, BTreeMap<u64, MessageId>>,
+    applied_log: AppliedLog,
     audit_violations: Vec<String>,
     /// When each still-uncommitted log entry this replica proposed was
     /// proposed (log index → propose time). Volatile: cleared on crash,
@@ -104,9 +129,11 @@ pub struct QuorumReplica {
     proposed_at: BTreeMap<u64, SimTime>,
     /// Proposal → quorum-durable commit latency, in virtual-time µs.
     commit_latency_us: LogHistogram,
-    /// Worst follower replication lag (log entries), sampled each
-    /// consensus tick while this replica leads.
+    /// Worst follower replication lag (log entries), sampled at each
+    /// heartbeat this replica sends as leader.
     replication_lag: LinearHistogram,
+    /// Consensus frames this replica put on the medium.
+    frames_sent: u64,
     up: bool,
 }
 
@@ -138,12 +165,14 @@ impl QuorumReplica {
             proposed_next: HashMap::new(),
             term_settled: false,
             leader_flag,
-            tick_epoch: 0,
+            grid_origin: SimTime::ZERO,
+            armed_at: None,
             applied_log: BTreeMap::new(),
             audit_violations: Vec::new(),
             proposed_at: BTreeMap::new(),
             commit_latency_us: LogHistogram::new(),
             replication_lag: LinearHistogram::new(0.0, 64.0, 16),
+            frames_sent: 0,
             up: true,
         }
     }
@@ -203,7 +232,7 @@ impl QuorumReplica {
 
     /// Every `(seq, id)` this replica has applied, per destination —
     /// the audit trail the quorum oracles compare across replicas.
-    pub fn applied_log(&self) -> &BTreeMap<ProcessId, BTreeMap<u64, MessageId>> {
+    pub fn applied_log(&self) -> &AppliedLog {
         &self.applied_log
     }
 
@@ -219,21 +248,43 @@ impl QuorumReplica {
         &self.commit_latency_us
     }
 
-    /// Worst follower replication lag (entries), sampled per consensus
-    /// tick while leading.
+    /// Worst follower replication lag (entries), sampled per heartbeat
+    /// while leading.
     pub fn replication_lag_hist(&self) -> &LinearHistogram {
         &self.replication_lag
     }
 
+    /// Consensus frames this replica has put on the medium.
+    pub fn frames_sent(&self) -> u64 {
+        self.frames_sent
+    }
+
     /// Begins operation: recorder watchdogs over `watch`, plus the
-    /// consensus tick.
+    /// consensus timer.
     pub fn start(&mut self, now: SimTime, watch: &[NodeId], out: &mut Vec<RNAction>) {
         self.node.start(now, watch, out);
+        self.grid_origin = now;
         let routs = self.raft.start(now);
         self.process(now, routs, out);
+    }
+
+    /// Arms the consensus timer for the first grid instant after `now`
+    /// that is at or after the core's deadline — unless a timer is armed
+    /// for then or sooner: a deadline that a heartbeat pushed back is
+    /// picked up when the armed timer fires, not on every heartbeat.
+    fn arm_timer(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
+        let due = self.raft.deadline().max(now + SimDuration::from_nanos(1));
+        let steps = (due - self.grid_origin)
+            .as_nanos()
+            .div_ceil(self.tick.as_nanos());
+        let at = self.grid_origin + self.tick * steps;
+        if self.armed_at.is_some_and(|armed| armed <= at) {
+            return;
+        }
+        self.armed_at = Some(at);
         out.push(RNAction::SetTimer {
-            at: now + self.tick,
-            token: TICK_TOKEN | self.tick_epoch,
+            at,
+            token: TICK_TOKEN,
         });
     }
 
@@ -248,12 +299,24 @@ impl QuorumReplica {
     }
 
     /// Runs consensus effects to quiescence, then applies committed
-    /// entries and proposes any ready backlog.
+    /// entries, proposes any ready backlog and re-arms the timer.
     fn process(&mut self, now: SimTime, routs: Vec<RaftOut>, out: &mut Vec<RNAction>) {
+        self.perform(now, routs, out);
+        self.drain_commits(now, out);
+        self.collect_acks();
+        self.propose_ready(now, out);
+        self.arm_timer(now, out);
+    }
+
+    /// Carries out what the core asked for, and what that sets off.
+    fn perform(&mut self, now: SimTime, routs: Vec<RaftOut>, out: &mut Vec<RNAction>) {
         let mut queue: VecDeque<RaftOut> = routs.into();
         while let Some(o) = queue.pop_front() {
             match o {
-                RaftOut::Send { to, msg } => out.push(RNAction::Transmit(self.qframe(to, &msg))),
+                RaftOut::Send { to, msg } => {
+                    self.frames_sent += 1;
+                    out.push(RNAction::Transmit(self.qframe(to, &msg)));
+                }
                 RaftOut::NeedSnapshot { to } => {
                     let image = self.build_snapshot();
                     let mut more = Vec::new();
@@ -302,9 +365,6 @@ impl QuorumReplica {
                 }
             }
         }
-        self.drain_commits(now, out);
-        self.collect_acks();
-        self.propose_ready(now, out);
     }
 
     fn drain_commits(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
@@ -324,16 +384,15 @@ impl QuorumReplica {
                 }
                 Op::Sequence { seq, msg } => {
                     let dst = msg.header.to;
-                    let slot = self.applied_log.entry(dst).or_default();
-                    if let Some(prev) = slot.get(seq) {
-                        if *prev != msg.header.id {
+                    match applied_slot(&mut self.applied_log, dst, *seq) {
+                        Some(prev) if *prev != msg.header.id => {
                             self.audit_violations.push(format!(
                                 "replica {}: pid {:?} seq {} applied as {:?} then {:?}",
                                 self.id, dst, seq, prev, msg.header.id
                             ));
                         }
-                    } else {
-                        slot.insert(*seq, msg.header.id);
+                        Some(_) => {}
+                        slot => *slot = Some(msg.header.id),
                     }
                     self.acked_ids.remove(&msg.header.id);
                     self.node.apply_committed(now, *seq, msg, out);
@@ -355,7 +414,6 @@ impl QuorumReplica {
         if self.raft.role() != Role::Leader || !self.term_settled || self.acked.is_empty() {
             return;
         }
-        let mut routs = Vec::new();
         let backlog: Vec<(MessageId, ProcessId)> = self.acked.drain(..).collect();
         for (id, dst) in backlog {
             if self.node.recorder().is_sequenced(id) {
@@ -373,25 +431,14 @@ impl QuorumReplica {
             let next = self.proposed_next.entry(dst).or_insert(seeded);
             let seq = *next;
             *next += 1;
-            if let Some(idx) = self.raft.propose(Op::Sequence { seq, msg }, &mut routs) {
+            if let Some(idx) = self.raft.propose(Op::Sequence { seq, msg }) {
                 self.proposed_at.insert(idx, now);
             }
         }
-        // Proposals only generate Sends (plus possible snapshot needs);
-        // re-enter the effect loop without re-proposing.
-        let mut queue: VecDeque<RaftOut> = routs.into();
-        while let Some(o) = queue.pop_front() {
-            match o {
-                RaftOut::Send { to, msg } => out.push(RNAction::Transmit(self.qframe(to, &msg))),
-                RaftOut::NeedSnapshot { to } => {
-                    let image = self.build_snapshot();
-                    let mut more = Vec::new();
-                    self.raft.snapshot_built(to, image, &mut more);
-                    queue.extend(more);
-                }
-                _ => {}
-            }
-        }
+        // The whole backlog in one Append per follower.
+        let mut routs = Vec::new();
+        self.raft.replicate(&mut routs);
+        self.perform(now, routs, out);
         self.drain_commits(now, out);
     }
 
@@ -402,6 +449,15 @@ impl QuorumReplica {
             .filter_map(|&p| self.node.export_process(p))
             .collect();
         encode_exports(&exports)
+    }
+
+    /// Whether this replica will look at `frame`: everything but intact
+    /// consensus traffic addressed to another replica — every unicast
+    /// Append, as two of three replicas see it — which [`Self::on_frame`]
+    /// drops unparsed.
+    pub fn listens(&self, frame: &Frame) -> bool {
+        !(frame.is_intact() && Wire::is_quorum(frame.payload()))
+            || frame.dst.accepts(self.station())
     }
 
     /// Handles a frame seen on the medium. Quorum frames for this group
@@ -429,10 +485,9 @@ impl QuorumReplica {
         self.propose_ready(now, out);
     }
 
-    /// Consensus input. A quorum frame for another replica — every
-    /// unicast Append, as two of three replicas see it — is dropped
-    /// unparsed; one for another group or with a malformed payload is
-    /// ignored.
+    /// Consensus input. A quorum frame for another replica is dropped
+    /// unparsed (the world does not deliver one: [`Self::listens`]); one
+    /// for another group or with a malformed payload is ignored.
     ///
     /// The payload is a view of the frame; the message inside it is
     /// decoded over the plain slice, which copies every entry's body
@@ -459,21 +514,16 @@ impl QuorumReplica {
             return;
         }
         if token & QUORUM_TOKEN_BIT != 0 {
-            if token != (TICK_TOKEN | self.tick_epoch) {
-                // A tick armed before a crash; the restart began a fresh
-                // chain.
+            if self.armed_at != Some(now) {
                 return;
             }
+            self.armed_at = None;
             let routs = self.raft.tick(now);
             self.process(now, routs, out);
             if self.raft.is_leader() {
                 self.replication_lag
                     .record(self.raft.worst_follower_lag() as f64);
             }
-            out.push(RNAction::SetTimer {
-                at: now + self.tick,
-                token: TICK_TOKEN | self.tick_epoch,
-            });
         } else {
             self.node.on_timer(now, token, out);
             self.collect_acks();
@@ -488,7 +538,7 @@ impl QuorumReplica {
         self.up = false;
         self.leader_flag.store(false, Ordering::Relaxed);
         self.term_settled = false;
-        self.tick_epoch += 1;
+        self.armed_at = None;
         self.proposed_next.clear();
         self.proposed_at.clear();
         self.acked.clear();
@@ -502,12 +552,9 @@ impl QuorumReplica {
     pub fn restart(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
         self.up = true;
         self.node.restart(now, out);
+        self.grid_origin = now;
         let routs = self.raft.restart(now);
         self.process(now, routs, out);
-        out.push(RNAction::SetTimer {
-            at: now + self.tick,
-            token: TICK_TOKEN | self.tick_epoch,
-        });
     }
 }
 
@@ -604,6 +651,71 @@ mod tests {
         let actions = on_frame(&mut replicas[1], now, &frame, true);
         assert_eq!(replicas[1].raft().term(), 9);
         assert!(matches!(actions[..], [RNAction::Transmit(_)]));
+    }
+
+    /// The world delivers a frame only to a member that listens: over
+    /// generated frames — consensus and process traffic, unicast to a
+    /// replica or a processing node and broadcast, intact and damaged —
+    /// a replica declines exactly the intact consensus frames for another
+    /// station, and handing it one of those anyway changes nothing.
+    #[test]
+    fn a_declined_frame_would_have_changed_nothing() {
+        use publishing_sim::rng::DetRng;
+        let mut replicas = group();
+        let mut rng = DetRng::new(21);
+        let ack = Wire::Ack {
+            src_node: NodeId(1),
+            dst_pid: ProcessId::new(1, 1),
+            msg_id: data_message().header.id,
+            tseq: 1,
+            incarnation: 0,
+            peer_epoch: 0,
+        };
+        let data = Wire::Data {
+            src_node: NodeId(0),
+            incarnation: 0,
+            peer_epoch: 0,
+            tseq: 1,
+            msg: data_message(),
+        };
+        let mut declined = 0;
+        for round in 0..400u64 {
+            let now = SimTime::from_micros(round);
+            let from = rng.index(3);
+            let (consensus, mut frame) = match rng.below(4) {
+                0 => (
+                    false,
+                    Frame::new(StationId(0), Destination::Broadcast, ack.encode_to_vec()),
+                ),
+                1 => (
+                    false,
+                    Frame::new(StationId(0), Destination::Broadcast, data.encode_to_vec()),
+                ),
+                _ => (
+                    true,
+                    replicas[from].qframe(rng.below(3) as u32, &vote_request()),
+                ),
+            };
+            frame.dst = match rng.below(6) {
+                0 => Destination::Broadcast,
+                station => Destination::Station(StationId(station as u32 - 1)),
+            };
+            let damaged = rng.below(4) == 0;
+            if damaged {
+                frame.invalidate_fcs();
+            }
+            for r in &mut replicas {
+                let for_another = !frame.dst.accepts(r.station());
+                assert_eq!(r.listens(&frame), !(consensus && !damaged && for_another));
+                if !r.listens(&frame) {
+                    declined += 1;
+                    let before = state(r);
+                    assert!(on_frame(r, now, &frame, true).is_empty());
+                    assert_eq!(state(r), before);
+                }
+            }
+        }
+        assert!(declined > 100, "{declined} frames declined");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! survives the crash of any minority — including the leader, mid-
 //! commit — without losing or duplicating an arrival sequence.
 
-use crate::replica::{QuorumReplica, ReplicaConfig};
+use crate::replica::{AppliedLog, QuorumReplica, ReplicaConfig};
 use publishing_core::node::{RNAction, RecorderNode};
 use publishing_core::world::{RecorderTier, World, WorldBuilder};
 use publishing_demos::ids::{MessageId, NodeId, ProcessId};
@@ -108,6 +108,10 @@ impl RecorderTier for QuorumTier {
         self.note_leadership(idx);
     }
 
+    fn listens(&self, idx: usize, frame: &Frame) -> bool {
+        self.replicas[idx].listens(frame)
+    }
+
     fn on_timer(&mut self, idx: usize, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
         self.replicas[idx].on_timer(now, token, out);
         self.note_leadership(idx);
@@ -197,6 +201,11 @@ impl RecorderTier for QuorumTier {
                 &format!("{consensus}/replication_lag"),
                 r.replication_lag_hist(),
             );
+            reg.counter(format!("{consensus}/frames_sent"), r.frames_sent());
+            reg.counter(
+                format!("{consensus}/entries_sent"),
+                r.raft().stats().entries_sent,
+            );
         }
         for h in tier.quorum_health() {
             h.into_registry(reg);
@@ -217,7 +226,7 @@ impl RecorderTier for QuorumTier {
             commits: commit.summary().count(),
             commit_p50_us: commit.quantile(0.5),
             commit_p99_us: commit.quantile(0.99),
-            // Samples are taken on the leader, once per consensus tick.
+            // Samples are taken on the leader, once per heartbeat.
             replication_lag_p95: tier
                 .replicas
                 .iter()
@@ -370,51 +379,59 @@ impl QuorumTier {
             out.extend(r.audit_violations().iter().cloned());
         }
         // Cross-replica agreement + union gap check.
-        let mut union: BTreeMap<ProcessId, BTreeMap<u64, (u32, MessageId)>> = BTreeMap::new();
-        for r in &self.replicas {
-            for (&pid, seqs) in r.applied_log() {
-                let u = union.entry(pid).or_default();
-                for (&seq, &id) in seqs {
-                    match u.get(&seq) {
-                        Some(&(other, prev)) if prev != id => {
-                            out.push(format!(
-                                "log matching: pid {pid:?} seq {seq} is {prev:?} on replica \
-                                 {other} but {id:?} on replica {}",
-                                r.id()
-                            ));
-                        }
-                        Some(_) => {}
-                        None => {
-                            u.insert(seq, (r.id(), id));
-                        }
-                    }
-                }
-            }
-        }
-        for (pid, seqs) in &union {
-            let n = seqs.len() as u64;
-            let (Some(&first), Some(&last)) = (seqs.keys().next(), seqs.keys().next_back()) else {
-                continue;
-            };
-            if first != 0 || last + 1 != n {
+        for (pid, seqs) in &self.applied_union(&mut out) {
+            let n = seqs.iter().flatten().count();
+            let first = seqs.iter().position(Option::is_some);
+            if let Some(first) = first.filter(|&first| first != 0 || n != seqs.len()) {
                 out.push(format!(
-                    "gap freedom: pid {pid:?} applied {n} seqs spanning [{first}, {last}]"
+                    "gap freedom: pid {pid:?} applied {n} seqs spanning [{first}, {}]",
+                    seqs.len() - 1
                 ));
             }
         }
         out
     }
 
+    /// The union of every replica's applied log: per process and arrival
+    /// sequence, the first replica that applied a message there and the
+    /// message. A later replica that applied another one is a log-matching
+    /// violation, appended to `violations`.
+    fn applied_union(
+        &self,
+        violations: &mut Vec<String>,
+    ) -> BTreeMap<ProcessId, Vec<Option<(u32, MessageId)>>> {
+        let mut union: BTreeMap<ProcessId, Vec<Option<(u32, MessageId)>>> = BTreeMap::new();
+        for r in &self.replicas {
+            for (&pid, seqs) in r.applied_log() {
+                let u = union.entry(pid).or_default();
+                if u.len() < seqs.len() {
+                    u.resize(seqs.len(), None);
+                }
+                for (seq, id) in seqs.iter().enumerate() {
+                    let Some(id) = *id else { continue };
+                    match u[seq] {
+                        Some((other, prev)) if prev != id => violations.push(format!(
+                            "log matching: pid {pid:?} seq {seq} is {prev:?} on replica \
+                             {other} but {id:?} on replica {}",
+                            r.id()
+                        )),
+                        Some(_) => {}
+                        None => u[seq] = Some((r.id(), id)),
+                    }
+                }
+            }
+        }
+        union
+    }
+
     /// Total committed arrival sequences across the group (union over
     /// replicas, deduplicated per pid × seq).
     pub fn sequenced_total(&self) -> u64 {
-        let mut union: BTreeMap<ProcessId, BTreeMap<u64, MessageId>> = BTreeMap::new();
-        for r in &self.replicas {
-            for (&pid, seqs) in r.applied_log() {
-                union.entry(pid).or_default().extend(seqs.iter());
-            }
-        }
-        union.values().map(|s| s.len() as u64).sum()
+        let union = self.applied_union(&mut Vec::new());
+        union
+            .values()
+            .map(|seqs| seqs.iter().flatten().count() as u64)
+            .sum()
     }
 
     /// Point-in-time consensus health of every replica.
@@ -443,18 +460,14 @@ impl QuorumTier {
     }
 }
 
-/// What one replica has applied: arrival sequence → message, per
-/// destination process.
-type AppliedLog = BTreeMap<ProcessId, BTreeMap<u64, MessageId>>;
-
 /// The gap-freedom half of a watchdog pass, over the applied logs of the
 /// live replicas: every process any of them has applied for is scanned,
 /// in pid order, and the watchdog sees the union of that process's
-/// applied sequences from its cursor on. The union is never built: the
-/// smallest sequence at or after the cursor is looked up in each log,
-/// and the watchdog stops asking at the first gap — so a pass costs
-/// O(pids × replicas × log n) lookups plus what was applied since the
-/// last one, not everything ever applied.
+/// applied sequences from its cursor on. The union is never built: each
+/// log is indexed at the cursor (and walked past what that replica never
+/// applied), and the watchdog stops asking at the first gap — so a pass
+/// costs O(pids × replicas) lookups plus what was applied since the last
+/// one, not everything ever applied.
 fn scan_new_arrivals<'a>(
     watchdog: &mut Watchdog,
     now: SimTime,
@@ -471,7 +484,10 @@ fn scan_new_arrivals<'a>(
         let fresh = std::iter::from_fn(|| {
             let seq = live
                 .clone()
-                .filter_map(|log| Some(*log.get(&pid)?.range(from..).next()?.0))
+                .filter_map(|log| {
+                    let later = log.get(&pid)?.get(from as usize..)?;
+                    Some(from + later.iter().position(Option::is_some)? as u64)
+                })
                 .min()?;
             from = seq + 1;
             Some(seq)
@@ -494,10 +510,11 @@ fn scan_full_union<'a>(
     let mut union: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for log in live {
         for (&pid, seqs) in log {
+            let applied = seqs.iter().enumerate().filter(|(_, id)| id.is_some());
             union
                 .entry(pid.as_u64())
                 .or_default()
-                .extend(seqs.keys().copied());
+                .extend(applied.map(|(seq, _)| seq as u64));
         }
     }
     for (pid, seqs) in &union {
@@ -508,6 +525,7 @@ fn scan_full_union<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replica::applied_slot;
     use publishing_demos::ids::Channel;
     use publishing_demos::link::Link;
     use publishing_demos::programs::{self, PingClient};
@@ -632,6 +650,57 @@ mod tests {
         assert!(json.contains("quorum/0/consensus/commit_latency_us"));
     }
 
+    /// Send-once replication under loss: a lost Append waits for the
+    /// next refusal or heartbeat instead of riding along with every later
+    /// entry. Over 64 worlds at 10 % frame loss (seed `s` seeds both the
+    /// medium's loss draws and the election timeouts; 2 ping pairs x 10
+    /// pings, 20 s) safety holds everywhere, and liveness is held to what
+    /// the re-sending, 10 ms-polling replication this replaced managed on
+    /// the same worlds: 13 unfinished, 2 474 of 2 560 arrivals sequenced.
+    /// (What leaves a client unfinished is not consensus: a transport
+    /// stall that spans a periodic checkpoint, then a node restart on a
+    /// watchdog ping the medium lost.)
+    #[test]
+    fn frame_loss_is_survived_no_worse_than_by_resending() {
+        use publishing_net::bus::PerfectBus;
+        use publishing_net::lan::LanConfig;
+        use publishing_sim::fault::FaultPlan;
+        let mut reg = registry();
+        reg.register("pinger", || {
+            let mut p = PingClient::new(10);
+            p.think_ns = 2_000_000;
+            Box::new(p)
+        });
+        let (mut unfinished, mut sequenced) = (0, 0);
+        for seed in 1..=64 {
+            let lan = PerfectBus::new(LanConfig {
+                seed,
+                ..LanConfig::default()
+            });
+            let builder = WorldBuilder::new(3)
+                .registry(reg.clone())
+                .medium(Box::new(lan));
+            let mut w = QuorumTier::world(builder, 3, seed);
+            w.lan.set_faults(FaultPlan::new().with_frame_loss(0.10));
+            let clients: Vec<_> = (0..2)
+                .map(|i| {
+                    let server = w.spawn(2, "echo", vec![]).unwrap();
+                    let to_server = vec![Link::to(server, Channel::DEFAULT, 7)];
+                    w.spawn(i, "pinger", to_server).unwrap()
+                })
+                .collect();
+            w.run_until(SimTime::from_secs(20));
+            invariants_clean(&w);
+            let violations = w.tier.watchdog().violations();
+            assert!(violations.is_empty(), "seed {seed}: {violations:?}");
+            let done = |c: &ProcessId| w.outputs_of(*c).last().is_some_and(|l| l == "done");
+            unfinished += usize::from(!clients.iter().all(done));
+            sequenced += w.tier.sequenced_total();
+        }
+        assert!(unfinished <= 13, "{unfinished} of 64 worlds unfinished");
+        assert!(sequenced >= 2_474, "{sequenced} of 2560 arrivals sequenced");
+    }
+
     fn mid(seq: u64) -> MessageId {
         MessageId {
             sender: ProcessId::new(9, 1),
@@ -680,7 +749,7 @@ mod tests {
                         let holders = 1 + rng.index(3);
                         for _ in 0..holders {
                             let (_, log) = &mut logs[rng.index(3)];
-                            log.entry(pids[p]).or_default().insert(seq, mid(seq));
+                            *applied_slot(log, pids[p], seq) = Some(mid(seq));
                         }
                     }
                     5 => {
@@ -730,7 +799,7 @@ mod tests {
         let mut logs = vec![AppliedLog::new(); 3];
         for seq in 0..1_000 {
             for log in logs.iter_mut().take(1 + seq as usize % 3) {
-                log.entry(pid).or_default().insert(seq, mid(seq));
+                *applied_slot(log, pid, seq) = Some(mid(seq));
             }
         }
         let mut wd = Watchdog::new(WatchdogConfig::default());
@@ -740,7 +809,7 @@ mod tests {
         scan_new_arrivals(&mut wd, SimTime::from_millis(50), logs.iter());
         assert_eq!(wd.seqs_visited(), 1_000, "nothing new, nothing visited");
         assert_eq!(wd.checks(), 2);
-        logs[2].entry(pid).or_default().insert(1_000, mid(1_000));
+        *applied_slot(&mut logs[2], pid, 1_000) = Some(mid(1_000));
         scan_new_arrivals(&mut wd, SimTime::from_millis(75), logs.iter());
         assert_eq!(wd.seqs_visited(), 1_001, "one applied, one visited");
         // The scan it replaced walks all of history every time.
