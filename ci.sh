@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full CI gate, identical to .github/workflows/ci.yml. Run before merging.
+# Full CI gate: the one list of gates. .github/workflows/ci.yml runs this
+# script. Run before merging.
 set -euo pipefail
 cd "$(dirname "$0")"
 

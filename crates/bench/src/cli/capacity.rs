@@ -24,7 +24,7 @@
 
 use super::{fail, Flags};
 use publishing_chaos::Topology;
-use publishing_obs::registry::json_escape;
+use publishing_obs::json::{Json, ObjBuilder};
 use publishing_obs::slo::SloSpec;
 use publishing_workload::capacity::point_schedule;
 use publishing_workload::{canonical_shapes, find_knee, run_trial, SearchParams, WorkloadSpec};
@@ -72,41 +72,28 @@ fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<
 /// shape × topology × knee × the binding resource the utilization
 /// ledger named for it.
 fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
-    let quoted = |s: &str| format!("\"{}\"", json_escape(s));
     let mut rows = Vec::new();
     for (name, spec) in shapes {
         for topo in [Topology::Single, Topology::Sharded, Topology::Quorum] {
             let knee = find_knee(name, topo, spec, &SloSpec::default(), params);
-            let clauses = knee
-                .failing_trial()
-                .map(|t| {
-                    t.rejected_by()
-                        .iter()
-                        .map(|c| quoted(c))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                })
-                .unwrap_or_default();
-            rows.push(format!(
-                "{{\"shape\":{},\"topology\":\"{topo}\",\"knee_users\":{},\"binding\":{},\"rejected_by\":[{}],\"trials\":{}}}",
-                quoted(name),
-                knee.knee_users,
-                knee.binding
-                    .as_deref()
-                    .map(quoted)
-                    .unwrap_or_else(|| "null".into()),
-                clauses,
-                knee.trials.len(),
-            ));
+            let rejected_by = knee.failing_trial().map(|t| t.rejected_by());
+            rows.push(
+                ObjBuilder::new()
+                    .field("shape", *name)
+                    .field("topology", topo.to_string())
+                    .field("knee_users", knee.knee_users)
+                    .field("binding", knee.binding.as_deref())
+                    .field("rejected_by", Json::arr(rejected_by.unwrap_or_default()))
+                    .field("trials", knee.trials.len()),
+            );
         }
     }
-    println!(
-        "{{\"medium\":\"{}\",\"max_users\":{},\"chaos\":{},\"knees\":[{}]}}",
-        params.medium,
-        params.max_users,
-        params.chaos,
-        rows.join(",")
-    );
+    let doc = ObjBuilder::new()
+        .field("medium", params.medium.to_string())
+        .field("max_users", params.max_users)
+        .field("chaos", params.chaos)
+        .field("knees", Json::arr(rows));
+    println!("{}", doc.build().write());
 }
 
 /// Sweeps `shapes` × the three topologies and prints the knee table.

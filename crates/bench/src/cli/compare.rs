@@ -37,17 +37,9 @@ pub(super) fn run(flags: &Flags) {
     annotate_remediation(&mut diagnosis);
     let explain = flags.has("--explain");
     if flags.has("--json") {
-        if explain && !diagnosis.is_empty() {
-            // One document: the verdict with the diagnosis grafted in.
-            let verdict = c.to_json();
-            let spliced = verdict
-                .strip_suffix('}')
-                .map(|head| format!("{head},\"forensics\":{}}}", diagnosis.to_json()))
-                .unwrap_or(verdict);
-            println!("{spliced}");
-        } else {
-            println!("{}", c.to_json());
-        }
+        // One document: the verdict, the diagnosis its last field.
+        let diagnosis = (explain && !diagnosis.is_empty()).then_some(&diagnosis);
+        println!("{}", c.to_json(diagnosis).write());
     } else {
         print!("{}", c.render());
         if explain {

@@ -17,7 +17,7 @@
 //!
 //! The injected side's crash report gets the report-level diagnosis
 //! attached ([`publishing_obs::report::ObsReport::forensics`]),
-//! exercising the optional `forensics` section of report schema v6.
+//! exercising the report's optional `forensics` section.
 
 use super::Flags;
 use crate::forensics_demo::{annotate_remediation, baseline_tuning, injected_tuning, run_side};
@@ -33,7 +33,7 @@ pub(super) fn run(flags: &Flags) {
         if ndjson {
             print!("{}", report.to_ndjson());
         } else if json {
-            println!("{}", report.to_json());
+            println!("{}", report.to_json().write());
         } else {
             print!("{}", report.render());
         }
@@ -97,7 +97,7 @@ pub(super) fn run(flags: &Flags) {
     emit(&crash_diag);
 
     // Attach the report-level diagnosis to the injected crash report and
-    // render it: the schema-v6 `forensics` section in the run artifact.
+    // render it: the `forensics` section in the run artifact.
     let mut annotated = injected.crash_report;
     annotated.forensics = Some(crash_diag);
     if text {

@@ -21,7 +21,7 @@
 //! - `--chaos` — also validate each searched point under faults;
 //! - `--confirm` — re-search the knee under every turned knob so each
 //!   what-if row carries its exact prediction error;
-//! - `--json` — one NDJSON row per medium (schema-v5 report embedded);
+//! - `--json` — one NDJSON row per medium (the report embedded);
 //! - `--smoke` — CI mode: tiny spec, `--confirm` implied, seconds not
 //!   minutes. Output is deterministic: run it twice, diff it;
 //! - `--verbose` — stream per-point knee-search verdicts (the SLO
@@ -29,7 +29,7 @@
 
 use super::{fail, Flags};
 use publishing_chaos::{Medium, Topology};
-use publishing_obs::registry::json_escape;
+use publishing_obs::json::ObjBuilder;
 use publishing_obs::slo::SloSpec;
 use publishing_workload::{find_knee, run_whatif, SearchParams, WorkloadSpec};
 
@@ -69,16 +69,14 @@ fn profile(
     report.whatif = Some(whatif);
 
     if json {
-        println!(
-            "{{\"medium\":\"{medium}\",\"topology\":\"{topology}\",\"knee\":{},\"binding\":{},\"clauses\":\"{}\",\"report\":{}}}",
-            knee.knee_users,
-            knee.binding
-                .as_deref()
-                .map(|b| format!("\"{}\"", json_escape(b)))
-                .unwrap_or_else(|| "null".into()),
-            json_escape(&clauses),
-            report.render_json(),
-        );
+        let row = ObjBuilder::new()
+            .field("medium", medium.to_string())
+            .field("topology", topology.to_string())
+            .field("knee", knee.knee_users)
+            .field("binding", knee.binding.as_deref())
+            .field("clauses", clauses)
+            .field("report", report.to_json());
+        println!("{}", row.build().write());
     } else {
         println!(
             "== lens: medium={medium} topology={topology} knee={} binding={}{}",

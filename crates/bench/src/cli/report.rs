@@ -20,7 +20,7 @@
 //!   lanes with publish→capture→sequence→deliver slices;
 //! - `--topology quorum` drives the replicated-recorder world instead:
 //!   a leader-crash failover plus a node crash, reported with the
-//!   schema-v3 consensus sections (per-replica health, commit-latency
+//!   consensus sections (per-replica health, commit-latency
 //!   percentiles, the invariant watchdog). The process exits non-zero
 //!   if the watchdog surfaced any violation.
 //!

@@ -269,24 +269,12 @@ impl RecoveryManager {
     }
 
     /// Called by the world after it physically restarted `node`:
-    /// broadcasts the restart so peers renumber, then starts recovery for
-    /// every process the recorder knows on that node.
-    pub fn on_node_restarted(
-        &mut self,
-        now: SimTime,
-        recorder: &mut Recorder,
-        node: NodeId,
-        incarnation: u32,
-        out: &mut Vec<MgrCmd>,
-    ) {
-        self.on_node_restarted_with(now, recorder, node, incarnation, true, out)
-    }
-
-    /// [`RecoveryManager::on_node_restarted`] with an explicit `announce`
-    /// flag. A sharded tier elects one leader shard to broadcast the
+    /// broadcasts the restart (when `announce`) so peers renumber, then
+    /// starts recovery for every process the recorder knows on that
+    /// node. A sharded tier elects one leader shard to broadcast the
     /// NODE_RESTARTED notice; the others pass `announce = false` and only
     /// re-arm their watchdog plus recover the processes they own.
-    pub fn on_node_restarted_with(
+    pub fn on_node_restarted(
         &mut self,
         now: SimTime,
         recorder: &mut Recorder,
@@ -805,7 +793,7 @@ mod tests {
         let pid = setup_process(&mut r);
         run(|c| m.watch_node(SimTime::ZERO, pid.node, c));
         run(|c| m.watch_node(SimTime::ZERO, NodeId(7), c));
-        let cmds = run(|c| m.on_node_restarted_with(SimTime::ZERO, &mut r, pid.node, 1, false, c));
+        let cmds = run(|c| m.on_node_restarted(SimTime::ZERO, &mut r, pid.node, 1, false, c));
         // Recovery of the node's process starts, but no NODE_RESTARTED
         // broadcast goes to node 7: the only kernel send is the RECREATE
         // to the restarted node itself.

@@ -539,24 +539,12 @@ impl RecorderNode {
         }
     }
 
-    /// The world completed a node restart; broadcast it and recover the
-    /// node's processes.
+    /// The world completed a node restart; announce it (if asked) and
+    /// recover the node's processes. In a sharded tier only the leader
+    /// shard broadcasts NODE_RESTARTED; the rest pass `announce = false`
+    /// so they reset their transport and recover their owned processes
+    /// without duplicating the announcement.
     pub fn confirm_node_restarted(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        incarnation: u32,
-        out: &mut Vec<RNAction>,
-    ) {
-        self.confirm_node_restarted_with(now, node, incarnation, true, out)
-    }
-
-    /// [`RecorderNode::confirm_node_restarted`] with an explicit
-    /// `announce` flag: in a sharded tier only the leader shard
-    /// broadcasts NODE_RESTARTED; the rest pass `false` so they reset
-    /// their transport and recover their owned processes without
-    /// duplicating the announcement.
-    pub fn confirm_node_restarted_with(
         &mut self,
         now: SimTime,
         node: NodeId,
@@ -570,7 +558,7 @@ impl RecorderNode {
             t.reset_peer(now, node, incarnation, actions)
         });
         self.with_manager(now, out, |m, r, cmds| {
-            m.on_node_restarted_with(now, r, node, incarnation, announce, cmds)
+            m.on_node_restarted(now, r, node, incarnation, announce, cmds)
         });
     }
 

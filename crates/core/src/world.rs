@@ -493,7 +493,7 @@ impl<T: RecorderTier> World<T> {
                     for j in 0..self.tier.members() {
                         if j == idx || (T::RESTART_FAN_OUT && self.tier.node(j).is_up()) {
                             self.with_member(now, j, |tier, out| {
-                                tier.node_mut(j).confirm_node_restarted_with(
+                                tier.node_mut(j).confirm_node_restarted(
                                     now,
                                     node,
                                     incarnation,

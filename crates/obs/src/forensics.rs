@@ -6,7 +6,7 @@
 //! comparator rule, a binding-resource flip, a critical-path hop) and
 //! carries its ranked [`Suspect`] list, most suspicious first. The
 //! *types* live here because the diagnosis is part of the run artifact
-//! (report schema v6 embeds an optional [`ForensicsReport`]); the diff
+//! (the report embeds an optional [`ForensicsReport`]); the diff
 //! *engines* that populate them live in `publishing-perf::forensics`,
 //! which sits above this crate and can see snapshots and comparator
 //! verdicts.
@@ -16,7 +16,7 @@
 //! an empty diagnosis** ([`ForensicsReport::is_empty`]). Virtual-time
 //! runs are exactly replayable, so any surviving finding is real.
 
-use crate::registry::{json_escape, json_f64};
+use crate::json::{Json, ObjBuilder};
 
 /// What a ranked suspect names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,31 +93,26 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Serializes the finding as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"scenario\":\"{}\",\"subject\":\"{}\",\"prev\":{},\"new\":{},\"suspects\":[",
-            json_escape(&self.scenario),
-            json_escape(&self.subject),
-            json_f64(self.prev),
-            json_f64(self.new)
-        );
-        for (i, sp) in self.suspects.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"kind\":\"{}\",\"name\":\"{}\",\"prev\":{},\"new\":{},\"delta\":{},\"detail\":\"{}\"}}",
-                sp.kind.label(),
-                json_escape(&sp.name),
-                json_f64(sp.prev),
-                json_f64(sp.new),
-                json_f64(sp.delta()),
-                json_escape(&sp.detail)
-            ));
-        }
-        s.push_str("]}");
-        s
+    /// The finding as a JSON object.
+    pub fn to_json(&self) -> Json {
+        ObjBuilder::new()
+            .field("scenario", &self.scenario)
+            .field("subject", &self.subject)
+            .field("prev", self.prev)
+            .field("new", self.new)
+            .field(
+                "suspects",
+                Json::arr(self.suspects.iter().map(|sp| {
+                    ObjBuilder::new()
+                        .field("kind", sp.kind.label())
+                        .field("name", &sp.name)
+                        .field("prev", sp.prev)
+                        .field("new", sp.new)
+                        .field("delta", sp.delta())
+                        .field("detail", &sp.detail)
+                })),
+            )
+            .build()
     }
 }
 
@@ -172,28 +167,22 @@ impl ForensicsReport {
         s
     }
 
-    /// Serializes the diagnosis as one JSON object (no trailing comma;
-    /// [`crate::report::ObsReport::render_json`] embeds it verbatim).
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"baseline\":\"{}\",\"findings\":[",
-            json_escape(&self.baseline)
-        );
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&f.to_json());
-        }
-        s.push_str("]}");
-        s
+    /// The diagnosis as a JSON object (the report's `forensics` section).
+    pub fn to_json(&self) -> Json {
+        ObjBuilder::new()
+            .field("baseline", &self.baseline)
+            .field(
+                "findings",
+                Json::arr(self.findings.iter().map(Finding::to_json)),
+            )
+            .build()
     }
 
     /// Serializes the diagnosis as NDJSON: one finding object per line.
     pub fn to_ndjson(&self) -> String {
         let mut s = String::new();
         for f in &self.findings {
-            s.push_str(&f.to_json());
+            s.push_str(&f.to_json().write());
             s.push('\n');
         }
         s
@@ -240,7 +229,10 @@ mod tests {
         };
         assert!(r.is_empty());
         assert_eq!(r.render(), "diff vs self: 0 finding(s)\n");
-        assert_eq!(r.to_json(), "{\"baseline\":\"self\",\"findings\":[]}");
+        assert_eq!(
+            r.to_json().write(),
+            "{\"baseline\":\"self\",\"findings\":[]}"
+        );
         assert_eq!(r.to_ndjson(), "");
     }
 
@@ -255,7 +247,7 @@ mod tests {
         );
         assert!(text.contains("#1 [stage] profile_kernel_cpu_ms 10.000 -> 20.000 (+100.0%)  — what-if knob: proto_cpu"));
         assert!(text.contains("#2 [binding_flip] binding"));
-        let json = r.to_json();
+        let json = r.to_json().write();
         assert!(json.contains("\"baseline\":\"perf/BENCH_1.json\""));
         assert!(json.contains("\"kind\":\"stage\",\"name\":\"profile_kernel_cpu_ms\""));
         assert!(json.contains("\"delta\":10.0"));

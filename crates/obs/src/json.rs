@@ -1,19 +1,20 @@
-//! A minimal JSON document model.
+//! The workspace's one JSON document model and its one writer.
 //!
-//! The workspace deliberately carries no serde; every artifact so far
-//! (metrics JSONL, `lab report --json`) is *written* by hand. The perf
-//! observatory also has to *read* its artifacts back — the comparator
-//! diffs two snapshots, and the trace exporter proves its output
-//! round-trips — so this module adds the missing half: a small
-//! recursive-descent parser and a deterministic writer over one
-//! [`Json`] value type.
+//! The workspace deliberately carries no serde. Every JSON artifact —
+//! the `ObsReport`, the metrics JSONL, forensics findings, the `lab`
+//! commands' `--json` rows, `BENCH_<n>.json`, the comparator verdict and
+//! the Chrome trace — is built as a [`Json`] value and serialized by
+//! [`Json::write`]; the perf observatory also reads its artifacts back
+//! through [`parse`]. A report section is therefore described in one
+//! place, as a value, and escaping, number formatting and the clamp of
+//! non-finite floats happen in exactly one function each.
 //!
 //! Objects preserve insertion order (they are association lists, not
-//! maps), so `parse(text).write() == text` for any text this module
-//! itself produced — the property the round-trip tests pin.
+//! maps) and integers stay apart from floats (`7` vs `7.0`), so
+//! `parse(text).write() == text` for any text this module itself
+//! produced — the property the round-trip tests pin.
 
-use publishing_obs::registry::{json_escape, json_f64};
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +23,10 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`).
+    /// A count, written bare (`7`). Parsed from a number that is all
+    /// digits and fits a `u64`.
+    Int(u64),
+    /// Any other number; whole values keep a decimal point (`7.0`).
     Num(f64),
     /// A string.
     Str(String),
@@ -41,10 +45,11 @@ impl Json {
         }
     }
 
-    /// The value as a number, if it is one.
+    /// The value as a number, if it is one (integer or float).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -73,6 +78,21 @@ impl Json {
         }
     }
 
+    /// Collects an array from anything that converts to values.
+    pub fn arr<T: Into<Json>>(items: impl IntoIterator<Item = T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// Collects an object from `(key, value)` pairs, in iteration order.
+    pub fn obj<K: Into<String>, V: Into<Json>>(pairs: impl IntoIterator<Item = (K, V)>) -> Json {
+        Json::Obj(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
+    }
+
     /// Serializes the value compactly (no whitespace).
     pub fn write(&self) -> String {
         let mut out = String::new();
@@ -84,7 +104,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&write_num(*n)),
+            Json::Int(n) => write!(out, "{n}").expect("writing to a String"),
+            Json::Num(n) => write_num(*n, out),
             Json::Str(s) => write_str(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -112,20 +133,91 @@ impl Json {
     }
 }
 
-/// Writes a number under the obs registry's convention (whole values
-/// keep a decimal point, so they round-trip exactly); non-finite values,
-/// which JSON cannot carry, clamp to zero.
-fn write_num(v: f64) -> String {
-    if v.is_finite() {
-        json_f64(v)
-    } else {
-        "0.0".to_string()
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
     }
 }
 
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Int(v)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Int(v.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Int(v as u64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+impl From<&String> for Json {
+    fn from(v: &String) -> Json {
+        Json::Str(v.clone())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Writes a float: whole values keep a decimal point, so they read back
+/// as floats; non-finite values, which JSON cannot carry, clamp to zero.
+fn write_num(v: f64, out: &mut String) {
+    let written = if !v.is_finite() {
+        out.write_str("0.0")
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{}.0", v.trunc() as i64)
+    } else {
+        write!(out, "{v}")
+    };
+    written.expect("writing to a String");
+}
+
+/// Writes a string literal: quotes, backslash, `\n` `\r` `\t` escaped,
+/// and `\u00XX` for the remaining control characters.
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    out.push_str(&json_escape(s));
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String")
+            }
+            c => out.push(c),
+        }
+    }
     out.push('"');
 }
 
@@ -341,6 +433,11 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        // All digits and in range is a count; everything else (a sign, a
+        // fraction, an exponent, or more than a u64 holds) is a float.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Json::Int(n));
+        }
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("a number"))
@@ -360,14 +457,22 @@ impl ObjBuilder {
     }
 
     /// Appends a field.
-    pub fn field(mut self, key: impl Into<String>, value: Json) -> Self {
-        self.pairs.push((key.into(), value));
+    pub fn field(mut self, key: impl Into<String>, value: impl Into<Json>) -> Self {
+        self.pairs.push((key.into(), value.into()));
         self
     }
 
     /// Finishes the object.
     pub fn build(self) -> Json {
         Json::Obj(self.pairs)
+    }
+}
+
+/// A builder is accepted wherever a value is, so nested objects need no
+/// `build()`.
+impl From<ObjBuilder> for Json {
+    fn from(o: ObjBuilder) -> Json {
+        o.build()
     }
 }
 
@@ -421,14 +526,92 @@ mod tests {
     }
 
     #[test]
-    fn whole_numbers_keep_a_decimal_point() {
+    fn whole_floats_keep_a_decimal_point_and_counts_do_not() {
         assert_eq!(Json::Num(7.0).write(), "7.0");
         assert_eq!(Json::Num(0.5).write(), "0.5");
+        assert_eq!(Json::Int(7).write(), "7");
+        assert_eq!(Json::from(u64::MAX).write(), "18446744073709551615");
+        assert_eq!(parse("7").unwrap(), Json::Int(7));
+        assert_eq!(parse("7.0").unwrap(), Json::Num(7.0));
+        assert_eq!(parse("-7").unwrap(), Json::Num(-7.0));
+        // One more than a u64 holds is still a number.
+        assert_eq!(
+            parse("18446744073709551616").unwrap().as_f64(),
+            Some(18446744073709551616.0)
+        );
+        assert_eq!(Json::Int(7).as_f64(), Some(7.0));
     }
 
     #[test]
     fn objects_preserve_insertion_order() {
-        let v = parse(r#"{"z":1,"a":2}"#).unwrap();
-        assert_eq!(v.write(), r#"{"z":1.0,"a":2.0}"#);
+        let text = r#"{"z":1,"a":2.0,"n":null}"#;
+        assert_eq!(parse(text).unwrap().write(), text);
+    }
+
+    #[test]
+    fn strings_are_escaped() {
+        assert_eq!(Json::from("a\"b\\c\nd").write(), r#""a\"b\\c\nd""#);
+        assert_eq!(Json::from("\u{1}\t").write(), r#""\u0001\t""#);
+    }
+
+    #[test]
+    fn conversions_build_fields_in_one_line() {
+        let v = ObjBuilder::new()
+            .field("count", 3u32)
+            .field("ratio", 0.5)
+            .field("ok", true)
+            .field("name", "x")
+            .field("missing", None::<&str>)
+            .field("nested", ObjBuilder::new().field("len", 2usize))
+            .field("list", Json::arr(["a", "b"]))
+            .field("map", Json::obj([("k", 1u64)]))
+            .build();
+        assert_eq!(
+            v.write(),
+            r#"{"count":3,"ratio":0.5,"ok":true,"name":"x","missing":null,"nested":{"len":2},"list":["a","b"],"map":{"k":1}}"#
+        );
+    }
+
+    /// JSON has no NaN or infinity: a non-finite reading anywhere in an
+    /// artifact is written as `0.0`, so the document still parses.
+    #[test]
+    fn report_with_nan_gauge_still_parses() {
+        use crate::forensics::{Finding, ForensicsReport};
+        use crate::report::{ConsensusStats, ObsReport};
+
+        assert_eq!(Json::Num(f64::NAN).write(), "0.0");
+        assert_eq!(Json::Num(f64::NEG_INFINITY).write(), "0.0");
+
+        let diagnosis = ForensicsReport {
+            baseline: "self".into(),
+            findings: vec![Finding {
+                scenario: "run".into(),
+                subject: "utilization".into(),
+                prev: f64::NAN,
+                new: f64::INFINITY,
+                suspects: Vec::new(),
+            }],
+        };
+        for line in diagnosis.to_ndjson().lines() {
+            assert_eq!(
+                parse(line).expect("finding parses").get("prev"),
+                Some(&Json::Num(0.0))
+            );
+        }
+        let report = ObsReport {
+            at_ms: f64::INFINITY,
+            consensus: Some(ConsensusStats {
+                replication_lag_p95: f64::NAN,
+                ..Default::default()
+            }),
+            forensics: Some(diagnosis),
+            ..Default::default()
+        };
+        let doc = parse(&report.render_json()).expect("report parses");
+        assert_eq!(doc.get("at_ms"), Some(&Json::Num(0.0)));
+        let gauge = doc
+            .get("consensus")
+            .and_then(|c| c.get("replication_lag_p95"));
+        assert_eq!(gauge, Some(&Json::Num(0.0)));
     }
 }

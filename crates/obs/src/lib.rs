@@ -8,14 +8,15 @@
 //!
 //! - [`span`]: structured lifecycle events keyed by message id, recorded
 //!   into bounded per-component logs whose running fingerprint is a
-//!   determinism oracle (same property as `publishing_sim::trace`, but
-//!   over typed events instead of free-form strings);
+//!   determinism oracle (same seed, same fingerprint);
 //! - [`causal`]: the happens-before DAG assembled from the span logs,
 //!   with three query surfaces (explain a message's causal chain,
 //!   attribute a recovery's critical path, pinpoint the first divergent
 //!   event between two runs) and deterministic DOT export;
 //! - [`forensics`]: the differential-diagnosis types (ranked suspects
 //!   per finding) that regression forensics attaches to a report;
+//! - [`json`]: the workspace's one JSON document model and writer —
+//!   every artifact here and above is built as a [`json::Json`] value;
 //! - [`registry`]: a hierarchical, path-keyed metrics registry with
 //!   snapshot/delta semantics and JSON-lines export, populated from the
 //!   existing `Counter`/`Summary`/`LogHistogram`/`Utilization`
@@ -46,6 +47,7 @@
 
 pub mod causal;
 pub mod forensics;
+pub mod json;
 pub mod probe;
 pub mod profile;
 pub mod registry;
@@ -67,6 +69,6 @@ pub use registry::{MetricValue, MetricsRegistry};
 pub use report::{ConsensusStats, ObsReport, WatchdogSummary, WorkloadStats};
 pub use slo::SloSpec;
 pub use span::{MessageSpan, MsgKey, SpanEvent, SpanLog, Stage, DEFAULT_SPAN_CAPACITY};
-pub use store::{Interner, RowSpanLog, SampleSpec};
+pub use store::{Interner, RowSpanLog};
 pub use util::{UtilizationReport, WhatIfReport, WhatIfRow, XvalRow};
 pub use watchdog::{Watchdog, WatchdogConfig};

@@ -9,6 +9,7 @@
 //! interval rates, and any snapshot exports as JSON lines for offline
 //! tooling.
 
+use crate::json::{Json, ObjBuilder};
 use publishing_sim::stats::{LinearHistogram, LogHistogram, Summary};
 use std::collections::BTreeMap;
 
@@ -19,6 +20,16 @@ pub enum MetricValue {
     Counter(u64),
     /// A point-in-time level (utilization, lag, age...).
     Gauge(f64),
+}
+
+/// A counter is a JSON integer, a gauge a JSON float.
+impl From<MetricValue> for Json {
+    fn from(v: MetricValue) -> Json {
+        match v {
+            MetricValue::Counter(c) => Json::Int(c),
+            MetricValue::Gauge(g) => Json::Num(g),
+        }
+    }
 }
 
 /// A path-keyed snapshot of metric readings.
@@ -143,19 +154,17 @@ impl MetricsRegistry {
     /// `{"path":"node/0/kernel/msgs_sent","kind":"counter","value":12}`.
     pub fn to_jsonl(&self) -> String {
         let mut s = String::new();
-        for (path, v) in &self.map {
-            s.push_str("{\"path\":\"");
-            s.push_str(&json_escape(path));
-            s.push_str("\",");
-            match v {
-                MetricValue::Counter(c) => {
-                    s.push_str(&format!("\"kind\":\"counter\",\"value\":{c}"));
-                }
-                MetricValue::Gauge(g) => {
-                    s.push_str(&format!("\"kind\":\"gauge\",\"value\":{}", json_f64(*g)));
-                }
-            }
-            s.push_str("}\n");
+        for (path, v) in self.iter() {
+            let kind = match v {
+                MetricValue::Counter(_) => "counter",
+                MetricValue::Gauge(_) => "gauge",
+            };
+            let line = ObjBuilder::new()
+                .field("path", path)
+                .field("kind", kind)
+                .field("value", v);
+            s.push_str(&line.build().write());
+            s.push('\n');
         }
         s
     }
@@ -170,35 +179,6 @@ impl MetricsRegistry {
             }
         }
         s
-    }
-}
-
-/// Escapes a string for inclusion in a JSON string literal (the
-/// workspace's one escaper: quotes, backslash, `\n` `\r` `\t`, and
-/// `\u00XX` for the remaining control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` as a JSON number, whole values keeping a decimal
-/// point (finite values only; callers clamp).
-pub fn json_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}.0", v.trunc() as i64)
-    } else {
-        format!("{v}")
     }
 }
 
@@ -320,11 +300,5 @@ mod tests {
         let p95 = r.gauge_value("depth/p95").unwrap();
         let p99 = r.gauge_value("depth/p99").unwrap();
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

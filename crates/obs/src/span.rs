@@ -11,13 +11,12 @@
 //! `Send` and the live-thread runtime needs no locks. A world driver
 //! merges the logs into per-message [`MessageSpan`]s at report time.
 //!
-//! Determinism: like `publishing_sim::trace::Trace`, each log keeps a
-//! running FNV-1a fingerprint over *every* event ever recorded — framed
-//! by a monotone sequence number so ring eviction cannot change it and
-//! adjacent events cannot alias. Two runs of the same seed must produce
+//! Determinism: each log keeps a running FNV-1a fingerprint over
+//! *every* event ever recorded — framed by a monotone sequence number so
+//! ring eviction cannot change it and adjacent events cannot alias. Two runs of the same seed must produce
 //! identical fingerprints; the test suites assert exactly that.
 
-use crate::store::{ColumnarStore, SampleSpec};
+use crate::store::ColumnarStore;
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -133,7 +132,7 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Number of stage variants (sampling tables are indexed by stage).
+    /// Number of stage variants.
     pub const COUNT: usize = 8;
 
     /// Stable short name, used in rendered reports.
@@ -197,11 +196,10 @@ pub struct SpanEvent {
 /// of 56-byte structs, so the default capacity costs ~1.2 MB per
 /// component instead of ~3.7 MB. Reconstruction is exact, and the
 /// fingerprint is taken at record time over the caller's values, so it
-/// is independent of capacity, sampling, and the storage layout.
+/// is independent of capacity and the storage layout.
 #[derive(Debug)]
 pub struct SpanLog {
     store: ColumnarStore,
-    sampling: SampleSpec,
     capacity: usize,
     total: u64,
     fnv: u64,
@@ -219,7 +217,6 @@ impl SpanLog {
     pub fn new(capacity: usize) -> Self {
         SpanLog {
             store: ColumnarStore::default(),
-            sampling: SampleSpec::default(),
             capacity,
             total: 0,
             fnv: FNV_OFFSET,
@@ -231,7 +228,7 @@ impl SpanLog {
         let seq = self.total;
         self.total += 1;
         self.fnv = fnv_fold_event(self.fnv, seq, at, key, stage, subject, aux);
-        if self.capacity == 0 || !self.sampling.admit(stage) {
+        if self.capacity == 0 {
             return;
         }
         if self.store.len() == self.capacity {
@@ -257,9 +254,9 @@ impl SpanLog {
         self.fnv
     }
 
-    /// Events recorded but not retained — evicted by the ring, thinned
-    /// by sampling, or discarded by a zero capacity. All of them are
-    /// still counted and fingerprinted.
+    /// Events recorded but not retained — evicted by the ring or
+    /// discarded by a zero capacity. All of them are still counted and
+    /// fingerprinted.
     pub fn dropped(&self) -> u64 {
         self.total - self.store.len() as u64
     }
@@ -283,13 +280,6 @@ impl SpanLog {
         while self.store.len() > capacity {
             self.store.pop_front();
         }
-    }
-
-    /// Keeps only every `n`-th event of `stage` from now on (`n <= 1`
-    /// restores keep-all). Sampling thins retention only; fingerprints
-    /// still cover every recorded event.
-    pub fn set_sampling(&mut self, stage: Stage, n: u32) {
-        self.sampling.set(stage, n);
     }
 
     /// Returns the retained events, oldest first.

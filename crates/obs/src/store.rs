@@ -26,10 +26,9 @@
 //! suite pins against the retained [`RowSpanLog`] reference
 //! implementation.
 //!
-//! Per-stage sampling ([`SampleSpec`]) and the fingerprint live in the
-//! [`SpanLog`](crate::span::SpanLog) wrapper: the store only ever sees
-//! events the log decided to retain, so fingerprints stay independent of
-//! storage policy.
+//! The fingerprint lives in the [`SpanLog`](crate::span::SpanLog)
+//! wrapper: the store only ever sees events the log decided to retain,
+//! so fingerprints stay independent of storage policy.
 
 use crate::span::{fnv_fold_event, MsgKey, SpanEvent, Stage, FNV_OFFSET};
 use publishing_sim::time::SimTime;
@@ -84,48 +83,6 @@ impl Interner {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
-    }
-}
-
-/// Per-stage sampling policy: keep every `n`-th event of a stage.
-///
-/// The default keeps everything (`n = 1` for every stage). Sampling is
-/// applied by [`SpanLog::record`](crate::span::SpanLog::record) *after*
-/// fingerprinting, so a sampled log's fingerprint still covers every
-/// event — only retention thins out.
-#[derive(Debug, Clone)]
-pub struct SampleSpec {
-    keep_every: [u32; Stage::COUNT],
-    seen: [u32; Stage::COUNT],
-}
-
-impl Default for SampleSpec {
-    fn default() -> Self {
-        SampleSpec {
-            keep_every: [1; Stage::COUNT],
-            seen: [0; Stage::COUNT],
-        }
-    }
-}
-
-impl SampleSpec {
-    /// Keeps only every `n`-th event of `stage` (`n = 0` is treated as
-    /// 1: keep all).
-    pub fn set(&mut self, stage: Stage, n: u32) {
-        self.keep_every[stage as usize] = n.max(1);
-    }
-
-    /// Returns `true` when a sampling rate other than keep-all is set.
-    pub fn is_thinning(&self) -> bool {
-        self.keep_every.iter().any(|&n| n > 1)
-    }
-
-    /// Decides whether the next event of `stage` is retained.
-    pub fn admit(&mut self, stage: Stage) -> bool {
-        let i = stage as usize;
-        let pick = self.seen[i].is_multiple_of(self.keep_every[i]);
-        self.seen[i] = self.seen[i].wrapping_add(1);
-        pick
     }
 }
 
@@ -491,19 +448,6 @@ mod tests {
         }
         assert_eq!(col.escaped(), 0);
         assert!(row.retained_bytes() >= 3 * col.retained_bytes());
-    }
-
-    #[test]
-    fn sampling_spec_keeps_every_nth() {
-        let mut spec = SampleSpec::default();
-        spec.set(Stage::Publish, 3);
-        spec.set(Stage::Deliver, 0); // 0 means keep all
-        assert!(spec.is_thinning());
-        let picks: Vec<bool> = (0..7).map(|_| spec.admit(Stage::Publish)).collect();
-        assert_eq!(picks, [true, false, false, true, false, false, true]);
-        assert!((0..5).all(|_| spec.admit(Stage::Deliver)));
-        // Stages are independent.
-        assert!(spec.admit(Stage::Capture));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Capacity-lens report sections: the resource-utilization ledger and
-//! the what-if (virtual-speedup) profiler results (schema v5).
+//! the what-if (virtual-speedup) profiler results.
 //!
 //! A world driver assembles a [`UtilizationReport`] from the typed
 //! [`ResourceUsage`] rows every subsystem meter exports (per-node CPU
@@ -8,7 +8,8 @@
 //! The ranking and binding-resource call live in
 //! `publishing_sim::ledger` so the sim layer, the worlds, and this
 //! report all agree on what "saturated" means; this module only holds
-//! the report-shaped containers and their text/JSON renderings.
+//! the report-shaped containers and their text renderings (the JSON
+//! shape of every section is `report.rs`'s).
 //!
 //! The cross-validation rows ([`XvalRow`]) compare a measured quantity
 //! against an analytic queueing-model prediction (utilization law
@@ -81,7 +82,7 @@ impl XvalRow {
     }
 }
 
-/// The resource-utilization section of the report (schema v5).
+/// The resource-utilization section of the report.
 #[derive(Debug, Clone, Default)]
 pub struct UtilizationReport {
     /// The report window (run start → snapshot) the scalar utilizations
@@ -203,7 +204,7 @@ impl WhatIfRow {
     }
 }
 
-/// The what-if profiler section of the report (schema v5): the
+/// The what-if profiler section of the report: the
 /// baseline knee plus one row per virtual-speedup knob.
 #[derive(Debug, Clone, Default)]
 pub struct WhatIfReport {

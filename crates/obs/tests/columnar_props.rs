@@ -132,44 +132,4 @@ proptest! {
             .collect();
         prop_assert_eq!(events_of_col(&col), tail);
     }
-
-    /// Per-stage sampling thins retention to every n-th event of the
-    /// stage but leaves the fingerprint identical to the keep-all log.
-    #[test]
-    fn sampling_thins_retention_without_touching_the_fingerprint(
-        recs in proptest::collection::vec(arb_rec(), 1..200),
-        n in 2u32..6,
-    ) {
-        let (_, full) = record_both(&recs, recs.len());
-        let mut sampled = SpanLog::new(recs.len());
-        sampled.set_sampling(Stage::Publish, n);
-        let mut at = 0u64;
-        for r in &recs {
-            at += r.dt;
-            sampled.record(
-                SimTime::from_nanos(at),
-                MsgKey { sender: r.sender, seq: r.kseq },
-                r.stage,
-                r.subject,
-                r.aux,
-            );
-        }
-        prop_assert_eq!(sampled.fingerprint(), full.fingerprint());
-        prop_assert_eq!(sampled.total(), full.total());
-        let expected: Vec<SpanEvent> = events_of_col(&full)
-            .into_iter()
-            .enumerate()
-            .scan(0u32, |publishes, (_, e)| {
-                if e.stage == Stage::Publish {
-                    let keep = *publishes % n == 0;
-                    *publishes += 1;
-                    Some(keep.then_some(e))
-                } else {
-                    Some(Some(e))
-                }
-            })
-            .flatten()
-            .collect();
-        prop_assert_eq!(events_of_col(&sampled), expected);
-    }
 }

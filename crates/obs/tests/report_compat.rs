@@ -1,28 +1,29 @@
-//! Schema compatibility for the `ObsReport` JSON artifact.
+//! The rendered shapes of the `ObsReport` artifact, on one fully
+//! populated report.
 //!
-//! The report grew by addition only: version 1 carried no `schema`
-//! field (readers treat its absence as version 1); version 2 added
-//! `schema`, `spans_partial`, per-recovery `recovery_ms` /
-//! `critical_path_ms` and the optional `critical_path`; 3 the optional
-//! consensus sections `quorum`, `consensus`, `watchdog`; 4 the optional
-//! `workload`; 5 the optional lens sections `utilization` and `whatif`;
-//! 6 the optional `forensics`. A reader written against any version
-//! keeps working as long as the current render still carries every key
-//! that version introduced, and omits the optional sections nobody
-//! populated. Both halves are stated here as tables over one rendered
-//! report; the one canned fixture kept is the shape the code can no
-//! longer produce — a version-1 artifact without the `schema` field.
+//! The JSON shape grew by addition only, and this file is the statement
+//! of what that means: a reader written against any version keeps
+//! working as long as the current render still carries every key that
+//! version introduced (the table in
+//! `current_render_carries_every_key_of_every_version`), and omits the
+//! optional sections nobody populated. Two canned artifacts are kept:
+//! the shape the code can no longer produce — a version-1 report
+//! without the `schema` field — and, under `fixtures/`, the bytes the
+//! hand-written `format!` emitters produced for the populated report
+//! and a two-finding diagnosis, which the value writer that replaced
+//! them must reproduce exactly.
 
 use publishing_obs::causal::{CriticalPath, Segment};
 use publishing_obs::forensics::{Finding, ForensicsReport, Suspect, SuspectKind};
-use publishing_obs::probe::{QuorumHealth, RecoveryLag};
+use publishing_obs::json::{parse, Json};
+use publishing_obs::probe::{MediumHealth, QuorumHealth, RecoveryLag, SchedulerProbe, ShardHealth};
 use publishing_obs::report::{ObsReport, WorkloadStats, REPORT_SCHEMA_VERSION};
 use publishing_obs::{
     ConsensusStats, UtilizationReport, WatchdogSummary, WhatIfReport, WhatIfRow, XvalRow,
 };
-use publishing_perf::json::{parse, Json};
 use publishing_sim::ledger::{ResourceKind, ResourceUsage};
-use publishing_sim::time::SimTime;
+use publishing_sim::stats::LinearHistogram;
+use publishing_sim::time::{SimDuration, SimTime};
 
 /// A trimmed-down report rendered by the pre-v2 code: no `schema`, no
 /// `spans_partial`, no `critical_path`, recovery entries without the
@@ -61,9 +62,46 @@ fn full_report() -> ObsReport {
         at_ms: 100.0,
         spans_total: 42,
         span_fingerprint: 0xdead_beef,
+        horizon: SimDuration::from_millis(100),
         ..Default::default()
     };
     report.latencies.partial = 3;
+    report.metrics.counter("node/0/kernel/msgs_sent", 7);
+    report.metrics.gauge("medium/utilization", 0.125);
+    report
+        .profile
+        .charge("kernel_cpu", SimDuration::from_millis(10));
+    report.medium = Some(MediumHealth {
+        utilization: 0.125,
+        submitted: 96,
+        delivered: 90,
+        collisions: 4,
+        lost: 1,
+        gating_stalls: 1,
+        aborted: 0,
+    });
+    report.shards.push(ShardHealth {
+        shard: 0,
+        live: true,
+        catching_up: false,
+        queue_depth: 0,
+        known_processes: 3,
+        recoveries_in_flight: 0,
+        replay_lag: 0,
+        gating_stalls: 1,
+        published: 10,
+    });
+    report.sched = SchedulerProbe {
+        delivered: 90,
+        scheduled: 96,
+        pending: 6,
+        peak_pending: 14,
+    };
+    let mut depths = LinearHistogram::new(0.0, 1.0, 32);
+    for d in [0.0, 1.0, 1.0, 2.0, 5.0] {
+        depths.record(d);
+    }
+    report.queue_depths = Some(depths);
     report.recovery.push(RecoveryLag {
         subject: 17,
         recovering: false,
@@ -166,12 +204,12 @@ fn v1_report_without_schema_field_still_reads() {
     let doc = parse(V1_REPORT).expect("v1 artifact parses");
     assert_eq!(schema_of(&doc), 1, "absent schema field means version 1");
     // Every v1 section is still addressable.
-    assert_eq!(at(&doc, "spans_total"), Some(&Json::Num(42.0)));
+    assert_eq!(at(&doc, "spans_total"), Some(&Json::Int(42)));
     assert_eq!(
         at(&doc, "span_fingerprint"),
         Some(&Json::Str("0x00000000deadbeef".into()))
     );
-    assert_eq!(at(&doc, "recovery/0/pid"), Some(&Json::Num(17.0)));
+    assert_eq!(at(&doc, "recovery/0/pid"), Some(&Json::Int(17)));
     // Later fields are simply absent, not an error.
     assert_eq!(at(&doc, "spans_partial"), None);
     assert_eq!(at(&doc, "recovery/0/recovery_ms"), None);
@@ -182,31 +220,36 @@ fn v1_report_without_schema_field_still_reads() {
 
 #[test]
 fn current_render_carries_every_key_of_every_version() {
-    let num = Json::Num;
+    let (int, num) = (Json::Int, Json::Num);
     let text = |s: &str| Json::Str(s.into());
     let doc = parse(&full_report().render_json()).expect("current artifact parses");
     assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
     for (path, want) in [
         // v1
-        ("spans_total", num(42.0)),
+        ("spans_total", int(42)),
         ("span_fingerprint", text("0x00000000deadbeef")),
-        ("recovery/0/pid", num(17.0)),
+        ("recovery/0/pid", int(17)),
+        ("shards/0/published", int(10)),
+        ("medium/collisions", int(4)),
+        ("sched/peak_pending", int(14)),
+        ("queue_depths/n", int(5)),
+        ("profile/kernel_cpu", num(10.0)),
         // v2
-        ("spans_partial", num(3.0)),
+        ("spans_partial", int(3)),
         ("recovery/0/recovery_ms", num(12.5)),
         ("critical_path/total_ms", num(9.0)),
         // v3
         ("quorum/0/leader", Json::Bool(true)),
-        ("consensus/commits", num(40.0)),
-        ("consensus/commit_p99_us", num(4200.0)),
-        ("watchdog/checks", num(123.0)),
+        ("consensus/commits", int(40)),
+        ("consensus/commit_p99_us", int(4200)),
+        ("watchdog/checks", int(123)),
         (
             "watchdog/violations/0",
             text("commit index moved backwards"),
         ),
         // v4
-        ("workload/offered", num(200.0)),
-        ("workload/delivered", num(180.0)),
+        ("workload/offered", int(200)),
+        ("workload/delivered", int(180)),
         ("workload/goodput", num(0.9)),
         (
             "workload/slo_violations/0",
@@ -216,7 +259,7 @@ fn current_render_carries_every_key_of_every_version() {
         ("utilization/binding", text("xport 0->2")),
         ("utilization/resources/0/kind", text("transport")),
         ("utilization/xval/0/ok", Json::Bool(true)),
-        ("whatif/baseline_knee", num(141.0)),
+        ("whatif/baseline_knee", int(141)),
         ("whatif/rows/0/knob", text("sink_recv")),
         // v6
         ("forensics/baseline", text("BENCH_1")),
@@ -258,5 +301,106 @@ fn optional_sections_are_omitted_by_default() {
     assert_eq!(schema_of(&doc), REPORT_SCHEMA_VERSION);
     for section in OPTIONAL_SECTIONS {
         assert_eq!(at(&doc, section), None, "{section}");
+    }
+}
+
+/// Two findings whose strings and numbers exercise every branch of the
+/// writer: each escape, a non-ASCII character, whole / fractional /
+/// negative / beyond-1e15 floats, an empty detail.
+fn two_findings() -> ForensicsReport {
+    ForensicsReport {
+        baseline: "perf/BENCH_1.json".into(),
+        findings: vec![
+            Finding {
+                scenario: "ab_trial".into(),
+                subject: "publish_to_deliver_us_p99".into(),
+                prev: 16384.0,
+                new: 32768.5,
+                suspects: vec![
+                    Suspect {
+                        kind: SuspectKind::Stage,
+                        name: "profile_kernel_cpu_ms".into(),
+                        prev: 10.0,
+                        new: 20.25,
+                        detail: "what-if knob: \"proto_cpu\" \\ tab\there".into(),
+                    },
+                    Suspect {
+                        kind: SuspectKind::BindingFlip,
+                        name: "binding".into(),
+                        prev: 0.0,
+                        new: -0.000125,
+                        detail: "recv 2 → medium\nsecond line \u{1} \r".into(),
+                    },
+                ],
+            },
+            Finding {
+                scenario: "run".into(),
+                subject: "critical_path".into(),
+                prev: 2e15,
+                new: 1e-7,
+                suspects: vec![Suspect {
+                    kind: SuspectKind::CriticalPath,
+                    name: "hop 3".into(),
+                    prev: -3.0,
+                    new: 12345678.9,
+                    detail: String::new(),
+                }],
+            },
+        ],
+    }
+}
+
+#[test]
+fn value_writer_reproduces_the_hand_emitters_bytes() {
+    // Rendered at the last commit that had the `format!` emitters, from
+    // these same two constructors.
+    let report = full_report().render_json();
+    assert_eq!(report, include_str!("fixtures/full_report.json"));
+    assert_eq!(
+        two_findings().to_ndjson(),
+        include_str!("fixtures/two_findings.ndjson")
+    );
+    // And reading the artifact back loses nothing the writer needs.
+    assert_eq!(parse(&report).expect("parses").write(), report);
+}
+
+#[test]
+fn text_report_has_all_sections() {
+    let text = full_report().render_text();
+    for want in [
+        "obs report v6 @ 100.000ms",
+        "partial=3",
+        "medium:",
+        "shard health:",
+        "recovery lag:",
+        "recovered_in=12.500ms",
+        "recovery critical path:",
+        "replay hop",
+        "quorum health:",
+        "consensus:",
+        "commit_p99=4200us",
+        "watchdog: checks=123 violations=1",
+        "! commit index moved backwards",
+        "workload:",
+        "offered=200 (500.0/s) delivered=180 goodput=90.0% slo_violations=1",
+        "! deliver p99 262144us > 150000us",
+        "resource utilization:",
+        "binding=xport 0->2",
+        "<-- saturated",
+        "queueing cross-validation:",
+        "what-if profiler:",
+        "baseline_knee=141",
+        "sink_recv x0.50: predicted_knee=280 confirmed=270",
+        "forensics:",
+        "diff vs BENCH_1: 1 finding(s)",
+        "#1 [resource] util_cpu_proto_busy_ms",
+        "stage latencies:",
+        "scheduler:",
+        "peak_pending=14",
+        "recorder queue depth: n=5",
+        "virtual-time profile:",
+        "node/0/kernel/msgs_sent = 7",
+    ] {
+        assert!(text.contains(want), "missing {want:?} in:\n{text}");
     }
 }

@@ -13,6 +13,8 @@
 //! mismatch, scenario lost).
 
 use crate::snapshot::Snapshot;
+use publishing_obs::forensics::ForensicsReport;
+use publishing_obs::json::{Json, ObjBuilder};
 
 /// Which way a metric gets worse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,48 +188,31 @@ impl Comparison {
         s
     }
 
-    /// Serializes the verdict as one JSON document (`lab compare
-    /// --json`). The exit-code contract is embedded so scripts need not
-    /// re-derive it.
-    pub fn to_json(&self) -> String {
-        use crate::json::{Json, ObjBuilder};
-        let deltas = Json::Arr(
-            self.deltas
-                .iter()
-                .map(|d| {
+    /// The verdict as one JSON document (`lab compare --json`), with the
+    /// forensics diagnosis as its last field when one is given (`--explain`).
+    /// The exit-code contract is embedded so scripts need not re-derive it.
+    pub fn to_json(&self, forensics: Option<&ForensicsReport>) -> Json {
+        let mut o = ObjBuilder::new()
+            .field("incomparable", self.incomparable.as_deref())
+            .field("exit_code", self.exit_code() as f64)
+            .field("regressions", self.regressions().count() as f64)
+            .field(
+                "deltas",
+                Json::arr(self.deltas.iter().map(|d| {
                     ObjBuilder::new()
-                        .field("scenario", Json::Str(d.scenario.clone()))
-                        .field("metric", Json::Str(d.metric.clone()))
-                        .field("prev", Json::Num(d.prev))
-                        .field("new", Json::Num(d.new))
-                        .field("regression", Json::Bool(d.regression))
-                        .field("gated", Json::Bool(d.gated))
-                        .build()
-                })
-                .collect(),
-        );
-        ObjBuilder::new()
-            .field(
-                "incomparable",
-                match &self.incomparable {
-                    Some(why) => Json::Str(why.clone()),
-                    None => Json::Null,
-                },
+                        .field("scenario", &d.scenario)
+                        .field("metric", &d.metric)
+                        .field("prev", d.prev)
+                        .field("new", d.new)
+                        .field("regression", d.regression)
+                        .field("gated", d.gated)
+                })),
             )
-            .field("exit_code", Json::Num(self.exit_code() as f64))
-            .field("regressions", Json::Num(self.regressions().count() as f64))
-            .field("deltas", deltas)
-            .field(
-                "fingerprint_changes",
-                Json::Arr(
-                    self.fingerprint_changes
-                        .iter()
-                        .map(|f| Json::Str(f.clone()))
-                        .collect(),
-                ),
-            )
-            .build()
-            .write()
+            .field("fingerprint_changes", Json::arr(&self.fingerprint_changes));
+        if let Some(diagnosis) = forensics {
+            o = o.field("forensics", diagnosis.to_json());
+        }
+        o.build()
     }
 }
 
@@ -445,37 +430,25 @@ mod tests {
 
     #[test]
     fn json_verdict_parses_and_carries_the_exit_code() {
-        use crate::json::parse;
+        use publishing_obs::json::parse;
         let prev = snap(&[("deliver_us_p99", 1000.0)]);
         let new = snap(&[("deliver_us_p99", 1500.0)]);
         let c = compare(&prev, &new, &default_rules());
-        let doc = parse(&c.to_json()).expect("valid json");
-        assert_eq!(
-            doc.get("exit_code").and_then(crate::json::Json::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            doc.get("regressions").and_then(crate::json::Json::as_f64),
-            Some(1.0)
-        );
-        let Some(crate::json::Json::Arr(deltas)) = doc.get("deltas") else {
+        let doc = parse(&c.to_json(None).write()).expect("valid json");
+        assert_eq!(doc.get("exit_code").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(doc.get("regressions").and_then(Json::as_f64), Some(1.0));
+        let Some(Json::Arr(deltas)) = doc.get("deltas") else {
             panic!("deltas array");
         };
         assert_eq!(deltas.len(), 1);
         assert_eq!(
-            deltas[0].get("metric").and_then(crate::json::Json::as_str),
+            deltas[0].get("metric").and_then(Json::as_str),
             Some("deliver_us_p99")
         );
         let incomparable = compare(&prev, &Snapshot::new("full"), &default_rules());
-        let doc = parse(&incomparable.to_json()).expect("valid json");
-        assert_eq!(
-            doc.get("exit_code").and_then(crate::json::Json::as_f64),
-            Some(2.0)
-        );
-        assert!(doc
-            .get("incomparable")
-            .and_then(crate::json::Json::as_str)
-            .is_some());
+        let doc = parse(&incomparable.to_json(None).write()).expect("valid json");
+        assert_eq!(doc.get("exit_code").and_then(Json::as_f64), Some(2.0));
+        assert!(doc.get("incomparable").and_then(Json::as_str).is_some());
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //! - [`trace`]: the Chrome-trace (Perfetto JSON) exporter that turns
 //!   `publishing-obs` lifecycle span logs into per-component timelines
 //!   with per-message lifecycle slices, loadable in `chrome://tracing`
-//!   or <https://ui.perfetto.dev>;
-//! - [`json`]: the minimal JSON document model the other modules parse
-//!   and emit with (the workspace has no serde — artifacts round-trip
-//!   through this model instead).
+//!   or <https://ui.perfetto.dev>.
+//!
+//! All three artifacts are built and read back as `publishing_obs::json`
+//! values — the workspace's one JSON model (there is no serde).
 //!
 //! Dependency discipline: like `publishing-obs`, this crate sits below
 //! the world drivers. The `lab bench` command (in `publishing-bench`)
@@ -34,6 +34,5 @@
 
 pub mod compare;
 pub mod forensics;
-pub mod json;
 pub mod snapshot;
 pub mod trace;

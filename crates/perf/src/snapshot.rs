@@ -18,7 +18,7 @@
 //! and `mode` the scenario matrix variant (`smoke` or `full`), and the
 //! comparator refuses to diff snapshots that disagree on either.
 
-use crate::json::{parse, Json, ObjBuilder, ParseError};
+use publishing_obs::json::{parse, Json, ObjBuilder, ParseError};
 use publishing_obs::registry::MetricValue;
 use publishing_obs::report::ObsReport;
 use std::collections::BTreeMap;
@@ -59,24 +59,8 @@ impl ScenarioSnapshot {
 
     fn to_json(&self) -> Json {
         ObjBuilder::new()
-            .field(
-                "virtual",
-                Json::Obj(
-                    self.virt
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            )
-            .field(
-                "fingerprints",
-                Json::Obj(
-                    self.fingerprints
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                        .collect(),
-                ),
-            )
+            .field("virtual", Json::obj(self.virt.iter().map(|(k, v)| (k, *v))))
+            .field("fingerprints", Json::obj(&self.fingerprints))
             .build()
     }
 }
@@ -111,16 +95,11 @@ impl Snapshot {
     /// byte-identical output.
     pub fn to_json(&self) -> String {
         ObjBuilder::new()
-            .field("schema", Json::Num(self.schema as f64))
-            .field("mode", Json::Str(self.mode.clone()))
+            .field("schema", self.schema as f64)
+            .field("mode", &self.mode)
             .field(
                 "scenarios",
-                Json::Obj(
-                    self.scenarios
-                        .iter()
-                        .map(|s| (s.name.clone(), s.to_json()))
-                        .collect(),
-                ),
+                Json::obj(self.scenarios.iter().map(|s| (&s.name, s.to_json()))),
             )
             .build()
             .write()

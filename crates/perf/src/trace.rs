@@ -21,7 +21,7 @@
 //! All timestamps are virtual-time microseconds (the format's native
 //! unit), so the export is deterministic: same run, same bytes.
 
-use crate::json::{parse, Json, ObjBuilder, ParseError};
+use publishing_obs::json::{parse, Json, ObjBuilder, ParseError};
 use publishing_obs::span::{assemble, MsgKey, SpanLog, Stage};
 use publishing_sim::time::SimTime;
 use std::collections::BTreeMap;
@@ -60,45 +60,33 @@ pub struct ChromeTrace {
 impl ChromeTrace {
     /// Serializes to Trace Event Format JSON (object form, compact).
     pub fn to_json(&self) -> String {
-        let events = self
-            .events
-            .iter()
-            .map(|e| {
-                let mut o = ObjBuilder::new()
-                    .field("name", Json::Str(e.name.clone()))
-                    .field("cat", Json::Str(e.cat.clone()))
-                    .field("ph", Json::Str(e.ph.to_string()))
-                    .field("ts", Json::Num(e.ts))
-                    .field("pid", Json::Num(e.pid as f64))
-                    .field("tid", Json::Num(e.tid as f64));
-                if let Some(dur) = e.dur {
-                    o = o.field("dur", Json::Num(dur));
-                }
-                if let Some(id) = e.id {
-                    o = o.field("id", Json::Num(id as f64));
-                }
-                if e.ph == 'f' {
-                    // Bind the flow finish to the enclosing slice/instant
-                    // so viewers draw the arrow to the event itself.
-                    o = o.field("bp", Json::Str("e".into()));
-                }
-                if !e.args.is_empty() {
-                    o = o.field(
-                        "args",
-                        Json::Obj(
-                            e.args
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                                .collect(),
-                        ),
-                    );
-                }
-                o.build()
-            })
-            .collect();
+        let events = self.events.iter().map(|e| {
+            let mut o = ObjBuilder::new()
+                .field("name", &e.name)
+                .field("cat", &e.cat)
+                .field("ph", e.ph.to_string())
+                .field("ts", e.ts)
+                .field("pid", e.pid as f64)
+                .field("tid", e.tid as f64);
+            if let Some(dur) = e.dur {
+                o = o.field("dur", dur);
+            }
+            if let Some(id) = e.id {
+                o = o.field("id", id as f64);
+            }
+            if e.ph == 'f' {
+                // Bind the flow finish to the enclosing slice/instant
+                // so viewers draw the arrow to the event itself.
+                o = o.field("bp", "e");
+            }
+            if !e.args.is_empty() {
+                o = o.field("args", Json::obj(e.args.iter().map(|(k, v)| (k, v))));
+            }
+            o
+        });
         ObjBuilder::new()
-            .field("displayTimeUnit", Json::Str("ms".into()))
-            .field("traceEvents", Json::Arr(events))
+            .field("displayTimeUnit", "ms")
+            .field("traceEvents", Json::arr(events))
             .build()
             .write()
     }

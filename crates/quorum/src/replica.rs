@@ -218,7 +218,7 @@ impl QuorumReplica {
 
     /// The inner recorder node, mutably: for the settings and restart
     /// confirmations that pass straight through the consensus layer
-    /// (span capacity, disk faults, `confirm_node_restarted_with`,
+    /// (span capacity, disk faults, `confirm_node_restarted`,
     /// `decline_node_restart`). Frames, timers, crash and restart must
     /// go through the replica.
     pub fn recorder_node_mut(&mut self) -> &mut RecorderNode {

@@ -1,57 +1,27 @@
-//! Fault-injection plans.
+//! Message-fault plans.
 //!
 //! §1.1.2 classifies faults by detectability and determinism; publishing
 //! recovers *detected, non-deterministic* faults, rounded up to crashes of
-//! the affected processes. The injector therefore speaks in crashes: of a
-//! single process, of a whole node (all its processes), or of a recorder.
-//! It also models the message-level faults the transport must mask: frame
-//! loss and corruption.
+//! the affected processes. Crashes are scheduled by the chaos layer
+//! (`publishing_chaos::FaultSchedule`); this module models the
+//! message-level faults the transport must mask: frame loss, corruption
+//! and duplication.
 
 use crate::rng::DetRng;
-use crate::time::SimTime;
 
-/// What is made to crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashTarget {
-    /// One process, identified by `(node, local index)`.
-    Process {
-        /// Node hosting the process.
-        node: u32,
-        /// Local index on that node.
-        local: u32,
-    },
-    /// An entire processing node (crash of all its processes, §1.1.2).
-    Node(u32),
-    /// A recorder node, identified by recorder index.
-    Recorder(u32),
-}
-
-/// A single scheduled crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crash {
-    /// When the fault is detected (and the target halts).
-    pub at: SimTime,
-    /// What crashes.
-    pub target: CrashTarget,
-}
-
-/// A deterministic fault plan: an ordered list of crashes plus message
-/// fault probabilities.
+/// A deterministic message-fault plan: independent per-frame
+/// probabilities, rolled on the caller's RNG stream.
 ///
 /// # Examples
 ///
 /// ```
-/// use publishing_sim::fault::{CrashTarget, FaultPlan};
-/// use publishing_sim::time::SimTime;
+/// use publishing_sim::fault::FaultPlan;
 ///
-/// let plan = FaultPlan::new()
-///     .crash_at(SimTime::from_millis(50), CrashTarget::Node(1))
-///     .with_frame_loss(0.01);
-/// assert_eq!(plan.crashes().len(), 1);
+/// let plan = FaultPlan::new().with_frame_loss(0.01);
+/// assert_eq!(plan.frame_loss(), 0.01);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    crashes: Vec<Crash>,
     frame_loss: f64,
     frame_corruption: f64,
     frame_duplication: f64,
@@ -61,13 +31,6 @@ impl FaultPlan {
     /// Creates an empty plan (no faults).
     pub fn new() -> Self {
         FaultPlan::default()
-    }
-
-    /// Adds a crash of `target` at time `at`.
-    pub fn crash_at(mut self, at: SimTime, target: CrashTarget) -> Self {
-        self.crashes.push(Crash { at, target });
-        self.crashes.sort_by_key(|c| c.at);
-        self
     }
 
     /// Sets the independent per-frame loss probability.
@@ -106,11 +69,6 @@ impl FaultPlan {
         self
     }
 
-    /// Returns the crash schedule, sorted by time.
-    pub fn crashes(&self) -> &[Crash] {
-        &self.crashes
-    }
-
     /// Returns the per-frame loss probability.
     pub fn frame_loss(&self) -> f64 {
         self.frame_loss
@@ -142,45 +100,11 @@ impl FaultPlan {
     pub fn roll_duplication(&self, rng: &mut DetRng) -> bool {
         self.frame_duplication > 0.0 && rng.chance(self.frame_duplication)
     }
-
-    /// Generates a random crash schedule: `n` crashes uniform over
-    /// `[0, horizon)` against uniformly chosen process targets.
-    ///
-    /// Used by the property tests to explore the crash-schedule space.
-    pub fn random_process_crashes(
-        rng: &mut DetRng,
-        n: usize,
-        horizon: SimTime,
-        nodes: u32,
-        procs_per_node: u32,
-    ) -> Self {
-        let mut plan = FaultPlan::new();
-        for _ in 0..n {
-            let at = SimTime::from_nanos(rng.below(horizon.as_nanos().max(1)));
-            let node = rng.below(nodes as u64) as u32;
-            let local = rng.below(procs_per_node as u64) as u32;
-            plan = plan.crash_at(at, CrashTarget::Process { node, local });
-        }
-        plan
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
-
-    #[test]
-    fn crashes_sorted_by_time() {
-        let plan = FaultPlan::new()
-            .crash_at(SimTime::from_millis(30), CrashTarget::Node(2))
-            .crash_at(SimTime::from_millis(10), CrashTarget::Node(1));
-        let times: Vec<_> = plan.crashes().iter().map(|c| c.at).collect();
-        assert_eq!(
-            times,
-            vec![SimTime::from_millis(10), SimTime::from_millis(30)]
-        );
-    }
 
     #[test]
     fn zero_probability_never_rolls() {
@@ -203,31 +127,6 @@ mod tests {
         assert!(plan.roll_loss(&mut rng));
         assert!(plan.roll_corruption(&mut rng));
         assert!(plan.roll_duplication(&mut rng));
-    }
-
-    #[test]
-    fn random_schedule_is_deterministic() {
-        let mut r1 = DetRng::new(99);
-        let mut r2 = DetRng::new(99);
-        let a = FaultPlan::random_process_crashes(&mut r1, 5, SimTime::from_secs(1), 3, 4);
-        let b = FaultPlan::random_process_crashes(&mut r2, 5, SimTime::from_secs(1), 3, 4);
-        assert_eq!(a.crashes(), b.crashes());
-    }
-
-    #[test]
-    fn random_schedule_targets_in_bounds() {
-        let mut rng = DetRng::new(4);
-        let plan = FaultPlan::random_process_crashes(&mut rng, 50, SimTime::from_secs(1), 3, 4);
-        for c in plan.crashes() {
-            match c.target {
-                CrashTarget::Process { node, local } => {
-                    assert!(node < 3);
-                    assert!(local < 4);
-                }
-                _ => panic!("unexpected target"),
-            }
-            assert!(c.at < SimTime::from_secs(1));
-        }
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //!   utilization integrator behind Figure 5.5;
 //! - [`ledger`]: typed-resource busy timelines, queue-occupancy gauges,
 //!   and the binding-resource ranking behind the capacity lens;
-//! - [`trace`]: a bounded trace ring whose running fingerprint doubles as
-//!   the determinism oracle in the test suite;
 //! - [`table`]: tables indexed by the tokens and ids the simulation hands
 //!   out itself (timers, IO, captures; process and message ids);
-//! - [`fault`]: crash schedules and message-fault probabilities.
+//! - [`fault`]: message-fault probabilities (frame loss, corruption,
+//!   duplication).
 //!
 //! Nothing here knows about networks, kernels, or recorders; those live in
 //! `publishing-net`, `publishing-demos`, and `publishing-core`.
@@ -33,14 +32,12 @@ pub mod rng;
 pub mod stats;
 pub mod table;
 pub mod time;
-pub mod trace;
 
 pub use codec::{CodecError, Decode, Decoder, Encode, Encoder};
 pub use event::Scheduler;
-pub use fault::{Crash, CrashTarget, FaultPlan};
+pub use fault::FaultPlan;
 pub use ledger::{LevelGauge, ResourceKind, ResourceUsage, Timeline};
 pub use rng::DetRng;
 pub use stats::{Counter, LinearHistogram, LogHistogram, Summary, Utilization};
 pub use table::{IdMap, TokenTable};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Category, Trace, TraceEvent};

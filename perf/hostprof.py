@@ -8,7 +8,8 @@
 `run_schedule` / `find_knee` and writes raw return addresses. This script
 turns them into functions and lines with `addr2line -f -C -i` (inlined
 frames expanded, so a `BTreeMap::get` inlined into its caller still counts
-as ordered-map time) and prints the three tables DESIGN.md §19-§21 use:
+as ordered-map time) and prints the three tables EXPERIMENTS.md "Host
+profiles" §19-§21 use:
 
 1. share of samples by innermost first-party function (its own code plus
    the std/libc code it called), with the share of samples that have it
@@ -23,7 +24,8 @@ B-tree insert counts for both). Needs binutils' `addr2line` on PATH and
 the executable the samples came from, unchanged, at the recorded path.
 
 A file written by `hostprof --allocs <n>` holds the stack of every n-th
-allocation instead: one table, allocations by call site (DESIGN.md §22) —
+allocation instead: one table, allocations by call site (EXPERIMENTS.md
+"Host profiles" §22) —
 the nearest first-party function and line, and when that is a helper in
 `codec.rs` or `frame.rs` (an encoder's buffer, a frame's bytes) the
 nearest caller that is not, `site <- caller`. With
