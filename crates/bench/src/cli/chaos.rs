@@ -6,19 +6,21 @@
 //! - `--schedules K` — schedules per topology (default 25);
 //! - `--smoke` — small CI run (5 schedules per topology unless
 //!   `--schedules` says otherwise);
-//! - `--schedule S` — replay one schedule literal (as printed for a
-//!   minimized reproducer) instead of generating; runs on the single
-//!   world unless the literal contains sharded or replica faults.
+//! - `--schedule S` — replay one reproducer literal instead of
+//!   generating: `[topology=T] [medium=M] seed=N horizon=Hms` and the
+//!   faults, as printed for a minimized reproducer. The literal names
+//!   its world; without the tokens it is `single` on `perfect`. Given
+//!   more than once, the literals replay in order.
 //!
-//! Exit status is non-zero if any schedule fails its oracle; the
-//! failing schedule is shrunk first and the minimal reproducer printed
-//! as a `--schedule` literal.
+//! Exit status is non-zero if any schedule fails its oracle; a
+//! generated schedule that fails is shrunk first and the minimal
+//! reproducer printed as a `--schedule` literal.
 
 use super::{fail, Flags};
 use publishing_chaos::driver::Engine;
 use publishing_chaos::oracle::OracleOptions;
 use publishing_chaos::scenario::{Scenario, Topology};
-use publishing_chaos::schedule::{self, ChaosConfig, Fault, FaultSchedule};
+use publishing_chaos::schedule::{self, ChaosConfig};
 
 pub(super) const USAGE: &str = "[--seed N] [--schedules K] [--smoke] [--schedule S]";
 
@@ -32,7 +34,8 @@ pub(super) fn run_suite(
     prefix: &str,
     noun: &str,
 ) -> Result<(), String> {
-    let eng = Engine::new(Scenario::new(topology, seed), OracleOptions::default())
+    let scenario = Scenario::new(topology, seed);
+    let eng = Engine::new(scenario.clone(), OracleOptions::default())
         .map_err(|e| format!("{prefix}baseline: {e}"))?;
     for k in 0..schedules {
         let sched = schedule::generate(&ChaosConfig::for_topology(
@@ -52,8 +55,9 @@ pub(super) fn run_suite(
         let min = eng.shrink(&sched);
         return Err(format!(
             "{prefix}minimal reproducer ({} faults), replay with:\n  \
-             lab chaos --schedule '{min}'",
-            min.faults.len()
+             lab chaos --schedule '{}'",
+            min.faults.len(),
+            scenario.reproducer(&min)
         ));
     }
     println!("{prefix}{schedules} {noun} passed");
@@ -61,34 +65,20 @@ pub(super) fn run_suite(
 }
 
 fn replay(lit: &str) -> Result<(), String> {
-    let sched: FaultSchedule = lit.parse()?;
-    let quorum = sched
-        .faults
-        .iter()
-        .any(|f| matches!(f, Fault::CrashReplica { .. } | Fault::RestartReplica { .. }));
-    let sharded = sched.faults.iter().any(|f| {
-        matches!(f, Fault::AddShard { .. })
-            || matches!(f, Fault::CrashRecorder { shard, .. } | Fault::RestartRecorder { shard, .. } if *shard > 0)
-    });
-    let topology = if quorum {
-        Topology::Quorum
-    } else if sharded {
-        Topology::Sharded
-    } else {
-        Topology::Single
-    };
-    eprintln!("replaying on the {topology} world");
-    let eng = Engine::new(
-        Scenario::new(topology, sched.workload_seed),
-        OracleOptions::default(),
-    )
-    .map_err(|e| format!("baseline: {e}"))?;
+    let (scenario, sched) = Scenario::from_reproducer(lit)?;
+    eprintln!(
+        "replaying on the {} world, {} medium",
+        scenario.topology, scenario.medium
+    );
+    let lit = scenario.reproducer(&sched);
+    let eng =
+        Engine::new(scenario, OracleOptions::default()).map_err(|e| format!("baseline: {e}"))?;
     let failures = eng.run(&sched);
     if failures.is_empty() {
-        println!("schedule passed: {sched}");
+        println!("schedule passed: {lit}");
         Ok(())
     } else {
-        println!("schedule FAILED: {sched}");
+        println!("schedule FAILED: {lit}");
         for f in &failures {
             println!("  - {f}");
         }
@@ -101,11 +91,12 @@ pub(super) fn run(flags: &Flags) {
     let schedules = flags
         .parsed("--schedules")
         .unwrap_or(if flags.has("--smoke") { 5u64 } else { 25 });
-    let result = match flags.value("--schedule") {
-        Some(lit) => replay(lit),
-        None => [Topology::Single, Topology::Sharded, Topology::Quorum]
+    let result = if flags.has("--schedule") {
+        flags.values("--schedule").try_for_each(replay)
+    } else {
+        [Topology::Single, Topology::Sharded, Topology::Quorum]
             .into_iter()
-            .try_for_each(|t| run_suite(t, seed, schedules, &format!("[{t}] "), "schedules")),
+            .try_for_each(|t| run_suite(t, seed, schedules, &format!("[{t}] "), "schedules"))
     };
     if let Err(e) = result {
         fail(1, e);

@@ -156,6 +156,12 @@ impl Flags {
         self.given.iter().any(|(n, _)| n == name)
     }
 
+    /// Every value given for flag `name`, in order.
+    fn values<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
+        let named = self.given.iter().filter(move |(n, _)| n == name);
+        named.filter_map(|(_, value)| value.as_deref())
+    }
+
     /// The value of flag `name`; the last occurrence wins.
     fn value(&self, name: &str) -> Option<&str> {
         let (_, value) = self.given.iter().rev().find(|(n, _)| n == name)?;

@@ -36,7 +36,7 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
     let crash_at = 250;
     let old_leader = {
         let mut probe = scenario.build();
-        probe.run_until_or_fault(SimTime::from_millis(crash_at));
+        probe.run_until(SimTime::from_millis(crash_at));
         probe
             .quorum_leader()
             .ok_or("no leader by the crash instant")? as u32
@@ -45,10 +45,9 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
         workload_seed: seed,
         horizon_ms: 1200,
         faults: vec![
-            Fault::CrashReplica {
+            Fault::CrashRecorder {
                 at_ms: crash_at,
-                group: 0,
-                idx: old_leader,
+                member: old_leader,
             },
             Fault::CrashNode {
                 at_ms: 400,
@@ -61,7 +60,8 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
     let failures = eng.run(&sched);
     if !failures.is_empty() {
         return Err(format!(
-            "leader-crash schedule {sched} failed its oracle:\n  {}",
+            "leader-crash schedule {} failed its oracle:\n  {}",
+            scenario.reproducer(&sched),
             failures.join("\n  ")
         ));
     }

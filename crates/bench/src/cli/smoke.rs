@@ -33,6 +33,24 @@ const GATES: &[(&str, &[&str], i32)] = &[
     ),
     ("report_json", &["report", "--json", "--smoke"], 0),
     ("chaos", &["chaos", "--smoke"], 0),
+    // One fixed reproducer per topology, world tokens included: a
+    // literal that stops parsing or changes verdict fails here.
+    (
+        "chaos_replay",
+        &[
+            "chaos",
+            "--schedule",
+            "topology=single medium=ethernet seed=21 horizon=900ms crash_process@15ms#1 \
+             crash_node@30ms#2 crash_recorder@300ms#0 restart_recorder@450ms#0",
+            "--schedule",
+            "topology=sharded medium=perfect seed=21 horizon=900ms crash_process@15ms#1 \
+             crash_node@30ms#2 add_shard@200ms crash_recorder@300ms#1 restart_recorder@450ms#1",
+            "--schedule",
+            "topology=quorum medium=perfect seed=21 horizon=900ms crash_process@260ms#1 \
+             crash_node@300ms#2 crash_recorder@400ms#2",
+        ],
+        0,
+    ),
     ("quorum", &["quorum", "--smoke"], 0),
     (
         "report_quorum",

@@ -1,7 +1,7 @@
 //! The `lab` command-line contract, checked on the real executable:
 //! command-line errors exit 2 with the usage on stderr, `lab compare`
-//! keeps its 0 / 1 / 2 exit codes, and `lab chaos --schedule` picks its
-//! topology from the literal.
+//! keeps its 0 / 1 / 2 exit codes, and `lab chaos --schedule` replays a
+//! reproducer literal on the world the literal names.
 
 use publishing_perf::snapshot::Snapshot;
 use std::path::PathBuf;
@@ -104,30 +104,51 @@ fn compare_exits_0_1_2_on_self_regression_and_mismatch() {
 }
 
 #[test]
-fn chaos_replay_picks_its_topology_from_the_literal() {
-    for (literal, topology) in [
-        ("seed=1 horizon=600ms crash_node@200ms#2", "single"),
-        ("seed=1 horizon=600ms crash_recorder@200ms#0", "single"),
-        ("seed=1 horizon=600ms crash_recorder@200ms#2", "sharded"),
-        ("seed=1 horizon=600ms add_shard@150ms", "sharded"),
+fn chaos_replays_a_reproducer_on_the_world_it_names() {
+    let faults = "seed=1 horizon=600ms crash_node@200ms#2 crash_recorder@250ms#1";
+    for (tokens, topology, medium) in [
+        ("topology=sharded medium=perfect ", "sharded", "perfect"),
+        ("medium=ethernet ", "single", "ethernet"),
+        // Without the tokens: the single recorder on the perfect bus,
+        // whatever the faults look like.
+        ("", "single", "perfect"),
+        // The quorum does not hold a leader on the contended ethernet
+        // (DESIGN §15), so this one only has to reach that world.
+        ("topology=quorum medium=ethernet ", "quorum", "ethernet"),
+    ] {
+        let out = lab(&["chaos", "--schedule", &format!("{tokens}{faults}")]);
+        let err = stderr(&out);
+        assert!(
+            err.contains(&format!(
+                "replaying on the {topology} world, {medium} medium"
+            )),
+            "{tokens}: {err}"
+        );
+        if topology != "quorum" {
+            // The verdict carries the whole reproducer, which replays.
+            assert_eq!(out.status.code(), Some(0), "{tokens}: {err}");
+            let reproducer = format!("topology={topology} medium={medium} {faults}");
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                format!("schedule passed: {reproducer}\n")
+            );
+            let again = lab(&["chaos", "--schedule", &reproducer]);
+            assert_eq!(again.stdout, out.stdout, "{reproducer}");
+        }
+    }
+    // A literal that does not parse fails the replay, not the command
+    // line, and the message names the token.
+    for (literal, token) in [
+        ("seed=1 horizon=soon", "soon"),
+        ("topology=ring seed=1 horizon=600ms", "ring"),
         (
-            "seed=1 horizon=600ms crash_recorder@200ms#2 crash_replica@250ms#0.1",
-            "quorum",
+            "seed=1 horizon=100ms crash_node@500ms#0",
+            "crash_node@500ms#0",
         ),
     ] {
         let out = lab(&["chaos", "--schedule", literal]);
-        assert_eq!(out.status.code(), Some(0), "{literal}: {}", stderr(&out));
-        assert_eq!(
-            String::from_utf8_lossy(&out.stdout),
-            format!("schedule passed: {literal}\n")
-        );
-        let err = stderr(&out);
-        assert!(
-            err.contains(&format!("replaying on the {topology} world")),
-            "{literal}: {err}"
-        );
+        assert_eq!(out.status.code(), Some(1), "{literal}");
+        assert!(out.stdout.is_empty(), "{literal}");
+        assert!(stderr(&out).contains(token), "{literal}: {}", stderr(&out));
     }
-    // A literal that does not parse fails the replay, not the parser.
-    let out = lab(&["chaos", "--schedule", "seed=1 horizon=soon"]);
-    assert_eq!(out.status.code(), Some(1));
 }

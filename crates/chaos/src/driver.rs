@@ -1,19 +1,20 @@
-//! Drives a target world through a fault schedule via the sim
-//! scheduler's fault clock.
+//! Drives a target world through a fault schedule, as a client of the
+//! world's clock.
 //!
-//! The schedule's instants (discrete faults plus burst boundaries) are
-//! loaded into a [`FaultClock`]; the world runs normally and
-//! `run_until_or_fault` pauses it exactly at each instant, where the
-//! driver injects the discrete faults due and recomputes the medium and
-//! disk fault regimes from the bursts active at that time. At the
-//! horizon the world is healed (everything still down restarts, all
-//! regimes clear) and run through a grace period so the oracle judges
-//! recovery, not an ongoing outage.
+//! The driver walks the schedule's instants (discrete fault times plus
+//! burst boundaries, whole milliseconds, ascending). For each it runs
+//! the world up to — not through — that instant
+//! ([`ChaosWorld::run_before`]: a fault at `t` lands before the frame
+//! delivered at `t`), injects the discrete faults due in list order, and
+//! recomputes the medium and disk fault regimes from the bursts active
+//! at that time. Then the world runs to the horizon, is healed
+//! (everything still down restarts, all regimes clear) and runs a grace
+//! period, so the oracle judges recovery, not an ongoing outage. The
+//! world knows nothing of faults: it only runs to the times it is given.
 
 use crate::oracle::{self, Baseline, OracleOptions};
 use crate::scenario::{ChaosWorld, Scenario};
 use crate::schedule::{Fault, FaultSchedule};
-use publishing_sim::event::FaultClock;
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
 use publishing_stable::disk::DiskFaults;
@@ -76,8 +77,8 @@ fn disk_faults_at(s: &FaultSchedule, t_ms: u64) -> DiskFaults {
     out
 }
 
-/// All instants (ms) at which the driver must pause the world: discrete
-/// fault times, burst starts, and burst ends, clamped to the horizon.
+/// All instants (ms) at which the driver acts on the world, ascending:
+/// discrete fault times, burst starts and burst ends, up to the horizon.
 fn instants(s: &FaultSchedule) -> Vec<u64> {
     let mut ts = Vec::new();
     for f in &s.faults {
@@ -99,25 +100,17 @@ fn instants(s: &FaultSchedule) -> Vec<u64> {
 /// Replays `schedule` against a fresh `target` (injection, heal, grace
 /// period). On return the world is quiescent and ready for the oracle.
 pub fn run_schedule(target: &mut dyn ChaosWorld, schedule: &FaultSchedule) {
-    let instants = instants(schedule);
-    target.set_fault_clock(FaultClock::new(
-        instants.iter().map(|&t| SimTime::from_millis(t)).collect(),
-    ));
-    let horizon = SimTime::from_millis(schedule.horizon_ms);
-    while let Some(t) = target.run_until_or_fault(horizon) {
-        let t_ms = (t.as_millis_f64()).round() as u64;
-        for f in &schedule.faults {
-            if f.at_ms() == t_ms {
-                target.inject(f);
-            }
+    for t_ms in instants(schedule) {
+        target.run_before(SimTime::from_millis(t_ms));
+        for f in schedule.faults.iter().filter(|f| f.at_ms() == t_ms) {
+            target.inject(f);
         }
         target.set_medium_faults(medium_plan_at(schedule, t_ms));
         target.set_disk_faults(disk_faults_at(schedule, t_ms));
     }
+    target.run_until(SimTime::from_millis(schedule.horizon_ms));
     target.heal();
-    let end = SimTime::from_millis(schedule.horizon_ms + GRACE_MS);
-    let paused = target.run_until_or_fault(end);
-    debug_assert!(paused.is_none(), "fault clock drained before the heal");
+    target.run_until(SimTime::from_millis(schedule.horizon_ms + GRACE_MS));
 }
 
 /// A scenario bound to its fault-free baseline: the reusable harness

@@ -3,17 +3,17 @@
 //! The engine closes the loop the individual fault hooks open up:
 //!
 //! 1. [`schedule`] *generates* seeded [`FaultSchedule`]s — crash storms
-//!    over processes, nodes, the recorder (or a shard), frame
-//!    loss/corruption/duplication bursts, transient disk-IO windows and
-//!    torn-writes-on-crash — from a compact [`ChaosConfig`], biased
-//!    toward the hard timings (crash during recovery, crash during
-//!    rebalance);
-//! 2. [`driver`] *replays* a schedule against a target world through the
-//!    scheduler's injectable fault clock
-//!    ([`publishing_sim::event::FaultClock`]): the world runs normally
-//!    and pauses exactly at each scheduled instant for injection, so a
-//!    schedule is a pure function of its literal — no wall clock, no
-//!    polling;
+//!    over processes, nodes and the members of the recorder tier (the
+//!    recorder, a shard, a quorum replica: one fault kind addresses all
+//!    three), frame loss/corruption/duplication bursts, transient
+//!    disk-IO windows and torn-writes-on-crash — from a compact
+//!    [`ChaosConfig`], biased toward the hard timings (crash during
+//!    recovery, crash during rebalance);
+//! 2. [`driver`] *replays* a schedule against a target world as a client
+//!    of the world's clock: it runs the world up to each scheduled
+//!    instant, injects between two events and runs on. The simulator
+//!    knows nothing of faults, and a run is a pure function of its
+//!    literal — no wall clock, no polling;
 //! 3. [`oracle`] *checks* the recovery invariants after every schedule:
 //!    all recoveries converge (replay lag drains to zero, no shard left
 //!    catching up), every client's deduplicated output equals the
@@ -23,7 +23,8 @@
 //! 4. [`shrink`] *minimizes* a failing schedule by deterministic
 //!    delta-debugging — drop faults to a fixpoint, then bisect each
 //!    fault's timing at millisecond granularity — down to a reproducer
-//!    printable as a replayable `--schedule` literal.
+//!    printable as a replayable `--schedule` literal that names its
+//!    world ([`Scenario::reproducer`]).
 //!
 //! [`FaultSchedule`]: schedule::FaultSchedule
 //! [`ChaosConfig`]: schedule::ChaosConfig

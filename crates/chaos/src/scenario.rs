@@ -6,10 +6,11 @@
 //! output is pinned regardless of loss-induced interleaving — and the
 //! workload engine plugs in phase-compiled publish drivers through the
 //! same hook. The [`ChaosWorld`] trait is the narrow waist the driver
-//! and oracle see: run-to-fault, inject, heal, and the invariant
-//! probes.
+//! and oracle see: run to an instant, inject, heal, and the invariant
+//! probes. A scenario and a schedule together print as one reproducer
+//! literal ([`Scenario::reproducer`]) that names the world it ran on.
 
-use crate::schedule::Fault;
+use crate::schedule::{Fault, FaultSchedule};
 use publishing_core::node::RecorderNode;
 use publishing_core::world::{RecorderTier, World, WorldBuilder};
 use publishing_demos::costs::CostModel;
@@ -24,7 +25,6 @@ use publishing_obs::registry::MetricsRegistry;
 use publishing_obs::span::check_replay_prefix;
 use publishing_quorum::QuorumTier;
 use publishing_shard::ShardTier;
-use publishing_sim::event::FaultClock;
 use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::SimTime;
 use publishing_stable::disk::DiskFaults;
@@ -162,6 +162,44 @@ impl Scenario {
             medium: Medium::Perfect,
             tuning: Tuning::default(),
         }
+    }
+
+    /// The reproducer literal of `schedule` on this scenario's world:
+    /// `topology=T medium=M` followed by the schedule's own literal —
+    /// what `lab chaos` prints for a failure and takes after
+    /// `--schedule`. [`Scenario::from_reproducer`] reads it back.
+    pub fn reproducer(&self, schedule: &FaultSchedule) -> String {
+        format!(
+            "topology={} medium={} {schedule}",
+            self.topology, self.medium
+        )
+    }
+
+    /// Parses a reproducer literal into the default scenario on the
+    /// world it names, seeded with the schedule's workload seed, and the
+    /// schedule. An absent `topology=` means `single`, an absent
+    /// `medium=` means `perfect`, so a bare schedule literal is a
+    /// reproducer too.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description naming the token that does not parse.
+    pub fn from_reproducer(lit: &str) -> Result<(Scenario, FaultSchedule), String> {
+        let (mut topology, mut medium) = (Topology::Single, Medium::Perfect);
+        let mut rest = Vec::new();
+        for tok in lit.split_whitespace() {
+            if let Some(t) = tok.strip_prefix("topology=") {
+                topology = t.parse()?;
+            } else if let Some(m) = tok.strip_prefix("medium=") {
+                medium = m.parse()?;
+            } else {
+                rest.push(tok);
+            }
+        }
+        let schedule: FaultSchedule = rest.join(" ").parse()?;
+        let mut scenario = Scenario::new(topology, schedule.workload_seed);
+        scenario.medium = medium;
+        Ok((scenario, schedule))
     }
 
     /// The scenario with explicit physical-constant knobs.
@@ -345,11 +383,12 @@ impl WorkloadSource for PingEcho {
 
 /// The narrow interface the chaos driver and oracle need from a world.
 pub trait ChaosWorld {
-    /// Installs the schedule's fault clock.
-    fn set_fault_clock(&mut self, clock: FaultClock);
-    /// Runs until `deadline` or the next fault instant; `Some(t)` pauses
-    /// for injection at `t`.
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime>;
+    /// Delivers every event strictly before `t` and leaves the clock at
+    /// `t`: what is injected next lands before the events due at `t`.
+    fn run_before(&mut self, t: SimTime);
+    /// Delivers every event at or before `deadline` and leaves the clock
+    /// there.
+    fn run_until(&mut self, deadline: SimTime);
     /// Injects one fault now. Faults that do not apply to the topology
     /// or the current state (e.g. restarting a recorder that is up) are
     /// no-ops, so shrunk schedules stay runnable.
@@ -432,9 +471,10 @@ fn still_recovering<T: RecorderTier>(w: &World<T>, out: &mut Vec<String>) {
 impl ChaosTier for RecorderNode {
     fn inject(world: &mut World, fault: &Fault) {
         match fault {
-            Fault::CrashRecorder { .. } => world.crash_recorder(),
-            Fault::RestartRecorder { .. } => world.restart_recorder(),
-            // Rebalance and replica faults address other tiers.
+            // One member: every index addresses the recorder.
+            Fault::CrashRecorder { .. } => world.crash_member(0),
+            Fault::RestartRecorder { .. } => world.restart_member(0),
+            // Rebalance addresses the sharded tier.
             _ => {}
         }
     }
@@ -459,12 +499,12 @@ impl ChaosTier for ShardTier {
         match fault {
             // Keep at least one live shard: with every shard down the
             // tier cannot ack anything and the run degenerates.
-            Fault::CrashRecorder { shard, .. }
+            Fault::CrashRecorder { member, .. }
                 if world.tier.shards.iter().filter(|s| s.is_up()).count() > 1 =>
             {
-                world.crash_member(*shard as usize % n);
+                world.crash_member(*member as usize % n);
             }
-            Fault::RestartRecorder { shard, .. } => world.restart_member(*shard as usize % n),
+            Fault::RestartRecorder { member, .. } => world.restart_member(*member as usize % n),
             Fault::AddShard { .. } => {
                 ShardTier::add_shard(world);
             }
@@ -503,9 +543,7 @@ impl ChaosTier for QuorumTier {
     fn inject(world: &mut World<Self>, fault: &Fault) {
         let n = world.tier.replicas.len();
         match fault {
-            // Single/sharded recorder faults address the same tier here:
-            // a recorder crash is a replica crash.
-            Fault::CrashReplica { idx, .. } | Fault::CrashRecorder { shard: idx, .. } => {
+            Fault::CrashRecorder { member, .. } => {
                 // Chaos that silences the quorum entirely proves
                 // nothing — consensus only promises progress with a
                 // majority — so a crash that would not leave a strict
@@ -513,11 +551,11 @@ impl ChaosTier for QuorumTier {
                 // demand full convergence.
                 let live = world.tier.live_replicas();
                 if live >= 1 && (live - 1) * 2 > n {
-                    world.crash_member(*idx as usize % n);
+                    world.crash_member(*member as usize % n);
                 }
             }
-            Fault::RestartReplica { idx, .. } | Fault::RestartRecorder { shard: idx, .. } => {
-                world.restart_member(*idx as usize % n);
+            Fault::RestartRecorder { member, .. } => {
+                world.restart_member(*member as usize % n);
             }
             _ => {}
         }
@@ -585,12 +623,12 @@ impl<T: ChaosTier + 'static> Target<T> {
 }
 
 impl<T: ChaosTier> ChaosWorld for Target<T> {
-    fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.w.set_fault_clock(clock);
+    fn run_before(&mut self, t: SimTime) {
+        self.w.run_before(t);
     }
 
-    fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        self.w.run_until_or_fault(deadline)
+    fn run_until(&mut self, deadline: SimTime) {
+        self.w.run_until(deadline);
     }
 
     fn inject(&mut self, fault: &Fault) {

@@ -2,10 +2,14 @@
 //!
 //! A [`FaultSchedule`] is a workload seed, a horizon, and a list of
 //! timed [`Fault`]s, all at millisecond granularity. Schedules
-//! round-trip through a compact whitespace-separated literal (the
-//! `--schedule` form the `chaos` binary prints for a minimized
-//! reproducer), so a failure found by the generator is a string a human
-//! can paste back in.
+//! round-trip through a compact whitespace-separated literal —
+//! `seed=S horizon=Hms` and one `kind@Tms…` token per fault — so a
+//! failure found by the generator is a string a human can paste back
+//! in. The literal says what happens and when, not to which world:
+//! prefixed with `topology=T medium=M` it is the reproducer `lab chaos`
+//! prints and takes after `--schedule` ([`Scenario::reproducer`]).
+//!
+//! [`Scenario::reproducer`]: crate::scenario::Scenario::reproducer
 
 use crate::scenario::{Topology, NODES, REPLICAS, SHARDS};
 use publishing_sim::rng::DetRng;
@@ -33,41 +37,23 @@ pub enum Fault {
         /// Processing-node id (mod the scenario's node count).
         node: u32,
     },
-    /// Crash the recorder (single-recorder world) or shard
-    /// `shard % live shards` (sharded world).
+    /// Crash member `member % members` of the recorder tier: the
+    /// recorder, a shard, or a quorum replica. Each tier guards its own
+    /// liveness (the last live shard, a replica whose loss would break
+    /// the majority: no-ops).
     CrashRecorder {
         /// Injection time (ms).
         at_ms: u64,
-        /// Shard index (ignored by the single-recorder world).
-        shard: u32,
+        /// Tier member index (mod the tier's member count).
+        member: u32,
     },
-    /// Restart a previously crashed recorder/shard.
+    /// Restart a previously crashed tier member; a quorum replica rejoins
+    /// as a follower and catches up from the leader's log or a snapshot.
     RestartRecorder {
         /// Injection time (ms).
         at_ms: u64,
-        /// Shard index (ignored by the single-recorder world).
-        shard: u32,
-    },
-    /// Crash one replica of a recorder quorum group (quorum world
-    /// only). The target guards liveness: a crash that would drop the
-    /// group below a strict majority is a no-op.
-    CrashReplica {
-        /// Injection time (ms).
-        at_ms: u64,
-        /// Quorum group id (single-group worlds use 0).
-        group: u32,
-        /// Replica index within the group (mod the group size).
-        idx: u32,
-    },
-    /// Restart a previously crashed quorum replica; it rejoins as a
-    /// follower and catches up from the leader's log or a snapshot.
-    RestartReplica {
-        /// Injection time (ms).
-        at_ms: u64,
-        /// Quorum group id (single-group worlds use 0).
-        group: u32,
-        /// Replica index within the group (mod the group size).
-        idx: u32,
+        /// Tier member index (mod the tier's member count).
+        member: u32,
     },
     /// Admit a brand-new shard mid-run (rebalance; no-op on the
     /// single-recorder world).
@@ -128,8 +114,6 @@ impl Fault {
             | Fault::CrashNode { at_ms, .. }
             | Fault::CrashRecorder { at_ms, .. }
             | Fault::RestartRecorder { at_ms, .. }
-            | Fault::CrashReplica { at_ms, .. }
-            | Fault::RestartReplica { at_ms, .. }
             | Fault::AddShard { at_ms }
             | Fault::Loss { at_ms, .. }
             | Fault::Corrupt { at_ms, .. }
@@ -146,8 +130,6 @@ impl Fault {
             | Fault::CrashNode { at_ms, .. }
             | Fault::CrashRecorder { at_ms, .. }
             | Fault::RestartRecorder { at_ms, .. }
-            | Fault::CrashReplica { at_ms, .. }
-            | Fault::RestartReplica { at_ms, .. }
             | Fault::AddShard { at_ms }
             | Fault::Loss { at_ms, .. }
             | Fault::Corrupt { at_ms, .. }
@@ -165,8 +147,6 @@ impl Fault {
             Fault::CrashNode { .. } => "crash_node",
             Fault::CrashRecorder { .. } => "crash_recorder",
             Fault::RestartRecorder { .. } => "restart_recorder",
-            Fault::CrashReplica { .. } => "crash_replica",
-            Fault::RestartReplica { .. } => "restart_replica",
             Fault::AddShard { .. } => "add_shard",
             Fault::Loss { .. } => "loss",
             Fault::Corrupt { .. } => "corrupt",
@@ -205,15 +185,11 @@ impl fmt::Display for Fault {
         match self {
             Fault::CrashProcess { at_ms, victim } => write!(f, "crash_process@{at_ms}ms#{victim}"),
             Fault::CrashNode { at_ms, node } => write!(f, "crash_node@{at_ms}ms#{node}"),
-            Fault::CrashRecorder { at_ms, shard } => write!(f, "crash_recorder@{at_ms}ms#{shard}"),
-            Fault::RestartRecorder { at_ms, shard } => {
-                write!(f, "restart_recorder@{at_ms}ms#{shard}")
+            Fault::CrashRecorder { at_ms, member } => {
+                write!(f, "crash_recorder@{at_ms}ms#{member}")
             }
-            Fault::CrashReplica { at_ms, group, idx } => {
-                write!(f, "crash_replica@{at_ms}ms#{group}.{idx}")
-            }
-            Fault::RestartReplica { at_ms, group, idx } => {
-                write!(f, "restart_replica@{at_ms}ms#{group}.{idx}")
+            Fault::RestartRecorder { at_ms, member } => {
+                write!(f, "restart_recorder@{at_ms}ms#{member}")
             }
             Fault::AddShard { at_ms } => write!(f, "add_shard@{at_ms}ms"),
             Fault::Loss {
@@ -309,83 +285,39 @@ impl FromStr for Fault {
                 idx.parse().map_err(|e| format!("{name}: {e}"))?,
             ))
         };
-        // `@Tms#G.I` — group-qualified replica index.
-        let grouped = |rest: &str, name: &str| -> Result<(u64, u32, u32), String> {
-            let (at, gi) = rest
-                .split_once('#')
-                .ok_or_else(|| format!("{name}: expected @Tms#G.I"))?;
-            let (g, i) = gi
-                .split_once('.')
-                .ok_or_else(|| format!("{name}: expected @Tms#G.I"))?;
-            Ok((
-                parse_ms(at, name)?,
-                g.parse().map_err(|e| format!("{name}: {e}"))?,
-                i.parse().map_err(|e| format!("{name}: {e}"))?,
-            ))
-        };
         match name {
             "crash_process" => {
-                let (at_ms, victim) = indexed(rest)?;
-                Ok(Fault::CrashProcess { at_ms, victim })
+                indexed(rest).map(|(at_ms, victim)| Fault::CrashProcess { at_ms, victim })
             }
-            "crash_node" => {
-                let (at_ms, node) = indexed(rest)?;
-                Ok(Fault::CrashNode { at_ms, node })
-            }
+            "crash_node" => indexed(rest).map(|(at_ms, node)| Fault::CrashNode { at_ms, node }),
             "crash_recorder" => {
-                let (at_ms, shard) = indexed(rest)?;
-                Ok(Fault::CrashRecorder { at_ms, shard })
+                indexed(rest).map(|(at_ms, member)| Fault::CrashRecorder { at_ms, member })
             }
             "restart_recorder" => {
-                let (at_ms, shard) = indexed(rest)?;
-                Ok(Fault::RestartRecorder { at_ms, shard })
+                indexed(rest).map(|(at_ms, member)| Fault::RestartRecorder { at_ms, member })
             }
-            "crash_replica" => {
-                let (at_ms, group, idx) = grouped(rest, name)?;
-                Ok(Fault::CrashReplica { at_ms, group, idx })
-            }
-            "restart_replica" => {
-                let (at_ms, group, idx) = grouped(rest, name)?;
-                Ok(Fault::RestartReplica { at_ms, group, idx })
-            }
-            "add_shard" => Ok(Fault::AddShard {
-                at_ms: parse_ms(rest, name)?,
+            "add_shard" => parse_ms(rest, name).map(|at_ms| Fault::AddShard { at_ms }),
+            "loss" => windowed(rest).map(|(at_ms, dur_ms, p_pct)| Fault::Loss {
+                at_ms,
+                dur_ms,
+                p_pct,
             }),
-            "loss" => {
-                let (at_ms, dur_ms, p_pct) = windowed(rest)?;
-                Ok(Fault::Loss {
-                    at_ms,
-                    dur_ms,
-                    p_pct,
-                })
-            }
-            "corrupt" => {
-                let (at_ms, dur_ms, p_pct) = windowed(rest)?;
-                Ok(Fault::Corrupt {
-                    at_ms,
-                    dur_ms,
-                    p_pct,
-                })
-            }
-            "dup" => {
-                let (at_ms, dur_ms, p_pct) = windowed(rest)?;
-                Ok(Fault::Duplicate {
-                    at_ms,
-                    dur_ms,
-                    p_pct,
-                })
-            }
-            "disk" => {
-                let (at_ms, dur_ms, p_pct) = windowed(rest)?;
-                Ok(Fault::DiskTransient {
-                    at_ms,
-                    dur_ms,
-                    p_pct,
-                })
-            }
-            "torn" => Ok(Fault::TornWrites {
-                at_ms: parse_ms(rest, name)?,
+            "corrupt" => windowed(rest).map(|(at_ms, dur_ms, p_pct)| Fault::Corrupt {
+                at_ms,
+                dur_ms,
+                p_pct,
             }),
+            "dup" => windowed(rest).map(|(at_ms, dur_ms, p_pct)| Fault::Duplicate {
+                at_ms,
+                dur_ms,
+                p_pct,
+            }),
+            "disk" => windowed(rest).map(|(at_ms, dur_ms, p_pct)| Fault::DiskTransient {
+                at_ms,
+                dur_ms,
+                p_pct,
+            }),
+            "torn" => parse_ms(rest, name).map(|at_ms| Fault::TornWrites { at_ms }),
             other => Err(format!("unknown fault kind {other:?}")),
         }
     }
@@ -397,7 +329,7 @@ impl FromStr for FaultSchedule {
     fn from_str(s: &str) -> Result<Self, String> {
         let mut workload_seed = None;
         let mut horizon_ms = None;
-        let mut faults = Vec::new();
+        let mut faults: Vec<Fault> = Vec::new();
         for tok in s.split_whitespace() {
             if let Some(v) = tok.strip_prefix("seed=") {
                 workload_seed = Some(v.parse().map_err(|e| format!("seed: {e}"))?);
@@ -407,9 +339,15 @@ impl FromStr for FaultSchedule {
                 faults.push(tok.parse()?);
             }
         }
+        let horizon_ms = horizon_ms.ok_or("missing horizon=")?;
+        // Injection stops at the horizon: a fault that starts after it
+        // would never run (a burst that only *ends* after it is clamped).
+        if let Some(late) = faults.iter().find(|f| f.at_ms() > horizon_ms) {
+            return Err(format!("{late}: starts after horizon={horizon_ms}ms"));
+        }
         Ok(FaultSchedule {
             workload_seed: workload_seed.ok_or("missing seed=")?,
-            horizon_ms: horizon_ms.ok_or("missing horizon=")?,
+            horizon_ms,
             faults,
         })
     }
@@ -420,15 +358,13 @@ impl FromStr for FaultSchedule {
 pub struct ChaosConfig {
     /// Generation seed; also becomes the schedule's workload seed.
     pub seed: u64,
-    /// Processing-node count of the target scenario.
-    pub nodes: u32,
-    /// Shard count of the target scenario (0 for the single-recorder
-    /// world: recorder faults then always address index 0 and
-    /// `add_shard` is never generated).
-    pub shards: u32,
-    /// Quorum-replica count of the target scenario (0 for worlds
-    /// without a recorder quorum: replica faults are never generated).
-    pub replicas: u32,
+    /// Recorder tier of the target [`Scenario`]: node crashes range over
+    /// its [`NODES`], tier faults over its members (one recorder,
+    /// [`SHARDS`] shards or [`REPLICAS`] replicas), and `add_shard` is
+    /// generated for the sharded tier only.
+    ///
+    /// [`Scenario`]: crate::scenario::Scenario
+    pub topology: Topology,
     /// Spawned-process count (victim space for process crashes).
     pub procs: u32,
     /// Injection horizon (ms).
@@ -439,26 +375,22 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The default generator knobs sized for the chaos [`Scenario`] on
-    /// `topology`: its node count, and its shard or replica count on the
-    /// tiers that have one.
-    ///
-    /// [`Scenario`]: crate::scenario::Scenario
+    /// The default generator knobs aimed at the chaos scenario on
+    /// `topology`.
     pub fn for_topology(topology: Topology, seed: u64) -> ChaosConfig {
         ChaosConfig {
             seed,
-            nodes: NODES,
-            shards: if topology == Topology::Sharded {
-                SHARDS
-            } else {
-                0
-            },
-            replicas: if topology == Topology::Quorum {
-                REPLICAS
-            } else {
-                0
-            },
+            topology,
             ..ChaosConfig::default()
+        }
+    }
+
+    /// Members of the target's recorder tier.
+    fn members(&self) -> u32 {
+        match self.topology {
+            Topology::Single => 1,
+            Topology::Sharded => SHARDS,
+            Topology::Quorum => REPLICAS,
         }
     }
 }
@@ -467,9 +399,7 @@ impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
             seed: 1,
-            nodes: 3,
-            shards: 0,
-            replicas: 0,
+            topology: Topology::Single,
             procs: 4,
             horizon_ms: 1500,
             max_faults: 7,
@@ -482,10 +412,10 @@ impl Default for ChaosConfig {
 /// The generator is biased toward the timings that historically break
 /// recovery code: after every process/node crash there is an even
 /// chance of a *follow-up* crash 5–60 ms later (crash during recovery),
-/// and in sharded scenarios a shard crash or rebalance may land in that
-/// window too (crash during rebalance). Every recorder/shard crash is
-/// paired with a restart before the horizon so convergence never
-/// depends on the end-of-run heal alone.
+/// and on a multi-member tier a member crash or rebalance may land in
+/// that window too (crash during rebalance, crash during election).
+/// Every tier-member crash is paired with a restart before the horizon
+/// so convergence never depends on the end-of-run heal alone.
 pub fn generate(cfg: &ChaosConfig) -> FaultSchedule {
     let mut rng = DetRng::new(cfg.seed ^ 0xC4A0_5EED);
     let mut faults = Vec::new();
@@ -494,10 +424,10 @@ pub fn generate(cfg: &ChaosConfig) -> FaultSchedule {
     let mut added_shard = false;
     while faults.len() < n {
         let t = rng.range(50, horizon * 6 / 10);
-        let kind = rng.below(if cfg.shards > 0 || cfg.replicas > 0 {
-            8
-        } else {
+        let kind = rng.below(if cfg.topology == Topology::Single {
             6
+        } else {
+            8
         });
         match kind {
             0 => {
@@ -510,11 +440,11 @@ pub fn generate(cfg: &ChaosConfig) -> FaultSchedule {
             1 => {
                 faults.push(Fault::CrashNode {
                     at_ms: t,
-                    node: rng.below(cfg.nodes.max(1) as u64) as u32,
+                    node: rng.below(NODES as u64) as u32,
                 });
                 push_follow_up(&mut rng, &mut faults, cfg, t, horizon);
             }
-            2 => push_tier_cycle(&mut rng, &mut faults, cfg, t, horizon),
+            2 => push_recorder_cycle(&mut rng, &mut faults, cfg, t, horizon),
             3 => faults.push(Fault::Loss {
                 at_ms: t,
                 dur_ms: rng.range(20, 200),
@@ -543,15 +473,19 @@ pub fn generate(cfg: &ChaosConfig) -> FaultSchedule {
                     }
                 }
             }
-            6 if cfg.shards > 0 && !added_shard => {
+            6 if cfg.topology == Topology::Sharded && !added_shard => {
                 added_shard = true;
                 faults.push(Fault::AddShard { at_ms: t });
                 push_follow_up(&mut rng, &mut faults, cfg, t, horizon);
             }
-            _ => push_tier_cycle(&mut rng, &mut faults, cfg, t, horizon),
+            _ => push_recorder_cycle(&mut rng, &mut faults, cfg, t, horizon),
         }
     }
     faults.sort_by_key(Fault::at_ms);
+    debug_assert!(
+        faults.iter().all(|f| f.at_ms() <= horizon),
+        "generated a fault past the horizon"
+    );
     FaultSchedule {
         workload_seed: cfg.seed,
         horizon_ms: horizon,
@@ -559,51 +493,7 @@ pub fn generate(cfg: &ChaosConfig) -> FaultSchedule {
     }
 }
 
-/// A crash/restart pair for the scenario's recorder tier: a quorum
-/// replica when the scenario has one, else the recorder (or one shard).
-fn push_tier_cycle(
-    rng: &mut DetRng,
-    faults: &mut Vec<Fault>,
-    cfg: &ChaosConfig,
-    t: u64,
-    horizon: u64,
-) {
-    if cfg.replicas > 0 {
-        push_replica_cycle(rng, faults, cfg, t, horizon);
-    } else {
-        push_recorder_cycle(rng, faults, cfg, t, horizon);
-    }
-}
-
-/// A crash/restart pair for one quorum replica. Like recorder cycles,
-/// every crash is paired with a restart before the horizon, so group
-/// liveness never depends on the end-of-run heal alone — and the
-/// crash-during-election timing (a restart landing while the previous
-/// crash's election is still settling) falls out of the follow-up bias.
-fn push_replica_cycle(
-    rng: &mut DetRng,
-    faults: &mut Vec<Fault>,
-    cfg: &ChaosConfig,
-    t: u64,
-    horizon: u64,
-) {
-    let idx = rng.below(cfg.replicas.max(1) as u64) as u32;
-    let up = (t + rng.range(20, 150))
-        .min(horizon.saturating_sub(1))
-        .max(t + 1);
-    faults.push(Fault::CrashReplica {
-        at_ms: t,
-        group: 0,
-        idx,
-    });
-    faults.push(Fault::RestartReplica {
-        at_ms: up,
-        group: 0,
-        idx,
-    });
-}
-
-/// A crash/restart pair for the recorder (or one shard).
+/// A crash/restart pair for one member of the recorder tier.
 fn push_recorder_cycle(
     rng: &mut DetRng,
     faults: &mut Vec<Fault>,
@@ -611,12 +501,12 @@ fn push_recorder_cycle(
     t: u64,
     horizon: u64,
 ) {
-    let shard = rng.below(cfg.shards.max(1) as u64) as u32;
+    let member = rng.below(cfg.members() as u64) as u32;
     let up = (t + rng.range(20, 150))
         .min(horizon.saturating_sub(1))
         .max(t + 1);
-    faults.push(Fault::CrashRecorder { at_ms: t, shard });
-    faults.push(Fault::RestartRecorder { at_ms: up, shard });
+    faults.push(Fault::CrashRecorder { at_ms: t, member });
+    faults.push(Fault::RestartRecorder { at_ms: up, member });
 }
 
 /// The crash-during-recovery / crash-during-rebalance bias: with even
@@ -640,9 +530,9 @@ fn push_follow_up(
         }),
         1 => faults.push(Fault::CrashNode {
             at_ms: t2,
-            node: rng.below(cfg.nodes.max(1) as u64) as u32,
+            node: rng.below(NODES as u64) as u32,
         }),
-        _ => push_tier_cycle(rng, faults, cfg, t2, horizon),
+        _ => push_recorder_cycle(rng, faults, cfg, t2, horizon),
     }
 }
 
@@ -650,15 +540,15 @@ fn push_follow_up(
 mod tests {
     use super::*;
 
+    const TOPOLOGIES: [Topology; 3] = [Topology::Single, Topology::Sharded, Topology::Quorum];
+
     #[test]
     fn literal_round_trips() {
         for seed in 0..40u64 {
-            let s = generate(&ChaosConfig {
+            let s = generate(&ChaosConfig::for_topology(
+                TOPOLOGIES[seed as usize % 3],
                 seed,
-                shards: if seed % 2 == 0 { 3 } else { 0 },
-                replicas: if seed % 3 == 0 { 3 } else { 0 },
-                ..ChaosConfig::default()
-            });
+            ));
             let lit = s.to_string();
             let back: FaultSchedule = lit.parse().expect("parses");
             assert_eq!(s, back, "literal: {lit}");
@@ -666,102 +556,45 @@ mod tests {
     }
 
     #[test]
-    fn replica_fault_literal_round_trips() {
-        let f = Fault::CrashReplica {
-            at_ms: 120,
-            group: 2,
-            idx: 1,
-        };
-        assert_eq!(f.to_string(), "crash_replica@120ms#2.1");
-        assert_eq!("crash_replica@120ms#2.1".parse::<Fault>(), Ok(f));
-        assert_eq!(
-            "restart_replica@40ms#0.2".parse::<Fault>(),
-            Ok(Fault::RestartReplica {
-                at_ms: 40,
-                group: 0,
-                idx: 2,
-            })
-        );
-        assert!("crash_replica@40ms#2".parse::<Fault>().is_err());
-    }
-
-    #[test]
     fn generation_is_deterministic() {
-        let cfg = ChaosConfig {
-            seed: 9,
-            shards: 3,
-            ..ChaosConfig::default()
-        };
+        let cfg = ChaosConfig::for_topology(Topology::Sharded, 9);
         assert_eq!(generate(&cfg), generate(&cfg));
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!("seed=1 horizon=100ms zap@3ms"
-            .parse::<FaultSchedule>()
-            .is_err());
-        assert!("horizon=100ms".parse::<FaultSchedule>().is_err());
-        assert!("seed=1 horizon=100ms loss@1ms+2ms=200%"
-            .parse::<FaultSchedule>()
-            .is_err());
-        assert!("seed=1 horizon=100ms crash_node@5ms"
-            .parse::<FaultSchedule>()
-            .is_err());
+        let err = |lit: &str| lit.parse::<FaultSchedule>().unwrap_err();
+        err("seed=1 horizon=100ms zap@3ms");
+        err("horizon=100ms");
+        err("seed=1 horizon=100ms loss@1ms+2ms=200%");
+        err("seed=1 horizon=100ms crash_node@5ms");
+        // One index per tier member: the group-qualified form is gone.
+        err("seed=1 horizon=100ms crash_recorder@5ms#0.2");
+        // A fault that starts after the horizon would never be injected;
+        // the message names it and the horizon, wherever `horizon=` sits.
+        let late = err("seed=1 crash_node@500ms#0 horizon=100ms");
+        assert!(late.contains("crash_node@500ms#0") && late.contains("horizon=100ms"));
+        // At the horizon is still inside it, and a burst may end past it.
+        let s: FaultSchedule = "seed=1 horizon=100ms crash_node@100ms#0 loss@90ms+50ms=10%"
+            .parse()
+            .expect("parses");
+        assert_eq!(s.faults.len(), 2);
     }
 
     #[test]
-    fn recorder_crashes_are_paired_with_restarts() {
-        for seed in 0..30u64 {
-            let s = generate(&ChaosConfig {
-                seed,
-                shards: 3,
-                ..ChaosConfig::default()
-            });
-            let crashes = s
-                .faults
-                .iter()
-                .filter(|f| matches!(f, Fault::CrashRecorder { .. }))
-                .count();
-            let restarts = s
-                .faults
-                .iter()
-                .filter(|f| matches!(f, Fault::RestartRecorder { .. }))
-                .count();
-            assert_eq!(crashes, restarts, "seed {seed}: {s}");
+    fn member_crashes_are_paired_with_restarts_on_every_topology() {
+        for topology in TOPOLOGIES {
+            let mut any = false;
+            for seed in 0..30u64 {
+                let s = generate(&ChaosConfig::for_topology(topology, seed));
+                let count = |kind: &str| s.faults.iter().filter(|f| f.kind() == kind).count();
+                let crashes = count("crash_recorder");
+                assert_eq!(crashes, count("restart_recorder"), "{topology} {seed}: {s}");
+                any |= crashes > 0;
+                let adds_allowed = usize::from(topology == Topology::Sharded);
+                assert!(count("add_shard") <= adds_allowed, "{topology} {seed}: {s}");
+            }
+            assert!(any, "{topology}: the generator never crashed a tier member");
         }
-    }
-
-    #[test]
-    fn replica_crashes_are_paired_with_restarts() {
-        let mut any = false;
-        for seed in 0..30u64 {
-            let s = generate(&ChaosConfig {
-                seed,
-                replicas: 3,
-                ..ChaosConfig::default()
-            });
-            let crashes = s
-                .faults
-                .iter()
-                .filter(|f| matches!(f, Fault::CrashReplica { .. }))
-                .count();
-            let restarts = s
-                .faults
-                .iter()
-                .filter(|f| matches!(f, Fault::RestartReplica { .. }))
-                .count();
-            assert_eq!(crashes, restarts, "seed {seed}: {s}");
-            any |= crashes > 0;
-            assert!(
-                !s.faults.iter().any(|f| matches!(
-                    f,
-                    Fault::AddShard { .. }
-                        | Fault::CrashRecorder { .. }
-                        | Fault::RestartRecorder { .. }
-                )),
-                "seed {seed}: quorum scenarios get replica faults, not shard ones: {s}"
-            );
-        }
-        assert!(any, "the generator never produced a replica fault");
     }
 }

@@ -1,10 +1,11 @@
 //! End-to-end chaos engine tests: generated schedules pass the oracle
-//! on both topologies, literals replay deterministically, and the
+//! on every topology, literals replay deterministically, the driver
+//! keeps its injection order at ties and at the horizon, and the
 //! shrinker reduces a real failing run to a minimal reproducer.
 
 use publishing_chaos::driver::Engine;
 use publishing_chaos::oracle::OracleOptions;
-use publishing_chaos::scenario::{Scenario, Topology};
+use publishing_chaos::scenario::{ChaosWorld, Medium, Scenario, Topology};
 use publishing_chaos::schedule::{self, ChaosConfig, Fault, FaultSchedule};
 use publishing_sim::time::SimTime;
 
@@ -84,17 +85,16 @@ fn leader_crash_mid_commit_fails_over_and_a_former_follower_serves_replay() {
     let crash_at = 250;
     let old_leader = {
         let mut t = scenario.build();
-        t.run_until_or_fault(SimTime::from_millis(crash_at));
+        t.run_until(SimTime::from_millis(crash_at));
         t.quorum_leader().expect("a leader by the crash instant") as u32
     };
     let sched = FaultSchedule {
         workload_seed: seed,
         horizon_ms: 1200,
         faults: vec![
-            Fault::CrashReplica {
+            Fault::CrashRecorder {
                 at_ms: crash_at,
-                group: 0,
-                idx: old_leader,
+                member: old_leader,
             },
             Fault::CrashNode {
                 at_ms: 300,
@@ -143,6 +143,105 @@ fn schedule_replay_is_deterministic() {
     assert!(eng.run(&replayed).is_empty());
 }
 
+/// The default scenario on the single world, seeded `seed`, after
+/// `literal`.
+fn replayed(seed: u64, literal: &str) -> Box<dyn ChaosWorld> {
+    let sched: FaultSchedule = literal.parse().expect("literal parses");
+    let mut t = Scenario::new(Topology::Single, seed).build();
+    publishing_chaos::driver::run_schedule(t.as_mut(), &sched);
+    t
+}
+
+/// `(obs_fingerprint, convergence_failures)` of [`replayed`] at seed 13.
+fn single_run(literal: &str) -> (u64, Vec<String>) {
+    let t = replayed(13, literal);
+    (t.obs_fingerprint(), t.convergence_failures())
+}
+
+#[test]
+fn a_fault_at_the_horizon_is_injected_before_the_heal() {
+    let (fault_free, _) = single_run("seed=13 horizon=300ms");
+    let (crashed, unconverged) = single_run("seed=13 horizon=300ms crash_recorder@300ms#0");
+    // Injected: the run differs from the fault-free one. Before the
+    // heal: the heal found the recorder down and restarted it.
+    assert_ne!(crashed, fault_free);
+    assert_eq!(unconverged, Vec::<String>::new());
+}
+
+#[test]
+fn faults_at_one_instant_apply_in_list_order() {
+    let (crash_only, _) = single_run("seed=13 horizon=300ms crash_recorder@20ms#0");
+    // Restart first: a no-op on a recorder that is up, then the crash.
+    let (restart_crash, _) =
+        single_run("seed=13 horizon=300ms restart_recorder@20ms#0 crash_recorder@20ms#0");
+    // Crash first: the restart finds it down and brings it straight back.
+    let (crash_restart, _) =
+        single_run("seed=13 horizon=300ms crash_recorder@20ms#0 restart_recorder@20ms#0");
+    assert_eq!(restart_crash, crash_only);
+    assert_ne!(crash_restart, crash_only);
+}
+
+/// `recovery_ms` is measured from the latest crash instant before the
+/// recovery, so an injection that crashed nothing must not record one:
+/// the echo server on node 1 recovers from the node crash at 100 ms
+/// whether or not a later fault addresses what is already down.
+#[test]
+fn a_no_op_crash_injection_does_not_move_recovery_ms() {
+    let recovery_ms = |literal: &str| -> Vec<(u64, f64)> {
+        let report = replayed(1, literal).obs_report();
+        report
+            .recovery
+            .iter()
+            .filter(|l| l.recovery_ms > 0.0)
+            .map(|l| (l.subject, l.recovery_ms))
+            .collect()
+    };
+    let alone = recovery_ms("seed=1 horizon=1500ms crash_node@100ms#1");
+    assert!(!alone.is_empty(), "the node crash recovers its processes");
+    for no_op in [
+        // Process 0 is the echo server on node 1: gone with its node.
+        "seed=1 horizon=1500ms crash_node@100ms#1 crash_process@400ms#0",
+        // Node 1 is still down at 300 ms.
+        "seed=1 horizon=1500ms crash_node@100ms#1 crash_node@300ms#1",
+    ] {
+        assert_eq!(recovery_ms(no_op), alone, "{no_op}");
+    }
+}
+
+#[test]
+fn a_reproducer_names_its_world_and_round_trips() {
+    for topology in [Topology::Single, Topology::Sharded, Topology::Quorum] {
+        for medium in [Medium::Perfect, Medium::Ethernet] {
+            let mut scenario = Scenario::new(topology, 1303);
+            scenario.medium = medium;
+            let sched = schedule::generate(&ChaosConfig::for_topology(topology, 1303));
+            let lit = scenario.reproducer(&sched);
+            assert!(
+                lit.starts_with(&format!("topology={topology} medium={medium} seed=1303 ")),
+                "{lit}"
+            );
+            let (back, replayed) = Scenario::from_reproducer(&lit).expect("own literal parses");
+            assert_eq!(replayed, sched, "{lit}");
+            assert_eq!(
+                (back.topology, back.medium, back.workload_seed),
+                (topology, medium, 1303)
+            );
+        }
+    }
+    // A bare schedule literal is a reproducer on the default world.
+    let (bare, sched) = Scenario::from_reproducer("seed=5 horizon=100ms").expect("parses");
+    assert_eq!(
+        (bare.topology, bare.medium, bare.workload_seed),
+        (Topology::Single, Medium::Perfect, 5)
+    );
+    assert!(sched.faults.is_empty());
+    // A world that does not exist is named in the error.
+    let err = Scenario::from_reproducer("topology=ring seed=5 horizon=100ms").unwrap_err();
+    assert!(err.contains("ring"), "{err}");
+    let err = Scenario::from_reproducer("medium=aether seed=5 horizon=100ms").unwrap_err();
+    assert!(err.contains("aether"), "{err}");
+}
+
 #[test]
 fn fault_injections_surface_as_metrics_counters() {
     let sched = FaultSchedule {
@@ -151,11 +250,11 @@ fn fault_injections_surface_as_metrics_counters() {
         faults: vec![
             Fault::CrashRecorder {
                 at_ms: 120,
-                shard: 0,
+                member: 0,
             },
             Fault::RestartRecorder {
                 at_ms: 260,
-                shard: 0,
+                member: 0,
             },
             Fault::Loss {
                 at_ms: 60,
@@ -260,15 +359,13 @@ fn quorum_fault_schedule_shrinks_to_a_minimal_reproducer() {
         workload_seed: 18,
         horizon_ms: 900,
         faults: vec![
-            Fault::CrashReplica {
+            Fault::CrashRecorder {
                 at_ms: 120,
-                group: 0,
-                idx: 0,
+                member: 0,
             },
-            Fault::RestartReplica {
+            Fault::RestartRecorder {
                 at_ms: 260,
-                group: 0,
-                idx: 0,
+                member: 0,
             },
             Fault::Loss {
                 at_ms: 80,
@@ -279,15 +376,13 @@ fn quorum_fault_schedule_shrinks_to_a_minimal_reproducer() {
                 at_ms: 350,
                 node: 1,
             },
-            Fault::CrashReplica {
+            Fault::CrashRecorder {
                 at_ms: 400,
-                group: 0,
-                idx: 2,
+                member: 2,
             },
-            Fault::RestartReplica {
+            Fault::RestartRecorder {
                 at_ms: 520,
-                group: 0,
-                idx: 2,
+                member: 2,
             },
         ],
     };
@@ -304,7 +399,14 @@ fn quorum_fault_schedule_shrinks_to_a_minimal_reproducer() {
             .any(|f| matches!(f, Fault::CrashNode { .. } | Fault::CrashProcess { .. })),
         "the recovery-forcing crash must survive shrinking: {min}"
     );
-    let lit = min.to_string();
-    let replayed: FaultSchedule = lit.parse().expect("literal parses");
+    // What `lab chaos` would print names the quorum world and reads back
+    // to the schedule the shrinker ended on.
+    let lit = Scenario::new(Topology::Quorum, 18).reproducer(&min);
+    let (world, replayed) = Scenario::from_reproducer(&lit).expect("literal parses");
+    assert_eq!(
+        (world.topology, &replayed),
+        (Topology::Quorum, &min),
+        "{lit}"
+    );
     assert!(!eng.run(&replayed).is_empty(), "reproducer replays: {lit}");
 }

@@ -44,7 +44,7 @@ fn schedule(topology: Topology) -> &'static str {
         }
         Topology::Quorum => {
             "seed=21 horizon=900ms crash_process@260ms#1 crash_node@300ms#2 \
-             crash_replica@400ms#0.2"
+             crash_recorder@400ms#2"
         }
     }
 }

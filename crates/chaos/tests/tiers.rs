@@ -22,20 +22,46 @@ fn builder() -> WorldBuilder {
     WorldBuilder::new(2).registry(reg)
 }
 
-/// Ten ping round-trips complete, and both run loops leave the clock
-/// exactly at their deadline (nothing fires at these instants, so a
-/// world that stopped at its last event would report an earlier time).
-fn ping_completes<T: RecorderTier>(mut w: World<T>) {
-    let server = w.spawn(1, "echo", vec![]).unwrap();
-    let client = w
-        .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .unwrap();
-    let deadline = SimTime::from_micros(20_123);
-    w.run_until(deadline);
-    assert_eq!(w.now(), deadline);
-    let deadline = SimTime::from_micros(40_456);
-    assert_eq!(w.run_until_or_fault(deadline), None);
-    assert_eq!(w.now(), deadline);
+/// Ten ping round-trips complete, `run_until` leaves the clock exactly
+/// at its deadline (nothing fires at that instant, so a world that
+/// stopped at its last event would report an earlier time), and
+/// `run_before(t)` stops short of the events due at exactly `t` — the
+/// tie a chaos driver relies on: what it injects at `t` lands first.
+fn ping_completes<T: RecorderTier>(make: impl Fn() -> World<T>) {
+    let start = |mut w: World<T>| {
+        let server = w.spawn(1, "echo", vec![]).unwrap();
+        let client = w
+            .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
+            .unwrap();
+        let deadline = SimTime::from_micros(20_123);
+        w.run_until(deadline);
+        assert_eq!(w.now(), deadline);
+        (w, client)
+    };
+    // A twin steps event by event to an instant `t` where one is due,
+    // mid-exchange; the worlds are deterministic, so it is due in `w` too.
+    let (mut twin, _) = start(make());
+    for _ in 0..25 {
+        assert!(twin.step());
+    }
+    let t = twin.now();
+    let through_one_at_t = twin.scheduler_probe().delivered;
+
+    let (mut w, client) = start(make());
+    let after_start = w.scheduler_probe().delivered;
+    w.run_before(t);
+    assert_eq!(w.now(), t);
+    let before_t = w.scheduler_probe().delivered;
+    assert!(after_start < before_t, "events before t are delivered");
+    assert!(before_t < through_one_at_t, "the event at t is not");
+    w.run_until(t);
+    assert_eq!(w.now(), t);
+    assert!(w.scheduler_probe().delivered >= through_one_at_t);
+    // Running up to an instant already reached changes nothing.
+    let delivered = w.scheduler_probe().delivered;
+    w.run_before(SimTime::from_micros(20_123));
+    assert_eq!((w.now(), w.scheduler_probe().delivered), (t, delivered));
+
     w.run_until(SimTime::from_secs(5));
     let out = w.outputs_of(client);
     assert_eq!(out.len(), 11, "{out:?}");
@@ -44,22 +70,22 @@ fn ping_completes<T: RecorderTier>(mut w: World<T>) {
 
 #[test]
 fn ping_completes_under_the_single_recorder() {
-    ping_completes(builder().build());
+    ping_completes(|| builder().build());
 }
 
 #[test]
 fn ping_completes_under_priority_vector_recorders() {
-    ping_completes(PriorityTier::world(builder(), 2));
+    ping_completes(|| PriorityTier::world(builder(), 2));
 }
 
 #[test]
 fn ping_completes_under_sharding() {
-    ping_completes(ShardTier::world(builder(), 3));
+    ping_completes(|| ShardTier::world(builder(), 3));
 }
 
 #[test]
 fn ping_completes_under_quorum_sequencing() {
-    ping_completes(QuorumTier::world(builder(), 3, 0));
+    ping_completes(|| QuorumTier::world(builder(), 3, 0));
 }
 
 /// Every client's deduplicated lines after `schedule`, in client order.

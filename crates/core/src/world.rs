@@ -34,7 +34,7 @@ use publishing_obs::probe::{MediumHealth, RecoveryLag, SchedulerProbe};
 use publishing_obs::registry::MetricsRegistry;
 use publishing_obs::report::ObsReport;
 use publishing_obs::span::SpanLog;
-use publishing_sim::event::{FaultClock, Scheduler, Tick};
+use publishing_sim::event::Scheduler;
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -615,67 +615,60 @@ impl<T: RecorderTier> World<T> {
         T::after_event(self, now);
     }
 
-    /// Installs a fault clock: [`World::run_until_or_fault`] will pause
-    /// at each of its instants so a chaos driver can inject faults.
-    pub fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.sched.set_fault_clock(clock);
-    }
-
-    /// Runs until `deadline` or the next fault-clock instant, whichever
-    /// comes first. Returns `Some(t)` when paused at a fault instant
-    /// (the world's clock is at `t`; inject, then call again), `None`
-    /// once `deadline` is reached with no fault due before it — the
-    /// clock is then exactly at `deadline`.
-    pub fn run_until_or_fault(&mut self, deadline: SimTime) -> Option<SimTime> {
-        loop {
-            let fault_due = self.sched.next_fault().map(|f| f <= deadline);
-            let event_due = self.sched.peek_time().map(|t| t <= deadline);
-            if fault_due != Some(true) && event_due != Some(true) {
-                if self.sched.now() < deadline {
-                    self.sched.advance_to(deadline);
-                }
-                return None;
-            }
-            match self.sched.pop_or_fault() {
-                Some(Tick::Fault(t)) => return Some(t),
-                Some(Tick::Event(now, ev)) => self.dispatch(now, ev),
-                None => return None,
-            }
-        }
-    }
-
-    /// Runs until `deadline`, ignoring any fault clock; the clock ends
-    /// exactly there (watchdogs tick forever, so there is no quiescence
-    /// in a published world).
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while self.sched.peek_time().is_some_and(|t| t <= deadline) {
+    /// The world's one run loop: delivers events while the next one is
+    /// `due`, then moves an earlier clock up to `end`.
+    fn run_while(&mut self, due: impl Fn(SimTime) -> bool, end: SimTime) {
+        while self.sched.peek_time().is_some_and(&due) {
             self.step();
         }
-        if self.sched.now() < deadline {
-            self.sched.advance_to(deadline);
+        if self.sched.now() < end {
+            self.sched.advance_to(end);
         }
+    }
+
+    /// Runs until `deadline`: delivers every event at or before it and
+    /// leaves the clock exactly there (watchdogs tick forever, so there
+    /// is no quiescence in a published world).
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.run_while(|at| at <= deadline, deadline);
+    }
+
+    /// Runs up to `t`: delivers every event strictly before it and
+    /// leaves the clock exactly there, so what the caller does next (a
+    /// crash, say) lands before the frame delivered at `t`. A `t`
+    /// already in the past delivers nothing and leaves the clock alone.
+    pub fn run_before(&mut self, t: SimTime) {
+        self.run_while(|at| at < t, t);
     }
 
     /// Crashes one process now (a detected fault, §3.3.2). The kernel
     /// notifies the recovery manager, which recovers it transparently.
+    /// The instant counts as a crash only if the kernel halted a live
+    /// process: one already gone (its node down, say) has nothing to
+    /// recover from here.
     pub fn crash_process(&mut self, pid: ProcessId, reason: &str) {
         let now = self.now();
-        let crashed = self.with_kernel(now, pid.node.0, |k, out| {
+        let halted = self.with_kernel(now, pid.node.0, |k, out| {
             k.crash_process(now, pid.local, reason, out)
         });
-        if crashed.is_some() {
+        if halted == Some(true) {
             self.crashes.push(now);
         }
     }
 
-    /// Crashes a whole node now; the watchdog of whichever member leads
-    /// its restart will notice, and the tier re-populates it.
+    /// Crashes a whole node now (a no-op if it is already down); the
+    /// watchdog of whichever member leads its restart will notice, and
+    /// the tier re-populates it.
     pub fn crash_node(&mut self, node: u32) {
-        if let Some(k) = self.kernels.get_mut(node as usize) {
-            k.crash_node();
-            self.crashes.push(self.sched.now());
-            self.lan.set_station_up(StationId(node), false);
+        let Some(k) = self.kernels.get_mut(node as usize) else {
+            return;
+        };
+        if !k.is_up() {
+            return;
         }
+        k.crash_node();
+        self.crashes.push(self.sched.now());
+        self.lan.set_station_up(StationId(node), false);
     }
 
     /// Crashes member `idx` of the tier (a no-op if it is already down):

@@ -1242,20 +1242,23 @@ impl Kernel {
     }
 
     /// Crashes one process (a detected, non-deterministic fault §3.3.2):
-    /// it halts and a crash notice goes to the recovery manager.
+    /// it halts and a crash notice goes to the recovery manager. Returns
+    /// whether a live process was halted — `false` for a slot that holds
+    /// none, and for one already crashed, whose notice is only repeated.
     pub fn crash_process(
         &mut self,
         now: SimTime,
         local: u32,
         reason: &str,
         out: &mut Vec<KernelAction>,
-    ) {
+    ) -> bool {
         let Some(slot) = self.slots.get_mut(local as usize) else {
-            return;
+            return false;
         };
         let Some(proc) = slot.proc.as_deref_mut() else {
-            return;
+            return false;
         };
+        let was_live = proc.run != RunState::Crashed;
         proc.run = RunState::Crashed;
         proc.queue.clear();
         let pid = proc.pid;
@@ -1279,6 +1282,7 @@ impl Kernel {
                 out,
             );
         }
+        was_live
     }
 
     /// Takes the whole node down (§1.1.2: the crash of all its processes).

@@ -1,10 +1,13 @@
 //! Deterministic event queue and scheduler.
 //!
 //! Every dynamic behaviour in the reproduction — frame delivery, protocol
-//! timers, disk completions, watchdog timeouts, injected crashes — is an
-//! event in one totally ordered queue. Determinism demands a *total* order:
-//! events at the same instant are delivered in the order they were
-//! scheduled (FIFO by a monotone sequence number), never in heap order.
+//! timers, disk completions, watchdog timeouts — is an event in one
+//! totally ordered queue. Determinism demands a *total* order: events at
+//! the same instant are delivered in the order they were scheduled (FIFO
+//! by a monotone sequence number), never in heap order. What happens *to*
+//! a world from outside (an injected crash, a fault regime) is not an
+//! event: its driver runs the world up to an instant and acts between
+//! events.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::BinaryHeap;
@@ -32,57 +35,6 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> core::cmp::Ordering {
         (other.at, other.seq).cmp(&(self.at, self.seq))
     }
-}
-
-/// A pre-computed sequence of instants at which an external fault
-/// injector wants control, injectable into a [`Scheduler`].
-///
-/// The chaos engine computes a whole schedule of fault times up front and
-/// installs it here; [`Scheduler::pop_or_fault`] then yields a
-/// [`Tick::Fault`] the moment the clock would otherwise run past a fault
-/// instant, letting the injector crash components *between* events with
-/// the same determinism as the events themselves. A fault due at `t`
-/// fires before any event at `t` or later.
-#[derive(Debug, Clone, Default)]
-pub struct FaultClock {
-    /// Fault instants, ascending; `next` indexes the first unfired one.
-    instants: Vec<SimTime>,
-    next: usize,
-}
-
-impl FaultClock {
-    /// Builds a clock from fault instants (sorted internally).
-    pub fn new(mut instants: Vec<SimTime>) -> Self {
-        instants.sort();
-        FaultClock { instants, next: 0 }
-    }
-
-    /// Returns the next unfired fault instant, if any.
-    pub fn peek(&self) -> Option<SimTime> {
-        self.instants.get(self.next).copied()
-    }
-
-    /// Number of fault instants not yet fired.
-    pub fn remaining(&self) -> usize {
-        self.instants.len() - self.next
-    }
-
-    fn take(&mut self) -> Option<SimTime> {
-        let t = self.peek()?;
-        self.next += 1;
-        Some(t)
-    }
-}
-
-/// One step of a fault-aware run: either a normal event or a fault
-/// instant reached (see [`Scheduler::pop_or_fault`]).
-#[derive(Debug, PartialEq, Eq)]
-pub enum Tick<E> {
-    /// A scheduled event fired at the given time.
-    Event(SimTime, E),
-    /// A fault instant came due; the clock now stands at this time and
-    /// the caller should apply its injection before resuming.
-    Fault(SimTime),
 }
 
 /// A discrete-event scheduler: a virtual clock plus a deterministically
@@ -115,7 +67,6 @@ pub struct Scheduler<E> {
     next_seq: u64,
     delivered: u64,
     peak_pending: usize,
-    faults: FaultClock,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -133,7 +84,6 @@ impl<E> Scheduler<E> {
             next_seq: 0,
             delivered: 0,
             peak_pending: 0,
-            faults: FaultClock::default(),
         }
     }
 
@@ -207,40 +157,6 @@ impl<E> Scheduler<E> {
         self.heap.peek().map(|entry| entry.at)
     }
 
-    /// Installs (or replaces) the fault clock consulted by
-    /// [`pop_or_fault`](Self::pop_or_fault). Instants already in the past
-    /// fire immediately on the next `pop_or_fault` without rewinding the
-    /// clock.
-    pub fn set_fault_clock(&mut self, clock: FaultClock) {
-        self.faults = clock;
-    }
-
-    /// Returns the next unfired fault instant, if a fault clock with
-    /// remaining instants is installed.
-    pub fn next_fault(&self) -> Option<SimTime> {
-        self.faults.peek()
-    }
-
-    /// Like [`pop`](Self::pop), but yields [`Tick::Fault`] instead of an
-    /// event when the next fault instant is due at or before the next
-    /// event's time (faults win ties — a crash at `t` lands before the
-    /// frame that would have been delivered at `t`). The clock advances to
-    /// the fault instant, clamped so it never rewinds. Returns `None` only
-    /// when both the event queue and the fault clock are exhausted.
-    pub fn pop_or_fault(&mut self) -> Option<Tick<E>> {
-        let fault_due = match (self.faults.peek(), self.peek_time()) {
-            (Some(f), Some(e)) => f <= e,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if fault_due {
-            let t = self.faults.take().expect("peeked");
-            self.now = self.now.max(t);
-            return Some(Tick::Fault(self.now));
-        }
-        self.pop().map(|(t, e)| Tick::Event(t, e))
-    }
-
     /// Advances the clock to `at` without delivering events.
     ///
     /// # Panics
@@ -312,59 +228,6 @@ mod tests {
         let mut s: Scheduler<()> = Scheduler::new();
         s.schedule_after(SimDuration::from_millis(1), ());
         s.advance_to(SimTime::from_secs(1));
-    }
-
-    #[test]
-    fn fault_fires_before_later_event() {
-        let mut s: Scheduler<&str> = Scheduler::new();
-        s.schedule_at(SimTime::from_millis(10), "ev");
-        s.set_fault_clock(FaultClock::new(vec![SimTime::from_millis(5)]));
-        assert_eq!(s.pop_or_fault(), Some(Tick::Fault(SimTime::from_millis(5))));
-        assert_eq!(s.now(), SimTime::from_millis(5));
-        assert_eq!(
-            s.pop_or_fault(),
-            Some(Tick::Event(SimTime::from_millis(10), "ev"))
-        );
-        assert!(s.pop_or_fault().is_none());
-    }
-
-    #[test]
-    fn fault_wins_tie_with_same_time_event() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        s.schedule_at(SimTime::from_millis(3), 7);
-        s.set_fault_clock(FaultClock::new(vec![SimTime::from_millis(3)]));
-        assert_eq!(s.pop_or_fault(), Some(Tick::Fault(SimTime::from_millis(3))));
-        assert_eq!(
-            s.pop_or_fault(),
-            Some(Tick::Event(SimTime::from_millis(3), 7))
-        );
-    }
-
-    #[test]
-    fn fault_clock_sorted_and_past_instants_clamped() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        s.schedule_at(SimTime::from_millis(4), 1);
-        s.pop();
-        // Installed after the clock already passed 4ms; the 1ms instant
-        // fires at the current time rather than rewinding.
-        s.set_fault_clock(FaultClock::new(vec![
-            SimTime::from_millis(9),
-            SimTime::from_millis(1),
-        ]));
-        assert_eq!(s.next_fault(), Some(SimTime::from_millis(1)));
-        assert_eq!(s.pop_or_fault(), Some(Tick::Fault(SimTime::from_millis(4))));
-        assert_eq!(s.pop_or_fault(), Some(Tick::Fault(SimTime::from_millis(9))));
-        assert!(s.pop_or_fault().is_none());
-    }
-
-    #[test]
-    fn pop_ignores_fault_clock() {
-        let mut s: Scheduler<u8> = Scheduler::new();
-        s.schedule_at(SimTime::from_millis(10), 1);
-        s.set_fault_clock(FaultClock::new(vec![SimTime::from_millis(5)]));
-        // Plain pop is the legacy path: no fault interleaving.
-        assert_eq!(s.pop(), Some((SimTime::from_millis(10), 1)));
-        assert_eq!(s.faults.remaining(), 1);
     }
 
     #[test]

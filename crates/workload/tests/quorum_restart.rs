@@ -10,7 +10,7 @@ use publishing_chaos::{FaultSchedule, OracleOptions, Scenario, Topology};
 use publishing_workload::{CompiledWorkload, WorkloadSpec};
 
 const SPEC: &str = "users=12 subjects=4 seed=7 rate=25/s tick=20ms horizon=1500ms mix=92%x128/1024";
-const SCHEDULE: &str = "seed=7 horizon=1500ms crash_replica@500ms#0.0 restart_replica@1200ms#0.0";
+const SCHEDULE: &str = "seed=7 horizon=1500ms crash_recorder@500ms#0 restart_recorder@1200ms#0";
 
 #[test]
 fn restarted_replica_installs_a_snapshot_over_its_surviving_records() {
