@@ -8,7 +8,10 @@
 //! - `--max-users U` — search ceiling (default 256);
 //! - `--no-chaos` — skip the per-point fault-schedule validation;
 //! - `--json` — emit the sweep as one JSON object (shape × topology ×
-//!   knee × the binding resource the utilization ledger named);
+//!   knee × the binding resource the utilization ledger named, and per
+//!   searched point its verdict, the clauses that rejected it and
+//!   `settled_ms` — how long after the horizon the fault-free run
+//!   settled, `null` when the grace period expired first);
 //! - `--spec S` — run a single trial of one workload literal instead of
 //!   the shape sweep, print its verdict and report, and exit non-zero
 //!   if the point is not sustained;
@@ -77,6 +80,13 @@ fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
         for topo in [Topology::Single, Topology::Sharded, Topology::Quorum] {
             let knee = find_knee(name, topo, spec, &SloSpec::default(), params);
             let rejected_by = knee.failing_trial().map(|t| t.rejected_by());
+            let points = knee.trials.iter().map(|t| {
+                ObjBuilder::new()
+                    .field("users", t.users)
+                    .field("pass", t.pass)
+                    .field("settled_ms", t.settled_ms)
+                    .field("rejected_by", Json::arr(t.rejected_by()))
+            });
             rows.push(
                 ObjBuilder::new()
                     .field("shape", *name)
@@ -84,7 +94,8 @@ fn sweep_json(shapes: &[(&'static str, WorkloadSpec)], params: &SearchParams) {
                     .field("knee_users", knee.knee_users)
                     .field("binding", knee.binding.as_deref())
                     .field("rejected_by", Json::arr(rejected_by.unwrap_or_default()))
-                    .field("trials", knee.trials.len()),
+                    .field("trials", knee.trials.len())
+                    .field("points", Json::arr(points)),
             );
         }
     }

@@ -11,6 +11,11 @@
 //! (everything still down restarts, all regimes clear) and runs a grace
 //! period, so the oracle judges recovery, not an ongoing outage. The
 //! world knows nothing of faults: it only runs to the times it is given.
+//!
+//! A run with no faults has nothing to recover from, and [`run_settled`]
+//! does not make it wait: past the horizon it asks the world at every
+//! stride whether it has [`ChaosWorld::settled`] and stops when it has,
+//! with the same grace period as its bound.
 
 use crate::oracle::{self, Baseline, OracleOptions};
 use crate::scenario::{ChaosWorld, Scenario};
@@ -111,6 +116,35 @@ pub fn run_schedule(target: &mut dyn ChaosWorld, schedule: &FaultSchedule) {
     target.run_until(SimTime::from_millis(schedule.horizon_ms));
     target.heal();
     target.run_until(SimTime::from_millis(schedule.horizon_ms + GRACE_MS));
+}
+
+/// Virtual time between two looks at a fault-free world past its
+/// horizon: a few housekeeping events on the busiest tier, and the
+/// resolution of the instant [`run_settled`] returns.
+const SETTLE_STRIDE_MS: u64 = 20;
+
+/// Runs a fault-free `target` to `horizon_ms` and on until it has
+/// [`ChaosWorld::settled`], looking every 20 virtual ms, or until
+/// the [`GRACE_MS`] that [`run_schedule`] always spends has passed.
+/// Returns how long after the horizon the world settled (virtual ms),
+/// `None` if the grace expired first. Client outputs and message
+/// latencies are those of `run_schedule` with an empty schedule, and the
+/// span logs are prefixes of its logs: what the rest of the grace period
+/// would add is housekeeping (a periodic checkpoint of a process still
+/// alive, an election of a quorum that keeps losing heartbeats on a
+/// contended medium). The clock, and with it every whole-run average of
+/// the report, stops at the settle instant, not at `horizon + GRACE_MS`.
+pub fn run_settled(target: &mut dyn ChaosWorld, horizon_ms: u64) -> Option<u64> {
+    target.run_until(SimTime::from_millis(horizon_ms));
+    let mut after_ms = 0;
+    while !target.settled() {
+        if after_ms == GRACE_MS {
+            return None;
+        }
+        after_ms = (after_ms + SETTLE_STRIDE_MS).min(GRACE_MS);
+        target.run_until(SimTime::from_millis(horizon_ms + after_ms));
+    }
+    Some(after_ms)
 }
 
 /// A scenario bound to its fault-free baseline: the reusable harness

@@ -401,6 +401,13 @@ pub trait ChaosWorld {
     /// injected fault regimes, so convergence is demanded of recovery,
     /// not blocked on a fault the shrinker happened to keep.
     fn heal(&mut self);
+    /// Whether the run is over: every client's last line is `done`, the
+    /// world has nothing left to do but housekeeping ([`World::settled`])
+    /// and the tier reports no [`ChaosWorld::convergence_failures`].
+    /// From here on no output, latency sample or log entry can change,
+    /// so a fault-free run may stop ([`crate::driver::run_settled`]). A
+    /// world whose clients wait for ever is quiescent and never settled.
+    fn settled(&self) -> bool;
     /// Deduplicated-output fingerprint (must match the fault-free
     /// baseline).
     fn output_fingerprint(&self) -> u64;
@@ -661,6 +668,19 @@ impl<T: ChaosTier> ChaosWorld for Target<T> {
         }
         self.set_medium_faults(FaultPlan::new());
         self.set_disk_faults(DiskFaults::default());
+    }
+
+    fn settled(&self) -> bool {
+        // A client's last line, without building `client_outputs`.
+        let finished = |pid: &ProcessId| {
+            let lines = self.w.outputs.iter().filter(|o| o.pid == *pid);
+            lines
+                .max_by_key(|o| o.seq)
+                .is_some_and(|o| o.bytes == b"done")
+        };
+        self.w.settled()
+            && self.clients.iter().all(finished)
+            && T::convergence_failures(&self.w).is_empty()
     }
 
     fn output_fingerprint(&self) -> u64 {

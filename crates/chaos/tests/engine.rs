@@ -1,12 +1,16 @@
 //! End-to-end chaos engine tests: generated schedules pass the oracle
 //! on every topology, literals replay deterministically, the driver
-//! keeps its injection order at ties and at the horizon, and the
-//! shrinker reduces a real failing run to a minimal reproducer.
+//! keeps its injection order at ties and at the horizon, a fault-free
+//! run stops when its world has settled, and the shrinker reduces a real
+//! failing run to a minimal reproducer.
 
-use publishing_chaos::driver::Engine;
+use publishing_chaos::driver::{run_schedule, run_settled, Engine, GRACE_MS};
 use publishing_chaos::oracle::OracleOptions;
-use publishing_chaos::scenario::{ChaosWorld, Medium, Scenario, Topology};
+use publishing_chaos::scenario::{
+    ChaosWorld, Medium, PlanSpawn, Scenario, Topology, WorkloadSource,
+};
 use publishing_chaos::schedule::{self, ChaosConfig, Fault, FaultSchedule};
+use publishing_demos::registry::ProgramRegistry;
 use publishing_sim::time::SimTime;
 
 fn engine(topology: Topology, seed: u64, opts: OracleOptions) -> Engine {
@@ -409,4 +413,57 @@ fn quorum_fault_schedule_shrinks_to_a_minimal_reproducer() {
         "{lit}"
     );
     assert!(!eng.run(&replayed).is_empty(), "reproducer replays: {lit}");
+}
+
+/// A fault-free run that stops when its world has settled ends with the
+/// client outputs of the run that sat out the whole grace period, well
+/// before it, with the clock at the instant it reports.
+#[test]
+fn run_settled_stops_early_with_the_whole_grace_outputs() {
+    for topology in [Topology::Single, Topology::Sharded, Topology::Quorum] {
+        let scenario = Scenario::new(topology, 5);
+        let mut settled = scenario.build();
+        let after_ms = run_settled(settled.as_mut(), 300).expect("ping/echo finishes");
+        assert!(after_ms < 1_000, "{topology}: settled +{after_ms} ms");
+        assert!(settled.settled());
+        assert_eq!(settled.obs_report().at_ms, (300 + after_ms) as f64);
+        let mut whole = scenario.build();
+        run_schedule(whole.as_mut(), &"seed=5 horizon=300ms".parse().unwrap());
+        assert_eq!(settled.client_outputs(), whole.client_outputs());
+        assert_eq!(settled.output_fingerprint(), whole.output_fingerprint());
+    }
+}
+
+/// Ping clients talking to a sink that never answers.
+struct Unanswered;
+
+impl WorkloadSource for Unanswered {
+    fn registry(&self) -> ProgramRegistry {
+        Scenario::new(Topology::Single, 1)
+            .default_source()
+            .registry()
+    }
+
+    fn plan(&self) -> Vec<PlanSpawn> {
+        let mut plan = Scenario::new(Topology::Single, 1).default_source().plan();
+        for spawn in plan.iter_mut().filter(|s| !s.client) {
+            spawn.program = "digest-sink".into();
+        }
+        plan
+    }
+}
+
+/// The bound still binds: a world whose clients wait for ever is
+/// quiescent and never settled — the driver runs out the grace period
+/// and says so.
+#[test]
+fn a_client_left_waiting_keeps_the_world_unsettled_to_the_bound() {
+    let mut world = Scenario::new(Topology::Single, 1).build_with(&Unanswered);
+    assert_eq!(run_settled(world.as_mut(), 200), None);
+    assert!(!world.settled());
+    assert_eq!(world.obs_report().at_ms, (200 + GRACE_MS) as f64);
+    assert!(world.convergence_failures().is_empty());
+    for (pid, lines) in world.client_outputs() {
+        assert!(lines.is_empty(), "{pid}: {lines:?}");
+    }
 }

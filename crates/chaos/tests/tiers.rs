@@ -7,13 +7,16 @@ use publishing_chaos::driver::run_schedule;
 use publishing_chaos::scenario::{Scenario, Topology};
 use publishing_chaos::schedule::FaultSchedule;
 use publishing_core::{PriorityTier, RecorderTier, World, WorldBuilder};
-use publishing_demos::ids::Channel;
+use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
+use publishing_demos::program::{Ctx, Program, Received};
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
+use publishing_obs::span::Stage;
 use publishing_quorum::QuorumTier;
 use publishing_shard::ShardTier;
-use publishing_sim::time::SimTime;
+use publishing_sim::codec::{CodecError, Decoder, Encoder};
+use publishing_sim::time::{SimDuration, SimTime};
 
 fn builder() -> WorldBuilder {
     let mut reg = ProgramRegistry::new();
@@ -123,4 +126,227 @@ fn clients_cannot_tell_the_tiers_apart_with_or_without_crashes() {
         }
         assert_eq!(clients, 6, "two clients on each of three tiers");
     }
+}
+
+/// A program that ends: `inner` until it has handled `left` messages,
+/// then it stops. A world whose processes all end leaves the checkpoint
+/// policy nothing to visit, so once settled it stays settled.
+struct Finite<P> {
+    inner: P,
+    left: u64,
+}
+
+impl<P: Program> Program for Finite<P> {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Received) {
+        self.inner.on_message(ctx, msg);
+        self.left -= 1;
+        if self.left == 0 {
+            ctx.stop();
+        }
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.u64(self.left).bytes(&self.inner.snapshot());
+        e.finish()
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        let mut d = Decoder::new(bytes);
+        self.left = d.u64()?;
+        self.inner.restore(&d.bytes()?)?;
+        d.finish()
+    }
+}
+
+/// `pings` round-trips between two programs that stop after the last,
+/// the client thinking 2 ms over each pong.
+fn finite_builder(pings: u64) -> WorldBuilder {
+    let mut reg = ProgramRegistry::new();
+    reg.register("echo", move || {
+        Box::new(Finite {
+            inner: programs::EchoServer::default(),
+            left: pings,
+        })
+    });
+    reg.register("ping", move || {
+        let mut inner = PingClient::new(pings);
+        inner.think_ns = 2_000_000;
+        Box::new(Finite { inner, left: pings })
+    });
+    WorldBuilder::new(2).registry(reg)
+}
+
+fn spawn_pair<T: RecorderTier>(w: &mut World<T>) -> (ProcessId, ProcessId) {
+    let server = w.spawn(1, "echo", vec![]).unwrap();
+    let client = w
+        .spawn(0, "ping", vec![Link::to(server, Channel::DEFAULT, 7)])
+        .unwrap();
+    (server, client)
+}
+
+/// Where the faults of [`settled_contract`] land: well inside a
+/// 200-round-trip exchange on every tier, and after the quorum's first
+/// election (~150 ms), before which no one leads a recovery.
+const MID_EXCHANGE: SimTime = SimTime::from_millis(400);
+
+/// Steps until `w` has settled; panics if it has not within 20 virtual
+/// seconds of `w.now()`.
+fn step_until_settled<T: RecorderTier>(w: &mut World<T>) {
+    let bound = w.now() + SimDuration::from_secs(20);
+    while !w.settled() {
+        assert!(w.step() && w.now() < bound, "never settled");
+    }
+}
+
+/// From a settled instant, five more seconds of housekeeping change no
+/// output and no span, and leave the world settled.
+fn stays_settled<T: RecorderTier>(w: &mut World<T>, client: ProcessId, pings: usize) {
+    assert!(w.settled());
+    let out = w.outputs_of(client);
+    assert_eq!(out.len(), pings + 1, "{out:?}");
+    assert_eq!(out.last().unwrap(), "done");
+    let (lines, spans, events) = (
+        w.outputs.len(),
+        w.obs_fingerprint(),
+        w.scheduler_probe().delivered,
+    );
+    w.run_until(w.now() + SimDuration::from_secs(5));
+    assert!(w.scheduler_probe().delivered > events, "housekeeping ran");
+    assert_eq!((w.outputs.len(), w.obs_fingerprint()), (lines, spans));
+    assert!(w.settled());
+}
+
+/// [`World::settled`] on every tier. Fault-free: false whenever a kernel
+/// has a message unacknowledged, false while an activation is in flight
+/// (the only timer a program can arm), true once both programs have
+/// ended — and from then on for good. Under faults: false from a
+/// `crash_process` to its completed recovery, false while a node is
+/// down, false while a tier member is down; true again afterwards.
+fn settled_contract<T: RecorderTier>(make: impl Fn(WorldBuilder) -> World<T>) {
+    // Fault-free, event by event.
+    let mut w = make(finite_builder(10));
+    let (_, client) = spawn_pair(&mut w);
+    let (mut unacked, mut thinking) = (0, 0);
+    while w.outputs_of(client).len() < 11 {
+        assert!(w.step());
+        let waits_for_ack = w.kernels.iter().any(|k| {
+            let t = k.transport_stats();
+            t.sent.get() > t.acked.get()
+        });
+        // A pong the client has read and not yet printed: its
+        // activation is computing.
+        let read = w.kernels[0]
+            .spans()
+            .events_in(Stage::Deliver)
+            .filter(|e| e.subject == client.as_u64())
+            .count();
+        let computing = read > w.outputs_of(client).len();
+        unacked += usize::from(waits_for_ack);
+        thinking += usize::from(computing && !waits_for_ack);
+        if waits_for_ack || computing {
+            assert!(!w.settled(), "settled at {} with work pending", w.now());
+        }
+    }
+    assert!(unacked > 0 && thinking > 0, "{unacked} / {thinking} seen");
+    step_until_settled(&mut w);
+    assert!(w.now() < SimTime::from_secs(2), "settled at {}", w.now());
+    stays_settled(&mut w, client, 10);
+
+    // A process crash: unsettled until its recovery has completed.
+    let mut w = make(finite_builder(200));
+    let (server, client) = spawn_pair(&mut w);
+    w.run_until(MID_EXCHANGE);
+    assert!(w.outputs_of(client).len() < 100, "mid-exchange");
+    w.crash_process(server, "contract");
+    while w.recoveries_completed() == 0 {
+        assert!(!w.settled(), "settled at {} mid-recovery", w.now());
+        assert!(w.step());
+    }
+    step_until_settled(&mut w);
+    stays_settled(&mut w, client, 200);
+
+    // A node crash: unsettled while it is down, and until its processes
+    // are back.
+    let mut w = make(finite_builder(200));
+    let (_, client) = spawn_pair(&mut w);
+    w.run_until(MID_EXCHANGE);
+    assert!(w.outputs_of(client).len() < 100, "mid-exchange");
+    w.crash_node(1);
+    while !w.kernels[1].is_up() || w.recoveries_completed() == 0 {
+        assert!(!w.settled(), "settled at {} with node 1 down", w.now());
+        assert!(w.step());
+    }
+    step_until_settled(&mut w);
+    stays_settled(&mut w, client, 200);
+
+    // A tier member down: unsettled until it is back. The exchange runs
+    // long enough for both processes to checkpoint after the restart,
+    // which is what readmits a recorder that missed traffic.
+    let mut w = make(finite_builder(600));
+    let (_, client) = spawn_pair(&mut w);
+    w.run_until(MID_EXCHANGE);
+    assert!(w.outputs_of(client).len() < 100, "mid-exchange");
+    w.crash_member(0);
+    let back = w.now() + SimDuration::from_millis(30);
+    while w.now() < back {
+        assert!(!w.settled(), "settled at {} with member 0 down", w.now());
+        assert!(w.step());
+    }
+    w.restart_member(0);
+    step_until_settled(&mut w);
+    stays_settled(&mut w, client, 600);
+}
+
+#[test]
+fn settled_under_the_single_recorder() {
+    settled_contract(|b| b.build());
+}
+
+#[test]
+fn settled_under_priority_vector_recorders() {
+    settled_contract(|b| PriorityTier::world(b, 2));
+}
+
+#[test]
+fn settled_under_sharding() {
+    settled_contract(|b| ShardTier::world(b, 3));
+}
+
+#[test]
+fn settled_under_quorum_sequencing() {
+    settled_contract(|b| QuorumTier::world(b, 3, 0));
+}
+
+/// The quorum's own clause: a live replica that has not applied
+/// everything in the leader's log — here a follower catching up after a
+/// restart, entry by entry — keeps the world unsettled.
+#[test]
+fn a_quorum_follower_behind_the_leader_is_not_settled() {
+    let mut w = QuorumTier::world(finite_builder(600), 3, 0);
+    let (_, client) = spawn_pair(&mut w);
+    w.run_until(MID_EXCHANGE);
+    let follower = (w.tier.leader().expect("elected by now") + 1) % 3;
+    w.crash_member(follower);
+    w.run_until(MID_EXCHANGE + SimDuration::from_millis(50));
+    w.restart_member(follower);
+    let mut behind = 0;
+    while !w.settled() {
+        assert!(w.step());
+        let Some(leader) = w.tier.leader() else {
+            continue;
+        };
+        let last = w.tier.replicas[leader].raft().last_index();
+        let live = w.tier.replicas.iter().filter(|r| r.is_up());
+        if live.map(|r| r.raft().applied_index()).any(|at| at < last) {
+            behind += 1;
+            assert!(!w.settled(), "settled at {} with a replica behind", w.now());
+        }
+    }
+    assert!(behind > 0);
+    stays_settled(&mut w, client, 600);
 }

@@ -195,6 +195,21 @@ impl RecorderNode {
         self.up
     }
 
+    /// Whether this recording node has nothing left to do until a new
+    /// frame arrives: it is up, every captured message is sequenced, no
+    /// disk operation is outstanding, the manager is neither recovering a
+    /// process nor restarting a node, and the node's own transport has
+    /// nothing queued or unacknowledged. The watchdog pings and the
+    /// policy tick go on for ever and do not count.
+    pub fn settled(&self) -> bool {
+        self.up
+            && self.recorder.pending_depth() == 0
+            && !self.recorder.store().io_outstanding()
+            && !self.manager.busy()
+            && self.manager.nodes_restarting() == 0
+            && !self.transport.has_unacked()
+    }
+
     /// Read access to the recorder database.
     pub fn recorder(&self) -> &Recorder {
         &self.recorder

@@ -174,7 +174,10 @@ pub fn utilization_report<'a>(
                 "medium",
                 "utilization",
                 publishing_queueing::xval::utilization_law(lambda, service_s),
-                medium_tl.busy_total().as_millis_f64() / window.as_millis_f64(),
+                // Busy time inside the window: the perfect bus charges an
+                // over-driven serial wire past `now`, and the law's side
+                // saturates at 1 too.
+                medium_tl.util_between(SimTime::ZERO, now),
                 0.25,
             ));
         }

@@ -131,6 +131,13 @@ pub trait RecorderTier: Sized {
     /// A process was spawned.
     fn on_spawn(&mut self, _pid: ProcessId) {}
 
+    /// Whether the tier's own policy is at rest, beyond what each
+    /// member's [`RecorderNode::settled`] says: nobody catching up, no
+    /// log entry short of a replica. See [`World::settled`].
+    fn at_rest(&self) -> bool {
+        true
+    }
+
     /// The metric path prefix member `idx` files its instruments under.
     fn metric_prefix(&self, idx: usize) -> String;
 
@@ -627,8 +634,9 @@ impl<T: RecorderTier> World<T> {
     }
 
     /// Runs until `deadline`: delivers every event at or before it and
-    /// leaves the clock exactly there (watchdogs tick forever, so there
-    /// is no quiescence in a published world).
+    /// leaves the clock exactly there. Watchdogs tick for ever, so the
+    /// event queue of a published world never drains; whether the work
+    /// is over is [`World::settled`]'s to say.
     pub fn run_until(&mut self, deadline: SimTime) {
         self.run_while(|at| at <= deadline, deadline);
     }
@@ -639,6 +647,22 @@ impl<T: RecorderTier> World<T> {
     /// already in the past delivers nothing and leaves the clock alone.
     pub fn run_before(&mut self, t: SimTime) {
         self.run_while(|at| at < t, t);
+    }
+
+    /// Whether everything that could still change an output, a latency
+    /// sample or a log is done: every node and tier member is up, no
+    /// kernel has an activation running or runnable, a process down or a
+    /// message unacknowledged ([`Kernel::settled`]), no recorder has a
+    /// capture unsequenced, a disk operation outstanding or a recovery in
+    /// flight ([`RecorderNode::settled`]), and the tier's policy is at
+    /// rest ([`RecorderTier::at_rest`]). What still fires in a settled
+    /// world is housekeeping — watchdog pings, policy ticks, heartbeats —
+    /// so a fault-free run may stop here. Computed on demand by walking
+    /// the kernels and members; the run loop keeps no count for it.
+    pub fn settled(&self) -> bool {
+        self.kernels.iter().all(Kernel::settled)
+            && self.member_nodes().all(RecorderNode::settled)
+            && self.tier.at_rest()
     }
 
     /// Crashes one process now (a detected fault, §3.3.2). The kernel

@@ -334,6 +334,26 @@ impl Kernel {
         self.up
     }
 
+    /// Whether this node has nothing left to do until a new message
+    /// arrives: it is up, no activation is running, finishing or queued
+    /// (programs pace themselves with compute time, so an activation in
+    /// flight is the only timer a program can arm), no checkpoint is
+    /// waiting for one to end, no process is crashed or mid-recovery, and
+    /// the transport has nothing queued or unacknowledged. Timers that
+    /// will find their work already done (a retransmission timer whose
+    /// message was acknowledged) do not count.
+    pub fn settled(&self) -> bool {
+        self.up
+            && self.active.is_none()
+            && self.dones.is_empty()
+            && self.run_queue.is_empty()
+            && self.pending_checkpoints.is_empty()
+            && !self.transport.has_unacked()
+            && self
+                .processes()
+                .all(|p| matches!(p.run, RunState::Ready | RunState::Waiting))
+    }
+
     /// Looks up a process by local id.
     pub fn process(&self, local: u32) -> Option<&Process> {
         self.slots.get(local as usize)?.proc.as_deref()

@@ -174,6 +174,19 @@ impl RecorderTier for QuorumTier {
         }
     }
 
+    /// Somebody leads, and everything in the leader's log is committed
+    /// and applied on every live replica.
+    fn at_rest(&self) -> bool {
+        let Some(leader) = self.leader() else {
+            return false;
+        };
+        let last = self.replicas[leader].raft().last_index();
+        self.replicas.iter().filter(|r| r.is_up()).all(|r| {
+            let raft = r.raft();
+            raft.commit_index() == last && raft.applied_index() == last
+        })
+    }
+
     fn metric_prefix(&self, idx: usize) -> String {
         format!("quorum/{idx}")
     }

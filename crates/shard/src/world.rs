@@ -158,6 +158,11 @@ impl RecorderTier for ShardTier {
         self.processes.insert(pid);
     }
 
+    /// No restarted shard is still catching up before readmission.
+    fn at_rest(&self) -> bool {
+        self.rejoining.is_empty()
+    }
+
     fn metric_prefix(&self, idx: usize) -> String {
         format!("shard/{idx}")
     }

@@ -332,6 +332,19 @@ impl ResourceUsage {
             && self.contention as f64 / self.events as f64 >= 0.10
     }
 
+    /// Time-average queue over the active span (first busy bin through
+    /// last) instead of the report window: the same integral as
+    /// `mean_queue`, so it does not shrink however long the run idled
+    /// after its load. The span is read back from `busy_ms` and
+    /// `active_util`; 0 for a resource that was never busy.
+    pub fn active_queue(&self) -> f64 {
+        if self.busy_ms <= 0.0 || self.active_util <= 0.0 {
+            return 0.0;
+        }
+        let active_ms = self.busy_ms / self.active_util;
+        self.mean_queue * self.window_ms / active_ms
+    }
+
     /// The collision-to-submission ratio (0 for anything but a medium).
     pub fn contention_ratio(&self) -> f64 {
         if self.events == 0 {

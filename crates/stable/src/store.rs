@@ -350,6 +350,11 @@ impl StableStore {
         self.disks[i].stats()
     }
 
+    /// Whether any disk still owes the store a completion.
+    pub fn io_outstanding(&self) -> bool {
+        self.pending.iter().any(|ops| !ops.is_empty())
+    }
+
     /// Returns the number of disks.
     pub fn n_disks(&self) -> usize {
         self.disks.len()

@@ -7,14 +7,21 @@
 //! compiled workload fault-free on the paper medium and judges it
 //! against an [`SloSpec`] (plus, optionally, a seeded fault schedule
 //! judged by the chaos recovery oracle against the trial's own
-//! baseline); the *search* brackets the highest passing user count by
-//! doubling, then binary-searches the bracket. The result — the
-//! "capacity knee" — is the largest user count the tier sustains within
-//! its objectives, every searched point a fully validated run.
+//! baseline). A fault-free run ends when its world has settled — every
+//! driver done, nothing left but housekeeping ([`run_settled`]) — with
+//! the chaos grace period as its bound, so a trial's report covers the
+//! loaded window, not 35 s of watchdog pings after it
+//! ([`TrialOutcome::settled_ms`] says when); the faulted run keeps the
+//! whole grace period, because whether a recovery has *finished* is
+//! what the oracle is there to judge. The *search* brackets the highest
+//! passing user count by doubling, then binary-searches the bracket. The
+//! result — the "capacity knee" — is the largest user count the tier
+//! sustains within its objectives, every searched point a fully
+//! validated run.
 
 use crate::compile::CompiledWorkload;
 use crate::spec::WorkloadSpec;
-use publishing_chaos::driver::run_schedule;
+use publishing_chaos::driver::{run_schedule, run_settled};
 use publishing_chaos::oracle::{self, Baseline, OracleOptions};
 use publishing_chaos::{ChaosConfig, FaultSchedule, Medium, Scenario, Topology, Tuning};
 use publishing_obs::report::{ObsReport, WorkloadStats};
@@ -101,6 +108,12 @@ pub struct TrialOutcome {
     /// Whether the point is sustained: every driver finished, SLOs met,
     /// chaos oracle clean.
     pub pass: bool,
+    /// Virtual ms after the horizon at which the fault-free run had
+    /// settled and the trial stopped; `None` when the grace period
+    /// expired first — a driver unfinished (the `did not finish`
+    /// violation) or a world its tier never cleared (a standing
+    /// watchdog violation).
+    pub settled_ms: Option<u64>,
     /// The binding resource the utilization ledger named for this
     /// trial (`None` when nothing saturated).
     pub binding: Option<String>,
@@ -110,6 +123,15 @@ pub struct TrialOutcome {
 }
 
 impl TrialOutcome {
+    /// When the fault-free run ended, as the knee log prints it:
+    /// `settled=+Xms` past the horizon, or `grace expired`.
+    pub fn ended(&self) -> String {
+        match self.settled_ms {
+            Some(ms) => format!("settled=+{ms}ms"),
+            None => "grace expired".to_string(),
+        }
+    }
+
     /// The distinct SLO clauses that rejected this point (empty for a
     /// passing trial): fault-free violations first, then chaos.
     pub fn rejected_by(&self) -> Vec<&'static str> {
@@ -167,16 +189,6 @@ fn scenario(topology: Topology, spec: &WorkloadSpec, medium: Medium, tuning: &Tu
     s
 }
 
-/// A schedule with no faults: drive to the workload horizon, heal
-/// (a no-op), and run the grace period so the drivers finish.
-fn empty_schedule(spec: &WorkloadSpec) -> FaultSchedule {
-    FaultSchedule {
-        workload_seed: spec.seed,
-        horizon_ms: spec.horizon_ms,
-        faults: Vec::new(),
-    }
-}
-
 /// Parses `prefix N` totals out of client outputs.
 fn sum_outputs(outputs: &[(publishing_demos::ids::ProcessId, Vec<String>)], prefix: &str) -> u64 {
     outputs
@@ -188,7 +200,8 @@ fn sum_outputs(outputs: &[(publishing_demos::ids::ProcessId, Vec<String>)], pref
 }
 
 /// Clients whose last output line is not `done` — drivers the run
-/// failed to bring to completion inside horizon + grace.
+/// failed to bring to completion inside horizon + grace (such a world
+/// never settles, so it ran all of it).
 fn unfinished(outputs: &[(publishing_demos::ids::ProcessId, Vec<String>)]) -> Vec<String> {
     outputs
         .iter()
@@ -224,7 +237,7 @@ pub fn run_trial_tuned(
 
     // Fault-free run: offered/delivered accounting + SLO verdict.
     let mut world = scen.build_with(&compiled);
-    run_schedule(world.as_mut(), &empty_schedule(spec));
+    let settled_ms = run_settled(world.as_mut(), spec.horizon_ms);
     let outputs = world.client_outputs();
     let delivered = sum_outputs(&outputs, "got ");
     let offered = sum_outputs(&outputs, "sent ");
@@ -259,7 +272,7 @@ pub fn run_trial_tuned(
             }
         } else {
             let mut clean = oracle_scen.build_with(&compiled);
-            run_schedule(clean.as_mut(), &empty_schedule(spec));
+            run_settled(clean.as_mut(), spec.horizon_ms);
             Baseline {
                 output_fp: clean.output_fingerprint(),
                 obs_fp: clean.obs_fingerprint(),
@@ -284,6 +297,7 @@ pub fn run_trial_tuned(
         offered,
         delivered,
         pass: violations.is_empty() && chaos_failures.is_empty(),
+        settled_ms,
         binding: report
             .utilization
             .as_ref()
@@ -331,15 +345,16 @@ pub fn find_knee(
         );
         let pass = t.pass;
         if params.verbose {
+            let ended = t.ended();
             if pass {
-                eprintln!("knee[{shape}/{topology}] users={users}: PASS");
+                eprintln!("knee[{shape}/{topology}] users={users}: PASS {ended}");
             } else {
                 // Name the clause that rejected the point — "the SLO
                 // failed" hides whether latency, recovery, or goodput
                 // was the wall — plus the first concrete violation and
                 // the resource the ledger blames.
                 eprintln!(
-                    "knee[{shape}/{topology}] users={users}: FAIL clause={} binding={} ({})",
+                    "knee[{shape}/{topology}] users={users}: FAIL {ended} clause={} binding={} ({})",
                     t.rejected_by().join("+"),
                     t.binding.as_deref().unwrap_or("none"),
                     t.violations

@@ -33,9 +33,12 @@
 //!   confirmed exactly by the re-search when the knob is a true no-op
 //!   (protocol CPU ×0.5 under the zero cost model).
 //! - Self-paced resources (a generator charging its tick CPU at any
-//!   load) are excluded by a utilization-slope test against a low-load
-//!   probe trial: whole-window utilization that does not grow with
-//!   users is pacing, not capacity.
+//!   load) are excluded by a slope test against a low-load probe trial:
+//!   busy time that does not grow with users is pacing, not capacity.
+//!
+//! Nothing here reads a whole-window average (`util`, `mean_queue`): a
+//! trial's window ends when its world has settled, and a verdict must
+//! not change with how long a world idled.
 
 use crate::capacity::{find_knee, run_trial_tuned, Knee, SearchParams, TrialOutcome};
 use crate::spec::WorkloadSpec;
@@ -125,13 +128,15 @@ pub fn knob_for_kind(kind: ResourceKind) -> Option<&'static str> {
         .map(|k| k.name)
 }
 
-/// Whether `r`'s whole-window utilization grew materially between the
-/// low-load probe and the knee — the test that separates capacity
-/// resources from self-paced ones. A resource absent at low load only
-/// exists under load, so it counts as proportional.
+/// Whether `r`'s busy time grew materially between the low-load probe
+/// and the knee — the test that separates capacity resources from
+/// self-paced ones. Busy *time*, not busy ÷ window: the two trials offer
+/// load over the same horizon but stop when their worlds have settled,
+/// so their windows differ. A resource absent at low load only exists
+/// under load, so it counts as proportional.
 fn load_proportional(r: &ResourceUsage, low: &[ResourceUsage]) -> bool {
     match low.iter().find(|l| l.name == r.name) {
-        Some(l) => r.util > 1.5 * l.util,
+        Some(l) => r.busy_ms > 1.5 * l.busy_ms,
         None => true,
     }
 }
@@ -159,12 +164,13 @@ pub fn predict_knee(knee: &Knee, low: &TrialOutcome, knob: &WhatIfKnob) -> (u32,
         // (a disk flushing in spikes) shows high loaded-window
         // intensity without any evidence of a capacity ceiling, and
         // letting it cap the min makes every positive prediction
-        // pessimistic.
-        if !is_binding && (r.mean_queue <= 0.1 || !load_proportional(r, &low_u.resources)) {
+        // pessimistic. Queue-holding: while the resource was in use,
+        // more than the one item in service was present on average.
+        if !is_binding && (r.active_queue() <= 1.0 || !load_proportional(r, &low_u.resources)) {
             continue;
         }
-        // Loaded-window intensity is what saturates; whole-window util
-        // only feeds the proportionality test above.
+        // Loaded-window intensity is what saturates; busy time only
+        // feeds the proportionality test above.
         let u = r.active_util.max(1e-6);
         let u_sat = if is_binding { u } else { 1.0 };
         let k_r = f64::from(k0) * u_sat / (u * knob.service_multiplier(r.kind));
@@ -265,6 +271,119 @@ mod tests {
         assert_eq!(knob_for_kind(ResourceKind::Medium), Some("wire"));
         assert_eq!(knob_for_kind(ResourceKind::Transport), Some("wire"));
         assert_eq!(knob_for_kind(ResourceKind::Disk), None);
+    }
+
+    /// A ledger row busy for the first `busy_ms` of a `window_ms` run,
+    /// with `queue_ms` item·ms of work having waited behind it.
+    fn row(
+        kind: ResourceKind,
+        name: &str,
+        busy_ms: u64,
+        queue_ms: f64,
+        window_ms: u64,
+    ) -> ResourceUsage {
+        use publishing_sim::ledger::Timeline;
+        use publishing_sim::time::{SimDuration, SimTime};
+        let mut busy = Timeline::new();
+        busy.add_busy(SimTime::ZERO, SimTime::from_millis(busy_ms));
+        ResourceUsage::from_timeline(
+            kind,
+            name.into(),
+            0,
+            0,
+            &busy,
+            SimDuration::from_millis(window_ms),
+            queue_ms / window_ms as f64,
+            4,
+            100,
+            0,
+        )
+    }
+
+    /// A trial that stopped at `window_ms` with `resources` on its ledger.
+    fn trial(
+        users: u32,
+        pass: bool,
+        window_ms: u64,
+        resources: Vec<ResourceUsage>,
+    ) -> TrialOutcome {
+        use publishing_obs::report::ObsReport;
+        use publishing_obs::util::UtilizationReport;
+        TrialOutcome {
+            users,
+            offered: 0,
+            delivered: 0,
+            violations: Vec::new(),
+            chaos_failures: Vec::new(),
+            pass,
+            settled_ms: None,
+            binding: None,
+            report: Box::new(ObsReport {
+                utilization: Some(UtilizationReport {
+                    window_ms: window_ms as f64,
+                    resources,
+                    ..UtilizationReport::default()
+                }),
+                ..ObsReport::default()
+            }),
+        }
+    }
+
+    #[test]
+    fn proportionality_is_judged_on_busy_time_not_on_the_window() {
+        let xport = |busy_ms, window_ms| {
+            row(
+                ResourceKind::Transport,
+                "xport 0->2",
+                busy_ms,
+                0.0,
+                window_ms,
+            )
+        };
+        // Twice the busy time at the knee — whose world idled 35 s after
+        // its load where the probe's settled at once.
+        assert!(load_proportional(&xport(200, 35_400), &[xport(100, 450)]));
+        // A self-paced generator is busy as long at any load, however
+        // short the knee trial's window.
+        assert!(!load_proportional(&xport(100, 450), &[xport(100, 35_400)]));
+    }
+
+    #[test]
+    fn a_prediction_does_not_change_with_how_long_a_trial_idled() {
+        // Past a 6-user knee the sink's receive budget binds; the
+        // recorder's CPU is busy over nearly all of its active span,
+        // holds a queue and grows with load, so it caps what a faster
+        // sink can buy: 6 users still, not 12.
+        let sink_recv = &standard_knobs()[1];
+        let predicted = |window_ms: u64| {
+            let past_knee = vec![
+                row(ResourceKind::Transport, "recv 2", 400, 8_000.0, window_ms),
+                row(
+                    ResourceKind::RecorderCpu,
+                    "rec0:cpu",
+                    320,
+                    2_000.0,
+                    window_ms,
+                ),
+            ];
+            let probe = vec![
+                row(ResourceKind::Transport, "recv 2", 100, 100.0, window_ms),
+                row(ResourceKind::RecorderCpu, "rec0:cpu", 80, 80.0, window_ms),
+            ];
+            let knee = Knee {
+                shape: "t".into(),
+                topology: Topology::Single,
+                knee_users: 6,
+                binding: Some("recv 2".into()),
+                trials: vec![
+                    trial(6, true, window_ms, Vec::new()),
+                    trial(7, false, window_ms, past_knee),
+                ],
+            };
+            predict_knee(&knee, &trial(2, true, window_ms, probe), sink_recv)
+        };
+        assert_eq!(predicted(800), (6, "rec0:cpu".to_string()));
+        assert_eq!(predicted(35_400), predicted(800));
     }
 
     #[test]

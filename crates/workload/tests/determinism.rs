@@ -1,6 +1,7 @@
 //! Fixed-seed determinism for the closed-loop capacity search: two
 //! searches of the same (shape, topology, seed) must walk the same
-//! user sequence to the same knee with the same per-point verdicts.
+//! user sequence to the same knee with the same per-point verdicts, and
+//! stop every trial at the same settle instant.
 //! A nondeterministic knee would make the `bench_compare` capacity
 //! gate flaky, so determinism is itself the tested invariant.
 
@@ -8,10 +9,13 @@ use publishing_chaos::{Medium, Topology};
 use publishing_obs::slo::SloSpec;
 use publishing_workload::{canonical_shapes, find_knee, Knee, SearchParams};
 
-fn skeleton(k: &Knee) -> (u32, Vec<(u32, bool)>) {
+fn skeleton(k: &Knee) -> (u32, Vec<(u32, bool, Option<u64>)>) {
     (
         k.knee_users,
-        k.trials.iter().map(|t| (t.users, t.pass)).collect(),
+        k.trials
+            .iter()
+            .map(|t| (t.users, t.pass, t.settled_ms))
+            .collect(),
     )
 }
 

@@ -27,13 +27,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # workload -> allocs_per_msg ceiling (measured at PR 20, seed 1: 6.11 /
 # 30.30 / 21.60 / 207.68 / 16.31, times 1.05; `quorum_replay` again at
-# PR 21, when every log entry began to travel once per follower: 80.26).
+# PR 21, when every log entry began to travel once per follower: 80.26;
+# `knee_search` again at PR 24, when a fault-free trial began to stop once
+# its world has settled instead of idling out the grace period: 11.91).
 BUDGET = {
     "steady_bus": 6.42,
     "ether_contend": 31.81,
     "shard_replay": 22.68,
     "quorum_replay": 84.27,
-    "knee_search": 17.12,
+    "knee_search": 12.51,
 }
 
 
