@@ -2,7 +2,8 @@
 //! single, sharded, and quorum recorder topologies, with automatic
 //! shrinking of any failure to a replayable minimal reproducer.
 //!
-//! - `--seed N` — base seed for schedule generation (default 1);
+//! - `--seed N` — base seed (default 1): schedule `k` and the scenario
+//!   it is judged on are both seeded `N·1000 + k`;
 //! - `--schedules K` — schedules per topology (default 25);
 //! - `--smoke` — small CI run (5 schedules per topology unless
 //!   `--schedules` says otherwise);
@@ -12,21 +13,23 @@
 //!   its world; without the tokens it is `single` on `perfect`. Given
 //!   more than once, the literals replay in order.
 //!
-//! Exit status is non-zero if any schedule fails its oracle; a
-//! generated schedule that fails is shrunk first and the minimal
-//! reproducer printed as a `--schedule` literal.
+//! Every judged schedule prints when its run ended: `settled=+Xms` past
+//! the horizon, or `grace expired`. Exit status is non-zero if any
+//! schedule fails its oracle; a generated schedule that fails is shrunk
+//! first and the minimal reproducer printed as a `--schedule` literal.
 
 use super::{fail, Flags};
-use publishing_chaos::driver::Engine;
+use publishing_chaos::driver::{ended, Engine};
 use publishing_chaos::oracle::OracleOptions;
 use publishing_chaos::scenario::{Scenario, Topology};
-use publishing_chaos::schedule::{self, ChaosConfig};
 
 pub(super) const USAGE: &str = "[--seed N] [--schedules K] [--smoke] [--schedule S]";
 
 /// Runs `schedules` generated fault schedules against `topology` through
 /// the recovery oracle, every printed line behind `prefix`; the first
 /// failure is shrunk to a minimal reproducer and returned as the error.
+/// Schedule `k` is judged on the scenario seeded like the schedule
+/// itself ([`Scenario::suite_case`]), so the reproducer replays it.
 pub(super) fn run_suite(
     topology: Topology,
     seed: u64,
@@ -34,17 +37,17 @@ pub(super) fn run_suite(
     prefix: &str,
     noun: &str,
 ) -> Result<(), String> {
-    let scenario = Scenario::new(topology, seed);
-    let eng = Engine::new(scenario.clone(), OracleOptions::default())
-        .map_err(|e| format!("{prefix}baseline: {e}"))?;
     for k in 0..schedules {
-        let sched = schedule::generate(&ChaosConfig::for_topology(
-            topology,
-            seed.wrapping_mul(1000).wrapping_add(k),
-        ));
-        let failures = eng.run(&sched);
+        let (scenario, sched) = Scenario::suite_case(topology, seed, k);
+        let eng = Engine::new(scenario.clone(), OracleOptions::default())
+            .map_err(|e| format!("{prefix}schedule {k}: baseline: {e}"))?;
+        let (settled_ms, failures) = eng.judge(&sched);
         if failures.is_empty() {
-            println!("{prefix}schedule {k}: ok ({} faults)", sched.faults.len());
+            println!(
+                "{prefix}schedule {k}: ok ({} faults, {})",
+                sched.faults.len(),
+                ended(settled_ms)
+            );
             continue;
         }
         println!("{prefix}schedule {k}: FAILED");
@@ -73,12 +76,12 @@ fn replay(lit: &str) -> Result<(), String> {
     let lit = scenario.reproducer(&sched);
     let eng =
         Engine::new(scenario, OracleOptions::default()).map_err(|e| format!("baseline: {e}"))?;
-    let failures = eng.run(&sched);
+    let (settled_ms, failures) = eng.judge(&sched);
     if failures.is_empty() {
-        println!("schedule passed: {lit}");
+        println!("schedule passed ({}): {lit}", ended(settled_ms));
         Ok(())
     } else {
-        println!("schedule FAILED: {lit}");
+        println!("schedule FAILED ({}): {lit}", ended(settled_ms));
         for f in &failures {
             println!("  - {f}");
         }

@@ -82,8 +82,8 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
         t.recoveries_completed()
     );
     // What the group said to sequence that: every replica's frames and
-    // the entries in them (heartbeats through the heal included), over
-    // the proposals the leaders saw commit.
+    // the entries in them (heartbeats up to the settle instant included),
+    // over the proposals the leaders saw commit.
     let report = t.obs_report();
     let sent = |what: &str| -> u64 {
         let of = |i| format!("quorum/{i}/consensus/{what}");

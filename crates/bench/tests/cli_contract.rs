@@ -125,12 +125,17 @@ fn chaos_replays_a_reproducer_on_the_world_it_names() {
             "{tokens}: {err}"
         );
         if topology != "quorum" {
-            // The verdict carries the whole reproducer, which replays.
+            // The verdict says when the run ended and carries the whole
+            // reproducer, which replays.
             assert_eq!(out.status.code(), Some(0), "{tokens}: {err}");
             let reproducer = format!("topology={topology} medium={medium} {faults}");
-            assert_eq!(
-                String::from_utf8_lossy(&out.stdout),
-                format!("schedule passed: {reproducer}\n")
+            let verdict = String::from_utf8_lossy(&out.stdout).into_owned();
+            let ended = verdict
+                .strip_prefix("schedule passed (settled=+")
+                .and_then(|rest| rest.strip_suffix(&format!("ms): {reproducer}\n")));
+            assert!(
+                ended.is_some_and(|ms| ms.parse::<u64>().is_ok()),
+                "{verdict}"
             );
             let again = lab(&["chaos", "--schedule", &reproducer]);
             assert_eq!(again.stdout, out.stdout, "{reproducer}");

@@ -8,14 +8,17 @@
 //! delivered at `t`), injects the discrete faults due in list order, and
 //! recomputes the medium and disk fault regimes from the bursts active
 //! at that time. Then the world runs to the horizon, is healed
-//! (everything still down restarts, all regimes clear) and runs a grace
-//! period, so the oracle judges recovery, not an ongoing outage. The
-//! world knows nothing of faults: it only runs to the times it is given.
+//! (everything still down restarts, all regimes clear) and runs on until
+//! its recovery has finished, so the oracle judges recovery, not an
+//! ongoing outage. The world knows nothing of faults: it only runs to
+//! the times it is given.
 //!
-//! A run with no faults has nothing to recover from, and [`run_settled`]
-//! does not make it wait: past the horizon it asks the world at every
-//! stride whether it has [`ChaosWorld::settled`] and stops when it has,
-//! with the same grace period as its bound.
+//! When a run ends is one loop: past the horizon the driver asks the
+//! world at every stride whether it has [`ChaosWorld::settled`] and
+//! stops when it has, with a grace period as the bound. A faulted
+//! [`run_schedule`] and a capacity trial's [`run_settled`] both end
+//! there; a fault-free `run_schedule` still spends the whole grace
+//! period (its doc comment says until when).
 
 use crate::oracle::{self, Baseline, OracleOptions};
 use crate::scenario::{ChaosWorld, Scenario};
@@ -102,9 +105,20 @@ fn instants(s: &FaultSchedule) -> Vec<u64> {
     ts
 }
 
-/// Replays `schedule` against a fresh `target` (injection, heal, grace
-/// period). On return the world is quiescent and ready for the oracle.
-pub fn run_schedule(target: &mut dyn ChaosWorld, schedule: &FaultSchedule) {
+/// Replays `schedule` against a fresh `target`: injection, heal, then
+/// on until the world has [`ChaosWorld::settled`] — its recovery
+/// finished, every spawned process accounted for by the census in
+/// [`ChaosWorld::convergence_failures`] — bounded by [`GRACE_MS`] past
+/// the horizon. Returns how long after the horizon the run ended with
+/// the world settled, `None` if the grace period expired first. On
+/// return the world is ready for the oracle.
+///
+/// A schedule with no faults keeps the whole grace period (and says
+/// `Some(GRACE_MS)` if it ended settled) until ROADMAP item 4 takes
+/// `hostbench`'s `setup_s` vector out of the `peak_heap_mb` window:
+/// settling it too reads `ether_contend` +30.5 % peak heap, the
+/// vector's next doubling, with no program heap grown.
+pub fn run_schedule(target: &mut dyn ChaosWorld, schedule: &FaultSchedule) -> Option<u64> {
     for t_ms in instants(schedule) {
         target.run_before(SimTime::from_millis(t_ms));
         for f in schedule.faults.iter().filter(|f| f.at_ms() == t_ms) {
@@ -115,27 +129,37 @@ pub fn run_schedule(target: &mut dyn ChaosWorld, schedule: &FaultSchedule) {
     }
     target.run_until(SimTime::from_millis(schedule.horizon_ms));
     target.heal();
-    target.run_until(SimTime::from_millis(schedule.horizon_ms + GRACE_MS));
+    if schedule.faults.is_empty() {
+        target.run_until(SimTime::from_millis(schedule.horizon_ms + GRACE_MS));
+        return target.settled().then_some(GRACE_MS);
+    }
+    settle(target, schedule.horizon_ms)
 }
 
-/// Virtual time between two looks at a fault-free world past its
-/// horizon: a few housekeeping events on the busiest tier, and the
-/// resolution of the instant [`run_settled`] returns.
+/// Virtual time between two looks at a world past its horizon: a few
+/// housekeeping events on the busiest tier, and the resolution of the
+/// instant [`run_settled`] and [`run_schedule`] return.
 const SETTLE_STRIDE_MS: u64 = 20;
 
 /// Runs a fault-free `target` to `horizon_ms` and on until it has
 /// [`ChaosWorld::settled`], looking every 20 virtual ms, or until
-/// the [`GRACE_MS`] that [`run_schedule`] always spends has passed.
+/// the [`GRACE_MS`] that bounds every run has passed.
 /// Returns how long after the horizon the world settled (virtual ms),
 /// `None` if the grace expired first. Client outputs and message
-/// latencies are those of `run_schedule` with an empty schedule, and the
-/// span logs are prefixes of its logs: what the rest of the grace period
-/// would add is housekeeping (a periodic checkpoint of a process still
-/// alive, an election of a quorum that keeps losing heartbeats on a
-/// contended medium). The clock, and with it every whole-run average of
-/// the report, stops at the settle instant, not at `horizon + GRACE_MS`.
+/// latencies are those of a whole grace period, and the span logs are
+/// prefixes of its logs: what the rest of the grace period would add is
+/// housekeeping (a periodic checkpoint of a process still alive, an
+/// election of a quorum that keeps losing heartbeats on a contended
+/// medium). The clock, and with it every whole-run average of the
+/// report, stops at the settle instant, not at `horizon + GRACE_MS`.
 pub fn run_settled(target: &mut dyn ChaosWorld, horizon_ms: u64) -> Option<u64> {
     target.run_until(SimTime::from_millis(horizon_ms));
+    settle(target, horizon_ms)
+}
+
+/// The one settle loop: from the horizon, a look every stride until the
+/// world has settled or the grace period is spent.
+fn settle(target: &mut dyn ChaosWorld, horizon_ms: u64) -> Option<u64> {
     let mut after_ms = 0;
     while !target.settled() {
         if after_ms == GRACE_MS {
@@ -145,6 +169,15 @@ pub fn run_settled(target: &mut dyn ChaosWorld, horizon_ms: u64) -> Option<u64> 
         target.run_until(SimTime::from_millis(horizon_ms + after_ms));
     }
     Some(after_ms)
+}
+
+/// How a run ended, as `lab` prints it: `settled=+Xms` past the horizon,
+/// or `grace expired`.
+pub fn ended(settled_ms: Option<u64>) -> String {
+    match settled_ms {
+        Some(ms) => format!("settled=+{ms}ms"),
+        None => "grace expired".to_string(),
+    }
 }
 
 /// A scenario bound to its fault-free baseline: the reusable harness
@@ -214,9 +247,16 @@ impl Engine {
     /// Runs one schedule on a fresh world and returns the oracle's
     /// failures (empty = the schedule passed).
     pub fn run(&self, schedule: &FaultSchedule) -> Vec<String> {
+        self.judge(schedule).1
+    }
+
+    /// [`Engine::run`], with when the run ended as [`run_schedule`]
+    /// returns it.
+    pub fn judge(&self, schedule: &FaultSchedule) -> (Option<u64>, Vec<String>) {
         let mut t = self.scenario.build();
-        run_schedule(t.as_mut(), schedule);
-        oracle::check(t.as_ref(), &self.baseline, &self.opts)
+        let settled_ms = run_schedule(t.as_mut(), schedule);
+        let failures = oracle::check(t.as_ref(), &self.baseline, &self.opts);
+        (settled_ms, failures)
     }
 
     /// Shrinks a failing schedule to a minimal reproducer (see

@@ -11,12 +11,13 @@
 //!    recovery, crash during rebalance);
 //! 2. [`driver`] *replays* a schedule against a target world as a client
 //!    of the world's clock: it runs the world up to each scheduled
-//!    instant, injects between two events and runs on. The simulator
-//!    knows nothing of faults, and a run is a pure function of its
-//!    literal — no wall clock, no polling;
+//!    instant, injects between two events and runs on until the world
+//!    has settled. The simulator knows nothing of faults, and a run is
+//!    a pure function of its literal — no wall clock;
 //! 3. [`oracle`] *checks* the recovery invariants after every schedule:
 //!    all recoveries converge (replay lag drains to zero, no shard left
-//!    catching up), every client's deduplicated output equals the
+//!    catching up, every spawned process running or destroyed on
+//!    purpose), every client's deduplicated output equals the
 //!    fault-free baseline (no lost or duplicated delivery), replayed
 //!    read prefixes match the pre-crash prefix, and suppressions only
 //!    ever arise from recoveries;

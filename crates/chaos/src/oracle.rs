@@ -2,8 +2,10 @@
 //!
 //! Judged against a fault-free [`Baseline`] of the same workload seed:
 //!
-//! - **convergence** — no recovery in flight, replay lag drained, no
-//!   recorder/shard down or still catching up;
+//! - **convergence** — replay lag drained, no recorder/shard down or
+//!   still catching up, and the process census: every spawned process
+//!   is running on its node with no recovery in flight, or was
+//!   destroyed on purpose;
 //! - **output equivalence** — every client's deduplicated output equals
 //!   the baseline byte for byte (no lost delivery, no duplicate
 //!   surviving dedup, no invented message), and the whole-world output

@@ -10,12 +10,13 @@
 //! probes. A scenario and a schedule together print as one reproducer
 //! literal ([`Scenario::reproducer`]) that names the world it ran on.
 
-use crate::schedule::{Fault, FaultSchedule};
+use crate::schedule::{ChaosConfig, Fault, FaultSchedule};
 use publishing_core::node::RecorderNode;
 use publishing_core::world::{RecorderTier, World, WorldBuilder};
 use publishing_demos::costs::CostModel;
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
+use publishing_demos::process::RunState;
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
 use publishing_demos::transport::TransportConfig;
@@ -200,6 +201,17 @@ impl Scenario {
         let mut scenario = Scenario::new(topology, schedule.workload_seed);
         scenario.medium = medium;
         Ok((scenario, schedule))
+    }
+
+    /// Schedule `k` of the generated suite seeded `seed` on `topology`
+    /// (`lab chaos`, `lab quorum`) and the scenario it is judged on: the
+    /// default one, seeded with the schedule's own workload seed
+    /// (`seed·1000 + k`), so a failure's reproducer literal rebuilds the
+    /// world it failed on.
+    pub fn suite_case(topology: Topology, seed: u64, k: u64) -> (Scenario, FaultSchedule) {
+        let cfg = ChaosConfig::for_topology(topology, seed.wrapping_mul(1000).wrapping_add(k));
+        let schedule = crate::schedule::generate(&cfg);
+        (Scenario::new(topology, schedule.workload_seed), schedule)
     }
 
     /// The scenario with explicit physical-constant knobs.
@@ -403,10 +415,11 @@ pub trait ChaosWorld {
     fn heal(&mut self);
     /// Whether the run is over: every client's last line is `done`, the
     /// world has nothing left to do but housekeeping ([`World::settled`])
-    /// and the tier reports no [`ChaosWorld::convergence_failures`].
-    /// From here on no output, latency sample or log entry can change,
-    /// so a fault-free run may stop ([`crate::driver::run_settled`]). A
-    /// world whose clients wait for ever is quiescent and never settled.
+    /// and there are no [`ChaosWorld::convergence_failures`] — the
+    /// census among them, so a world that lost a process for good is
+    /// never settled. From here on no output, latency sample or log
+    /// entry can change, so a run may stop ([`crate::driver`]). A world
+    /// whose clients wait for ever is quiescent and never settled.
     fn settled(&self) -> bool;
     /// Deduplicated-output fingerprint (must match the fault-free
     /// baseline).
@@ -415,8 +428,10 @@ pub trait ChaosWorld {
     fn obs_fingerprint(&self) -> u64;
     /// Each client's deduplicated output lines.
     fn client_outputs(&self) -> Vec<(ProcessId, Vec<String>)>;
-    /// Convergence violations: recoveries still in flight, replay lag,
-    /// downed or catching-up recorders.
+    /// Convergence violations: replay lag, downed or catching-up
+    /// recorders, consensus safety, and the process census (a spawned
+    /// process neither running with its recovery finished nor
+    /// destroyed: `pid P lost: <why>`).
     fn convergence_failures(&self) -> Vec<String>;
     /// Replay-prefix violations across every kernel × subject pid.
     fn replay_prefix_failures(&self) -> Vec<String>;
@@ -466,15 +481,6 @@ trait ChaosTier: RecorderTier {
     }
 }
 
-/// Appends a violation for every process still marked recovering.
-fn still_recovering<T: RecorderTier>(w: &World<T>, out: &mut Vec<String>) {
-    for l in w.recovery_lags() {
-        if l.recovering {
-            out.push(format!("pid {} still marked recovering", l.subject));
-        }
-    }
-}
-
 impl ChaosTier for RecorderNode {
     fn inject(world: &mut World, fault: &Fault) {
         match fault {
@@ -495,7 +501,6 @@ impl ChaosTier for RecorderNode {
         if lag != 0 {
             out.push(format!("replay lag {lag} has not drained"));
         }
-        still_recovering(world, &mut out);
         out
     }
 }
@@ -541,7 +546,6 @@ impl ChaosTier for ShardTier {
                 ));
             }
         }
-        still_recovering(world, &mut out);
         out
     }
 }
@@ -588,7 +592,6 @@ impl ChaosTier for QuorumTier {
                 ));
             }
         }
-        still_recovering(world, &mut out);
         // The consensus safety oracles ride along with convergence:
         // election safety, state-machine safety, log matching, and
         // gap/duplicate freedom of the arrival sequence.
@@ -626,6 +629,36 @@ impl<T: ChaosTier + 'static> Target<T> {
             clients,
             injected: BTreeMap::new(),
         })
+    }
+}
+
+impl<T: ChaosTier> Target<T> {
+    /// Why the census counts `pid` lost, or `None` if it is accounted
+    /// for: running with its recovery complete, or destroyed on purpose.
+    fn lost(&self, pid: ProcessId) -> Option<String> {
+        let node = pid.node.0;
+        let Some(rn) = self.w.tier.authority(pid).map(|i| self.w.tier.node(i)) else {
+            return Some("no recorder answers for it".into());
+        };
+        let rec = rn.recorder();
+        if rec.destroyed(pid) {
+            return None;
+        }
+        let kernel = &self.w.kernels[node as usize];
+        if !kernel.is_up() {
+            return Some(format!("node {node} is down"));
+        }
+        let Some(p) = kernel.process(pid.local) else {
+            return Some(format!("not on node {node}'s kernel and not destroyed"));
+        };
+        match p.run {
+            RunState::Crashed => Some(format!("crashed on node {node}, never recreated")),
+            RunState::Recovering => Some(format!("still recovering on node {node}")),
+            RunState::Ready | RunState::Waiting if rec.entry(pid).is_some_and(|e| e.recovering) => {
+                Some("its recovery is still in flight".into())
+            }
+            RunState::Ready | RunState::Waiting => None,
+        }
     }
 }
 
@@ -680,7 +713,7 @@ impl<T: ChaosTier> ChaosWorld for Target<T> {
         };
         self.w.settled()
             && self.clients.iter().all(finished)
-            && T::convergence_failures(&self.w).is_empty()
+            && self.convergence_failures().is_empty()
     }
 
     fn output_fingerprint(&self) -> u64 {
@@ -698,8 +731,18 @@ impl<T: ChaosTier> ChaosWorld for Target<T> {
             .collect()
     }
 
+    /// The tier's own violations, then the census: every spawned pid is
+    /// either on its node's kernel, ready or waiting, with no recovery in
+    /// flight at the member [`RecorderTier::authority`] for it, or
+    /// recorded there as destroyed. Anything else is a process lost.
     fn convergence_failures(&self) -> Vec<String> {
-        T::convergence_failures(&self.w)
+        let mut out = T::convergence_failures(&self.w);
+        for &pid in &self.procs {
+            if let Some(why) = self.lost(pid) {
+                out.push(format!("pid {pid} lost: {why}"));
+            }
+        }
+        out
     }
 
     fn replay_prefix_failures(&self) -> Vec<String> {

@@ -222,8 +222,9 @@ impl fmt::Display for Fault {
 pub struct FaultSchedule {
     /// Seed for the scenario's workload (think times etc.).
     pub workload_seed: u64,
-    /// Injection stops here; the driver then heals the world and runs a
-    /// grace period for the oracle.
+    /// Injection stops here; the driver then heals the world and runs it
+    /// on until its recovery has finished (at most a grace period) for
+    /// the oracle.
     pub horizon_ms: u64,
     /// The faults, in generation order (the driver sorts injection by
     /// time; equal-time faults apply in list order).

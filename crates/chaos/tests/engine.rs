@@ -246,6 +246,23 @@ fn a_reproducer_names_its_world_and_round_trips() {
     assert!(err.contains("aether"), "{err}");
 }
 
+/// A generated suite's schedule `k` is judged on a scenario seeded like
+/// the schedule, so its reproducer literal rebuilds exactly that pair —
+/// think times and the quorum's election seed included.
+#[test]
+fn a_suite_case_is_rebuilt_by_its_reproducer() {
+    for topology in [Topology::Single, Topology::Sharded, Topology::Quorum] {
+        for k in 0..8 {
+            let (scenario, sched) = Scenario::suite_case(topology, 3, k);
+            assert_eq!(scenario.workload_seed, 3000 + k);
+            let lit = scenario.reproducer(&sched);
+            let (back, replayed) = Scenario::from_reproducer(&lit).expect("own literal parses");
+            assert_eq!(replayed, sched, "{lit}");
+            assert_eq!(format!("{back:?}"), format!("{scenario:?}"), "{lit}");
+        }
+    }
+}
+
 #[test]
 fn fault_injections_surface_as_metrics_counters() {
     let sched = FaultSchedule {

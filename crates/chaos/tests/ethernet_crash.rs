@@ -57,3 +57,29 @@ fn the_truncated_frame_is_recovered_transparently() {
     let failures = oracle::check(t.as_ref(), &baseline, &OracleOptions::default());
     assert_eq!(failures, Vec::<String>::new());
 }
+
+/// ROADMAP item 1's literal: node 0 crashes at 30 ms and client `p0.2`
+/// is never recreated — the open bug, recorded here, not fixed (item
+/// 1(b)). Before the process census the convergence failures were empty
+/// and only the fault-free twin's outputs showed the loss; now the
+/// census names the pid, so the world never settles and the run spends
+/// the whole grace period.
+#[test]
+fn the_census_names_the_client_the_ethernet_loses() {
+    let mut scenario = Scenario::new(Topology::Single, 1);
+    scenario.medium = Medium::Ethernet;
+    let schedule: FaultSchedule = "seed=1 horizon=2500ms crash_node@30ms#0"
+        .parse()
+        .expect("literal parses");
+    let mut t = scenario.build();
+    assert_eq!(run_schedule(t.as_mut(), &schedule), None, "grace expired");
+    assert_eq!(
+        t.recoveries_completed(),
+        1,
+        "one of the node's two processes"
+    );
+    assert_eq!(
+        t.convergence_failures(),
+        vec!["pid p0.2 lost: not on node 0's kernel and not destroyed".to_string()]
+    );
+}

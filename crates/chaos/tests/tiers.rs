@@ -1,11 +1,14 @@
 //! The same engine under every recorder tier: one generic contract run
-//! against all four tiers, and the paper's transparency claim stated
+//! against all four tiers, the chaos targets' process census on the
+//! three chaos tiers, and the paper's transparency claim stated
 //! *across* implementations — a client cannot tell which tier recorded
 //! it, with or without crashes.
 
 use publishing_chaos::driver::run_schedule;
-use publishing_chaos::scenario::{Scenario, Topology};
-use publishing_chaos::schedule::FaultSchedule;
+use publishing_chaos::scenario::{
+    ChaosWorld, PingEcho, PlanSpawn, Scenario, Topology, WorkloadSource,
+};
+use publishing_chaos::schedule::{Fault, FaultSchedule};
 use publishing_core::{PriorityTier, RecorderTier, World, WorldBuilder};
 use publishing_demos::ids::{Channel, ProcessId};
 use publishing_demos::link::Link;
@@ -349,4 +352,138 @@ fn a_quorum_follower_behind_the_leader_is_not_settled() {
     }
     assert!(behind > 0);
     stays_settled(&mut w, client, 600);
+}
+
+/// Ends at once: prints `done` and stops, so its kernel destroys it and
+/// tells the recorder tier.
+struct Quitter;
+
+impl Program for Quitter {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.output(b"done".to_vec());
+        ctx.stop();
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<'_>, _msg: Received) {}
+
+    fn snapshot(&self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn restore(&mut self, _bytes: &[u8]) -> Result<(), CodecError> {
+        Ok(())
+    }
+}
+
+/// The default ping/echo load plus one process on node 1 that quits.
+struct WithQuitter(PingEcho);
+
+impl WorkloadSource for WithQuitter {
+    fn registry(&self) -> ProgramRegistry {
+        let mut reg = self.0.registry();
+        reg.register("quitter", || Box::new(Quitter));
+        reg
+    }
+
+    fn plan(&self) -> Vec<PlanSpawn> {
+        let mut plan = self.0.plan();
+        plan.push(PlanSpawn {
+            node: 1,
+            program: "quitter".into(),
+            links: vec![],
+            client: true,
+        });
+        plan
+    }
+}
+
+/// The census lines of `t`'s convergence failures.
+fn lost(t: &dyn ChaosWorld) -> Vec<String> {
+    let failures = t.convergence_failures();
+    failures
+        .into_iter()
+        .filter(|f| f.contains(" lost: "))
+        .collect()
+}
+
+/// Runs `t` on from `from_ms` until it has settled; panics if it has
+/// not within 20 virtual seconds.
+fn run_until_settled(t: &mut dyn ChaosWorld, from_ms: u64) {
+    let mut at = from_ms;
+    while !t.settled() {
+        at += 20;
+        assert!(at < from_ms + 20_000, "never settled");
+        t.run_until(SimTime::from_millis(at));
+    }
+}
+
+/// The process census in `convergence_failures` on every chaos tier:
+/// clean fault-free; a crashed process is flagged until its recovery has
+/// finished, and not after; every pid of a node that is down is flagged;
+/// a process destroyed on purpose is not.
+fn census_contract(topology: Topology) {
+    // 150 round-trips: the exchange is still running at 300 ms, after
+    // the quorum's first election.
+    let mut scenario = Scenario::new(topology, 31);
+    scenario.pings = 150;
+    let crash_at = 300;
+
+    let mut t = scenario.build();
+    let clean: FaultSchedule = "seed=31 horizon=600ms".parse().unwrap();
+    assert!(
+        run_schedule(t.as_mut(), &clean).is_some(),
+        "fault-free settles"
+    );
+    assert_eq!(t.convergence_failures(), Vec::<String>::new());
+
+    // `crash_process` of plan entry 1, a pinger.
+    let mut t = scenario.build();
+    t.run_until(SimTime::from_millis(crash_at));
+    t.inject(&Fault::CrashProcess {
+        at_ms: crash_at,
+        victim: 1,
+    });
+    let pid = t.client_outputs()[0].0;
+    assert_eq!(lost(t.as_ref()).len(), 1, "{:?}", lost(t.as_ref()));
+    assert!(lost(t.as_ref())[0].starts_with(&format!("pid {pid} lost: ")));
+    run_until_settled(t.as_mut(), crash_at);
+    assert!(t.recoveries_completed() > 0);
+    assert_eq!(t.convergence_failures(), Vec::<String>::new());
+
+    // Node 2 holds an echo server on every tier: flagged while it is down.
+    let mut t = scenario.build();
+    t.run_until(SimTime::from_millis(crash_at));
+    t.inject(&Fault::CrashNode {
+        at_ms: crash_at,
+        node: 2,
+    });
+    let down = lost(t.as_ref());
+    assert!(!down.is_empty());
+    for line in &down {
+        assert!(line.starts_with("pid p2.") && line.ends_with("lost: node 2 is down"));
+    }
+    run_until_settled(t.as_mut(), crash_at);
+    assert_eq!(t.convergence_failures(), Vec::<String>::new());
+
+    // A process that stops is destroyed, on purpose: accounted for.
+    let source = WithQuitter(scenario.default_source());
+    let mut t = scenario.build_with(&source);
+    assert!(run_schedule(t.as_mut(), &clean).is_some(), "settles");
+    assert_eq!(t.metrics().counter_value("node/1/kernel/destroys"), Some(1));
+    assert_eq!(t.convergence_failures(), Vec::<String>::new());
+}
+
+#[test]
+fn census_under_the_single_recorder() {
+    census_contract(Topology::Single);
+}
+
+#[test]
+fn census_under_sharding() {
+    census_contract(Topology::Sharded);
+}
+
+#[test]
+fn census_under_quorum_sequencing() {
+    census_contract(Topology::Quorum);
 }

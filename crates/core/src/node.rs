@@ -619,7 +619,7 @@ impl RecorderNode {
 
     /// Drops one process from this shard after a successful handoff.
     pub fn release_process(&mut self, now: SimTime, pid: ProcessId, out: &mut Vec<RNAction>) {
-        let ios = self.recorder.on_destroyed(now, pid);
+        let ios = self.recorder.forget(now, pid);
         self.schedule_ios(ios, out);
         self.checkpoint_requested.remove(&pid);
     }

@@ -406,6 +406,10 @@ pub struct Recorder {
     /// `pending`.
     ids: IdMap<MessageId, IdState>,
     pending_deposits: HashMap<ProcessId, PendingDeposit>,
+    /// Processes a kernel reported destroyed. Survives a crash: what it
+    /// records is the purge, and a purge is durable — no rebuild brings
+    /// the process back.
+    destroyed: BTreeSet<ProcessId>,
     drained_ios: Vec<StoreIo>,
     restart_number: u64,
     publish_cost: PublishCost,
@@ -432,6 +436,7 @@ impl Recorder {
             pending: TokenTable::new(),
             ids: IdMap::default(),
             pending_deposits: HashMap::new(),
+            destroyed: BTreeSet::new(),
             drained_ios: Vec::new(),
             restart_number: 0,
             publish_cost,
@@ -524,6 +529,12 @@ impl Recorder {
     /// Iterates known process ids.
     pub fn known_pids(&self) -> impl Iterator<Item = ProcessId> + '_ {
         self.db.keys().copied()
+    }
+
+    /// Whether a kernel reported `pid` destroyed ([`Recorder::on_destroyed`]):
+    /// a process that is gone on purpose, not lost.
+    pub fn destroyed(&self, pid: ProcessId) -> bool {
+        self.destroyed.contains(&pid)
     }
 
     /// Marks a process as (not) recovering.
@@ -769,8 +780,17 @@ impl Recorder {
         )
     }
 
-    /// Handles a destruction notice: forgets the process entirely.
+    /// Handles a destruction notice: records the process as destroyed
+    /// and forgets it entirely.
     pub fn on_destroyed(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
+        self.destroyed.insert(pid);
+        self.forget(now, pid)
+    }
+
+    /// Drops every trace of `pid` — database entry, pending captures,
+    /// stored records — without recording it destroyed: the source side
+    /// of a shard handoff, and the body of [`Recorder::on_destroyed`].
+    pub fn forget(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
         if let Some(e) = self.db.remove(&pid) {
             for (_, id) in &e.arrivals {
                 self.ids.remove(id);
@@ -797,8 +817,8 @@ impl Recorder {
 
     /// Snapshots one process's published state for a shard handoff:
     /// the latest durable checkpoint, every surviving log record, and the
-    /// database entry. Read-only; pair with [`Recorder::on_destroyed`] on
-    /// the source once the destination has imported.
+    /// database entry. Read-only; pair with [`Recorder::forget`] on the
+    /// source once the destination has imported.
     pub fn export_process(&self, pid: ProcessId) -> Option<ProcessExport> {
         let entry = self.db.get(&pid)?;
         let packed = pid.as_u64();
@@ -1572,6 +1592,10 @@ mod tests {
         assert!(r.replay_stream(pid(2, 1)).is_empty());
         let pids = r.restart(SimTime::from_millis(1));
         assert!(!pids.contains(&pid(2, 1)), "purged from disk too");
+        assert!(
+            r.destroyed(pid(2, 1)),
+            "gone on purpose, across the restart"
+        );
     }
 
     #[test]
@@ -1648,9 +1672,10 @@ mod tests {
             .collect();
         assert_eq!(before, rebuilt);
         // And the source can release the process after handoff.
-        let erase = src.on_destroyed(SimTime::from_millis(3), pid(2, 1));
+        let erase = src.forget(SimTime::from_millis(3), pid(2, 1));
         drain(&mut src, erase);
         assert!(src.replay_stream(pid(2, 1)).is_empty());
+        assert!(!src.destroyed(pid(2, 1)), "handed off, not destroyed");
     }
 
     #[test]

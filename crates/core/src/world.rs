@@ -138,6 +138,14 @@ pub trait RecorderTier: Sized {
         true
     }
 
+    /// The member authoritative for `pid` — whose database says whether
+    /// it is alive, recovering or destroyed — or `None` if no member can
+    /// answer. By default the first live member: on a tier where every
+    /// member records everything, any live one knows what the others do.
+    fn authority(&self, _pid: ProcessId) -> Option<usize> {
+        (0..self.members()).find(|&i| self.node(i).is_up())
+    }
+
     /// The metric path prefix member `idx` files its instruments under.
     fn metric_prefix(&self, idx: usize) -> String;
 

@@ -191,6 +191,13 @@ impl RecorderTier for QuorumTier {
         format!("quorum/{idx}")
     }
 
+    /// The leader (or the first live replica when leaderless), for every
+    /// pid: it applies the same log as everyone and drives recovery.
+    fn authority(&self, _pid: ProcessId) -> Option<usize> {
+        self.leader()
+            .or_else(|| self.replicas.iter().position(|r| r.is_up()))
+    }
+
     /// Read from the leader (or the first live replica when leaderless).
     fn recovery_lags(&self, now: SimTime, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
         let Some(idx) = self

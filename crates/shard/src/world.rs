@@ -163,6 +163,13 @@ impl RecorderTier for ShardTier {
         self.rejoining.is_empty()
     }
 
+    /// The shard answering for `pid` right now: its top-ranked live shard.
+    fn authority(&self, pid: ProcessId) -> Option<usize> {
+        self.router
+            .with_map(|m| m.responsible(pid))
+            .map(|sid| sid.0 as usize)
+    }
+
     fn metric_prefix(&self, idx: usize) -> String {
         format!("shard/{idx}")
     }
@@ -172,10 +179,10 @@ impl RecorderTier for ShardTier {
     fn recovery_lags(&self, now: SimTime, suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
         let mut out = Vec::new();
         for &pid in &self.processes {
-            let Some(sid) = self.router.with_map(|m| m.responsible(pid)) else {
+            let Some(idx) = self.authority(pid) else {
                 continue;
             };
-            let rec = self.shards[sid.0 as usize].recorder();
+            let rec = self.shards[idx].recorder();
             let mut lags = publishing_core::obs::recovery_lags(rec, now, suppressed);
             lags.retain(|l| l.subject == pid.as_u64());
             out.extend(lags);

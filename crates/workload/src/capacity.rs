@@ -11,9 +11,11 @@
 //! driver done, nothing left but housekeeping ([`run_settled`]) — with
 //! the chaos grace period as its bound, so a trial's report covers the
 //! loaded window, not 35 s of watchdog pings after it
-//! ([`TrialOutcome::settled_ms`] says when); the faulted run keeps the
-//! whole grace period, because whether a recovery has *finished* is
-//! what the oracle is there to judge. The *search* brackets the highest
+//! ([`TrialOutcome::settled_ms`] says when); the faulted run goes through
+//! [`run_schedule`], which ends it once its recovery has finished — the
+//! chaos targets' process census keeps a world that lost a process
+//! unsettled, so it runs to the bound and the oracle sees the loss. The
+//! *search* brackets the highest
 //! passing user count by doubling, then binary-searches the bracket. The
 //! result — the "capacity knee" — is the largest user count the tier
 //! sustains within its objectives, every searched point a fully
@@ -126,10 +128,7 @@ impl TrialOutcome {
     /// When the fault-free run ended, as the knee log prints it:
     /// `settled=+Xms` past the horizon, or `grace expired`.
     pub fn ended(&self) -> String {
-        match self.settled_ms {
-            Some(ms) => format!("settled=+{ms}ms"),
-            None => "grace expired".to_string(),
-        }
+        publishing_chaos::driver::ended(self.settled_ms)
     }
 
     /// The distinct SLO clauses that rejected this point (empty for a

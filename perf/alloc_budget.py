@@ -29,12 +29,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # 30.30 / 21.60 / 207.68 / 16.31, times 1.05; `quorum_replay` again at
 # PR 21, when every log entry began to travel once per follower: 80.26;
 # `knee_search` again at PR 24, when a fault-free trial began to stop once
-# its world has settled instead of idling out the grace period: 11.91).
+# its world has settled instead of idling out the grace period: 11.91;
+# `shard_replay` and `quorum_replay` again at PR 25, when a faulted world
+# began to end once its recovery has finished instead of simulating 35 s
+# of idle heartbeats and watchdog pings after it: 17.63 and 52.51).
 BUDGET = {
     "steady_bus": 6.42,
     "ether_contend": 31.81,
-    "shard_replay": 22.68,
-    "quorum_replay": 84.27,
+    "shard_replay": 18.51,
+    "quorum_replay": 55.13,
     "knee_search": 12.51,
 }
 
