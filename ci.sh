@@ -51,7 +51,7 @@ diff -r target/smoke/a target/smoke/b
 echo "==> paper tables match the committed reference output"
 cmp target/smoke/a/tables.txt paper_tables_output.txt
 
-echo "==> perf regression gate vs perf/BENCH_4.json (with forensic attribution)"
-cargo run -q --release -p publishing-bench --bin lab -- compare --explain perf/BENCH_4.json target/smoke/a/BENCH_1.json
+echo "==> perf regression gate vs perf/BENCH_5.json (with forensic attribution)"
+cargo run -q --release -p publishing-bench --bin lab -- compare --explain perf/BENCH_5.json target/smoke/a/BENCH_1.json
 
 echo "CI green."

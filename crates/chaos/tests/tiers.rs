@@ -1,5 +1,6 @@
-//! The same engine under every recorder tier: one generic contract run
-//! against all four tiers, the chaos targets' process census on the
+//! The same engine under every recorder tier: generic contracts run
+//! against all four tiers (run loops, one scheduler entry per
+//! transmission, `settled()`), the chaos targets' process census on the
 //! three chaos tiers, and the paper's transparency claim stated
 //! *across* implementations — a client cannot tell which tier recorded
 //! it, with or without crashes.
@@ -9,17 +10,28 @@ use publishing_chaos::scenario::{
     ChaosWorld, PingEcho, PlanSpawn, Scenario, Topology, WorkloadSource,
 };
 use publishing_chaos::schedule::{Fault, FaultSchedule};
-use publishing_core::{PriorityTier, RecorderTier, World, WorldBuilder};
-use publishing_demos::ids::{Channel, ProcessId};
+use publishing_core::{
+    PriorityTier, RNAction, RecorderConfig, RecorderNode, RecorderTier, World, WorldBuilder,
+};
+use publishing_demos::ids::{Channel, NodeId, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::program::{Ctx, Program, Received};
 use publishing_demos::programs::{self, PingClient};
 use publishing_demos::registry::ProgramRegistry;
+use publishing_net::bus::PerfectBus;
+use publishing_net::ethernet::Ethernet;
+use publishing_net::frame::{Destination, Frame, StationId};
+use publishing_net::lan::{Lan, LanAction, LanConfig, LanStats, RecorderRouter};
+use publishing_obs::probe::RecoveryLag;
 use publishing_obs::span::Stage;
 use publishing_quorum::QuorumTier;
 use publishing_shard::ShardTier;
 use publishing_sim::codec::{CodecError, Decoder, Encoder};
+use publishing_sim::fault::FaultPlan;
 use publishing_sim::time::{SimDuration, SimTime};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 fn builder() -> WorldBuilder {
     let mut reg = ProgramRegistry::new();
@@ -92,6 +104,353 @@ fn ping_completes_under_sharding() {
 #[test]
 fn ping_completes_under_quorum_sequencing() {
     ping_completes(|| QuorumTier::world(builder(), 3, 0));
+}
+
+/// One call the world made of its medium, with the instant.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    Submit(SimTime, Frame),
+    Timer(SimTime, u64),
+}
+
+/// What a [`Tap`] saw.
+#[derive(Default)]
+struct TapLog {
+    /// Every call the world made, in order.
+    calls: Vec<Call>,
+    /// The deliveries each call answered, as the medium appended them.
+    fanouts: Vec<Vec<(StationId, Frame)>>,
+    /// Timer callbacks the tap put in to split deliveries apart.
+    splits: u64,
+}
+
+/// The tap's own timer token, never handed to the bus.
+const SPLIT: u64 = u64::MAX;
+
+/// A medium that logs what the world asks of it and what it answers.
+/// When `split`, it follows every delivery with a timer
+/// callback of its own at the same instant, which it swallows: no two
+/// deliveries are adjacent, so every station's receipt is an event of
+/// its own — the world as it ran before receptions were grouped, with
+/// one empty event per delivery more.
+struct Tap {
+    bus: Box<dyn Lan>,
+    split: bool,
+    log: Rc<RefCell<TapLog>>,
+}
+
+impl Tap {
+    fn answered(&mut self, from: usize, out: &mut Vec<LanAction>) {
+        let mut log = self.log.borrow_mut();
+        let mut fanout = Vec::new();
+        for a in out.split_off(from) {
+            if let LanAction::Deliver { at, to, frame, .. } = &a {
+                fanout.push((*to, frame.clone()));
+                if self.split {
+                    out.push(a.clone());
+                    out.push(LanAction::SetTimer {
+                        at: *at,
+                        token: SPLIT,
+                    });
+                    log.splits += 1;
+                    continue;
+                }
+            }
+            out.push(a);
+        }
+        log.fanouts.push(fanout);
+    }
+}
+
+impl Lan for Tap {
+    fn attach(&mut self, station: StationId) {
+        self.bus.attach(station);
+    }
+
+    fn set_station_up(&mut self, station: StationId, up: bool) {
+        self.bus.set_station_up(station, up);
+    }
+
+    fn set_required_recorders(&mut self, recorders: Vec<StationId>) {
+        self.bus.set_required_recorders(recorders);
+    }
+
+    fn set_recorder_router(&mut self, router: Option<RecorderRouter>) {
+        self.bus.set_recorder_router(router);
+    }
+
+    fn set_faults(&mut self, faults: FaultPlan) {
+        self.bus.set_faults(faults);
+    }
+
+    fn submit_into(&mut self, now: SimTime, frame: Frame, out: &mut Vec<LanAction>) {
+        let from = out.len();
+        self.log
+            .borrow_mut()
+            .calls
+            .push(Call::Submit(now, frame.clone()));
+        self.bus.submit_into(now, frame, out);
+        self.answered(from, out);
+    }
+
+    fn timer_into(&mut self, now: SimTime, token: u64, out: &mut Vec<LanAction>) {
+        if token == SPLIT {
+            return;
+        }
+        let from = out.len();
+        self.log.borrow_mut().calls.push(Call::Timer(now, token));
+        self.bus.timer_into(now, token, out);
+        self.answered(from, out);
+    }
+
+    fn stats(&self) -> &LanStats {
+        self.bus.stats()
+    }
+
+    fn config(&self) -> Option<&LanConfig> {
+        self.bus.config()
+    }
+}
+
+/// A busy exchange on `bus` with every kind of fault a tier reacts to:
+/// a process crash, then tier member 0 down for 30 ms and back (its
+/// readmission is `after_event` work on the priority and sharded tiers).
+fn faulted_exchange<T: RecorderTier>(
+    make: &impl Fn(WorldBuilder) -> World<T>,
+    bus: Box<dyn Lan>,
+    split: bool,
+) -> (World<T>, Rc<RefCell<TapLog>>) {
+    let log = Rc::new(RefCell::new(TapLog::default()));
+    let tap = Tap {
+        bus,
+        split,
+        log: Rc::clone(&log),
+    };
+    let mut w = make(finite_builder(600).medium(Box::new(tap)));
+    let (server, _) = spawn_pair(&mut w);
+    w.run_until(MID_EXCHANGE);
+    w.crash_process(server, "contract");
+    w.run_until(MID_EXCHANGE + SimDuration::from_millis(50));
+    w.crash_member(0);
+    w.run_until(MID_EXCHANGE + SimDuration::from_millis(80));
+    w.restart_member(0);
+    w.run_until(SimTime::from_secs(4));
+    (w, log)
+}
+
+/// One transmission is one scheduler entry, with nothing else changed,
+/// on the perfect bus and on the acknowledging ethernet (whose timers
+/// fire at the instants frames arrive). The world is run beside its
+/// [`Tap`]-split twin, in which every
+/// station's receipt is its own event, and the two must be
+/// indistinguishable but for scheduler counts: the medium is asked the
+/// same things at the same instants in the same order — so the
+/// receivers ran in the medium's order, `after_event` ran between them
+/// (a readmission's required set and ownership map apply to the next
+/// receiver), and what a receiver did at zero delay came after the whole
+/// reception — and outputs, spans, recoveries and the report agree. The
+/// counts differ by exactly one entry per listening station beyond the
+/// first of each transmission.
+fn one_entry_per_transmission<T: RecorderTier>(make: impl Fn(WorldBuilder) -> World<T>) {
+    let media: [fn() -> Box<dyn Lan>; 2] = [
+        || Box::new(PerfectBus::new(LanConfig::default())),
+        || Box::new(Ethernet::acknowledging(LanConfig::default())),
+    ];
+    for medium in media {
+        let (w, log) = faulted_exchange(&make, medium(), false);
+        let (twin, twin_log) = faulted_exchange(&make, medium(), true);
+        same_but_for_the_count(&w, &log.borrow(), &twin, &twin_log.borrow());
+    }
+}
+
+fn same_but_for_the_count<T: RecorderTier>(
+    w: &World<T>,
+    log: &TapLog,
+    twin: &World<T>,
+    twin_log: &TapLog,
+) {
+    assert!(log.calls.len() > 500, "{} calls", log.calls.len());
+    assert!(
+        log.calls == twin_log.calls,
+        "the medium saw different calls"
+    );
+    assert_eq!(w.outputs.len(), twin.outputs.len());
+    assert_eq!(w.output_fingerprint(), twin.output_fingerprint());
+    assert_eq!(w.obs_fingerprint(), twin.obs_fingerprint());
+    assert!(w.recoveries_completed() > 0);
+    assert_eq!(w.recoveries_completed(), twin.recoveries_completed());
+    let report = |w: &World<T>| {
+        let mut r = w.obs_report();
+        r.sched = Default::default();
+        r.to_json().write()
+    };
+    assert_eq!(report(w), report(twin));
+
+    // Which deliveries the world scheduled: every tier's `listens`
+    // reads only the frame and the station.
+    let nodes = w.nodes();
+    let listens = |to: StationId, frame: &Frame| match to.0.checked_sub(nodes) {
+        None => frame.dst.accepts(to),
+        Some(idx) => w.tier.listens(idx as usize, frame),
+    };
+    let (mut receipts, mut receptions) = (0, 0);
+    for fanout in &log.fanouts {
+        let heard = fanout.iter().filter(|(to, f)| listens(*to, f)).count() as u64;
+        receipts += heard;
+        receptions += u64::from(heard > 0);
+    }
+    assert!(
+        receipts > receptions,
+        "{receipts} receipts in {receptions} receptions"
+    );
+    let (entries, twin_entries) = (w.scheduler_probe(), twin.scheduler_probe());
+    assert_eq!(
+        twin_entries.scheduled - twin_log.splits - entries.scheduled,
+        receipts - receptions
+    );
+}
+
+#[test]
+fn one_entry_per_transmission_under_the_single_recorder() {
+    one_entry_per_transmission(|b| b.build());
+}
+
+#[test]
+fn one_entry_per_transmission_under_priority_vector_recorders() {
+    one_entry_per_transmission(|b| PriorityTier::world(b, 2));
+}
+
+#[test]
+fn one_entry_per_transmission_under_sharding() {
+    one_entry_per_transmission(|b| ShardTier::world(b, 3));
+}
+
+#[test]
+fn one_entry_per_transmission_under_quorum_sequencing() {
+    one_entry_per_transmission(|b| QuorumTier::world(b, 3, 0));
+}
+
+/// What [`Probe`] saw, in order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Seen {
+    Frame(usize),
+    After,
+    Timer,
+}
+
+/// The probe's own timer token, never handed to a member.
+const PROBE: u64 = u64::MAX;
+
+/// Three plain recorder nodes that log every frame a member receives,
+/// every post-event step and every timer of the probe's own; member 0
+/// asks for one at the very instant it receives a frame.
+struct Probe {
+    members: Vec<RecorderNode>,
+    seen: Vec<Seen>,
+}
+
+impl RecorderTier for Probe {
+    fn members(&self) -> usize {
+        self.members.len()
+    }
+
+    fn node(&self, idx: usize) -> &RecorderNode {
+        &self.members[idx]
+    }
+
+    fn node_mut(&mut self, idx: usize) -> &mut RecorderNode {
+        &mut self.members[idx]
+    }
+
+    fn on_frame(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        frame: &Frame,
+        recorder_ok: bool,
+        out: &mut Vec<RNAction>,
+    ) {
+        self.seen.push(Seen::Frame(idx));
+        if idx == 0 {
+            out.push(RNAction::SetTimer {
+                at: now,
+                token: PROBE,
+            });
+        }
+        self.members[idx].on_frame(now, frame, recorder_ok, out);
+    }
+
+    fn on_timer(&mut self, idx: usize, now: SimTime, token: u64, out: &mut Vec<RNAction>) {
+        if token == PROBE {
+            self.seen.push(Seen::Timer);
+        } else {
+            self.members[idx].on_timer(now, token, out);
+        }
+    }
+
+    fn after_event(world: &mut World<Self>, _now: SimTime) {
+        world.tier.seen.push(Seen::After);
+    }
+
+    fn leads_restart(&self, idx: usize, _node: NodeId) -> bool {
+        idx == 0
+    }
+
+    fn required(&self) -> Vec<StationId> {
+        Vec::new()
+    }
+
+    fn metric_prefix(&self, idx: usize) -> String {
+        format!("probe/{idx}")
+    }
+
+    fn recovery_lags(&self, _now: SimTime, _suppressed: &BTreeMap<u64, u64>) -> Vec<RecoveryLag> {
+        Vec::new()
+    }
+}
+
+/// The order inside one reception, which no tier's output shows: a
+/// broadcast from node 0 reaches kernel 1 and members 0, 1, 2 in one
+/// scheduler entry; they receive it in the medium's order, each followed
+/// by the tier's post-event step exactly as a separate event would be,
+/// and what member 0 asked for at zero delay fires after the last of
+/// them.
+#[test]
+fn a_reception_runs_its_stations_in_fate_order_with_after_event_between() {
+    let tier = Probe {
+        members: (2..5)
+            .map(|n| RecorderNode::new(NodeId(n), RecorderConfig::default()))
+            .collect(),
+        seen: Vec::new(),
+    };
+    let mut w = WorldBuilder::new(2).build_with(tier);
+    let frame = Frame::new(StationId(0), Destination::Broadcast, b"hello".to_vec());
+    let at = SimTime::from_millis(1) + LanConfig::default().frame_time(frame.wire_bytes());
+    w.run_until(SimTime::from_millis(1));
+    let scheduled = w.scheduler_probe().scheduled;
+    w.submit(w.now(), frame);
+    assert_eq!(w.scheduler_probe().scheduled, scheduled + 1, "one entry");
+    w.run_before(at);
+    w.tier.seen.clear();
+    let delivered = w.scheduler_probe().delivered;
+    w.run_until(at);
+    use Seen::{After, Frame as Got, Timer};
+    assert_eq!(
+        w.tier.seen,
+        [
+            After,
+            Got(0),
+            After,
+            Got(1),
+            After,
+            Got(2),
+            After,
+            Timer,
+            After
+        ],
+        "kernel 1, members 0-2, then the follow-up"
+    );
+    assert_eq!(w.scheduler_probe().delivered, delivered + 2);
 }
 
 /// Every client's deduplicated lines after `schedule`, in client order.

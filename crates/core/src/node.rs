@@ -117,7 +117,7 @@ pub struct RecorderNode {
     /// `observed_acks` for the consensus layer to propose instead of
     /// being sequenced locally on the spot.
     defer_sequencing: bool,
-    observed_acks: Vec<(SimTime, MessageId, ProcessId)>,
+    observed_acks: Vec<(MessageId, ProcessId)>,
     /// Whether this node drives the checkpoint-request policy (only the
     /// quorum leader does; a lone recorder always does).
     checkpoint_duty: bool,
@@ -148,16 +148,20 @@ impl RecorderNode {
     }
 
     /// Switches ack handling into quorum mode: observed destination acks
-    /// are queued for the consensus layer ([`RecorderNode::take_observed_acks`])
+    /// are queued for the consensus layer ([`RecorderNode::drain_observed_acks`])
     /// instead of assigning arrival sequences immediately.
     pub fn set_deferred_sequencing(&mut self, defer: bool) {
         self.defer_sequencing = defer;
         self.recorder.set_external_sequencing(defer);
     }
 
-    /// Drains the acks observed since the last call (quorum mode only).
-    pub fn take_observed_acks(&mut self) -> Vec<(SimTime, MessageId, ProcessId)> {
-        std::mem::take(&mut self.observed_acks)
+    /// Hands each ack observed since the last call (quorum mode only) to
+    /// `f`, in arrival order, beside the recorder database to check it
+    /// against. The queue keeps its room for the next acks.
+    pub fn drain_observed_acks(&mut self, mut f: impl FnMut(&Recorder, MessageId, ProcessId)) {
+        for (id, dst) in self.observed_acks.drain(..) {
+            f(&self.recorder, id, dst);
+        }
     }
 
     /// Enables or disables the checkpoint-request policy tick (only the
@@ -376,10 +380,21 @@ impl RecorderNode {
         if !self.up || !frame.is_intact() || !recorder_ok {
             return;
         }
+        let addressed = frame.dst.accepts(self.station());
+        // Most of what a recorder overhears concerns it not at all:
+        // kernel control traffic, datagrams, a neighbouring shard's
+        // processes. Read the destination in place and stop where the
+        // decoded path would do nothing — as it would for bytes that are
+        // not one `Wire`. A quorum node queues every process's ack for
+        // the log and has no owner filter, so `tracks` is its test too.
+        match Wire::peek_dst(frame.payload()) {
+            Ok(dst) if !addressed && dst.is_none_or(|d| !self.recorder.tracks(d)) => return,
+            Err(_) => return,
+            Ok(_) => {}
+        }
         let Ok(wire) = frame.decode_payload::<Wire>() else {
             return;
         };
-        let addressed = frame.dst.accepts(self.station());
         match wire {
             // Merely overheard — almost all process traffic: the decoded
             // message has no other reader, so the recorder takes it,
@@ -405,7 +420,7 @@ impl RecorderNode {
                     // Quorum mode: arrival-seq assignment waits for the
                     // replicated log to commit the entry.
                     if !dst_pid.is_kernel() {
-                        self.observed_acks.push((now, msg_id, dst_pid));
+                        self.observed_acks.push((msg_id, dst_pid));
                     }
                 } else {
                     let ios = self.recorder.on_ack(now, msg_id, dst_pid);

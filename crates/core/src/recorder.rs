@@ -468,6 +468,13 @@ impl Recorder {
         self.owner.as_ref().map(|f| f(pid)).unwrap_or(true)
     }
 
+    /// Whether traffic for `pid` concerns this recorder at all: a process
+    /// (not a kernel) that it owns. Data and acks for anyone else are
+    /// dropped on arrival ([`Recorder::on_data`], [`Recorder::on_ack`]).
+    pub(crate) fn tracks(&self, pid: ProcessId) -> bool {
+        !pid.is_kernel() && self.owns(pid)
+    }
+
     /// Returns the recorder's node id.
     pub fn node(&self) -> NodeId {
         self.node
@@ -567,7 +574,7 @@ impl Recorder {
     /// does not own is dropped, and nothing is ever copied.
     pub fn on_data(&mut self, now: SimTime, msg: Message, encoded: Bytes) {
         let id = msg.header.id;
-        if msg.header.to.is_kernel() || !self.owns(msg.header.to) {
+        if !self.tracks(msg.header.to) {
             return;
         }
         if self.db.get(&msg.header.to).is_some_and(|e| !e.recoverable) {
@@ -589,7 +596,7 @@ impl Recorder {
     /// Handles an observed destination acknowledgement: assigns the
     /// message its arrival sequence and publishes it.
     pub fn on_ack(&mut self, now: SimTime, msg_id: MessageId, dst_pid: ProcessId) -> Vec<StoreIo> {
-        if dst_pid.is_kernel() || !self.owns(dst_pid) {
+        if !self.tracks(dst_pid) {
             return Vec::new();
         }
         let Some(state) = self.ids.get_mut(&msg_id) else {
@@ -636,7 +643,7 @@ impl Recorder {
     pub fn apply_sequenced_at(&mut self, now: SimTime, seq: u64, msg: &Message) -> Vec<StoreIo> {
         let id = msg.header.id;
         let dst = msg.header.to;
-        if dst.is_kernel() || !self.owns(dst) {
+        if !self.tracks(dst) {
             return Vec::new();
         }
         let state = self.ids.get(&id).copied();

@@ -201,11 +201,60 @@ enum Ev {
     LanTimer(u64),
     KernelTimer(u32, u64),
     MemberTimer(usize, u64),
-    Deliver {
-        to: u32,
-        frame: Frame,
-        recorder_ok: bool,
-    },
+    Deliver(Reception),
+}
+
+// The scheduler's heap entry is the instant, a sequence number and an
+// `Ev`: 64 bytes sift measurably faster than 72 (DESIGN §20), which is
+// why a reception names its stations with a mask rather than a list.
+const _: () = assert!(std::mem::size_of::<(SimTime, u64, Ev)>() == 64);
+
+/// One transmission as the stations that listen to it receive it, at one
+/// instant: station `base + i` for every bit `i` of `mask`, ascending.
+/// The medium appends one delivery per station in its fate order; the
+/// world folds a run of them that share a frame, an instant and a
+/// verdict, and climb in station id, into one event (`with_lan`).
+#[derive(Debug)]
+struct Reception {
+    frame: Frame,
+    recorder_ok: bool,
+    base: u32,
+    mask: u64,
+}
+
+impl Reception {
+    fn new(to: StationId, frame: Frame, recorder_ok: bool) -> Self {
+        Reception {
+            frame,
+            recorder_ok,
+            base: to.0,
+            mask: 1,
+        }
+    }
+
+    /// Takes in `to`'s delivery of `frame` if it continues this
+    /// reception in the medium's order.
+    fn admit(&mut self, to: StationId, frame: &Frame, recorder_ok: bool) -> bool {
+        let last = self.base + (63 - self.mask.leading_zeros());
+        let fits = to.0 > last && to.0 - self.base < 64;
+        if fits && recorder_ok == self.recorder_ok && *frame == self.frame {
+            self.mask |= 1 << (to.0 - self.base);
+            return true;
+        }
+        false
+    }
+
+    /// The receiving stations, in the medium's order.
+    fn stations(&self) -> impl Iterator<Item = u32> {
+        let (base, mut mask) = (self.base, self.mask);
+        std::iter::from_fn(move || {
+            (mask != 0).then(|| {
+                let i = mask.trailing_zeros();
+                mask &= mask - 1;
+                base + i
+            })
+        })
+    }
 }
 
 /// Builds a [`World`].
@@ -546,10 +595,16 @@ impl<T: RecorderTier> World<T> {
     /// Runs `call` on the medium with the world's medium-action buffer,
     /// then schedules what it appended — a delivery only for a station
     /// that listens: the medium reaches every station (its statistics
-    /// say so), the world wakes those that will look.
+    /// say so), the world wakes those that will look. Adjacent
+    /// deliveries of one frame at one instant become one [`Reception`]
+    /// event, as the paper's broadcast is one transmission every
+    /// station hears at once (§3.3). Nothing can come between them:
+    /// they would have been consecutive entries at the same instant, and
+    /// ties pop in insertion order.
     fn with_lan(&mut self, call: impl FnOnce(&mut dyn Lan, &mut Vec<LanAction>)) {
         call(self.lan.as_mut(), &mut self.lan_actions);
         let mut actions = std::mem::take(&mut self.lan_actions);
+        let mut open: Option<(SimTime, Reception)> = None;
         for action in actions.drain(..) {
             match action {
                 LanAction::Deliver {
@@ -558,22 +613,30 @@ impl<T: RecorderTier> World<T> {
                     frame,
                     recorder_ok,
                 } => {
-                    if self.listens(to, &frame) {
-                        self.sched.schedule_at(
-                            at,
-                            Ev::Deliver {
-                                to: to.0,
-                                frame,
-                                recorder_ok,
-                            },
-                        );
+                    if !self.listens(to, &frame) {
+                        continue;
+                    }
+                    if let Some((when, rx)) = &mut open {
+                        if *when == at && rx.admit(to, &frame, recorder_ok) {
+                            continue;
+                        }
+                    }
+                    let rx = Reception::new(to, frame, recorder_ok);
+                    if let Some((when, done)) = open.replace((at, rx)) {
+                        self.sched.schedule_at(when, Ev::Deliver(done));
                     }
                 }
                 LanAction::SetTimer { at, token } => {
+                    if let Some((when, done)) = open.take() {
+                        self.sched.schedule_at(when, Ev::Deliver(done));
+                    }
                     self.sched.schedule_at(at, Ev::LanTimer(token));
                 }
                 LanAction::TxOutcome { .. } => {}
             }
+        }
+        if let Some((when, done)) = open {
+            self.sched.schedule_at(when, Ev::Deliver(done));
         }
         self.lan_actions = actions;
     }
@@ -590,7 +653,9 @@ impl<T: RecorderTier> World<T> {
         self.lan.set_required_recorders(required);
     }
 
-    /// Processes one event; returns `false` when the queue is empty.
+    /// Processes one event; returns `false` when the queue is empty. A
+    /// transmission's reception is one event: every station that listens
+    /// to it receives it within one step.
     pub fn step(&mut self) -> bool {
         let Some((now, ev)) = self.sched.pop() else {
             return false;
@@ -610,24 +675,31 @@ impl<T: RecorderTier> World<T> {
             Ev::MemberTimer(idx, token) => {
                 self.with_member(now, idx, |tier, out| tier.on_timer(idx, now, token, out));
             }
-            Ev::Deliver {
-                to,
-                frame,
-                recorder_ok,
-            } => {
-                if to < self.n_nodes {
-                    self.with_kernel(now, to, |k, out| k.on_frame(now, &frame, recorder_ok, out));
-                } else {
-                    let idx = (to - self.n_nodes) as usize;
-                    if idx < self.tier.members() {
-                        self.with_member(now, idx, |tier, out| {
-                            tier.on_frame(idx, now, &frame, recorder_ok, out)
-                        });
-                    }
+            Ev::Deliver(rx) => {
+                // Each station as its own event would have been: the
+                // receipt, then the tier's post-event step.
+                for to in rx.stations() {
+                    self.receive(now, to, &rx.frame, rx.recorder_ok);
+                    T::after_event(self, now);
                 }
+                return;
             }
         }
         T::after_event(self, now);
+    }
+
+    /// Hands `frame` to station `to`'s kernel or tier member.
+    fn receive(&mut self, now: SimTime, to: u32, frame: &Frame, recorder_ok: bool) {
+        if to < self.n_nodes {
+            self.with_kernel(now, to, |k, out| k.on_frame(now, frame, recorder_ok, out));
+        } else {
+            let idx = (to - self.n_nodes) as usize;
+            if idx < self.tier.members() {
+                self.with_member(now, idx, |tier, out| {
+                    tier.on_frame(idx, now, frame, recorder_ok, out)
+                });
+            }
+        }
     }
 
     /// The world's one run loop: delivers events while the next one is

@@ -18,7 +18,8 @@
 //! ignored rather than misordered.
 
 use crate::ids::{MessageId, NodeId, ProcessId};
-use crate::message::Message;
+use crate::link::Link;
+use crate::message::{Message, MessageHeader};
 use publishing_sim::codec::{Bytes, CodecError, Decode, Decoder, Encode, Encoder};
 use publishing_sim::ledger::LevelGauge;
 use publishing_sim::stats::{Counter, Utilization};
@@ -114,6 +115,56 @@ impl Wire {
         bytes.first() == Some(&TAG_QUORUM)
     }
 
+    /// The destination process of the `Data` or `Ack` that `bytes`
+    /// encode, read in place; `Ok(None)` for any other variant. It is
+    /// exactly [`Wire::decode_all`] followed by reading the destination,
+    /// errors included, without building the value: every field is
+    /// checked where the decode reads it, and nothing is copied or
+    /// viewed. A router or a recorder that only needs to know whom a
+    /// frame is for reads this instead of decoding the frame.
+    ///
+    /// # Errors
+    ///
+    /// The error [`Wire::decode_all`] gives for bytes that are not
+    /// exactly one `Wire`.
+    pub fn peek_dst(bytes: &[u8]) -> Result<Option<ProcessId>, CodecError> {
+        let mut d = Decoder::new(bytes);
+        let tag = d.u8()?;
+        let dst = match tag {
+            TAG_DATA | TAG_ACK => {
+                d.u32()?;
+                d.u32()?;
+                d.u32()?;
+                d.u64()?;
+                if tag == TAG_DATA {
+                    Some(peek_message(&mut d)?)
+                } else {
+                    MessageId::decode(&mut d)?;
+                    Some(ProcessId::decode(&mut d)?)
+                }
+            }
+            TAG_DATAGRAM => {
+                d.u32()?;
+                peek_message(&mut d)?;
+                None
+            }
+            TAG_EPOCH => {
+                d.u32()?;
+                d.u32()?;
+                None
+            }
+            TAG_QUORUM => {
+                d.u32()?;
+                d.u32()?;
+                d.borrowed_bytes()?;
+                None
+            }
+            tag => return Err(CodecError::InvalidTag { what: "wire", tag }),
+        };
+        d.finish()?;
+        Ok(dst)
+    }
+
     /// The encoded message inside the bytes of a `Data` frame, as a view
     /// of them: the encoding is canonical, so these are the bytes
     /// `msg.encode_to_vec()` would produce for the decoded message — what
@@ -169,6 +220,16 @@ impl Wire {
             body.encode(e);
         })
     }
+}
+
+/// Reads past one encoded [`Message`] as its decode would, returning its
+/// destination: the header and any passed link are plain fields, and the
+/// body is only checked to be there.
+fn peek_message(d: &mut Decoder<'_>) -> Result<ProcessId, CodecError> {
+    let header = MessageHeader::decode(d)?;
+    d.option(Link::decode)?;
+    d.borrowed_bytes()?;
+    Ok(header.to)
 }
 
 impl Encode for Wire {

@@ -5,7 +5,10 @@
 //! two must agree on every value and on every error. And the recorder
 //! logs a captured message as the slice of the frame behind the `Data`
 //! header, never encoding it again — which is only right if those bytes
-//! are exactly `msg.encode_to_vec()`.
+//! are exactly `msg.encode_to_vec()`. A router or a recorder that only
+//! needs a frame's destination reads it in place (`Wire::peek_dst`),
+//! which must be the full decode's answer on every input, errors
+//! included.
 
 use proptest::prelude::*;
 use publishing_demos::ids::{Channel, MessageId, NodeId, ProcessId};
@@ -95,6 +98,16 @@ fn decode_both<T: Decode + PartialEq + core::fmt::Debug>(bytes: &[u8]) -> Result
     plain
 }
 
+/// The destination a full decode finds: a `Data`'s message's, an
+/// `Ack`'s, none for the other variants.
+fn decoded_dst(bytes: &[u8]) -> Result<Option<ProcessId>, CodecError> {
+    Wire::decode_all(bytes).map(|wire| match wire {
+        Wire::Data { msg, .. } => Some(msg.header.to),
+        Wire::Ack { dst_pid, .. } => Some(dst_pid),
+        Wire::Datagram { .. } | Wire::EpochNotice { .. } | Wire::Quorum { .. } => None,
+    })
+}
+
 proptest! {
     #[test]
     fn shared_decode_equals_plain_decode_and_the_encoding_is_canonical(
@@ -158,5 +171,41 @@ proptest! {
             decode_both::<Message>(&bytes),
             Err(CodecError::LengthTooLarge { len: MAX_LEN + over, max: MAX_LEN })
         );
+    }
+
+    /// Reading the destination in place is the full decode's answer on
+    /// every variant, and on every truncation, damaged byte, trailing
+    /// byte and garbage input — errors included.
+    #[test]
+    fn peek_dst_equals_the_full_decode(
+        msg in arb_message(),
+        route in (0u32..9, 0u32..5, 0u32..5, 1u64..u64::MAX),
+        cut in 0usize..4200,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        extra in proptest::collection::vec(any::<u8>(), 1..4),
+        garbage in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        for wire in wires(&msg, route) {
+            let bytes = wire.encode_to_vec();
+            let peeked = Wire::peek_dst(&bytes);
+            prop_assert!(peeked.is_ok());
+            prop_assert_eq!(peeked, decoded_dst(&bytes));
+            let short = &bytes[..cut % bytes.len()];
+            prop_assert_eq!(Wire::peek_dst(short), decoded_dst(short));
+            let mut damaged = bytes.clone();
+            damaged[at % bytes.len()] ^= flip;
+            prop_assert_eq!(Wire::peek_dst(&damaged), decoded_dst(&damaged));
+            let mut long = bytes;
+            long.extend_from_slice(&extra);
+            prop_assert_eq!(Wire::peek_dst(&long), decoded_dst(&long));
+        }
+        // Garbage behind every tag, known or not.
+        for tag in 0u8..=6 {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&garbage);
+            prop_assert_eq!(Wire::peek_dst(&bytes), decoded_dst(&bytes));
+        }
+        prop_assert_eq!(Wire::peek_dst(&garbage), decoded_dst(&garbage));
     }
 }

@@ -25,6 +25,8 @@ pub struct PerfectBus {
     stations: Vec<Option<bool>>,
     recorders: Vec<StationId>,
     router: Option<RecorderRouter>,
+    /// The router's answer for the frame being fanned out, reused.
+    routed: Vec<StationId>,
     faults: FaultPlan,
     rng: DetRng,
     stats: LanStats,
@@ -48,6 +50,7 @@ impl PerfectBus {
             stations: Vec::new(),
             recorders: Vec::new(),
             router: None,
+            routed: Vec::new(),
             faults: FaultPlan::new(),
             rng,
             stats: LanStats::default(),
@@ -110,8 +113,11 @@ impl Lan for PerfectBus {
         // recorder goes down." With multiple recorders, the survivors
         // cover for a dead one by *removing* it from the required set
         // (§6.3), an explicit act of the recovery layer.
-        let routed = self.router.as_ref().and_then(|r| r(&frame));
-        let required = routed.as_deref().unwrap_or(&self.recorders);
+        self.routed.clear();
+        let required = match &self.router {
+            Some(route) if route(&frame, &mut self.routed) => &self.routed,
+            _ => &self.recorders,
+        };
         DeliveryFanout {
             faults: &self.faults,
             rng: &mut self.rng,
@@ -219,13 +225,14 @@ mod tests {
         // station 2 (down, so they block); even frames are ungated.
         let mut bus = bus_with(3);
         bus.set_required_recorders(vec![StationId(1)]);
-        bus.set_recorder_router(Some(std::sync::Arc::new(|f: &Frame| {
-            Some(if f.payload().first().is_some_and(|b| b % 2 == 1) {
-                vec![StationId(2)]
-            } else {
-                vec![]
-            })
-        })));
+        bus.set_recorder_router(Some(std::sync::Arc::new(
+            |f: &Frame, out: &mut Vec<StationId>| {
+                if f.payload().first().is_some_and(|b| b % 2 == 1) {
+                    out.push(StationId(2));
+                }
+                true
+            },
+        )));
         bus.set_station_up(StationId(2), false);
         let flags = |bus: &mut PerfectBus, byte: u8| {
             let f = Frame::new(StationId(0), Destination::Broadcast, vec![byte]);

@@ -215,23 +215,24 @@ impl Ethernet {
         };
         match decision {
             Decision::Start => {
+                // Resolve this frame's recorder set now: in a sharded
+                // tier only the owning shard(s) get reserved ack slots.
+                let mut required = std::mem::take(&mut self.tx_required);
+                required.clear();
                 let st = self.station(st_id).expect("checked");
                 let frame = st.backlog.front().expect("checked");
                 let end = now + self.cfg.frame_time(frame.wire_bytes());
-                // Resolve this frame's recorder set now: in a sharded
-                // tier only the owning shard(s) get reserved ack slots.
-                let ack_len = match self.router.as_ref().and_then(|r| r(frame)) {
-                    Some(set) => {
-                        self.tx_required = set;
-                        let slots = 1 + self.tx_required.len() as u64;
+                let ack_len = match &self.router {
+                    Some(route) if route(frame, &mut required) => {
+                        let slots = 1 + required.len() as u64;
                         self.cfg.ack_slot.saturating_mul(slots)
                     }
-                    None => {
-                        self.tx_required.clear();
-                        self.tx_required.extend_from_slice(&self.recorders);
+                    _ => {
+                        required.extend_from_slice(&self.recorders);
                         self.ack_slots_len()
                     }
                 };
+                self.tx_required = required;
                 self.state = MediumState::Data {
                     from: st_id,
                     started: now,

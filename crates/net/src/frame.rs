@@ -61,14 +61,18 @@ pub const HEADER_BYTES: usize = 18;
 /// a copy, and a station decodes what it hears as views of the same
 /// bytes ([`Frame::decode_payload`]) — one buffer per transmission, read
 /// in place, as on the paper's wire (§3.3).
-/// Because nothing can change the bytes behind a frame, the frame also
-/// remembers their checksum (`sum`) beside the FCS it carries (`fcs`),
-/// and every receiver's integrity check compares the two words instead
-/// of re-reading the payload. The only operation that yields different
-/// bytes, [`Frame::corrupt_in_flight`], writes them to a fresh buffer
-/// and recomputes `sum` for it, so `sum == crc32(payload())` holds for
-/// every frame this module can produce — and a view taken before the
-/// damage keeps the undamaged bytes.
+///
+/// The frame check is the interface's own hardware (§4.3.3), so the
+/// model keeps only what that check would find: `diff`, the checksum of
+/// the payload XOR the FCS the frame carries. A frame is built with the
+/// FCS of its own bytes, so `diff` starts at zero and no CRC is computed;
+/// the two operations that make the check fail change it —
+/// [`Frame::invalidate_fcs`] complements the carried FCS, so `diff` is
+/// complemented, and [`Frame::corrupt_in_flight`], the only operation
+/// that yields different bytes, writes them to a fresh buffer and folds
+/// the checksums of the old and the new bytes into `diff`. Only damage
+/// pays for a CRC, and a view taken before the damage keeps the
+/// undamaged bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Transmitting station.
@@ -81,25 +85,21 @@ pub struct Frame {
     /// faster than a 72-byte one (atomically counted: the live runtime
     /// sends frames across threads).
     payload: Arc<[u8]>,
-    /// Checksum of `payload`, computed when these bytes were written.
-    sum: u32,
-    /// Frame check sequence as carried on the wire.
-    fcs: u32,
+    /// `crc32(payload) ^ carried FCS`: zero exactly when the frame check
+    /// passes.
+    diff: u32,
 }
 
 impl Frame {
-    /// Builds a frame, computing its FCS over the payload. Shared bytes
+    /// Builds a frame carrying the FCS of its payload. Shared bytes
     /// become the frame's as they are; a `Vec<u8>` is copied into a
     /// buffer of its own.
     pub fn new(src: StationId, dst: Destination, payload: impl Into<Bytes>) -> Self {
-        let payload = Arc::<[u8]>::from(payload.into());
-        let sum = crc32(&payload);
         Frame {
             src,
             dst,
-            payload,
-            sum,
-            fcs: sum,
+            payload: Arc::<[u8]>::from(payload.into()),
+            diff: 0,
         }
     }
 
@@ -125,7 +125,7 @@ impl Frame {
 
     /// Returns `true` if the carried FCS matches the payload.
     pub fn is_intact(&self) -> bool {
-        self.sum == self.fcs
+        self.diff == 0
     }
 
     /// Corrupts the frame in flight by flipping one payload bit. Only
@@ -133,13 +133,15 @@ impl Frame {
     pub fn corrupt_in_flight(&mut self) {
         if self.payload.is_empty() {
             // No payload bits to damage; damage the FCS itself.
-            self.fcs = !self.fcs;
+            self.invalidate_fcs();
         } else {
             let damaged = Bytes::filled(self.payload.len(), |buf| {
                 buf.copy_from_slice(&self.payload);
                 buf[0] ^= 0x80;
             });
-            self.sum = crc32(&damaged);
+            // The carried FCS stays; the checksum it is compared with
+            // becomes the damaged bytes'.
+            self.diff ^= crc32(&self.payload) ^ crc32(&damaged);
             self.payload = damaged.into();
         }
     }
@@ -147,7 +149,7 @@ impl Frame {
     /// Complements the FCS — the token-ring recorder's §6.1.2 mechanism
     /// for invalidating a frame it failed to record.
     pub fn invalidate_fcs(&mut self) {
-        self.fcs = !self.fcs;
+        self.diff = !self.diff;
     }
 
     /// Returns the frame's size on the wire, including header overhead.
@@ -230,42 +232,70 @@ mod tests {
         ]
     }
 
+    /// The frame as the wire would carry it: bytes and an explicit FCS,
+    /// checked by recomputing the CRC — what [`Frame`] must be
+    /// indistinguishable from.
+    #[derive(Debug, Clone)]
+    struct Reference {
+        payload: Vec<u8>,
+        fcs: u32,
+    }
+
+    impl Reference {
+        fn new(payload: Vec<u8>) -> Self {
+            let fcs = crc32(&payload);
+            Reference { payload, fcs }
+        }
+
+        fn corrupt_in_flight(&mut self) {
+            match self.payload.first_mut() {
+                Some(b) => *b ^= 0x80,
+                None => self.fcs = !self.fcs,
+            }
+        }
+
+        fn is_intact(&self) -> bool {
+            crc32(&self.payload) == self.fcs
+        }
+    }
+
     proptest! {
-        /// The memoised predicate is the from-scratch one for every frame
-        /// reachable through the public operations, damaging one clone
-        /// never shows in another, and a clone shares its source's buffer.
+        /// Every frame reachable through the public operations answers
+        /// the frame check as a reference carrying its FCS explicitly
+        /// does, with the same bytes; damaging one clone never shows in
+        /// another, and a clone shares its source's buffer.
         #[test]
-        fn memoised_fcs_check_equals_recompute(
+        fn fcs_check_equals_an_explicit_fcs(
             payload in proptest::collection::vec(any::<u8>(), 0..300),
             ops in proptest::collection::vec(arb_op(), 0..40),
         ) {
-            let first = Frame::new(StationId(1), Destination::Broadcast, payload);
-            let mut family = vec![first];
+            let first = Frame::new(StationId(1), Destination::Broadcast, payload.clone());
+            let mut family = vec![(first, Reference::new(payload))];
             for op in ops {
                 let i = match op {
                     Op::Clone(i) | Op::Corrupt(i) | Op::InvalidateFcs(i) => i % family.len(),
                 };
-                // What every other member looks like before the step.
-                let before: Vec<(Vec<u8>, bool)> = family
-                    .iter()
-                    .map(|f| (f.payload().to_vec(), f.is_intact()))
-                    .collect();
                 match op {
                     Op::Clone(_) => {
                         let copy = family[i].clone();
-                        prop_assert!(Arc::ptr_eq(&copy.payload, &family[i].payload));
-                        prop_assert_eq!(&copy, &family[i]);
+                        prop_assert!(Arc::ptr_eq(&copy.0.payload, &family[i].0.payload));
+                        prop_assert_eq!(&copy.0, &family[i].0);
                         family.push(copy);
                     }
-                    Op::Corrupt(_) => family[i].corrupt_in_flight(),
-                    Op::InvalidateFcs(_) => family[i].invalidate_fcs(),
-                }
-                for (j, f) in family.iter().enumerate() {
-                    prop_assert_eq!(f.is_intact(), crc32(f.payload()) == f.fcs);
-                    if j != i && j < before.len() {
-                        prop_assert_eq!(f.payload(), &before[j].0[..]);
-                        prop_assert_eq!(f.is_intact(), before[j].1);
+                    Op::Corrupt(_) => {
+                        family[i].0.corrupt_in_flight();
+                        family[i].1.corrupt_in_flight();
                     }
+                    Op::InvalidateFcs(_) => {
+                        family[i].0.invalidate_fcs();
+                        family[i].1.fcs = !family[i].1.fcs;
+                    }
+                }
+                // Each member against its own reference: damage to one
+                // clone that showed in another would fail here.
+                for (f, reference) in &family {
+                    prop_assert_eq!(f.payload(), &reference.payload[..]);
+                    prop_assert_eq!(f.is_intact(), reference.is_intact());
                 }
             }
         }

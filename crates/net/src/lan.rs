@@ -155,14 +155,16 @@ impl LanStats {
 
 /// Per-frame recorder routing for sharded recorder tiers.
 ///
-/// Given a frame, returns the stations whose intact receipt gates its
-/// delivery — `Some(set)` overrides the global required-recorder set for
-/// this frame (an empty set means the frame is ungated), `None` falls
-/// back to it. The closure is installed by the tier above the medium
-/// (it decodes the opaque payload to find the destination process and
-/// asks the shard map which shards own its recorder-ack slot); the
-/// medium itself stays payload-agnostic.
-pub type RecorderRouter = std::sync::Arc<dyn Fn(&Frame) -> Option<Vec<StationId>> + Send + Sync>;
+/// Given a frame and an empty buffer the medium owns, either appends the
+/// stations whose intact receipt gates the frame's delivery and returns
+/// `true` — the set overrides the global required-recorder set for this
+/// frame, and an empty one means the frame is ungated — or returns
+/// `false`: fall back to the global set. The medium reuses the buffer
+/// from frame to frame, so routing allocates nothing. The closure is
+/// installed by the tier above the medium (it reads the destination
+/// process from the opaque payload and asks the shard map which shards
+/// own its recorder-ack slot); the medium itself stays payload-agnostic.
+pub type RecorderRouter = std::sync::Arc<dyn Fn(&Frame, &mut Vec<StationId>) -> bool + Send + Sync>;
 
 /// A broadcast medium with publishing (recorder-acknowledgement) support.
 pub trait Lan {

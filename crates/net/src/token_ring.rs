@@ -81,8 +81,11 @@ impl TokenRing {
         // empty; publishing mode is on iff any recorder is required, and
         // the field fills once every required recorder has read the
         // frame (a recorder that *sent* it trivially has it).
-        let routed = self.router.as_ref().and_then(|r| r(&frame));
-        let required = routed.as_deref().unwrap_or(&self.recorders);
+        let mut routed = Vec::new();
+        let required = match &self.router {
+            Some(route) if route(&frame, &mut routed) => &routed,
+            _ => &self.recorders,
+        };
         let publishing = !required.is_empty();
         let mut captured: Vec<StationId> = required
             .iter()

@@ -402,20 +402,20 @@ impl QuorumReplica {
     }
 
     fn collect_acks(&mut self) {
-        for (_at, id, pid) in self.node.take_observed_acks() {
-            if !self.acked_ids.contains(&id) && !self.node.recorder().is_sequenced(id) {
-                self.acked_ids.insert(id);
-                self.acked.push_back((id, pid));
+        let (acked_ids, acked) = (&mut self.acked_ids, &mut self.acked);
+        self.node.drain_observed_acks(|recorder, id, pid| {
+            if !acked_ids.contains(&id) && !recorder.is_sequenced(id) {
+                acked_ids.insert(id);
+                acked.push_back((id, pid));
             }
-        }
+        });
     }
 
     fn propose_ready(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
         if self.raft.role() != Role::Leader || !self.term_settled || self.acked.is_empty() {
             return;
         }
-        let backlog: Vec<(MessageId, ProcessId)> = self.acked.drain(..).collect();
-        for (id, dst) in backlog {
+        while let Some((id, dst)) = self.acked.pop_front() {
             if self.node.recorder().is_sequenced(id) {
                 self.acked_ids.remove(&id);
                 continue;

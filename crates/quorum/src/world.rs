@@ -20,7 +20,6 @@ use publishing_obs::probe::{QuorumHealth, RecoveryLag};
 use publishing_obs::registry::MetricsRegistry;
 use publishing_obs::report::{ConsensusStats, ObsReport, WatchdogSummary};
 use publishing_obs::watchdog::{Watchdog, WatchdogConfig};
-use publishing_sim::codec::Decode;
 use publishing_sim::ledger::{ResourceKind, ResourceUsage, Timeline};
 use publishing_sim::stats::LogHistogram;
 use publishing_sim::time::{SimDuration, SimTime};
@@ -34,20 +33,17 @@ const WATCHDOG_PERIOD: SimDuration = SimDuration::from_millis(25);
 /// A recorder-consensus router: consensus, datagram, and kernel
 /// control traffic is never gated on capture (it must flow during
 /// elections and while replicas are down); everything else falls back
-/// to the live-replica required set.
+/// to the live-replica required set. It appends nothing: a frame it
+/// routes is ungated.
 fn quorum_router() -> RecorderRouter {
-    Arc::new(|frame: &Frame| {
+    Arc::new(|frame: &Frame, _ungated: &mut Vec<StationId>| {
         // Most frames on this medium are consensus traffic: the tag
-        // settles those without decoding an Append's entries.
-        if Wire::is_quorum(frame.payload()) {
-            return Some(Vec::new());
-        }
-        match Wire::decode_all(frame.payload()) {
-            Ok(Wire::Datagram { .. } | Wire::EpochNotice { .. }) => Some(Vec::new()),
-            Ok(Wire::Data { msg, .. }) if msg.header.to.is_kernel() => Some(Vec::new()),
-            Ok(Wire::Ack { dst_pid, .. }) if dst_pid.is_kernel() => Some(Vec::new()),
-            _ => None,
-        }
+        // settles those without reading an Append's entries. The rest
+        // are read in place: a datagram or an epoch notice has no
+        // destination process, control traffic a kernel one.
+        let payload = frame.payload();
+        Wire::is_quorum(payload)
+            || Wire::peek_dst(payload).is_ok_and(|dst| dst.is_none_or(|d| d.is_kernel()))
     })
 }
 

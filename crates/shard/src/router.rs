@@ -7,8 +7,8 @@
 //! [`ShardMap`] plus the shard↔station directory into the closures the
 //! rest of the system needs:
 //!
-//! - a [`RecorderRouter`] installed on the LAN, which decodes each
-//!   frame's [`Wire`] payload, extracts the destination pid, and returns
+//! - a [`RecorderRouter`] installed on the LAN, which reads each
+//!   frame's destination pid in place ([`Wire::peek_dst`]) and returns
 //!   the stations whose acknowledgement the frame must collect;
 //! - per-shard ownership filters for [`publishing_core::recorder::Recorder`]
 //!   ("do I record this pid?") and responsibility filters for
@@ -74,7 +74,8 @@ impl ShardRouter {
         f(&mut self.map.write().expect("shard map lock"))
     }
 
-    /// The stations that must acknowledge a frame destined to `pid`.
+    /// Appends the stations that must acknowledge a frame destined to
+    /// `pid` to `out`.
     ///
     /// With no live shard at all, every *member* station is required:
     /// none can answer, so process traffic suspends until a shard
@@ -82,46 +83,38 @@ impl ShardRouter {
     /// set instead would let messages flow unrecorded, breaking the
     /// publish-before-use rule.
     ///
-    /// Answered from the map in place: the returned vector is the only
-    /// thing built.
-    pub fn required_for(&self, pid: ProcessId) -> Vec<StationId> {
+    /// Answered from the map in place, into a buffer the medium owns:
+    /// nothing is built.
+    pub fn required_into(&self, pid: ProcessId, out: &mut Vec<StationId>) {
         let dir = self.stations.read().expect("station directory lock");
         self.with_map(|m| {
-            let mut required = Vec::with_capacity(self.replication);
             let mut any_live = false;
             for s in m.capture_order(pid, self.replication) {
                 any_live = true;
-                required.extend(dir.get(&s));
+                out.extend(dir.get(&s));
             }
             if !any_live {
-                required.extend(m.members().iter().filter_map(|s| dir.get(s)));
+                out.extend(m.members().iter().filter_map(|s| dir.get(s)));
             }
-            required
         })
     }
 
     /// Builds the per-frame required-recorder closure for the medium.
     pub fn recorder_router(&self) -> RecorderRouter {
         let this = self.clone();
-        Arc::new(move |frame: &Frame| {
-            // Decoded as views of the frame: a header parse, no body copy.
-            let dst = match frame.decode_payload::<Wire>() {
-                Ok(Wire::Data { msg, .. }) => msg.header.to,
-                Ok(Wire::Ack { dst_pid, .. }) => dst_pid,
-                // Datagrams, epoch notices, and quorum consensus traffic
-                // are unguaranteed transport control and never published.
-                Ok(Wire::Datagram { .. } | Wire::EpochNotice { .. } | Wire::Quorum { .. }) => {
-                    return Some(Vec::new())
-                }
-                // Not transport traffic: fall back to the global set.
-                Err(_) => return None,
-            };
-            if dst.is_kernel() {
+        Arc::new(move |frame: &Frame, out: &mut Vec<StationId>| {
+            // Read in place: the destination, nothing decoded.
+            match Wire::peek_dst(frame.payload()) {
                 // Control traffic (including recovery) is never gated on
                 // a shard: it must flow while shards are down.
-                return Some(Vec::new());
+                Ok(Some(dst)) if !dst.is_kernel() => this.required_into(dst, out),
+                // Kernel control, datagrams, epoch notices, and quorum
+                // consensus traffic are ungated.
+                Ok(_) => {}
+                // Not transport traffic: fall back to the global set.
+                Err(_) => return false,
             }
-            Some(this.required_for(dst))
+            true
         })
     }
 
@@ -172,6 +165,13 @@ mod tests {
     use publishing_net::frame::Destination;
     use publishing_sim::codec::Encode;
 
+    /// What the installed closure answers for `frame`: `None` = the
+    /// global set.
+    fn route(r: &ShardRouter, frame: &Frame) -> Option<Vec<StationId>> {
+        let mut out = Vec::new();
+        r.recorder_router()(frame, &mut out).then_some(out)
+    }
+
     fn router(n: u32) -> ShardRouter {
         let r = ShardRouter::new(ShardMap::new(n), 2);
         for i in 0..n {
@@ -209,8 +209,7 @@ mod tests {
     fn process_frames_gate_on_capture_set_stations() {
         let r = router(4);
         let pid = ProcessId::new(2, 7);
-        let route = r.recorder_router();
-        let req = route(&data_frame(pid)).expect("routed");
+        let req = route(&r, &data_frame(pid)).expect("routed");
         let want: Vec<StationId> = r.with_map(|m| {
             m.capture_set(pid, 2)
                 .iter()
@@ -224,22 +223,26 @@ mod tests {
     #[test]
     fn kernel_frames_and_garbage_are_not_shard_gated() {
         let r = router(3);
-        let route = r.recorder_router();
         let kernel = data_frame(ProcessId::kernel_of(NodeId(2)));
-        assert_eq!(route(&kernel), Some(Vec::new()));
+        assert_eq!(route(&r, &kernel), Some(Vec::new()));
         let garbage = Frame::new(StationId(1), Destination::Broadcast, vec![0xFF, 0xFF]);
-        assert_eq!(route(&garbage), None, "falls back to the global set");
+        assert_eq!(route(&r, &garbage), None, "falls back to the global set");
     }
 
     #[test]
     fn cutover_changes_routing_through_installed_closures() {
         let r = router(2);
         let pid = ProcessId::new(3, 5);
-        let route = r.recorder_router();
-        let before = route(&data_frame(pid)).unwrap();
+        let installed = r.recorder_router();
+        let routed = |frame: &Frame| {
+            let mut out = Vec::new();
+            assert!(installed(frame, &mut out));
+            out
+        };
+        let before = routed(&data_frame(pid));
         r.register(ShardId(2), StationId(102));
         r.with_map_mut(|m| m.add_shard(ShardId(2)));
-        let after = route(&data_frame(pid)).unwrap();
+        let after = routed(&data_frame(pid));
         let want: Vec<StationId> = r.with_map(|m| {
             m.capture_set(pid, 2)
                 .iter()
@@ -277,12 +280,11 @@ mod tests {
         // waved through unrecorded.
         let r = router(2);
         let pid = ProcessId::new(2, 7);
-        let route = r.recorder_router();
         r.with_map_mut(|m| {
             m.set_live(ShardId(0), false);
             m.set_live(ShardId(1), false);
         });
-        let req = route(&data_frame(pid)).expect("routed");
+        let req = route(&r, &data_frame(pid)).expect("routed");
         assert_eq!(req, vec![StationId(100), StationId(101)]);
     }
 

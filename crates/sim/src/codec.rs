@@ -566,6 +566,14 @@ impl<'a> Decoder<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
+    /// Reads a length-prefixed byte string as a borrowed slice of the
+    /// input: nothing copied, no reference count touched — for a reader
+    /// that only checks the bytes are there.
+    pub fn borrowed_bytes(&mut self) -> Result<&'a [u8], CodecError> {
+        let len = self.len_prefix()?;
+        self.take(len)
+    }
+
     /// Reads a length-prefixed byte string as shared bytes: a view of the
     /// input when the decoder is [`over`](Decoder::over) shared bytes, a
     /// copy otherwise.

@@ -32,12 +32,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # its world has settled instead of idling out the grace period: 11.91;
 # `shard_replay` and `quorum_replay` again at PR 25, when a faulted world
 # began to end once its recovery has finished instead of simulating 35 s
-# of idle heartbeats and watchdog pings after it: 17.63 and 52.51).
+# of idle heartbeats and watchdog pings after it: 17.63 and 52.51; both
+# again when routers and recorders began to read a frame's
+# destination in place, the medium to own the routed recorder set, and a
+# quorum replica to keep its ack queues: 15.05 and 44.16).
 BUDGET = {
     "steady_bus": 6.42,
     "ether_contend": 31.81,
-    "shard_replay": 18.51,
-    "quorum_replay": 55.13,
+    "shard_replay": 15.80,
+    "quorum_replay": 46.37,
     "knee_search": 12.51,
 }
 
