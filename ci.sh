@@ -48,6 +48,9 @@ cargo run -q --release -p publishing-bench --bin lab -- smoke --dir target/smoke
 cargo run -q --release -p publishing-bench --bin lab -- smoke --dir target/smoke/b
 diff -r target/smoke/a target/smoke/b
 
+echo "==> virtual behaviour identical to perf/BENCH_5.json (an intended virtual change commits a new BENCH_<n>.json and moves this line with it)"
+cmp perf/BENCH_5.json target/smoke/a/BENCH_1.json
+
 echo "==> paper tables match the committed reference output"
 cmp target/smoke/a/tables.txt paper_tables_output.txt
 

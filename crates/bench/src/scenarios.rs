@@ -4,7 +4,7 @@
 //! reports. `lab tables` prints them.
 
 use publishing_core::node::RecorderConfig;
-use publishing_core::world::{World, WorldBuilder};
+use publishing_core::world::WorldBuilder;
 use publishing_demos::costs::CostModel;
 use publishing_demos::driver::SHORT_BYTES;
 use publishing_demos::ids::{Channel, LinkId, NodeId, ProcessId};
@@ -523,7 +523,6 @@ pub fn measured_recovery_ms(checkpoint_ms: u64, crash_at_ms: u64) -> f64 {
     let rc = RecorderConfig {
         policy,
         policy_tick: SimDuration::from_millis(5),
-        ..RecorderConfig::default()
     };
     let mut w = WorldBuilder::new(2).registry(reg).recorder(rc).build();
     let server = w.spawn(1, "echo", vec![]).unwrap();
@@ -547,53 +546,6 @@ pub fn measured_recovery_ms(checkpoint_ms: u64, crash_at_ms: u64) -> f64 {
     recovered_at
         .map(|t| t.saturating_since(crash_time).as_millis_f64())
         .unwrap_or(f64::INFINITY)
-}
-
-/// A convenience: the world used by several benches (3 nodes, chatter).
-pub fn chatter_world(seed: u64) -> (World, Vec<ProcessId>) {
-    let mut reg = ProgramRegistry::new();
-    programs::register_standard(&mut reg);
-    reg.register("chat-a", move || {
-        Box::new(programs::Chatter::new(seed, 2, true))
-    });
-    reg.register("chat-b", move || {
-        Box::new(programs::Chatter::new(seed ^ 7, 2, true))
-    });
-    reg.register("chat-c", move || {
-        Box::new(programs::Chatter::new(seed ^ 13, 2, true))
-    });
-    let mut w = WorldBuilder::new(3).registry(reg).build();
-    let a = ProcessId::new(0, 1);
-    let b = ProcessId::new(1, 1);
-    let c = ProcessId::new(2, 1);
-    w.spawn(
-        0,
-        "chat-a",
-        vec![
-            Link::to(b, Channel::DEFAULT, 0),
-            Link::to(c, Channel::DEFAULT, 0),
-        ],
-    )
-    .unwrap();
-    w.spawn(
-        1,
-        "chat-b",
-        vec![
-            Link::to(c, Channel::DEFAULT, 0),
-            Link::to(a, Channel::DEFAULT, 0),
-        ],
-    )
-    .unwrap();
-    w.spawn(
-        2,
-        "chat-c",
-        vec![
-            Link::to(a, Channel::DEFAULT, 0),
-            Link::to(b, Channel::DEFAULT, 0),
-        ],
-    )
-    .unwrap();
-    (w, vec![a, b, c])
 }
 
 #[cfg(test)]
@@ -715,10 +667,7 @@ pub fn flood_completion_ms(window: usize, count: u64) -> f64 {
     let mut reg = ProgramRegistry::new();
     programs::register_standard(&mut reg);
     reg.register("flooder", move || Box::new(Flooder { count }));
-    let transport = publishing_demos::transport::TransportConfig {
-        window,
-        ..publishing_demos::transport::TransportConfig::default()
-    };
+    let transport = publishing_demos::transport::TransportConfig { window };
     let mut w = WorldBuilder::new(2)
         .registry(reg)
         .transport(transport)

@@ -101,20 +101,16 @@ impl FromStr for Medium {
     }
 }
 
-/// A deterministic workload: by default `pairs` ping/echo FIFO pairs
-/// exchanging `pings` round-trips, with think times derived from the
-/// workload seed. [`Scenario::build_with`] accepts any other
-/// [`WorkloadSource`].
+/// A deterministic workload: by default two ping/echo FIFO pairs
+/// exchanging eight round-trips each, with think times derived from the
+/// workload seed ([`Scenario::default_source`]). [`Scenario::build_with`]
+/// accepts any other [`WorkloadSource`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Target topology.
     pub topology: Topology,
     /// Seed feeding workload timing (ping think time).
     pub workload_seed: u64,
-    /// Ping/echo pairs.
-    pub pairs: u32,
-    /// Round-trips per pair.
-    pub pings: u64,
     /// Broadcast medium under the recorder tier.
     pub medium: Medium,
     /// Physical-constant knobs (costs, wire speed, transport window)
@@ -130,7 +126,7 @@ pub struct Tuning {
     pub costs: CostModel,
     /// Medium timing/bandwidth configuration.
     pub lan: LanConfig,
-    /// Guaranteed-transport parameters (window width, retry pacing).
+    /// Guaranteed-transport window width.
     pub transport: TransportConfig,
 }
 
@@ -158,8 +154,6 @@ impl Scenario {
         Scenario {
             topology,
             workload_seed,
-            pairs: 2,
-            pings: 8,
             medium: Medium::Perfect,
             tuning: Tuning::default(),
         }
@@ -230,12 +224,14 @@ impl Scenario {
         }
     }
 
-    /// The default ping/echo workload source for this scenario.
+    /// The default ping/echo workload source for this scenario: two
+    /// pairs of eight round-trips each — the load every reproducer
+    /// literal and every pinned fingerprint in `tests/golden.rs` means.
     pub fn default_source(&self) -> PingEcho {
         PingEcho {
             topology: self.topology,
-            pairs: self.pairs,
-            pings: self.pings,
+            pairs: 2,
+            pings: 8,
             seed: self.workload_seed,
         }
     }

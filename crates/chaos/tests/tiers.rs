@@ -455,10 +455,13 @@ fn a_reception_runs_its_stations_in_fate_order_with_after_event_between() {
 
 /// Every client's deduplicated lines after `schedule`, in client order.
 fn client_lines(topology: Topology, pings: u64, schedule: &str) -> Vec<Vec<String>> {
-    let mut scenario = Scenario::new(topology, 31);
-    scenario.pings = pings;
+    let scenario = Scenario::new(topology, 31);
+    let source = PingEcho {
+        pings,
+        ..scenario.default_source()
+    };
     let schedule: FaultSchedule = schedule.parse().expect("literal parses");
-    let mut t = scenario.build();
+    let mut t = scenario.build_with(&source);
     run_schedule(t.as_mut(), &schedule);
     assert_eq!(t.convergence_failures(), Vec::<String>::new());
     t.client_outputs()
@@ -783,11 +786,14 @@ fn run_until_settled(t: &mut dyn ChaosWorld, from_ms: u64) {
 fn census_contract(topology: Topology) {
     // 150 round-trips: the exchange is still running at 300 ms, after
     // the quorum's first election.
-    let mut scenario = Scenario::new(topology, 31);
-    scenario.pings = 150;
+    let scenario = Scenario::new(topology, 31);
+    let source = PingEcho {
+        pings: 150,
+        ..scenario.default_source()
+    };
     let crash_at = 300;
 
-    let mut t = scenario.build();
+    let mut t = scenario.build_with(&source);
     let clean: FaultSchedule = "seed=31 horizon=600ms".parse().unwrap();
     assert!(
         run_schedule(t.as_mut(), &clean).is_some(),
@@ -796,7 +802,7 @@ fn census_contract(topology: Topology) {
     assert_eq!(t.convergence_failures(), Vec::<String>::new());
 
     // `crash_process` of plan entry 1, a pinger.
-    let mut t = scenario.build();
+    let mut t = scenario.build_with(&source);
     t.run_until(SimTime::from_millis(crash_at));
     t.inject(&Fault::CrashProcess {
         at_ms: crash_at,
@@ -810,7 +816,7 @@ fn census_contract(topology: Topology) {
     assert_eq!(t.convergence_failures(), Vec::<String>::new());
 
     // Node 2 holds an echo server on every tier: flagged while it is down.
-    let mut t = scenario.build();
+    let mut t = scenario.build_with(&source);
     t.run_until(SimTime::from_millis(crash_at));
     t.inject(&Fault::CrashNode {
         at_ms: crash_at,
@@ -825,8 +831,7 @@ fn census_contract(topology: Topology) {
     assert_eq!(t.convergence_failures(), Vec::<String>::new());
 
     // A process that stops is destroyed, on purpose: accounted for.
-    let source = WithQuitter(scenario.default_source());
-    let mut t = scenario.build_with(&source);
+    let mut t = scenario.build_with(&WithQuitter(source));
     assert!(run_schedule(t.as_mut(), &clean).is_some(), "settles");
     assert_eq!(t.metrics().counter_value("node/1/kernel/destroys"), Some(1));
     assert_eq!(t.convergence_failures(), Vec::<String>::new());

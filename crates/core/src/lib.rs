@@ -48,7 +48,7 @@ pub mod world;
 pub use checkpoint::{young_interval, young_overhead, CheckpointPolicy};
 pub use debugger::ReplayDebugger;
 pub use live::{LiveBuilder, LiveSystem};
-pub use manager::{ManagerConfig, MgrCmd, RecoveryManager};
+pub use manager::{MgrCmd, RecoveryManager};
 pub use multi::{MultiWorld, PriorityTier, PriorityVectors};
 pub use node::{RNAction, RecorderConfig, RecorderNode};
 pub use recorder::{ProcessEntry, PublishCost, Recorder, RecorderStats};

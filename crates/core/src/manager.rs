@@ -67,23 +67,11 @@ pub enum MgrCmd {
     },
 }
 
-/// Watchdog and recovery pacing.
-#[derive(Debug, Clone)]
-pub struct ManagerConfig {
-    /// Watchdog ping interval (per node).
-    pub ping_interval: SimDuration,
-    /// How long to wait for an ALIVE reply before declaring a crash.
-    pub ping_timeout: SimDuration,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig {
-            ping_interval: SimDuration::from_millis(500),
-            ping_timeout: SimDuration::from_millis(400),
-        }
-    }
-}
+/// Watchdog ping interval (per node, §3.3).
+const PING_INTERVAL: SimDuration = SimDuration::from_millis(500);
+/// How long to wait for an ALIVE reply before declaring a crash: shorter
+/// than the interval, so one node has at most one ping outstanding.
+const PING_TIMEOUT: SimDuration = SimDuration::from_millis(400);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -139,8 +127,8 @@ pub struct ManagerStats {
 }
 
 /// The recovery manager.
+#[derive(Default)]
 pub struct RecoveryManager {
-    cfg: ManagerConfig,
     nodes: BTreeMap<NodeId, Watch>,
     jobs: BTreeMap<ProcessId, Job>,
     timers: TokenTable<TimerKind>,
@@ -155,16 +143,8 @@ pub struct RecoveryManager {
 
 impl RecoveryManager {
     /// Creates a manager watching no nodes yet.
-    pub fn new(cfg: ManagerConfig) -> Self {
-        RecoveryManager {
-            cfg,
-            nodes: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            timers: TokenTable::new(),
-            next_nonce: 0,
-            recovery_filter: None,
-            stats: ManagerStats::default(),
-        }
+    pub fn new() -> Self {
+        RecoveryManager::default()
     }
 
     /// Installs (or clears) the recovery-responsibility filter.
@@ -216,14 +196,8 @@ impl RecoveryManager {
         // at startup, and un-staggered pings would hit a broadcast medium
         // at the same instant every interval — a guaranteed CSMA/CD
         // collision convoy that persists for the life of the run.
-        let phase = SimDuration::from_nanos(
-            self.cfg.ping_interval.as_nanos() / 8 * (u64::from(node.0) % 8),
-        );
-        self.timer(
-            now + self.cfg.ping_interval + phase,
-            TimerKind::Ping(node),
-            out,
-        );
+        let phase = SimDuration::from_nanos(PING_INTERVAL.as_nanos() / 8 * (u64::from(node.0) % 8));
+        self.timer(now + PING_INTERVAL + phase, TimerKind::Ping(node), out);
     }
 
     /// Handles a manager timer.
@@ -244,13 +218,9 @@ impl RecoveryManager {
                         node,
                         body: encode_ctl(codes::ARE_YOU_ALIVE, &nonce),
                     });
-                    self.timer(
-                        now + self.cfg.ping_timeout,
-                        TimerKind::PingTimeout(node, nonce),
-                        out,
-                    );
+                    self.timer(now + PING_TIMEOUT, TimerKind::PingTimeout(node, nonce), out);
                 }
-                self.timer(now + self.cfg.ping_interval, TimerKind::Ping(node), out);
+                self.timer(now + PING_INTERVAL, TimerKind::Ping(node), out);
             }
             TimerKind::PingTimeout(node, nonce) => {
                 let Some(w) = self.nodes.get_mut(&node) else {
@@ -521,7 +491,7 @@ impl RecoveryManager {
                 w.outstanding = None;
                 w.state = NodeState::Up;
             }
-            self.timer(now + self.cfg.ping_interval, TimerKind::Ping(node), out);
+            self.timer(now + PING_INTERVAL, TimerKind::Ping(node), out);
         }
     }
 
@@ -604,7 +574,7 @@ mod tests {
 
     #[test]
     fn watchdog_pings_periodically() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let cmds = run(|c| m.watch_node(SimTime::ZERO, NodeId(1), c));
         let (at, token) = match &cmds[0] {
             MgrCmd::SetTimer { at, token } => (*at, *token),
@@ -625,7 +595,7 @@ mod tests {
 
     #[test]
     fn missed_ping_declares_node_crashed() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let cmds = run(|c| m.watch_node(SimTime::ZERO, NodeId(1), c));
         let (at, token) = match &cmds[0] {
             MgrCmd::SetTimer { at, token } => (*at, *token),
@@ -651,7 +621,7 @@ mod tests {
 
     #[test]
     fn alive_reply_cancels_timeout() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let cmds = run(|c| m.watch_node(SimTime::ZERO, NodeId(1), c));
         let (at, token) = match &cmds[0] {
             MgrCmd::SetTimer { at, token } => (*at, *token),
@@ -684,7 +654,7 @@ mod tests {
 
     #[test]
     fn process_recovery_walks_phases() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
@@ -709,7 +679,7 @@ mod tests {
     fn recovery_replays_published_messages() {
         use publishing_demos::ids::{Channel, MessageId};
         use publishing_demos::message::{Message, MessageHeader};
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         for i in 1..=3u64 {
@@ -742,7 +712,7 @@ mod tests {
 
     #[test]
     fn unknown_process_cannot_recover() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, ProcessId::new(5, 5), c));
         assert!(cmds.is_empty());
@@ -750,7 +720,7 @@ mod tests {
 
     #[test]
     fn recursive_crash_restarts_job() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
@@ -762,7 +732,7 @@ mod tests {
 
     #[test]
     fn recovery_filter_defers_to_responsible_shard() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         m.set_recovery_filter(Some(std::sync::Arc::new(|_| false)));
@@ -776,7 +746,7 @@ mod tests {
 
     #[test]
     fn query_states_targets_only_requested_pids() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         let other = ProcessId::new(3, 1);
@@ -788,7 +758,7 @@ mod tests {
 
     #[test]
     fn quiet_node_restart_skips_announcement() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         run(|c| m.watch_node(SimTime::ZERO, pid.node, c));
@@ -805,7 +775,7 @@ mod tests {
 
     #[test]
     fn stale_state_replies_ignored() {
-        let mut m = RecoveryManager::new(ManagerConfig::default());
+        let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         r.restart(SimTime::from_millis(1)); // restart_number = 1

@@ -10,7 +10,7 @@
 //! frame is decoded in place and captured as a slice of itself.
 
 use crate::checkpoint::CheckpointPolicy;
-use crate::manager::{ManagerConfig, MgrCmd, RecoveryManager};
+use crate::manager::{MgrCmd, RecoveryManager};
 use crate::recorder::{PublishCost, Recorder};
 use publishing_demos::ids::{Channel, MessageId, NodeId, ProcessId};
 use publishing_demos::kernel::{decode_ctl, encode_ctl};
@@ -52,35 +52,29 @@ pub enum RNAction {
     },
 }
 
-/// Configuration for a recorder node.
+/// Disks behind the node's stable store. Fig 5.5 sweeps 1–3 disks in
+/// the queueing model (`queueing::ch5`); a simulated recorder node has
+/// one.
+const N_DISKS: usize = 1;
+/// Per-message publishing CPU (§5.2.2): intercepting at the media layer,
+/// the design the thesis argues for.
+const PUBLISH_COST: PublishCost = PublishCost::MediaLayer;
+
+/// The checkpoint policy of a recorder node: the one setting worlds
+/// choose per run.
 #[derive(Debug, Clone)]
 pub struct RecorderConfig {
-    /// Watchdog pacing.
-    pub manager: ManagerConfig,
     /// Checkpoint policy applied to every process.
     pub policy: CheckpointPolicy,
     /// How often the policy is evaluated.
     pub policy_tick: SimDuration,
-    /// Disk service parameters (Fig 5.2).
-    pub disk: DiskParams,
-    /// Number of disks (Fig 5.5 sweeps 1–3).
-    pub n_disks: usize,
-    /// Per-message publishing CPU (§5.2.2).
-    pub publish_cost: PublishCost,
-    /// Transport parameters for the node's own endpoint.
-    pub transport: TransportConfig,
 }
 
 impl Default for RecorderConfig {
     fn default() -> Self {
         RecorderConfig {
-            manager: ManagerConfig::default(),
             policy: CheckpointPolicy::Periodic(SimDuration::from_secs(2)),
             policy_tick: SimDuration::from_millis(250),
-            disk: DiskParams::default(),
-            n_disks: 1,
-            publish_cost: PublishCost::MediaLayer,
-            transport: TransportConfig::default(),
         }
     }
 }
@@ -126,9 +120,10 @@ pub struct RecorderNode {
 impl RecorderNode {
     /// Creates a recorder node.
     pub fn new(node: NodeId, cfg: RecorderConfig) -> Self {
-        let recorder = Recorder::new(node, cfg.disk.clone(), cfg.n_disks, cfg.publish_cost);
-        let manager = RecoveryManager::new(cfg.manager.clone());
-        let transport = Transport::new(node, cfg.transport.clone());
+        // Disk service parameters are Fig 5.2's.
+        let recorder = Recorder::new(node, DiskParams::default(), N_DISKS, PUBLISH_COST);
+        let manager = RecoveryManager::new();
+        let transport = Transport::new(node, TransportConfig::default());
         RecorderNode {
             node,
             cfg,

@@ -361,10 +361,7 @@ fn windowed_transport_recovers_identically() {
     // The §4.3.3 windowing upgrade must not change recovery semantics.
     use publishing_demos::transport::TransportConfig;
     let run = |window: usize| {
-        let transport = TransportConfig {
-            window,
-            ..TransportConfig::default()
-        };
+        let transport = TransportConfig { window };
         let mut w = WorldBuilder::new(2)
             .registry(multi_registry())
             .transport(transport)

@@ -107,7 +107,6 @@ fn recovery_uses_checkpoint_not_initial_state() {
     let cfg = RecorderConfig {
         policy: CheckpointPolicy::Periodic(SimDuration::from_millis(50)),
         policy_tick: SimDuration::from_millis(10),
-        ..RecorderConfig::default()
     };
     let mut w = WorldBuilder::new(2)
         .registry(slow_ping_registry(40, 2000))

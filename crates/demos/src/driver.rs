@@ -1,4 +1,4 @@
-//! Shared load-driver sampling: one home for message sizes and rates.
+//! Shared load-driver sampling: one home for message sizes.
 //!
 //! §5.1 converted the measured VAX trace to a distributed equivalent
 //! with a fixed rule — system calls become *short* messages, I/O
@@ -100,69 +100,6 @@ impl Default for MessageMix {
     }
 }
 
-/// A source of publish work: how many messages are due this tick and
-/// how big each one is. The workload engine's phase-compiled drivers
-/// and the fixed-rate demo programs both implement this, so a harness
-/// can swap offered-load models without touching the publish loop.
-pub trait LoadDriver {
-    /// Number of messages to publish for the tick covering
-    /// `[logical_ms, logical_ms + tick_ms)`.
-    fn publishes_due(&mut self, logical_ms: u64, tick_ms: u64) -> u32;
-    /// Size of the next message body in bytes.
-    fn next_bytes(&mut self) -> usize;
-    /// True once the driver has offered everything it intends to.
-    fn exhausted(&self, logical_ms: u64) -> bool;
-}
-
-/// The trivial fixed-rate driver: `per_sec` messages per logical
-/// second, paper mix, until `horizon_ms`. Fractional per-tick residue
-/// is carried so the offered count is exact over the horizon.
-#[derive(Debug, Clone)]
-pub struct SteadyDriver {
-    /// Messages per logical second.
-    pub per_sec: u32,
-    /// Logical end of the offered load.
-    pub horizon_ms: u64,
-    /// Size mix.
-    pub mix: MessageMix,
-    lcg: u64,
-    carry_milli: u64,
-}
-
-impl SteadyDriver {
-    /// A steady driver at `per_sec` messages/s until `horizon_ms`.
-    pub fn new(per_sec: u32, horizon_ms: u64, seed: u64) -> Self {
-        SteadyDriver {
-            per_sec,
-            horizon_ms,
-            mix: MessageMix::paper(),
-            lcg: seed,
-            carry_milli: 0,
-        }
-    }
-}
-
-impl LoadDriver for SteadyDriver {
-    fn publishes_due(&mut self, logical_ms: u64, tick_ms: u64) -> u32 {
-        if logical_ms >= self.horizon_ms {
-            return 0;
-        }
-        // per_sec msgs/s over tick_ms, accumulated in 1/1000 msg units.
-        self.carry_milli += self.per_sec as u64 * tick_ms;
-        let due = self.carry_milli / 1000;
-        self.carry_milli %= 1000;
-        due as u32
-    }
-
-    fn next_bytes(&mut self) -> usize {
-        self.mix.sample(&mut self.lcg)
-    }
-
-    fn exhausted(&self, logical_ms: u64) -> bool {
-        logical_ms >= self.horizon_ms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,22 +144,6 @@ mod tests {
         let back = MessageMix::decode(&mut d).unwrap();
         d.finish().unwrap();
         assert_eq!(back, mix);
-    }
-
-    #[test]
-    fn steady_driver_offers_exact_total() {
-        let mut d = SteadyDriver::new(7, 1000, 1);
-        let mut total = 0u32;
-        let mut t = 0u64;
-        // Odd tick so the fractional carry is exercised.
-        while !d.exhausted(t) {
-            total += d.publishes_due(t, 33);
-            t += 33;
-        }
-        // 7 msgs/s over the ticks that fit in the horizon.
-        let ticks = 1000u64.div_ceil(33);
-        assert_eq!(total as u64, 7 * 33 * ticks / 1000);
-        assert_eq!(d.publishes_due(t, 33), 0, "past horizon offers nothing");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod sysproc;
 pub mod transport;
 
 pub use costs::CostModel;
-pub use driver::{LoadDriver, MessageMix, CHECKPOINT_BYTES, LONG_BYTES, SHORT_BYTES};
+pub use driver::{MessageMix, CHECKPOINT_BYTES, LONG_BYTES, SHORT_BYTES};
 pub use ids::{Channel, ChannelSet, LinkId, MessageId, NodeId, ProcessId, KERNEL_LOCAL};
 pub use kernel::{decode_ctl, encode_ctl, Kernel, KernelAction, KernelStats};
 pub use link::{Link, LinkTable};

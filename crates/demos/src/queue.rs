@@ -77,13 +77,6 @@ impl MessageQueue {
         })
     }
 
-    /// Returns `true` if some queued message matches `channels`.
-    pub fn has_match(&self, channels: ChannelSet) -> bool {
-        self.items
-            .iter()
-            .any(|m| channels.contains(m.header.channel))
-    }
-
     /// Returns `true` if [`MessageQueue::receive_for_process`] would
     /// succeed (mask match or urgent control message).
     pub fn has_deliverable(&self, channels: ChannelSet) -> bool {
@@ -176,15 +169,6 @@ mod tests {
         q.enqueue(msg(1, 0));
         assert!(q.receive(ChannelSet::of(&[Channel(9)])).is_none());
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn has_match_respects_channels() {
-        let mut q = MessageQueue::new();
-        q.enqueue(msg(1, 3));
-        assert!(q.has_match(ChannelSet::of(&[Channel(3)])));
-        assert!(!q.has_match(ChannelSet::of(&[Channel(4)])));
-        assert!(!q.has_match(ChannelSet::NONE));
     }
 
     fn control(seq: u64) -> Message {

@@ -358,25 +358,22 @@ impl Decode for Wire {
     }
 }
 
+/// Initial retransmission timeout (§4.3.3's one retry timer).
+const RTO: SimDuration = SimDuration::from_millis(20);
+/// Backoff cap for the retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_millis(500);
+
 /// Transport configuration.
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Maximum unacknowledged Data frames per destination node
     /// (1 = the thesis' stop-and-wait).
     pub window: usize,
-    /// Initial retransmission timeout.
-    pub rto: SimDuration,
-    /// Backoff cap for the retransmission timeout.
-    pub max_rto: SimDuration,
 }
 
 impl Default for TransportConfig {
     fn default() -> Self {
-        TransportConfig {
-            window: 1,
-            rto: SimDuration::from_millis(20),
-            max_rto: SimDuration::from_millis(500),
-        }
+        TransportConfig { window: 1 }
     }
 }
 
@@ -669,11 +666,10 @@ impl Transport {
             }
             let payload = Wire::encode_data(self.node, self.incarnation, out.epoch, tseq, &msg);
             actions.push(TAction::Transmit { dst_node, payload });
-            let rto = self.cfg.rto;
-            out.inflight.push_back((tseq, Inflight { msg, rto }));
+            out.inflight.push_back((tseq, Inflight { msg, rto: RTO }));
             let token = self.timers.insert((dst_node, tseq));
             actions.push(TAction::SetTimer {
-                at: now + self.cfg.rto,
+                at: now + RTO,
                 token,
             });
         }
@@ -699,7 +695,7 @@ impl Transport {
         let inf = &mut out.inflight[at].1;
         // Still unacknowledged: resend with doubled (capped) timeout.
         self.stats.retransmits.inc();
-        inf.rto = (inf.rto.saturating_mul(2)).min(self.cfg.max_rto);
+        inf.rto = (inf.rto.saturating_mul(2)).min(MAX_RTO);
         let rto = inf.rto;
         let payload = Wire::encode_data(self.node, self.incarnation, out.epoch, tseq, &inf.msg);
         actions.push(TAction::Transmit { dst_node, payload });
@@ -1193,10 +1189,7 @@ mod tests {
 
     #[test]
     fn windowed_mode_reorders_at_receiver() {
-        let cfg = TransportConfig {
-            window: 4,
-            ..TransportConfig::default()
-        };
+        let cfg = TransportConfig { window: 4 };
         let mut a = Transport::new(NodeId(1), cfg.clone());
         let mut b = Transport::new(NodeId(2), cfg);
         let mut frames = Vec::new();

@@ -71,4 +71,4 @@ pub use slo::SloSpec;
 pub use span::{MessageSpan, MsgKey, SpanEvent, SpanLog, Stage, DEFAULT_SPAN_CAPACITY};
 pub use store::{Interner, RowSpanLog};
 pub use util::{UtilizationReport, WhatIfReport, WhatIfRow, XvalRow};
-pub use watchdog::{Watchdog, WatchdogConfig};
+pub use watchdog::Watchdog;

@@ -82,17 +82,6 @@ impl MetricsRegistry {
         self.map.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Iterates readings under a path prefix (e.g. `"shard/0/"`).
-    pub fn iter_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, MetricValue)> + 'a {
-        self.map
-            .range(prefix.to_string()..)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// Returns the number of readings.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -253,20 +242,6 @@ mod tests {
         r.gauge("inf", f64::INFINITY);
         assert_eq!(r.gauge_value("bad"), Some(0.0));
         assert_eq!(r.gauge_value("inf"), Some(0.0));
-    }
-
-    #[test]
-    fn prefix_iteration() {
-        let mut r = MetricsRegistry::new();
-        r.counter("shard/0/x", 1);
-        r.counter("shard/1/x", 2);
-        r.counter("node/0/x", 3);
-        let shard0: Vec<_> = r
-            .iter_prefix("shard/0/")
-            .map(|(k, _)| k.to_string())
-            .collect();
-        assert_eq!(shard0, ["shard/0/x"]);
-        assert_eq!(r.iter_prefix("shard/").count(), 2);
     }
 
     #[test]

@@ -38,27 +38,14 @@ use crate::registry::MetricsRegistry;
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Virtual-time deadlines for the liveness-flavored checks.
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
-    /// How long an arrival-seq gap may persist before it is a
-    /// violation (covers commits legitimately in flight).
-    pub gap_deadline: SimDuration,
-    /// How long a majority-live group may run leaderless before ack
-    /// gating counts as stalled.
-    pub leaderless_deadline: SimDuration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            // Elections need 80–160 ms of timeouts; a gap outliving
-            // several election rounds is not in-flight work any more.
-            gap_deadline: SimDuration::from_millis(500),
-            leaderless_deadline: SimDuration::from_millis(1_000),
-        }
-    }
-}
+/// How long an arrival-seq gap may persist before it is a violation
+/// (covers commits legitimately in flight). Elections need 80–160 ms of
+/// timeouts; a gap outliving several election rounds is not in-flight
+/// work any more.
+const GAP_DEADLINE: SimDuration = SimDuration::from_millis(500);
+/// How long a majority-live group may run leaderless before ack gating
+/// counts as stalled.
+const LEADERLESS_DEADLINE: SimDuration = SimDuration::from_millis(1_000);
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ArrivalCursor {
@@ -77,7 +64,6 @@ struct ArrivalCursor {
 /// so it runs on a fixed virtual-time cadence.
 #[derive(Debug, Default)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     checks: u64,
     seqs_visited: u64,
     violations: Vec<String>,
@@ -88,12 +74,9 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// Creates a watchdog with the given deadlines.
-    pub fn new(cfg: WatchdogConfig) -> Self {
-        Watchdog {
-            cfg,
-            ..Watchdog::default()
-        }
+    /// Creates a watchdog that has checked nothing yet.
+    pub fn new() -> Self {
+        Watchdog::default()
     }
 
     /// The first arrival sequence of `pid` not yet seen applied (0 for a
@@ -129,9 +112,7 @@ impl Watchdog {
             None => cur.gap_since = None,
             Some(beyond) => {
                 let since = *cur.gap_since.get_or_insert(now);
-                if now.saturating_since(since) > self.cfg.gap_deadline
-                    && cur.reported_at != Some(cur.next)
-                {
+                if now.saturating_since(since) > GAP_DEADLINE && cur.reported_at != Some(cur.next) {
                     cur.reported_at = Some(cur.next);
                     self.violations.push(format!(
                         "watchdog: arrival gap for pid {pid}: seq {} missing while {} applied \
@@ -176,7 +157,7 @@ impl Watchdog {
             return;
         }
         let since = *self.leaderless_since.get_or_insert(now);
-        if now.saturating_since(since) > self.cfg.leaderless_deadline && !self.leaderless_reported {
+        if now.saturating_since(since) > LEADERLESS_DEADLINE && !self.leaderless_reported {
             self.leaderless_reported = true;
             self.violations.push(format!(
                 "watchdog: ack gating stalled: majority live but leaderless since {:.3}ms \
@@ -220,18 +201,11 @@ impl Watchdog {
 mod tests {
     use super::*;
 
-    fn wd() -> Watchdog {
-        Watchdog::new(WatchdogConfig {
-            gap_deadline: SimDuration::from_millis(100),
-            leaderless_deadline: SimDuration::from_millis(200),
-        })
-    }
-
     #[test]
     fn contiguous_arrivals_stay_clean() {
-        let mut w = wd();
+        let mut w = Watchdog::new();
         for t in 0..5u64 {
-            w.scan_arrival_seqs(SimTime::from_millis(t * 300), 7, 0..=t);
+            w.scan_arrival_seqs(SimTime::from_millis(t * 1_500), 7, 0..=t);
         }
         assert!(w.is_clean());
         assert_eq!(w.checks(), 5);
@@ -239,26 +213,28 @@ mod tests {
 
     #[test]
     fn transient_gap_is_tolerated_persistent_gap_fires_once() {
-        let mut w = wd();
-        // seq 1 missing while 2 applied — within deadline, clean.
-        w.scan_arrival_seqs(SimTime::from_millis(10), 7, [0u64, 2].into_iter());
+        let mut w = Watchdog::new();
+        // seq 1 missing while 2 applied — within the 500 ms deadline, clean.
+        w.scan_arrival_seqs(SimTime::from_millis(50), 7, [0u64, 2].into_iter());
         assert!(w.is_clean());
         // Gap heals: cursor advances, timer disarms.
-        w.scan_arrival_seqs(SimTime::from_millis(20), 7, [0u64, 1, 2].into_iter());
+        w.scan_arrival_seqs(SimTime::from_millis(100), 7, [0u64, 1, 2].into_iter());
         assert!(w.is_clean());
         // New gap opens and persists past the deadline.
-        w.scan_arrival_seqs(SimTime::from_millis(30), 7, [0u64, 1, 2, 4].into_iter());
-        w.scan_arrival_seqs(SimTime::from_millis(250), 7, [0u64, 1, 2, 4].into_iter());
+        w.scan_arrival_seqs(SimTime::from_millis(150), 7, [0u64, 1, 2, 4].into_iter());
+        w.scan_arrival_seqs(SimTime::from_millis(600), 7, [0u64, 1, 2, 4].into_iter());
+        assert!(w.is_clean(), "450 ms open is inside the deadline");
+        w.scan_arrival_seqs(SimTime::from_millis(1_250), 7, [0u64, 1, 2, 4].into_iter());
         assert_eq!(w.violations().len(), 1);
         assert!(w.violations()[0].contains("seq 3 missing"));
         // Same stuck gap does not re-fire every scan.
-        w.scan_arrival_seqs(SimTime::from_millis(400), 7, [0u64, 1, 2, 4].into_iter());
+        w.scan_arrival_seqs(SimTime::from_millis(2_000), 7, [0u64, 1, 2, 4].into_iter());
         assert_eq!(w.violations().len(), 1);
     }
 
     #[test]
     fn cursor_lets_a_caller_offer_only_what_is_new() {
-        let mut w = wd();
+        let mut w = Watchdog::new();
         assert_eq!(w.arrival_cursor(7), 0, "never scanned");
         w.scan_arrival_seqs(SimTime::from_millis(10), 7, 0..4);
         assert_eq!((w.arrival_cursor(7), w.seqs_visited()), (4, 4));
@@ -276,7 +252,7 @@ mod tests {
 
     #[test]
     fn commit_index_regression_is_flagged_and_restart_resets() {
-        let mut w = wd();
+        let mut w = Watchdog::new();
         w.observe_commit_index(SimTime::from_millis(1), 0, 5);
         w.observe_commit_index(SimTime::from_millis(2), 0, 9);
         assert!(w.is_clean());
@@ -293,26 +269,26 @@ mod tests {
 
     #[test]
     fn leaderless_majority_past_deadline_is_a_stall() {
-        let mut w = wd();
+        let mut w = Watchdog::new();
         w.observe_leadership(SimTime::from_millis(0), true, true);
-        w.observe_leadership(SimTime::from_millis(10), true, false);
-        w.observe_leadership(SimTime::from_millis(100), true, false);
-        assert!(w.is_clean(), "inside the deadline");
-        w.observe_leadership(SimTime::from_millis(300), true, false);
+        w.observe_leadership(SimTime::from_millis(50), true, false);
+        w.observe_leadership(SimTime::from_millis(1_000), true, false);
+        assert!(w.is_clean(), "inside the 1 000 ms deadline");
+        w.observe_leadership(SimTime::from_millis(1_500), true, false);
         assert_eq!(w.violations().len(), 1);
         assert!(w.violations()[0].contains("leaderless"));
         // Re-arms only after leadership returns.
-        w.observe_leadership(SimTime::from_millis(400), true, false);
+        w.observe_leadership(SimTime::from_millis(2_000), true, false);
         assert_eq!(w.violations().len(), 1);
-        w.observe_leadership(SimTime::from_millis(500), true, true);
-        w.observe_leadership(SimTime::from_millis(510), true, false);
-        w.observe_leadership(SimTime::from_millis(900), true, false);
+        w.observe_leadership(SimTime::from_millis(2_500), true, true);
+        w.observe_leadership(SimTime::from_millis(2_550), true, false);
+        w.observe_leadership(SimTime::from_millis(4_500), true, false);
         assert_eq!(w.violations().len(), 2);
     }
 
     #[test]
     fn minority_live_groups_are_allowed_to_be_leaderless() {
-        let mut w = wd();
+        let mut w = Watchdog::new();
         w.observe_leadership(SimTime::from_millis(0), false, false);
         w.observe_leadership(SimTime::from_secs(10), false, false);
         assert!(w.is_clean());
@@ -320,7 +296,7 @@ mod tests {
 
     #[test]
     fn registry_projection_counts_checks_and_violations() {
-        let mut w = wd();
+        let mut w = Watchdog::new();
         w.observe_commit_index(SimTime::ZERO, 0, 3);
         w.observe_commit_index(SimTime::ZERO, 0, 1);
         let mut reg = MetricsRegistry::new();

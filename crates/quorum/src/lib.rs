@@ -37,6 +37,6 @@ pub mod raft;
 pub mod replica;
 pub mod world;
 
-pub use raft::{Op, QMsg, RaftConfig, RaftCore, RaftOut, RaftStats, ReplicaId, Role};
-pub use replica::{QuorumReplica, ReplicaConfig};
+pub use raft::{Op, QMsg, RaftCore, RaftOut, RaftStats, ReplicaId, Role};
+pub use replica::QuorumReplica;
 pub use world::{QuorumTier, QuorumWorld};

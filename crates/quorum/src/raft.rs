@@ -405,33 +405,19 @@ pub enum RaftOut {
     SteppedDown,
 }
 
-/// Consensus pacing. Defaults sit well inside the chaos driver's grace
-/// window: elections resolve in a few hundred virtual milliseconds.
-#[derive(Debug, Clone)]
-pub struct RaftConfig {
-    /// Leader heartbeat interval.
-    pub heartbeat: SimDuration,
-    /// Minimum election timeout.
-    pub election_min: SimDuration,
-    /// Randomized extra election timeout, in milliseconds.
-    pub election_jitter_ms: u64,
-    /// Max entries per Append.
-    pub max_batch: usize,
-    /// Compact applied entries once the log exceeds this length.
-    pub compact_threshold: usize,
-}
+// Consensus pacing, well inside the chaos driver's grace window:
+// elections resolve in a few hundred virtual milliseconds.
 
-impl Default for RaftConfig {
-    fn default() -> Self {
-        RaftConfig {
-            heartbeat: SimDuration::from_millis(25),
-            election_min: SimDuration::from_millis(80),
-            election_jitter_ms: 80,
-            max_batch: 16,
-            compact_threshold: 256,
-        }
-    }
-}
+/// Leader heartbeat interval.
+const HEARTBEAT: SimDuration = SimDuration::from_millis(25);
+/// Minimum election timeout.
+const ELECTION_MIN: SimDuration = SimDuration::from_millis(80);
+/// Randomized extra election timeout, in milliseconds.
+const ELECTION_JITTER_MS: u64 = 80;
+/// Max entries per Append; what exceeds it rides on the reply.
+const MAX_BATCH: u64 = 16;
+/// Compact applied entries once the log exceeds this length.
+const COMPACT_THRESHOLD: usize = 256;
 
 /// Counters the core maintains (observability).
 #[derive(Debug, Clone, Default)]
@@ -457,7 +443,6 @@ pub struct RaftStats {
 pub struct RaftCore {
     id: ReplicaId,
     n: u32,
-    cfg: RaftConfig,
     rng: DetRng,
     /// Durable term/vote (two-slot NVRAM cell).
     cell: DurableCell,
@@ -495,14 +480,13 @@ pub struct RaftCore {
 
 impl RaftCore {
     /// Creates the core for replica `id` of an `n`-member group.
-    pub fn new(id: ReplicaId, n: u32, seed: u64, cfg: RaftConfig) -> Self {
+    pub fn new(id: ReplicaId, n: u32, seed: u64) -> Self {
         assert!(n >= 1 && id < n, "replica id within group");
         let mut rng = DetRng::new(seed ^ 0x5175_6f72_756d_5261);
         let rng = rng.fork(id as u64);
         RaftCore {
             id,
             n,
-            cfg,
             rng,
             cell: DurableCell::new(),
             term: 0,
@@ -562,11 +546,6 @@ impl RaftCore {
     /// Index of the last log entry.
     pub fn last_index(&self) -> u64 {
         self.snap_index + self.log.len() as u64
-    }
-
-    /// Entries currently retained in memory (post-compaction length).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
     }
 
     /// The snapshot floor (entries at or below it have been compacted).
@@ -638,14 +617,14 @@ impl RaftCore {
     }
 
     fn reset_election_deadline(&mut self, now: SimTime) {
-        let jitter = SimDuration::from_millis(self.rng.below(self.cfg.election_jitter_ms.max(1)));
-        self.election_deadline = now + self.cfg.election_min + jitter;
+        let jitter = SimDuration::from_millis(self.rng.below(ELECTION_JITTER_MS));
+        self.election_deadline = now + ELECTION_MIN + jitter;
     }
 
     /// Begins operation (or resumes after [`RaftCore::restart`]).
     pub fn start(&mut self, now: SimTime) -> Vec<RaftOut> {
         self.reset_election_deadline(now);
-        self.heartbeat_due = now + self.cfg.heartbeat;
+        self.heartbeat_due = now + HEARTBEAT;
         Vec::new()
     }
 
@@ -683,7 +662,7 @@ impl RaftCore {
         match self.role {
             Role::Leader => {
                 if now >= self.heartbeat_due {
-                    self.heartbeat_due = now + self.cfg.heartbeat;
+                    self.heartbeat_due = now + HEARTBEAT;
                     self.repair_from.fill(None);
                     self.replicate_all(&mut out, true);
                 }
@@ -747,7 +726,7 @@ impl RaftCore {
         // every inherited entry committed (Raft §5.4.2: a leader may not
         // count replicas for entries from earlier terms directly).
         self.append_local(Op::Noop);
-        self.heartbeat_due = now + self.cfg.heartbeat;
+        self.heartbeat_due = now + HEARTBEAT;
         self.replicate_all(out, true);
     }
 
@@ -774,7 +753,7 @@ impl RaftCore {
     }
 
     /// Sends each follower the entries it has not been sent, up to
-    /// `max_batch` in one Append; what exceeds that rides on the reply.
+    /// `MAX_BATCH` in one Append; what exceeds that rides on the reply.
     pub fn replicate(&mut self, out: &mut Vec<RaftOut>) {
         if self.role == Role::Leader {
             self.replicate_all(out, false);
@@ -804,7 +783,7 @@ impl RaftCore {
             out.push(RaftOut::NeedSnapshot { to });
             return;
         };
-        let hi = last.min(prev_index + self.cfg.max_batch as u64);
+        let hi = last.min(prev_index + MAX_BATCH);
         let lo = (next - self.snap_index - 1) as usize;
         let entries = self
             .log
@@ -886,7 +865,7 @@ impl RaftCore {
     }
 
     fn maybe_compact(&mut self) {
-        if self.log.len() > self.cfg.compact_threshold && self.applied > self.snap_index {
+        if self.log.len() > COMPACT_THRESHOLD && self.applied > self.snap_index {
             self.compact_to_applied();
         }
     }
@@ -1207,9 +1186,7 @@ mod tests {
 
     impl Net {
         fn new(n: u32) -> Self {
-            let mut cores: Vec<RaftCore> = (0..n)
-                .map(|i| RaftCore::new(i, n, 7, RaftConfig::default()))
-                .collect();
+            let mut cores: Vec<RaftCore> = (0..n).map(|i| RaftCore::new(i, n, 7)).collect();
             for c in &mut cores {
                 c.start(SimTime::ZERO);
             }
@@ -1694,26 +1671,14 @@ mod tests {
 
     #[test]
     fn compaction_triggers_snapshot_catchup() {
-        let cfg = RaftConfig {
-            compact_threshold: 8,
-            ..RaftConfig::default()
-        };
-        let mut cores: Vec<RaftCore> = (0..3)
-            .map(|i| RaftCore::new(i, 3, 7, cfg.clone()))
-            .collect();
-        for c in &mut cores {
-            c.start(SimTime::ZERO);
-        }
-        let mut net = Net {
-            cores,
-            down: vec![false; 3],
-            applied: vec![Vec::new(); 3],
-        };
+        let mut net = Net::new(3);
         net.run(0, 500);
         let l = net.leader().expect("leader");
         let lagger = (0..3).find(|&i| i != l).unwrap();
         net.down[lagger] = true;
-        for i in 0..40u64 {
+        // Drive the log past the compaction threshold.
+        let n = COMPACT_THRESHOLD as u64 + 32;
+        for i in 0..n {
             let mut out = Vec::new();
             net.cores[l].propose(Op::Sequence {
                 seq: i,
@@ -1723,17 +1688,21 @@ mod tests {
             net.dispatch(SimTime::from_millis(500 + i), l as u32, out);
         }
         // Run long enough for ticks to compact the applied prefix.
-        net.run(540, 900);
+        net.run(500 + n, 900 + n);
         assert!(
             net.cores[l].snap_index() > 0,
             "leader compacted its applied prefix"
         );
         // The lagging replica heals and catches up via snapshot.
         net.down[lagger] = false;
-        net.run(900, 1400);
+        net.run(900 + n, 1400 + n);
         assert!(
             net.cores[lagger].commit_index() >= net.cores[l].snap_index(),
             "lagger caught up at least to the snapshot floor"
+        );
+        assert!(
+            net.cores[l].stats().snapshots_sent > 0,
+            "through a snapshot"
         );
     }
 }

@@ -19,7 +19,7 @@
 //! the same way, for the same reason.
 
 use crate::codec::{decode_exports, encode_exports};
-use crate::raft::{Op, QMsg, RaftConfig, RaftCore, RaftOut, ReplicaId, Role};
+use crate::raft::{Op, QMsg, RaftCore, RaftOut, ReplicaId, Role};
 use publishing_core::node::{RNAction, RecorderConfig, RecorderNode};
 use publishing_demos::ids::{MessageId, NodeId, ProcessId};
 use publishing_demos::transport::Wire;
@@ -58,37 +58,17 @@ pub(crate) fn applied_slot(
     &mut slots[seq]
 }
 
-/// Configuration for one quorum replica.
-#[derive(Debug, Clone)]
-pub struct ReplicaConfig {
-    /// Recorder group id (carried in every `Wire::Quorum` frame).
-    pub group: u32,
-    /// Consensus pacing.
-    pub raft: RaftConfig,
-    /// The grid consensus deadlines are rounded up to: the core's
-    /// election and heartbeat timers fire on multiples of this after the
-    /// replica's (re)start.
-    pub tick: SimDuration,
-    /// Inner recorder-node configuration.
-    pub node: RecorderConfig,
-}
-
-impl Default for ReplicaConfig {
-    fn default() -> Self {
-        ReplicaConfig {
-            group: 0,
-            raft: RaftConfig::default(),
-            tick: SimDuration::from_millis(10),
-            node: RecorderConfig::default(),
-        }
-    }
-}
+/// Recorder group id, carried in every `Wire::Quorum` frame. A world
+/// has one recorder group; a frame naming another is still ignored.
+const GROUP: u32 = 0;
+/// The grid consensus deadlines are rounded up to: the core's election
+/// and heartbeat timers fire on multiples of this after the replica's
+/// (re)start.
+const TICK: SimDuration = SimDuration::from_millis(10);
 
 /// A recorder-quorum replica: recorder node + consensus core.
 pub struct QuorumReplica {
     id: ReplicaId,
-    group: u32,
-    tick: SimDuration,
     node: RecorderNode,
     raft: RaftCore,
     /// Node id of each group member, indexed by replica id.
@@ -140,9 +120,9 @@ pub struct QuorumReplica {
 impl QuorumReplica {
     /// Creates replica `id` of a group whose members live on `peers`
     /// (indexed by replica id; `peers[id]` is this replica's own node).
-    pub fn new(id: ReplicaId, peers: Vec<NodeId>, seed: u64, cfg: ReplicaConfig) -> Self {
+    pub fn new(id: ReplicaId, peers: Vec<NodeId>, seed: u64) -> Self {
         assert!((id as usize) < peers.len());
-        let mut node = RecorderNode::new(peers[id as usize], cfg.node.clone());
+        let mut node = RecorderNode::new(peers[id as usize], RecorderConfig::default());
         node.set_deferred_sequencing(true);
         node.set_checkpoint_duty(false);
         let leader_flag = Arc::new(AtomicBool::new(false));
@@ -152,11 +132,9 @@ impl QuorumReplica {
         let responsible: publishing_core::recorder::PidFilter =
             Arc::new(move |_pid| flag.load(Ordering::Relaxed));
         node.set_shard_filters(None, Some(responsible));
-        let raft = RaftCore::new(id, peers.len() as u32, seed, cfg.raft.clone());
+        let raft = RaftCore::new(id, peers.len() as u32, seed);
         QuorumReplica {
             id,
-            group: cfg.group,
-            tick: cfg.tick,
             node,
             raft,
             peers,
@@ -189,11 +167,6 @@ impl QuorumReplica {
     /// This replica's id within the group.
     pub fn id(&self) -> ReplicaId {
         self.id
-    }
-
-    /// The group id.
-    pub fn group(&self) -> u32 {
-        self.group
     }
 
     /// This replica's station.
@@ -276,8 +249,8 @@ impl QuorumReplica {
         let due = self.raft.deadline().max(now + SimDuration::from_nanos(1));
         let steps = (due - self.grid_origin)
             .as_nanos()
-            .div_ceil(self.tick.as_nanos());
-        let at = self.grid_origin + self.tick * steps;
+            .div_ceil(TICK.as_nanos());
+        let at = self.grid_origin + TICK * steps;
         if self.armed_at.is_some_and(|armed| armed <= at) {
             return;
         }
@@ -294,7 +267,7 @@ impl QuorumReplica {
         Frame::new(
             self.station(),
             Destination::Station(StationId(self.peers[to as usize].0)),
-            Wire::encode_quorum(self.node.node(), self.group, msg),
+            Wire::encode_quorum(self.node.node(), GROUP, msg),
         )
     }
 
@@ -500,7 +473,7 @@ impl QuorumReplica {
         let Ok(Wire::Quorum { group, payload, .. }) = frame.decode_payload::<Wire>() else {
             return;
         };
-        if group == self.group {
+        if group == GROUP {
             if let Ok(qmsg) = QMsg::decode_all(&payload) {
                 let routs = self.raft.on_msg(now, qmsg);
                 self.process(now, routs, out);
@@ -576,7 +549,7 @@ mod tests {
         let peers: Vec<NodeId> = (2..5).map(NodeId).collect();
         (0..3)
             .map(|i| {
-                let mut r = QuorumReplica::new(i, peers.clone(), 7, ReplicaConfig::default());
+                let mut r = QuorumReplica::new(i, peers.clone(), 7);
                 r.start(SimTime::ZERO, &[], &mut Vec::new());
                 r
             })

@@ -9,7 +9,7 @@
 //! survives the crash of any minority — including the leader, mid-
 //! commit — without losing or duplicating an arrival sequence.
 
-use crate::replica::{AppliedLog, QuorumReplica, ReplicaConfig};
+use crate::replica::{AppliedLog, QuorumReplica};
 use publishing_core::node::{RNAction, RecorderNode};
 use publishing_core::world::{RecorderTier, World, WorldBuilder};
 use publishing_demos::ids::{MessageId, NodeId, ProcessId};
@@ -19,7 +19,7 @@ use publishing_net::lan::RecorderRouter;
 use publishing_obs::probe::{QuorumHealth, RecoveryLag};
 use publishing_obs::registry::MetricsRegistry;
 use publishing_obs::report::{ConsensusStats, ObsReport, WatchdogSummary};
-use publishing_obs::watchdog::{Watchdog, WatchdogConfig};
+use publishing_obs::watchdog::Watchdog;
 use publishing_sim::ledger::{ResourceKind, ResourceUsage, Timeline};
 use publishing_sim::stats::LogHistogram;
 use publishing_sim::time::{SimDuration, SimTime};
@@ -298,14 +298,14 @@ impl QuorumTier {
             .map(|i| {
                 // Fork the seed per replica so election timeouts diverge.
                 let seed = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(i) + 1);
-                QuorumReplica::new(i, peer_nodes.clone(), seed, ReplicaConfig::default())
+                QuorumReplica::new(i, peer_nodes.clone(), seed)
             })
             .collect();
         builder.build_with(QuorumTier {
             replicas,
             term_leaders: BTreeMap::new(),
             election_violations: Vec::new(),
-            watchdog: Watchdog::new(WatchdogConfig::default()),
+            watchdog: Watchdog::new(),
             next_watchdog_scan: SimTime::ZERO,
             leaderless: Timeline::new(),
             leaderless_since: None,
@@ -732,10 +732,6 @@ mod tests {
     #[test]
     fn incremental_scan_matches_the_full_union_scan() {
         use publishing_sim::rng::DetRng;
-        let cfg = WatchdogConfig {
-            gap_deadline: SimDuration::from_millis(100),
-            ..WatchdogConfig::default()
-        };
         let pids = [
             ProcessId::new(0, 1),
             ProcessId::new(0, 2),
@@ -745,7 +741,7 @@ mod tests {
         for seed in 0..300 {
             let mut rng = DetRng::new(seed);
             let mut logs: Vec<(bool, AppliedLog)> = vec![(true, AppliedLog::new()); 3];
-            let (mut incremental, mut reference) = (Watchdog::new(cfg), Watchdog::new(cfg));
+            let (mut incremental, mut reference) = (Watchdog::new(), Watchdog::new());
             let mut frontier = [0u64; 3];
             let mut now = SimTime::ZERO;
             for _ in 0..200 {
@@ -772,7 +768,8 @@ mod tests {
                         let r = rng.index(3);
                         logs[r].0 = !logs[r].0;
                     }
-                    6 | 7 => now += SimDuration::from_millis(rng.below(60)),
+                    // Steps of up to 300 ms against the 500 ms gap deadline.
+                    6 | 7 => now += SimDuration::from_millis(5 * rng.below(60)),
                     _ => {
                         let live = logs.iter().filter(|(up, _)| *up).map(|(_, log)| log);
                         scan_new_arrivals(&mut incremental, now, live.clone());
@@ -818,7 +815,7 @@ mod tests {
                 *applied_slot(log, pid, seq) = Some(mid(seq));
             }
         }
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         scan_new_arrivals(&mut wd, SimTime::from_millis(25), logs.iter());
         assert_eq!(wd.seqs_visited(), 1_000);
         assert_eq!(wd.arrival_cursor(pid.as_u64()), 1_000);
@@ -829,7 +826,7 @@ mod tests {
         scan_new_arrivals(&mut wd, SimTime::from_millis(75), logs.iter());
         assert_eq!(wd.seqs_visited(), 1_001, "one applied, one visited");
         // The scan it replaced walks all of history every time.
-        let mut old = Watchdog::new(WatchdogConfig::default());
+        let mut old = Watchdog::new();
         scan_full_union(&mut old, SimTime::from_millis(25), logs.iter());
         scan_full_union(&mut old, SimTime::from_millis(50), logs.iter());
         assert_eq!(old.seqs_visited(), 2_002);

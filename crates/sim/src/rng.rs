@@ -146,14 +146,6 @@ impl DetRng {
         self.below(len as u64) as usize
     }
 
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
-    }
-
     /// Samples an index from a discrete distribution given by weights.
     ///
     /// # Panics
@@ -269,16 +261,6 @@ mod tests {
         }
         assert_eq!(counts[1], 0);
         assert!(counts[2] > counts[0] * 5);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = DetRng::new(12);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -344,7 +344,6 @@ impl LinearHistogram {
 pub struct Utilization {
     busy_since: Option<SimTime>,
     busy_total: SimDuration,
-    window_start: SimTime,
     busy_periods: u64,
     timeline: Timeline,
 }
@@ -361,7 +360,6 @@ impl Utilization {
         Utilization {
             busy_since: None,
             busy_total: SimDuration::ZERO,
-            window_start: SimTime::ZERO,
             busy_periods: 0,
             timeline: Timeline::new(),
         }
@@ -418,9 +416,10 @@ impl Utilization {
         self.busy_periods
     }
 
-    /// Returns busy time divided by elapsed window time, in `[0, 1]`.
+    /// Returns busy time divided by the time elapsed since zero, in
+    /// `[0, 1]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
-        let window = now.saturating_since(self.window_start);
+        let window = now.saturating_since(SimTime::ZERO);
         if window == SimDuration::ZERO {
             return 0.0;
         }
@@ -443,17 +442,6 @@ impl Utilization {
             t.add_busy(since, now);
         }
         t
-    }
-
-    /// Resets the measurement window to start at `now` (busy state is
-    /// preserved; accumulated busy time and the timeline are cleared).
-    pub fn reset_window(&mut self, now: SimTime) {
-        self.busy_total = SimDuration::ZERO;
-        self.window_start = now;
-        self.timeline = Timeline::new();
-        if self.busy_since.is_some() {
-            self.busy_since = Some(now);
-        }
     }
 }
 
@@ -549,15 +537,6 @@ mod tests {
     }
 
     #[test]
-    fn window_reset_clears_history() {
-        let mut u = Utilization::new();
-        u.set_busy(SimTime::ZERO);
-        u.set_idle(SimTime::from_millis(10));
-        u.reset_window(SimTime::from_millis(10));
-        assert_eq!(u.utilization(SimTime::from_millis(20)), 0.0);
-    }
-
-    #[test]
     fn zero_window_reports_zero() {
         let u = Utilization::new();
         assert_eq!(u.utilization(SimTime::ZERO), 0.0);
@@ -583,18 +562,6 @@ mod tests {
         }
         assert_eq!(h.summary().count(), 0);
         assert_eq!(h.summary().mean(), 0.0);
-    }
-
-    #[test]
-    fn zero_duration_window_after_reset_reports_zero() {
-        let mut u = Utilization::new();
-        u.set_busy(SimTime::ZERO);
-        u.set_idle(SimTime::from_millis(7));
-        u.reset_window(SimTime::from_millis(7));
-        // The window has zero width: utilization must be 0, not NaN or inf.
-        let util = u.utilization(SimTime::from_millis(7));
-        assert_eq!(util, 0.0);
-        assert!(util.is_finite());
     }
 
     #[test]
@@ -773,14 +740,5 @@ mod tests {
         assert_eq!(u.timeline().busy_total(), SimDuration::from_millis(5));
         let t = u.timeline_as_of(SimTime::from_millis(12));
         assert_eq!(t.busy_total(), SimDuration::from_millis(7));
-    }
-
-    #[test]
-    fn utilization_reset_clears_timeline() {
-        let mut u = Utilization::new();
-        u.set_busy(SimTime::ZERO);
-        u.set_idle(SimTime::from_millis(3));
-        u.reset_window(SimTime::from_millis(3));
-        assert!(u.timeline().is_empty());
     }
 }

@@ -67,11 +67,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Returns the duration since `earlier`, or `None` if `earlier > self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Adds a duration, saturating at [`SimTime::MAX`].
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -112,15 +107,6 @@ impl SimDuration {
         let ns = s * 1e9;
         assert!(ns <= u64::MAX as f64, "duration overflow: {s}s");
         SimDuration(ns.round() as u64)
-    }
-
-    /// Creates a duration from fractional milliseconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ms` is negative, NaN, or too large to represent.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
     }
 
     /// Returns the raw nanosecond count.
@@ -289,7 +275,6 @@ mod tests {
         let b = SimTime::from_millis(2);
         assert_eq!(b.saturating_since(a), SimDuration::from_millis(1));
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(a.checked_since(b), None);
     }
 
     #[test]
@@ -297,10 +282,6 @@ mod tests {
         let d = SimDuration::from_secs_f64(0.0031);
         assert_eq!(d, SimDuration::from_micros(3_100));
         assert!((d.as_millis_f64() - 3.1).abs() < 1e-9);
-        assert_eq!(
-            SimDuration::from_millis_f64(1.6),
-            SimDuration::from_micros(1_600)
-        );
     }
 
     #[test]

@@ -157,7 +157,6 @@ fn main() {
     let rc = RecorderConfig {
         policy: CheckpointPolicy::Periodic(SimDuration::from_millis(40)),
         policy_tick: SimDuration::from_millis(10),
-        ..RecorderConfig::default()
     };
     let mut world = WorldBuilder::new(3).registry(registry).recorder(rc).build();
 

@@ -153,7 +153,6 @@ fn checkpointed_world_equivalent_to_uncheckpointed() {
         let rc = RecorderConfig {
             policy,
             policy_tick: SimDuration::from_millis(20),
-            ..RecorderConfig::default()
         };
         let mut w = WorldBuilder::new(3)
             .registry(chatter_registry(5))
