@@ -121,7 +121,7 @@ fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
         g.len(),
         g.edges().len(),
         elect_gates,
-        w.span_logs().len()
+        w.span_logs().count()
     );
     if smoke && elect_gates == 0 {
         fail("failover run built no election-gate edges");
@@ -183,7 +183,7 @@ pub(super) fn run(flags: &Flags) {
         "causal graph: {} events, {} edges over {} logs",
         g.len(),
         g.edges().len(),
-        w.span_logs().len()
+        w.span_logs().count()
     );
 
     // 1. Explain: the requested (or most interesting) message's chain.

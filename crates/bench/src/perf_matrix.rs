@@ -151,7 +151,7 @@ fn obs_overhead(p: &Sizing) -> ScenarioSnapshot {
     let mut w = build_world(p);
     w.run_until(p.horizon);
 
-    let logs = w.span_logs();
+    let logs: Vec<_> = w.span_logs().collect();
     let events: Vec<Vec<_>> = logs.iter().map(|l| l.events().collect()).collect();
     for l in &logs {
         assert_eq!(

@@ -70,7 +70,7 @@ fn crash_replay_trace_covers_lifecycle_stages_and_round_trips() {
         assert!(t.has_stage(stage), "missing lifecycle stage {stage:?}");
     }
     // One metadata row per component plus the message-lifecycle lane.
-    assert_eq!(t.count_phase('M'), w.span_logs().len() + 1);
+    assert_eq!(t.count_phase('M'), w.span_logs().count() + 1);
     // Stage-gap slices exist (publish→capture etc.).
     assert!(t.count_phase('X') > 0);
 

@@ -443,7 +443,8 @@ pub trait ChaosWorld {
     /// `chaos/disk/torn_writes`).
     fn metrics(&self) -> MetricsRegistry;
     /// The target world's full observability report, with the chaos
-    /// counters of [`ChaosWorld::metrics`] merged into its registry.
+    /// counters of [`ChaosWorld::metrics`] added to the registry the
+    /// world's report already holds.
     fn obs_report(&self) -> publishing_obs::report::ObsReport;
     /// Every component's span events, one list per log, in the world's
     /// deterministic log order — the input to causal-graph construction
@@ -656,6 +657,28 @@ impl<T: ChaosTier> Target<T> {
             RunState::Ready | RunState::Waiting => None,
         }
     }
+
+    /// Files the chaos counters into `reg`: `chaos/injected/<kind>` per
+    /// injected fault kind, plus the fault-consumption counters the
+    /// injections drove.
+    fn chaos_counters(&self, reg: &mut MetricsRegistry) {
+        for (kind, n) in &self.injected {
+            reg.counter(format!("chaos/injected/{kind}"), *n);
+        }
+        let (mut retries, mut transient, mut torn) = (0u64, 0u64, 0u64);
+        for rn in self.w.member_nodes() {
+            let store = rn.recorder().store();
+            retries += store.stats().io_retries.get();
+            for i in 0..store.n_disks() {
+                let d = store.disk_stats(i);
+                transient += d.transient_errors.get();
+                torn += d.torn_writes.get();
+            }
+        }
+        reg.counter("chaos/disk/io_retries", retries);
+        reg.counter("chaos/disk/transient_errors", transient);
+        reg.counter("chaos/disk/torn_writes", torn);
+    }
 }
 
 impl<T: ChaosTier> ChaosWorld for Target<T> {
@@ -781,37 +804,18 @@ impl<T: ChaosTier> ChaosWorld for Target<T> {
 
     fn metrics(&self) -> MetricsRegistry {
         let mut reg = self.w.collect_metrics();
-        for (kind, n) in &self.injected {
-            reg.counter(format!("chaos/injected/{kind}"), *n);
-        }
-        let (mut retries, mut transient, mut torn) = (0u64, 0u64, 0u64);
-        for rn in self.w.member_nodes() {
-            let store = rn.recorder().store();
-            retries += store.stats().io_retries.get();
-            for i in 0..store.n_disks() {
-                let d = store.disk_stats(i);
-                transient += d.transient_errors.get();
-                torn += d.torn_writes.get();
-            }
-        }
-        reg.counter("chaos/disk/io_retries", retries);
-        reg.counter("chaos/disk/transient_errors", transient);
-        reg.counter("chaos/disk/torn_writes", torn);
+        self.chaos_counters(&mut reg);
         reg
     }
 
     fn obs_report(&self) -> publishing_obs::report::ObsReport {
         let mut report = self.w.obs_report();
-        report.metrics = self.metrics();
+        self.chaos_counters(&mut report.metrics);
         report
     }
 
     fn span_events(&self) -> Vec<Vec<publishing_obs::span::SpanEvent>> {
-        self.w
-            .span_logs()
-            .iter()
-            .map(|l| l.events().collect())
-            .collect()
+        self.w.span_logs().map(|l| l.events().collect()).collect()
     }
 
     fn quorum_leader(&self) -> Option<usize> {

@@ -315,6 +315,36 @@ fn fault_injections_surface_as_metrics_counters() {
 }
 
 #[test]
+fn a_chaos_report_keeps_the_worlds_critical_path_metrics() {
+    // The chaos counters join the registry the world's report built;
+    // replacing it would drop the `critical_path/*` the world filed.
+    let sched = FaultSchedule {
+        workload_seed: 15,
+        horizon_ms: 800,
+        faults: vec![Fault::CrashNode {
+            at_ms: 200,
+            node: 1,
+        }],
+    };
+    let mut t = Scenario::new(Topology::Single, 15).build();
+    run_schedule(t.as_mut(), &sched);
+    assert!(t.recoveries_completed() > 0, "the crash was recovered");
+    let report = t.obs_report();
+    let cp = report
+        .critical_path
+        .as_ref()
+        .expect("a completed recovery has a path");
+    assert_eq!(
+        report.metrics.gauge_value("critical_path/total_ms"),
+        Some(cp.total().as_millis_f64())
+    );
+    assert_eq!(
+        report.metrics.counter_value("chaos/injected/crash_node"),
+        Some(1)
+    );
+}
+
+#[test]
 fn injected_bug_shrinks_to_a_minimal_deterministic_reproducer() {
     // Self-test flag: the oracle treats any completed recovery as a
     // bug. A noisy multi-fault schedule must shrink to a reproducer of

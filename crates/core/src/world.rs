@@ -853,16 +853,15 @@ impl<T: RecorderTier> World<T> {
     }
 
     /// The tier's member recorder nodes, by index.
-    pub fn member_nodes(&self) -> impl Iterator<Item = &RecorderNode> {
+    pub fn member_nodes(&self) -> impl Iterator<Item = &RecorderNode> + Clone {
         (0..self.tier.members()).map(|i| self.tier.node(i))
     }
 
     /// Every span log in the world, in deterministic order: kernels by
     /// node id, then tier members by index.
-    pub fn span_logs(&self) -> Vec<&SpanLog> {
-        let mut logs: Vec<_> = self.kernels.iter().map(|k| k.spans()).collect();
-        logs.extend(self.member_nodes().map(|rn| rn.recorder().spans()));
-        logs
+    pub fn span_logs(&self) -> impl Iterator<Item = &SpanLog> + Clone {
+        let kernels = self.kernels.iter().map(|k| k.spans());
+        kernels.chain(self.member_nodes().map(|rn| rn.recorder().spans()))
     }
 
     /// Caps every component span log (kernels and tier members) at
@@ -930,12 +929,8 @@ impl<T: RecorderTier> World<T> {
     pub fn obs_report(&self) -> ObsReport {
         let now = self.now();
         let horizon = now.saturating_since(SimTime::ZERO);
-        // The assembled message spans are the report's largest
-        // temporary and only the stage latencies read them: build and
-        // drop them before anything else of the report is on the heap.
-        let latencies = publishing_obs::profile::stage_latencies(&publishing_obs::span::assemble(
-            self.span_logs(),
-        ));
+        let logs = self.span_logs();
+        let latencies = publishing_obs::profile::stage_latencies(logs.clone());
         let mut profile = publishing_obs::profile::TimeProfile::new();
         let mut kernel_cpu = SimDuration::ZERO;
         for k in &self.kernels {
@@ -957,7 +952,8 @@ impl<T: RecorderTier> World<T> {
 
         let mut metrics = self.collect_metrics();
         let mut recovery = self.recovery_lags();
-        let graph = (!self.recovered.is_empty()).then(|| self.causal_graph());
+        let graph = (!self.recovered.is_empty())
+            .then(|| publishing_obs::causal::CausalGraph::build(logs.clone()));
         if let Some(g) = &graph {
             for lag in &mut recovery {
                 let Some(&done) = self.recovered.get(&lag.subject) else {
@@ -980,7 +976,6 @@ impl<T: RecorderTier> World<T> {
             cp.into_registry(&mut metrics);
         }
 
-        let logs = self.span_logs();
         let mut report = ObsReport {
             schema: publishing_obs::report::REPORT_SCHEMA_VERSION,
             at_ms: now.as_millis_f64(),
@@ -1000,8 +995,8 @@ impl<T: RecorderTier> World<T> {
                     all.merge(&h);
                     all
                 }),
-            spans_total: logs.iter().map(|l| l.total()).sum(),
-            span_fingerprint: self.obs_fingerprint(),
+            spans_total: logs.clone().map(|l| l.total()).sum(),
+            span_fingerprint: publishing_obs::span::combined_fingerprint(logs),
             critical_path,
             quorum: Vec::new(),
             consensus: None,

@@ -8,11 +8,11 @@
 //!   recorder's disk busy".
 //! - [`StageLatencies`] measures per-message *elapsed* virtual time
 //!   between lifecycle stages (publish → capture → sequence → deliver),
-//!   computed from assembled spans, so recorder service time decomposes
-//!   into its stages.
+//!   folded straight from the component span logs, so recorder service
+//!   time decomposes into its stages.
 
 use crate::registry::MetricsRegistry;
-use crate::span::{MessageSpan, MsgKey, Stage};
+use crate::span::{misses_prerequisite, SpanLog, Stage};
 use publishing_sim::stats::LogHistogram;
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -98,7 +98,7 @@ pub struct StageLatencies {
     /// Messages whose span contains a suppress event.
     pub suppressed: u64,
     /// Spans excluded from the histograms because ring eviction dropped
-    /// their early events ([`MessageSpan::partial`]).
+    /// their early events ([`crate::span::MessageSpan::partial`]).
     pub partial: u64,
 }
 
@@ -106,27 +106,160 @@ fn gap_us(from: SimTime, to: SimTime) -> u64 {
     to.saturating_since(from).as_nanos() / 1_000
 }
 
-/// Computes stage latencies from assembled spans.
-pub fn stage_latencies(spans: &BTreeMap<MsgKey, MessageSpan>) -> StageLatencies {
+/// What the stage latencies read of one message: the first instant of
+/// each timed stage (publish, capture, sequence, deliver) and which of
+/// the six message stages occurred, one bit per `Stage as u8`.
+#[derive(Clone, Copy)]
+struct Firsts {
+    at: [SimTime; 4],
+    seen: u8,
+}
+
+impl Firsts {
+    const NONE: Firsts = Firsts {
+        at: [SimTime::MAX; 4],
+        seen: 0,
+    };
+
+    fn has(&self, stage: Stage) -> bool {
+        self.seen & (1 << stage as u8) != 0
+    }
+
+    fn first(&self, stage: Stage) -> Option<SimTime> {
+        self.has(stage).then(|| self.at[stage as usize])
+    }
+}
+
+/// One sender's messages in `key.seq` order. A sender numbers its
+/// messages densely, so they are normally a vector indexed by
+/// `key.seq - base`: as long as the range of the sender's retained
+/// sequence numbers, not as long as its highest one. A lane whose range
+/// would outgrow the fold's slot budget becomes a map instead.
+enum Lane {
+    Dense { base: u64, slots: Vec<Firsts> },
+    Sparse(BTreeMap<u64, Firsts>),
+}
+
+impl Lane {
+    /// The entry for `seq`, drawing new dense slots from `room`.
+    fn slot(&mut self, seq: u64, room: &mut u64) -> &mut Firsts {
+        let held = matches!(self, Lane::Dense { base, slots }
+            if seq.wrapping_sub(*base) < slots.len() as u64);
+        if !held {
+            self.widen(seq, room);
+        }
+        match self {
+            Lane::Dense { base, slots } => &mut slots[(seq - *base) as usize],
+            Lane::Sparse(map) => map.entry(seq).or_insert(Firsts::NONE),
+        }
+    }
+
+    /// Grows a dense lane to cover `seq`, or turns it sparse if that
+    /// would take more than `room` new slots.
+    fn widen(&mut self, seq: u64, room: &mut u64) {
+        let Lane::Dense { base, slots } = self else {
+            return;
+        };
+        // One past the highest sequence number can be 2^64.
+        let (lo, hi) = match slots.len() as u128 {
+            0 => (seq, u128::from(seq) + 1),
+            len => (
+                (*base).min(seq),
+                (u128::from(*base) + len).max(u128::from(seq) + 1),
+            ),
+        };
+        let grow = hi - u128::from(lo) - slots.len() as u128;
+        if grow > u128::from(*room) {
+            *room += slots.len() as u64;
+            let held = slots.iter().enumerate().filter(|(_, m)| m.seen != 0);
+            *self = Lane::Sparse(held.map(|(i, m)| (*base + i as u64, *m)).collect());
+            return;
+        }
+        *room -= grow as u64;
+        if !slots.is_empty() && seq < *base {
+            slots.splice(0..0, (seq..*base).map(|_| Firsts::NONE));
+        }
+        *base = lo;
+        slots.resize((hi - u128::from(lo)) as usize, Firsts::NONE);
+    }
+
+    fn msgs(&self) -> impl Iterator<Item = &Firsts> {
+        let (dense, sparse) = match self {
+            Lane::Dense { slots, .. } => (&slots[..], None),
+            Lane::Sparse(map) => (&[][..], Some(map)),
+        };
+        dense
+            .iter()
+            .chain(sparse.into_iter().flat_map(|m| m.values()))
+    }
+}
+
+/// Computes stage latencies straight from the component logs, in one
+/// pass over their retained events.
+///
+/// Equal to reading each message's [`crate::span::MessageSpan`] of
+/// [`crate::span::assemble`] — `first` is the earliest event of a stage,
+/// `partial` is marked exactly as `assemble` marks it, and the
+/// histograms are fed in [`crate::span::MsgKey`] order (their `Summary`
+/// is Welford, so the order decides the last bits) — without building
+/// the spans. Checkpoint and election rows carry no message stage and
+/// are skipped. Dense lanes never hold more than two slots per event
+/// read (plus 64).
+pub fn stage_latencies<'a>(logs: impl IntoIterator<Item = &'a SpanLog>) -> StageLatencies {
+    let mut room = 64;
+    let mut evicted = false;
+    // Sorted by sender; `last` caches the lane of the previous event.
+    let mut lanes: Vec<(u64, Lane)> = Vec::new();
+    let mut last = 0;
+    for l in logs {
+        evicted |= l.dropped() > 0;
+        for e in l.events() {
+            room += 2;
+            if e.stage > Stage::Suppress {
+                continue;
+            }
+            if !matches!(lanes.get(last), Some((sender, _)) if *sender == e.key.sender) {
+                last = lanes
+                    .binary_search_by_key(&e.key.sender, |(sender, _)| *sender)
+                    .unwrap_or_else(|i| {
+                        let lane = Lane::Dense {
+                            base: 0,
+                            slots: Vec::new(),
+                        };
+                        lanes.insert(i, (e.key.sender, lane));
+                        i
+                    });
+            }
+            let m = lanes[last].1.slot(e.key.seq, &mut room);
+            m.seen |= 1 << e.stage as u8;
+            if let Some(at) = m.at.get_mut(e.stage as usize) {
+                *at = (*at).min(e.at);
+            }
+        }
+    }
     let mut out = StageLatencies::default();
-    for span in spans.values() {
-        if span.partial {
+    for m in lanes
+        .iter()
+        .flat_map(|(_, l)| l.msgs())
+        .filter(|m| m.seen != 0)
+    {
+        if m.has(Stage::Replay) {
+            out.replayed += 1;
+        }
+        if m.has(Stage::Suppress) {
+            out.suppressed += 1;
+        }
+        if evicted && misses_prerequisite(|st| m.has(st)) {
             // An evicted prefix makes every stage gap fiction (a missing
             // publish would read as a near-zero or negative latency), so
             // partial spans are counted but never sampled.
             out.partial += 1;
-            if span.has(Stage::Replay) {
-                out.replayed += 1;
-            }
-            if span.has(Stage::Suppress) {
-                out.suppressed += 1;
-            }
             continue;
         }
-        let publish = span.first(Stage::Publish);
-        let capture = span.first(Stage::Capture);
-        let sequence = span.first(Stage::Sequence);
-        let deliver = span.first(Stage::Deliver);
+        let publish = m.first(Stage::Publish);
+        let capture = m.first(Stage::Capture);
+        let sequence = m.first(Stage::Sequence);
+        let deliver = m.first(Stage::Deliver);
         if let (Some(p), Some(c)) = (publish, capture) {
             out.publish_to_capture_us.record(gap_us(p, c));
         }
@@ -135,12 +268,6 @@ pub fn stage_latencies(spans: &BTreeMap<MsgKey, MessageSpan>) -> StageLatencies 
         }
         if let (Some(p), Some(d)) = (publish, deliver) {
             out.publish_to_deliver_us.record(gap_us(p, d));
-        }
-        if span.has(Stage::Replay) {
-            out.replayed += 1;
-        }
-        if span.has(Stage::Suppress) {
-            out.suppressed += 1;
         }
     }
     out
@@ -187,7 +314,7 @@ impl StageLatencies {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{assemble, SpanLog};
+    use crate::span::{assemble, MsgKey};
 
     #[test]
     fn time_profile_accumulates_and_projects() {
@@ -216,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_latencies_from_spans() {
+    fn stage_latencies_from_logs() {
         let mut kernel = SpanLog::new(64);
         let mut recorder = SpanLog::new(64);
         let k = MsgKey { sender: 1, seq: 0 };
@@ -225,7 +352,7 @@ mod tests {
         recorder.record(SimTime::from_micros(250), k, Stage::Sequence, 2, 0);
         kernel.record(SimTime::from_micros(400), k, Stage::Deliver, 2, 0);
         kernel.record(SimTime::from_micros(500), k, Stage::Replay, 2, 0);
-        let lat = stage_latencies(&assemble([&kernel, &recorder]));
+        let lat = stage_latencies([&kernel, &recorder]);
         assert_eq!(lat.publish_to_capture_us.summary().count(), 1);
         assert!((lat.publish_to_capture_us.summary().mean() - 50.0).abs() < 1e-9);
         assert!((lat.capture_to_sequence_us.summary().mean() - 100.0).abs() < 1e-9);
@@ -240,7 +367,6 @@ mod tests {
 
     #[test]
     fn partial_spans_are_counted_not_sampled() {
-        use crate::span::MsgKey;
         // Capacity 3: only the last three events survive, so `old` keeps
         // deliver+replay but loses publish+capture and turns partial.
         let mut log = SpanLog::new(3);
@@ -251,9 +377,8 @@ mod tests {
         log.record(SimTime::from_micros(400), old, Stage::Deliver, 7, 0);
         log.record(SimTime::from_micros(500), old, Stage::Replay, 7, 0);
         log.record(SimTime::from_micros(600), fresh, Stage::Publish, 7, 0);
-        let spans = assemble([&log]);
-        assert!(spans[&old].partial);
-        let lat = stage_latencies(&spans);
+        assert!(assemble([&log])[&old].partial);
+        let lat = stage_latencies([&log]);
         assert_eq!(lat.partial, 1);
         // The partial span's replay is still counted, but no histogram
         // sampled its (fictitious) gaps.

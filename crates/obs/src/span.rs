@@ -375,19 +375,26 @@ pub fn assemble<'a>(logs: impl IntoIterator<Item = &'a SpanLog>) -> BTreeMap<Msg
         span.events
             .sort_by_key(|e| (e.at, e.stage, e.subject, e.seq));
         if evicted {
-            let needs_publish = [
-                Stage::Capture,
-                Stage::Sequence,
-                Stage::Deliver,
-                Stage::Suppress,
-            ]
-            .iter()
-            .any(|&st| span.has(st));
-            span.partial = (needs_publish && !span.has(Stage::Publish))
-                || (span.has(Stage::Sequence) && !span.has(Stage::Capture));
+            span.partial = misses_prerequisite(|st| span.has(st));
         }
     }
     spans
+}
+
+/// Whether a message whose span holds the stages `has` answers for is
+/// missing a prerequisite stage — capture, sequence, deliver, or
+/// suppress without the publish; sequence without the capture. Only
+/// eviction can make that so; see [`MessageSpan::partial`].
+pub(crate) fn misses_prerequisite(has: impl Fn(Stage) -> bool) -> bool {
+    let needs_publish = [
+        Stage::Capture,
+        Stage::Sequence,
+        Stage::Deliver,
+        Stage::Suppress,
+    ]
+    .iter()
+    .any(|&st| has(st));
+    (needs_publish && !has(Stage::Publish)) || (has(Stage::Sequence) && !has(Stage::Capture))
 }
 
 /// Folds several logs' fingerprints (and totals) into one run-level

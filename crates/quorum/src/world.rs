@@ -847,7 +847,6 @@ mod tests {
         assert_eq!(w.outputs_of(client).len(), 11);
         let elects: usize = w
             .span_logs()
-            .iter()
             .map(|l| l.events().filter(|e| e.stage == Stage::Elect).count())
             .sum();
         assert!(

@@ -35,13 +35,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # of idle heartbeats and watchdog pings after it: 17.63 and 52.51; both
 # again when routers and recorders began to read a frame's
 # destination in place, the medium to own the routed recorder set, and a
-# quorum replica to keep its ack queues: 15.05 and 44.16).
+# quorum replica to keep its ack queues: 15.05 and 44.16; `knee_search`
+# again when a trial's report began to fold its stage latencies straight
+# from the span logs and to build one metrics registry: 9.53).
 BUDGET = {
     "steady_bus": 6.42,
     "ether_contend": 31.81,
     "shard_replay": 15.80,
     "quorum_replay": 46.37,
-    "knee_search": 12.51,
+    "knee_search": 10.01,
 }
 
 
