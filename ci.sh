@@ -54,7 +54,4 @@ cmp perf/BENCH_5.json target/smoke/a/BENCH_1.json
 echo "==> paper tables match the committed reference output"
 cmp target/smoke/a/tables.txt paper_tables_output.txt
 
-echo "==> perf regression gate vs perf/BENCH_5.json (with forensic attribution)"
-cargo run -q --release -p publishing-bench --bin lab -- compare --explain perf/BENCH_5.json target/smoke/a/BENCH_1.json
-
 echo "CI green."

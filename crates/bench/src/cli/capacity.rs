@@ -26,7 +26,7 @@
 //! same table — and the perf matrix gates them via `lab compare`.
 
 use super::{fail, Flags};
-use publishing_chaos::Topology;
+use publishing_chaos::{Topology, Tuning};
 use publishing_obs::json::{Json, ObjBuilder};
 use publishing_obs::slo::SloSpec;
 use publishing_workload::capacity::point_schedule;
@@ -47,6 +47,7 @@ fn run_spec(literal: &str, topology: Topology, params: &SearchParams) -> Result<
         &SloSpec::default(),
         params.medium,
         sched.as_ref(),
+        &Tuning::default(),
     );
     let w = t.report.workload.as_ref().expect("trial attaches stats");
     println!(

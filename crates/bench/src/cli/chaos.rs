@@ -13,8 +13,9 @@
 //!   its world; without the tokens it is `single` on `perfect`. Given
 //!   more than once, the literals replay in order.
 //!
-//! Every judged schedule prints when its run ended: `settled=+Xms` past
-//! the horizon, or `grace expired`. Exit status is non-zero if any
+//! Every judged schedule prints when its run ended — `settled=+Xms` past
+//! the horizon, or `grace expired` — and its fault-free twin's span
+//! fingerprint (`twin 0x…`). Exit status is non-zero if any
 //! schedule fails its oracle; a generated schedule that fails is shrunk
 //! first and the minimal reproducer printed as a `--schedule` literal.
 
@@ -24,6 +25,12 @@ use publishing_chaos::oracle::OracleOptions;
 use publishing_chaos::scenario::{Scenario, Topology};
 
 pub(super) const USAGE: &str = "[--seed N] [--schedules K] [--smoke] [--schedule S]";
+
+/// The fault-free twin's span fingerprint, as every verdict prints it:
+/// CI diffs it across two `lab smoke` runs.
+pub(super) fn twin(eng: &Engine) -> String {
+    format!("twin {:#018x}", eng.baseline().obs_fp)
+}
 
 /// Runs `schedules` generated fault schedules against `topology` through
 /// the recovery oracle, every printed line behind `prefix`; the first
@@ -44,13 +51,14 @@ pub(super) fn run_suite(
         let (settled_ms, failures) = eng.judge(&sched);
         if failures.is_empty() {
             println!(
-                "{prefix}schedule {k}: ok ({} faults, {})",
+                "{prefix}schedule {k}: ok ({} faults, {}, {})",
                 sched.faults.len(),
-                ended(settled_ms)
+                ended(settled_ms),
+                twin(&eng)
             );
             continue;
         }
-        println!("{prefix}schedule {k}: FAILED");
+        println!("{prefix}schedule {k}: FAILED ({})", twin(&eng));
         for f in &failures {
             println!("  - {f}");
         }
@@ -77,11 +85,12 @@ fn replay(lit: &str) -> Result<(), String> {
     let eng =
         Engine::new(scenario, OracleOptions::default()).map_err(|e| format!("baseline: {e}"))?;
     let (settled_ms, failures) = eng.judge(&sched);
+    let how = format!("{}, {}", ended(settled_ms), twin(&eng));
     if failures.is_empty() {
-        println!("schedule passed ({}): {lit}", ended(settled_ms));
+        println!("schedule passed ({how}): {lit}");
         Ok(())
     } else {
-        println!("schedule FAILED ({}): {lit}", ended(settled_ms));
+        println!("schedule FAILED ({how}): {lit}");
         for f in &failures {
             println!("  - {f}");
         }

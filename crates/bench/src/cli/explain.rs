@@ -27,8 +27,8 @@
 //!   baseline (expected: the crash's first replay);
 //! - `--smoke` runs the CI gate: the critical path must be non-empty
 //!   and its attribution must sum to the measured recovery lag, the
-//!   explain chain must be non-empty, and the DOT and flow exports must
-//!   be byte-identical across two runs;
+//!   explain chain must be non-empty, and the crashed run must diverge
+//!   from its fault-free baseline;
 //! - `--quorum` switches to the replicated-recorder world and the
 //!   committed leader-crash schedule (leader replica dies at 250ms, the
 //!   server node at 400ms): the crash→convergence critical path must
@@ -39,23 +39,10 @@ use super::Flags;
 use crate::canonical::{self, Sizing};
 use publishing_obs::causal::{CausalGraph, CriticalPath, EdgeKind};
 use publishing_obs::span::{MsgKey, Stage};
-use publishing_shard::ShardedWorld;
 use publishing_sim::time::{SimDuration, SimTime};
 
 pub(super) const USAGE: &str =
     "[--smoke] [--key NODE.LOCAL#SEQ] [--dot PATH] [--flow PATH] [--diff] [--quorum]";
-
-/// Runs the canonical crash/recovery scenario (crash omitted for the
-/// fault-free baseline used by `--diff`).
-fn run_scenario(sizing: &Sizing, crash: bool) -> ShardedWorld {
-    let (mut w, _) = canonical::ping_world(sizing, None);
-    if crash {
-        canonical::crash_server_node(&mut w, sizing.horizon);
-    } else {
-        w.run_until(sizing.horizon);
-    }
-    w
-}
 
 /// Picks the most interesting default key: the latest suppressed
 /// message if the run recovered anything, else the latest delivery.
@@ -105,8 +92,7 @@ fn write_dot(path: Option<&str>, g: &CausalGraph) {
 /// the crash→convergence critical path, and — under `--smoke` — gates
 /// on the election hop actually appearing in the attribution.
 fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
-    let horizon = SimTime::from_secs(12);
-    let (w, _) = canonical::quorum_failover_world(10, horizon);
+    let (w, _) = canonical::quorum_failover_world(10, SimTime::from_secs(12));
     let g = w.causal_graph();
     if let Err(e) = g.validate() {
         fail(&format!("quorum causal graph failed validation: {e}"));
@@ -152,10 +138,6 @@ fn run_quorum_mode(smoke: bool, dot_path: Option<&str>) {
     write_dot(dot_path, &g);
 
     if smoke {
-        let (again, _) = canonical::quorum_failover_world(10, horizon);
-        if g.to_dot() != again.causal_graph().to_dot() {
-            fail("quorum DOT export is not byte-stable across two runs");
-        }
         if w.recoveries_done().is_empty() {
             fail("quorum smoke run completed no recoveries");
         }
@@ -174,7 +156,8 @@ pub(super) fn run(flags: &Flags) {
     }
 
     let sizing = Sizing::new(smoke);
-    let w = run_scenario(&sizing, true);
+    let (mut w, _) = canonical::ping_world(&sizing, None);
+    canonical::crash_server_node(&mut w, sizing.horizon);
     let g = w.causal_graph();
     if let Err(e) = g.validate() {
         fail(&format!("causal graph failed validation: {e}"));
@@ -223,7 +206,8 @@ pub(super) fn run(flags: &Flags) {
 
     // 3. Divergence diff against the fault-free baseline.
     if flags.has("--diff") || smoke {
-        let baseline = run_scenario(&sizing, false);
+        let (mut baseline, _) = canonical::ping_world(&sizing, None);
+        baseline.run_until(sizing.horizon);
         let bg = baseline.causal_graph();
         match publishing_obs::divergence_diff(&bg, &g) {
             Some(d) => {
@@ -250,19 +234,7 @@ pub(super) fn run(flags: &Flags) {
         );
     }
 
-    // Smoke gate: DOT and Chrome-trace flow exports must be
-    // byte-identical across two fresh runs of the same seed.
     if smoke {
-        let again = run_scenario(&sizing, true);
-        let g2 = again.causal_graph();
-        if g.to_dot() != g2.to_dot() {
-            fail("DOT export is not byte-stable across two runs");
-        }
-        if canonical::chrome_trace(&w, "shard").to_json()
-            != canonical::chrome_trace(&again, "shard").to_json()
-        {
-            fail("Chrome-trace flow export is not byte-stable across two runs");
-        }
         // Per-process attribution must telescope too.
         for lag in w.recovery_lags() {
             if lag.recovery_ms > 0.0 && (lag.critical_path_ms - lag.recovery_ms).abs() > 1e-6 {

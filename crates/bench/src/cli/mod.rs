@@ -22,7 +22,6 @@ mod quorum;
 mod report;
 mod smoke;
 mod tables;
-mod workload;
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -38,7 +37,6 @@ const COMMANDS: &[Command] = &[
     ("chaos", chaos::USAGE, chaos::run),
     ("quorum", quorum::USAGE, quorum::run),
     ("explain", explain::USAGE, explain::run),
-    ("workload", workload::USAGE, workload::run),
     ("capacity", capacity::USAGE, capacity::run),
     ("lens", lens::USAGE, lens::run),
     ("forensics", forensics::USAGE, forensics::run),

@@ -19,10 +19,10 @@
 //!
 //! `--seed N` seeds both parts (default 17).
 
-use super::chaos::run_suite;
+use super::chaos::{run_suite, twin};
 use super::{fail, Flags};
 use publishing_chaos::driver::{run_schedule, Engine};
-use publishing_chaos::oracle::OracleOptions;
+use publishing_chaos::oracle::{self, OracleOptions};
 use publishing_chaos::scenario::{Scenario, Topology};
 use publishing_chaos::schedule::{Fault, FaultSchedule};
 use publishing_sim::time::SimTime;
@@ -57,7 +57,9 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
     };
     let eng = Engine::new(scenario.clone(), OracleOptions::default())
         .map_err(|e| format!("baseline: {e}"))?;
-    let failures = eng.run(&sched);
+    let mut t = scenario.build();
+    run_schedule(t.as_mut(), &sched);
+    let failures = oracle::check(t.as_ref(), eng.baseline(), &OracleOptions::default());
     if !failures.is_empty() {
         return Err(format!(
             "leader-crash schedule {} failed its oracle:\n  {}",
@@ -65,8 +67,6 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
             failures.join("\n  ")
         ));
     }
-    let mut t = scenario.build();
-    run_schedule(t.as_mut(), &sched);
     let new_leader = t.quorum_leader().ok_or("leaderless after heal")? as u32;
     if new_leader == old_leader {
         return Err(format!(
@@ -78,8 +78,9 @@ fn leader_crash_gate(seed: u64) -> Result<(), String> {
     }
     println!(
         "leader-crash gate: replica {old_leader} crashed at {crash_at}ms, \
-         replica {new_leader} took over, {} recoveries completed",
-        t.recoveries_completed()
+         replica {new_leader} took over, {} recoveries completed ({})",
+        t.recoveries_completed(),
+        twin(&eng)
     );
     // What the group said to sequence that: every replica's frames and
     // the entries in them (heartbeats up to the settle instant included),

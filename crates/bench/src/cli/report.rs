@@ -8,12 +8,12 @@
 //! recovery lag, message-lifecycle stage latencies, the virtual-time
 //! profile, and the full metrics registry.
 //!
-//! - `--json` emits the report as a single JSON object instead of text;
-//! - `--smoke` runs a smaller scenario (CI-friendly, < 1 s) and
-//!   additionally replays it over each broadcast medium of the paper —
-//!   ethernet, token ring, star — twice each, asserting the output
-//!   fingerprint is identical across the double run (per-medium
-//!   determinism);
+//! - `--json` emits the report as a single JSON object instead of text,
+//!   and nothing else on stdout;
+//! - `--smoke` runs a smaller scenario (CI-friendly, < 1 s) and, as
+//!   text, also replays it once over each broadcast medium of the paper
+//!   — ethernet, token ring, star — printing each run's output and span
+//!   fingerprints (two `lab smoke` runs diff them);
 //! - `--trace PATH` additionally exports the run's lifecycle spans as a
 //!   Chrome-trace (Perfetto-loadable) JSON timeline: one process row
 //!   per kernel and per shard recorder, plus per-message lifecycle
@@ -38,31 +38,25 @@ use publishing_sim::time::{SimDuration, SimTime};
 
 pub(super) const USAGE: &str = "[--json] [--smoke] [--trace PATH] [--topology sharded|quorum]";
 
-type MediumBuilder = fn() -> Box<dyn Lan>;
-
-/// Builders for the three broadcast media of the paper's §4/§6, sized
-/// for a 3-node + 4-shard world. Station ids mirror node ids, so the
-/// star hub is shard 0's station (the paper's "recorder at the hub"
-/// topology).
-fn media() -> [(&'static str, MediumBuilder); 3] {
+/// The three broadcast media of the paper's §4/§6, sized for a 3-node +
+/// 4-shard world. Station ids mirror node ids, so the star hub is shard
+/// 0's station (the paper's "recorder at the hub" topology).
+fn media() -> [(&'static str, Box<dyn Lan>); 3] {
+    let (hop_latency, hub_delay) = (SimDuration::from_micros(20), SimDuration::from_micros(100));
+    let ethernet = Ethernet::acknowledging(LanConfig::default());
+    let ring = TokenRing::new(LanConfig::default(), hop_latency);
+    let star = StarHub::new(LanConfig::default(), StationId(3), hub_delay);
     [
-        ("ethernet", || {
-            Box::new(Ethernet::acknowledging(LanConfig::default()))
-        }),
-        ("token_ring", || {
-            let hop_latency = SimDuration::from_micros(20);
-            Box::new(TokenRing::new(LanConfig::default(), hop_latency))
-        }),
-        ("star", || {
-            let hub_delay = SimDuration::from_micros(100);
-            Box::new(StarHub::new(LanConfig::default(), StationId(3), hub_delay))
-        }),
+        ("ethernet", Box::new(ethernet)),
+        ("token_ring", Box::new(ring)),
+        ("star", Box::new(star)),
     ]
 }
 
 /// Prints the world's report — as JSON, or as text followed by the
-/// replay-prefix check of every server on the crashed node — writes the
-/// `--trace` export (tier members named `member`), and returns the report.
+/// output fingerprint and the replay-prefix check of every server on the
+/// crashed node — writes the `--trace` export (tier members named
+/// `member`), and returns the report.
 fn emit<T: RecorderTier>(
     flags: &Flags,
     w: &World<T>,
@@ -75,6 +69,7 @@ fn emit<T: RecorderTier>(
         println!("{}", report.render_json());
     } else {
         println!("{}", report.render_text());
+        println!("output fingerprint {:#018x}", w.output_fingerprint());
         println!("replay-prefix check (crashed node {crashed}):");
         for server in servers {
             match check_replay_prefix(w.kernels[crashed as usize].spans(), server.as_u64()) {
@@ -139,25 +134,6 @@ fn run_quorum(flags: &Flags, smoke: bool) {
                 "quorum smoke run should have re-elected after the leader crash",
             );
         }
-        let fps: Vec<(u64, u64)> = (0..2)
-            .map(|_| {
-                let (w, _) = canonical::quorum_failover_world(pings, horizon);
-                (w.output_fingerprint(), w.obs_fingerprint())
-            })
-            .collect();
-        if fps[0] != fps[1] {
-            fail(
-                1,
-                format!(
-                    "quorum smoke run is not deterministic: {:?} vs {:?}",
-                    fps[0], fps[1]
-                ),
-            );
-        }
-        eprintln!(
-            "quorum smoke: output {:#018x} spans {:#018x} (stable over 2 runs)",
-            fps[0].0, fps[0].1
-        );
     }
 }
 
@@ -174,38 +150,28 @@ pub(super) fn run(flags: &Flags) {
     canonical::crash_server_node(&mut w, sizing.horizon);
     emit(flags, &w, 2, &servers, "shard");
 
-    // A smoke run must actually have exercised recovery, and the same
-    // must hold — deterministically — over every medium of the paper.
+    // A smoke run must actually have exercised recovery, and so must the
+    // same scenario over every medium of the paper.
     if smoke {
         if w.recoveries_completed() == 0 {
             fail(1, "smoke run completed no recoveries");
         }
+        if flags.has("--json") {
+            return;
+        }
         for (name, medium) in media() {
-            let runs: Vec<u64> = (0..2)
-                .map(|_| {
-                    let (mut w, _) = canonical::ping_world(&sizing, Some(medium()));
-                    canonical::crash_server_node(&mut w, sizing.horizon);
-                    if w.recoveries_completed() == 0 {
-                        fail(1, format!("smoke run over {name} completed no recoveries"));
-                    }
-                    if w.outputs.is_empty() {
-                        fail(1, format!("smoke run over {name} produced no outputs"));
-                    }
-                    w.output_fingerprint()
-                })
-                .collect();
-            if runs[0] != runs[1] {
-                fail(
-                    1,
-                    format!(
-                        "smoke run over {name} is not deterministic: {:#018x} vs {:#018x}",
-                        runs[0], runs[1]
-                    ),
-                );
+            let (mut w, _) = canonical::ping_world(&sizing, Some(medium));
+            canonical::crash_server_node(&mut w, sizing.horizon);
+            if w.recoveries_completed() == 0 {
+                fail(1, format!("smoke run over {name} completed no recoveries"));
             }
-            eprintln!(
-                "media smoke: {name:<10} fingerprint {:#018x} (stable over 2 runs)",
-                runs[0]
+            if w.outputs.is_empty() {
+                fail(1, format!("smoke run over {name} produced no outputs"));
+            }
+            println!(
+                "media smoke: {name:<10} output {:#018x} spans {:#018x}",
+                w.output_fingerprint(),
+                w.obs_fingerprint()
             );
         }
     }

@@ -4,7 +4,7 @@
 //! Runs each gate below as a child of this executable, in order, with
 //! the gate's stdout written to `DIR/<gate>.txt` (stderr passes
 //! through: the path-bearing progress lines live there) and the bench
-//! snapshot, Chrome trace and causal DOT written into `DIR` beside
+//! snapshot, Chrome trace and causal DOTs written into `DIR` beside
 //! them. Prints one `ok <gate>` line per gate; at the first gate whose
 //! exit code is not the expected one, prints that gate's output and
 //! exits 1.
@@ -12,8 +12,9 @@
 //! Everything in `DIR` is a function of the build alone — virtual time
 //! replays exactly — so CI runs `lab smoke` twice and `diff -r`s the two
 //! directories: every gate's stdout is checked for determinism across
-//! processes, `tables.txt` is `cmp`ed against the committed
-//! `paper_tables_output.txt`, and `BENCH_1.json` feeds `lab compare`.
+//! processes (no gate runs a world twice to compare it with itself),
+//! `tables.txt` is `cmp`ed against `paper_tables_output.txt`, and
+//! `BENCH_1.json` against the committed virtual baseline.
 
 use super::{fail, write_file, Flags};
 use publishing_perf::snapshot::next_snapshot_number;
@@ -57,8 +58,17 @@ const GATES: &[(&str, &[&str], i32)] = &[
         &["report", "--smoke", "--topology", "quorum"],
         0,
     ),
-    ("explain_quorum", &["explain", "--quorum", "--smoke"], 0),
-    ("workload", &["workload", "--smoke"], 0),
+    (
+        "explain_quorum",
+        &[
+            "explain",
+            "--quorum",
+            "--smoke",
+            "--dot",
+            "@causal_quorum.dot",
+        ],
+        0,
+    ),
     ("capacity", &["capacity", "--smoke"], 0),
     ("capacity_json", &["capacity", "--smoke", "--json"], 0),
     ("lens", &["lens", "--smoke"], 0),

@@ -24,7 +24,7 @@ use publishing_obs::report::ObsReport;
 use publishing_obs::slo::SloSpec;
 use publishing_perf::snapshot::{scenario_from_report, Snapshot};
 use publishing_sim::ledger::ResourceKind;
-use publishing_workload::{knob_for_kind, run_trial_tuned, standard_knobs, WorkloadSpec};
+use publishing_workload::{knob_for_kind, run_trial, standard_knobs, WorkloadSpec};
 
 /// Seed for both runs of a side.
 pub const AB_SEED: u64 = 42;
@@ -79,7 +79,7 @@ pub fn ab_spec() -> WorkloadSpec {
 /// Runs one side of the pair under `tuning`. Deterministic: the same
 /// tuning yields a byte-identical `snapshot.to_json()`.
 pub fn run_side(tuning: &Tuning) -> AbRun {
-    let trial = run_trial_tuned(
+    let trial = run_trial(
         Topology::Single,
         &ab_spec(),
         &SloSpec::default(),

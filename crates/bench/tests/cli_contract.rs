@@ -44,7 +44,6 @@ fn command_line_errors_exit_2_with_usage_on_stderr() {
             &["forensics", "--inject", "proto_cpu"][..],
             "usage: lab forensics ",
         ),
-        (&["workload", "stray"][..], "usage: lab workload "),
         (&["compare", "only-one.json"][..], "usage: lab compare "),
         (&["smoke"][..], "usage: lab smoke --dir DIR"),
     ] {
@@ -125,16 +124,20 @@ fn chaos_replays_a_reproducer_on_the_world_it_names() {
             "{tokens}: {err}"
         );
         if topology != "quorum" {
-            // The verdict says when the run ended and carries the whole
+            // The verdict says when the run ended and what its fault-free
+            // twin's span fingerprint is, and carries the whole
             // reproducer, which replays.
             assert_eq!(out.status.code(), Some(0), "{tokens}: {err}");
             let reproducer = format!("topology={topology} medium={medium} {faults}");
             let verdict = String::from_utf8_lossy(&out.stdout).into_owned();
-            let ended = verdict
+            let how = verdict
                 .strip_prefix("schedule passed (settled=+")
-                .and_then(|rest| rest.strip_suffix(&format!("ms): {reproducer}\n")));
+                .and_then(|rest| rest.strip_suffix(&format!("): {reproducer}\n")))
+                .and_then(|rest| rest.split_once("ms, twin 0x"));
             assert!(
-                ended.is_some_and(|ms| ms.parse::<u64>().is_ok()),
+                how.is_some_and(
+                    |(ms, twin)| ms.parse::<u64>().is_ok() && u64::from_str_radix(twin, 16).is_ok()
+                ),
                 "{verdict}"
             );
             let again = lab(&["chaos", "--schedule", &reproducer]);

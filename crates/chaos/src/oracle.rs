@@ -28,13 +28,26 @@ use publishing_obs::span::SpanEvent;
 pub struct Baseline {
     /// Deduplicated-output fingerprint.
     pub output_fp: u64,
-    /// Span-log fingerprint (baseline determinism witness).
+    /// Span-log fingerprint: what `lab chaos` prints of the twin, so two
+    /// processes that ran it differently differ in their output.
     pub obs_fp: u64,
     /// Each client's deduplicated output lines.
     pub client_outputs: Vec<(ProcessId, Vec<String>)>,
     /// Every component's span events from the fault-free run, in log
     /// order — the reference stream for causal divergence pinpointing.
     pub span_events: Vec<Vec<SpanEvent>>,
+}
+
+impl Baseline {
+    /// The baseline a fault-free `twin` sets, read once it has run.
+    pub fn of(twin: &dyn ChaosWorld) -> Baseline {
+        Baseline {
+            output_fp: twin.output_fingerprint(),
+            obs_fp: twin.obs_fingerprint(),
+            client_outputs: twin.client_outputs(),
+            span_events: twin.span_events(),
+        }
+    }
 }
 
 /// Oracle knobs.

@@ -296,8 +296,8 @@ pub struct PlanSpawn {
 
 /// A pluggable source of scenario load: the programs to register and
 /// the processes to spawn. Implementations must be deterministic —
-/// the chaos engine builds the same source several times (baseline
-/// twice, then every faulted run) and demands identical behavior.
+/// the chaos engine builds the same source several times (the
+/// fault-free twin, then every faulted run) and compares their outputs.
 pub trait WorkloadSource {
     /// The program registry the workload needs (including everything
     /// recovery must re-instantiate by name).

@@ -14,7 +14,7 @@ use publishing_demos::registry::ProgramRegistry;
 use publishing_sim::time::SimTime;
 
 fn engine(topology: Topology, seed: u64, opts: OracleOptions) -> Engine {
-    Engine::new(Scenario::new(topology, seed), opts).expect("deterministic baseline")
+    Engine::new(Scenario::new(topology, seed), opts).expect("fault-free twin finishes")
 }
 
 fn config(topology: Topology, seed: u64) -> ChaosConfig {
@@ -33,7 +33,7 @@ fn generated_schedules_pass_the_oracle_on_the_single_world() {
             seed: 11 * 100 + k,
             ..config(Topology::Single, 11)
         });
-        let failures = eng.run(&sched);
+        let failures = eng.judge(&sched).1;
         assert!(
             failures.is_empty(),
             "schedule {sched}\nfailures: {failures:#?}"
@@ -49,7 +49,7 @@ fn generated_schedules_pass_the_oracle_on_the_sharded_world() {
             seed: 12 * 100 + k,
             ..config(Topology::Sharded, 12)
         });
-        let failures = eng.run(&sched);
+        let failures = eng.judge(&sched).1;
         assert!(
             failures.is_empty(),
             "schedule {sched}\nfailures: {failures:#?}"
@@ -65,7 +65,7 @@ fn generated_schedules_pass_the_oracle_on_the_quorum_world() {
             seed: 16 * 100 + k,
             ..config(Topology::Quorum, 16)
         });
-        let failures = eng.run(&sched);
+        let failures = eng.judge(&sched).1;
         assert!(
             failures.is_empty(),
             "schedule {sched}\nfailures: {failures:#?}"
@@ -107,7 +107,7 @@ fn leader_crash_mid_commit_fails_over_and_a_former_follower_serves_replay() {
         ],
     };
     let eng = engine(Topology::Quorum, seed, OracleOptions::default());
-    let failures = eng.run(&sched);
+    let failures = eng.judge(&sched).1;
     assert!(
         failures.is_empty(),
         "schedule {sched}\nfailures: {failures:#?}"
@@ -144,7 +144,7 @@ fn schedule_replay_is_deterministic() {
     };
     assert_eq!(run(&sched), run(&replayed));
     // And the run still satisfies the oracle.
-    assert!(eng.run(&replayed).is_empty());
+    assert!(eng.judge(&replayed).1.is_empty());
 }
 
 /// The default scenario on the single world, seeded `seed`, after
@@ -380,7 +380,7 @@ fn injected_bug_shrinks_to_a_minimal_deterministic_reproducer() {
             },
         ],
     };
-    assert!(!eng.run(&noisy).is_empty(), "noisy schedule must fail");
+    assert!(!eng.judge(&noisy).1.is_empty(), "noisy schedule must fail");
     let min = eng.shrink(&noisy);
     assert!(
         min.faults.len() <= 3,
@@ -390,8 +390,8 @@ fn injected_bug_shrinks_to_a_minimal_deterministic_reproducer() {
     // The minimal reproducer replays deterministically from its literal.
     let lit = min.to_string();
     let replayed: FaultSchedule = lit.parse().expect("literal parses");
-    let f1 = eng.run(&replayed);
-    let f2 = eng.run(&replayed);
+    let f1 = eng.judge(&replayed).1;
+    let f2 = eng.judge(&replayed).1;
     assert!(!f1.is_empty(), "reproducer must still fail: {lit}");
     assert_eq!(f1, f2, "reproducer must fail identically on replay");
 }
@@ -437,7 +437,7 @@ fn quorum_fault_schedule_shrinks_to_a_minimal_reproducer() {
             },
         ],
     };
-    assert!(!eng.run(&noisy).is_empty(), "noisy schedule must fail");
+    assert!(!eng.judge(&noisy).1.is_empty(), "noisy schedule must fail");
     let min = eng.shrink(&noisy);
     assert!(
         min.faults.len() <= 3,
@@ -459,7 +459,10 @@ fn quorum_fault_schedule_shrinks_to_a_minimal_reproducer() {
         (Topology::Quorum, &min),
         "{lit}"
     );
-    assert!(!eng.run(&replayed).is_empty(), "reproducer replays: {lit}");
+    assert!(
+        !eng.judge(&replayed).1.is_empty(),
+        "reproducer replays: {lit}"
+    );
 }
 
 /// A fault-free run that stops when its world has settled ends with the

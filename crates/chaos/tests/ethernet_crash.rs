@@ -48,12 +48,7 @@ fn the_truncated_frame_is_recovered_transparently() {
     assert!(t.recoveries_completed() > 0, "the crash was real");
     assert_eq!(t.convergence_failures(), Vec::<String>::new());
     assert_eq!(t.client_outputs(), twin.client_outputs());
-    let baseline = Baseline {
-        output_fp: twin.output_fingerprint(),
-        obs_fp: twin.obs_fingerprint(),
-        client_outputs: twin.client_outputs(),
-        span_events: twin.span_events(),
-    };
+    let baseline = Baseline::of(twin.as_ref());
     let failures = oracle::check(t.as_ref(), &baseline, &OracleOptions::default());
     assert_eq!(failures, Vec::<String>::new());
 }

@@ -209,21 +209,10 @@ fn unfinished(outputs: &[(publishing_demos::ids::ProcessId, Vec<String>)]) -> Ve
         .collect()
 }
 
-/// Runs one operating point: the fault-free SLO trial, plus a faulted
-/// trial through the chaos recovery oracle when `schedule` is given.
+/// Runs one operating point under `tuning`: the fault-free SLO trial,
+/// plus a faulted trial through the chaos recovery oracle when
+/// `schedule` is given.
 pub fn run_trial(
-    topology: Topology,
-    spec: &WorkloadSpec,
-    slo: &SloSpec,
-    medium: Medium,
-    schedule: Option<&FaultSchedule>,
-) -> TrialOutcome {
-    run_trial_tuned(topology, spec, slo, medium, schedule, &Tuning::default())
-}
-
-/// [`run_trial`] with explicit physical-constant knobs — the what-if
-/// profiler's entry point for re-searching under a virtual speedup.
-pub fn run_trial_tuned(
     topology: Topology,
     spec: &WorkloadSpec,
     slo: &SloSpec,
@@ -263,21 +252,11 @@ pub fn run_trial_tuned(
         let oracle_scen = scenario(topology, spec, Medium::Perfect, tuning);
         let baseline = if medium == Medium::Perfect {
             // The SLO run already is the fault-free perfect-bus run.
-            Baseline {
-                output_fp: world.output_fingerprint(),
-                obs_fp: world.obs_fingerprint(),
-                client_outputs: outputs,
-                span_events: world.span_events(),
-            }
+            Baseline::of(world.as_ref())
         } else {
             let mut clean = oracle_scen.build_with(&compiled);
             run_settled(clean.as_mut(), spec.horizon_ms);
-            Baseline {
-                output_fp: clean.output_fingerprint(),
-                obs_fp: clean.obs_fingerprint(),
-                client_outputs: clean.client_outputs(),
-                span_events: clean.span_events(),
-            }
+            Baseline::of(clean.as_ref())
         };
         let mut faulted = oracle_scen.build_with(&compiled);
         run_schedule(faulted.as_mut(), sched);
@@ -334,7 +313,7 @@ pub fn find_knee(
     let probe = |users: u32, trials: &mut Vec<TrialOutcome>| -> bool {
         let spec = base.clone().with_users(users);
         let sched = params.chaos.then(|| point_schedule(topology, &spec));
-        let t = run_trial_tuned(
+        let t = run_trial(
             topology,
             &spec,
             slo,
@@ -439,6 +418,7 @@ mod tests {
             &SloSpec::default(),
             Medium::Perfect,
             None,
+            &Tuning::default(),
         );
         assert!(t.pass, "violations: {:?}", t.violations);
         assert_eq!(t.offered, t.delivered);

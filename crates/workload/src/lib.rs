@@ -36,8 +36,7 @@ pub mod spec;
 pub mod whatif;
 
 pub use capacity::{
-    find_knee, rejecting_clauses, run_trial, run_trial_tuned, slo_clause, Knee, SearchParams,
-    TrialOutcome,
+    find_knee, rejecting_clauses, run_trial, slo_clause, Knee, SearchParams, TrialOutcome,
 };
 pub use compile::CompiledWorkload;
 pub use drivers::{LoadGen, SubjectSink};

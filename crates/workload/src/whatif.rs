@@ -40,7 +40,7 @@
 //! trial's window ends when its world has settled, and a verdict must
 //! not change with how long a world idled.
 
-use crate::capacity::{find_knee, run_trial_tuned, Knee, SearchParams, TrialOutcome};
+use crate::capacity::{find_knee, run_trial, Knee, SearchParams, TrialOutcome};
 use crate::spec::WorkloadSpec;
 use publishing_chaos::{Topology, Tuning};
 use publishing_obs::slo::SloSpec;
@@ -211,7 +211,7 @@ pub fn run_whatif(
     // through the self-paced filter and cap every prediction.
     let low_users = (k0 / 4).max(crate::spec::GENERATORS).min(k0);
     let low_spec = spec.clone().with_users(low_users);
-    let low = run_trial_tuned(
+    let low = run_trial(
         topology,
         &low_spec,
         slo,

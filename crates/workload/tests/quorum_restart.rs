@@ -25,12 +25,7 @@ fn restarted_replica_installs_a_snapshot_over_its_surviving_records() {
     };
     let mut twin = scenario.build_with(&source);
     run_schedule(twin.as_mut(), &fault_free);
-    let baseline = Baseline {
-        output_fp: twin.output_fingerprint(),
-        obs_fp: twin.obs_fingerprint(),
-        client_outputs: twin.client_outputs(),
-        span_events: twin.span_events(),
-    };
+    let baseline = Baseline::of(twin.as_ref());
 
     let mut t = scenario.build_with(&source);
     run_schedule(t.as_mut(), &schedule);

@@ -6,8 +6,7 @@
 
 use publishing_chaos::driver::{run_schedule, run_settled, GRACE_MS};
 use publishing_chaos::oracle::{self, Baseline, OracleOptions};
-use publishing_chaos::scenario::ChaosWorld;
-use publishing_chaos::{FaultSchedule, Medium, Scenario, Topology};
+use publishing_chaos::{FaultSchedule, Medium, Scenario, Topology, Tuning};
 use publishing_obs::report::ObsReport;
 use publishing_obs::slo::SloSpec;
 use publishing_obs::span::{SpanEvent, Stage};
@@ -81,15 +80,6 @@ fn sum(outputs: &[(publishing_demos::ids::ProcessId, Vec<String>)], prefix: &str
         .sum()
 }
 
-fn baseline_of(world: &dyn ChaosWorld) -> Baseline {
-    Baseline {
-        output_fp: world.output_fingerprint(),
-        obs_fp: world.obs_fingerprint(),
-        client_outputs: world.client_outputs(),
-        span_events: world.span_events(),
-    }
-}
-
 fn scenario(topology: Topology, spec: &WorkloadSpec, medium: Medium) -> Scenario {
     let mut s = Scenario::new(topology, spec.seed);
     s.medium = medium;
@@ -143,11 +133,11 @@ fn reference_trial(
     let mut chaos_failures = Vec::new();
     if chaos {
         let baseline = if medium == Medium::Perfect {
-            baseline_of(world.as_ref())
+            Baseline::of(world.as_ref())
         } else {
             let mut clean = on(Medium::Perfect).build_with(&compiled);
             run_schedule(clean.as_mut(), &empty);
-            baseline_of(clean.as_ref())
+            Baseline::of(clean.as_ref())
         };
         let mut faulted = on(Medium::Perfect).build_with(&compiled);
         run_schedule(faulted.as_mut(), &point_schedule(topology, spec));
@@ -287,7 +277,14 @@ fn a_trial_that_cannot_finish_runs_out_the_grace_period() {
         ..WorkloadSpec::default()
     };
     let slo = SloSpec::default();
-    let t = run_trial(Topology::Single, &spec, &slo, Medium::Ethernet, None);
+    let t = run_trial(
+        Topology::Single,
+        &spec,
+        &slo,
+        Medium::Ethernet,
+        None,
+        &Tuning::default(),
+    );
     assert_eq!(t.settled_ms, None);
     assert_eq!(t.ended(), "grace expired");
     assert_eq!(t.report.at_ms, (spec.horizon_ms + GRACE_MS) as f64);
