@@ -49,7 +49,12 @@ cargo run -q --release -p publishing-bench --bin lab -- smoke --dir target/smoke
 diff -r target/smoke/a target/smoke/b
 
 echo "==> virtual behaviour identical to perf/BENCH_5.json (an intended virtual change commits a new BENCH_<n>.json and moves this line with it)"
-cmp perf/BENCH_5.json target/smoke/a/BENCH_1.json
+if ! cmp perf/BENCH_5.json target/smoke/a/BENCH_1.json; then
+  echo "==> what moved"
+  cargo run -q --release -p publishing-bench --bin lab -- compare --explain \
+    perf/BENCH_5.json target/smoke/a/BENCH_1.json || true
+  exit 1
+fi
 
 echo "==> paper tables match the committed reference output"
 cmp target/smoke/a/tables.txt paper_tables_output.txt

@@ -23,7 +23,8 @@
 //! one knee table: the largest user count each tier sustains within the
 //! default SLOs, every searched point also validated by the chaos
 //! recovery oracle. Knees are deterministic — the same build prints the
-//! same table — and the perf matrix gates them via `lab compare`.
+//! same table — and the perf matrix's baseline `cmp` pins them
+//! (`lab compare` names a knee that moved).
 
 use super::{fail, Flags};
 use publishing_chaos::{Topology, Tuning};

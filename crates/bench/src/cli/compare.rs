@@ -1,20 +1,22 @@
-//! `lab compare` — the CI perf-regression gate: diffs two
-//! `BENCH_<n>.json` snapshots.
+//! `lab compare` — diffs two `BENCH_<n>.json` snapshots exactly.
 //!
-//! Compares the newer snapshot against the older one under the default
-//! rule set (see `publishing_perf::compare::default_rules`), with
-//! per-metric noise thresholds. Exit codes: `0` no regression, `1` at
-//! least one gated metric regressed, `2` the inputs are unreadable or
-//! not comparable (schema/mode mismatch, scenario lost).
+//! Lists every virtual metric and fingerprint of the newer snapshot that
+//! moved against the older one past f64 round-off
+//! (`publishing_perf::compare::NOISE_FLOOR`), including entries only one
+//! snapshot has, so it agrees with `cmp` of the two files and says what
+//! the difference is. Exit codes: `0` nothing moved, `1` something moved,
+//! `2` the inputs are unreadable or not comparable (schema or mode
+//! mismatch).
 //!
 //! - `--json` prints the verdict as one machine-readable JSON document
 //!   instead of text (the exit-code contract is unchanged and also
 //!   embedded in the document);
-//! - `--explain` appends the regression-forensics diagnosis: per
-//!   violated rule, the top-ranked suspects from the snapshot's
-//!   attribution families (profile categories, ledger busy times,
-//!   critical-path stages, what-if knees), each annotated with the
-//!   standard what-if knob that would turn it.
+//! - `--explain` appends the regression-forensics diagnosis: one finding
+//!   per scenario that moved, its subject the largest relative mover and
+//!   its suspects the attribution families that moved (profile
+//!   categories, ledger busy times, critical-path stages, what-if knees)
+//!   plus any binding flip, each annotated with the standard what-if
+//!   knob that would turn it.
 
 use super::{fail, Flags};
 use crate::forensics_demo::annotate_remediation;

@@ -3,15 +3,14 @@
 //!
 //! - `--smoke` (the CI gate): runs the baseline side once and diffs it
 //!   against *itself* at both granularities — snapshot-level
-//!   (comparator + attribution) and report-level (histogram bins,
+//!   (exact differ + attribution) and report-level (histogram bins,
 //!   ledger, critical-path alignment). The self-diff invariant demands
 //!   an empty diagnosis; exit `0` iff both levels are empty.
 //! - `--inject KNOB:MULT` (default `proto_cpu:2.0`): runs the baseline
 //!   and a side with the named what-if knob applied at the given
-//!   multiplier, then prints the comparator verdict and the full
-//!   two-level diagnosis, suspects annotated with their remediation
-//!   knobs. Exits with the comparator's code, so a doubled protocol
-//!   CPU fails exactly like the CI bench gate would.
+//!   multiplier, then prints what moved and the full two-level
+//!   diagnosis, suspects annotated with their remediation knobs. Exits
+//!   with `lab compare`'s code: `1` whenever the knob moved anything.
 //! - `--json` / `--ndjson` switch the diagnosis to machine-readable
 //!   output (one document / one finding per line).
 //!

@@ -25,7 +25,8 @@ pub(super) const USAGE: &str = "--dir DIR";
 
 /// The gates: name, the `lab` arguments (a leading `@` marks a path
 /// inside the artifact directory), and the exit code that passes. The
-/// injected-regression forensics runs pass by *failing* the comparator.
+/// injected-regression forensics runs pass by exiting 1: the injected
+/// knob moved the snapshot.
 const GATES: &[(&str, &[&str], i32)] = &[
     (
         "report",

@@ -232,9 +232,9 @@ fn obs_overhead(p: &Sizing) -> ScenarioSnapshot {
 
 /// The workload-engine capacity scenario: the Fig 5.5 knee search on
 /// the paper's ethernet, one knee per recorder topology, every searched
-/// point chaos-validated. The knees are deterministic integers gated
-/// exactly (zero allowance) by the `capacity_users` comparator rule, so
-/// any change that shrinks sustainable users fails CI. Smoke caps the
+/// point chaos-validated. The knees are deterministic integers, so the
+/// `cmp` of the snapshot against its committed baseline fails on any
+/// change to sustainable users, and `lab compare` names it. Smoke caps the
 /// search bracket; the single-recorder knee sits well inside either cap,
 /// so both modes converge on the same numbers for it.
 fn capacity(smoke: bool) -> ScenarioSnapshot {
@@ -277,9 +277,9 @@ fn capacity(smoke: bool) -> ScenarioSnapshot {
 /// The capacity-lens scenario: the knee search plus the full lens pass
 /// — utilization attribution, queueing cross-validation, and the
 /// confirmed what-if matrix — on both media. Knees, binding names, and
-/// cross-validation verdicts are deterministic, so the comparator gates
-/// them exactly (`lens_knee` may not shrink, `xval_divergences` may not
-/// grow). Both modes run the same sizing: this scenario gates the lens
+/// cross-validation verdicts are deterministic, so the baseline `cmp`
+/// pins them exactly (a moved `lens_knee` or `xval_divergences` fails
+/// it). Both modes run the same sizing: this scenario gates the lens
 /// *machinery*, while the full-scale knees belong to `capacity`.
 fn lens_overhead() -> ScenarioSnapshot {
     use publishing_chaos::Medium;

@@ -2,14 +2,13 @@
 //!
 //! A forensics pass takes two runs — a baseline and a candidate — and
 //! produces a ranked causal diagnosis of every delta worth explaining:
-//! each [`Finding`] names what regressed or drifted (a violated
-//! comparator rule, a binding-resource flip, a critical-path hop) and
-//! carries its ranked [`Suspect`] list, most suspicious first. The
-//! *types* live here because the diagnosis is part of the run artifact
-//! (the report embeds an optional [`ForensicsReport`]); the diff
-//! *engines* that populate them live in `publishing-perf::forensics`,
-//! which sits above this crate and can see snapshots and comparator
-//! verdicts.
+//! each [`Finding`] names what moved (a snapshot scenario's largest
+//! mover, a binding-resource flip, a critical-path hop) and carries its
+//! ranked [`Suspect`] list, most suspicious first. The *types* live here
+//! because the diagnosis is part of the run artifact (the report embeds
+//! an optional [`ForensicsReport`]); the diff *engines* that populate
+//! them live in `publishing-perf::forensics`, which sits above this
+//! crate and can see snapshots and their exact diff.
 //!
 //! The load-bearing invariant, enforced by the `forensics --smoke` CI
 //! gate and pinned by proptests: **a run diffed against itself produces
@@ -74,15 +73,15 @@ fn pct(prev: f64, new: f64) -> String {
     }
 }
 
-/// One diagnosed delta: a violated rule or drifted domain plus its
+/// One diagnosed delta: a moved scenario or drifted domain plus its
 /// ranked suspects.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Scenario the finding belongs to (or a diff-domain label for
     /// report-level findings, e.g. `run`).
     pub scenario: String,
-    /// What regressed or drifted: a gated metric name, or a domain such
-    /// as `binding_flip`, `critical_path`, `utilization`.
+    /// What moved: a snapshot metric or fingerprint name, or a domain
+    /// such as `binding_flip`, `critical_path`, `utilization`.
     pub subject: String,
     /// Baseline-side value of the subject (0.0 for domain findings).
     pub prev: f64,

@@ -1,153 +1,99 @@
-//! The perf-regression comparator behind the CI gate.
+//! The exact snapshot differ behind `lab compare`.
 //!
-//! Diffs two snapshots scenario-by-scenario over their virtual metrics.
-//! Each metric is matched to a [`Rule`] by name suffix; a change is a
-//! regression when it moves in the rule's "worse" direction by more
-//! than `max(rel · previous, abs)`. Metrics no rule
-//! matches are reported but never gate, as are fingerprint changes
-//! (fingerprints legitimately change whenever behavior-affecting code
-//! changes; the determinism *tests* are what pin same-build stability).
+//! Diffs two snapshots scenario by scenario and lists every virtual
+//! metric and fingerprint that moved. Virtual metrics replay exactly, so
+//! there is one significance rule: a metric moved when it changed by more
+//! than [`NOISE_FLOOR`] (f64 round-off). An entry that only one snapshot
+//! has — metric, fingerprint or whole scenario — moved too. The verdict
+//! therefore agrees with `cmp` of the two files: [`compare`] finds
+//! nothing exactly when the snapshots carry the same entries and values.
 //!
-//! Exit-code contract (used by `ci.sh`): `0` no regression, `1` at
-//! least one regression, `2` snapshots not comparable (schema or mode
-//! mismatch, scenario lost).
+//! Exit-code contract ([`Comparison::exit_code`]): `0` nothing moved,
+//! `1` something moved, `2` the snapshots are not comparable (schema or
+//! mode mismatch).
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{ScenarioSnapshot, Snapshot};
 use publishing_obs::forensics::ForensicsReport;
 use publishing_obs::json::{Json, ObjBuilder};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Which way a metric gets worse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Growth is a regression (latency, queue depth).
-    HigherIsWorse,
-    /// Shrinkage is a regression (capacity).
-    LowerIsWorse,
+/// Significance floor for a virtual-metric change, relative and absolute
+/// (f64 round-off only — two same-seed runs are byte-identical, so
+/// anything above this is a real change).
+pub const NOISE_FLOOR: f64 = 1e-9;
+
+/// Whether `prev -> new` clears [`NOISE_FLOOR`]. Symmetric in its
+/// arguments, so `compare(a, b)` and `compare(b, a)` move the same set.
+pub(crate) fn moved(prev: f64, new: f64) -> bool {
+    (new - prev).abs() > (NOISE_FLOOR * prev.abs().max(new.abs())).max(NOISE_FLOOR)
 }
 
-/// A per-metric gating rule, matched by metric-name suffix.
-#[derive(Debug, Clone)]
-pub struct Rule {
-    /// Metric-name suffix this rule applies to.
-    pub suffix: &'static str,
-    /// Worse direction.
-    pub direction: Direction,
-    /// Relative noise allowance (fraction of the previous value).
-    pub rel: f64,
-    /// Absolute noise allowance (same unit as the metric).
-    pub abs: f64,
-}
-
-/// The default rule set for the canonical scenario matrix. First match
-/// (in order) wins.
-pub fn default_rules() -> Vec<Rule> {
-    vec![
-        Rule {
-            // Capacity knees are deterministic integers found by a
-            // seeded binary search: any drop in sustainable users is a
-            // real regression, so the allowance is exactly zero.
-            suffix: "capacity_users",
-            direction: Direction::LowerIsWorse,
-            rel: 0.0,
-            abs: 0.0,
-        },
-        Rule {
-            // Lens knees are the same deterministic searches at the
-            // lens scenario's fixed operating point: zero allowance.
-            suffix: "lens_knee",
-            direction: Direction::LowerIsWorse,
-            rel: 0.0,
-            abs: 0.0,
-        },
-        Rule {
-            // The queueing cross-validation must stay clean: a model
-            // row drifting outside tolerance is a ledger bug, not
-            // noise.
-            suffix: "xval_divergences",
-            direction: Direction::HigherIsWorse,
-            rel: 0.0,
-            abs: 0.0,
-        },
-        Rule {
-            suffix: "_p50",
-            direction: Direction::HigherIsWorse,
-            rel: 0.25,
-            abs: 50.0,
-        },
-        Rule {
-            suffix: "_p95",
-            direction: Direction::HigherIsWorse,
-            rel: 0.25,
-            abs: 50.0,
-        },
-        Rule {
-            suffix: "_p99",
-            direction: Direction::HigherIsWorse,
-            rel: 0.25,
-            abs: 50.0,
-        },
-        Rule {
-            suffix: "peak_queue_depth",
-            direction: Direction::HigherIsWorse,
-            rel: 0.50,
-            abs: 4.0,
-        },
-        Rule {
-            suffix: "peak_sched_pending",
-            direction: Direction::HigherIsWorse,
-            rel: 0.50,
-            abs: 16.0,
-        },
-    ]
-}
-
-/// One metric's before/after reading.
+/// One entry that moved: a metric (`Delta<f64>`) or a fingerprint
+/// (`Delta<String>`). `None` on a side the entry is missing from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Delta {
-    /// Scenario the metric belongs to.
+pub struct Delta<T> {
+    /// Scenario the entry belongs to.
     pub scenario: String,
-    /// Metric name.
-    pub metric: String,
+    /// Metric or fingerprint name.
+    pub name: String,
     /// Previous snapshot's value.
-    pub prev: f64,
+    pub prev: Option<T>,
     /// New snapshot's value.
-    pub new: f64,
-    /// Whether the change crossed the matched rule's threshold in the
-    /// worse direction. Always `false` for unmatched (ungated) metrics.
-    pub regression: bool,
-    /// Whether any rule gates this metric.
-    pub gated: bool,
+    pub new: Option<T>,
 }
 
-/// The comparator's verdict.
+impl<T> Delta<T> {
+    /// `a -> b`, or which side alone carries the entry.
+    fn sides(&self, show: impl Fn(&T) -> String) -> String {
+        match (&self.prev, &self.new) {
+            (Some(p), Some(n)) => format!("{} -> {}", show(p), show(n)),
+            (Some(p), None) => format!("only in prev: {}", show(p)),
+            (None, Some(n)) => format!("only in new: {}", show(n)),
+            (None, None) => unreachable!("a delta has at least one side"),
+        }
+    }
+
+    fn to_json(&self) -> Json
+    where
+        T: Clone + Into<Json>,
+    {
+        ObjBuilder::new()
+            .field("scenario", &self.scenario)
+            .field("name", &self.name)
+            .field("prev", self.prev.clone())
+            .field("new", self.new.clone())
+            .build()
+    }
+}
+
+/// The differ's verdict.
 #[derive(Debug, Clone, Default)]
 pub struct Comparison {
-    /// Per-metric readings, scenario-major in snapshot order.
-    pub deltas: Vec<Delta>,
-    /// Fingerprints whose value changed (informational).
-    pub fingerprint_changes: Vec<String>,
+    /// Metrics that moved, scenario-major in snapshot order.
+    pub metrics: Vec<Delta<f64>>,
+    /// Fingerprints that changed, scenario-major in snapshot order.
+    pub fingerprints: Vec<Delta<String>>,
+    /// Metric names compared, over both snapshots.
+    pub metrics_compared: usize,
+    /// Fingerprint names compared, over both snapshots.
+    pub fingerprints_compared: usize,
     /// Set when the snapshots cannot be compared at all.
     pub incomparable: Option<String>,
 }
 
 impl Comparison {
-    /// The regressions, if any.
-    pub fn regressions(&self) -> impl Iterator<Item = &Delta> {
-        self.deltas.iter().filter(|d| d.regression)
-    }
-
-    /// The process exit code the CI gate uses.
+    /// The process exit code of `lab compare`.
     pub fn exit_code(&self) -> i32 {
         if self.incomparable.is_some() {
             2
-        } else if self.regressions().next().is_some() {
-            1
-        } else {
+        } else if self.metrics.is_empty() && self.fingerprints.is_empty() {
             0
+        } else {
+            1
         }
     }
 
-    /// Renders a human-readable report.
+    /// Renders a human-readable report: what moved, then a summary line.
     pub fn render(&self) -> String {
         let mut s = String::new();
         if let Some(why) = &self.incomparable {
@@ -155,35 +101,36 @@ impl Comparison {
             return s;
         }
         let mut scenario = "";
-        for d in &self.deltas {
+        for d in &self.metrics {
             if d.scenario != scenario {
                 scenario = &d.scenario;
                 s.push_str(&format!("{scenario}:\n"));
             }
-            let pct = if d.prev != 0.0 {
-                (d.new - d.prev) / d.prev * 100.0
-            } else {
-                0.0
+            let pct = match (d.prev, d.new) {
+                (Some(p), Some(n)) if p != 0.0 => format!(" ({:+.1}%)", (n - p) / p.abs() * 100.0),
+                _ => String::new(),
             };
             s.push_str(&format!(
-                "  {} {:<32} {:>14.3} -> {:>14.3} ({:+.1}%){}\n",
-                if d.regression { "REGRESSION" } else { "ok" },
-                d.metric,
-                d.prev,
-                d.new,
-                pct,
-                if d.gated { "" } else { " [ungated]" }
+                "  {:<40} {}{pct}\n",
+                d.name,
+                d.sides(|v| format!("{v:.3}"))
             ));
         }
-        for f in &self.fingerprint_changes {
-            s.push_str(&format!("  note: fingerprint changed: {f}\n"));
+        for f in &self.fingerprints {
+            s.push_str(&format!(
+                "  fingerprint {}/{}: {}\n",
+                f.scenario,
+                f.name,
+                f.sides(String::clone)
+            ));
         }
-        let n = self.regressions().count();
         s.push_str(&format!(
-            "{}: {} metric(s) compared, {} regression(s)\n",
-            if n == 0 { "PASS" } else { "FAIL" },
-            self.deltas.len(),
-            n
+            "{}: {} metric(s) and {} fingerprint(s) compared, {} metric(s) and {} fingerprint(s) moved\n",
+            if self.exit_code() == 0 { "PASS" } else { "FAIL" },
+            self.metrics_compared,
+            self.fingerprints_compared,
+            self.metrics.len(),
+            self.fingerprints.len()
         ));
         s
     }
@@ -195,20 +142,16 @@ impl Comparison {
         let mut o = ObjBuilder::new()
             .field("incomparable", self.incomparable.as_deref())
             .field("exit_code", self.exit_code() as f64)
-            .field("regressions", self.regressions().count() as f64)
+            .field("metrics_compared", self.metrics_compared)
+            .field("fingerprints_compared", self.fingerprints_compared)
             .field(
-                "deltas",
-                Json::arr(self.deltas.iter().map(|d| {
-                    ObjBuilder::new()
-                        .field("scenario", &d.scenario)
-                        .field("metric", &d.metric)
-                        .field("prev", d.prev)
-                        .field("new", d.new)
-                        .field("regression", d.regression)
-                        .field("gated", d.gated)
-                })),
+                "metrics",
+                Json::arr(self.metrics.iter().map(Delta::to_json)),
             )
-            .field("fingerprint_changes", Json::arr(&self.fingerprint_changes));
+            .field(
+                "fingerprints",
+                Json::arr(self.fingerprints.iter().map(Delta::to_json)),
+            );
         if let Some(diagnosis) = forensics {
             o = o.field("forensics", diagnosis.to_json());
         }
@@ -216,20 +159,47 @@ impl Comparison {
     }
 }
 
-fn rule_for<'r>(rules: &'r [Rule], metric: &str) -> Option<&'r Rule> {
-    rules.iter().find(|r| metric.ends_with(r.suffix))
-}
-
-fn is_regression(rule: &Rule, prev: f64, new: f64) -> bool {
-    let allowance = (rule.rel * prev.abs()).max(rule.abs);
-    match rule.direction {
-        Direction::HigherIsWorse => new - prev > allowance,
-        Direction::LowerIsWorse => prev - new > allowance,
+/// The scenario names of both snapshots: `prev`'s in its order, then
+/// those only `new` has, in its order.
+pub(crate) fn scenario_names<'a>(prev: &'a Snapshot, new: &'a Snapshot) -> Vec<&'a str> {
+    let mut names: Vec<&str> = prev.scenarios.iter().map(|s| s.name.as_str()).collect();
+    for s in &new.scenarios {
+        if prev.scenario(&s.name).is_none() {
+            names.push(&s.name);
+        }
     }
+    names
 }
 
-/// Diffs `new` against `prev` under `rules`.
-pub fn compare(prev: &Snapshot, new: &Snapshot, rules: &[Rule]) -> Comparison {
+/// Appends to `out` every key of either map whose values differ (`same`
+/// false) or that only one map has, in key order; returns how many keys
+/// the two maps carry together.
+fn diff_maps<T: Clone>(
+    scenario: &str,
+    prev: &BTreeMap<String, T>,
+    new: &BTreeMap<String, T>,
+    same: impl Fn(&T, &T) -> bool,
+    out: &mut Vec<Delta<T>>,
+) -> usize {
+    let keys: BTreeSet<&String> = prev.keys().chain(new.keys()).collect();
+    for &key in &keys {
+        let (p, n) = (prev.get(key), new.get(key));
+        if matches!((p, n), (Some(p), Some(n)) if same(p, n)) {
+            continue;
+        }
+        out.push(Delta {
+            scenario: scenario.to_string(),
+            name: key.clone(),
+            prev: p.cloned(),
+            new: n.cloned(),
+        });
+    }
+    keys.len()
+}
+
+/// Diffs `new` against `prev`. A scenario only one side has is diffed
+/// against an empty one, so each of its entries is listed as one-sided.
+pub fn compare(prev: &Snapshot, new: &Snapshot) -> Comparison {
     let mut out = Comparison::default();
     if prev.schema != new.schema {
         out.incomparable = Some(format!("schema {} vs {}", prev.schema, new.schema));
@@ -239,35 +209,24 @@ pub fn compare(prev: &Snapshot, new: &Snapshot, rules: &[Rule]) -> Comparison {
         out.incomparable = Some(format!("mode \"{}\" vs \"{}\"", prev.mode, new.mode));
         return out;
     }
-    for ps in &prev.scenarios {
-        let Some(ns) = new.scenario(&ps.name) else {
-            out.incomparable = Some(format!("scenario \"{}\" disappeared", ps.name));
-            return out;
-        };
-        for (metric, &pv) in &ps.virt {
-            // Metrics only one side has are layout drift within the same
-            // schema version; skip rather than invent a baseline.
-            let Some(&nv) = ns.virt.get(metric) else {
-                continue;
-            };
-            let rule = rule_for(rules, metric);
-            out.deltas.push(Delta {
-                scenario: ps.name.clone(),
-                metric: metric.clone(),
-                prev: pv,
-                new: nv,
-                regression: rule.map(|r| is_regression(r, pv, nv)).unwrap_or(false),
-                gated: rule.is_some(),
-            });
-        }
-        for (name, pf) in &ps.fingerprints {
-            if let Some(nf) = ns.fingerprints.get(name) {
-                if nf != pf {
-                    out.fingerprint_changes
-                        .push(format!("{}/{}: {} -> {}", ps.name, name, pf, nf));
-                }
-            }
-        }
+    let empty = ScenarioSnapshot::default();
+    for name in scenario_names(prev, new) {
+        let ps = prev.scenario(name).unwrap_or(&empty);
+        let ns = new.scenario(name).unwrap_or(&empty);
+        out.metrics_compared += diff_maps(
+            name,
+            &ps.virt,
+            &ns.virt,
+            |&p, &n| !moved(p, n),
+            &mut out.metrics,
+        );
+        out.fingerprints_compared += diff_maps(
+            name,
+            &ps.fingerprints,
+            &ns.fingerprints,
+            |p, n| p == n,
+            &mut out.fingerprints,
+        );
     }
     out
 }
@@ -275,7 +234,6 @@ pub fn compare(prev: &Snapshot, new: &Snapshot, rules: &[Rule]) -> Comparison {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::ScenarioSnapshot;
 
     fn snap(name_vals: &[(&str, f64)]) -> Snapshot {
         let mut s = Snapshot::new("smoke");
@@ -289,122 +247,57 @@ mod tests {
     }
 
     #[test]
-    fn within_noise_passes() {
-        let prev = snap(&[("peak_queue_depth", 40.0), ("deliver_us_p99", 400.0)]);
-        let new = snap(&[("peak_queue_depth", 55.0), ("deliver_us_p99", 440.0)]);
-        let c = compare(&prev, &new, &default_rules());
+    fn identical_snapshots_pass() {
+        let s = snap(&[("peak_queue_depth", 40.0), ("deliver_us_p99", 400.0)]);
+        let c = compare(&s, &s.clone());
         assert_eq!(c.exit_code(), 0, "{}", c.render());
+        assert_eq!((c.metrics_compared, c.fingerprints_compared), (2, 1));
+        assert!(c.render().ends_with(
+            "PASS: 2 metric(s) and 1 fingerprint(s) compared, 0 metric(s) and 0 fingerprint(s) moved\n"
+        ));
     }
 
+    /// Every change above round-off moves, whatever the metric and
+    /// whichever the direction; round-off does not.
     #[test]
-    fn queue_growth_beyond_threshold_fails() {
-        let prev = snap(&[("peak_queue_depth", 40.0)]);
-        let new = snap(&[("peak_queue_depth", 61.0)]);
-        let c = compare(&prev, &new, &default_rules());
-        assert_eq!(c.exit_code(), 1);
-        assert_eq!(c.regressions().count(), 1);
-        assert!(c.render().contains("REGRESSION"));
-    }
-
-    /// Events per virtual second is a cost of fixed work, not a
-    /// throughput: a change that does the same work in fewer events is
-    /// not a regression, and neither direction gates.
-    #[test]
-    fn event_rate_is_reported_but_never_gates() {
-        let prev = snap(&[("events_per_virtual_sec", 1000.0)]);
-        for new in [300.0, 3000.0] {
-            let c = compare(
-                &prev,
-                &snap(&[("events_per_virtual_sec", new)]),
-                &default_rules(),
-            );
-            assert_eq!(c.exit_code(), 0, "{}", c.render());
-            assert!(c.render().contains("[ungated]"));
+    fn any_change_above_the_noise_floor_moves() {
+        let prev = snap(&[("deliver_us_p99", 1000.0), ("single_capacity_users", 28.0)]);
+        for (metric, new) in [
+            ("deliver_us_p99", 1001.0),
+            ("deliver_us_p99", 100.0),
+            ("single_capacity_users", 29.0),
+        ] {
+            let mut next = prev.clone();
+            next.scenarios[0].virt(metric, new);
+            let c = compare(&prev, &next);
+            assert_eq!(c.exit_code(), 1, "{}", c.render());
+            assert_eq!(c.metrics.len(), 1);
+            assert_eq!(c.metrics[0].name, metric);
+            assert!(c.render().contains(metric));
         }
+        let mut jitter = prev.clone();
+        jitter.scenarios[0].virt("deliver_us_p99", 1000.0 * (1.0 + 1e-12));
+        assert_eq!(compare(&prev, &jitter).exit_code(), 0);
     }
 
+    /// A scenario only one side has moves each entry it carries, on
+    /// either side (`perf_observatory.rs` doctors the committed baseline
+    /// for the other one-sided cases).
     #[test]
-    fn latency_gain_is_not_a_regression() {
-        let prev = snap(&[("deliver_us_p99", 1000.0)]);
-        let new = snap(&[("deliver_us_p99", 100.0)]);
-        let c = compare(&prev, &new, &default_rules());
-        assert_eq!(c.exit_code(), 0);
-    }
-
-    #[test]
-    fn latency_blowup_fails_and_small_abs_jitter_passes() {
-        let prev = snap(&[("deliver_us_p99", 100.0)]);
-        // +40us is above 25% of 100 but under the 50us absolute slack.
-        let ok = compare(&prev, &snap(&[("deliver_us_p99", 140.0)]), &default_rules());
-        assert_eq!(ok.exit_code(), 0, "{}", ok.render());
-        let bad = compare(&prev, &snap(&[("deliver_us_p99", 200.0)]), &default_rules());
-        assert_eq!(bad.exit_code(), 1);
-    }
-
-    #[test]
-    fn capacity_knee_gates_exactly() {
-        // The knee is a deterministic integer: a drop of even one user
-        // fails, growth and equality pass.
-        let prev = snap(&[("single_capacity_users", 28.0)]);
-        let same = compare(
-            &prev,
-            &snap(&[("single_capacity_users", 28.0)]),
-            &default_rules(),
-        );
-        assert_eq!(same.exit_code(), 0, "{}", same.render());
-        let up = compare(
-            &prev,
-            &snap(&[("single_capacity_users", 29.0)]),
-            &default_rules(),
-        );
-        assert_eq!(up.exit_code(), 0, "{}", up.render());
-        let down = compare(
-            &prev,
-            &snap(&[("single_capacity_users", 27.0)]),
-            &default_rules(),
-        );
-        assert_eq!(down.exit_code(), 1);
-        assert!(down.render().contains("REGRESSION"));
-    }
-
-    #[test]
-    fn lens_rules_gate_knee_and_divergence_exactly() {
-        // Lens knees gate like capacity knees: any shrink fails.
-        let prev = snap(&[
-            ("perfect_lens_knee", 6.0),
-            ("perfect_xval_divergences", 0.0),
-        ]);
-        let same = compare(&prev, &prev, &default_rules());
-        assert_eq!(same.exit_code(), 0, "{}", same.render());
-        let knee_down = compare(
-            &prev,
-            &snap(&[
-                ("perfect_lens_knee", 5.0),
-                ("perfect_xval_divergences", 0.0),
-            ]),
-            &default_rules(),
-        );
-        assert_eq!(knee_down.exit_code(), 1);
-        // A queueing-model row drifting outside tolerance is a bug.
-        let diverged = compare(
-            &prev,
-            &snap(&[
-                ("perfect_lens_knee", 6.0),
-                ("perfect_xval_divergences", 1.0),
-            ]),
-            &default_rules(),
-        );
-        assert_eq!(diverged.exit_code(), 1);
-        assert!(diverged.render().contains("REGRESSION"));
-    }
-
-    #[test]
-    fn ungated_metrics_never_fail() {
+    fn a_lone_scenario_moves_on_either_side() {
         let prev = snap(&[("spans_total", 10.0)]);
-        let new = snap(&[("spans_total", 100_000.0)]);
-        let c = compare(&prev, &new, &default_rules());
-        assert_eq!(c.exit_code(), 0);
-        assert!(c.render().contains("[ungated]"));
+        let mut more = prev.clone();
+        let mut sc = prev.scenarios[0].clone();
+        sc.name = "crash_replay".into();
+        more.scenarios.push(sc);
+        for c in [compare(&prev, &more), compare(&more, &prev)] {
+            assert_eq!(c.exit_code(), 1, "{}", c.render());
+            assert_eq!((c.metrics.len(), c.fingerprints.len()), (1, 1));
+            assert_eq!(c.metrics[0].scenario, "crash_replay");
+        }
+        assert!(compare(&more, &prev)
+            .render()
+            .contains("fingerprint crash_replay/output: only in prev: 0x"));
     }
 
     #[test]
@@ -412,52 +305,33 @@ mod tests {
         let prev = snap(&[]);
         let mut other_mode = snap(&[]);
         other_mode.mode = "full".into();
-        assert_eq!(compare(&prev, &other_mode, &default_rules()).exit_code(), 2);
+        assert_eq!(compare(&prev, &other_mode).exit_code(), 2);
         let mut other_schema = snap(&[]);
         other_schema.schema = 99;
-        assert_eq!(
-            compare(&prev, &other_schema, &default_rules()).exit_code(),
-            2
-        );
+        assert_eq!(compare(&prev, &other_schema).exit_code(), 2);
     }
 
     #[test]
-    fn lost_scenario_is_incomparable() {
-        let prev = snap(&[]);
-        let new = Snapshot::new("smoke");
-        assert_eq!(compare(&prev, &new, &default_rules()).exit_code(), 2);
-    }
-
-    #[test]
-    fn json_verdict_parses_and_carries_the_exit_code() {
-        use publishing_obs::json::parse;
+    fn json_verdict_carries_the_exit_code_and_both_sides() {
         let prev = snap(&[("deliver_us_p99", 1000.0)]);
-        let new = snap(&[("deliver_us_p99", 1500.0)]);
-        let c = compare(&prev, &new, &default_rules());
-        let doc = parse(&c.to_json(None).write()).expect("valid json");
-        assert_eq!(doc.get("exit_code").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(doc.get("regressions").and_then(Json::as_f64), Some(1.0));
-        let Some(Json::Arr(deltas)) = doc.get("deltas") else {
-            panic!("deltas array");
-        };
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(
-            deltas[0].get("metric").and_then(Json::as_str),
-            Some("deliver_us_p99")
-        );
-        let incomparable = compare(&prev, &Snapshot::new("full"), &default_rules());
-        let doc = parse(&incomparable.to_json(None).write()).expect("valid json");
-        assert_eq!(doc.get("exit_code").and_then(Json::as_f64), Some(2.0));
-        assert!(doc.get("incomparable").and_then(Json::as_str).is_some());
-    }
-
-    #[test]
-    fn fingerprint_changes_are_informational() {
-        let prev = snap(&[]);
-        let mut new = snap(&[]);
+        let mut new = snap(&[("deliver_us_p99", 1500.0)]);
         new.scenarios[0].fingerprint("output", 2);
-        let c = compare(&prev, &new, &default_rules());
-        assert_eq!(c.exit_code(), 0);
-        assert_eq!(c.fingerprint_changes.len(), 1);
+        assert_eq!(
+            compare(&prev, &new).to_json(None).write(),
+            "{\"incomparable\":null,\"exit_code\":1.0,\"metrics_compared\":1,\
+             \"fingerprints_compared\":1,\"metrics\":[{\"scenario\":\"steady_state\",\
+             \"name\":\"deliver_us_p99\",\"prev\":1000.0,\"new\":1500.0}],\
+             \"fingerprints\":[{\"scenario\":\"steady_state\",\"name\":\"output\",\
+             \"prev\":\"0x0000000000000001\",\"new\":\"0x0000000000000002\"}]}"
+        );
+        let incomparable = compare(&prev, &Snapshot::new("full")).to_json(None);
+        assert_eq!(
+            incomparable.get("exit_code").and_then(Json::as_f64),
+            Some(2.0)
+        );
+        assert!(incomparable
+            .get("incomparable")
+            .and_then(Json::as_str)
+            .is_some());
     }
 }

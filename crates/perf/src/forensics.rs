@@ -1,18 +1,18 @@
 //! The regression-forensics engine: differential run attribution.
 //!
-//! `compare` can say *that* a gated metric crossed its threshold;
-//! this module says *why*. It diffs two runs at two granularities and
-//! produces the ranked diagnosis types of `publishing_obs::forensics`:
+//! `compare` says *what* moved; this module says *why*. It diffs two
+//! runs at two granularities and produces the ranked diagnosis types of
+//! `publishing_obs::forensics`:
 //!
-//! - **Snapshot level** ([`diff_snapshots`] / [`explain_comparison`]):
-//!   runs the standard comparator, then attributes every violated rule
-//!   to the snapshot's *attribution families* — the virtual-time
-//!   profile categories (`profile_*_ms`), the per-kind ledger busy
-//!   times (`util_*_busy_ms`), critical-path stage times
-//!   (`critical_path_*_ms`) and what-if knee predictions (for knee
-//!   rules) — ranked by how far each moved in the "more work"
-//!   direction. Binding-resource flips are diagnosed even when no rule
-//!   fired.
+//! - **Snapshot level** ([`diff_snapshots`]): runs the exact differ,
+//!   then gives one finding per scenario in which anything moved. Its
+//!   subject is the scenario's largest relative mover outside the
+//!   *attribution families*; its suspects are the families that moved —
+//!   the virtual-time profile categories (`profile_*_ms`), the per-kind
+//!   ledger busy times (`util_*_busy_ms`), critical-path stage times
+//!   (`critical_path_*`) and what-if knee predictions
+//!   (`*_predicted` / `*_confirmed`) — ranked by relative change in
+//!   either direction, a binding-resource flip first.
 //! - **Report level** ([`diff_reports`]): stage-latency histogram bin
 //!   diffs, per-resource ledger shifts, profile-category deltas, and
 //!   the full hop-by-hop critical-path alignment
@@ -20,231 +20,152 @@
 //!
 //! Significance is deterministic: virtual metrics are exactly
 //! replayable, so *any* delta above quantization is real
-//! ([`NOISE_FLOOR`] exists only to absorb f64 round-off). Host cost is
-//! not this engine's subject — `hostbench` measures it. The self-diff
-//! invariant — any run diffed against itself yields an empty diagnosis
-//! — holds by construction and is pinned by proptests and the
-//! `forensics --smoke` CI gate.
+//! ([`NOISE_FLOOR`](crate::compare::NOISE_FLOOR) only absorbs f64
+//! round-off). Host cost is not this engine's subject — `hostbench`
+//! measures it. The self-diff invariant — any run diffed against itself
+//! yields an empty diagnosis — holds by construction and is pinned by
+//! proptests and the `forensics --smoke` CI gate.
 
-use crate::compare::{compare, default_rules, Comparison};
-use crate::snapshot::{ScenarioSnapshot, Snapshot};
+use crate::compare::{compare, moved, scenario_names, Comparison, Delta};
+use crate::snapshot::Snapshot;
 use publishing_obs::causal::align_paths;
 use publishing_obs::forensics::{Finding, ForensicsReport, Suspect, SuspectKind};
 use publishing_obs::report::ObsReport;
 use publishing_sim::stats::LogHistogram;
 
-/// Significance floor for a virtual-metric delta, relative and absolute
-/// (f64 round-off only — two same-seed runs are byte-identical, so
-/// anything above this is a real change).
-pub const NOISE_FLOOR: f64 = 1e-9;
-
 /// Suspects kept per finding, most suspicious first.
 pub const TOP_K: usize = 3;
 
-/// One signed metric delta between two scenario snapshots.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricDelta {
-    /// Metric name.
-    pub metric: String,
-    /// Baseline value.
-    pub prev: f64,
-    /// Candidate value.
-    pub new: f64,
-    /// Whether the delta clears [`NOISE_FLOOR`].
-    pub significant: bool,
-}
-
-impl MetricDelta {
-    /// Signed change, candidate minus baseline.
-    pub fn delta(&self) -> f64 {
-        self.new - self.prev
-    }
-}
-
-fn clears_floor(prev: f64, new: f64) -> bool {
-    // The floor is symmetric in (prev, new), so diff(a, b) and
-    // diff(b, a) agree on significance — the antisymmetry invariant.
-    (new - prev).abs() > (NOISE_FLOOR * prev.abs().max(new.abs())).max(NOISE_FLOOR)
-}
-
-/// Signed per-metric deltas between two scenario snapshots, in
-/// metric-name order. Metrics present on only one side are layout drift,
-/// not deltas, and are skipped (the comparator reports those
-/// separately). Antisymmetry holds exactly: `metric_deltas(a, b)` and
-/// `metric_deltas(b, a)` pair up with negated deltas and identical
-/// significance verdicts.
-pub fn metric_deltas(prev: &ScenarioSnapshot, new: &ScenarioSnapshot) -> Vec<MetricDelta> {
-    let mut out = Vec::new();
-    for (metric, &pv) in &prev.virt {
-        let Some(&nv) = new.virt.get(metric) else {
-            continue;
-        };
-        out.push(MetricDelta {
-            metric: metric.clone(),
-            prev: pv,
-            new: nv,
-            significant: clears_floor(pv, nv),
-        });
-    }
-    out
-}
-
-/// Whether a violated metric is a capacity/lens knee, whose suspects
-/// are *drops* in the what-if knee predictions rather than cost growth.
-fn is_knee_metric(metric: &str) -> bool {
-    metric.ends_with("capacity_users") || metric.ends_with("lens_knee")
-}
-
-fn suspect_kind(metric: &str, knee: bool) -> Option<SuspectKind> {
-    if metric.starts_with("profile_") {
+/// The attribution family a snapshot metric belongs to, if any.
+fn suspect_kind(metric: &str) -> Option<SuspectKind> {
+    if metric.starts_with("profile_")
+        || metric.ends_with("_predicted")
+        || metric.ends_with("_confirmed")
+    {
         Some(SuspectKind::Stage)
     } else if metric.starts_with("util_") {
         Some(SuspectKind::Resource)
     } else if metric.starts_with("critical_path_") {
         Some(SuspectKind::CriticalPath)
-    } else if knee && (metric.ends_with("_predicted") || metric.ends_with("_confirmed")) {
-        // A knee regression inherits the what-if matrix as its suspect
-        // pool: the knob whose predicted knee collapsed names the
-        // physics that moved.
-        Some(SuspectKind::Stage)
     } else {
         None
     }
 }
 
-/// Ranks the attribution-family suspects behind one violated metric.
-/// Cost families (profile, ledger busy time, critical-path stages) rank
-/// by growth; knee rules additionally rank what-if
-/// prediction *drops*. Scores are relative to the baseline value with a
-/// small scale floor so a metric appearing from zero cannot drown an
-/// exact doubling; ties break by metric name, so the ranking is
+/// Orders moved metrics by relative change, largest first, in either
+/// direction. A side a metric is missing from reads as zero. Changes are
+/// relative to the previous value with a scale floor (1 % of the largest
+/// magnitude among `deltas`), so a metric appearing from zero cannot
+/// drown an exact doubling; ties break by name, so the order is
 /// deterministic.
-fn rank_suspects(prev: &ScenarioSnapshot, new: &ScenarioSnapshot, violated: &str) -> Vec<Suspect> {
-    let knee = is_knee_metric(violated);
-    // (worseness, suspect) candidates.
-    let mut cands: Vec<(f64, Suspect)> = Vec::new();
-    let mut scale: f64 = 0.0;
-    for (metric, &pv) in &prev.virt {
-        if metric == violated {
-            continue;
-        }
-        let Some(&nv) = new.virt.get(metric) else {
-            continue;
-        };
-        let Some(kind) = suspect_kind(metric, knee) else {
-            continue;
-        };
-        if !clears_floor(pv, nv) {
-            continue;
-        }
-        let prediction = knee && (metric.ends_with("_predicted") || metric.ends_with("_confirmed"));
-        let worse = if prediction { pv - nv } else { nv - pv };
-        if worse <= 0.0 {
-            continue;
-        }
-        scale = scale.max(pv.abs()).max(nv.abs());
-        cands.push((
-            worse,
-            Suspect {
-                kind,
-                name: metric.clone(),
-                prev: pv,
-                new: nv,
-                detail: String::new(),
-            },
-        ));
-    }
+fn by_relative_change(mut deltas: Vec<&Delta<f64>>) -> Vec<&Delta<f64>> {
+    let ends = |d: &Delta<f64>| (d.prev.unwrap_or(0.0), d.new.unwrap_or(0.0));
+    let scale = deltas
+        .iter()
+        .map(|d| {
+            let (p, n) = ends(d);
+            p.abs().max(n.abs())
+        })
+        .fold(0.0, f64::max);
     let floor = (scale * 0.01).max(1e-9);
-    let mut scored: Vec<(f64, Suspect)> = cands
-        .into_iter()
-        .map(|(worse, s)| (worse / s.prev.abs().max(floor), s))
-        .collect();
-    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.name.cmp(&b.1.name)));
-    let mut out: Vec<Suspect> = scored.into_iter().take(TOP_K).map(|(_, s)| s).collect();
-    // A binding flip outranks everything: the run is on a different
-    // bottleneck, so per-metric growth is downstream of that.
-    if let Some(flip) = binding_flip(prev, new) {
-        out.insert(0, flip);
-        out.truncate(TOP_K);
-    }
-    out
+    let rel = |d: &Delta<f64>| {
+        let (p, n) = ends(d);
+        (n - p).abs() / p.abs().max(floor)
+    };
+    deltas.sort_by(|a, b| rel(b).total_cmp(&rel(a)).then_with(|| a.name.cmp(&b.name)));
+    deltas
 }
 
-/// The binding-flip suspect for a scenario pair, when the binding
-/// resource recorded in the snapshots changed identity.
-fn binding_flip(prev: &ScenarioSnapshot, new: &ScenarioSnapshot) -> Option<Suspect> {
-    let (pb, nb) = (
-        prev.fingerprints.get("binding")?,
-        new.fingerprints.get("binding")?,
-    );
-    (pb != nb).then(|| Suspect {
+/// The suspect for a binding resource that changed identity.
+fn binding_flip(prev: &str, new: &str) -> Suspect {
+    Suspect {
         kind: SuspectKind::BindingFlip,
         name: "binding".into(),
         prev: 0.0,
         new: 0.0,
-        detail: format!("{pb} -> {nb}"),
-    })
+        detail: format!("{prev} -> {new}"),
+    }
 }
 
-/// Explains an existing comparator verdict: one finding per violated
-/// rule with its ranked suspects, plus a standalone finding for a
-/// binding flip in a scenario the rules let through. Diffing a snapshot
-/// against itself yields no findings.
-pub fn explain_comparison(
-    baseline: &str,
-    prev: &Snapshot,
-    new: &Snapshot,
-    c: &Comparison,
-) -> ForensicsReport {
-    let mut report = ForensicsReport {
-        baseline: baseline.to_string(),
-        findings: Vec::new(),
-    };
-    if c.incomparable.is_some() {
-        return report;
-    }
-    for d in c.regressions() {
-        let (Some(ps), Some(ns)) = (prev.scenario(&d.scenario), new.scenario(&d.scenario)) else {
-            continue;
-        };
-        report.findings.push(Finding {
-            scenario: d.scenario.clone(),
-            subject: d.metric.clone(),
-            prev: d.prev,
-            new: d.new,
-            suspects: rank_suspects(ps, ns, &d.metric),
-        });
-    }
-    for ps in &prev.scenarios {
-        let Some(ns) = new.scenario(&ps.name) else {
-            continue;
-        };
-        if report.findings.iter().any(|f| f.scenario == ps.name) {
-            continue;
-        }
-        if let Some(flip) = binding_flip(ps, ns) {
-            report.findings.push(Finding {
-                scenario: ps.name.clone(),
-                subject: "binding_flip".into(),
-                prev: 0.0,
-                new: 0.0,
-                suspects: vec![flip],
-            });
-        }
-    }
-    report
+/// The [`TOP_K`] suspects that moved most in absolute terms, ties by name.
+fn top_by_abs_delta(mut suspects: Vec<Suspect>) -> Vec<Suspect> {
+    suspects.sort_by(|a, b| {
+        b.delta()
+            .abs()
+            .total_cmp(&a.delta().abs())
+            .then_with(|| a.name.cmp(&b.name))
+    });
+    suspects.truncate(TOP_K);
+    suspects
 }
 
-/// Runs the standard comparator over two snapshots and explains the
-/// verdict. Returns both: the comparison still carries the exit-code
-/// contract, the forensics report carries the diagnosis.
+/// Runs the exact differ over two snapshots and explains it: one finding
+/// per scenario in which anything moved. Returns both: the comparison
+/// carries the exit-code contract, the forensics report the diagnosis.
+/// Diffing a snapshot against itself yields no findings.
 pub fn diff_snapshots(
     baseline: &str,
     prev: &Snapshot,
     new: &Snapshot,
 ) -> (Comparison, ForensicsReport) {
-    let c = compare(prev, new, &default_rules());
-    let report = explain_comparison(baseline, prev, new, &c);
+    let c = compare(prev, new);
+    let mut report = ForensicsReport {
+        baseline: baseline.to_string(),
+        findings: Vec::new(),
+    };
+    for name in scenario_names(prev, new) {
+        let fingerprints: Vec<&Delta<String>> = c
+            .fingerprints
+            .iter()
+            .filter(|f| f.scenario == name)
+            .collect();
+        let (families, others): (Vec<_>, Vec<_>) = c
+            .metrics
+            .iter()
+            .filter(|d| d.scenario == name)
+            .partition(|d| suspect_kind(&d.name).is_some());
+        if families.is_empty() && others.is_empty() && fingerprints.is_empty() {
+            continue;
+        }
+        // A binding flip outranks everything: the run is on a different
+        // bottleneck, so per-metric change is downstream of that.
+        let flip = fingerprints
+            .iter()
+            .find_map(|f| match (&*f.name, &f.prev, &f.new) {
+                ("binding", Some(pb), Some(nb)) => Some(binding_flip(pb, nb)),
+                _ => None,
+            });
+        let ranked = by_relative_change(families).into_iter().map(|d| Suspect {
+            kind: suspect_kind(&d.name).expect("a family metric"),
+            name: d.name.clone(),
+            prev: d.prev.unwrap_or(0.0),
+            new: d.new.unwrap_or(0.0),
+            detail: match (d.prev, d.new) {
+                (None, _) => "only in new".into(),
+                (_, None) => "only in prev".into(),
+                _ => String::new(),
+            },
+        });
+        // When nothing outside the families moved, the subject is a
+        // changed fingerprint, or the families themselves.
+        let (subject, sp, sn) = match by_relative_change(others).first() {
+            Some(d) => (d.name.clone(), d.prev.unwrap_or(0.0), d.new.unwrap_or(0.0)),
+            None => (
+                fingerprints
+                    .first()
+                    .map_or("attribution".into(), |f| f.name.clone()),
+                0.0,
+                0.0,
+            ),
+        };
+        report.findings.push(Finding {
+            scenario: name.to_string(),
+            subject,
+            prev: sp,
+            new: sn,
+            suspects: flip.into_iter().chain(ranked).take(TOP_K).collect(),
+        });
+    }
     (c, report)
 }
 
@@ -376,13 +297,7 @@ pub fn diff_reports(baseline: &str, prev: &ObsReport, new: &ObsReport) -> Forens
                 subject: "binding_flip".into(),
                 prev: 0.0,
                 new: 0.0,
-                suspects: vec![Suspect {
-                    kind: SuspectKind::BindingFlip,
-                    name: "binding".into(),
-                    prev: 0.0,
-                    new: 0.0,
-                    detail: format!("{pb} -> {nb}"),
-                }],
+                suspects: vec![binding_flip(&pb, &nb)],
             });
         }
         let mut shifts: Vec<Suspect> = Vec::new();
@@ -397,7 +312,7 @@ pub fn diff_reports(baseline: &str, prev: &ObsReport, new: &ObsReport) -> Forens
                 });
                 continue;
             };
-            if clears_floor(pr.busy_ms, nr.busy_ms) {
+            if moved(pr.busy_ms, nr.busy_ms) {
                 shifts.push(Suspect {
                     kind: SuspectKind::Resource,
                     name: pr.name.clone(),
@@ -419,19 +334,12 @@ pub fn diff_reports(baseline: &str, prev: &ObsReport, new: &ObsReport) -> Forens
             }
         }
         if !shifts.is_empty() {
-            shifts.sort_by(|a, b| {
-                (b.new - b.prev)
-                    .abs()
-                    .total_cmp(&(a.new - a.prev).abs())
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-            shifts.truncate(TOP_K);
             report.findings.push(Finding {
                 scenario: scenario.clone(),
                 subject: "utilization".into(),
                 prev: 0.0,
                 new: 0.0,
-                suspects: shifts,
+                suspects: top_by_abs_delta(shifts),
             });
         }
     }
@@ -439,7 +347,7 @@ pub fn diff_reports(baseline: &str, prev: &ObsReport, new: &ObsReport) -> Forens
         (Some(pc), Some(nc)) => {
             let al = align_paths(pc, nc);
             if !al.is_clean() {
-                let mut hops: Vec<Suspect> = al
+                let hops: Vec<Suspect> = al
                     .hops
                     .iter()
                     .filter(|h| {
@@ -454,19 +362,12 @@ pub fn diff_reports(baseline: &str, prev: &ObsReport, new: &ObsReport) -> Forens
                         detail: format!("{} {}", h.status.label(), h.label),
                     })
                     .collect();
-                hops.sort_by(|a, b| {
-                    (b.new - b.prev)
-                        .abs()
-                        .total_cmp(&(a.new - a.prev).abs())
-                        .then_with(|| a.name.cmp(&b.name))
-                });
-                hops.truncate(TOP_K);
                 report.findings.push(Finding {
                     scenario,
                     subject: "critical_path".into(),
                     prev: al.baseline_total_ms,
                     new: al.run_total_ms,
-                    suspects: hops,
+                    suspects: top_by_abs_delta(hops),
                 });
             }
         }
@@ -493,6 +394,7 @@ pub fn diff_reports(baseline: &str, prev: &ObsReport, new: &ObsReport) -> Forens
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::ScenarioSnapshot;
     use publishing_sim::time::{SimDuration, SimTime};
 
     fn scenario(pairs: &[(&str, f64)]) -> ScenarioSnapshot {
@@ -526,12 +428,14 @@ mod tests {
     #[test]
     fn doubled_cpu_ranks_the_cpu_family_first() {
         let prev = snap(scenario(&[
+            ("publish_to_deliver_us_p50", 8192.0),
             ("publish_to_deliver_us_p99", 16384.0),
             ("profile_kernel_cpu_ms", 10.0),
             ("util_cpu_proto_busy_ms", 12.0),
             ("util_medium_busy_ms", 40.0),
         ]));
         let new = snap(scenario(&[
+            ("publish_to_deliver_us_p50", 8192.0),
             ("publish_to_deliver_us_p99", 32768.0),
             ("profile_kernel_cpu_ms", 20.0),
             ("util_cpu_proto_busy_ms", 24.0),
@@ -539,20 +443,45 @@ mod tests {
         ]));
         let (c, report) = diff_snapshots("base", &prev, &new);
         assert_eq!(c.exit_code(), 1);
+        assert_eq!(report.findings.len(), 1, "{}", report.render());
         let f = &report.findings[0];
         assert_eq!(f.subject, "publish_to_deliver_us_p99");
         // kernel_cpu and cpu_proto both doubled (rel +1.0); the medium
         // barely moved. Ties break by name: profile_ before util_.
-        assert_eq!(f.suspects[0].name, "profile_kernel_cpu_ms");
+        let names: Vec<&str> = f.suspects.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "profile_kernel_cpu_ms",
+                "util_cpu_proto_busy_ms",
+                "util_medium_busy_ms"
+            ]
+        );
+    }
+
+    /// Suspects rank by relative change whichever way they moved: a
+    /// halved resource outranks one that grew by a quarter.
+    #[test]
+    fn suspects_rank_by_change_in_either_direction() {
+        let prev = snap(scenario(&[
+            ("at_ms", 100.0),
+            ("util_transport_busy_ms", 40.0),
+            ("util_cpu_proto_busy_ms", 40.0),
+        ]));
+        let new = snap(scenario(&[
+            ("at_ms", 120.0),
+            ("util_transport_busy_ms", 20.0),
+            ("util_cpu_proto_busy_ms", 50.0),
+        ]));
+        let (_, report) = diff_snapshots("base", &prev, &new);
+        let f = &report.findings[0];
+        assert_eq!(f.subject, "at_ms");
+        assert_eq!(f.suspects[0].name, "util_transport_busy_ms");
         assert_eq!(f.suspects[1].name, "util_cpu_proto_busy_ms");
-        assert!(f
-            .suspects
-            .iter()
-            .all(|s| s.name != "util_medium_busy_ms" || f.suspects.len() > 2));
     }
 
     #[test]
-    fn knee_regression_inherits_whatif_prediction_drops() {
+    fn a_knees_suspects_are_the_whatif_predictions_that_moved() {
         let prev = snap(scenario(&[
             ("perfect_lens_knee", 141.0),
             ("perfect_proto_cpu_predicted", 282.0),
@@ -567,34 +496,22 @@ mod tests {
         assert_eq!(c.exit_code(), 1);
         let f = &report.findings[0];
         assert_eq!(f.subject, "perfect_lens_knee");
+        assert_eq!(f.suspects.len(), 1);
         assert_eq!(f.suspects[0].name, "perfect_proto_cpu_predicted");
+        assert_eq!(f.suspects[0].kind, SuspectKind::Stage);
     }
 
     #[test]
-    fn binding_flip_is_found_even_without_a_regression() {
+    fn a_binding_flip_alone_is_a_finding_with_the_flip_as_suspect() {
         let mut a = scenario(&[("spans_total", 10.0)]);
         a.fingerprints.insert("binding".into(), "recv 2".into());
         let mut b = scenario(&[("spans_total", 10.0)]);
         b.fingerprints.insert("binding".into(), "medium".into());
         let (c, report) = diff_snapshots("base", &snap(a), &snap(b));
-        assert_eq!(c.exit_code(), 0, "flip alone does not gate");
+        assert_eq!(c.exit_code(), 1, "a changed fingerprint moved");
         assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].subject, "binding_flip");
+        assert_eq!(report.findings[0].subject, "binding");
         assert_eq!(report.findings[0].suspects[0].detail, "recv 2 -> medium");
-    }
-
-    #[test]
-    fn metric_deltas_are_antisymmetric() {
-        let a = scenario(&[("x", 10.0), ("y", 0.0)]);
-        let b = scenario(&[("x", 12.0), ("y", 3.0)]);
-        let ab = metric_deltas(&a, &b);
-        let ba = metric_deltas(&b, &a);
-        assert_eq!(ab.len(), ba.len());
-        for (f, r) in ab.iter().zip(&ba) {
-            assert_eq!(f.metric, r.metric);
-            assert_eq!(f.delta(), -r.delta());
-            assert_eq!(f.significant, r.significant);
-        }
     }
 
     #[test]

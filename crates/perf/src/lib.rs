@@ -9,14 +9,15 @@
 //!   (events/sec, stage-latency percentiles, peak queue depths, bytes
 //!   published) and fingerprints, so two runs at the same seed write
 //!   byte-identical files;
-//! - [`compare`]: the regression comparator that diffs two snapshots
-//!   under per-metric direction and noise thresholds, and backs the CI
-//!   perf gate (nonzero exit on regression);
-//! - [`forensics`]: the regression-forensics engine that explains a
-//!   comparator verdict — ranked suspects per violated rule from the
-//!   snapshot's attribution families (profile categories, ledger busy
-//!   times, critical-path stages, what-if knees) and a report-level
-//!   differ over histograms, ledgers, and aligned critical paths;
+//! - [`compare`]: the exact differ that lists every metric and
+//!   fingerprint two snapshots disagree on (past f64 round-off), so it
+//!   agrees with `cmp` of the files and says what moved (exit `1`);
+//! - [`forensics`]: the regression-forensics engine that explains what
+//!   moved — one finding per moved scenario, its suspects ranked from
+//!   the snapshot's attribution families (profile categories, ledger
+//!   busy times, critical-path stages, what-if knees) — and a
+//!   report-level differ over histograms, ledgers, and aligned critical
+//!   paths;
 //! - [`trace`]: the Chrome-trace (Perfetto JSON) exporter that turns
 //!   `publishing-obs` lifecycle span logs into per-component timelines
 //!   with per-message lifecycle slices, loadable in `chrome://tracing`

@@ -222,7 +222,7 @@ pub fn scenario_from_report(name: &str, report: &ObsReport) -> ScenarioSnapshot 
     // Attribution families for regression forensics: virtual-time cost
     // per profile category, ledger busy time aggregated per resource
     // kind, and the binding resource's identity (a fingerprint, so a
-    // flip shows up in the comparator as an informational change and in
+    // flip shows up in `lab compare` as a moved fingerprint and in
     // forensics as a first-ranked suspect).
     for (category, d) in report.profile.iter() {
         s.virt(format!("profile_{category}_ms"), d.as_millis_f64());

@@ -3,19 +3,20 @@
 //! - **Self-diff emptiness**: any generated snapshot diffed against
 //!   itself yields a passing comparison and an empty diagnosis — no
 //!   metric family or fingerprint set may break it.
-//! - **Antisymmetry**: `metric_deltas(a, b)` and `metric_deltas(b, a)`
-//!   pair up with exactly negated deltas and identical significance
-//!   verdicts, so "who is the baseline" never changes what is real.
+//! - **Antisymmetry**: `compare(a, b)` and `compare(b, a)` move the
+//!   same metrics and fingerprints with their sides swapped, so "who is
+//!   the baseline" never changes what is real.
 //! - **Suspect sanity**: diagnosis suspects only ever name metrics that
 //!   actually moved, and every finding belongs to a scenario present in
 //!   both snapshots.
 
 use proptest::prelude::*;
-use publishing_perf::forensics::{diff_snapshots, metric_deltas};
+use publishing_perf::compare::compare;
+use publishing_perf::forensics::diff_snapshots;
 use publishing_perf::snapshot::{ScenarioSnapshot, Snapshot};
 
-/// Metric-name pool mixing gated suffixes, attribution families, and
-/// ungated noise — the shapes a real snapshot carries.
+/// Metric-name pool mixing latencies, knees, attribution families, and
+/// counters — the shapes a real snapshot carries.
 const METRICS: &[&str] = &[
     "events_per_virtual_sec",
     "publish_to_deliver_us_p99",
@@ -74,24 +75,20 @@ proptest! {
     }
 
     #[test]
-    fn metric_deltas_are_antisymmetric(
-        a in arb_scenario("alpha"),
-        b in arb_scenario("alpha"),
-    ) {
-        let fwd = metric_deltas(&a, &b);
-        let rev = metric_deltas(&b, &a);
-        // Both directions see the same both-sided metric set, in the
-        // same (name-sorted) order.
-        prop_assert_eq!(fwd.len(), rev.len());
-        for (f, r) in fwd.iter().zip(&rev) {
-            prop_assert_eq!(&f.metric, &r.metric);
-            prop_assert_eq!(f.delta(), -r.delta(), "signed deltas must negate");
-            prop_assert_eq!(
-                f.significant, r.significant,
-                "significance must not depend on diff direction ({})",
-                f.metric
-            );
+    fn compare_is_antisymmetric(a in arb_snapshot(), b in arb_snapshot()) {
+        let (fwd, rev) = (compare(&a, &b), compare(&b, &a));
+        // Both directions move the same entries, in the same
+        // (scenario-major, name-sorted) order, with the sides swapped.
+        prop_assert_eq!(fwd.metrics.len(), rev.metrics.len());
+        for (f, r) in fwd.metrics.iter().zip(&rev.metrics) {
+            prop_assert_eq!((&f.scenario, &f.name), (&r.scenario, &r.name));
+            prop_assert_eq!((f.prev, f.new), (r.new, r.prev));
         }
+        prop_assert_eq!(fwd.fingerprints.len(), rev.fingerprints.len());
+        for (f, r) in fwd.fingerprints.iter().zip(&rev.fingerprints) {
+            prop_assert_eq!((&f.name, &f.prev, &f.new), (&r.name, &r.new, &r.prev));
+        }
+        prop_assert_eq!(fwd.exit_code(), rev.exit_code());
     }
 
     #[test]
