@@ -114,7 +114,7 @@ fn instants(s: &FaultSchedule) -> Vec<u64> {
 /// return the world is ready for the oracle.
 ///
 /// A schedule with no faults keeps the whole grace period (and says
-/// `Some(GRACE_MS)` if it ended settled) until ROADMAP item 4 takes
+/// `Some(GRACE_MS)` if it ended settled) until ROADMAP item 7(a) takes
 /// `hostbench`'s `setup_s` vector out of the `peak_heap_mb` window:
 /// settling it too reads `ether_contend` +30.5 % peak heap, the
 /// vector's next doubling, with no program heap grown.

@@ -406,10 +406,6 @@ pub struct Recorder {
     /// `pending`.
     ids: IdMap<MessageId, IdState>,
     pending_deposits: HashMap<ProcessId, PendingDeposit>,
-    /// Processes a kernel reported destroyed. Survives a crash: what it
-    /// records is the purge, and a purge is durable — no rebuild brings
-    /// the process back.
-    destroyed: BTreeSet<ProcessId>,
     drained_ios: Vec<StoreIo>,
     restart_number: u64,
     publish_cost: PublishCost,
@@ -436,7 +432,6 @@ impl Recorder {
             pending: TokenTable::new(),
             ids: IdMap::default(),
             pending_deposits: HashMap::new(),
-            destroyed: BTreeSet::new(),
             drained_ios: Vec::new(),
             restart_number: 0,
             publish_cost,
@@ -539,9 +534,10 @@ impl Recorder {
     }
 
     /// Whether a kernel reported `pid` destroyed ([`Recorder::on_destroyed`]):
-    /// a process that is gone on purpose, not lost.
+    /// a process that is gone on purpose, not lost. The store's
+    /// battery-backed tombstone answers, so this survives a crash.
     pub fn destroyed(&self, pid: ProcessId) -> bool {
-        self.destroyed.contains(&pid)
+        self.store.retired(pid.as_u64())
     }
 
     /// Marks a process as (not) recovering.
@@ -787,17 +783,26 @@ impl Recorder {
         )
     }
 
-    /// Handles a destruction notice: records the process as destroyed
-    /// and forgets it entirely.
+    /// Handles a destruction notice: drops the process's volatile state
+    /// and retires it in the store ([`StableStore::retire_process`]), so
+    /// no restart lists it again. Kernels never reuse a local id, so a
+    /// destroyed pid never comes back.
     pub fn on_destroyed(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
-        self.destroyed.insert(pid);
-        self.forget(now, pid)
+        self.drop_volatile(pid);
+        self.store.retire_process(now, pid.as_u64())
     }
 
     /// Drops every trace of `pid` — database entry, pending captures,
     /// stored records — without recording it destroyed: the source side
-    /// of a shard handoff, and the body of [`Recorder::on_destroyed`].
+    /// of a shard handoff, whose process may come back to this recorder
+    /// under the same keys ([`StableStore::purge_process`]).
     pub fn forget(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
+        self.drop_volatile(pid);
+        self.store.purge_process(now, pid.as_u64())
+    }
+
+    /// Drops `pid`'s database entry, pending captures and deposit.
+    fn drop_volatile(&mut self, pid: ProcessId) {
         if let Some(e) = self.db.remove(&pid) {
             for (_, id) in &e.arrivals {
                 self.ids.remove(id);
@@ -819,7 +824,6 @@ impl Recorder {
             }
         }
         self.pending_deposits.remove(&pid);
-        self.store.purge_process(now, pid.as_u64())
     }
 
     /// Snapshots one process's published state for a shard handoff:
@@ -1598,11 +1602,33 @@ mod tests {
         assert!(r.entry(pid(2, 1)).is_none());
         assert!(r.replay_stream(pid(2, 1)).is_empty());
         let pids = r.restart(SimTime::from_millis(1));
-        assert!(!pids.contains(&pid(2, 1)), "purged from disk too");
+        assert!(!pids.contains(&pid(2, 1)), "retired on disk too");
         assert!(
             r.destroyed(pid(2, 1)),
             "gone on purpose, across the restart"
         );
+    }
+
+    /// A destroy is durable the moment it returns: a crash that loses
+    /// every erase it started still does not bring the process back.
+    #[test]
+    fn destroyed_process_stays_gone_across_a_crash() {
+        let mut r = recorder();
+        let t = SimTime::ZERO;
+        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
+        drain(&mut r, ios);
+        let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
+        capture(&mut r, t, &m);
+        let ios = r.on_ack(t, m.header.id, pid(2, 1));
+        drain(&mut r, ios);
+        let _dropped = r.on_destroyed(t, pid(2, 1));
+        let pids = r.restart(SimTime::from_millis(1));
+        assert!(
+            !pids.contains(&pid(2, 1)),
+            "destroyed pid re-listed at restart: {pids:?}"
+        );
+        assert!(r.entry(pid(2, 1)).is_none());
+        assert!(r.destroyed(pid(2, 1)));
     }
 
     #[test]

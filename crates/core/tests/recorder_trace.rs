@@ -2,13 +2,19 @@
 //! entry point — creation and destruction notices, captures, acks
 //! (in order, out of order, duplicate, orphaned), read-order notices,
 //! checkpoint deposits, disk completions, restarts, a shard hand-off
-//! (`export_process` + `import_process`) and, in quorum mode, commits at
+//! (`export_process` + `forget` + `import_process`) and, in quorum mode, commits at
 //! fixed sequences including ones below the floor a restart rebuilt —
 //! folded over every returned IO, the counters, the span fingerprint and
-//! the database entries. The constants were captured on the recorder
-//! that kept its captures in a `BTreeMap<u64, Message>` beside a hashed
-//! id index and an ordered set of published ids; whatever replaces those
-//! tables must answer every call the same way.
+//! the database entries. The constants were first captured on the
+//! recorder that kept its captures in a `BTreeMap<u64, Message>` beside a
+//! hashed id index and an ordered set of published ids; whatever replaces
+//! those tables must answer every call the same way. They were re-pinned
+//! once, on purpose, when a destruction notice began to retire its
+//! process in place instead of purging it: a destroy now returns fewer
+//! IOs (only pages left with no live record, plus the checkpoint pages),
+//! and a destroyed process stays gone across restarts. The hand-off's
+//! release moved from `on_destroyed` to `forget` at the same time (it
+//! still purges); on the old recorder the two answered alike.
 
 use publishing_core::recorder::{PublishCost, Recorder};
 use publishing_demos::ids::{Channel, MessageId, NodeId, ProcessId};
@@ -335,7 +341,7 @@ impl Script {
                     for m in &export.pending {
                         self.f.id(m.header.id);
                     }
-                    let ios = self.r.on_destroyed(self.now, pid);
+                    let ios = self.r.forget(self.now, pid);
                     self.started(ios);
                     let ios = self.r.import_process(self.now, export);
                     self.started(ios);
@@ -396,7 +402,7 @@ fn recorder_trace(external: bool) -> u64 {
 fn recorder_trace_is_pinned() {
     assert_eq!(
         recorder_trace(false),
-        2_986_368_631_796_513_284,
+        1_406_238_812_736_134_700,
         "acks sequence locally"
     );
 }
@@ -405,7 +411,7 @@ fn recorder_trace_is_pinned() {
 fn recorder_trace_is_pinned_under_external_sequencing() {
     assert_eq!(
         recorder_trace(true),
-        10_739_786_111_053_396_081,
+        3_902_770_428_155_691_649,
         "the replicated log sequences"
     );
 }

@@ -19,8 +19,18 @@
 //! by position, and a purge walks one process's log and the pages it
 //! names instead of everyone's.
 //!
-//! The open buffer is battery-backed solid-state memory per §3.3.4, so it
-//! survives recorder crashes; [`StableStore::rebuild_index`] reconstructs
+//! A process leaves the store one of two ways. A destroyed process is
+//! *retired* ([`StableStore::retire_process`]): its records are
+//! invalidated where they lie and its pid joins a tombstone set that
+//! every rebuild honours, so pages it shared are left for compaction.
+//! A process handed to another recorder is *purged*
+//! ([`StableStore::purge_process`]): every page holding one of its bytes
+//! is erased, shared ones rewritten first, because it may come back
+//! under the same keys and a tombstone would then drop its new records.
+//!
+//! The open buffer and the tombstone set are battery-backed solid-state
+//! memory per §3.3.4, so they survive recorder crashes;
+//! [`StableStore::rebuild_index`] reconstructs
 //! the in-memory index from pages plus that buffer, which is the recorder
 //! recovery path ("it is possible to rebuild the data base from the
 //! disk").
@@ -282,6 +292,9 @@ struct PendingCheckpoint {
     checkpoint: Checkpoint,
     pages_left: usize,
     pages: Vec<u64>,
+    /// Its process was retired while the chunks were in flight: once
+    /// they are all written they are garbage.
+    void: bool,
 }
 
 /// The recorder's stable store.
@@ -304,6 +317,10 @@ pub struct StableStore {
     next_page: u64,
     /// Per disk: what each in-flight operation was for.
     pending: Vec<TokenTable<PendingIo>>,
+    /// Processes retired by [`StableStore::retire_process`]: their
+    /// records on disk are garbage to every rebuild. Battery-backed like
+    /// the open buffer, so it survives a crash.
+    retired: BTreeSet<u64>,
     /// Durable checkpoints by process.
     checkpoints: BTreeMap<u64, Checkpoint>,
     /// Pages holding each process's durable checkpoint.
@@ -332,6 +349,7 @@ impl StableStore {
             free_pages: BTreeSet::new(),
             next_page: 0,
             pending: (0..n_disks).map(|_| TokenTable::new()).collect(),
+            retired: BTreeSet::new(),
             checkpoints: BTreeMap::new(),
             checkpoint_pages: BTreeMap::new(),
             pending_checkpoints: HashMap::new(),
@@ -553,6 +571,7 @@ impl StableStore {
                 checkpoint,
                 pages_left: total,
                 pages,
+                void: false,
             },
         );
         ios
@@ -598,14 +617,20 @@ impl StableStore {
                     return Vec::new();
                 }
                 let pc = self.pending_checkpoints.remove(&ticket).expect("checked");
+                if pc.void {
+                    return pc
+                        .pages
+                        .into_iter()
+                        .map(|p| StoreEvent::FollowUpIo(self.scrub(now, p)))
+                        .collect();
+                }
                 let upto_seq = pc.checkpoint.upto_seq;
                 // Retire the previous checkpoint's pages, erasing them so
                 // a stale floor cannot resurface at a rebuild.
                 let mut retire_ios = Vec::new();
                 if let Some(old) = self.checkpoint_pages.remove(&pid) {
                     for p in old {
-                        self.free_pages.insert(p);
-                        retire_ios.push(self.erase_page(now, p));
+                        retire_ios.push(self.scrub(now, p));
                     }
                 }
                 self.checkpoint_pages.insert(pid, pc.pages);
@@ -709,12 +734,17 @@ impl StableStore {
         }
     }
 
-    /// Removes every trace of a destroyed process (messages, checkpoints).
+    /// Removes every byte of a process (messages, checkpoints) from the
+    /// disks, leaving no mark that it was here: the source side of a
+    /// handoff, whose process may come back later under the same keys.
     ///
-    /// Checkpoint pages are physically erased (not merely freed): a
-    /// destroyed process must not be resurrected by a later
-    /// [`StableStore::rebuild_index`] scan of stale pages. Returns the
-    /// erase IO started, if any.
+    /// Every page holding one of its records, live or invalidated, is
+    /// physically erased (not merely freed) so no later
+    /// [`StableStore::rebuild_index`] scan of stale pages resurrects it;
+    /// the survivors of a shared page are rewritten first. Returns the IO
+    /// started. A crash before the erases complete can bring the process
+    /// back — [`StableStore::retire_process`] is the durable alternative
+    /// for a process that is gone for good.
     pub fn purge_process(&mut self, now: SimTime, pid: u64) -> Vec<StoreIo> {
         // Pages physically holding any of this process's records — live
         // or already-invalidated-but-not-yet-compacted — must be erased:
@@ -748,14 +778,52 @@ impl StableStore {
             }
         }
         self.logs.remove(&pid);
-        self.checkpoints.remove(&pid);
-        if let Some(pages) = self.checkpoint_pages.remove(&pid) {
-            for page in pages {
-                self.free_pages.insert(page);
-                ios.push(self.erase_page(now, page));
-            }
-        }
+        ios.extend(self.drop_checkpoint(now, pid));
         ios
+    }
+
+    /// Retires a process that is gone for good (destroyed): its records
+    /// die where they lie and the pid joins a battery-backed tombstone
+    /// set, so no rebuild — even after a crash that drops every erase
+    /// started here — brings any of it back.
+    ///
+    /// Each record is invalidated in place. Only pages left with no live
+    /// record are erased, plus the process's checkpoint pages; a page it
+    /// shared keeps its other records untouched and carries the retired
+    /// ones as dead bytes until compaction reclaims it. Returns the erase
+    /// IO started. The caller must never append under `pid` again: a
+    /// rebuild drops whatever a retired pid holds.
+    pub fn retire_process(&mut self, now: SimTime, pid: u64) -> Vec<StoreIo> {
+        self.retired.insert(pid);
+        for pc in self.pending_checkpoints.values_mut() {
+            pc.void |= pc.checkpoint.pid == pid;
+        }
+        let mut ios: Vec<StoreIo> = self
+            .invalidate_below(pid, u64::MAX)
+            .into_iter()
+            .map(|page| self.erase_page(now, page))
+            .collect();
+        self.logs.remove(&pid);
+        ios.extend(self.drop_checkpoint(now, pid));
+        ios
+    }
+
+    /// Whether `pid` was retired ([`StableStore::retire_process`]).
+    pub fn retired(&self, pid: u64) -> bool {
+        self.retired.contains(&pid)
+    }
+
+    /// Forgets `pid`'s durable checkpoint and scrubs its pages.
+    fn drop_checkpoint(&mut self, now: SimTime, pid: u64) -> Vec<StoreIo> {
+        self.checkpoints.remove(&pid);
+        let pages = self.checkpoint_pages.remove(&pid).unwrap_or_default();
+        pages.into_iter().map(|p| self.scrub(now, p)).collect()
+    }
+
+    /// Frees `page` and erases it.
+    fn scrub(&mut self, now: SimTime, page: u64) -> StoreIo {
+        self.free_pages.insert(page);
+        self.erase_page(now, page)
     }
 
     fn erase_page(&mut self, now: SimTime, page: u64) -> StoreIo {
@@ -895,6 +963,13 @@ impl StableStore {
         // Reassemble checkpoints; keep the one with the highest watermark
         // per process.
         for ((pid, upto), mut chunks) in checkpoint_chunks {
+            if self.retired.contains(&pid) {
+                // Every chunk of a retired process is garbage.
+                for c in chunks {
+                    self.scrap_page(c.2);
+                }
+                continue;
+            }
             chunks.sort_by_key(|c| c.0);
             chunks.dedup_by_key(|c| c.0);
             // A checkpoint interrupted by the crash is incomplete; it
@@ -938,8 +1013,9 @@ impl StableStore {
         }
 
         // Re-index message records, dropping ones superseded by
-        // checkpoints — but remembering the dropped ones as dead bytes on
-        // their page, so compaction and purge keep scrubbing them.
+        // checkpoints or retired — but remembering the dropped ones as
+        // dead bytes on their page, so compaction keeps reclaiming them
+        // and a purge keeps scrubbing its process's.
         let mut pids: BTreeSet<u64> = self.checkpoints.keys().copied().collect();
         for (page, recs) in message_pages {
             let mut slot = PageSlot::default();
@@ -964,7 +1040,7 @@ impl StableStore {
                 self.scrap_page(page);
                 continue;
             }
-            for key in &slot.dead {
+            for key in slot.dead.iter().filter(|k| !self.retired.contains(&k.pid)) {
                 self.logs.entry(key.pid).or_default().note_dead(page);
             }
             *self.page_slot(page) = slot;
@@ -986,12 +1062,12 @@ impl StableStore {
         pids
     }
 
-    /// Whether a rebuild drops a record found under `key`: below its
-    /// process's checkpoint floor, or a second copy of one already
-    /// indexed.
+    /// Whether a rebuild drops a record found under `key`: its process
+    /// retired, below its checkpoint floor, or a second copy of one
+    /// already indexed.
     fn superseded(&self, key: RecordKey) -> bool {
         let floor = self.checkpoints.get(&key.pid).map_or(0, |c| c.upto_seq);
-        key.seq < floor || self.holds(key)
+        self.retired.contains(&key.pid) || key.seq < floor || self.holds(key)
     }
 
     /// Frees a page the rebuild scan found to hold only garbage, and
@@ -1004,7 +1080,8 @@ impl StableStore {
 
     /// Simulates loss of non-battery-backed state at a recorder crash: the
     /// in-memory index vanishes (callers must [`StableStore::rebuild_index`])
-    /// but durable pages and the battery-backed buffer survive.
+    /// but durable pages, the battery-backed buffer and the retired set
+    /// survive.
     pub fn crash_volatile_state(&mut self) {
         // The index is exactly what rebuild_index reconstructs; dropping
         // and rebuilding is the honest simulation of the crash — with two
@@ -1336,6 +1413,52 @@ mod tests {
         // Rebuild must not resurrect the purged process.
         let pids = s.rebuild_index();
         assert!(!pids.contains(&4));
+    }
+
+    /// Retiring a process rewrites nothing: a page it shared keeps the
+    /// other records where they are and only its checkpoint page is
+    /// erased. With every erase lost to a crash the rebuild still drops
+    /// it, and keeps its dead records on the shared page for compaction.
+    #[test]
+    fn retire_leaves_shared_pages_and_survives_a_crash() {
+        let mut s = store(1);
+        let mut ios = Vec::new();
+        for i in 0..5u64 {
+            ios.extend(s.append_message(SimTime::ZERO, key(4, i), vec![4; 20]));
+            ios.extend(s.append_message(SimTime::ZERO, key(5, i), vec![5; 20]));
+        }
+        ios.extend(s.flush(SimTime::ZERO));
+        let cp = |pid| Checkpoint {
+            pid,
+            upto_seq: 0,
+            blob: vec![1],
+        };
+        ios.extend(s.write_checkpoint(SimTime::ZERO, cp(4)));
+        ios.extend(s.write_checkpoint(SimTime::ZERO, cp(5)));
+        drain(&mut s, ios);
+        let written = s.stats().pages_written.get();
+        let erases = s.retire_process(SimTime::from_millis(5), 4);
+        assert_eq!(erases.len(), 1, "the checkpoint page only");
+        assert_eq!(s.stats().pages_written.get(), written, "nothing rewritten");
+        assert!(s.retired(4) && !s.retired(5));
+        assert!(s.messages_from(4, 0).is_empty());
+        assert!(s.latest_checkpoint(4).is_none());
+        s.crash_volatile_state();
+        let pids = s.rebuild_index();
+        assert_eq!(pids, BTreeSet::from([5]));
+        assert!(s.retired(4), "the tombstone is battery-backed");
+        assert!(s.messages_from(4, 0).is_empty());
+        assert!(s.latest_checkpoint(4).is_none());
+        assert_eq!(s.messages_from(5, 0).len(), 5);
+        assert_eq!(
+            s.pages[0].dead.len(),
+            5,
+            "retired records wait for compaction"
+        );
+        let ios = s.compact_one(SimTime::from_millis(9));
+        drain(&mut s, ios);
+        assert!(s.pages[0].dead.is_empty());
+        assert_eq!(s.messages_from(5, 0).len(), 5);
     }
 
     #[test]

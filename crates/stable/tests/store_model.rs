@@ -1,13 +1,14 @@
 //! Model-based property tests for the stable store: random
-//! append/flush/checkpoint/compact/purge sequences, checked against a
-//! simple reference map, including full index rebuilds (the recorder-
-//! crash path) at arbitrary points.
+//! append/flush/checkpoint/compact/purge/retire sequences, checked
+//! against a simple reference map, including full index rebuilds (the
+//! recorder-crash path) at arbitrary points.
 
 use proptest::prelude::*;
+use publishing_sim::codec::Decoder;
 use publishing_sim::time::SimTime;
 use publishing_stable::disk::{DiskFaults, DiskParams};
 use publishing_stable::store::{Checkpoint, RecordKey, StableStore, StoreEvent, StoreIo};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -16,6 +17,7 @@ enum Op {
     Checkpoint { pid: u64, consume: u64 },
     Compact,
     Purge { pid: u64 },
+    Retire { pid: u64 },
     Rebuild,
 }
 
@@ -26,8 +28,104 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => (1u64..4, 0u64..6).prop_map(|(pid, consume)| Op::Checkpoint { pid, consume }),
         1 => Just(Op::Compact),
         1 => (1u64..4).prop_map(|pid| Op::Purge { pid }),
+        1 => (1u64..4).prop_map(|pid| Op::Retire { pid }),
         1 => Just(Op::Rebuild),
     ]
+}
+
+/// The models' process slots. An op names a slot (1..=3); a retired
+/// slot's process is gone for good and the slot moves on to a fresh pid,
+/// the way a kernel never reuses a local id — so a retired pid is never
+/// appended again.
+#[derive(Default)]
+struct Slots {
+    /// Slot → its current pid, once renamed.
+    current: BTreeMap<u64, u64>,
+    retired: BTreeSet<u64>,
+}
+
+impl Slots {
+    fn pid(&self, slot: u64) -> u64 {
+        self.current.get(&slot).copied().unwrap_or(slot)
+    }
+
+    /// Retires the slot's pid and renames the slot; returns the old pid.
+    fn retire(&mut self, slot: u64) -> u64 {
+        let pid = self.pid(slot);
+        self.retired.insert(pid);
+        self.current.insert(slot, pid + 10);
+        pid
+    }
+
+    /// Every pid a slot has had, current or retired.
+    fn all(&self) -> Vec<u64> {
+        (1u64..4)
+            .map(|s| self.pid(s))
+            .chain(self.retired.iter().copied())
+            .collect()
+    }
+}
+
+/// No retired record or checkpoint is visible, and — when `scanned`, just
+/// after a rebuild — no page on disk holds only retired records, and no
+/// checkpoint chunk of a retired process is left. (A page torn too short
+/// to parse is garbage to every rebuild, whoever wrote it.)
+fn check_retired(store: &StableStore, slots: &Slots, scanned: bool) {
+    for &pid in &slots.retired {
+        prop_assert!(store.retired(pid), "pid {} lost its tombstone", pid);
+        prop_assert!(
+            store.messages_from(pid, 0).is_empty(),
+            "retired pid {} has records",
+            pid
+        );
+        prop_assert!(
+            store.latest_checkpoint(pid).is_none(),
+            "retired pid {} has a checkpoint",
+            pid
+        );
+    }
+    if !scanned {
+        return;
+    }
+    for page in 0..4096 {
+        let Some(bytes) = store.peek_page(page).filter(|b| !b.is_empty()) else {
+            continue;
+        };
+        let mut d = Decoder::new(bytes);
+        match d.u8() {
+            Ok(0) => {
+                let count = d.u64().unwrap_or(0);
+                let mut pids = Vec::new();
+                for _ in 0..count {
+                    let (Ok(pid), Ok(_), Ok(_), Ok(_)) = (d.u64(), d.u64(), d.u64(), d.bytes())
+                    else {
+                        break;
+                    };
+                    pids.push(pid);
+                }
+                prop_assert!(
+                    pids.is_empty() || pids.iter().any(|p| !slots.retired.contains(p)),
+                    "page {} kept by the rebuild holds only retired records: {:?}",
+                    page,
+                    pids
+                );
+            }
+            Ok(1) => {
+                let (Ok(pid), Ok(_), Ok(_), Ok(_), Ok(_)) =
+                    (d.u64(), d.u64(), d.u64(), d.u64(), d.bytes())
+                else {
+                    continue;
+                };
+                prop_assert!(
+                    !slots.retired.contains(&pid),
+                    "page {} kept by the rebuild is a checkpoint chunk of retired pid {}",
+                    page,
+                    pid
+                );
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Drains all outstanding IO, including follow-up erases the store
@@ -53,10 +151,13 @@ proptest! {
         let mut next_seq: BTreeMap<u64, u64> = BTreeMap::new();
         let mut floor: BTreeMap<u64, u64> = BTreeMap::new();
         let mut data: BTreeMap<u64, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
+        let mut slots = Slots::default();
         for (i, op) in ops.into_iter().enumerate() {
             let now = SimTime::from_millis((i as u64 + 1) * 100);
+            let mut rebuilt = false;
             match op {
                 Op::Append { pid, payload_len } => {
+                    let pid = slots.pid(pid);
                     let seq = *next_seq.get(&pid).unwrap_or(&0);
                     next_seq.insert(pid, seq + 1);
                     let payload = vec![(seq % 251) as u8; payload_len];
@@ -69,6 +170,7 @@ proptest! {
                     drain(&mut store, ios);
                 }
                 Op::Checkpoint { pid, consume } => {
+                    let pid = slots.pid(pid);
                     let lo = *floor.get(&pid).unwrap_or(&0);
                     let hi = (*next_seq.get(&pid).unwrap_or(&0)).min(lo + consume);
                     floor.insert(pid, hi);
@@ -84,18 +186,28 @@ proptest! {
                     drain(&mut store, ios);
                 }
                 Op::Purge { pid } => {
+                    let pid = slots.pid(pid);
                     data.remove(&pid);
                     next_seq.remove(&pid);
                     floor.remove(&pid);
                     let ios = store.purge_process(now, pid);
                     drain(&mut store, ios);
                 }
+                Op::Retire { pid } => {
+                    let pid = slots.retire(pid);
+                    data.remove(&pid);
+                    let ios = store.retire_process(now, pid);
+                    drain(&mut store, ios);
+                }
                 Op::Rebuild => {
-                    store.rebuild_index();
+                    let pids = store.rebuild_index();
+                    prop_assert!(pids.is_disjoint(&slots.retired), "rebuild lists a retired pid");
+                    rebuilt = true;
                 }
             }
+            check_retired(&store, &slots, rebuilt);
             // Invariant: surviving messages per pid match the reference.
-            for pid in 1u64..4 {
+            for pid in slots.all() {
                 let expect: Vec<(u64, Vec<u8>)> = data
                     .get(&pid)
                     .map(|m| m.iter().map(|(s, p)| (*s, p.clone())).collect())
@@ -110,9 +222,10 @@ proptest! {
         }
 
         // Final rebuild must preserve everything once more.
-        let before: Vec<_> = (1u64..4).map(|p| store.messages_from(p, 0)).collect();
+        let before: Vec<_> = slots.all().into_iter().map(|p| store.messages_from(p, 0)).collect();
         store.rebuild_index();
-        let after: Vec<_> = (1u64..4).map(|p| store.messages_from(p, 0)).collect();
+        check_retired(&store, &slots, true);
+        let after: Vec<_> = slots.all().into_iter().map(|p| store.messages_from(p, 0)).collect();
         prop_assert_eq!(before, after);
     }
 }
@@ -127,6 +240,7 @@ enum ChaosOp {
     Flush,
     Checkpoint { pid: u64, consume: u64 },
     Compact,
+    Retire { pid: u64 },
     Deliver,
     Crash,
 }
@@ -138,6 +252,7 @@ fn arb_chaos_op() -> impl Strategy<Value = ChaosOp> {
         2 => Just(ChaosOp::Flush),
         2 => (1u64..4, 0u64..6).prop_map(|(pid, consume)| ChaosOp::Checkpoint { pid, consume }),
         3 => Just(ChaosOp::Compact),
+        1 => (1u64..4).prop_map(|pid| ChaosOp::Retire { pid }),
         5 => Just(ChaosOp::Deliver),
         2 => Just(ChaosOp::Crash),
     ]
@@ -161,6 +276,10 @@ proptest! {
     /// replica installing a torn image would import garbage process
     /// state. Blobs are multi-page and pairwise distinct so a splice or
     /// truncation cannot masquerade as a valid image.
+    ///
+    /// Retirement is durable at once: whatever erases a crash drops, no
+    /// rebuild brings back a retired process's records or checkpoint, or
+    /// keeps a page that holds only its records.
     #[test]
     fn crash_during_compaction_loses_no_acked_record(
         ops in proptest::collection::vec(arb_chaos_op(), 1..80),
@@ -188,10 +307,13 @@ proptest! {
         let mut blob_counter = 0u64;
         let mut now = SimTime::ZERO;
         let mut crashes = 0u32;
+        let mut slots = Slots::default();
         for (i, op) in ops.into_iter().enumerate() {
             now = now.max(SimTime::from_millis((i as u64 + 1) * 50));
+            let mut rebuilt = false;
             match op {
                 ChaosOp::Append { pid, payload_len } => {
+                    let pid = slots.pid(pid);
                     let seq = *next_seq.get(&pid).unwrap_or(&0);
                     next_seq.insert(pid, seq + 1);
                     let payload = vec![(seq % 251) as u8; payload_len];
@@ -200,6 +322,7 @@ proptest! {
                 }
                 ChaosOp::Flush => outstanding.extend(store.flush(now)),
                 ChaosOp::Checkpoint { pid, consume } => {
+                    let pid = slots.pid(pid);
                     // Floor advances only when the checkpoint durably
                     // completes (observed below as CheckpointDurable).
                     let lo = data
@@ -223,6 +346,11 @@ proptest! {
                     outstanding.extend(store.write_checkpoint(now, cp));
                 }
                 ChaosOp::Compact => outstanding.extend(store.compact_one(now)),
+                ChaosOp::Retire { pid } => {
+                    let pid = slots.retire(pid);
+                    data.remove(&pid);
+                    outstanding.extend(store.retire_process(now, pid));
+                }
                 ChaosOp::Deliver => {
                     if let Some(io) = outstanding.pop_front() {
                         for ev in store.on_disk_complete(io.at, io) {
@@ -242,9 +370,12 @@ proptest! {
                     crashes += 1;
                     outstanding.clear();
                     store.crash_volatile_state();
-                    store.rebuild_index();
+                    let pids = store.rebuild_index();
+                    prop_assert!(pids.is_disjoint(&slots.retired), "rebuild lists a retired pid");
+                    rebuilt = true;
                 }
             }
+            check_retired(&store, &slots, rebuilt);
             // Invariant: every reference record is present, byte for byte.
             // (The store may hold *more* — e.g. a record whose superseding
             // checkpoint died with the crash — never less.)
@@ -266,7 +397,7 @@ proptest! {
             // Invariant: the latest checkpoint, if any, is EXACTLY one
             // submitted image — floor and bytes — regardless of crashes
             // and torn in-flight chunk writes.
-            for pid in 1u64..4 {
+            for pid in slots.all() {
                 if let Some(cp) = store.latest_checkpoint(pid) {
                     let known = submitted
                         .get(&pid)
@@ -285,6 +416,7 @@ proptest! {
         outstanding.clear();
         store.crash_volatile_state();
         store.rebuild_index();
+        check_retired(&store, &slots, true);
         for (&pid, m) in &data {
             let got: BTreeMap<u64, Vec<u8>> = store
                 .messages_from(pid, 0)
@@ -295,7 +427,7 @@ proptest! {
                 prop_assert_eq!(got.get(&seq), Some(payload), "pid {} seq {} lost at end", pid, seq);
             }
         }
-        for pid in 1u64..4 {
+        for pid in slots.all() {
             if let Some(cp) = store.latest_checkpoint(pid) {
                 let known = submitted
                     .get(&pid)

@@ -14,13 +14,16 @@ profiles" §19-§21 use:
 1. share of samples by innermost first-party function (its own code plus
    the std/libc code it called), with the share of samples that have it
    anywhere on the stack;
-2. share of samples with a frame of each container family on the stack
-   (ordered map, hash, binary heap, allocator, crc, decode);
+2. share of samples with a frame of each family on the stack: the
+   container families (ordered map, hash, binary heap, allocator, crc,
+   decode), matched by function name, and one family per layer of the
+   system, matched by the source path of the frame (LAYERS);
 3. per family, the nearest first-party caller (function and line) of the
-   innermost frame of that family.
+   innermost frame of that family — for a layer, the nearest caller
+   outside it.
 
 Shares are of all samples; families overlap (an allocation inside a
-B-tree insert counts for both). Needs binutils' `addr2line` on PATH and
+B-tree insert counts for both, and for the layer whose code did it). Needs binutils' `addr2line` on PATH and
 the executable the samples came from, unchanged, at the recorded path.
 
 A file written by `hostprof --allocs <n>` holds the stack of every n-th
@@ -60,6 +63,19 @@ FAMILIES = [
     ("crc", re.compile(r"publishing_net::crc::|/net/src/crc\.rs")),
     ("decode", re.compile(r"^[^@]*\bdecode(_all)?\b")),
 ]
+# One family per layer, by the file a frame (inlined ones included) lies
+# in: the layer split EXPERIMENTS.md and ROADMAP.md reason with.
+LAYERS = [
+    ("layer: scheduler", r"sim/src/event\.rs"),
+    ("layer: codec", r"sim/src/codec\.rs"),
+    ("layer: media", r"net/src/[^:]+"),
+    ("layer: kernel and transport", r"demos/src/[^:]+"),
+    ("layer: recorder", r"core/src/(recorder|node)\.rs"),
+    ("layer: stable store", r"stable/src/[^:]+"),
+    ("layer: spans", r"obs/src/(span|store)\.rs"),
+    ("layer: raft", r"quorum/src/[^:]+"),
+]
+FAMILIES += [(name, re.compile(rf" @ (.*/)?crates/{path}:")) for name, path in LAYERS]
 
 
 def read_samples(path):
@@ -215,7 +231,8 @@ def main():
 
     table("innermost first-party function: self + std (on stack)",
           [(n, f"{fn}  ({100.0 * on_stack[fn] / total:.1f} % on stack)") for fn, n in own.items()], total, args.top)
-    table("container family on the stack", [(n, name) for name, n in family_on_stack.items()], total, args.top)
+    table("family on the stack (containers, layers)", [(n, name) for name, n in family_on_stack.items()], total,
+          args.top)
     for text in args.on_stack:
         table(f"on stack: *{text}*", [(n, fn) for fn, n in on_stack.items() if text in fn], total, args.top)
     for name, _ in FAMILIES:
