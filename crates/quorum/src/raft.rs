@@ -8,8 +8,12 @@
 //! the same style as the transport and recovery manager: inputs are
 //! [`RaftCore::on_msg`], [`RaftCore::tick`] (due at
 //! [`RaftCore::deadline`]), and [`RaftCore::propose`] +
-//! [`RaftCore::replicate`]; outputs are [`RaftOut`] values the replica
-//! turns into LAN frames and recorder applies.
+//! [`RaftCore::replicate`]; outputs are [`RaftOut`] values appended to a
+//! buffer the replica owns and turns into LAN frames, and committed
+//! entries come one at a time from [`RaftCore::next_applicable`]. A
+//! round allocates its log entries and nothing per output: an Append's
+//! entry buffer comes back through [`RaftCore::recycle`] once its frame
+//! is encoded.
 //!
 //! Replication is pipelined and says everything once: an Append moves
 //! the follower's `next_index` past what it carries when it is *sent*,
@@ -472,6 +476,9 @@ pub struct RaftCore {
     /// and so does each heartbeat — a lost resend is repaired a round
     /// later.
     repair_from: Vec<Option<u64>>,
+    /// Emptied entry buffers of Appends already encoded
+    /// ([`RaftCore::recycle`]), refilled by the next ones.
+    spare: Vec<Vec<Arc<LogEntry>>>,
     votes: BTreeSet<ReplicaId>,
     election_deadline: SimTime,
     heartbeat_due: SimTime,
@@ -501,6 +508,7 @@ impl RaftCore {
             next_index: vec![1; n as usize],
             match_index: vec![0; n as usize],
             repair_from: vec![None; n as usize],
+            spare: Vec::new(),
             votes: BTreeSet::new(),
             election_deadline: SimTime::ZERO,
             heartbeat_due: SimTime::ZERO,
@@ -622,17 +630,16 @@ impl RaftCore {
     }
 
     /// Begins operation (or resumes after [`RaftCore::restart`]).
-    pub fn start(&mut self, now: SimTime) -> Vec<RaftOut> {
+    pub fn start(&mut self, now: SimTime) {
         self.reset_election_deadline(now);
         self.heartbeat_due = now + HEARTBEAT;
-        Vec::new()
     }
 
     /// Crash + restart: durable term/vote reload, battery-backed log
     /// kept, volatile apply progress rewound to the snapshot floor so
     /// the committed prefix is re-applied through the idempotent
     /// recorder path.
-    pub fn restart(&mut self, now: SimTime) -> Vec<RaftOut> {
+    pub fn restart(&mut self, now: SimTime) {
         let was_leader = self.role == Role::Leader;
         self.role = Role::Follower;
         self.leader_hint = None;
@@ -643,7 +650,6 @@ impl RaftCore {
         if was_leader {
             self.stats.step_downs += 1;
         }
-        Vec::new()
     }
 
     /// The instant [`RaftCore::tick`] next has something to do: the
@@ -657,23 +663,21 @@ impl RaftCore {
 
     /// Timer driver: election timeout and leader heartbeats. A call
     /// before [`RaftCore::deadline`] does nothing.
-    pub fn tick(&mut self, now: SimTime) -> Vec<RaftOut> {
-        let mut out = Vec::new();
+    pub fn tick(&mut self, now: SimTime, out: &mut Vec<RaftOut>) {
         match self.role {
             Role::Leader => {
                 if now >= self.heartbeat_due {
                     self.heartbeat_due = now + HEARTBEAT;
                     self.repair_from.fill(None);
-                    self.replicate_all(&mut out, true);
+                    self.replicate_all(out, true);
                 }
             }
             Role::Follower | Role::Candidate => {
                 if now >= self.election_deadline {
-                    self.start_election(now, &mut out);
+                    self.start_election(now, out);
                 }
             }
         }
-        out
     }
 
     fn start_election(&mut self, now: SimTime, out: &mut Vec<RaftOut>) {
@@ -717,8 +721,8 @@ impl RaftCore {
         self.leader_hint = Some(self.id);
         self.stats.elections_won += 1;
         let next = self.last_index() + 1;
-        self.next_index = vec![next; self.n as usize];
-        self.match_index = vec![0; self.n as usize];
+        self.next_index.fill(next);
+        self.match_index.fill(0);
         self.match_index[self.id as usize] = self.last_index();
         self.repair_from.fill(None);
         out.push(RaftOut::BecameLeader);
@@ -761,8 +765,10 @@ impl RaftCore {
     }
 
     fn replicate_all(&mut self, out: &mut Vec<RaftOut>, force_empty: bool) {
-        for to in self.peers().collect::<Vec<_>>() {
-            self.replicate_one(to, out, force_empty);
+        for to in 0..self.n {
+            if to != self.id {
+                self.replicate_one(to, out, force_empty);
+            }
         }
     }
 
@@ -785,11 +791,15 @@ impl RaftCore {
         };
         let hi = last.min(prev_index + MAX_BATCH);
         let lo = (next - self.snap_index - 1) as usize;
-        let entries = self
-            .log
-            .get(lo..(hi - self.snap_index) as usize)
-            .unwrap_or_default()
-            .to_vec();
+        let mut entries = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(MAX_BATCH as usize));
+        entries.extend_from_slice(
+            self.log
+                .get(lo..(hi - self.snap_index) as usize)
+                .unwrap_or_default(),
+        );
         self.next_index[to as usize] = hi + 1;
         self.stats.entries_sent += entries.len() as u64;
         out.push(RaftOut::Send {
@@ -803,6 +813,14 @@ impl RaftCore {
                 commit: self.commit,
             },
         });
+    }
+
+    /// Hands back the entries of an Append this core sent, once its frame
+    /// is encoded: the next Append fills the emptied buffer instead of a
+    /// fresh one.
+    pub fn recycle(&mut self, mut entries: Vec<Arc<LogEntry>>) {
+        entries.clear();
+        self.spare.push(entries);
     }
 
     /// The replica built the snapshot image requested by
@@ -835,7 +853,8 @@ impl RaftCore {
         leader: ReplicaId,
         index: u64,
         snap_term: u64,
-    ) -> Vec<RaftOut> {
+        out: &mut Vec<RaftOut>,
+    ) {
         if index > self.snap_index {
             self.log.clear();
             self.snap_index = index;
@@ -843,14 +862,14 @@ impl RaftCore {
             self.commit = self.commit.max(index);
             self.applied = self.applied.max(index);
         }
-        vec![RaftOut::Send {
+        out.push(RaftOut::Send {
             to: leader,
             msg: QMsg::SnapshotReply {
                 term: self.term,
                 from: self.id,
                 index: self.snap_index,
             },
-        }]
+        });
     }
 
     fn compact_to_applied(&mut self) {
@@ -887,8 +906,7 @@ impl RaftCore {
     }
 
     /// Handles one protocol message from a fellow replica.
-    pub fn on_msg(&mut self, now: SimTime, msg: QMsg) -> Vec<RaftOut> {
-        let mut out = Vec::new();
+    pub fn on_msg(&mut self, now: SimTime, msg: QMsg, out: &mut Vec<RaftOut>) {
         match msg {
             QMsg::RequestVote {
                 term,
@@ -896,7 +914,7 @@ impl RaftCore {
                 last_index,
                 last_term,
             } => {
-                self.adopt_term(term, &mut out);
+                self.adopt_term(term, out);
                 let up_to_date = last_term > self.last_term()
                     || (last_term == self.last_term() && last_index >= self.last_index());
                 let can_vote = self.voted_for.is_none() || self.voted_for == Some(candidate);
@@ -923,11 +941,11 @@ impl RaftCore {
                 from,
                 granted,
             } => {
-                self.adopt_term(term, &mut out);
+                self.adopt_term(term, out);
                 if self.role == Role::Candidate && term == self.term && granted {
                     self.votes.insert(from);
                     if self.has_majority() {
-                        self.become_leader(now, &mut out);
+                        self.become_leader(now, out);
                     }
                 }
             }
@@ -939,7 +957,7 @@ impl RaftCore {
                 entries,
                 commit,
             } => {
-                self.adopt_term(term, &mut out);
+                self.adopt_term(term, out);
                 if term < self.term {
                     out.push(RaftOut::Send {
                         to: leader,
@@ -950,13 +968,13 @@ impl RaftCore {
                             index: 0,
                         },
                     });
-                    return out;
+                    return;
                 }
                 // Same-term candidate yields to the established leader.
                 self.role = Role::Follower;
                 self.leader_hint = Some(leader);
                 self.reset_election_deadline(now);
-                self.on_append(leader, prev_index, prev_term, entries, commit, &mut out);
+                self.on_append(leader, prev_index, prev_term, entries, commit, out);
             }
             QMsg::AppendReply {
                 term,
@@ -964,13 +982,13 @@ impl RaftCore {
                 ok,
                 index,
             } => {
-                self.adopt_term(term, &mut out);
+                self.adopt_term(term, out);
                 if self.role != Role::Leader || term != self.term {
-                    return out;
+                    return;
                 }
                 let f = from as usize;
                 if ok {
-                    self.acknowledged(from, index, &mut out);
+                    self.acknowledged(from, index, out);
                 } else {
                     self.stats.appends_rejected += 1;
                     // Back to where the follower says its log ends, but
@@ -985,7 +1003,7 @@ impl RaftCore {
                     if !stale {
                         self.next_index[f] = rewind;
                         self.repair_from[f] = Some(rewind);
-                        self.replicate_one(from, &mut out, true);
+                        self.replicate_one(from, out, true);
                     }
                 }
             }
@@ -996,9 +1014,9 @@ impl RaftCore {
                 snap_term,
                 image,
             } => {
-                self.adopt_term(term, &mut out);
+                self.adopt_term(term, out);
                 if term < self.term {
-                    return out;
+                    return;
                 }
                 self.role = Role::Follower;
                 self.leader_hint = Some(leader);
@@ -1022,14 +1040,13 @@ impl RaftCore {
                 }
             }
             QMsg::SnapshotReply { term, from, index } => {
-                self.adopt_term(term, &mut out);
+                self.adopt_term(term, out);
                 if self.role != Role::Leader || term != self.term {
-                    return out;
+                    return;
                 }
-                self.acknowledged(from, index, &mut out);
+                self.acknowledged(from, index, out);
             }
         }
-        out
     }
 
     /// Follower `from` holds the leader's log through `index`. An
@@ -1135,19 +1152,20 @@ impl RaftCore {
         }
     }
 
-    /// Drains committed-but-unapplied entries, advancing the applied
-    /// cursor. The caller applies them to the recorder in order; after a
+    /// The next committed-but-unapplied entry, advancing the applied
+    /// cursor; `None` once it reaches the commit index. The caller
+    /// applies them to the recorder in order, until `None`; after a
     /// restart this re-yields the committed prefix above the snapshot
     /// floor (application is idempotent).
-    pub fn take_applicable(&mut self) -> Vec<(u64, Arc<LogEntry>)> {
-        let mut out = Vec::new();
-        while self.applied < self.commit {
+    pub fn next_applicable(&mut self) -> Option<(u64, Arc<LogEntry>)> {
+        if self.applied < self.commit {
             self.applied += 1;
-            out.push((self.applied, self.entry_at(self.applied).clone()));
+            return Some((self.applied, self.entry_at(self.applied).clone()));
         }
-        // Only an apply makes more of the log droppable.
+        // Only an apply makes more of the log droppable: compact where a
+        // drain ends, never under an entry still being handed out.
         self.maybe_compact();
-        out
+        None
     }
 }
 
@@ -1213,7 +1231,8 @@ mod tests {
                 if self.down[src as usize] || self.down[dst as usize] {
                     continue;
                 }
-                let outs = self.cores[dst as usize].on_msg(now, m);
+                let mut outs = Vec::new();
+                self.cores[dst as usize].on_msg(now, m, &mut outs);
                 for o in outs {
                     match o {
                         RaftOut::Send { to, msg } => queue.push((dst, to, msg)),
@@ -1250,7 +1269,8 @@ mod tests {
                     snap_term,
                     ..
                 } => {
-                    let outs = self.cores[at as usize].snapshot_installed(leader, index, snap_term);
+                    let mut outs = Vec::new();
+                    self.cores[at as usize].snapshot_installed(leader, index, snap_term, &mut outs);
                     for o in outs {
                         if let RaftOut::Send { to, msg } = o {
                             queue.push((at, to, msg));
@@ -1268,10 +1288,10 @@ mod tests {
                     if self.down[i] {
                         continue;
                     }
-                    let outs = self.cores[i].tick(now);
+                    let outs = tick(&mut self.cores[i], now);
                     self.dispatch(now, i as u32, outs);
                     // A live host applies committed entries promptly.
-                    let newly = self.cores[i].take_applicable();
+                    let newly = drain(&mut self.cores[i]);
                     self.applied[i].extend(newly);
                 }
             }
@@ -1310,7 +1330,9 @@ mod tests {
 
         /// Hands `m` to replica `to` by itself; what it sends in answer.
         fn deliver(&mut self, to: usize, m: QMsg) -> Vec<(ReplicaId, QMsg)> {
-            sends(self.cores[to].on_msg(NOW, m))
+            let mut out = Vec::new();
+            self.cores[to].on_msg(NOW, m, &mut out);
+            sends(out)
         }
 
         fn entries_sent(&self) -> u64 {
@@ -1320,6 +1342,19 @@ mod tests {
 
     /// After the 500 ms the harness takes to settle; no timer is due.
     const NOW: SimTime = SimTime::from_millis(501);
+
+    /// What `core`'s timer sends at `now`.
+    fn tick(core: &mut RaftCore, now: SimTime) -> Vec<RaftOut> {
+        let mut out = Vec::new();
+        core.tick(now, &mut out);
+        out
+    }
+
+    /// Every entry `core`'s cursor yields, through to the `None` that
+    /// ends a drain.
+    fn drain(core: &mut RaftCore) -> Vec<(u64, Arc<LogEntry>)> {
+        std::iter::from_fn(|| core.next_applicable()).collect()
+    }
 
     fn sends(outs: Vec<RaftOut>) -> Vec<(ReplicaId, QMsg)> {
         let sent = |o| match o {
@@ -1432,7 +1467,7 @@ mod tests {
         let before = net.entries_sent();
         // The next heartbeat's reply carries the same match index.
         let due = net.cores[l].deadline();
-        let heartbeat = only_to(&sends(net.cores[l].tick(due)), f);
+        let heartbeat = only_to(&sends(tick(&mut net.cores[l], due)), f);
         assert_eq!(carried(&heartbeat), 0);
         let ack = only_to(&net.deliver(f, heartbeat), l);
         net.deliver(l, ack);
@@ -1568,12 +1603,69 @@ mod tests {
         net.down[l] = false;
         net.run(1050, 1400);
         assert!(!net.cores[l].is_leader());
-        let healed: Vec<_> = net.cores[l].take_applicable();
+        let healed = drain(&mut net.cores[l]);
         // Every applied entry on the healed replica matches the new
         // leader's log (log matching).
         for (idx, entry) in &healed {
             assert_eq!(net.cores[l2].term_at(*idx), Some(entry.term));
         }
+    }
+
+    /// A drain past the compaction threshold, entry by entry: the cursor
+    /// yields every committed entry above `applied` in index order (the
+    /// entries the log holds, not copies), compacts once, after the last
+    /// one, and after a restart yields the committed prefix above the
+    /// snapshot floor again.
+    #[test]
+    fn the_apply_cursor_compacts_where_a_drain_ends() {
+        let mut core = RaftCore::new(0, 1, 7);
+        core.start(SimTime::ZERO);
+        let mut out = Vec::new();
+        core.tick(core.deadline(), &mut out);
+        assert!(core.is_leader());
+        let propose = |core: &mut RaftCore, n: u64| {
+            for seq in 0..n {
+                core.propose(Op::Sequence { seq, msg: msg(seq) });
+            }
+        };
+        // Committed entries above `applied`, in order: what a drain owes.
+        let owed = |core: &RaftCore| -> Vec<(u64, Arc<LogEntry>)> {
+            (core.applied_index() + 1..=core.commit_index())
+                .map(|i| (i, core.entry_at(i).clone()))
+                .collect()
+        };
+        let same = |a: &[(u64, Arc<LogEntry>)], b: &[(u64, Arc<LogEntry>)]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|((i, x), (j, y))| i == j && Arc::ptr_eq(x, y))
+        };
+
+        propose(&mut core, COMPACT_THRESHOLD as u64 + 40);
+        let expected = owed(&core);
+        assert_eq!(expected.len(), COMPACT_THRESHOLD + 41, "the no-op too");
+        let mut got = Vec::new();
+        while let Some(next) = core.next_applicable() {
+            assert_eq!(core.snap_index(), 0, "no compaction inside a drain");
+            got.push(next);
+        }
+        assert!(same(&got, &expected));
+        assert_eq!(core.applied_index(), core.commit_index());
+        assert_eq!(core.snap_index(), core.applied_index(), "compacted once");
+        assert!(core.next_applicable().is_none());
+        assert_eq!(core.snap_index(), core.applied_index());
+
+        // Below the threshold: applied, not compacted, so a restart
+        // rewinds to the floor and yields these again.
+        propose(&mut core, 5);
+        let expected = owed(&core);
+        assert!(same(&drain(&mut core), &expected));
+        let floor = core.snap_index();
+        assert_eq!(core.applied_index(), floor + 5);
+        core.restart(core.deadline());
+        assert_eq!(core.applied_index(), floor);
+        assert!(same(&drain(&mut core), &expected));
+        assert_eq!(core.snap_index(), floor);
     }
 
     #[test]

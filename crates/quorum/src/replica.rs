@@ -71,6 +71,10 @@ pub struct QuorumReplica {
     id: ReplicaId,
     node: RecorderNode,
     raft: RaftCore,
+    /// What the core asked for and [`Self::perform`] has not yet done:
+    /// filled by each consensus input, emptied by the walk that carries
+    /// it out, and the same buffer for the replica's whole life.
+    routs: Vec<RaftOut>,
     /// Node id of each group member, indexed by replica id.
     peers: Vec<NodeId>,
     /// Acks observed on the medium whose messages are not yet
@@ -137,6 +141,7 @@ impl QuorumReplica {
             id,
             node,
             raft,
+            routs: Vec::new(),
             peers,
             acked: VecDeque::new(),
             acked_ids: HashSet::new(),
@@ -237,8 +242,8 @@ impl QuorumReplica {
     pub fn start(&mut self, now: SimTime, watch: &[NodeId], out: &mut Vec<RNAction>) {
         self.node.start(now, watch, out);
         self.grid_origin = now;
-        let routs = self.raft.start(now);
-        self.process(now, routs, out);
+        self.raft.start(now);
+        self.process(now, out);
     }
 
     /// Arms the consensus timer for the first grid instant after `now`
@@ -273,28 +278,35 @@ impl QuorumReplica {
 
     /// Runs consensus effects to quiescence, then applies committed
     /// entries, proposes any ready backlog and re-arms the timer.
-    fn process(&mut self, now: SimTime, routs: Vec<RaftOut>, out: &mut Vec<RNAction>) {
-        self.perform(now, routs, out);
+    fn process(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
+        self.perform(now, out);
         self.drain_commits(now, out);
         self.collect_acks();
         self.propose_ready(now, out);
         self.arm_timer(now, out);
     }
 
-    /// Carries out what the core asked for, and what that sets off.
-    fn perform(&mut self, now: SimTime, routs: Vec<RaftOut>, out: &mut Vec<RNAction>) {
-        let mut queue: VecDeque<RaftOut> = routs.into();
-        while let Some(o) = queue.pop_front() {
+    /// Carries out what the core asked for, in order, and what that sets
+    /// off: the core appends to the buffer being walked. An Append's
+    /// entry buffer goes back to the core once its frame is written, for
+    /// the next Append to fill.
+    fn perform(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
+        let mut routs = std::mem::take(&mut self.routs);
+        let mut next = 0;
+        while let Some(o) = routs.get_mut(next) {
+            next += 1;
             match o {
                 RaftOut::Send { to, msg } => {
                     self.frames_sent += 1;
-                    out.push(RNAction::Transmit(self.qframe(to, &msg)));
+                    out.push(RNAction::Transmit(self.qframe(*to, msg)));
+                    if let QMsg::Append { entries, .. } = msg {
+                        self.raft.recycle(std::mem::take(entries));
+                    }
                 }
                 RaftOut::NeedSnapshot { to } => {
+                    let to = *to;
                     let image = self.build_snapshot();
-                    let mut more = Vec::new();
-                    self.raft.snapshot_built(to, image, &mut more);
-                    queue.extend(more);
+                    self.raft.snapshot_built(to, image, &mut routs);
                 }
                 RaftOut::ApplySnapshot {
                     leader,
@@ -302,12 +314,15 @@ impl QuorumReplica {
                     snap_term,
                     image,
                 } => {
+                    let (leader, index, snap_term) = (*leader, *index, *snap_term);
+                    let image = std::mem::take(image);
                     if let Ok(exports) = decode_exports(&image) {
                         for export in exports {
                             self.node.import_process(now, export, out);
                         }
                     }
-                    queue.extend(self.raft.snapshot_installed(leader, index, snap_term));
+                    self.raft
+                        .snapshot_installed(leader, index, snap_term, &mut routs);
                 }
                 RaftOut::BecameLeader => {
                     self.term_settled = false;
@@ -338,10 +353,12 @@ impl QuorumReplica {
                 }
             }
         }
+        routs.clear();
+        self.routs = routs;
     }
 
     fn drain_commits(&mut self, now: SimTime, out: &mut Vec<RNAction>) {
-        for (idx, entry) in self.raft.take_applicable() {
+        while let Some((idx, entry)) = self.raft.next_applicable() {
             if let Some(proposed) = self.proposed_at.remove(&idx) {
                 self.commit_latency_us
                     .record(now.saturating_since(proposed).as_nanos() / 1_000);
@@ -409,9 +426,8 @@ impl QuorumReplica {
             }
         }
         // The whole backlog in one Append per follower.
-        let mut routs = Vec::new();
-        self.raft.replicate(&mut routs);
-        self.perform(now, routs, out);
+        self.raft.replicate(&mut self.routs);
+        self.perform(now, out);
         self.drain_commits(now, out);
     }
 
@@ -475,8 +491,8 @@ impl QuorumReplica {
         };
         if group == GROUP {
             if let Ok(qmsg) = QMsg::decode_all(&payload) {
-                let routs = self.raft.on_msg(now, qmsg);
-                self.process(now, routs, out);
+                self.raft.on_msg(now, qmsg, &mut self.routs);
+                self.process(now, out);
             }
         }
     }
@@ -491,8 +507,8 @@ impl QuorumReplica {
                 return;
             }
             self.armed_at = None;
-            let routs = self.raft.tick(now);
-            self.process(now, routs, out);
+            self.raft.tick(now, &mut self.routs);
+            self.process(now, out);
             if self.raft.is_leader() {
                 self.replication_lag
                     .record(self.raft.worst_follower_lag() as f64);
@@ -526,8 +542,8 @@ impl QuorumReplica {
         self.up = true;
         self.node.restart(now, out);
         self.grid_origin = now;
-        let routs = self.raft.restart(now);
-        self.process(now, routs, out);
+        self.raft.restart(now);
+        self.process(now, out);
     }
 }
 
