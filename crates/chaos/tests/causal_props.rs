@@ -1,8 +1,13 @@
 //! Property tests for the causal explorer over real chaos runs: the
 //! happens-before DAG built from any steady-state or crash schedule
-//! must be acyclic and edge-consistent, and its query surfaces must
-//! stay total (no panics, no inconsistent answers) on whatever the
-//! schedule generator throws at them.
+//! must be acyclic and edge-consistent, its query surfaces must stay
+//! total (no panics, no inconsistent answers) on whatever the schedule
+//! generator throws at them, and every answer must match the reference
+//! builder the flat graph replaced.
+
+#[allow(dead_code)]
+#[path = "../../obs/tests/support/causal_ref.rs"]
+mod causal_ref;
 
 use proptest::prelude::*;
 use publishing_chaos::driver::run_schedule;
@@ -20,7 +25,8 @@ fn config(topology: Topology, seed: u64, max_faults: usize) -> ChaosConfig {
 /// Runs one generated schedule and checks every causal-graph invariant:
 /// `validate` (edges forward in node order, virtual-time monotone along
 /// every edge, Kahn pass visits every node — i.e. acyclic), endpoints
-/// in range, and `explain` resolving for every key the graph knows.
+/// in range, `explain` resolving for every key the graph knows, and
+/// the same graph and answers as the reference builder.
 fn check_schedule(topology: Topology, seed: u64, max_faults: usize) {
     let sched = schedule::generate(&config(topology, seed, max_faults));
     let mut t = Scenario::new(topology, seed).build();
@@ -32,7 +38,11 @@ fn check_schedule(topology: Topology, seed: u64, max_faults: usize) {
     }
     for e in g.edges() {
         prop_assert!(e.from < e.to, "edge {} -> {} not forward", e.from, e.to);
-        prop_assert!(e.to < g.len(), "edge endpoint {} out of range", e.to);
+        prop_assert!(
+            (e.to as usize) < g.len(),
+            "edge endpoint {} out of range",
+            e.to
+        );
     }
     // Every key with at least one event must explain to a non-empty
     // ancestor cone ending at the queried key's latest event.
@@ -48,6 +58,7 @@ fn check_schedule(topology: Topology, seed: u64, max_faults: usize) {
         // an empty ancestor cone but never an empty chain.
         prop_assert!(!ex.chain.is_empty());
     }
+    causal_ref::assert_matches_reference(&t.span_events());
 }
 
 proptest! {

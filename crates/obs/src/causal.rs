@@ -103,21 +103,29 @@ impl EdgeKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     /// Source node index (always `< to`).
-    pub from: usize,
+    pub from: u32,
     /// Target node index.
-    pub to: usize,
+    pub to: u32,
     /// Why the source happens-before the target.
     pub kind: EdgeKind,
 }
 
 /// The happens-before DAG over every retained lifecycle event.
+///
+/// Stored flat: the events and their logs in node order, the edges in
+/// insertion order, and each node's incoming edges as a
+/// compressed-sparse-row run of edge ids (`pred_ids[pred_off[i] ..
+/// pred_off[i + 1]]`, ascending, so in insertion order). Every query but
+/// [`CausalGraph::validate`] walks edges backwards, and that one builds
+/// its outgoing runs the same way. A graph is a fixed handful of
+/// allocations whatever its size.
 #[derive(Debug, Clone, Default)]
 pub struct CausalGraph {
     nodes: Vec<SpanEvent>,
     log_of: Vec<u32>,
     edges: Vec<Edge>,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
+    pred_off: Vec<u32>,
+    pred_ids: Vec<u32>,
 }
 
 impl CausalGraph {
@@ -126,8 +134,15 @@ impl CausalGraph {
     /// discipline [`crate::span::combined_fingerprint`] requires — so
     /// node order, DOT output, and query answers are deterministic.
     pub fn build<'a>(logs: impl IntoIterator<Item = &'a SpanLog>) -> CausalGraph {
-        let lists: Vec<Vec<SpanEvent>> = logs.into_iter().map(|l| l.events().collect()).collect();
-        CausalGraph::from_event_lists(&lists)
+        let logs: Vec<&SpanLog> = logs.into_iter().collect();
+        let total = logs.iter().map(|l| l.retained()).sum();
+        let mut nodes = Vec::with_capacity(total);
+        let mut log_of = Vec::with_capacity(total);
+        for (li, log) in logs.iter().enumerate() {
+            nodes.extend(log.events());
+            log_of.resize(nodes.len(), log_index(li));
+        }
+        CausalGraph::from_nodes(nodes, log_of)
     }
 
     /// Builds the graph from per-log event lists (one list per component
@@ -135,107 +150,139 @@ impl CausalGraph {
     /// uses: a baseline's events can be captured as plain vectors and
     /// diffed against a later run without holding the original world.
     pub fn from_event_lists(lists: &[Vec<SpanEvent>]) -> CausalGraph {
-        // Total node order: virtual time, then log, then the log's own
-        // monotone seq. Edges are only added forward in this order, so
-        // acyclicity holds by construction and ambiguous same-instant
-        // cross-log orderings are conservatively dropped.
-        let mut tagged: Vec<(u32, SpanEvent)> = Vec::new();
+        let total = lists.iter().map(Vec::len).sum();
+        let mut nodes = Vec::with_capacity(total);
+        let mut log_of = Vec::with_capacity(total);
         for (li, list) in lists.iter().enumerate() {
-            for e in list {
-                tagged.push((li as u32, *e));
-            }
+            nodes.extend_from_slice(list);
+            log_of.resize(nodes.len(), log_index(li));
         }
-        tagged.sort_by_key(|(li, e)| (e.at, *li, e.seq));
-        let nodes: Vec<SpanEvent> = tagged.iter().map(|(_, e)| *e).collect();
-        let log_of: Vec<u32> = tagged.iter().map(|(li, _)| *li).collect();
+        CausalGraph::from_nodes(nodes, log_of)
+    }
+
+    /// Builds the graph from every log's events, concatenated log after
+    /// log, and the log each one came from.
+    fn from_nodes(mut nodes: Vec<SpanEvent>, mut log_of: Vec<u32>) -> CausalGraph {
+        let n = nodes.len();
+        // Node ids, edge ids and CSR offsets are `u32`; the bound is at
+        // least the node count. One scratch vector serves every sort.
+        let bound = edge_bound(&nodes);
+        assert!(
+            u32::try_from(bound).is_ok(),
+            "{n} events are too many for one causal graph"
+        );
+        let mut scratch: Vec<u32> = Vec::with_capacity(bound);
+
+        // Total node order: virtual time, then log, then the log's own
+        // monotone seq (then input position, which makes this unstable
+        // sort the stable one). Edges are only added forward in this
+        // order, so acyclicity holds by construction and ambiguous
+        // same-instant cross-log orderings are conservatively dropped.
+        scratch.extend(0..n as u32);
+        scratch.sort_unstable_by_key(|&i| {
+            let e = &nodes[i as usize];
+            (e.at, log_of[i as usize], e.seq, i)
+        });
+        permute(&mut scratch, &mut nodes, &mut log_of);
 
         let mut g = CausalGraph {
-            preds: vec![Vec::new(); nodes.len()],
-            succs: vec![Vec::new(); nodes.len()],
+            edges: Vec::with_capacity(bound),
             nodes,
             log_of,
-            edges: Vec::new(),
+            ..CausalGraph::default()
         };
+        g.propose_edges(&mut scratch);
+        dedup_keep_first(&mut g.edges, &mut scratch);
+        drop(scratch);
+        g.edges.shrink_to_fit();
+        (g.pred_off, g.pred_ids) = csr(n, g.edges.iter().map(|e| e.to as usize));
+        g
+    }
 
-        // Group node indices (already in node order) by message key, by
-        // subject-within-log, and publishes by sender.
-        let mut by_key: BTreeMap<MsgKey, Vec<usize>> = BTreeMap::new();
-        let mut by_log_subject: BTreeMap<(u32, u64), Vec<usize>> = BTreeMap::new();
-        let mut publishes_by_sender: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, e) in g.nodes.iter().enumerate() {
-            by_key.entry(e.key).or_default().push(i);
-            by_log_subject
-                .entry((g.log_of[i], e.subject))
-                .or_default()
-                .push(i);
-            if e.stage == Stage::Publish {
-                publishes_by_sender.entry(e.key.sender).or_default().push(i);
-            }
-        }
+    /// The incoming edges of `node`, in insertion order.
+    fn preds(&self, node: usize) -> impl Iterator<Item = &Edge> {
+        let run = self.pred_off[node] as usize..self.pred_off[node + 1] as usize;
+        self.pred_ids[run].iter().map(|&e| &self.edges[e as usize])
+    }
 
-        let mut seen: BTreeSet<(usize, usize, u8)> = BTreeSet::new();
-        let mut add = |g: &mut CausalGraph, from: usize, to: usize, kind: EdgeKind| {
-            if from >= to || !seen.insert((from, to, kind as u8)) {
-                return;
+    /// Appends every edge family's edges to `self.edges`, family by
+    /// family, each family's groups in key order and each group's nodes
+    /// in node order. `scratch` (capacity at least the node count) holds
+    /// one family's grouping at a time: node ids sorted by the group key,
+    /// then by id, so a group is a run.
+    fn propose_edges(&mut self, scratch: &mut Vec<u32>) {
+        let nodes = &self.nodes;
+        let log_of = &self.log_of;
+        let edges = &mut self.edges;
+        let node = |i: u32| &nodes[i as usize];
+        let mut add = |from: u32, to: u32, kind: EdgeKind| {
+            if from < to {
+                edges.push(Edge { from, to, kind });
             }
-            let ei = g.edges.len();
-            g.edges.push(Edge { from, to, kind });
-            g.preds[to].push(ei);
-            g.succs[from].push(ei);
+        };
+        let group = |scratch: &mut Vec<u32>, keep: fn(Stage) -> bool| {
+            scratch.clear();
+            scratch.extend((0..nodes.len() as u32).filter(|&i| keep(node(i).stage)));
         };
 
         // Per-component program order, per subject process.
-        for idxs in by_log_subject.values() {
-            for w in idxs.windows(2) {
-                add(&mut g, w[0], w[1], EdgeKind::ProgramOrder);
+        let lane = |i: u32| (log_of[i as usize], node(i).subject);
+        group(scratch, |_| true);
+        scratch.sort_unstable_by_key(|&i| (lane(i), i));
+        for w in scratch.windows(2) {
+            if lane(w[0]) == lane(w[1]) {
+                add(w[0], w[1], EdgeKind::ProgramOrder);
             }
         }
 
         // A sender's send order over its publishes.
-        for idxs in publishes_by_sender.values_mut() {
-            idxs.sort_by_key(|&i| (g.nodes[i].key.seq, i));
-            for w in idxs.windows(2) {
-                add(&mut g, w[0], w[1], EdgeKind::SenderOrder);
+        group(scratch, |s| s == Stage::Publish);
+        scratch.sort_unstable_by_key(|&i| (node(i).key.sender, node(i).key.seq, i));
+        for w in scratch.windows(2) {
+            if node(w[0]).key.sender == node(w[1]).key.sender {
+                add(w[0], w[1], EdgeKind::SenderOrder);
             }
         }
 
         // Per-message lifecycle edges.
-        for idxs in by_key.values() {
-            let first_of = |stage: Stage| idxs.iter().copied().find(|&i| g.nodes[i].stage == stage);
+        group(scratch, |_| true);
+        scratch.sort_unstable_by_key(|&i| (node(i).key, i));
+        for run in scratch.chunk_by(|&a, &b| node(a).key == node(b).key) {
+            let first_of = |stage: Stage| run.iter().copied().find(|&i| node(i).stage == stage);
             let publish = first_of(Stage::Publish);
             let capture = first_of(Stage::Capture);
             let sequence = first_of(Stage::Sequence);
             if let (Some(p), Some(c)) = (publish, capture) {
-                add(&mut g, p, c, EdgeKind::SendCapture);
+                add(p, c, EdgeKind::SendCapture);
             }
             if let (Some(c), Some(s)) = (capture, sequence) {
-                add(&mut g, c, s, EdgeKind::CaptureSequence);
+                add(c, s, EdgeKind::CaptureSequence);
             }
-            for &i in idxs {
-                match g.nodes[i].stage {
+            for &i in run {
+                match node(i).stage {
                     Stage::Deliver => {
                         if let Some(s) = sequence {
-                            add(&mut g, s, i, EdgeKind::SequenceDeliver);
+                            add(s, i, EdgeKind::SequenceDeliver);
                         }
                     }
                     Stage::Replay => {
                         if let Some(s) = sequence {
-                            add(&mut g, s, i, EdgeKind::SequenceReplay);
+                            add(s, i, EdgeKind::SequenceReplay);
                         }
                         // The pre-crash read the replay reproduces: the
                         // first delivery of this message at the same read
                         // index to the same subject.
-                        let (subject, read_idx) = (g.nodes[i].subject, g.nodes[i].aux);
-                        if let Some(d) = idxs.iter().copied().find(|&j| {
-                            let n = &g.nodes[j];
+                        let (subject, read_idx) = (node(i).subject, node(i).aux);
+                        if let Some(d) = run.iter().copied().find(|&j| {
+                            let n = node(j);
                             n.stage == Stage::Deliver && n.subject == subject && n.aux == read_idx
                         }) {
-                            add(&mut g, d, i, EdgeKind::DeliverReplay);
+                            add(d, i, EdgeKind::DeliverReplay);
                         }
                     }
                     Stage::Suppress => {
                         if let Some(p) = publish {
-                            add(&mut g, p, i, EdgeKind::PublishSuppress);
+                            add(p, i, EdgeKind::PublishSuppress);
                         }
                     }
                     _ => {}
@@ -246,20 +293,16 @@ impl CausalGraph {
         // Checkpoint floors: the latest durable checkpoint for a subject
         // happens-before each later replay of that subject (it decided
         // where the replay starts).
-        let mut by_subject: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, e) in g.nodes.iter().enumerate() {
-            if matches!(e.stage, Stage::Checkpoint | Stage::Replay) {
-                by_subject.entry(e.subject).or_default().push(i);
-            }
-        }
-        for idxs in by_subject.values() {
-            let mut floor: Option<usize> = None;
-            for &i in idxs {
-                match g.nodes[i].stage {
+        group(scratch, |s| matches!(s, Stage::Checkpoint | Stage::Replay));
+        scratch.sort_unstable_by_key(|&i| (node(i).subject, i));
+        for run in scratch.chunk_by(|&a, &b| node(a).subject == node(b).subject) {
+            let mut floor: Option<u32> = None;
+            for &i in run {
+                match node(i).stage {
                     Stage::Checkpoint => floor = Some(i),
                     Stage::Replay => {
                         if let Some(c) = floor {
-                            add(&mut g, c, i, EdgeKind::CheckpointFloor);
+                            add(c, i, EdgeKind::CheckpointFloor);
                         }
                     }
                     _ => {}
@@ -274,23 +317,25 @@ impl CausalGraph {
         // is leader-driven), so link the latest same-log election to
         // subsequent sequencing and the latest election anywhere to
         // subsequent replays. The critical path can then attribute
-        // post-failover recovery time to the leader change.
-        let mut last_elect: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut last_elect_any: Option<usize> = None;
-        for i in 0..g.nodes.len() {
-            match g.nodes[i].stage {
+        // post-failover recovery time to the leader change. `scratch`
+        // holds the latest election per log (`u32::MAX`: none yet).
+        let logs = log_of.iter().max().map_or(0, |&l| l as usize + 1);
+        scratch.clear();
+        scratch.resize(logs, u32::MAX);
+        let mut last_elect_any: Option<u32> = None;
+        for i in 0..nodes.len() as u32 {
+            let log = log_of[i as usize] as usize;
+            match node(i).stage {
                 Stage::Elect => {
-                    last_elect.insert(g.log_of[i], i);
+                    scratch[log] = i;
                     last_elect_any = Some(i);
                 }
-                Stage::Sequence => {
-                    if let Some(&e) = last_elect.get(&g.log_of[i]) {
-                        add(&mut g, e, i, EdgeKind::ElectGate);
-                    }
+                Stage::Sequence if scratch[log] != u32::MAX => {
+                    add(scratch[log], i, EdgeKind::ElectGate);
                 }
                 Stage::Replay => {
                     if let Some(e) = last_elect_any {
-                        add(&mut g, e, i, EdgeKind::ElectGate);
+                        add(e, i, EdgeKind::ElectGate);
                     }
                 }
                 _ => {}
@@ -301,26 +346,20 @@ impl CausalGraph {
         // the replayed reads made the process regenerate its sends, and
         // the §4.7 watermark cut off the resend. Link the latest replay
         // *into* the suppressed message's sender.
-        let mut replays_by_reader: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, e) in g.nodes.iter().enumerate() {
-            if e.stage == Stage::Replay {
-                replays_by_reader.entry(e.subject).or_default().push(i);
-            }
-        }
-        for i in 0..g.nodes.len() {
-            if g.nodes[i].stage != Stage::Suppress {
+        group(scratch, |s| s == Stage::Replay);
+        scratch.sort_unstable_by_key(|&r| (node(r).subject, r));
+        for i in 0..nodes.len() as u32 {
+            if node(i).stage != Stage::Suppress {
                 continue;
             }
-            if let Some(replays) = replays_by_reader.get(&g.nodes[i].key.sender) {
-                let before = replays.partition_point(|&r| r < i);
-                if before > 0 {
-                    let r = replays[before - 1];
-                    add(&mut g, r, i, EdgeKind::ReplaySuppress);
+            let sender = node(i).key.sender;
+            let before = scratch.partition_point(|&r| (node(r).subject, r) < (sender, i));
+            if let Some(&r) = scratch[..before].last() {
+                if node(r).subject == sender {
+                    add(r, i, EdgeKind::ReplaySuppress);
                 }
             }
         }
-
-        g
     }
 
     /// The events, in node order (the indices every query speaks in).
@@ -361,12 +400,13 @@ impl CausalGraph {
             if e.from >= e.to {
                 return Err(format!("edge {i} not forward: {} -> {}", e.from, e.to));
             }
-            if self.nodes[e.from].at > self.nodes[e.to].at {
+            let (from, to) = (&self.nodes[e.from as usize], &self.nodes[e.to as usize]);
+            if from.at > to.at {
                 return Err(format!(
                     "edge {i} ({}) goes back in time: {} -> {}",
                     e.kind.name(),
-                    self.nodes[e.from].at,
-                    self.nodes[e.to].at
+                    from.at,
+                    to.at
                 ));
             }
         }
@@ -376,13 +416,16 @@ impl CausalGraph {
             }
         }
         // Kahn's algorithm: every node must be emitted.
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut indeg: Vec<u32> = self.pred_off.windows(2).map(|w| w[1] - w[0]).collect();
+        let (succ_off, succ_ids) =
+            csr(self.nodes.len(), self.edges.iter().map(|e| e.from as usize));
         let mut queue: VecDeque<usize> = (0..self.nodes.len()).filter(|&i| indeg[i] == 0).collect();
         let mut emitted = 0usize;
         while let Some(i) = queue.pop_front() {
             emitted += 1;
-            for &ei in &self.succs[i] {
-                let t = self.edges[ei].to;
+            let run = succ_off[i] as usize..succ_off[i + 1] as usize;
+            for &ei in &succ_ids[run] {
+                let t = self.edges[ei as usize].to as usize;
                 indeg[t] -= 1;
                 if indeg[t] == 0 {
                     queue.push_back(t);
@@ -403,10 +446,10 @@ impl CausalGraph {
         let mut cone = BTreeSet::new();
         let mut queue = VecDeque::from([node]);
         while let Some(i) = queue.pop_front() {
-            for &ei in &self.preds[i] {
-                let f = self.edges[ei].from;
-                if cone.insert(f) {
-                    queue.push_back(f);
+            for e in self.preds(i) {
+                let from = e.from as usize;
+                if cone.insert(from) {
+                    queue.push_back(from);
                 }
             }
         }
@@ -415,11 +458,9 @@ impl CausalGraph {
 
     /// The binding predecessor of a node: the incoming edge whose source
     /// is latest in node order — the hop that actually delayed the node.
+    /// Of several edges from that source, the last inserted binds.
     fn binding_pred(&self, node: usize) -> Option<&Edge> {
-        self.preds[node]
-            .iter()
-            .map(|&ei| &self.edges[ei])
-            .max_by_key(|e| e.from)
+        self.preds(node).max_by_key(|e| e.from)
     }
 
     /// Explains one message: the causal chain (binding predecessors,
@@ -439,7 +480,7 @@ impl CausalGraph {
         let mut rev: Vec<Hop> = Vec::new();
         let mut cur = target;
         loop {
-            match self.binding_pred(cur).map(|e| (e.from, e.kind)) {
+            match self.binding_pred(cur).map(|e| (e.from as usize, e.kind)) {
                 Some((from, kind)) => {
                     rev.push(Hop {
                         event: self.nodes[cur],
@@ -502,12 +543,13 @@ impl CausalGraph {
         let mut kinds: Vec<EdgeKind> = Vec::new();
         let mut cur = anchor;
         while let Some(e) = self.binding_pred(cur) {
-            if self.nodes[e.from].at < crash_at {
+            let from = e.from as usize;
+            if self.nodes[from].at < crash_at {
                 break;
             }
-            path.push(e.from);
+            path.push(from);
             kinds.push(e.kind);
-            cur = e.from;
+            cur = from;
         }
         path.reverse();
         kinds.reverse();
@@ -583,6 +625,94 @@ impl CausalGraph {
         s.push_str("}\n");
         s
     }
+}
+
+/// A log's position in the caller's order, as a node's `log_of`.
+fn log_index(li: usize) -> u32 {
+    u32::try_from(li).expect("more span logs than u32 ids")
+}
+
+/// An upper bound on the edges [`CausalGraph::propose_edges`] adds,
+/// counted by target: every node has at most one program-order
+/// predecessor, plus what its stage's rules can give it.
+fn edge_bound(nodes: &[SpanEvent]) -> usize {
+    let by_stage = |stage| match stage {
+        Stage::Publish => 1,                    // sender order
+        Stage::Capture | Stage::Deliver => 1,   // send→capture, sequence→deliver
+        Stage::Sequence | Stage::Suppress => 2, // + an election gate / replay→suppress
+        Stage::Replay => 4,                     // sequence, delivery, checkpoint, election
+        Stage::Checkpoint | Stage::Elect => 0,
+    };
+    nodes.iter().map(|e| 1 + by_stage(e.stage)).sum()
+}
+
+/// Reorders `nodes` and `log_of` in place so that position `k` holds
+/// what position `perm[k]` held, following each cycle of `perm` once
+/// (and leaving `perm` the identity).
+fn permute(perm: &mut [u32], nodes: &mut [SpanEvent], log_of: &mut [u32]) {
+    for start in 0..perm.len() {
+        if perm[start] as usize == start {
+            continue;
+        }
+        let held = (nodes[start], log_of[start]);
+        let mut k = start;
+        loop {
+            let src = perm[k] as usize;
+            perm[k] = k as u32;
+            if src == start {
+                (nodes[k], log_of[k]) = held;
+                break;
+            }
+            nodes[k] = nodes[src];
+            log_of[k] = log_of[src];
+            k = src;
+        }
+    }
+}
+
+/// Drops every edge equal to an earlier one, keeping the first in
+/// insertion order: edge ids sorted by `(edge, id)` put each edge's
+/// copies in one run, first copy first. (No edge family proposes an
+/// edge twice today; the pass makes that a property of the graph, not
+/// of its rules.)
+fn dedup_keep_first(edges: &mut Vec<Edge>, scratch: &mut Vec<u32>) {
+    let key = |e: &Edge| (e.from, e.to, e.kind);
+    scratch.clear();
+    scratch.extend(0..edges.len() as u32);
+    scratch.sort_unstable_by_key(|&i| (key(&edges[i as usize]), i));
+    let mut run = None;
+    for &i in scratch.iter() {
+        let e = &mut edges[i as usize];
+        if run == Some(key(e)) {
+            // A proposed edge always points forward; this one now doesn't.
+            e.to = e.from;
+        } else {
+            run = Some(key(e));
+        }
+    }
+    edges.retain(|e| e.from < e.to);
+}
+
+/// Compressed sparse rows over `n` nodes: `ends` yields each edge's
+/// endpoint in edge-id order, and node `v`'s edge ids are
+/// `ids[off[v]..off[v + 1]]`, ascending.
+fn csr(n: usize, ends: impl Iterator<Item = usize> + Clone) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for v in ends.clone() {
+        off[v + 1] += 1;
+    }
+    for v in 0..n {
+        off[v + 1] += off[v];
+    }
+    let mut ids = vec![0u32; off[n] as usize];
+    for (e, v) in ends.enumerate() {
+        ids[off[v] as usize] = e as u32;
+        off[v] += 1;
+    }
+    // Each `off[v]` now ends `v`'s run, which is where `v + 1`'s starts.
+    off.copy_within(0..n, 1);
+    off[0] = 0;
+    (off, ids)
 }
 
 /// Maps a lifecycle stage to the recovery-stage category the critical
@@ -1358,6 +1488,26 @@ mod tests {
         assert_eq!(node_lines, 15);
         assert!(a.matches(" -> ").count() >= 15);
         assert!(a.contains("deliver→replay"));
+    }
+
+    #[test]
+    fn dedup_keeps_each_edges_first_copy_in_place() {
+        let edge = |from, to, kind| Edge { from, to, kind };
+        let (a, b, c) = (
+            edge(0, 2, EdgeKind::ProgramOrder),
+            edge(1, 2, EdgeKind::SendCapture),
+            edge(0, 2, EdgeKind::DeliverReplay),
+        );
+        let mut edges = vec![a, b, a, c, b, a];
+        dedup_keep_first(&mut edges, &mut Vec::new());
+        assert_eq!(edges, [a, b, c]);
+    }
+
+    #[test]
+    fn csr_runs_hold_edge_ids_in_insertion_order() {
+        let (off, ids) = csr(4, [3, 1, 3, 0, 1].into_iter());
+        assert_eq!(off, [0, 1, 3, 3, 5]);
+        assert_eq!(ids, [3, 1, 4, 0, 2]);
     }
 
     #[test]

@@ -30,8 +30,7 @@
 //!   utilization ledger with binding-resource ranking, queueing-model
 //!   cross-validation rows, and what-if (virtual speedup) results;
 //! - [`store`]: the columnar (struct-of-arrays, delta-encoded, interned)
-//!   storage engine behind [`span::SpanLog`], plus the row-oriented
-//!   reference log it is verified against;
+//!   storage engine behind [`span::SpanLog`];
 //! - [`watchdog`]: the always-on invariant watchdog — online safety and
 //!   liveness oracles (arrival-seq gap freedom, commit-index
 //!   monotonicity, leaderless-stall deadlines) any world can feed.
@@ -69,6 +68,6 @@ pub use registry::{MetricValue, MetricsRegistry};
 pub use report::{ConsensusStats, ObsReport, WatchdogSummary, WorkloadStats};
 pub use slo::SloSpec;
 pub use span::{MessageSpan, MsgKey, SpanEvent, SpanLog, Stage, DEFAULT_SPAN_CAPACITY};
-pub use store::{Interner, RowSpanLog};
+pub use store::Interner;
 pub use util::{UtilizationReport, WhatIfReport, WhatIfRow, XvalRow};
 pub use watchdog::Watchdog;

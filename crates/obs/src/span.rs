@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 /// are fingerprinted regardless).
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// `FNV_PRIME^k` (wrapping) for every run length an event can hold.
@@ -41,9 +41,9 @@ const FNV_PRIME_POW: [u64; 50] = {
 /// Folds one event into the running FNV-1a fingerprint. Every field is
 /// fixed-width and the monotone `seq` frames the event, so the hash is
 /// injective over event streams and independent of what storage later
-/// retains — the columnar store and the row-oriented reference log share
-/// this exact framing.
-pub(crate) fn fnv_fold_event(
+/// retains — the row-oriented log `columnar_props` keeps as the store's
+/// reference folds this exact framing a byte at a time.
+fn fnv_fold_event(
     mut h: u64,
     seq: u64,
     at: SimTime,

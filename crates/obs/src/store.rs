@@ -23,14 +23,14 @@
 //! again when the row is evicted. Reconstruction is exact — iteration
 //! replays the deltas through running accumulators and yields
 //! byte-identical [`SpanEvent`]s, which the `columnar_props` proptest
-//! suite pins against the retained [`RowSpanLog`] reference
-//! implementation.
+//! suite pins against the row-oriented ring it replaced, kept there as
+//! the reference.
 //!
 //! The fingerprint lives in the [`SpanLog`](crate::span::SpanLog)
 //! wrapper: the store only ever sees events the log decided to retain,
 //! so fingerprints stay independent of storage policy.
 
-use crate::span::{fnv_fold_event, MsgKey, SpanEvent, Stage, FNV_OFFSET};
+use crate::span::{MsgKey, SpanEvent, Stage};
 use publishing_sim::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -258,72 +258,6 @@ impl ColumnarStore {
     }
 }
 
-/// The pre-columnar row-oriented span log, kept as the executable
-/// reference the columnar store is verified against: identical record
-/// streams must yield identical fingerprints, totals, and retained
-/// event sequences. The `obs_overhead` bench also uses it as the memory
-/// baseline the ≥3× cut is measured from.
-#[derive(Debug)]
-pub struct RowSpanLog {
-    ring: VecDeque<SpanEvent>,
-    capacity: usize,
-    total: u64,
-    fnv: u64,
-}
-
-impl RowSpanLog {
-    /// Creates a log retaining at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        RowSpanLog {
-            ring: VecDeque::new(),
-            capacity,
-            total: 0,
-            fnv: FNV_OFFSET,
-        }
-    }
-
-    /// Records one lifecycle event (same framing and hash as
-    /// [`SpanLog::record`](crate::span::SpanLog::record)).
-    pub fn record(&mut self, at: SimTime, key: MsgKey, stage: Stage, subject: u64, aux: u64) {
-        let seq = self.total;
-        self.total += 1;
-        self.fnv = fnv_fold_event(self.fnv, seq, at, key, stage, subject, aux);
-        if self.capacity > 0 {
-            if self.ring.len() == self.capacity {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(SpanEvent {
-                seq,
-                at,
-                key,
-                stage,
-                subject,
-                aux,
-            });
-        }
-    }
-
-    /// Events ever recorded (including evicted).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Running fingerprint over all events ever recorded.
-    pub fn fingerprint(&self) -> u64 {
-        self.fnv
-    }
-
-    /// Retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = SpanEvent> + '_ {
-        self.ring.iter().copied()
-    }
-
-    /// Deterministic estimate of the bytes the retained rows occupy.
-    pub fn retained_bytes(&self) -> usize {
-        self.ring.len() * std::mem::size_of::<SpanEvent>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,14 +374,13 @@ mod tests {
     fn packed_row_is_at_least_three_times_smaller() {
         assert!(std::mem::size_of::<SpanEvent>() >= 3 * PACKED_ROW_BYTES);
         let mut col = ColumnarStore::default();
-        let mut row = RowSpanLog::new(1 << 10);
         for i in 0..1000u64 {
-            let e = ev(i, 100 * i, 1 + i % 4, i, Stage::Publish, 7, i % 100);
-            col.push(e);
-            row.record(e.at, e.key, e.stage, e.subject, e.aux);
+            col.push(ev(i, 100 * i, 1 + i % 4, i, Stage::Publish, 7, i % 100));
         }
         assert_eq!(col.escaped(), 0);
-        assert!(row.retained_bytes() >= 3 * col.retained_bytes());
+        // A row-oriented ring holds every event as a whole struct.
+        let row_bytes = 1000 * std::mem::size_of::<SpanEvent>();
+        assert!(row_bytes >= 3 * col.retained_bytes());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property tests pinning the columnar span store against the retained
-//! row-oriented reference implementation ([`RowSpanLog`]).
+//! Property tests pinning the columnar span store against the
+//! row-oriented ring it replaced ([`RowSpanLog`], kept here as the
+//! reference, with a byte-at-a-time fingerprint).
 //!
 //! Identical record streams must yield identical fingerprints, totals,
 //! retained event sequences, and happens-before DAGs — across packed
@@ -10,8 +11,71 @@
 use proptest::prelude::*;
 use publishing_obs::causal::CausalGraph;
 use publishing_obs::span::{MsgKey, SpanEvent, SpanLog, Stage};
-use publishing_obs::RowSpanLog;
 use publishing_sim::time::SimTime;
+use std::collections::VecDeque;
+
+/// The pre-columnar span log: a ring of whole events, and the running
+/// FNV-1a fingerprint (the workspace's offset basis and prime) over each
+/// event framed by its emission number, folded one byte at a time.
+#[derive(Debug)]
+struct RowSpanLog {
+    ring: VecDeque<SpanEvent>,
+    capacity: usize,
+    total: u64,
+    fnv: u64,
+}
+
+impl RowSpanLog {
+    fn new(capacity: usize) -> Self {
+        RowSpanLog {
+            ring: VecDeque::new(),
+            capacity,
+            total: 0,
+            fnv: 0xcbf2_9ce4_8422_2325,
+        }
+    }
+
+    fn record(&mut self, at: SimTime, key: MsgKey, stage: Stage, subject: u64, aux: u64) {
+        let seq = self.total;
+        self.total += 1;
+        let mut frame = Vec::new();
+        for w in [seq, at.as_nanos(), key.sender, key.seq] {
+            frame.extend(w.to_le_bytes());
+        }
+        frame.push(stage as u8);
+        for w in [subject, aux] {
+            frame.extend(w.to_le_bytes());
+        }
+        for b in frame {
+            self.fnv = (self.fnv ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
+        }
+        if self.capacity > 0 {
+            if self.ring.len() == self.capacity {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(SpanEvent {
+                seq,
+                at,
+                key,
+                stage,
+                subject,
+                aux,
+            });
+        }
+    }
+
+    fn total(&self) -> u64 {
+        self.total
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fnv
+    }
+
+    fn events(&self) -> impl Iterator<Item = SpanEvent> + '_ {
+        self.ring.iter().copied()
+    }
+}
 
 const STAGES: [Stage; 8] = [
     Stage::Publish,

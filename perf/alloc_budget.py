@@ -59,12 +59,16 @@ BUDGET = {
 # workload -> peak_heap_mb ceiling (measured when a destroyed process
 # began to be retired in place, seed 1: 1.2383 / 0.1294 / 2.6427 /
 # 3.0852 / 0.7370, times 1.05; before it `steady_bus` read 1.6612, its
-# old pages queued for erasure beside their rewrites).
+# old pages queued for erasure beside their rewrites; `shard_replay` and
+# `quorum_replay` again when the causal graph a recovered world's report
+# builds went flat — CSR adjacency, sorted index runs, `u32` edges —
+# instead of two vectors per node: 1.6467 and 1.2108, the report's graph
+# having been their peak at 2.6427 and 3.0866).
 HEAP_MB = {
     "steady_bus": 1.301,
     "ether_contend": 0.136,
-    "shard_replay": 2.775,
-    "quorum_replay": 3.240,
+    "shard_replay": 1.730,
+    "quorum_replay": 1.272,
     "knee_search": 0.774,
 }
 

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! hostprof --workload <name> [--seed <n>] [--seconds <s>] [--hz <n> | --allocs <n>]
+//!          [--phase run|report]
 //! ```
 //!
 //! Runs the named `hostbench` workload — the same literals and the same
@@ -14,6 +15,14 @@
 //! go to `perf/hostprof/out/<workload>-<seed>.txt` with the executable's
 //! load address; `perf/hostprof.py` resolves them through `addr2line`
 //! and prints the tables DESIGN.md §19–§21 are made of.
+//!
+//! `--phase report` times each world's `obs_report` instead, after an
+//! untimed `run_schedule` (a search has no report of its own to time, so
+//! `knee_search` refuses it); the stacks go to
+//! `<workload>-<seed>-report.txt`. Either phase prints the highest live
+//! heap during a run, what the world still held when its report began
+//! and the highest live heap during the report (the worst world of
+//! each), and writes them into the header line.
 //!
 //! `--allocs <n>` asks *who allocates* instead of *where time goes*: no
 //! timer; the program's counting `#[global_allocator]` takes the same
@@ -47,8 +56,8 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use workloads::{Kind, Workload, MAX_USERS};
 
-const USAGE: &str =
-    "usage: hostprof --workload <name> [--seed <n>] [--seconds <s>] [--hz <n> | --allocs <n>]";
+const USAGE: &str = "usage: hostprof --workload <name> [--seed <n>] [--seconds <s>] \
+                     [--hz <n> | --allocs <n>] [--phase run|report]";
 
 /// Return addresses kept per sample, innermost first, after the frames
 /// of the sampling itself.
@@ -100,6 +109,10 @@ static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 /// Set while the allocator hook takes a stack, so an allocation made on
 /// its behalf is neither counted nor sampled.
 static IN_HOOK: AtomicBool = AtomicBool::new(false);
+/// Bytes allocated and not yet freed (`Layout` sizes, as `hostbench`'s
+/// meter counts them), and the highest value since [`reset_peak`].
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 /// The system allocator, counting: in `--allocs` mode every `n`-th
 /// allocation inside a timed region leaves its stack in the sample
@@ -119,6 +132,27 @@ fn count_allocation() {
     IN_HOOK.store(false, Ordering::Relaxed);
 }
 
+/// Live heap grew by `bytes`.
+#[inline]
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+/// Live heap shrank by `bytes` (all of it allocated here: this
+/// allocator serves the process from its start).
+#[inline]
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+/// Restarts peak tracking from the current live heap, which it returns.
+fn reset_peak() -> usize {
+    let live = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live, Ordering::Relaxed);
+    live
+}
+
 // SAFETY: every method forwards to `System` with the arguments it was
 // given, so `System`'s guarantees are this allocator's; the counting
 // beside it touches only atomics and the leaked sample buffer and never
@@ -127,13 +161,21 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
         // SAFETY: the caller's contract for `alloc`, passed on unchanged.
-        unsafe { System.alloc(layout) }
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_allocation();
         // SAFETY: the caller's contract for `alloc_zeroed`, unchanged.
-        unsafe { System.alloc_zeroed(layout) }
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            grew(layout.size());
+        }
+        p
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -141,12 +183,21 @@ unsafe impl GlobalAlloc for Counting {
             count_allocation();
         }
         // SAFETY: the caller's contract for `realloc`, passed on unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            if new_size > layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: the caller's contract for `dealloc`, passed on unchanged.
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { System.dealloc(ptr, layout) };
+        shrank(layout.size());
     }
 }
 
@@ -241,18 +292,55 @@ fn timed<T>(spent: &mut Duration, work: impl FnOnce() -> T) -> T {
     out
 }
 
-/// One world (or one search) of `w`, as `hostbench`'s facade makes it.
-fn one(w: &Workload, sub_seed: u64, spent: &mut Duration) {
+/// The highest live heap, in bytes, of the worst world so far: during
+/// its build and run (or its search), when its report began, and during
+/// the report. Each is counted from the live heap before the world was
+/// built, so the sample buffer and everything else that outlives a world
+/// are left out.
+#[derive(Default)]
+struct Heap {
+    run: usize,
+    held: usize,
+    report: usize,
+}
+
+impl Heap {
+    fn header(&self) -> String {
+        let mb = |b: usize| b as f64 / 1e6;
+        format!(
+            "run_peak_mb={:.4} held_mb={:.4} report_peak_mb={:.4}",
+            mb(self.run),
+            mb(self.held),
+            mb(self.report)
+        )
+    }
+}
+
+/// One world (or one search) of `w`, as `hostbench`'s facade makes it;
+/// `report` times the world's `obs_report` instead of its run.
+fn one(w: &Workload, sub_seed: u64, report: bool, spent: &mut Duration, heap: &mut Heap) {
     let (spec, schedule) = w.literals(sub_seed);
     let spec: WorkloadSpec = spec.parse().expect("workload literal");
     let compiled = CompiledWorkload::new(spec.clone());
+    let floor = reset_peak();
+    let above = |bytes: usize| bytes.saturating_sub(floor);
     match w.kind {
         Kind::Run => {
             let schedule: FaultSchedule = schedule.parse().expect("schedule literal");
             let mut scenario = Scenario::new(w.topology, spec.seed);
             scenario.medium = w.medium;
             let mut world = scenario.build_with(&compiled);
-            timed(spent, || run_schedule(world.as_mut(), &schedule));
+            if report {
+                run_schedule(world.as_mut(), &schedule);
+            } else {
+                timed(spent, || run_schedule(world.as_mut(), &schedule));
+            }
+            heap.run = heap.run.max(above(PEAK.load(Ordering::Relaxed)));
+            heap.held = heap.held.max(above(reset_peak()));
+            if report {
+                std::hint::black_box(timed(spent, || world.obs_report()));
+                heap.report = heap.report.max(above(PEAK.load(Ordering::Relaxed)));
+            }
             std::hint::black_box(world.output_fingerprint());
         }
         Kind::KneeSearch => {
@@ -265,36 +353,36 @@ fn one(w: &Workload, sub_seed: u64, spent: &mut Duration) {
             let knee = timed(spent, || {
                 find_knee(w.name, w.topology, &spec, &SloSpec::default(), &params)
             });
+            heap.run = heap.run.max(above(PEAK.load(Ordering::Relaxed)));
             std::hint::black_box(knee.knee_users);
         }
     }
 }
 
+/// Writes the samples; `mode` is how they were taken, as header fields.
 fn write_samples(
     w: &Workload,
     seed: u64,
-    hz: u64,
-    allocs_every: usize,
+    phase: &str,
+    mode: &str,
     spent: Duration,
     worlds: u64,
+    heap: &Heap,
 ) -> std::io::Result<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("out");
     std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{}-{seed}.txt", w.name));
+    let suffix = if phase == "report" { "-report" } else { "" };
+    let path = dir.join(format!("{}-{seed}{suffix}.txt", w.name));
     let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
     let taken = TAKEN.load(Ordering::Relaxed);
     let kept = taken.min(MAX_SAMPLES);
-    // Time mode samples at `hz`; `--allocs` every `every`-th of `allocs`.
-    let mode = match allocs_every {
-        0 => format!("hz={hz}"),
-        n => format!("every={n} allocs={}", ALLOCS.load(Ordering::Relaxed)),
-    };
     writeln!(
         out,
-        "# hostprof workload={} seed={seed} {mode} timed_s={:.3} worlds={worlds} samples={kept} dropped={}",
+        "# hostprof workload={} seed={seed} phase={phase} {mode} timed_s={:.3} worlds={worlds} samples={kept} dropped={} {}",
         w.name,
         spent.as_secs_f64(),
-        taken - kept
+        taken - kept,
+        heap.header()
     )?;
     writeln!(out, "# exe {}", std::env::current_exe()?.display())?;
     // What turns a sampled address back into an offset in a file: the
@@ -332,6 +420,7 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (mut name, mut seed, mut seconds, mut hz) = (None, 11u64, 12.0f64, 250u64);
     let mut allocs_every = 0usize;
+    let mut phase = "run";
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it.next().map(String::as_str).unwrap_or("");
@@ -350,6 +439,11 @@ fn main() -> ExitCode {
                 .parse()
                 .map(|v| allocs_every = v)
                 .is_ok_and(|()| allocs_every > 0),
+            "--phase" => ["run", "report"]
+                .into_iter()
+                .find(|&p| p == value)
+                .map(|p| phase = p)
+                .is_some(),
             _ => false,
         };
         if !ok {
@@ -362,13 +456,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}\nworkloads: {}", known.join(", "));
         return ExitCode::from(2);
     };
+    let report = phase == "report";
+    if report && w.kind != Kind::Run {
+        eprintln!(
+            "--phase report: {} is a search, with no report of its own\n{USAGE}",
+            w.name
+        );
+        return ExitCode::from(2);
+    }
 
     start_sampler(hz, allocs_every);
     let mut sub_seeds = stats::SplitMix64::new(seed);
     let mut spent = Duration::ZERO;
     let mut worlds = 0u64;
+    let mut heap = Heap::default();
     while spent.as_secs_f64() < seconds {
-        one(w, sub_seeds.next_u64(), &mut spent);
+        one(w, sub_seeds.next_u64(), report, &mut spent, &mut heap);
         worlds += 1;
     }
     let stop = Itimerval {
@@ -380,7 +483,12 @@ fn main() -> ExitCode {
 
     ALLOC_EVERY.store(0, Ordering::Relaxed);
 
-    match write_samples(w, seed, hz, allocs_every, spent, worlds) {
+    // Time mode samples at `hz`; `--allocs` every `every`-th of `allocs`.
+    let mode = match allocs_every {
+        0 => format!("hz={hz}"),
+        n => format!("every={n} allocs={}", ALLOCS.load(Ordering::Relaxed)),
+    };
+    match write_samples(w, seed, phase, &mode, spent, worlds, &heap) {
         Ok(path) => {
             let kept = TAKEN.load(Ordering::Relaxed).min(MAX_SAMPLES);
             let of = match allocs_every {
@@ -388,11 +496,12 @@ fn main() -> ExitCode {
                 _ => format!(" of {} allocations", ALLOCS.load(Ordering::Relaxed)),
             };
             eprintln!(
-                "{}: {worlds} worlds, {:.1} s timed, {kept} samples{of} -> {}",
+                "{}: {worlds} worlds, {:.1} s of {phase} timed, {kept} samples{of} -> {}",
                 w.name,
                 spent.as_secs_f64(),
                 path.display()
             );
+            eprintln!("{}: highest live heap {}", w.name, heap.header());
             ExitCode::SUCCESS
         }
         Err(e) => {
