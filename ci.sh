@@ -19,6 +19,9 @@ cargo test --workspace -q
 echo "==> cargo test --release (net + sim + stable: the sliced CRC, const-built tables and the indexed store as the optimiser builds them)"
 cargo test --release -q -p publishing-net -p publishing-sim -p publishing-stable
 
+echo "==> cargo test --release (chaos default_suites: the faulted outcomes of the default lab chaos suites and the single-crash sweep, hundreds of worlds; ignored in debug)"
+cargo test --release -q -p publishing-chaos --test default_suites
+
 echo "==> hostbench unit tests (the measured facade still binds)"
 cargo test --offline --manifest-path hostbench/Cargo.toml
 

@@ -1,0 +1,80 @@
+//! The faulted outcomes, pinned: which schedules of the default `lab
+//! chaos` suites fail their oracle, and that no single process crash is
+//! lost on any chaos tier. A fix shows here as the rows it flips; a
+//! refactor or a perf change must flip none.
+//!
+//! Both sweeps run hundreds of faulted worlds, so they are release-only:
+//! `ci.sh` runs them with `cargo test --release -p publishing-chaos
+//! --test default_suites`, beside the other release-gated tests.
+
+use publishing_chaos::driver::Engine;
+use publishing_chaos::oracle::OracleOptions;
+use publishing_chaos::scenario::{Scenario, Topology};
+
+const TOPOLOGIES: [Topology; 3] = [Topology::Single, Topology::Sharded, Topology::Quorum];
+
+/// Judges `scenario` under `schedule`: its first failure line, if any.
+fn first_failure(
+    scenario: Scenario,
+    schedule: &publishing_chaos::schedule::FaultSchedule,
+) -> Option<String> {
+    let eng = Engine::new(scenario, OracleOptions::default()).expect("fault-free twin runs");
+    eng.judge(schedule).1.into_iter().next()
+}
+
+/// The default 25-schedule suites of `lab chaos --seed 1` to `--seed
+/// 12`, on all three tiers: the red rows are the two sharded schedules
+/// that replay L3 (a process's read order is broken when a shard crash,
+/// a process crash and the shard's restart interleave; ROADMAP item 3).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: see the module doc")]
+fn the_default_suites_fail_only_the_l3_rows() {
+    let mut red = Vec::new();
+    for topology in TOPOLOGIES {
+        for seed in 1..=12 {
+            for k in 0..25 {
+                let (scenario, schedule) = Scenario::suite_case(topology, seed, k);
+                if let Some(failure) = first_failure(scenario, &schedule) {
+                    red.push(format!("{topology} seed {seed} #{k}: {failure}"));
+                }
+            }
+        }
+    }
+    assert_eq!(
+        red,
+        [
+            "sharded seed 2 #4: node 1, subject p1.1: read index 0 re-delivered 2.2#4 but \
+             originally read 2.2#1",
+            "sharded seed 11 #14: node 1, subject p1.1: read index 0 re-delivered 2.2#5 but \
+             originally read 2.2#1",
+        ],
+        "the red rows of 900"
+    );
+}
+
+/// One process crash at a time, on every chaos tier: seeds 1–8 × crash
+/// instants {0, 1, 5, 20, 50, 100, 200, 400} ms × pids 0–3 (the
+/// default workload's four processes). None is lost — including those
+/// that crash before the quorum's first election has settled (L4),
+/// whose recovery waits in the world's hand-off for the first authority.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only: see the module doc")]
+fn no_single_process_crash_is_lost_on_any_tier() {
+    let mut red = Vec::new();
+    for topology in TOPOLOGIES {
+        for seed in 1..=8 {
+            for at in [0, 1, 5, 20, 50, 100, 200, 400] {
+                for pid in 0..4 {
+                    let lit = format!(
+                        "topology={topology} seed={seed} horizon=1500ms crash_process@{at}ms#{pid}"
+                    );
+                    let (scenario, schedule) = Scenario::from_reproducer(&lit).expect("parses");
+                    if let Some(failure) = first_failure(scenario, &schedule) {
+                        red.push(format!("{lit}: {failure}"));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(red, Vec::<String>::new(), "of 3 × 256 schedules");
+}

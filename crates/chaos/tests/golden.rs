@@ -22,16 +22,19 @@ const SEED: u64 = 21;
 /// Single and sharded: the process and node crashes land while the ping
 /// round-trips are in flight on the bus (done by ~50 ms) and before
 /// most of them on the ethernet (80–1000 ms); the tier's own fault
-/// follows mid-run. Quorum: nothing recovers before a leader exists
-/// (~150 ms), so the crashes come after the election, and replica 2 —
-/// the leader this seed elects on both media — dies while the node's
-/// recovery is in flight; its restart is left to the end-of-horizon
-/// heal.
+/// follows mid-run. Quorum: the first process crash lands before any
+/// leader exists (~150 ms), when no replica is the authority for it, so
+/// its recovery waits in the world's hand-off for the first leader
+/// whose term has settled. The other crashes come after the election,
+/// and replica 2 — the leader this seed elects on both media — dies
+/// while the node's recovery is in flight; its restart is left to the
+/// end-of-horizon heal.
 ///
-/// The sharded and quorum tiers do not finish this workload on the
-/// contended ethernet (DESIGN §15: they collapse on that medium for
-/// latency); those two rows pin the engine event for event all the
-/// same, so only the bus rows also demand `done` and convergence.
+/// The sharded tier does not finish this workload on the contended
+/// ethernet (DESIGN §15: it collapses on that medium for latency), and
+/// the quorum tier does on this seed only (EXPERIMENTS.md has seeds
+/// 1–24); those two rows pin the engine event for event all the same,
+/// so only the bus rows also demand `done` and convergence.
 ///
 /// Every world that finishes ends when it has settled (PR 25), so the
 /// four rows that do carry the settle instant's span fingerprint and
@@ -54,8 +57,8 @@ fn schedule(topology: Topology) -> &'static str {
              add_shard@200ms crash_recorder@300ms#1 restart_recorder@450ms#1"
         }
         Topology::Quorum => {
-            "seed=21 horizon=900ms crash_process@260ms#1 crash_node@300ms#2 \
-             crash_recorder@400ms#2"
+            "seed=21 horizon=900ms crash_process@20ms#0 crash_process@260ms#1 \
+             crash_node@300ms#2 crash_recorder@400ms#2"
         }
     }
 }
@@ -91,26 +94,13 @@ fn run(topology: Topology, medium: Medium) -> (Golden, WatchdogRow) {
 
 /// The watchdog's verdict on the two quorum rows. Clean on the bus,
 /// where the checks stop at the settle instant instead of 35 s later.
-/// The ethernet row is one draw from a tier that does not hold a leader
-/// on that medium (EXPERIMENTS.md has seeds 1-24 of this schedule: every
-/// world leaves a client unfinished, 28 violations, 4 411 elections):
-/// it pins the engine, not a verdict.
+/// The ethernet row is one draw from a tier that rarely holds a leader
+/// on that medium (EXPERIMENTS.md has seeds 1-24 of this schedule): it
+/// pins the engine, not a verdict. This seed's draw happens to be clean.
 fn watchdog_row(topology: Topology, medium: Medium) -> WatchdogRow {
-    let leaderless = |since: &str, now: &str| {
-        format!(
-            "watchdog: ack gating stalled: majority live but leaderless since {since}ms \
-             (now {now}ms)"
-        )
-    };
     match (topology, medium) {
         (Topology::Quorum, Medium::Perfect) => Some((264, Vec::new())),
-        (Topology::Quorum, Medium::Ethernet) => Some((
-            10431,
-            vec![
-                leaderless("2431.724", "3431.757"),
-                leaderless("3713.370", "4714.070"),
-            ],
-        )),
+        (Topology::Quorum, Medium::Ethernet) => Some((10591, Vec::new())),
         _ => None,
     }
 }
@@ -120,6 +110,12 @@ fn watchdog_row(topology: Topology, medium: Medium) -> WatchdogRow {
 /// are lower than when every listener had its own — 350 → 285, 1 672 →
 /// 1 589, 1 260 → 501, 42 166 → 33 168, 1 075 → 588, 88 224 → 82 350 —
 /// with every fingerprint, recovery count and verdict as before.
+///
+/// The quorum rows were re-pinned when recovery authority moved into the
+/// world (`RecorderTier::authority`, DESIGN §8) and their schedule gained
+/// the crash before the first election: on the bus, the same outputs
+/// with one recovery more (that crash's), 588 → 710 events and 264 checks
+/// still clean; on the ethernet, a different draw that now converges.
 #[test]
 fn every_tier_and_medium_matches_its_golden_row() {
     let rows: [(Topology, Medium, Golden); 6] = [
@@ -146,12 +142,12 @@ fn every_tier_and_medium_matches_its_golden_row() {
         (
             Topology::Quorum,
             Medium::Perfect,
-            (0x4aab1e967b3016f8, 0x4193506389b2d0aa, 3, 588, true),
+            (0x4aab1e967b3016f8, 0x8417bd77c6217ca6, 4, 710, true),
         ),
         (
             Topology::Quorum,
             Medium::Ethernet,
-            (0xbc3a1224db261e5d, 0x89936d349e963017, 7, 82350, false),
+            (0x676882546cc329bf, 0xd1e2e2a10137061d, 6, 86362, true),
         ),
     ];
     let mut wrong = Vec::new();

@@ -106,6 +106,83 @@ fn ping_completes_under_quorum_sequencing() {
     ping_completes(|| QuorumTier::world(builder(), 3, 0));
 }
 
+/// One recovery per crash: the echo server of a ping10 world crashes
+/// at 60 ms — before the quorum's first election settles — and exactly
+/// one member, the authority for it, runs its recovery: not every
+/// recorder that heard the crash notice, and not none.
+fn one_recovery_per_crash<T: RecorderTier>(mut w: World<T>) {
+    let server = w.spawn(1, "echo", vec![]).unwrap();
+    let client = w
+        .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
+        .unwrap();
+    w.run_until(SimTime::from_millis(60));
+    w.crash_process(server, "injected");
+    w.run_until(SimTime::from_secs(10));
+    let runs: Vec<u64> = w
+        .member_nodes()
+        .map(|rn| rn.manager().stats().process_recoveries.get())
+        .collect();
+    assert_eq!(
+        runs.iter().sum::<u64>(),
+        1,
+        "recoveries per member: {runs:?}"
+    );
+    assert_eq!(w.recoveries_completed(), 1);
+    assert_eq!(
+        w.outputs_of(client).last().map(String::as_str),
+        Some("done")
+    );
+}
+
+#[test]
+fn one_recovery_per_crash_on_every_tier() {
+    one_recovery_per_crash(builder().build());
+    one_recovery_per_crash(PriorityTier::world(builder(), 2));
+    one_recovery_per_crash(ShardTier::world(builder(), 3));
+    one_recovery_per_crash(QuorumTier::world(builder(), 3, 0));
+}
+
+/// A restarted priority recorder is not the authority until it is
+/// readmitted, the same rule as the medium's required set: its log lacks
+/// what it missed while down. Recorder 0 heads node 0's vector. It
+/// crashes and restarts, and the echo server on node 0 crashes at the
+/// restart instant. Until readmission recorder 1 answers for the server
+/// and for node 0's restart. The crash costs one recovery, and the
+/// client finishes. (Readmission comes at the next event: a rebuilt
+/// entry counts as checkpointed at the restart, so `caught_up` holds at
+/// once — ROADMAP item 2.)
+#[test]
+fn a_rejoining_priority_recorder_is_not_the_authority() {
+    let mut w = PriorityTier::world(builder(), 2);
+    let server = w.spawn(0, "echo", vec![]).unwrap();
+    let client = w
+        .spawn(1, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
+        .unwrap();
+    w.run_until(SimTime::from_millis(30));
+    w.crash_member(0);
+    w.run_until(SimTime::from_millis(40));
+    w.restart_member(0);
+    assert_eq!(w.tier.authority(server), Some(1));
+    assert_eq!(w.tier.authority(ProcessId::kernel_of(NodeId(0))), Some(1));
+    w.crash_process(server, "injected");
+    w.run_until(SimTime::from_secs(10));
+    assert_eq!(w.tier.authority(server), Some(0), "readmitted");
+    let runs: Vec<u64> = w
+        .member_nodes()
+        .map(|rn| rn.manager().stats().process_recoveries.get())
+        .collect();
+    assert_eq!(
+        runs.iter().sum::<u64>(),
+        1,
+        "recoveries per recorder: {runs:?}"
+    );
+    assert_eq!(w.recoveries_completed(), 1);
+    assert_eq!(
+        w.outputs_of(client).last().map(String::as_str),
+        Some("done")
+    );
+}
+
 /// One call the world made of its medium, with the instant.
 #[derive(Debug, Clone, PartialEq)]
 enum Call {
@@ -392,10 +469,6 @@ impl RecorderTier for Probe {
         world.tier.seen.push(Seen::After);
     }
 
-    fn leads_restart(&self, idx: usize, _node: NodeId) -> bool {
-        idx == 0
-    }
-
     fn required(&self) -> Vec<StationId> {
         Vec::new()
     }
@@ -556,7 +629,7 @@ fn spawn_pair<T: RecorderTier>(w: &mut World<T>) -> (ProcessId, ProcessId) {
 
 /// Where the faults of [`settled_contract`] land: well inside a
 /// 200-round-trip exchange on every tier, and after the quorum's first
-/// election (~150 ms), before which no one leads a recovery.
+/// election (~150 ms), before which a recovery waits for an authority.
 const MID_EXCHANGE: SimTime = SimTime::from_millis(400);
 
 /// Steps until `w` has settled; panics if it has not within 20 virtual

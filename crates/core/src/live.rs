@@ -263,20 +263,20 @@ fn recorder_loop(
     let mut timers: BinaryHeap<PendingTimer> = BinaryHeap::new();
     let mut actions = Vec::new();
     rn.start(now_sim(epoch), watch, &mut actions);
-    apply_recorder(rn, &mut actions, &hub_tx, &mut timers);
+    apply_recorder(epoch, rn, &mut actions, &hub_tx, &mut timers);
     let ticker = tick(Duration::from_millis(1));
     loop {
         let now = now_sim(epoch);
         while timers.peek().map(|t| t.at <= now).unwrap_or(false) {
             let t = timers.pop().expect("peeked");
             rn.on_timer(now_sim(epoch), t.token, &mut actions);
-            apply_recorder(rn, &mut actions, &hub_tx, &mut timers);
+            apply_recorder(epoch, rn, &mut actions, &hub_tx, &mut timers);
         }
         select! {
             recv(rx) -> msg => match msg {
                 Ok(ToNode::Frame(frame, ok)) => {
                     rn.on_frame(now_sim(epoch), &frame, ok, &mut actions);
-                    apply_recorder(rn, &mut actions, &hub_tx, &mut timers);
+                    apply_recorder(epoch, rn, &mut actions, &hub_tx, &mut timers);
                 }
                 Ok(ToNode::CrashProcess(..)) => {}
                 Ok(ToNode::Quit) | Err(_) => return,
@@ -287,6 +287,7 @@ fn recorder_loop(
 }
 
 fn apply_recorder(
+    epoch: Instant,
     rn: &mut RecorderNode,
     actions: &mut Vec<RNAction>,
     hub_tx: &Sender<HubMsg>,
@@ -300,11 +301,17 @@ fn apply_recorder(
             RNAction::SetTimer { at, token } => {
                 timers.push(PendingTimer { at, token });
             }
-            RNAction::RestartNode { node, .. } => {
+            RNAction::RestartNode { node } => {
                 // Node restarts need an operator in live mode; decline so
                 // the watchdog keeps retrying (e.g. across a recorder
                 // outage that made everyone look dead).
                 rn.decline_node_restart(node);
+            }
+            RNAction::ProposeRecovery { pid } => {
+                // The lone recorder is the authority on every process.
+                let mut more = Vec::new();
+                rn.recover(now_sim(epoch), pid, &mut more);
+                apply_recorder(epoch, rn, &mut more, hub_tx, timers);
             }
             RNAction::RecoveryDone { .. } => {}
         }

@@ -14,9 +14,13 @@
 //! The manager is a pure state machine: it consumes protocol replies and
 //! timer callbacks plus read access to the [`Recorder`] database, and
 //! appends [`MgrCmd`]s, in the order the recorder node must execute them,
-//! to a buffer the node owns and reuses.
+//! to a buffer the node owns and reuses. Its three triggers — a node
+//! restart, a crash notice, a state reply — only *propose* a recovery:
+//! which member of the recorder tier drives it is the world's decision
+//! (`RecorderTier::authority`), which runs it here with
+//! [`RecoveryManager::start_recovery`] or not at all.
 
-use crate::recorder::{PidFilter, Recorder};
+use crate::recorder::Recorder;
 use publishing_demos::ids::{NodeId, ProcessId};
 use publishing_demos::kernel::encode_ctl;
 use publishing_demos::protocol::{self, codes, ReportedState};
@@ -59,6 +63,12 @@ pub enum MgrCmd {
         at: SimTime,
         /// Token for [`RecoveryManager::on_timer`].
         token: u64,
+    },
+    /// A trigger asks for this process's recovery; the world starts it
+    /// on the member authoritative for the pid.
+    ProposeRecovery {
+        /// The process.
+        pid: ProcessId,
     },
     /// A process finished recovering (informational).
     RecoveryDone {
@@ -133,11 +143,6 @@ pub struct RecoveryManager {
     jobs: BTreeMap<ProcessId, Job>,
     timers: TokenTable<TimerKind>,
     next_nonce: u64,
-    /// When set, only processes the filter accepts are recovered here.
-    /// A sharded tier sets "pid is my shard's responsibility" so exactly
-    /// one live shard drives each process's recovery even though crash
-    /// notices are broadcast to every recorder.
-    recovery_filter: Option<PidFilter>,
     stats: ManagerStats,
 }
 
@@ -145,11 +150,6 @@ impl RecoveryManager {
     /// Creates a manager watching no nodes yet.
     pub fn new() -> Self {
         RecoveryManager::default()
-    }
-
-    /// Installs (or clears) the recovery-responsibility filter.
-    pub fn set_recovery_filter(&mut self, filter: Option<PidFilter>) {
-        self.recovery_filter = filter;
     }
 
     /// Returns the manager's counters.
@@ -240,14 +240,13 @@ impl RecoveryManager {
 
     /// Called by the world after it physically restarted `node`:
     /// broadcasts the restart (when `announce`) so peers renumber, then
-    /// starts recovery for every process the recorder knows on that
-    /// node. A sharded tier elects one leader shard to broadcast the
-    /// NODE_RESTARTED notice; the others pass `announce = false` and only
-    /// re-arm their watchdog plus recover the processes they own.
+    /// proposes recovery of every process the recorder knows on that
+    /// node. Every live member of the tier is told; the one that
+    /// restarted the node announces it, the others pass `announce =
+    /// false` and only re-arm their watchdog.
     pub fn on_node_restarted(
         &mut self,
-        now: SimTime,
-        recorder: &mut Recorder,
+        recorder: &Recorder,
         node: NodeId,
         incarnation: u32,
         announce: bool,
@@ -273,29 +272,18 @@ impl RecoveryManager {
         // Any recovery jobs that were talking to the node's previous
         // incarnation died with it; forget them so fresh jobs can start.
         self.jobs.retain(|p, _| p.node != node);
-        let pids: Vec<ProcessId> = recorder.known_pids().filter(|p| p.node == node).collect();
-        for pid in pids {
-            self.start_recovery(now, recorder, pid, out);
-        }
+        let pids = recorder.known_pids().filter(|p| p.node == node);
+        out.extend(pids.map(|pid| MgrCmd::ProposeRecovery { pid }));
     }
 
-    /// Starts (or restarts, §3.5) recovery of one process.
+    /// Starts (or restarts, §3.5) recovery of one process: what the world
+    /// runs on the authority for `pid` when a trigger proposed it.
     pub fn start_recovery(
         &mut self,
-        _now: SimTime,
         recorder: &mut Recorder,
         pid: ProcessId,
         out: &mut Vec<MgrCmd>,
     ) {
-        if !self
-            .recovery_filter
-            .as_ref()
-            .map(|f| f(pid))
-            .unwrap_or(true)
-        {
-            // Another shard's responsibility; its manager will handle it.
-            return;
-        }
         if self.jobs.contains_key(&pid) {
             // A recovery is already in flight; a second trigger (e.g. a
             // state-query reply racing a retransmitted crash notice) must
@@ -341,7 +329,6 @@ impl RecoveryManager {
     /// Handles a RECREATE_REPLY: streams the replay and the prepare.
     pub fn on_recreate_reply(
         &mut self,
-        _now: SimTime,
         recorder: &Recorder,
         pid: ProcessId,
         ok: bool,
@@ -385,7 +372,6 @@ impl RecoveryManager {
     /// the first pass, then commits.
     pub fn on_prepare_reply(
         &mut self,
-        _now: SimTime,
         recorder: &mut Recorder,
         pid: ProcessId,
         out: &mut Vec<MgrCmd>,
@@ -424,26 +410,21 @@ impl RecoveryManager {
         out.push(MgrCmd::RecoveryDone { pid });
     }
 
-    /// Handles a §3.3.2 crash notice from a kernel.
-    pub fn on_crash_notice(
-        &mut self,
-        now: SimTime,
-        recorder: &mut Recorder,
-        pid: ProcessId,
-        out: &mut Vec<MgrCmd>,
-    ) {
+    /// Handles a §3.3.2 crash notice from a kernel: proposes the
+    /// process's recovery.
+    pub fn on_crash_notice(&mut self, pid: ProcessId, out: &mut Vec<MgrCmd>) {
         // A crash of a recovering process is the §3.5 recursive case:
         // terminate the old job and start over.
         if self.jobs.remove(&pid).is_some() {
             self.stats.recursive.inc();
         }
-        self.start_recovery(now, recorder, pid, out)
+        out.push(MgrCmd::ProposeRecovery { pid });
     }
 
-    /// Declines a restart this manager proposed (another recorder of
-    /// higher priority is responsible, §6.3). The watchdog keeps pinging;
-    /// if the node stays dead — say the responsible recorder failed during
-    /// recovery — the timeout fires again and responsibility is
+    /// Declines a restart this manager proposed (another member is the
+    /// authority for the node's kernel endpoint, §6.3). The watchdog keeps
+    /// pinging; if the node stays dead — say the responsible recorder
+    /// failed during recovery — the timeout fires again and authority is
     /// re-evaluated, which is exactly §6.3's periodic re-query.
     pub fn cancel_restart(&mut self, node: NodeId) {
         if let Some(w) = self.nodes.get_mut(&node) {
@@ -474,16 +455,7 @@ impl RecoveryManager {
         out: &mut Vec<MgrCmd>,
     ) {
         self.jobs.clear();
-        for &pid in known {
-            let q = protocol::StateQuery {
-                pid,
-                restart_number: recorder.restart_number(),
-            };
-            out.push(MgrCmd::SendKernel {
-                node: pid.node,
-                body: encode_ctl(codes::STATE_QUERY, &q),
-            });
-        }
+        self.query_states(recorder, known, out);
         // Re-arm watchdogs.
         let nodes: Vec<NodeId> = self.nodes.keys().copied().collect();
         for node in nodes {
@@ -497,19 +469,12 @@ impl RecoveryManager {
 
     /// Queries the state of specific processes without disturbing
     /// in-flight jobs or watchdogs — the targeted variant of
-    /// [`RecoveryManager::on_recorder_restart`]. A shard that inherits
-    /// responsibility for processes mid-flight (its predecessor died)
-    /// uses this to learn which of them need recovery: a Crashed,
-    /// Unknown, or Recovering reply triggers [`Self::start_recovery`],
-    /// which is safe mid-replay because RECREATE destroys the half-built
-    /// process and starts clean.
-    pub fn query_states(
-        &mut self,
-        _now: SimTime,
-        recorder: &Recorder,
-        pids: &[ProcessId],
-        out: &mut Vec<MgrCmd>,
-    ) {
+    /// [`RecoveryManager::on_recorder_restart`]. A member that inherits
+    /// authority for processes from one that crashed uses this to learn
+    /// which of them need recovery: a Crashed, Unknown, or Recovering
+    /// reply proposes their recovery, which is safe mid-replay because
+    /// RECREATE destroys the half-built process and starts clean.
+    pub fn query_states(&self, recorder: &Recorder, pids: &[ProcessId], out: &mut Vec<MgrCmd>) {
         for &pid in pids {
             let q = protocol::StateQuery {
                 pid,
@@ -526,8 +491,7 @@ impl RecoveryManager {
     /// cases; stale restart numbers are ignored per §3.4).
     pub fn on_state_reply(
         &mut self,
-        now: SimTime,
-        recorder: &mut Recorder,
+        recorder: &Recorder,
         reply: &protocol::StateReply,
         out: &mut Vec<MgrCmd>,
     ) {
@@ -540,7 +504,7 @@ impl RecoveryManager {
             ReportedState::Crashed | ReportedState::Unknown | ReportedState::Recovering => {
                 // Crashed while (or before) we were down — or an orphaned
                 // half-recovery; recreate destroys and starts clean.
-                self.start_recovery(now, recorder, reply.pid, out)
+                out.push(MgrCmd::ProposeRecovery { pid: reply.pid })
             }
         }
     }
@@ -657,16 +621,16 @@ mod tests {
         let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
+        let cmds = run(|c| m.start_recovery(&mut r, pid, c));
         assert!(matches!(&cmds[0], MgrCmd::SendKernel { node, .. } if *node == pid.node));
         assert!(r.entry(pid).unwrap().recovering);
         assert!(m.busy());
 
-        let cmds = run(|c| m.on_recreate_reply(SimTime::ZERO, &r, pid, true, c));
+        let cmds = run(|c| m.on_recreate_reply(&r, pid, true, c));
         // No messages published yet: just the prepare.
         assert_eq!(cmds.len(), 1);
 
-        let cmds = run(|c| m.on_prepare_reply(SimTime::ZERO, &mut r, pid, c));
+        let cmds = run(|c| m.on_prepare_reply(&mut r, pid, c));
         assert!(cmds
             .iter()
             .any(|c| matches!(c, MgrCmd::RecoveryDone { .. })));
@@ -703,8 +667,8 @@ mod tests {
                 r.on_disk(io.at, io);
             }
         }
-        run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
-        let cmds = run(|c| m.on_recreate_reply(SimTime::ZERO, &r, pid, true, c));
+        run(|c| m.start_recovery(&mut r, pid, c));
+        let cmds = run(|c| m.on_recreate_reply(&r, pid, true, c));
         // 3 replays + 1 prepare.
         assert_eq!(cmds.len(), 4);
         assert_eq!(m.stats().replayed.get(), 3);
@@ -714,7 +678,7 @@ mod tests {
     fn unknown_process_cannot_recover() {
         let mut m = RecoveryManager::new();
         let mut r = recorder();
-        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, ProcessId::new(5, 5), c));
+        let cmds = run(|c| m.start_recovery(&mut r, ProcessId::new(5, 5), c));
         assert!(cmds.is_empty());
     }
 
@@ -723,34 +687,40 @@ mod tests {
         let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
-        // The recovering process crashes again (§3.5).
-        let cmds = run(|c| m.on_crash_notice(SimTime::ZERO, &mut r, pid, c));
-        assert!(cmds.iter().any(|c| matches!(c, MgrCmd::SendKernel { .. })));
+        run(|c| m.start_recovery(&mut r, pid, c));
+        // The recovering process crashes again (§3.5): the old job
+        // ends, and the new recovery is proposed like the first.
+        let cmds = run(|c| m.on_crash_notice(pid, c));
+        assert_eq!(cmds, [MgrCmd::ProposeRecovery { pid }]);
         assert_eq!(m.stats().recursive.get(), 1);
+        assert!(!m.busy());
     }
 
     #[test]
-    fn recovery_filter_defers_to_responsible_shard() {
+    fn triggers_propose_and_start_nothing() {
         let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        m.set_recovery_filter(Some(std::sync::Arc::new(|_| false)));
-        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
-        assert!(cmds.is_empty());
+        let cmds = run(|c| m.on_crash_notice(pid, c));
+        assert_eq!(cmds, [MgrCmd::ProposeRecovery { pid }]);
+        let reply = protocol::StateReply {
+            pid,
+            state: ReportedState::Crashed,
+            restart_number: r.restart_number(),
+        };
+        let cmds = run(|c| m.on_state_reply(&r, &reply, c));
+        assert_eq!(cmds, [MgrCmd::ProposeRecovery { pid }]);
         assert!(!m.busy());
-        m.set_recovery_filter(None);
-        let cmds = run(|c| m.start_recovery(SimTime::ZERO, &mut r, pid, c));
-        assert!(!cmds.is_empty());
+        assert_eq!(m.stats().process_recoveries.get(), 0);
     }
 
     #[test]
     fn query_states_targets_only_requested_pids() {
-        let mut m = RecoveryManager::new();
+        let m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
         let other = ProcessId::new(3, 1);
-        let cmds = run(|c| m.query_states(SimTime::ZERO, &r, &[pid, other], c));
+        let cmds = run(|c| m.query_states(&r, &[pid, other], c));
         assert_eq!(cmds.len(), 2);
         assert!(cmds.iter().all(|c| matches!(c, MgrCmd::SendKernel { .. })));
         assert!(!m.busy(), "queries alone start no jobs");
@@ -763,14 +733,10 @@ mod tests {
         let pid = setup_process(&mut r);
         run(|c| m.watch_node(SimTime::ZERO, pid.node, c));
         run(|c| m.watch_node(SimTime::ZERO, NodeId(7), c));
-        let cmds = run(|c| m.on_node_restarted(SimTime::ZERO, &mut r, pid.node, 1, false, c));
-        // Recovery of the node's process starts, but no NODE_RESTARTED
-        // broadcast goes to node 7: the only kernel send is the RECREATE
-        // to the restarted node itself.
-        assert!(m.busy());
-        assert!(cmds
-            .iter()
-            .all(|c| matches!(c, MgrCmd::SendKernel { node, .. } if *node == pid.node)));
+        let cmds = run(|c| m.on_node_restarted(&r, pid.node, 1, false, c));
+        // Recovery of the node's process is proposed, but no
+        // NODE_RESTARTED broadcast goes to node 7.
+        assert_eq!(cmds, [MgrCmd::ProposeRecovery { pid }]);
     }
 
     #[test]
@@ -784,7 +750,7 @@ mod tests {
             state: ReportedState::Crashed,
             restart_number: 0,
         };
-        let cmds = run(|c| m.on_state_reply(SimTime::from_millis(2), &mut r, &reply, c));
+        let cmds = run(|c| m.on_state_reply(&r, &reply, c));
         assert!(cmds.is_empty());
         assert_eq!(m.stats().stale_replies.get(), 1);
     }

@@ -3,16 +3,17 @@
 //! "During normal operation, all recorders record all messages. If there
 //! are n recorders, n−1 can fail before the network becomes unavailable."
 //! Each processing node carries a priority vector over the recorders; a
-//! crashed node is recovered by the highest-priority recorder that is
-//! functioning, and lower-priority recorders periodically re-check so a
-//! recorder that dies mid-recovery is covered. Survivors "supply the
-//! acknowledges" for a dead recorder — modelled by shrinking the medium's
-//! required-recorder set — and a restarted recorder catches up through
-//! natural checkpointing before it is required again.
+//! crashed node, and every process on it, is recovered by the
+//! highest-priority recorder that is functioning, and lower-priority
+//! recorders periodically re-check so a recorder that dies mid-recovery
+//! is covered. Survivors "supply the acknowledges" for a dead recorder —
+//! modelled by shrinking the medium's required-recorder set — and a
+//! restarted recorder catches up through natural checkpointing before it
+//! is required again.
 
 use crate::node::{RecorderConfig, RecorderNode};
 use crate::world::{RecorderTier, World, WorldBuilder};
-use publishing_demos::ids::NodeId;
+use publishing_demos::ids::{NodeId, ProcessId};
 use publishing_net::frame::StationId;
 use publishing_obs::probe::RecoveryLag;
 use publishing_sim::time::SimTime;
@@ -50,7 +51,7 @@ impl PriorityVectors {
 }
 
 /// The §6.3 tier: every recorder records everything; priority vectors
-/// pick who restarts a node.
+/// pick who restarts a node and recovers its processes.
 pub struct PriorityTier {
     /// The recorders.
     pub recorders: Vec<RecorderNode>,
@@ -72,16 +73,6 @@ impl RecorderTier for PriorityTier {
     fn node_mut(&mut self, idx: usize) -> &mut RecorderNode {
         &mut self.recorders[idx]
     }
-
-    /// §6.3: only the highest-priority live recorder acts.
-    fn leads_restart(&self, idx: usize, node: NodeId) -> bool {
-        let alive: Vec<bool> = self.recorders.iter().map(|r| r.is_up()).collect();
-        self.priorities.responsible(node, &alive) == Some(idx)
-    }
-
-    /// Only the leader recovers: every recorder holds every process, so
-    /// telling the others would recover each process several times.
-    const RESTART_FAN_OUT: bool = false;
 
     /// Survivors "supply the acknowledges" for a dead recorder, and a
     /// restarted one is not required again until it has caught up.
@@ -117,6 +108,17 @@ impl RecorderTier for PriorityTier {
         if tier.rejoining.len() != before {
             world.refresh_required();
         }
+    }
+
+    /// §6.3: the highest-priority live recorder in the vector of the
+    /// pid's node — for a node's kernel endpoint, the one that restarts
+    /// the node. One still rejoining (its log lacks what it missed while
+    /// down) counts only if no caught-up one is up.
+    fn authority(&self, pid: ProcessId) -> Option<usize> {
+        let vector = self.priorities.per_node.get(&pid.node)?.iter().copied();
+        let mut up = vector.filter(|&r| self.recorders.get(r).is_some_and(|r| r.is_up()));
+        let admitted = |r: &usize| !self.rejoining.iter().any(|(j, _)| j == r);
+        up.clone().find(admitted).or_else(|| up.next())
     }
 
     fn metric_prefix(&self, idx: usize) -> String {

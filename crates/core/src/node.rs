@@ -38,12 +38,16 @@ pub enum RNAction {
         token: u64,
     },
     /// Physically restart a crashed node, then call
-    /// [`RecorderNode::confirm_node_restarted`].
+    /// [`RecorderNode::confirm_node_restarted`] on every live member.
     RestartNode {
         /// The node.
         node: NodeId,
-        /// Its new incarnation.
-        incarnation: u32,
+    },
+    /// A trigger proposes this process's recovery: if the node is the
+    /// tier's authority for it, call [`RecorderNode::recover`].
+    ProposeRecovery {
+        /// The process.
+        pid: ProcessId,
     },
     /// A process finished recovering.
     RecoveryDone {
@@ -344,10 +348,9 @@ impl RecorderNode {
                 MgrCmd::SendKernelDatagram { node, body } => {
                     self.kernel_send(now, node, body, false, out)
                 }
-                MgrCmd::RestartNode { node, incarnation } => {
-                    out.push(RNAction::RestartNode { node, incarnation });
-                }
+                MgrCmd::RestartNode { node, .. } => out.push(RNAction::RestartNode { node }),
                 MgrCmd::SetTimer { at, token } => self.arm(at, RTimer::Manager(token), out),
+                MgrCmd::ProposeRecovery { pid } => out.push(RNAction::ProposeRecovery { pid }),
                 MgrCmd::RecoveryDone { pid } => {
                     self.checkpoint_requested.remove(&pid);
                     out.push(RNAction::RecoveryDone { pid });
@@ -468,30 +471,24 @@ impl RecorderNode {
             }
             codes::PROCESS_CRASH_NOTICE => {
                 if let Ok(n) = protocol::CrashNotice::decode_all(payload) {
-                    self.with_manager(now, out, |m, r, cmds| {
-                        m.on_crash_notice(now, r, n.pid, cmds)
-                    });
+                    self.with_manager(now, out, |m, _, cmds| m.on_crash_notice(n.pid, cmds));
                 }
             }
             codes::RECREATE_REPLY => {
                 let mut d = Decoder::new(payload);
                 if let (Ok(pid), Ok(ok)) = (ProcessId::decode(&mut d), d.bool()) {
-                    self.with_manager(now, out, |m, r, cmds| {
-                        m.on_recreate_reply(now, r, pid, ok, cmds)
-                    });
+                    self.with_manager(now, out, |m, r, cmds| m.on_recreate_reply(r, pid, ok, cmds));
                 }
             }
             codes::PREPARE_FINISH_REPLY => {
                 let mut d = Decoder::new(payload);
                 if let Ok(pid) = ProcessId::decode(&mut d) {
-                    self.with_manager(now, out, |m, r, cmds| m.on_prepare_reply(now, r, pid, cmds));
+                    self.with_manager(now, out, |m, r, cmds| m.on_prepare_reply(r, pid, cmds));
                 }
             }
             codes::STATE_REPLY => {
                 if let Ok(reply) = protocol::StateReply::decode_all(payload) {
-                    self.with_manager(now, out, |m, r, cmds| {
-                        m.on_state_reply(now, r, &reply, cmds)
-                    });
+                    self.with_manager(now, out, |m, r, cmds| m.on_state_reply(r, &reply, cmds));
                 }
             }
             codes::ALIVE_REPLY => {
@@ -565,10 +562,10 @@ impl RecorderNode {
     }
 
     /// The world completed a node restart; announce it (if asked) and
-    /// recover the node's processes. In a sharded tier only the leader
-    /// shard broadcasts NODE_RESTARTED; the rest pass `announce = false`
-    /// so they reset their transport and recover their owned processes
-    /// without duplicating the announcement.
+    /// propose recovery of the node's processes. Every live member is
+    /// told; only the one that restarted the node broadcasts
+    /// NODE_RESTARTED, the rest pass `announce = false` and just reset
+    /// their transport toward it.
     pub fn confirm_node_restarted(
         &mut self,
         now: SimTime,
@@ -583,31 +580,32 @@ impl RecorderNode {
             t.reset_peer(now, node, incarnation, actions)
         });
         self.with_manager(now, out, |m, r, cmds| {
-            m.on_node_restarted(now, r, node, incarnation, announce, cmds)
+            m.on_node_restarted(r, node, incarnation, announce, cmds)
         });
     }
 
-    /// Installs the shard ownership filter on the recorder and the
-    /// matching recovery-responsibility filter on the manager.
-    pub fn set_shard_filters(
-        &mut self,
-        owner: Option<crate::recorder::PidFilter>,
-        responsible: Option<crate::recorder::PidFilter>,
-    ) {
+    /// Installs the shard ownership filter on the recorder: which pids
+    /// this node records.
+    pub fn set_ownership_filter(&mut self, owner: Option<crate::recorder::PidFilter>) {
         self.recorder.set_ownership_filter(owner);
-        self.manager.set_recovery_filter(responsible);
     }
 
-    /// Issues targeted STATE_QUERYs for `pids` (shard failover: the
-    /// inheriting shard asks which of the dead shard's processes need
-    /// recovery).
+    /// Starts (or restarts) recovery of `pid`, which a trigger proposed
+    /// and the world found this node authoritative for.
+    pub fn recover(&mut self, now: SimTime, pid: ProcessId, out: &mut Vec<RNAction>) {
+        self.with_manager(now, out, |m, r, cmds| m.start_recovery(r, pid, cmds));
+    }
+
+    /// Issues targeted STATE_QUERYs for `pids` (the hand-off: a member
+    /// that inherits authority from a crashed one asks which of its
+    /// processes need recovery).
     pub fn query_process_states(
         &mut self,
         now: SimTime,
         pids: &[ProcessId],
         out: &mut Vec<RNAction>,
     ) {
-        self.with_manager(now, out, |m, r, cmds| m.query_states(now, r, pids, cmds));
+        self.with_manager(now, out, |m, r, cmds| m.query_states(r, pids, cmds));
     }
 
     /// Snapshots one owned process for handoff to another shard.
@@ -634,8 +632,9 @@ impl RecorderNode {
         self.checkpoint_requested.remove(&pid);
     }
 
-    /// Declines a proposed node restart (§6.3: a higher-priority recorder
-    /// is responsible); the watchdog keeps checking.
+    /// Declines a proposed node restart (§6.3: another member is the
+    /// authority for the node's kernel endpoint); the watchdog keeps
+    /// checking.
     pub fn decline_node_restart(&mut self, node: NodeId) {
         self.manager.cancel_restart(node);
     }

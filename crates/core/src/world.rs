@@ -4,7 +4,7 @@
 //!
 //! The thesis's recorder is *separable*: §3.3's one passive recorder and
 //! §6.3's several differ only in who must acknowledge a frame and who
-//! restarts a dead node; nodes, medium and recovery stay the same.
+//! drives a recovery; nodes, medium and recovery stay the same.
 //! [`World`] is that sameness — scheduler, medium, kernels, outputs,
 //! node incarnations, crash/recovery instants, dispatch, run loops and
 //! the observability report — and [`RecorderTier`] is the difference.
@@ -97,16 +97,6 @@ pub trait RecorderTier: Sized {
         self.node_mut(idx).restart(now, out)
     }
 
-    /// Whether member `idx`, whose watchdog found `node` dead, is the
-    /// one to restart it (§6.3's arbitration, generalized). Everyone
-    /// else declines and keeps watching.
-    fn leads_restart(&self, idx: usize, node: NodeId) -> bool;
-
-    /// Whether every live member is told of a node restart — each then
-    /// recovers, in parallel, the processes it is responsible for — or
-    /// the leader alone. Only the leader ever announces it.
-    const RESTART_FAN_OUT: bool = true;
-
     /// The stations whose capture a frame needs to count as published
     /// (the medium's fallback required set). If empty, the world
     /// requires every member, suspending traffic (§3.3.4).
@@ -128,9 +118,6 @@ pub trait RecorderTier: Sized {
     /// Runs after every dispatched event (rejoin checks, watchdogs).
     fn after_event(_world: &mut World<Self>, _now: SimTime) {}
 
-    /// A process was spawned.
-    fn on_spawn(&mut self, _pid: ProcessId) {}
-
     /// Whether the tier's own policy is at rest, beyond what each
     /// member's [`RecorderNode::settled`] says: nobody catching up, no
     /// log entry short of a replica. See [`World::settled`].
@@ -138,12 +125,31 @@ pub trait RecorderTier: Sized {
         true
     }
 
-    /// The member authoritative for `pid` — whose database says whether
-    /// it is alive, recovering or destroyed — or `None` if no member can
-    /// answer. By default the first live member: on a tier where every
-    /// member records everything, any live one knows what the others do.
+    /// The live member authoritative for `pid` — whose database says
+    /// whether it is alive, recovering or destroyed — or `None` if no
+    /// member can answer. The one answer to who drives `pid`'s recovery,
+    /// and to who restarts a crashed node: the authority for its kernel
+    /// endpoint (§6.3's arbitration). By default the first live member:
+    /// on a tier where every member records everything, any live one
+    /// knows what the others do.
     fn authority(&self, _pid: ProcessId) -> Option<usize> {
         (0..self.members()).find(|&i| self.node(i).is_up())
+    }
+
+    /// The processes a crash of member `idx` may hand off (each it was
+    /// the authority for): by default, those its recorder knows.
+    fn handed_over(&self, idx: usize) -> Vec<ProcessId> {
+        self.node(idx).recorder().known_pids().collect()
+    }
+
+    /// A process was spawned.
+    fn on_spawn(&mut self, _pid: ProcessId) {}
+
+    /// Whether member `idx` has applied every arrival for `pid` it knows
+    /// was delivered, so a recovery it starts now replays them all (else
+    /// it waits in the hand-off). Always, where members sequence them.
+    fn caught_up_on(&self, _idx: usize, _pid: ProcessId) -> bool {
+        true
     }
 
     /// The metric path prefix member `idx` files its instruments under.
@@ -162,9 +168,9 @@ pub trait RecorderTier: Sized {
     fn report(_world: &World<Self>, _report: &mut ObsReport) {}
 }
 
-/// The §3.3 tier: one passive recorder that always leads, is always
-/// required (a crash suspends traffic rather than unpublishing it), and
-/// is the authority on every process.
+/// The §3.3 tier: one passive recorder that is always required (a crash
+/// suspends traffic rather than unpublishing it) and, while it is up, the
+/// authority on every process.
 impl RecorderTier for RecorderNode {
     fn members(&self) -> usize {
         1
@@ -176,10 +182,6 @@ impl RecorderTier for RecorderNode {
 
     fn node_mut(&mut self, _idx: usize) -> &mut RecorderNode {
         self
-    }
-
-    fn leads_restart(&self, _idx: usize, _node: NodeId) -> bool {
-        true
     }
 
     fn required(&self) -> Vec<StationId> {
@@ -255,6 +257,17 @@ impl Reception {
             })
         })
     }
+}
+
+/// What the world owes a process until an authority can act on it: the
+/// hand-off (DESIGN §8).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Owed {
+    /// A recovery proposed while no member could run it.
+    Recovery,
+    /// A STATE_QUERY (§3.3.4): this member, its authority, crashed. Not
+    /// sent by that same member back, whose own restart asked already.
+    Query(usize),
 }
 
 /// Builds a [`World`].
@@ -367,10 +380,10 @@ impl WorldBuilder {
             kernels,
             tier,
             outputs: Vec::new(),
-            n_nodes: self.nodes,
             node_incarnations: BTreeMap::new(),
             crashes: Vec::new(),
             recovered: BTreeMap::new(),
+            owed: BTreeMap::new(),
             kernel_actions: Vec::new(),
             member_actions: Vec::new(),
             lan_actions: Vec::new(),
@@ -400,7 +413,6 @@ pub struct World<T: RecorderTier = RecorderNode> {
     /// All process outputs, in emission order (including replayed
     /// duplicates; use [`World::outputs_of`] for the deduplicated view).
     pub outputs: Vec<OutputLine>,
-    n_nodes: u32,
     /// Authoritative node incarnations: a member that was down during a
     /// restart must not hand out a stale one.
     node_incarnations: BTreeMap<u32, u32>,
@@ -408,6 +420,8 @@ pub struct World<T: RecorderTier = RecorderNode> {
     crashes: Vec<SimTime>,
     /// Packed pid → virtual instant its recovery committed.
     recovered: BTreeMap<u64, SimTime>,
+    /// The hand-off: what each process is owed once it has an authority.
+    owed: BTreeMap<ProcessId, Owed>,
     /// Reused from event to event: what a kernel, a tier member and the
     /// medium asked for during the call in progress.
     kernel_actions: Vec<KernelAction>,
@@ -424,12 +438,12 @@ impl<T: RecorderTier> World<T> {
     /// The number of processing nodes (member `i` of the tier sits on
     /// node id `nodes() + i`).
     pub fn nodes(&self) -> u32 {
-        self.n_nodes
+        self.kernels.len() as u32
     }
 
     /// The nodes every member's watchdog watches.
     pub fn watch_list(&self) -> Vec<NodeId> {
-        (0..self.n_nodes).map(NodeId).collect()
+        (0..self.nodes()).map(NodeId).collect()
     }
 
     /// Spawns a program on a node with initial links.
@@ -539,8 +553,8 @@ impl<T: RecorderTier> World<T> {
                 RNAction::SetTimer { at, token } => {
                     self.sched.schedule_at(at, Ev::MemberTimer(idx, token));
                 }
-                RNAction::RestartNode { node, .. } => {
-                    if !self.tier.leads_restart(idx, node) {
+                RNAction::RestartNode { node } => {
+                    if self.tier.authority(ProcessId::kernel_of(node)) != Some(idx) {
                         self.tier.node_mut(idx).decline_node_restart(node);
                         continue;
                     }
@@ -554,8 +568,11 @@ impl<T: RecorderTier> World<T> {
                         k.restart_node(now, incarnation);
                         self.lan.set_station_up(StationId(node.0), true);
                     }
+                    // Every live member renumbers toward the node and
+                    // proposes its processes' recovery; authority decides
+                    // who runs each.
                     for j in 0..self.tier.members() {
-                        if j == idx || (T::RESTART_FAN_OUT && self.tier.node(j).is_up()) {
+                        if self.tier.node(j).is_up() {
                             self.with_member(now, j, |tier, out| {
                                 tier.node_mut(j).confirm_node_restarted(
                                     now,
@@ -568,10 +585,47 @@ impl<T: RecorderTier> World<T> {
                         }
                     }
                 }
+                // Runs on the authority, or waits in the hand-off if none.
+                // Other members' are dropped (the authority heard the same
+                // trigger) — wrongly for a STATE_REPLY (ROADMAP item 2).
+                RNAction::ProposeRecovery { pid } => {
+                    if self.tier.authority(pid).is_none_or(|a| a == idx) {
+                        self.owed.insert(pid, Owed::Recovery);
+                        self.hand_off(now);
+                    }
+                }
                 RNAction::RecoveryDone { pid } => {
                     self.recovered.insert(pid.as_u64(), now);
                 }
             }
+        }
+    }
+
+    /// Discharges the hand-off (DESIGN §8): what a process is owed, its
+    /// authority does once there is one (and, for a recovery, once it is
+    /// [caught up](RecorderTier::caught_up_on)), members in index order.
+    /// Runs after every event, member crash and restart, and where a tier
+    /// moves authority itself (a shard cutover).
+    pub fn hand_off(&mut self, now: SimTime) {
+        if self.owed.is_empty() {
+            return;
+        }
+        let (tier, owed, mut due) = (&self.tier, &mut self.owed, Vec::new());
+        owed.retain(|&pid, &mut owed| match tier.authority(pid) {
+            // Its own restart asked already.
+            Some(a) if owed == Owed::Query(a) => false,
+            Some(a) if owed != Owed::Recovery || tier.caught_up_on(a, pid) => {
+                due.push((a, pid, owed));
+                false
+            }
+            _ => true,
+        });
+        due.sort_by_key(|&(a, ..)| a);
+        for (a, pid, owed) in due {
+            self.with_member(now, a, |tier, out| match owed {
+                Owed::Recovery => tier.node_mut(a).recover(now, pid, out),
+                Owed::Query(_) => tier.node_mut(a).query_process_states(now, &[pid], out),
+            });
         }
     }
 
@@ -585,10 +639,10 @@ impl<T: RecorderTier> World<T> {
     /// returns at once from anything else), a tier member whatever its
     /// tier says it listens to.
     fn listens(&self, to: StationId, frame: &Frame) -> bool {
-        if to.0 < self.n_nodes {
+        if to.0 < self.nodes() {
             return frame.dst.accepts(to);
         }
-        let idx = (to.0 - self.n_nodes) as usize;
+        let idx = (to.0 - self.nodes()) as usize;
         idx < self.tier.members() && self.tier.listens(idx, frame)
     }
 
@@ -681,19 +735,21 @@ impl<T: RecorderTier> World<T> {
                 for to in rx.stations() {
                     self.receive(now, to, &rx.frame, rx.recorder_ok);
                     T::after_event(self, now);
+                    self.hand_off(now);
                 }
                 return;
             }
         }
         T::after_event(self, now);
+        self.hand_off(now);
     }
 
     /// Hands `frame` to station `to`'s kernel or tier member.
     fn receive(&mut self, now: SimTime, to: u32, frame: &Frame, recorder_ok: bool) {
-        if to < self.n_nodes {
+        if to < self.nodes() {
             self.with_kernel(now, to, |k, out| k.on_frame(now, frame, recorder_ok, out));
         } else {
-            let idx = (to - self.n_nodes) as usize;
+            let idx = (to - self.nodes()) as usize;
             if idx < self.tier.members() {
                 self.with_member(now, idx, |tier, out| {
                     tier.on_frame(idx, now, frame, recorder_ok, out)
@@ -761,8 +817,8 @@ impl<T: RecorderTier> World<T> {
     }
 
     /// Crashes a whole node now (a no-op if it is already down); the
-    /// watchdog of whichever member leads its restart will notice, and
-    /// the tier re-populates it.
+    /// watchdog of the authority for its kernel endpoint will notice,
+    /// and the tier re-populates it.
     pub fn crash_node(&mut self, node: u32) {
         let Some(k) = self.kernels.get_mut(node as usize) else {
             return;
@@ -777,15 +833,23 @@ impl<T: RecorderTier> World<T> {
 
     /// Crashes member `idx` of the tier (a no-op if it is already down):
     /// volatile state lost, station down, then the tier's own reaction.
+    /// Each process it was the authority for is owed a state query from
+    /// its next authority.
     pub fn crash_member(&mut self, idx: usize) {
         if !self.tier.node(idx).is_up() {
             return;
         }
-        self.crashes.push(self.sched.now());
+        self.crashes.push(self.now());
+        for pid in self.tier.handed_over(idx) {
+            if self.tier.authority(pid) == Some(idx) {
+                self.owed.entry(pid).or_insert(Owed::Query(idx));
+            }
+        }
         self.tier.crash(idx);
         let station = self.tier.node(idx).station();
         self.lan.set_station_up(station, false);
         T::member_crashed(self, idx);
+        self.hand_off(self.now());
     }
 
     /// Restarts member `idx` of the tier (a no-op if it is up): station
@@ -800,6 +864,7 @@ impl<T: RecorderTier> World<T> {
         self.lan.set_station_up(station, true);
         self.with_member(now, idx, |tier, out| tier.restart(idx, now, out));
         T::member_restarted(self, idx);
+        self.hand_off(now);
     }
 
     /// The deduplicated output lines of one process: exactly-once by

@@ -29,8 +29,6 @@ use publishing_sim::codec::Decode;
 use publishing_sim::stats::{LinearHistogram, LogHistogram};
 use publishing_sim::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// Timer-token namespace bit: tokens with it set belong to the quorum
 /// layer; the rest are forwarded to the inner recorder node.
@@ -90,9 +88,6 @@ pub struct QuorumReplica {
     /// Leader-volatile: set once this term's no-op entry commits —
     /// inherited entries are applied and it is safe to propose.
     term_settled: bool,
-    /// Shared flag the recovery-responsibility filter reads: only the
-    /// group leader directs process recovery.
-    leader_flag: Arc<AtomicBool>,
     /// When this incarnation began: the origin of its timer grid.
     grid_origin: SimTime,
     /// The instant the consensus timer is armed for. A timer firing at
@@ -129,13 +124,6 @@ impl QuorumReplica {
         let mut node = RecorderNode::new(peers[id as usize], RecorderConfig::default());
         node.set_deferred_sequencing(true);
         node.set_checkpoint_duty(false);
-        let leader_flag = Arc::new(AtomicBool::new(false));
-        let flag = leader_flag.clone();
-        // Track every pid (each replica is a full recorder); direct
-        // recovery only while leading.
-        let responsible: publishing_core::recorder::PidFilter =
-            Arc::new(move |_pid| flag.load(Ordering::Relaxed));
-        node.set_shard_filters(None, Some(responsible));
         let raft = RaftCore::new(id, peers.len() as u32, seed);
         QuorumReplica {
             id,
@@ -147,7 +135,6 @@ impl QuorumReplica {
             acked_ids: HashSet::new(),
             proposed_next: HashMap::new(),
             term_settled: false,
-            leader_flag,
             grid_origin: SimTime::ZERO,
             armed_at: None,
             applied_log: BTreeMap::new(),
@@ -189,6 +176,23 @@ impl QuorumReplica {
         self.up && self.raft.is_leader()
     }
 
+    /// Whether this replica leads and its own term's no-op has applied:
+    /// every inherited entry is in its recorder, whose per-process state
+    /// is then authoritative. Before that, nobody's is.
+    pub fn leads_settled_term(&self) -> bool {
+        self.is_leader() && self.term_settled
+    }
+
+    /// Whether every arrival this replica has proposed for `pid` is
+    /// applied in its recorder: a delivery its kernel acknowledged is
+    /// published, but replayable only once its sequence commits.
+    pub fn applied_all_proposed(&self, pid: ProcessId) -> bool {
+        let applied = self.node.recorder().next_arrival_seq(pid);
+        self.proposed_next
+            .get(&pid)
+            .is_none_or(|&next| next <= applied)
+    }
+
     /// Read access to the inner recorder node.
     pub fn recorder_node(&self) -> &RecorderNode {
         &self.node
@@ -197,7 +201,8 @@ impl QuorumReplica {
     /// The inner recorder node, mutably: for the settings and restart
     /// confirmations that pass straight through the consensus layer
     /// (span capacity, disk faults, `confirm_node_restarted`,
-    /// `decline_node_restart`). Frames, timers, crash and restart must
+    /// `decline_node_restart`, and the `recover` and
+    /// `query_process_states` the world runs on the authority). Frames, timers, crash and restart must
     /// go through the replica.
     pub fn recorder_node_mut(&mut self) -> &mut RecorderNode {
         &mut self.node
@@ -327,7 +332,6 @@ impl QuorumReplica {
                 RaftOut::BecameLeader => {
                     self.term_settled = false;
                     self.proposed_next.clear();
-                    self.leader_flag.store(true, Ordering::Relaxed);
                     self.node.set_checkpoint_duty(true);
                     // The election win is a lifecycle event: everything
                     // the group sequences from here on waited on it, so
@@ -348,7 +352,6 @@ impl QuorumReplica {
                 RaftOut::SteppedDown => {
                     self.term_settled = false;
                     self.proposed_next.clear();
-                    self.leader_flag.store(false, Ordering::Relaxed);
                     self.node.set_checkpoint_duty(false);
                 }
             }
@@ -525,7 +528,6 @@ impl QuorumReplica {
     /// lost, timers die with the host.
     pub fn crash(&mut self) {
         self.up = false;
-        self.leader_flag.store(false, Ordering::Relaxed);
         self.term_settled = false;
         self.armed_at = None;
         self.proposed_next.clear();
@@ -553,6 +555,7 @@ mod tests {
     use publishing_demos::ids::Channel;
     use publishing_demos::message::{Message, MessageHeader};
     use publishing_sim::codec::Encode;
+    use std::sync::Arc;
 
     /// The actions one frame makes a replica append.
     fn on_frame(r: &mut QuorumReplica, now: SimTime, frame: &Frame, ok: bool) -> Vec<RNAction> {

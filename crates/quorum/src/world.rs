@@ -126,15 +126,6 @@ impl RecorderTier for QuorumTier {
         Some(quorum_router())
     }
 
-    /// Restart arbitration is consensus-derived: only the group leader
-    /// reboots processors. Everyone else stands down and lets its
-    /// watchdog keep checking. Every live replica is then told, so all
-    /// reset transport numbering; the leader alone announces and drives
-    /// recovery (its responsibility filter reads the leader flag).
-    fn leads_restart(&self, idx: usize, _node: NodeId) -> bool {
-        self.replicas[idx].is_leader()
-    }
-
     /// The capture gate follows group membership: every live replica
     /// must capture a frame for it to count as published (§6.3's
     /// "explicit act of the recovery layer" — here, of the consensus
@@ -187,11 +178,20 @@ impl RecorderTier for QuorumTier {
         format!("quorum/{idx}")
     }
 
-    /// The leader (or the first live replica when leaderless), for every
-    /// pid: it applies the same log as everyone and drives recovery.
+    /// The leader once its own term has settled, for every pid (and so
+    /// for every node's restart): it drives recovery. Nobody before
+    /// that — a new leader's recorder may still lack inherited entries —
+    /// and a recovery proposed meanwhile waits in the world's hand-off.
     fn authority(&self, _pid: ProcessId) -> Option<usize> {
-        self.leader()
-            .or_else(|| self.replicas.iter().position(|r| r.is_up()))
+        self.replicas.iter().position(|r| r.leads_settled_term())
+    }
+
+    /// Until the leader has applied every arrival it proposed for `pid`
+    /// — after an election, the whole backlog acknowledged while nobody
+    /// led — a replay from it would miss deliveries the kernel already
+    /// took.
+    fn caught_up_on(&self, idx: usize, pid: ProcessId) -> bool {
+        self.replicas[idx].applied_all_proposed(pid)
     }
 
     /// Read from the leader (or the first live replica when leaderless).

@@ -11,9 +11,8 @@
 //!   frame's destination pid in place ([`Wire::peek_dst`]) and returns
 //!   the stations whose acknowledgement the frame must collect;
 //! - per-shard ownership filters for [`publishing_core::recorder::Recorder`]
-//!   ("do I record this pid?") and responsibility filters for
-//!   [`publishing_core::manager::RecoveryManager`] ("do I drive this
-//!   pid's recovery?").
+//!   ("do I record this pid?"). Who drives a pid's recovery is not a
+//!   filter: it is the tier's `authority`, [`ShardMap::responsible`].
 //!
 //! Kernel-to-kernel control traffic and datagrams are deliberately
 //! ungated: recovery traffic must flow even while a shard is down, and
@@ -21,7 +20,7 @@
 
 use crate::map::{ShardId, ShardMap};
 use publishing_core::recorder::PidFilter;
-use publishing_demos::ids::{NodeId, ProcessId};
+use publishing_demos::ids::ProcessId;
 use publishing_demos::transport::Wire;
 use publishing_net::frame::{Frame, StationId};
 use publishing_net::lan::RecorderRouter;
@@ -126,22 +125,6 @@ impl ShardRouter {
         let this = self.clone();
         Arc::new(move |pid: ProcessId| this.with_map(|m| m.captures(shard, pid, this.replication)))
     }
-
-    /// The responsibility filter for `shard`'s recovery manager: drive a
-    /// pid's recovery iff the shard is the top-ranked *live* shard for it.
-    pub fn responsible_filter(&self, shard: ShardId) -> PidFilter {
-        let this = self.clone();
-        Arc::new(move |pid: ProcessId| this.with_map(|m| m.responsible(pid) == Some(shard)))
-    }
-
-    /// The shard that arbitrates a crashed node's physical restart: the
-    /// one responsible for the node's kernel endpoint. This generalizes
-    /// the §6.3 priority vector — the vector for node `n` is the HRW
-    /// ranking of its kernel pid, and the highest-priority live shard
-    /// acts.
-    pub fn restart_leader(&self, node: NodeId) -> Option<ShardId> {
-        self.with_map(|m| m.responsible(ProcessId::kernel_of(node)))
-    }
 }
 
 impl core::fmt::Debug for ShardRouter {
@@ -160,7 +143,7 @@ impl core::fmt::Debug for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use publishing_demos::ids::{Channel, MessageId};
+    use publishing_demos::ids::{Channel, MessageId, NodeId};
     use publishing_demos::message::{Message, MessageHeader};
     use publishing_net::frame::Destination;
     use publishing_sim::codec::Encode;
@@ -256,16 +239,16 @@ mod tests {
     }
 
     #[test]
-    fn filters_partition_ownership_and_responsibility() {
+    fn ownership_covers_responsibility() {
         let r = router(3);
-        let owner0 = r.owner_filter(ShardId(0));
-        let resp: Vec<PidFilter> = (0..3).map(|i| r.responsible_filter(ShardId(i))).collect();
+        let owners: Vec<PidFilter> = (0..3).map(|i| r.owner_filter(ShardId(i))).collect();
         let mut owned0 = 0;
         for l in 1..=60u32 {
             let pid = ProcessId::new(l % 5, l);
-            // Exactly one shard is responsible for every pid.
-            assert_eq!(resp.iter().filter(|f| f(pid)).count(), 1);
-            if owner0(pid) {
+            // The responsible shard records the pid.
+            let resp = r.with_map(|m| m.responsible(pid)).expect("a live shard");
+            assert!(owners[resp.0 as usize](pid));
+            if owners[0](pid) {
                 owned0 += 1;
             }
         }
@@ -289,12 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn restart_leader_follows_liveness() {
+    fn responsibility_follows_liveness() {
         let r = router(3);
-        let node = NodeId(4);
-        let leader = r.restart_leader(node).unwrap();
-        r.with_map_mut(|m| m.set_live(leader, false));
-        let backup = r.restart_leader(node).unwrap();
-        assert_ne!(leader, backup);
+        let kernel = ProcessId::kernel_of(NodeId(4));
+        let first = r.with_map(|m| m.responsible(kernel)).unwrap();
+        r.with_map_mut(|m| m.set_live(first, false));
+        let backup = r.with_map(|m| m.responsible(kernel)).unwrap();
+        assert_ne!(first, backup);
     }
 }

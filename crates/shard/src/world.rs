@@ -4,20 +4,20 @@
 //! §6.3 replicated recorders: the published log and checkpoint store
 //! are *partitioned* across shards by the HRW [`ShardMap`], with R-way
 //! replication inside each pid's capture set. The tier wires the
-//! [`ShardRouter`] into the medium (per-frame ack ownership), into each
-//! shard's recorder (ownership filter) and recovery manager
-//! (responsibility filter), and implements the tier's orchestration on
-//! top of the shared [`World`] engine:
+//! [`ShardRouter`] into the medium (per-frame ack ownership) and into
+//! each shard's recorder (ownership filter), answers the world's
+//! `authority` with the responsible shard, and implements the tier's
+//! orchestration on top of the shared [`World`] engine:
 //!
 //! - **parallel recovery** — a crashed node's processes are recovered
-//!   concurrently, each by the shard responsible for it, after the
-//!   restart leader (the shard owning the node's kernel endpoint)
+//!   concurrently, each by the shard responsible for it, after the shard
+//!   responsible for the node's kernel endpoint restarts it and
 //!   announces the restart;
 //! - **failover** — when a shard dies, its pids fall to their next-
 //!   ranked live shard (which already holds their log, R ≥ 2), the
-//!   capture sets are re-replicated to restore R copies, and the newly
-//!   responsible shard issues targeted state queries so recoveries that
-//!   died with the shard restart cleanly;
+//!   capture sets are re-replicated to restore R copies, and the world's
+//!   hand-off has the newly responsible shard query their states so
+//!   recoveries that died with the shard restart cleanly;
 //! - **rebalancing** — a new shard drains the log segments of the pids
 //!   it claims from their current holders, then the map epoch is bumped
 //!   and a [`ShardCutover`] control message is published on the medium.
@@ -40,11 +40,8 @@ use publishing_sim::codec::Encode;
 use publishing_sim::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Capture sets and responsibility, per pid, before a membership change.
-type Placement = (
-    BTreeMap<ProcessId, Vec<ShardId>>,
-    BTreeMap<ProcessId, ShardId>,
-);
+/// Capture sets, per pid, before a membership change.
+type Placement = BTreeMap<ProcessId, Vec<ShardId>>;
 
 /// The sharded recorder tier: the shards, the routing state they share
 /// with the medium, and the rebalance bookkeeping.
@@ -52,7 +49,7 @@ pub struct ShardTier {
     /// The recorder shards; index i is [`ShardId`]`(i)`.
     pub shards: Vec<RecorderNode>,
     router: ShardRouter,
-    /// Every pid ever spawned (rebalance bookkeeping).
+    /// Every pid ever spawned (rebalance and hand-off bookkeeping).
     processes: BTreeSet<ProcessId>,
     /// Restarted shards catching up before being readmitted: (idx, since).
     rejoining: Vec<(usize, SimTime)>,
@@ -68,10 +65,7 @@ pub type ShardedWorld = World<ShardTier>;
 /// and registered with the router.
 fn new_shard(router: &ShardRouter, sid: ShardId, node: NodeId) -> RecorderNode {
     let mut rn = RecorderNode::new(node, RecorderConfig::default());
-    rn.set_shard_filters(
-        Some(router.owner_filter(sid)),
-        Some(router.responsible_filter(sid)),
-    );
+    rn.set_ownership_filter(Some(router.owner_filter(sid)));
     router.register(sid, rn.station());
     rn
 }
@@ -93,12 +87,6 @@ impl RecorderTier for ShardTier {
         Some(self.router.recorder_router())
     }
 
-    /// Generalized §6.3 arbitration: the shard owning the node's kernel
-    /// endpoint leads its restart.
-    fn leads_restart(&self, idx: usize, node: NodeId) -> bool {
-        self.router.restart_leader(node) == Some(ShardId(idx as u32))
-    }
-
     /// The global fallback required set: every live, admitted shard.
     /// Only undecodable frames ever consult it; everything else goes
     /// through the per-frame router.
@@ -112,7 +100,8 @@ impl RecorderTier for ShardTier {
 
     /// The dead shard's pids fail over to their next-ranked live shard
     /// (which, with R ≥ 2, already holds their full log); capture sets
-    /// are re-replicated and inherited recoveries re-queried.
+    /// are re-replicated and inherited recoveries re-queried (the
+    /// world's hand-off).
     fn member_crashed(world: &mut World<Self>, idx: usize) {
         let placement = world.tier.placement();
         world.tier.rejoining.retain(|(i, _)| *i != idx);
@@ -158,12 +147,21 @@ impl RecorderTier for ShardTier {
         self.processes.insert(pid);
     }
 
+    /// Every spawned pid: a shard may answer for one whose creation it
+    /// has not captured yet.
+    fn handed_over(&self, _idx: usize) -> Vec<ProcessId> {
+        self.processes.iter().copied().collect()
+    }
+
     /// No restarted shard is still catching up before readmission.
     fn at_rest(&self) -> bool {
         self.rejoining.is_empty()
     }
 
     /// The shard answering for `pid` right now: its top-ranked live shard.
+    /// For a node's kernel endpoint, this generalizes the §6.3 priority
+    /// vector: the vector for node `n` is the HRW ranking of its kernel
+    /// pid, and the highest-priority live shard restarts the node.
     fn authority(&self, pid: ProcessId) -> Option<usize> {
         self.router
             .with_map(|m| m.responsible(pid))
@@ -257,23 +255,12 @@ impl ShardTier {
         sid
     }
 
-    /// Capture sets and responsibility as the map stands — taken before
-    /// a membership change, to reconcile against after it.
+    /// Capture sets as the map stands — taken before a membership
+    /// change, to reconcile against after it.
     fn placement(&self) -> Placement {
-        self.router.with_map(|m| {
-            let r = self.router.replication();
-            let caps = self
-                .processes
-                .iter()
-                .map(|&p| (p, m.capture_set(p, r)))
-                .collect();
-            let resp = self
-                .processes
-                .iter()
-                .filter_map(|&p| m.responsible(p).map(|s| (p, s)))
-                .collect();
-            (caps, resp)
-        })
+        let (r, pids) = (self.router.replication(), self.processes.iter());
+        self.router
+            .with_map(|m| pids.map(|&p| (p, m.capture_set(p, r))).collect())
     }
 
     /// Point-in-time health of every shard in the tier.
@@ -309,14 +296,12 @@ impl ShardTier {
 
     /// After a map change: restore R-way replication by draining log
     /// segments into newly responsible capture-set members, release
-    /// segments from members that dropped out, and have shards that
-    /// inherited responsibility from a dead one query their new pids'
-    /// states (a recovery that died with the old shard must restart).
+    /// segments from members that dropped out, then hand off: a shard
+    /// that inherited a pid from a dead one queries its state (a
+    /// recovery that died with the old shard must restart).
     fn reconcile_placement(world: &mut World<Self>, now: SimTime, before: &Placement) {
-        let (before_caps, before_resp) = before;
         let r = world.tier.router.replication();
-        let mut queries: BTreeMap<usize, Vec<ProcessId>> = BTreeMap::new();
-        for (&pid, old_set) in before_caps {
+        for (&pid, old_set) in before {
             let new_set = world.tier.router.with_map(|m| m.capture_set(pid, r));
             for &s in new_set.iter().filter(|s| !old_set.contains(s)) {
                 let tgt = s.0 as usize;
@@ -352,18 +337,8 @@ impl ShardTier {
                     });
                 }
             }
-            let new_resp = world.tier.router.with_map(|m| m.responsible(pid));
-            if let (Some(&old_r), Some(new_r)) = (before_resp.get(&pid), new_resp) {
-                if old_r != new_r && !world.tier.shards[old_r.0 as usize].is_up() {
-                    queries.entry(new_r.0 as usize).or_default().push(pid);
-                }
-            }
         }
-        for (idx, pids) in queries {
-            world.with_member(now, idx, |tier, out| {
-                tier.shards[idx].query_process_states(now, &pids, out)
-            });
-        }
+        world.hand_off(now);
     }
 
     /// Publishes the new map epoch as a control message on the medium —
