@@ -399,7 +399,8 @@ impl RecorderNode {
             // with the slice of the frame that is its encoding.
             Wire::Data { msg, .. } if !addressed => {
                 let encoded = Wire::data_message(&frame.payload_bytes());
-                self.recorder.on_data(now, msg, encoded);
+                // The early return above found its destination tracked.
+                self.recorder.capture(now, msg, encoded);
                 return;
             }
             // Ours as well: the transport below needs the message too.
@@ -421,7 +422,11 @@ impl RecorderNode {
                         self.observed_acks.push((msg_id, dst_pid));
                     }
                 } else {
-                    let ios = self.recorder.on_ack(now, msg_id, dst_pid);
+                    let ios = if addressed {
+                        self.recorder.on_ack(now, msg_id, dst_pid)
+                    } else {
+                        self.recorder.publish_acked(now, msg_id)
+                    };
                     self.schedule_ios(ios, out);
                 }
             }

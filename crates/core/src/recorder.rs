@@ -569,10 +569,16 @@ impl Recorder {
     /// capture buffer; a duplicate, a kernel message or one this recorder
     /// does not own is dropped, and nothing is ever copied.
     pub fn on_data(&mut self, now: SimTime, msg: Message, encoded: Bytes) {
-        let id = msg.header.id;
-        if !self.tracks(msg.header.to) {
-            return;
+        if self.tracks(msg.header.to) {
+            self.capture(now, msg, encoded);
         }
+    }
+
+    /// [`Recorder::on_data`] for a message whose destination the caller
+    /// has just found [tracked](Recorder::tracks): the ownership filter is
+    /// asked once per frame.
+    pub(crate) fn capture(&mut self, now: SimTime, msg: Message, encoded: Bytes) {
+        let id = msg.header.id;
         if self.db.get(&msg.header.to).is_some_and(|e| !e.recoverable) {
             return;
         }
@@ -595,6 +601,12 @@ impl Recorder {
         if !self.tracks(dst_pid) {
             return Vec::new();
         }
+        self.publish_acked(now, msg_id)
+    }
+
+    /// [`Recorder::on_ack`] for an ack whose destination the caller has
+    /// just found [tracked](Recorder::tracks).
+    pub(crate) fn publish_acked(&mut self, now: SimTime, msg_id: MessageId) -> Vec<StoreIo> {
         let Some(state) = self.ids.get_mut(&msg_id) else {
             self.stats.orphan_acks.inc();
             return Vec::new();

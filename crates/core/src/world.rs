@@ -587,7 +587,10 @@ impl<T: RecorderTier> World<T> {
                 }
                 // Runs on the authority, or waits in the hand-off if none.
                 // Other members' are dropped (the authority heard the same
-                // trigger) — wrongly for a STATE_REPLY (ROADMAP item 2).
+                // trigger) — wrongly for a STATE_REPLY to a hand-off query
+                // when authority moved on while it was in flight: only the
+                // querying member hears the reply, so the new authority
+                // never learns of the crash.
                 RNAction::ProposeRecovery { pid } => {
                     if self.tier.authority(pid).is_none_or(|a| a == idx) {
                         self.owed.insert(pid, Owed::Recovery);

@@ -27,8 +27,10 @@ use publishing_net::frame::{Destination, Frame, StationId};
 use publishing_obs::span::{MsgKey, Stage};
 use publishing_sim::codec::Decode;
 use publishing_sim::stats::{LinearHistogram, LogHistogram};
+use publishing_sim::table::{IdHasher, IdMap};
 use publishing_sim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 
 /// Timer-token namespace bit: tokens with it set belong to the quorum
 /// layer; the rest are forwarded to the inner recorder node.
@@ -80,11 +82,12 @@ pub struct QuorumReplica {
     /// replica accumulates the same backlog, so leader failover can
     /// re-propose it).
     acked: VecDeque<(MessageId, ProcessId)>,
-    acked_ids: HashSet<MessageId>,
+    /// The ids in `acked`: probed, inserted, removed, never iterated.
+    acked_ids: HashSet<MessageId, BuildHasherDefault<IdHasher>>,
     /// Leader-volatile: next arrival sequence to propose per
     /// destination. Seeded from the recorder after the term's no-op
     /// commits; cleared on any leadership change.
-    proposed_next: HashMap<ProcessId, u64>,
+    proposed_next: IdMap<ProcessId, u64>,
     /// Leader-volatile: set once this term's no-op entry commits —
     /// inherited entries are applied and it is safe to propose.
     term_settled: bool,
@@ -132,8 +135,8 @@ impl QuorumReplica {
             routs: Vec::new(),
             peers,
             acked: VecDeque::new(),
-            acked_ids: HashSet::new(),
-            proposed_next: HashMap::new(),
+            acked_ids: HashSet::default(),
+            proposed_next: IdMap::default(),
             term_settled: false,
             grid_origin: SimTime::ZERO,
             armed_at: None,

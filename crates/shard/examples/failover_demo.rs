@@ -28,20 +28,20 @@ fn main() {
     let client = w
         .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
-    let caps = w.tier.router().with_map(|m| m.capture_set(server, 2));
+    let caps = w.tier.map().capture_set(server, 2);
     println!("server {server:?} captured by {caps:?}");
 
     w.run_until(SimTime::from_millis(40));
     println!("[40ms] crashing the server process");
     w.crash_process(server, "demo");
 
-    let resp = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
+    let resp = w.tier.map().responsible(server).unwrap();
     w.run_until(SimTime::from_millis(42));
     println!("[42ms] killing {resp} while it drives the replay");
     w.crash_member(resp.0 as usize);
     println!(
         "       responsibility fell to {}",
-        w.tier.router().with_map(|m| m.responsible(server)).unwrap()
+        w.tier.map().responsible(server).unwrap()
     );
 
     w.run_until(SimTime::from_millis(500));
@@ -49,7 +49,7 @@ fn main() {
     let sid = ShardTier::add_shard(&mut w);
     println!(
         "       {sid} admitted; map epoch {}, {} cutovers published",
-        w.tier.router().with_map(|m| m.epoch()),
+        w.tier.map().epoch(),
         w.tier.cutovers_published()
     );
 

@@ -9,9 +9,12 @@
 //! yields failover (the dead shard's pids fall to their next-ranked
 //! shard) and the capture/replication set (the top-R live shards record
 //! a pid's traffic so a backup is always complete).
+//!
+//! Every query is a view of that one ranking over a dense vector of
+//! members that carry their ids pre-mixed: a score is one SplitMix round.
 
 use publishing_demos::ids::ProcessId;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 
 /// Identifies one recorder shard in the tier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -31,27 +34,48 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// HRW score of `shard` for `pid`; higher wins.
-fn score(shard: ShardId, pid: ProcessId) -> u64 {
-    mix(pid.as_u64() ^ mix(shard.0 as u64))
+/// The largest R a snapshot answers for: it picks a capture set on the stack.
+pub const MAX_REPLICATION: usize = 4;
+
+/// A member shard: its id, its HRW seed (the id, mixed once), liveness.
+#[derive(Clone, Copy, Debug)]
+struct Member {
+    id: ShardId,
+    seed: u64,
+    live: bool,
+}
+
+impl Member {
+    fn new(id: ShardId) -> Self {
+        Member {
+            id,
+            seed: mix(id.0 as u64),
+            live: true,
+        }
+    }
+
+    /// This shard's standing in `pid`'s ranking, higher first: the HRW score
+    /// `mix(pid ^ mix(shard))` above the complemented id, so ties (impossible
+    /// in practice with 64-bit scores) go to the lower id: no two are level.
+    fn standing(&self, pid: ProcessId) -> u128 {
+        u128::from(mix(pid.as_u64() ^ self.seed)) << 32 | u128::from(!self.id.0)
+    }
 }
 
 /// The shard membership + liveness view, versioned by an epoch that the
 /// rebalance protocol publishes at cutover.
 #[derive(Clone, Debug, Default)]
 pub struct ShardMap {
-    shards: BTreeMap<ShardId, bool>, // id → live
+    /// The member shards, in id order.
+    members: Vec<Member>,
     epoch: u64,
 }
 
 impl ShardMap {
     /// A map of shards `0..n`, all live.
     pub fn new(n: u32) -> Self {
-        let mut m = ShardMap::default();
-        for i in 0..n {
-            m.shards.insert(ShardId(i), true);
-        }
-        m
+        let members = (0..n).map(|i| Member::new(ShardId(i))).collect();
+        ShardMap { members, epoch: 0 }
     }
 
     /// The membership epoch; bumped by every add/remove/liveness change.
@@ -61,111 +85,106 @@ impl ShardMap {
 
     /// Number of member shards (live or not).
     pub fn len(&self) -> usize {
-        self.shards.len()
+        self.members.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
+        self.members.is_empty()
     }
 
     /// All member shards, in id order.
     pub fn members(&self) -> Vec<ShardId> {
-        self.shards.keys().copied().collect()
+        self.members.iter().map(|m| m.id).collect()
     }
 
     /// All live shards, in id order.
     pub fn live(&self) -> impl Iterator<Item = ShardId> + '_ {
-        self.shards.iter().filter(|(_, &l)| l).map(|(&s, _)| s)
+        self.members.iter().filter(|m| m.live).map(|m| m.id)
+    }
+
+    /// Where `shard` sits among the members (id order), if it is one.
+    pub(crate) fn position(&self, shard: ShardId) -> Option<usize> {
+        self.members.binary_search_by_key(&shard, |m| m.id).ok()
     }
 
     pub fn contains(&self, shard: ShardId) -> bool {
-        self.shards.contains_key(&shard)
+        self.position(shard).is_some()
     }
 
     pub fn is_live(&self, shard: ShardId) -> bool {
-        self.shards.get(&shard).copied().unwrap_or(false)
+        self.position(shard).is_some_and(|i| self.members[i].live)
     }
 
-    /// Adds a (live) shard. Returns `false` if it was already a member.
+    /// Adds a (live) shard. Returns `false` if it was already a member,
+    /// which is then marked live with no epoch bump.
     pub fn add_shard(&mut self, shard: ShardId) -> bool {
-        let added = self.shards.insert(shard, true).is_none();
-        if added {
-            self.epoch += 1;
+        let found = self.members.binary_search_by_key(&shard, |m| m.id);
+        match found {
+            Ok(at) => self.members[at].live = true,
+            Err(at) => {
+                self.members.insert(at, Member::new(shard));
+                self.epoch += 1;
+            }
         }
-        added
+        found.is_err()
     }
 
     /// Removes a shard from membership entirely.
     pub fn remove_shard(&mut self, shard: ShardId) -> bool {
-        let removed = self.shards.remove(&shard).is_some();
-        if removed {
+        let removed = self.position(shard).map(|at| self.members.remove(at));
+        if removed.is_some() {
             self.epoch += 1;
         }
-        removed
+        removed.is_some()
     }
 
     /// Marks a shard dead (still a member; its pids fail over) or live.
     pub fn set_live(&mut self, shard: ShardId, live: bool) {
-        if let Some(l) = self.shards.get_mut(&shard) {
-            if *l != live {
-                *l = live;
-                self.epoch += 1;
-            }
+        let changes = |&at: &usize| self.members[at].live != live;
+        if let Some(at) = self.position(shard).filter(changes) {
+            self.members[at].live = live;
+            self.epoch += 1;
         }
+    }
+
+    /// The best `top` of the members `keep` admits for `pid`, best first.
+    fn ranking(&self, pid: ProcessId, top: usize, keep: impl Fn(&Member) -> bool) -> Vec<ShardId> {
+        let mut v: Vec<&Member> = self.members.iter().filter(|m| keep(m)).collect();
+        v.sort_unstable_by_key(|m| Reverse(m.standing(pid)));
+        v.into_iter().take(top).map(|m| m.id).collect()
     }
 
     /// Member shards ranked by HRW score for `pid`, best first.
     /// Deterministic for a given membership regardless of liveness.
     pub fn ranked(&self, pid: ProcessId) -> Vec<ShardId> {
-        let mut v: Vec<ShardId> = self.shards.keys().copied().collect();
-        // Ties are impossible in practice (64-bit scores), but break
-        // them by id so the order is total either way.
-        v.sort_by_key(|&s| (std::cmp::Reverse(score(s, pid)), s));
-        v
+        self.ranking(pid, usize::MAX, |_| true)
     }
 
     /// The owning shard of `pid` — top-ranked member, alive or not.
     /// This is the *log placement* function; liveness-aware questions
     /// go through [`ShardMap::responsible`] / [`ShardMap::capture_set`].
     pub fn owner(&self, pid: ProcessId) -> Option<ShardId> {
-        self.shards
-            .keys()
-            .copied()
-            .max_by_key(|&s| (score(s, pid), std::cmp::Reverse(s)))
+        let all = self.members.iter();
+        all.max_by_key(|m| m.standing(pid)).map(|m| m.id)
     }
 
     /// The shard answering for `pid` right now: the top-ranked *live*
     /// shard (the owner, unless it is dead and a backup stands in).
     pub fn responsible(&self, pid: ProcessId) -> Option<ShardId> {
-        self.live()
-            .max_by_key(|&s| (score(s, pid), std::cmp::Reverse(s)))
+        let live = self.members.iter().filter(|m| m.live);
+        live.max_by_key(|m| m.standing(pid)).map(|m| m.id)
     }
 
     /// The top-`r` live shards for `pid`: every shard that must capture
     /// (record + ack) the pid's traffic so that `r`-way replication
     /// holds. With fewer than `r` live shards, all of them.
     pub fn capture_set(&self, pid: ProcessId, r: usize) -> Vec<ShardId> {
-        self.capture_order(pid, r).collect()
+        self.ranking(pid, r.max(1), |m| m.live)
     }
 
-    /// [`ShardMap::capture_set`], best first, one shard at a time and
-    /// without building or sorting anything: each step takes the best
-    /// live shard ranked after the previous pick. The medium asks this
-    /// for every frame, of a map that changes per failover; `r` and the
-    /// shard count are small.
-    pub fn capture_order(&self, pid: ProcessId, r: usize) -> impl Iterator<Item = ShardId> + '_ {
-        let rank = move |s: ShardId| (std::cmp::Reverse(score(s, pid)), s);
-        let mut last = None;
-        std::iter::from_fn(move || {
-            let next = self
-                .live()
-                .map(rank)
-                .filter(|&k| last.is_none_or(|picked| k > picked))
-                .min()?;
-            last = Some(next);
-            Some(next.1)
-        })
-        .take(r.max(1))
+    /// [`ShardMap::capture_set`], best first, one shard at a time.
+    pub fn capture_order(&self, pid: ProcessId, r: usize) -> impl Iterator<Item = ShardId> {
+        self.capture_set(pid, r).into_iter()
     }
 
     /// The capture set as `shard` itself evaluates it: the top-`r` of
@@ -176,39 +195,54 @@ impl ShardMap {
     /// recording its pids (and receiving their checkpoints) while it
     /// catches up.
     pub fn capture_set_for(&self, shard: ShardId, pid: ProcessId, r: usize) -> Vec<ShardId> {
-        let mut v: Vec<ShardId> = self.live().collect();
-        if self.contains(shard) && !v.contains(&shard) {
-            v.push(shard);
-        }
-        v.sort_by_key(|&s| (std::cmp::Reverse(score(s, pid)), s));
-        v.truncate(r.max(1));
-        v
+        self.ranking(pid, r.max(1), |m| m.live || m.id == shard)
     }
 
-    /// Whether `shard` sits in the capture set it evaluates for itself:
-    /// `capture_set_for(shard, pid, r).contains(&shard)`, answered
-    /// without building, sorting or allocating the set. The candidates
-    /// are the live shards plus `shard` if it is a member; `shard` is in
-    /// the top `max(r, 1)` iff fewer than that many other candidates
-    /// outrank it under the same `(Reverse(score), id)` order.
+    /// Whether `shard` sits in the capture set it evaluates for itself,
+    /// `capture_set_for(shard, pid, r).contains(&shard)`, building nothing.
     pub fn captures(&self, shard: ShardId, pid: ProcessId, r: usize) -> bool {
-        if !self.contains(shard) {
-            return false;
+        self.position(shard)
+            .is_some_and(|at| self.captures_at(at, pid, r.max(1)))
+    }
+
+    /// [`ShardMap::captures`] for the member at `at`, `top` ≥ 1: fewer than
+    /// `top` *live* others outrank it. One pass, one score a member.
+    pub(crate) fn captures_at(&self, at: usize, pid: ProcessId, top: usize) -> bool {
+        let own = self.members[at].standing(pid);
+        let outranks = |&(i, m): &(usize, &Member)| i != at && m.live && m.standing(pid) > own;
+        self.members.iter().enumerate().filter(outranks).count() < top
+    }
+
+    /// Hands `emit` the positions of [`ShardMap::capture_order`]'s shards,
+    /// for `1 ≤ top ≤ MAX_REPLICATION`: one pass, the best kept on the stack.
+    pub(crate) fn top_live(&self, pid: ProcessId, top: usize, mut emit: impl FnMut(usize)) {
+        let mut best = [(0, 0); MAX_REPLICATION];
+        let mut n = 0;
+        for (i, m) in self.members.iter().enumerate().filter(|(_, m)| m.live) {
+            let entry = (m.standing(pid), i);
+            if n == top && entry.0 < best[top - 1].0 {
+                continue;
+            }
+            n = top.min(n + 1);
+            let mut at = n - 1;
+            while at > 0 && best[at - 1].0 < entry.0 {
+                best[at] = best[at - 1];
+                at -= 1;
+            }
+            best[at] = entry;
         }
-        let top = r.max(1);
-        let own = (std::cmp::Reverse(score(shard, pid)), shard);
-        let outranking = self
-            .shards
-            .iter()
-            .filter(|&(&s, &live)| live && s != shard)
-            .filter(|&(&s, _)| (std::cmp::Reverse(score(s, pid)), s) < own);
-        outranking.take(top).count() < top
+        best[..n].iter().for_each(|&(_, i)| emit(i));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The HRW score as the map defined it before members carried seeds.
+    fn score(shard: ShardId, pid: ProcessId) -> u64 {
+        mix(pid.as_u64() ^ mix(shard.0 as u64))
+    }
 
     fn pids(n: u64) -> Vec<ProcessId> {
         (0..n)
@@ -304,6 +338,12 @@ mod tests {
                         sorted(&m, p, r),
                         "{alive:b} {p:?} r={r}"
                     );
+                }
+                // The per-frame selection, at every R it allows.
+                for r in 1..=MAX_REPLICATION {
+                    let mut top = Vec::new();
+                    m.top_live(p, r, |i| top.push(m.members[i].id));
+                    assert_eq!(top, sorted(&m, p, r), "{alive:b} {p:?} r={r}");
                 }
             }
         }

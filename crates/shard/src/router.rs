@@ -3,48 +3,59 @@
 //! The medium gates every process-destined frame on its recorder ack
 //! slot (§6.1). Under sharding, the slot is owned not by one global
 //! recorder set but by the destination pid's *capture set* — the top-R
-//! live shards in HRW order. [`ShardRouter`] packages the shared
-//! [`ShardMap`] plus the shard↔station directory into the closures the
-//! rest of the system needs:
+//! live shards in HRW order. A [`ShardRouter`] is who captures each pid
+//! as of one cutover — the [`ShardMap`] then, its shards' stations and
+//! R — and never changes: the tier installs a new one at world build and
+//! at every cutover (every membership or liveness change), as
 //!
-//! - a [`RecorderRouter`] installed on the LAN, which reads each
-//!   frame's destination pid in place ([`Wire::peek_dst`]) and returns
-//!   the stations whose acknowledgement the frame must collect;
+//! - a [`RecorderRouter`] on the LAN, which reads each frame's
+//!   destination pid in place ([`Wire::peek_dst`]) and returns the
+//!   stations whose acknowledgement the frame must collect;
 //! - per-shard ownership filters for [`publishing_core::recorder::Recorder`]
 //!   ("do I record this pid?"). Who drives a pid's recovery is not a
 //!   filter: it is the tier's `authority`, [`ShardMap::responsible`].
+//!
+//! So a question takes no lock and builds nothing, and is answered as of
+//! the instant it is asked: the medium fixes a frame's required set at
+//! submission (bus) or transmission start (Ethernet), a recorder judges
+//! ownership at delivery.
 //!
 //! Kernel-to-kernel control traffic and datagrams are deliberately
 //! ungated: recovery traffic must flow even while a shard is down, and
 //! the publish-before-use rule (§4.4.1) protects *process* messages.
 
-use crate::map::{ShardId, ShardMap};
+use crate::map::{ShardId, ShardMap, MAX_REPLICATION};
 use publishing_core::recorder::PidFilter;
 use publishing_demos::ids::ProcessId;
 use publishing_demos::transport::Wire;
 use publishing_net::frame::{Frame, StationId};
 use publishing_net::lan::RecorderRouter;
-use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
-/// The shared routing state of a sharded recorder tier. Cheap to clone;
-/// all clones observe the same map (cutovers are a single epoch-bumping
-/// write that every installed closure sees immediately).
-#[derive(Clone)]
+/// The routing state of a sharded recorder tier as of one cutover.
+#[derive(Debug)]
 pub struct ShardRouter {
-    map: Arc<RwLock<ShardMap>>,
-    stations: Arc<RwLock<BTreeMap<ShardId, StationId>>>,
+    map: ShardMap,
+    /// Each member's station, in the map's (id) order.
+    stations: Vec<StationId>,
     replication: usize,
 }
 
 impl ShardRouter {
-    /// Wraps `map` with replication factor `replication` (the R of the
-    /// capture set; clamped to at least 1).
-    pub fn new(map: ShardMap, replication: usize) -> Self {
+    /// A snapshot of `map`, shard `s` listening on `station(s)`, with
+    /// replication factor `replication` (the R of the capture set;
+    /// clamped to at least 1, and at most [`MAX_REPLICATION`]).
+    pub fn new(map: &ShardMap, replication: usize, station: impl Fn(ShardId) -> StationId) -> Self {
+        let replication = replication.max(1);
+        assert!(
+            replication <= MAX_REPLICATION,
+            "R = {replication} > {MAX_REPLICATION}"
+        );
+        let stations = map.members().into_iter().map(station).collect();
         ShardRouter {
-            map: Arc::new(RwLock::new(map)),
-            stations: Arc::new(RwLock::new(BTreeMap::new())),
-            replication: replication.max(1),
+            map: map.clone(),
+            stations,
+            replication,
         }
     }
 
@@ -53,53 +64,26 @@ impl ShardRouter {
         self.replication
     }
 
-    /// Registers the station a shard's recorder listens on.
-    pub fn register(&self, shard: ShardId, station: StationId) {
-        self.stations
-            .write()
-            .expect("station directory lock")
-            .insert(shard, station);
-    }
-
-    /// Reads the map under the lock.
-    pub fn with_map<R>(&self, f: impl FnOnce(&ShardMap) -> R) -> R {
-        f(&self.map.read().expect("shard map lock"))
-    }
-
-    /// Mutates the map under the lock (membership changes, liveness).
-    /// Every installed router/filter closure sees the change on its next
-    /// evaluation — this *is* the cutover swap.
-    pub fn with_map_mut<R>(&self, f: impl FnOnce(&mut ShardMap) -> R) -> R {
-        f(&mut self.map.write().expect("shard map lock"))
-    }
-
     /// Appends the stations that must acknowledge a frame destined to
-    /// `pid` to `out`.
+    /// `pid` to `out`: those of its capture set, best first.
     ///
     /// With no live shard at all, every *member* station is required:
     /// none can answer, so process traffic suspends until a shard
     /// returns — §3.3.4's recorder-down behaviour. Returning the empty
     /// set instead would let messages flow unrecorded, breaking the
     /// publish-before-use rule.
-    ///
-    /// Answered from the map in place, into a buffer the medium owns:
-    /// nothing is built.
     pub fn required_into(&self, pid: ProcessId, out: &mut Vec<StationId>) {
-        let dir = self.stations.read().expect("station directory lock");
-        self.with_map(|m| {
-            let mut any_live = false;
-            for s in m.capture_order(pid, self.replication) {
-                any_live = true;
-                out.extend(dir.get(&s));
-            }
-            if !any_live {
-                out.extend(m.members().iter().filter_map(|s| dir.get(s)));
-            }
-        })
+        let start = out.len();
+        let stations = &self.stations;
+        self.map
+            .top_live(pid, self.replication, |i| out.push(stations[i]));
+        if out.len() == start {
+            out.extend(&self.stations);
+        }
     }
 
     /// Builds the per-frame required-recorder closure for the medium.
-    pub fn recorder_router(&self) -> RecorderRouter {
+    pub fn recorder_router(self: &Arc<Self>) -> RecorderRouter {
         let this = self.clone();
         Arc::new(move |frame: &Frame, out: &mut Vec<StationId>| {
             // Read in place: the destination, nothing decoded.
@@ -120,23 +104,11 @@ impl ShardRouter {
     /// The ownership filter for `shard`'s recorder: record a pid iff the
     /// shard sits in the pid's capture set — evaluated with the shard
     /// itself counted even while marked dead, so a restarted shard keeps
-    /// recording its pids during catch-up.
-    pub fn owner_filter(&self, shard: ShardId) -> PidFilter {
-        let this = self.clone();
-        Arc::new(move |pid: ProcessId| this.with_map(|m| m.captures(shard, pid, this.replication)))
-    }
-}
-
-impl core::fmt::Debug for ShardRouter {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        self.with_map(|m| {
-            f.debug_struct("ShardRouter")
-                .field("epoch", &m.epoch())
-                .field("members", &m.len())
-                .field("live", &m.live().count())
-                .field("replication", &self.replication)
-                .finish()
-        })
+    /// recording its pids during catch-up. A shard that is not a member
+    /// records nothing.
+    pub fn owner_filter(self: &Arc<Self>, shard: ShardId) -> PidFilter {
+        let (this, at) = (self.clone(), self.map.position(shard));
+        Arc::new(move |pid| at.is_some_and(|at| this.map.captures_at(at, pid, this.replication)))
     }
 }
 
@@ -150,17 +122,18 @@ mod tests {
 
     /// What the installed closure answers for `frame`: `None` = the
     /// global set.
-    fn route(r: &ShardRouter, frame: &Frame) -> Option<Vec<StationId>> {
+    fn route(r: &Arc<ShardRouter>, frame: &Frame) -> Option<Vec<StationId>> {
         let mut out = Vec::new();
         r.recorder_router()(frame, &mut out).then_some(out)
     }
 
-    fn router(n: u32) -> ShardRouter {
-        let r = ShardRouter::new(ShardMap::new(n), 2);
-        for i in 0..n {
-            r.register(ShardId(i), StationId(100 + i));
-        }
-        r
+    /// The snapshot of `map` with R = 2, shard `i` on station `100 + i`.
+    fn router(map: &ShardMap) -> Arc<ShardRouter> {
+        Arc::new(ShardRouter::new(map, 2, |s| StationId(100 + s.0)))
+    }
+
+    fn stations(shards: Vec<ShardId>) -> Vec<StationId> {
+        shards.iter().map(|s| StationId(100 + s.0)).collect()
     }
 
     fn data_frame(to: ProcessId) -> Frame {
@@ -190,22 +163,16 @@ mod tests {
 
     #[test]
     fn process_frames_gate_on_capture_set_stations() {
-        let r = router(4);
+        let map = ShardMap::new(4);
         let pid = ProcessId::new(2, 7);
-        let req = route(&r, &data_frame(pid)).expect("routed");
-        let want: Vec<StationId> = r.with_map(|m| {
-            m.capture_set(pid, 2)
-                .iter()
-                .map(|s| StationId(100 + s.0))
-                .collect()
-        });
+        let req = route(&router(&map), &data_frame(pid)).expect("routed");
         assert_eq!(req.len(), 2);
-        assert_eq!(req, want);
+        assert_eq!(req, stations(map.capture_set(pid, 2)));
     }
 
     #[test]
     fn kernel_frames_and_garbage_are_not_shard_gated() {
-        let r = router(3);
+        let r = router(&ShardMap::new(3));
         let kernel = data_frame(ProcessId::kernel_of(NodeId(2)));
         assert_eq!(route(&r, &kernel), Some(Vec::new()));
         let garbage = Frame::new(StationId(1), Destination::Broadcast, vec![0xFF, 0xFF]);
@@ -213,40 +180,31 @@ mod tests {
     }
 
     #[test]
-    fn cutover_changes_routing_through_installed_closures() {
-        let r = router(2);
+    fn a_snapshot_keeps_answering_for_the_map_it_was_taken_of() {
+        let mut map = ShardMap::new(2);
         let pid = ProcessId::new(3, 5);
-        let installed = r.recorder_router();
-        let routed = |frame: &Frame| {
-            let mut out = Vec::new();
-            assert!(installed(frame, &mut out));
-            out
-        };
-        let before = routed(&data_frame(pid));
-        r.register(ShardId(2), StationId(102));
-        r.with_map_mut(|m| m.add_shard(ShardId(2)));
-        let after = routed(&data_frame(pid));
-        let want: Vec<StationId> = r.with_map(|m| {
-            m.capture_set(pid, 2)
-                .iter()
-                .map(|s| StationId(100 + s.0))
-                .collect()
-        });
-        assert_eq!(after, want);
+        let (before, was) = (router(&map), stations(map.capture_set(pid, 2)));
+        map.add_shard(ShardId(2));
+        let after = router(&map);
         // With only two shards before, both were required; the third
-        // shard can displace one of them.
-        assert_eq!(before.len(), 2);
+        // shard can displace one of them — in the new snapshot only.
+        let old = route(&before, &data_frame(pid)).expect("routed");
+        assert_eq!((old.len(), old), (2, was));
+        let new = route(&after, &data_frame(pid)).expect("routed");
+        assert_eq!(new, stations(map.capture_set(pid, 2)));
+        assert!(!before.owner_filter(ShardId(2))(pid), "not a member then");
     }
 
     #[test]
     fn ownership_covers_responsibility() {
-        let r = router(3);
+        let map = ShardMap::new(3);
+        let r = router(&map);
         let owners: Vec<PidFilter> = (0..3).map(|i| r.owner_filter(ShardId(i))).collect();
         let mut owned0 = 0;
         for l in 1..=60u32 {
             let pid = ProcessId::new(l % 5, l);
             // The responsible shard records the pid.
-            let resp = r.with_map(|m| m.responsible(pid)).expect("a live shard");
+            let resp = map.responsible(pid).expect("a live shard");
             assert!(owners[resp.0 as usize](pid));
             if owners[0](pid) {
                 owned0 += 1;
@@ -261,23 +219,11 @@ mod tests {
         // §3.3.4: recorder down ⇒ traffic stops. With every shard dead,
         // process frames must be gated on (unanswerable) stations, not
         // waved through unrecorded.
-        let r = router(2);
+        let mut map = ShardMap::new(2);
+        map.set_live(ShardId(0), false);
+        map.set_live(ShardId(1), false);
         let pid = ProcessId::new(2, 7);
-        r.with_map_mut(|m| {
-            m.set_live(ShardId(0), false);
-            m.set_live(ShardId(1), false);
-        });
-        let req = route(&r, &data_frame(pid)).expect("routed");
+        let req = route(&router(&map), &data_frame(pid)).expect("routed");
         assert_eq!(req, vec![StationId(100), StationId(101)]);
-    }
-
-    #[test]
-    fn responsibility_follows_liveness() {
-        let r = router(3);
-        let kernel = ProcessId::kernel_of(NodeId(4));
-        let first = r.with_map(|m| m.responsible(kernel)).unwrap();
-        r.with_map_mut(|m| m.set_live(first, false));
-        let backup = r.with_map(|m| m.responsible(kernel)).unwrap();
-        assert_ne!(first, backup);
     }
 }

@@ -3,9 +3,10 @@
 //! [`ShardTier`] generalizes `publishing_core`'s single recorder and
 //! §6.3 replicated recorders: the published log and checkpoint store
 //! are *partitioned* across shards by the HRW [`ShardMap`], with R-way
-//! replication inside each pid's capture set. The tier wires the
-//! [`ShardRouter`] into the medium (per-frame ack ownership) and into
-//! each shard's recorder (ownership filter), answers the world's
+//! replication inside each pid's capture set. The tier owns the map;
+//! at world build and at every cutover it installs a [`ShardRouter`]
+//! snapshot of it into the medium (per-frame ack ownership) and into
+//! each shard's recorder (ownership filter). It answers the world's
 //! `authority` with the responsible shard, and implements the tier's
 //! orchestration on top of the shared [`World`] engine:
 //!
@@ -39,16 +40,20 @@ use publishing_obs::report::ObsReport;
 use publishing_sim::codec::Encode;
 use publishing_sim::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Capture sets, per pid, before a membership change.
 type Placement = BTreeMap<ProcessId, Vec<ShardId>>;
 
-/// The sharded recorder tier: the shards, the routing state they share
-/// with the medium, and the rebalance bookkeeping.
+/// The sharded recorder tier: the shards, their map, the snapshot of it
+/// the medium and the shards answer from, and the rebalance bookkeeping.
 pub struct ShardTier {
     /// The recorder shards; index i is [`ShardId`]`(i)`.
     pub shards: Vec<RecorderNode>,
-    router: ShardRouter,
+    /// Membership and liveness. Every change to it ends in `cut_over`.
+    map: ShardMap,
+    /// The map as `cut_over` last installed it.
+    ownership: Arc<ShardRouter>,
     /// Every pid ever spawned (rebalance and hand-off bookkeeping).
     processes: BTreeSet<ProcessId>,
     /// Restarted shards catching up before being readmitted: (idx, since).
@@ -61,13 +66,14 @@ pub struct ShardTier {
 /// admit a new shard and read the tier's health through [`ShardTier`].
 pub type ShardedWorld = World<ShardTier>;
 
-/// A recorder node on `node`, filtered to shard `sid`'s slice of the map
-/// and registered with the router.
-fn new_shard(router: &ShardRouter, sid: ShardId, node: NodeId) -> RecorderNode {
-    let mut rn = RecorderNode::new(node, RecorderConfig::default());
-    rn.set_ownership_filter(Some(router.owner_filter(sid)));
-    router.register(sid, rn.station());
-    rn
+/// Takes a snapshot of `map` with capture sets of `r` shards, installs
+/// it as every shard's ownership filter, and returns it for the medium.
+fn install(shards: &mut [RecorderNode], map: &ShardMap, r: usize) -> Arc<ShardRouter> {
+    let snapshot = Arc::new(ShardRouter::new(map, r, |s| shards[s.0 as usize].station()));
+    for (i, rn) in shards.iter_mut().enumerate() {
+        rn.set_ownership_filter(Some(snapshot.owner_filter(ShardId(i as u32))));
+    }
+    snapshot
 }
 
 impl RecorderTier for ShardTier {
@@ -84,18 +90,15 @@ impl RecorderTier for ShardTier {
     }
 
     fn router(&self) -> Option<RecorderRouter> {
-        Some(self.router.recorder_router())
+        Some(self.ownership.recorder_router())
     }
 
     /// The global fallback required set: every live, admitted shard.
     /// Only undecodable frames ever consult it; everything else goes
     /// through the per-frame router.
     fn required(&self) -> Vec<StationId> {
-        self.router.with_map(|m| {
-            m.live()
-                .map(|s| self.shards[s.0 as usize].station())
-                .collect()
-        })
+        let live = self.map.live();
+        live.map(|s| self.shards[s.0 as usize].station()).collect()
     }
 
     /// The dead shard's pids fail over to their next-ranked live shard
@@ -105,10 +108,7 @@ impl RecorderTier for ShardTier {
     fn member_crashed(world: &mut World<Self>, idx: usize) {
         let placement = world.tier.placement();
         world.tier.rejoining.retain(|(i, _)| *i != idx);
-        world
-            .tier
-            .router
-            .with_map_mut(|m| m.set_live(ShardId(idx as u32), false));
+        world.tier.map.set_live(ShardId(idx as u32), false);
         ShardTier::cut_over(world, world.now(), &placement);
     }
 
@@ -135,10 +135,7 @@ impl RecorderTier for ShardTier {
         tier.rejoining = waiting;
         for (idx, _) in done {
             let placement = world.tier.placement();
-            world
-                .tier
-                .router
-                .with_map_mut(|m| m.set_live(ShardId(idx as u32), true));
+            world.tier.map.set_live(ShardId(idx as u32), true);
             ShardTier::cut_over(world, now, &placement);
         }
     }
@@ -163,9 +160,7 @@ impl RecorderTier for ShardTier {
     /// vector: the vector for node `n` is the HRW ranking of its kernel
     /// pid, and the highest-priority live shard restarts the node.
     fn authority(&self, pid: ProcessId) -> Option<usize> {
-        self.router
-            .with_map(|m| m.responsible(pid))
-            .map(|sid| sid.0 as usize)
+        self.map.responsible(pid).map(|sid| sid.0 as usize)
     }
 
     fn metric_prefix(&self, idx: usize) -> String {
@@ -204,23 +199,24 @@ impl ShardTier {
     /// after `builder`'s processing nodes), with capture sets of
     /// min(2, n_shards) shards.
     pub fn world(builder: WorldBuilder, n_shards: usize) -> ShardedWorld {
-        let replication = 2.min(n_shards.max(1));
-        let router = ShardRouter::new(ShardMap::new(n_shards as u32), replication);
-        let shards = (0..n_shards as u32)
-            .map(|i| new_shard(&router, ShardId(i), NodeId(builder.nodes() + i)))
+        let map = ShardMap::new(n_shards as u32);
+        let mut shards: Vec<RecorderNode> = (0..n_shards as u32)
+            .map(|i| RecorderNode::new(NodeId(builder.nodes() + i), RecorderConfig::default()))
             .collect();
+        let ownership = install(&mut shards, &map, 2.min(n_shards.max(1)));
         builder.build_with(ShardTier {
             shards,
-            router,
+            map,
+            ownership,
             processes: BTreeSet::new(),
             rejoining: Vec::new(),
             cutovers_published: 0,
         })
     }
 
-    /// Read access to the routing state.
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
+    /// The shard map as it stands.
+    pub fn map(&self) -> &ShardMap {
+        &self.map
     }
 
     /// Cutover control messages published so far.
@@ -238,7 +234,8 @@ impl ShardTier {
         let sid = ShardId(idx as u32);
         let node = NodeId(world.nodes() + idx as u32);
         let placement = world.tier.placement();
-        let rn = new_shard(&world.tier.router, sid, node);
+        let mut rn = RecorderNode::new(node, RecorderConfig::default());
+        rn.set_ownership_filter(Some(world.tier.ownership.owner_filter(sid)));
         world.lan.attach(rn.station());
         world.tier.shards.push(rn);
         for k in &mut world.kernels {
@@ -248,9 +245,9 @@ impl ShardTier {
         world.with_member(now, idx, |tier, out| {
             tier.shards[idx].start(now, &watch, out)
         });
-        // Cutover: membership change first (one atomic epoch bump every
-        // closure sees), then drain/release against the old placement.
-        world.tier.router.with_map_mut(|m| m.add_shard(sid));
+        // Cutover: membership change first (one epoch bump, installed
+        // everywhere at once), then drain/release against the old placement.
+        world.tier.map.add_shard(sid);
         ShardTier::cut_over(world, now, &placement);
         sid
     }
@@ -258,9 +255,9 @@ impl ShardTier {
     /// Capture sets as the map stands — taken before a membership
     /// change, to reconcile against after it.
     fn placement(&self) -> Placement {
-        let (r, pids) = (self.router.replication(), self.processes.iter());
-        self.router
-            .with_map(|m| pids.map(|&p| (p, m.capture_set(p, r))).collect())
+        let r = self.ownership.replication();
+        let capture_set = |&p| (p, self.map.capture_set(p, r));
+        self.processes.iter().map(capture_set).collect()
     }
 
     /// Point-in-time health of every shard in the tier.
@@ -285,10 +282,14 @@ impl ShardTier {
             .collect()
     }
 
-    /// Completes a membership change already made in the map: new
-    /// fallback required set, placement reconciled against `before`,
-    /// cutover published.
+    /// Completes a membership change already made in the map: a snapshot
+    /// of it installed in every shard and the medium before anything
+    /// asks, new fallback required set, placement reconciled against
+    /// `before`, cutover published.
     fn cut_over(world: &mut World<Self>, now: SimTime, before: &Placement) {
+        let tier = &mut world.tier;
+        tier.ownership = install(&mut tier.shards, &tier.map, tier.ownership.replication());
+        world.lan.set_recorder_router(world.tier.router());
         world.refresh_required();
         ShardTier::reconcile_placement(world, now, before);
         ShardTier::publish_cutover(world, now);
@@ -300,9 +301,9 @@ impl ShardTier {
     /// that inherited a pid from a dead one queries its state (a
     /// recovery that died with the old shard must restart).
     fn reconcile_placement(world: &mut World<Self>, now: SimTime, before: &Placement) {
-        let r = world.tier.router.replication();
+        let r = world.tier.ownership.replication();
         for (&pid, old_set) in before {
-            let new_set = world.tier.router.with_map(|m| m.capture_set(pid, r));
+            let new_set = world.tier.map.capture_set(pid, r);
             for &s in new_set.iter().filter(|s| !old_set.contains(s)) {
                 let tgt = s.0 as usize;
                 let shards = &mut world.tier.shards;
@@ -347,9 +348,7 @@ impl ShardTier {
     /// history, not a side channel.
     fn publish_cutover(world: &mut World<Self>, now: SimTime) {
         let tier = &mut world.tier;
-        let (epoch, live_shards) = tier
-            .router
-            .with_map(|m| (m.epoch(), m.live().count() as u32));
+        let (epoch, live_shards) = (tier.map.epoch(), tier.map.live().count() as u32);
         let Some(src) = tier.shards.iter().find(|s| s.is_up()) else {
             return;
         };
@@ -406,7 +405,7 @@ mod tests {
             .unwrap();
         w.run_until(SimTime::from_secs(5));
         for pid in [server, client] {
-            let caps = w.tier.router().with_map(|m| m.capture_set(pid, 2));
+            let caps = w.tier.map().capture_set(pid, 2);
             for i in 0..w.tier.shards.len() {
                 let has = w.tier.shards[i].recorder().entry(pid).is_some();
                 let should = caps.contains(&ShardId(i as u32));
@@ -427,7 +426,7 @@ mod tests {
         w.run_until(SimTime::from_secs(10));
         let out = w.outputs_of(client);
         assert_eq!(out.len(), 11, "{out:?}");
-        let responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
+        let responsible = w.tier.map().responsible(server).unwrap();
         for i in 0..w.tier.shards.len() {
             let completed = w.tier.shards[i].manager().stats().completed.get();
             if i == responsible.0 as usize {
@@ -446,10 +445,10 @@ mod tests {
             .spawn(0, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
             .unwrap();
         w.run_until(SimTime::from_millis(30));
-        let epoch_before = w.tier.router().with_map(|m| m.epoch());
+        let epoch_before = w.tier.map().epoch();
         let sid = ShardTier::add_shard(&mut w);
         assert_eq!(sid, ShardId(2));
-        assert!(w.tier.router().with_map(|m| m.epoch()) > epoch_before);
+        assert!(w.tier.map().epoch() > epoch_before);
         assert_eq!(w.tier.cutovers_published(), 1);
         w.run_until(SimTime::from_secs(5));
         let out = w.outputs_of(client);

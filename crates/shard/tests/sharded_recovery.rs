@@ -76,7 +76,7 @@ fn node_crash_replays_processes_in_parallel_from_distinct_shards() {
     );
     for i in 0..4u32 {
         let server = ProcessId::new(2, 2 * i + 1);
-        let responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
+        let responsible = w.tier.map().responsible(server).unwrap();
         assert!(
             w.tier.shards[responsible.0 as usize]
                 .manager()
@@ -106,7 +106,7 @@ fn shard_killed_mid_replay_fails_over_to_backup() {
         if kill_shard {
             // Let the responsible shard start the replay, then kill it
             // while the recovery is in flight.
-            let responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
+            let responsible = w.tier.map().responsible(server).unwrap();
             w.run_until(SimTime::from_millis(42));
             assert_eq!(
                 w.tier.shards[responsible.0 as usize]
@@ -126,7 +126,7 @@ fn shard_killed_mid_replay_fails_over_to_backup() {
     let (crashed, w, server) = run(true);
     assert_eq!(clean, crashed, "failover must not lose or duplicate output");
     // The recovery was completed by the *backup*, not the dead shard.
-    let now_responsible = w.tier.router().with_map(|m| m.responsible(server)).unwrap();
+    let now_responsible = w.tier.map().responsible(server).unwrap();
     assert!(
         w.tier.shards[now_responsible.0 as usize]
             .manager()
@@ -160,7 +160,7 @@ fn rebalanced_pid_recovers_from_migrated_log() {
     let moved: Vec<ProcessId> = pairs
         .iter()
         .map(|&(s, _)| s)
-        .filter(|&s| w.tier.router().with_map(|m| m.responsible(s)) == Some(sid))
+        .filter(|&s| w.tier.map().responsible(s) == Some(sid))
         .collect();
     assert!(
         !moved.is_empty(),
@@ -193,7 +193,7 @@ fn crashed_shard_rejoins_after_catching_up() {
         .unwrap();
     w.run_until(SimTime::from_millis(30));
     w.crash_member(0);
-    assert!(!w.tier.router().with_map(|m| m.is_live(ShardId(0))));
+    assert!(!w.tier.map().is_live(ShardId(0)));
     w.run_until(SimTime::from_millis(60));
     w.restart_member(0);
     w.run_until(secs(30));
@@ -201,7 +201,7 @@ fn crashed_shard_rejoins_after_catching_up() {
     assert_eq!(out.len(), 26, "{out:?}");
     assert_eq!(out.last().unwrap(), "done");
     assert!(
-        w.tier.router().with_map(|m| m.is_live(ShardId(0))),
+        w.tier.map().is_live(ShardId(0)),
         "restarted shard should be readmitted once caught up"
     );
     // Both cutovers (out and back in) were published on the medium.

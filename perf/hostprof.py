@@ -74,6 +74,7 @@ LAYERS = [
     ("layer: stable store", r"stable/src/[^:]+"),
     ("layer: spans", r"obs/src/(span|store)\.rs"),
     ("layer: raft", r"quorum/src/[^:]+"),
+    ("layer: shard", r"shard/src/[^:]+"),
 ]
 FAMILIES += [(name, re.compile(rf" @ (.*/)?crates/{path}:")) for name, path in LAYERS]
 
