@@ -25,7 +25,8 @@ fn first_failure(
 /// The default 25-schedule suites of `lab chaos --seed 1` to `--seed
 /// 12`, on all three tiers: the red rows are the two sharded schedules
 /// that replay L3 (a process's read order is broken when a shard crash,
-/// a process crash and the shard's restart interleave; ROADMAP item 3).
+/// a process crash and the shard's restart interleave: a defect still
+/// open, pinned red here so its fix shows as these rows turning green).
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release only: see the module doc")]
 fn the_default_suites_fail_only_the_l3_rows() {

@@ -24,7 +24,8 @@ fn run(seed: u64, schedule: &str) -> Box<dyn ChaosWorld> {
 
 /// The sweep, reduced to seeds 1–3 (of these 90 schedules 16 hit the
 /// `frame in flight` panic before the fix). Whether each one also
-/// *recovers* is another matter — ROADMAP items 3 and 5.
+/// *recovers* is not asserted: some lose a process whose creation
+/// notice the recorder had not captured when its node crashed.
 #[test]
 fn no_crash_instant_panics_the_medium() {
     for seed in 1..=3 {
@@ -53,9 +54,10 @@ fn the_truncated_frame_is_recovered_transparently() {
     assert_eq!(failures, Vec::<String>::new());
 }
 
-/// ROADMAP item 1's literal: node 0 crashes at 30 ms and client `p0.2`
-/// is never recreated — the open bug, recorded here, not fixed (item
-/// 1(b)). Before the process census the convergence failures were empty
+/// Node 0 crashes at 30 ms, before the recorder captured client `p0.2`'s
+/// creation notice, and `p0.2` is never recreated: the open bug,
+/// recorded here until a process's creation is published before it
+/// runs. Before the process census the convergence failures were empty
 /// and only the fault-free twin's outputs showed the loss; now the
 /// census names the pid, so the world never settles and the run spends
 /// the whole grace period.

@@ -4,8 +4,8 @@
 //! sits out the whole grace period — the same driver over a world that
 //! never admits to having settled — and the two must agree on every
 //! client's output, the output fingerprint, the recoveries completed and
-//! the oracle's failures, on every schedule of ROADMAP item 1's
-//! `crash_node` sweep (seeds 1–3) on both media of the single tier and
+//! the oracle's failures, on every schedule of the single-`crash_node`
+//! sweep (seeds 1–3) on both media of the single tier and
 //! the bus of the other two, and on generated schedules per tier.
 
 use publishing_chaos::driver::{run_schedule, Engine, GRACE_MS};
@@ -128,8 +128,8 @@ fn baseline(scenario: &Scenario) -> Baseline {
     engine.expect("fault-free twin finishes").baseline().clone()
 }
 
-/// `(settled early, ran to the bound)` over ROADMAP item 1's sweep on
-/// one world, seeds 1–3.
+/// `(settled early, ran to the bound)` over the single-`crash_node`
+/// sweep on one world, seeds 1–3.
 fn sweep(topology: Topology, medium: Medium) -> (u32, u32) {
     let mut counts = (0, 0);
     for seed in 1..=3 {
@@ -154,8 +154,9 @@ fn crash_node_sweep_single_perfect() {
     assert_eq!(sweep(Topology::Single, Medium::Perfect), (90, 0));
 }
 
-/// The ethernet loses a process in some of these (ROADMAP 1(b)); the
-/// census keeps those worlds unsettled, so they run to the bound.
+/// The ethernet loses a process in some of these (one whose creation
+/// notice was not captured before its node crashed); the census keeps
+/// those worlds unsettled, so they run to the bound.
 #[test]
 fn crash_node_sweep_single_ethernet() {
     let (early, bound) = sweep(Topology::Single, Medium::Ethernet);

@@ -150,7 +150,8 @@ fn one_recovery_per_crash_on_every_tier() {
 /// and for node 0's restart. The crash costs one recovery, and the
 /// client finishes. (Readmission comes at the next event: a rebuilt
 /// entry counts as checkpointed at the restart, so `caught_up` holds at
-/// once — ROADMAP item 2.)
+/// once. A readmission that waited for every process to checkpoint again
+/// would come later.)
 #[test]
 fn a_rejoining_priority_recorder_is_not_the_authority() {
     let mut w = PriorityTier::world(builder(), 2);

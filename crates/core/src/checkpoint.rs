@@ -101,10 +101,9 @@ mod tests {
             PublishCost::MediaLayer,
         );
         let pid = ProcessId::new(1, 1);
-        let ios = r.on_created(SimTime::ZERO, pid, "echo", vec![], true);
-        for io in ios {
-            r.on_disk(io.at, io);
-        }
+        crate::recorder::tests::drain(&mut r, |r, ios| {
+            r.on_created(SimTime::ZERO, pid, "echo", vec![], true, ios)
+        });
         (r, pid)
     }
 

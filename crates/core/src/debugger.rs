@@ -273,6 +273,7 @@ impl ReplayDebugger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::tests::drain;
     use crate::recorder::PublishCost;
     use publishing_demos::ids::{Channel, MessageId, NodeId};
     use publishing_demos::message::MessageHeader;
@@ -286,10 +287,9 @@ mod tests {
         let mut registry = ProgramRegistry::new();
         registry.register("accumulator", || Box::new(Accumulator::default()));
         let pid = ProcessId::new(1, 1);
-        let ios = recorder.on_created(SimTime::ZERO, pid, "accumulator", vec![], true);
-        for io in ios {
-            recorder.on_disk(io.at, io);
-        }
+        drain(&mut recorder, |r, ios| {
+            r.on_created(SimTime::ZERO, pid, "accumulator", vec![], true, ios)
+        });
         // Publish five additions.
         for i in 1..=5u64 {
             let msg = Message {
@@ -311,10 +311,9 @@ mod tests {
                 msg.clone(),
                 publishing_sim::codec::Encode::encode_to_bytes(&msg),
             );
-            let ios = recorder.on_ack(SimTime::ZERO, msg.header.id, pid);
-            for io in ios {
-                recorder.on_disk(io.at, io);
-            }
+            drain(&mut recorder, |r, ios| {
+                r.on_ack(SimTime::ZERO, msg.header.id, pid, ios)
+            });
         }
         (recorder, registry, pid)
     }

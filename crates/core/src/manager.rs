@@ -513,6 +513,7 @@ impl RecoveryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::tests::drain;
     use crate::recorder::PublishCost;
     use publishing_stable::disk::DiskParams;
 
@@ -529,10 +530,9 @@ mod tests {
 
     fn setup_process(r: &mut Recorder) -> ProcessId {
         let pid = ProcessId::new(1, 1);
-        let ios = r.on_created(SimTime::ZERO, pid, "echo", vec![], true);
-        for io in ios {
-            r.on_disk(io.at, io);
-        }
+        drain(r, |r, ios| {
+            r.on_created(SimTime::ZERO, pid, "echo", vec![], true, ios)
+        });
         pid
     }
 
@@ -662,10 +662,9 @@ mod tests {
                 body: vec![i as u8].into(),
             };
             r.on_data(SimTime::ZERO, msg.clone(), msg.encode_to_bytes());
-            let ios = r.on_ack(SimTime::ZERO, msg.header.id, pid);
-            for io in ios {
-                r.on_disk(io.at, io);
-            }
+            drain(&mut r, |r, ios| {
+                r.on_ack(SimTime::ZERO, msg.header.id, pid, ios)
+            });
         }
         run(|c| m.start_recovery(&mut r, pid, c));
         let cmds = run(|c| m.on_recreate_reply(&r, pid, true, c));
@@ -744,7 +743,7 @@ mod tests {
         let mut m = RecoveryManager::new();
         let mut r = recorder();
         let pid = setup_process(&mut r);
-        r.restart(SimTime::from_millis(1)); // restart_number = 1
+        drain(&mut r, |r, ios| r.restart(SimTime::from_millis(1), ios)); // restart_number = 1
         let reply = protocol::StateReply {
             pid,
             state: ReportedState::Crashed,

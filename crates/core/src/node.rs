@@ -6,7 +6,7 @@
 //! Like the kernel, the node is a sans-IO state machine: every entry
 //! point appends [`RNAction`]s, in the order they must be performed, to a
 //! buffer the world owns and reuses, and the node keeps buffers of its
-//! own for what its transport and its manager ask of it. An overheard
+//! own for what its transport, manager and recorder ask of it. An overheard
 //! frame is decoded in place and captured as a slice of itself.
 
 use crate::checkpoint::CheckpointPolicy;
@@ -104,6 +104,9 @@ pub struct RecorderNode {
     /// one per depth of nesting ever reached.
     transport_actions: Vec<Vec<TAction>>,
     manager_cmds: Vec<Vec<MgrCmd>>,
+    /// The store IO one recorder call starts
+    /// ([`RecorderNode::with_recorder`]); recorder calls never nest.
+    store_ios: Vec<StoreIo>,
     kernel_seq: u64,
     /// Outstanding timers by the token handed to the world. A crash
     /// clears the table; late timers — disk completions among them —
@@ -136,6 +139,7 @@ impl RecorderNode {
             transport,
             transport_actions: Vec::new(),
             manager_cmds: Vec::new(),
+            store_ios: Vec::new(),
             kernel_seq: 0,
             timers: TokenTable::new(),
             checkpoint_requested: HashSet::new(),
@@ -179,8 +183,7 @@ impl RecorderNode {
         msg: &Message,
         out: &mut Vec<RNAction>,
     ) {
-        let ios = self.recorder.apply_sequenced_at(now, seq, msg);
-        self.schedule_ios(ios, out);
+        self.with_recorder(out, |r, ios| r.apply_sequenced_at(now, seq, msg, ios));
     }
 
     /// Returns the node id.
@@ -360,10 +363,19 @@ impl RecorderNode {
         self.manager_cmds.push(cmds);
     }
 
-    fn schedule_ios(&mut self, ios: Vec<StoreIo>, out: &mut Vec<RNAction>) {
-        for io in ios {
-            self.arm(io.at, RTimer::Disk(io), out);
+    /// Runs one recorder entry point over the node's IO buffer, then arms
+    /// a disk timer for each IO it started, in the order it started them.
+    fn with_recorder<A>(
+        &mut self,
+        out: &mut Vec<RNAction>,
+        call: impl FnOnce(&mut Recorder, &mut Vec<StoreIo>) -> A,
+    ) -> A {
+        let answer = call(&mut self.recorder, &mut self.store_ios);
+        for io in self.store_ios.drain(..) {
+            let token = self.timers.insert(RTimer::Disk(io));
+            out.push(RNAction::SetTimer { at: io.at, token });
         }
+        answer
     }
 
     /// Handles a frame seen on the medium: passive capture of everything,
@@ -422,12 +434,10 @@ impl RecorderNode {
                         self.observed_acks.push((msg_id, dst_pid));
                     }
                 } else {
-                    let ios = if addressed {
-                        self.recorder.on_ack(now, msg_id, dst_pid)
-                    } else {
-                        self.recorder.publish_acked(now, msg_id)
-                    };
-                    self.schedule_ios(ios, out);
+                    self.with_recorder(out, |r, ios| match addressed {
+                        true => r.on_ack(now, msg_id, dst_pid, ios),
+                        false => r.publish_acked(now, msg_id, ios),
+                    });
                 }
             }
             // Datagrams, epoch notices, and quorum traffic (consensus
@@ -446,20 +456,15 @@ impl RecorderNode {
         match code {
             codes::PROCESS_CREATED_NOTICE => {
                 if let Ok(n) = protocol::CreatedNotice::decode_all(payload) {
-                    let ios = self.recorder.on_created(
-                        now,
-                        n.pid,
-                        &n.program_name,
-                        n.initial_links,
-                        n.recoverable,
-                    );
-                    self.schedule_ios(ios, out);
+                    let links = n.initial_links;
+                    self.with_recorder(out, |r, ios| {
+                        r.on_created(now, n.pid, &n.program_name, links, n.recoverable, ios)
+                    });
                 }
             }
             codes::PROCESS_DESTROYED_NOTICE => {
                 if let Ok(n) = protocol::CreatedNotice::decode_all(payload) {
-                    let ios = self.recorder.on_destroyed(now, n.pid);
-                    self.schedule_ios(ios, out);
+                    self.with_recorder(out, |r, ios| r.on_destroyed(now, n.pid, ios));
                     self.checkpoint_requested.remove(&n.pid);
                 }
             }
@@ -470,8 +475,7 @@ impl RecorderNode {
             }
             codes::CHECKPOINT_DEPOSIT => {
                 if let Ok(d) = protocol::CheckpointDeposit::decode_all(payload) {
-                    let ios = self.recorder.on_deposit(now, &d);
-                    self.schedule_ios(ios, out);
+                    self.with_recorder(out, |r, ios| r.on_deposit(now, &d, ios));
                 }
             }
             codes::PROCESS_CRASH_NOTICE => {
@@ -526,17 +530,14 @@ impl RecorderNode {
                 self.with_manager(now, out, |m, _, cmds| m.on_timer(now, t, cmds));
             }
             Some(RTimer::Disk(io)) => {
-                let durable = self.recorder.on_disk(now, io);
+                let durable = self.with_recorder(out, |r, ios| r.on_disk(now, io, ios));
                 for pid in durable {
                     self.checkpoint_requested.remove(&pid);
                 }
-                let follow = self.recorder.take_drained_ios();
-                self.schedule_ios(follow, out);
             }
             Some(RTimer::PolicyTick) => {
                 self.policy_tick(now, out);
-                let ios = self.recorder.maintain(now);
-                self.schedule_ios(ios, out);
+                self.with_recorder(out, |r, ios| r.maintain(now, ios));
                 self.arm(now + self.cfg.policy_tick, RTimer::PolicyTick, out);
             }
         }
@@ -626,14 +627,12 @@ impl RecorderNode {
         export: crate::recorder::ProcessExport,
         out: &mut Vec<RNAction>,
     ) {
-        let ios = self.recorder.import_process(now, export);
-        self.schedule_ios(ios, out);
+        self.with_recorder(out, |r, ios| r.import_process(now, export, ios));
     }
 
     /// Drops one process from this shard after a successful handoff.
     pub fn release_process(&mut self, now: SimTime, pid: ProcessId, out: &mut Vec<RNAction>) {
-        let ios = self.recorder.forget(now, pid);
-        self.schedule_ios(ios, out);
+        self.with_recorder(out, |r, ios| r.forget(now, pid, ios));
         self.checkpoint_requested.remove(&pid);
     }
 
@@ -661,9 +660,7 @@ impl RecorderNode {
         let incarnation = self.transport.incarnation() + 1;
         self.transport.restart(incarnation);
         self.kernel_seq = 0;
-        let known = self.recorder.restart(now);
-        let drained = self.recorder.take_drained_ios();
-        self.schedule_ios(drained, out);
+        let known = self.with_recorder(out, |r, ios| r.restart(now, ios));
         // Peers must renumber toward us.
         let restarted = protocol::NodeRestarted {
             node: self.node,

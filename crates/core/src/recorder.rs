@@ -31,6 +31,10 @@
 //! the recovering flag. The entry is a summary of what is on disk: after
 //! a recorder crash, [`Recorder::restart`] rebuilds it from the store and
 //! the battery-backed buffer (§3.3.4).
+//!
+//! Every entry point that starts store IO appends it to a buffer its
+//! caller owns, in the order it started it (DESIGN §4); the caller must
+//! schedule each completion ([`Recorder::on_disk`]).
 
 use crate::recovery_time::RecoveryEstimator;
 use publishing_demos::ids::{MessageId, NodeId, ProcessId};
@@ -46,6 +50,17 @@ use publishing_stable::disk::DiskParams;
 use publishing_stable::store::{Checkpoint, RecordKey, StableStore, StoreEvent, StoreIo};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Appends the IO one store call started to the caller's buffer. An
+/// empty buffer too small to hold it takes the store's vector whole, so
+/// a recorder call allocates no more than the store did.
+fn append(ios: &mut Vec<StoreIo>, mut started: Vec<StoreIo>) {
+    if ios.is_empty() && ios.capacity() < started.len() {
+        *ios = started;
+    } else {
+        ios.append(&mut started);
+    }
+}
 
 /// Recorder-side per-message CPU cost, §5.2.2's three operating points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -406,7 +421,6 @@ pub struct Recorder {
     /// `pending`.
     ids: IdMap<MessageId, IdState>,
     pending_deposits: HashMap<ProcessId, PendingDeposit>,
-    drained_ios: Vec<StoreIo>,
     restart_number: u64,
     publish_cost: PublishCost,
     /// When set, the recorder only tracks processes the filter accepts
@@ -432,7 +446,6 @@ impl Recorder {
             pending: TokenTable::new(),
             ids: IdMap::default(),
             pending_deposits: HashMap::new(),
-            drained_ios: Vec::new(),
             restart_number: 0,
             publish_cost,
             owner: None,
@@ -597,27 +610,37 @@ impl Recorder {
 
     /// Handles an observed destination acknowledgement: assigns the
     /// message its arrival sequence and publishes it.
-    pub fn on_ack(&mut self, now: SimTime, msg_id: MessageId, dst_pid: ProcessId) -> Vec<StoreIo> {
-        if !self.tracks(dst_pid) {
-            return Vec::new();
+    pub fn on_ack(
+        &mut self,
+        now: SimTime,
+        msg_id: MessageId,
+        dst_pid: ProcessId,
+        ios: &mut Vec<StoreIo>,
+    ) {
+        if self.tracks(dst_pid) {
+            self.publish_acked(now, msg_id, ios);
         }
-        self.publish_acked(now, msg_id)
     }
 
     /// [`Recorder::on_ack`] for an ack whose destination the caller has
     /// just found [tracked](Recorder::tracks).
-    pub(crate) fn publish_acked(&mut self, now: SimTime, msg_id: MessageId) -> Vec<StoreIo> {
+    pub(crate) fn publish_acked(
+        &mut self,
+        now: SimTime,
+        msg_id: MessageId,
+        ios: &mut Vec<StoreIo>,
+    ) {
         let Some(state) = self.ids.get_mut(&msg_id) else {
             self.stats.orphan_acks.inc();
-            return Vec::new();
+            return;
         };
         let IdState::Captured(cap) = *state else {
             self.stats.duplicates.inc();
-            return Vec::new();
+            return;
         };
         *state = IdState::Published;
         let Captured { msg, encoded } = self.pending.take(cap).expect("pending indexed");
-        self.sequence_message_at(now, None, &msg, encoded)
+        self.sequence_message_at(now, None, &msg, encoded, ios);
     }
 
     /// Looks up a captured-but-unsequenced message by id (the quorum
@@ -648,11 +671,17 @@ impl Recorder {
     /// survived, is a no-op — so replaying a committed prefix over a
     /// rebuilt recorder can fill durability gaps without ever double-
     /// assigning a sequence.
-    pub fn apply_sequenced_at(&mut self, now: SimTime, seq: u64, msg: &Message) -> Vec<StoreIo> {
+    pub fn apply_sequenced_at(
+        &mut self,
+        now: SimTime,
+        seq: u64,
+        msg: &Message,
+        ios: &mut Vec<StoreIo>,
+    ) {
         let id = msg.header.id;
         let dst = msg.header.to;
         if !self.tracks(dst) {
-            return Vec::new();
+            return;
         }
         let state = self.ids.get(&id).copied();
         // Published already, or the slot is occupied (rebuilt from a
@@ -664,7 +693,7 @@ impl Recorder {
                 .is_some_and(|e| e.arrivals.iter().any(|&(s, _)| s == seq))
         {
             self.stats.duplicates.inc();
-            return Vec::new();
+            return;
         }
         // Every replica overhears the frame, so the bytes are usually in
         // the capture buffer already; a replica that missed it (it was
@@ -675,7 +704,7 @@ impl Recorder {
         };
         let encoded = captured.map_or_else(|| msg.encode_to_bytes(), |c| c.encoded);
         self.ids.insert(id, IdState::Published);
-        self.sequence_message_at(now, Some(seq), msg, encoded)
+        self.sequence_message_at(now, Some(seq), msg, encoded, ios);
     }
 
     /// Publishes `msg`, whose id the caller has marked
@@ -688,7 +717,8 @@ impl Recorder {
         fixed_seq: Option<u64>,
         msg: &Message,
         encoded: Bytes,
-    ) -> Vec<StoreIo> {
+        ios: &mut Vec<StoreIo>,
+    ) {
         let msg_id = msg.header.id;
         let dst_pid = msg.header.to;
         let len = encoded.len();
@@ -732,14 +762,11 @@ impl Recorder {
         }
         self.stats.published.inc();
         self.stats.bytes_published.add(len as u64);
-        self.store.append_message(
-            now,
-            RecordKey {
-                pid: dst_pid.as_u64(),
-                seq,
-            },
-            encoded,
-        )
+        let key = RecordKey {
+            pid: dst_pid.as_u64(),
+            seq,
+        };
+        append(ios, self.store.append_message(now, key, encoded));
     }
 
     /// Handles a creation notice: registers the process and writes its
@@ -751,9 +778,10 @@ impl Recorder {
         program_name: &str,
         initial_links: Vec<publishing_demos::link::Link>,
         recoverable: bool,
-    ) -> Vec<StoreIo> {
+        ios: &mut Vec<StoreIo>,
+    ) {
         if !self.owns(pid) {
-            return Vec::new();
+            return;
         }
         let entry = self
             .db
@@ -766,7 +794,7 @@ impl Recorder {
             // §6.6.1: "If we do not publish messages for these processes,
             // we may greatly increase the capability of the recorder."
             // No initial checkpoint either; a crash is final.
-            return Vec::new();
+            return;
         }
         let meta = CheckpointMeta {
             program_name: program_name.to_string(),
@@ -785,32 +813,30 @@ impl Recorder {
             },
         );
         let blob = meta.encode_to_vec();
-        self.store.write_checkpoint(
-            now,
-            Checkpoint {
-                pid: pid.as_u64(),
-                upto_seq: 0,
-                blob,
-            },
-        )
+        let checkpoint = Checkpoint {
+            pid: pid.as_u64(),
+            upto_seq: 0,
+            blob,
+        };
+        append(ios, self.store.write_checkpoint(now, checkpoint));
     }
 
     /// Handles a destruction notice: drops the process's volatile state
     /// and retires it in the store ([`StableStore::retire_process`]), so
     /// no restart lists it again. Kernels never reuse a local id, so a
     /// destroyed pid never comes back.
-    pub fn on_destroyed(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
+    pub fn on_destroyed(&mut self, now: SimTime, pid: ProcessId, ios: &mut Vec<StoreIo>) {
         self.drop_volatile(pid);
-        self.store.retire_process(now, pid.as_u64())
+        append(ios, self.store.retire_process(now, pid.as_u64()));
     }
 
     /// Drops every trace of `pid` — database entry, pending captures,
     /// stored records — without recording it destroyed: the source side
     /// of a shard handoff, whose process may come back to this recorder
     /// under the same keys ([`StableStore::purge_process`]).
-    pub fn forget(&mut self, now: SimTime, pid: ProcessId) -> Vec<StoreIo> {
+    pub fn forget(&mut self, now: SimTime, pid: ProcessId, ios: &mut Vec<StoreIo>) {
         self.drop_volatile(pid);
-        self.store.purge_process(now, pid.as_u64())
+        append(ios, self.store.purge_process(now, pid.as_u64()));
     }
 
     /// Drops `pid`'s database entry, pending captures and deposit.
@@ -876,20 +902,18 @@ impl Recorder {
 
     /// Installs an exported process on this recorder: replays the
     /// checkpoint and log records into the stable store and rebuilds the
-    /// database entry. The caller must schedule the returned IO
-    /// completions (and this shard's ownership filter must already accept
-    /// the process, or subsequent traffic for it will be dropped).
-    pub fn import_process(&mut self, now: SimTime, export: ProcessExport) -> Vec<StoreIo> {
-        let mut ios = Vec::new();
+    /// database entry. This shard's ownership filter must already accept
+    /// the process, or subsequent traffic for it will be dropped.
+    pub fn import_process(&mut self, now: SimTime, export: ProcessExport, ios: &mut Vec<StoreIo>) {
         if let Some(cp) = export.checkpoint.clone() {
-            ios.extend(self.store.write_checkpoint(now, cp));
+            append(ios, self.store.write_checkpoint(now, cp));
         }
         for (key, payload) in &export.records {
             // A restarted quorum replica keeps its battery-backed records
             // and then installs a leader snapshot covering the same
             // sequences; under log matching they are the same bytes.
             if !self.store.holds(*key) {
-                ios.extend(self.store.append_message(now, *key, payload.clone()));
+                append(ios, self.store.append_message(now, *key, payload.clone()));
             }
         }
         let mut entry = ProcessEntry::new(now, export.pid, export.program_name.clone());
@@ -912,7 +936,6 @@ impl Recorder {
                 state.insert(IdState::Captured(cap));
             }
         }
-        ios
     }
 
     /// Applies a §4.4.2 read-order notice.
@@ -929,16 +952,16 @@ impl Recorder {
     }
 
     /// Handles a checkpoint deposit from a node kernel.
-    pub fn on_deposit(&mut self, now: SimTime, d: &CheckpointDeposit) -> Vec<StoreIo> {
+    pub fn on_deposit(&mut self, now: SimTime, d: &CheckpointDeposit, ios: &mut Vec<StoreIo>) {
         if !self.owns(d.pid) {
-            return Vec::new();
+            return;
         }
         let Some(entry) = self.db.get_mut(&d.pid) else {
-            return Vec::new();
+            return;
         };
         if self.pending_deposits.contains_key(&d.pid) {
             // One checkpoint in flight at a time; drop extras.
-            return Vec::new();
+            return;
         }
         let CheckpointProjection {
             consumed,
@@ -969,36 +992,34 @@ impl Recorder {
                 pages,
             },
         );
-        self.store.write_checkpoint(
-            now,
-            Checkpoint {
-                pid: d.pid.as_u64(),
-                upto_seq: floor,
-                blob,
-            },
-        )
+        let checkpoint = Checkpoint {
+            pid: d.pid.as_u64(),
+            upto_seq: floor,
+            blob,
+        };
+        append(ios, self.store.write_checkpoint(now, checkpoint));
     }
 
-    /// Completes a disk IO; surfaces durable-checkpoint events so the
-    /// checkpoint policy can observe them.
-    pub fn on_disk(&mut self, now: SimTime, io: StoreIo) -> Vec<ProcessId> {
-        let events = self.store.on_disk_complete(now, io);
+    /// Completes a disk IO, appending the IO it starts in turn; returns
+    /// the processes whose checkpoint became durable, so the checkpoint
+    /// policy can observe them.
+    pub fn on_disk(&mut self, now: SimTime, io: StoreIo, ios: &mut Vec<StoreIo>) -> Vec<ProcessId> {
         let mut durable = Vec::new();
-        for ev in events {
+        for ev in self.store.on_disk_complete(now, io) {
             match ev {
                 StoreEvent::CheckpointDurable { pid, .. } => {
                     let pid = ProcessId::from_u64(pid);
-                    self.apply_durable_checkpoint(now, pid);
+                    self.apply_durable_checkpoint(now, pid, ios);
                     durable.push(pid);
                 }
-                StoreEvent::FollowUpIo(io) => self.drained_ios.push(io),
+                StoreEvent::FollowUpIo(io) => ios.push(io),
                 _ => {}
             }
         }
         durable
     }
 
-    fn apply_durable_checkpoint(&mut self, now: SimTime, pid: ProcessId) {
+    fn apply_durable_checkpoint(&mut self, now: SimTime, pid: ProcessId, ios: &mut Vec<StoreIo>) {
         let Some(dep) = self.pending_deposits.remove(&pid) else {
             return;
         };
@@ -1008,15 +1029,12 @@ impl Recorder {
         // Precisely invalidate consumed records above the conservative
         // floor (the store already invalidated everything below it).
         let consumed_ids: BTreeSet<MessageId> = dep.consumed.iter().map(|(_, id)| *id).collect();
-        for (seq, _) in &dep.consumed {
-            let erase = self.store.invalidate_record(
-                now,
-                RecordKey {
-                    pid: pid.as_u64(),
-                    seq: *seq,
-                },
-            );
-            self.drained_ios.extend(erase);
+        for &(seq, _) in &dep.consumed {
+            let key = RecordKey {
+                pid: pid.as_u64(),
+                seq,
+            };
+            append(ios, self.store.invalidate_record(now, key));
         }
         entry.arrivals.retain(|(_, id)| !consumed_ids.contains(id));
         entry.read_floor = dep.meta.read_floor;
@@ -1094,13 +1112,16 @@ impl Recorder {
     }
 
     /// Restarts after a crash (§3.3.4): bumps the restart number and
-    /// rebuilds the database from stable storage. Returns the process ids
-    /// whose state must be queried.
-    pub fn restart(&mut self, now: SimTime) -> Vec<ProcessId> {
+    /// rebuilds the database from stable storage, appending the IO that
+    /// starts. Returns the process ids whose state must be queried.
+    pub fn restart(&mut self, now: SimTime, ios: &mut Vec<StoreIo>) -> Vec<ProcessId> {
         self.restart_number += 1;
         self.crash();
-        let pids = self.store.rebuild_index();
-        for packed in pids {
+        // Sender watermarks from surviving records, applied once every
+        // entry exists (a lower bound, which is the safe direction:
+        // under-suppression is deduplicated by receivers).
+        let mut watermarks: Vec<(ProcessId, ProcessId, u64)> = Vec::new();
+        for packed in self.store.rebuild_index() {
             let pid = ProcessId::from_u64(packed);
             // Metadata from the latest durable checkpoint. A pid can
             // surface with log records but no checkpoint when the crash
@@ -1122,35 +1143,22 @@ impl Recorder {
             let deltas: BTreeSet<u64> = meta.consumed_deltas.iter().copied().collect();
             for rec in self.store.messages_from(packed, 0) {
                 if deltas.contains(&rec.key.seq) {
-                    let erase = self.store.invalidate_record(now, rec.key);
-                    self.drained_ios.extend(erase);
+                    append(ios, self.store.invalidate_record(now, rec.key));
                     continue;
                 }
                 if let Ok(msg) = Message::decode_all(&rec.payload) {
-                    entry.arrivals.push((rec.key.seq, msg.header.id));
+                    let id = msg.header.id;
+                    entry.arrivals.push((rec.key.seq, id));
                     entry.next_arrival_seq = entry.next_arrival_seq.max(rec.key.seq + 1);
-                    self.ids.insert(msg.header.id, IdState::Published);
+                    self.ids.insert(id, IdState::Published);
+                    if !id.sender.is_kernel() {
+                        watermarks.push((id.sender, pid, id.seq));
+                    }
                 }
             }
             self.db.insert(pid, entry);
         }
-        // Rebuild sender watermarks from surviving records (a lower bound,
-        // which is the safe direction: under-suppression is deduplicated
-        // by receivers).
-        let mut watermarks: Vec<(ProcessId, ProcessId, u64)> = Vec::new();
-        for (&pid, entry) in &self.db {
-            for rec in self.store.messages_from(pid.as_u64(), 0) {
-                if entry.arrivals.iter().any(|(s, _)| *s == rec.key.seq) {
-                    if let Ok(msg) = Message::decode_all(&rec.payload) {
-                        watermarks.push((msg.header.id.sender, pid, msg.header.id.seq));
-                    }
-                }
-            }
-        }
         for (sender, dst, seq) in watermarks {
-            if sender.is_kernel() {
-                continue;
-            }
             if let Some(se) = self.db.get_mut(&sender) {
                 let w = se.last_sent.entry(dst).or_insert(0);
                 *w = (*w).max(seq);
@@ -1180,7 +1188,6 @@ impl Recorder {
             }
         } else {
             let drained: Vec<Captured> = self.pending.drain().collect();
-            let mut pending_ios = Vec::new();
             for Captured { msg, encoded } in drained {
                 let id = msg.header.id;
                 if self.ids.get(&id) == Some(&IdState::Published) {
@@ -1190,41 +1197,35 @@ impl Recorder {
                 // dropped with a destination nobody knows.
                 if self.db.contains_key(&msg.header.to) {
                     self.ids.insert(id, IdState::Published);
-                    pending_ios.extend(self.sequence_message_at(now, None, &msg, encoded));
+                    self.sequence_message_at(now, None, &msg, encoded, ios);
                 } else {
                     self.ids.remove(&id);
                 }
             }
-            self.drained_ios = pending_ios;
         }
         self.db.keys().copied().collect()
-    }
-
-    /// IO started by the restart's pending-buffer drain; the caller must
-    /// schedule these completions.
-    pub fn take_drained_ios(&mut self) -> Vec<StoreIo> {
-        std::mem::take(&mut self.drained_ios)
     }
 
     /// Background maintenance: compacts one partially-invalid page (§4.5:
     /// "before allocating a buffer to a disk page, the disk page is read
     /// in … and the buffer is compacted"). The recorder node calls this
     /// from its policy tick.
-    pub fn maintain(&mut self, now: SimTime) -> Vec<StoreIo> {
-        self.store.compact_one(now)
+    pub fn maintain(&mut self, now: SimTime, ios: &mut Vec<StoreIo>) {
+        append(ios, self.store.compact_one(now));
     }
 
-    /// Returns `true` once every known process has checkpointed after
-    /// `since` — the §6.3 catch-up criterion for a rejoining recorder
-    /// ("eventually, all the processes will naturally checkpoint …
-    /// the recorder will then be up to date").
+    /// Whether every entry's latest checkpoint is at or after `since`.
+    /// [`Recorder::restart`] rebuilds each entry as checkpointed at the
+    /// restart instant, so after a restart at `since` this holds at once,
+    /// and a tier that polls it readmits the recorder one event later.
+    /// §6.3's catch-up (every process checkpointed again) is stricter.
     pub fn caught_up(&self, since: SimTime) -> bool {
         self.db.values().all(|e| e.estimator.checkpoint_at >= since)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use publishing_demos::ids::Channel;
@@ -1257,11 +1258,18 @@ mod tests {
         Recorder::new(NodeId(9), DiskParams::default(), 1, PublishCost::MediaLayer)
     }
 
-    fn drain(r: &mut Recorder, ios: Vec<StoreIo>) {
-        let mut q = ios;
-        while let Some(io) = q.pop() {
-            r.on_disk(io.at, io);
+    /// Runs `call`, then completes every IO it started, and every IO
+    /// those completions start, until none is left.
+    pub(crate) fn drain<A>(
+        r: &mut Recorder,
+        call: impl FnOnce(&mut Recorder, &mut Vec<StoreIo>) -> A,
+    ) -> A {
+        let mut ios = Vec::new();
+        let answer = call(r, &mut ios);
+        while let Some(io) = ios.pop() {
+            r.on_disk(io.at, io, &mut ios);
         }
+        answer
     }
 
     /// `on_deposit`'s projection as it stood before [`ReadOrder`]: the
@@ -1374,18 +1382,17 @@ mod tests {
     fn sequencing_follows_acks() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         let m1 = msg(pid(1, 1), pid(2, 1), 1, b"a");
         let m2 = msg(pid(1, 1), pid(2, 1), 2, b"b");
         capture(&mut r, t, &m1);
         capture(&mut r, t, &m2);
         // Acks arrive in reverse (m2's first copy reached the node; m1 was
         // retransmitted later).
-        let ios = r.on_ack(t, m2.header.id, pid(2, 1));
-        drain(&mut r, ios);
-        let ios = r.on_ack(t, m1.header.id, pid(2, 1));
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| r.on_ack(t, m2.header.id, pid(2, 1), ios));
+        drain(&mut r, |r, ios| r.on_ack(t, m1.header.id, pid(2, 1), ios));
         let stream = r.replay_stream(pid(2, 1));
         let bodies: Vec<&[u8]> = stream.iter().map(|(_, m)| &m.body[..]).collect();
         assert_eq!(bodies, vec![b"b".as_slice(), b"a".as_slice()]);
@@ -1395,15 +1402,14 @@ mod tests {
     fn duplicate_data_and_acks_ignored() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
         capture(&mut r, t, &m);
         capture(&mut r, t, &m);
-        let ios = r.on_ack(t, m.header.id, pid(2, 1));
-        drain(&mut r, ios);
-        let ios = r.on_ack(t, m.header.id, pid(2, 1));
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
+        drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         assert_eq!(r.stats().published.get(), 1);
         assert_eq!(r.stats().duplicates.get(), 2);
         assert_eq!(r.replay_stream(pid(2, 1)).len(), 1);
@@ -1415,8 +1421,9 @@ mod tests {
         let t = SimTime::ZERO;
         let m = msg(pid(1, 1), ProcessId::kernel_of(NodeId(2)), 1, b"ctl");
         capture(&mut r, t, &m);
-        let ios = r.on_ack(t, m.header.id, ProcessId::kernel_of(NodeId(2)));
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_ack(t, m.header.id, ProcessId::kernel_of(NodeId(2)), ios)
+        });
         assert_eq!(r.stats().captured.get(), 0);
         assert_eq!(r.stats().published.get(), 0);
     }
@@ -1425,15 +1432,15 @@ mod tests {
     fn pins_reorder_replay() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "reader", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "reader", vec![], true, ios)
+        });
         let msgs: Vec<Message> = (1..=3)
             .map(|i| msg(pid(1, 1), pid(2, 1), i, &[i as u8]))
             .collect();
         for m in &msgs {
             capture(&mut r, t, m);
-            let ios = r.on_ack(t, m.header.id, pid(2, 1));
-            drain(&mut r, ios);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         }
         // The process read message 3 first (urgent channel).
         r.on_read_order(
@@ -1454,13 +1461,13 @@ mod tests {
     fn checkpoint_sets_replay_floor_and_gcs() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         for i in 1..=4u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8]);
             capture(&mut r, t, &m);
-            let ios = r.on_ack(t, m.header.id, pid(2, 1));
-            drain(&mut r, ios);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         }
         // Kernel checkpoints after reading 2 messages.
         let dep = CheckpointDeposit {
@@ -1468,8 +1475,9 @@ mod tests {
             read_count: 2,
             image: vec![0xAB; 100],
         };
-        let ios = r.on_deposit(SimTime::from_millis(1), &dep);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_deposit(SimTime::from_millis(1), &dep, ios)
+        });
         assert_eq!(r.stats().checkpoints.get(), 2); // initial + this one
         let stream = r.replay_stream(pid(2, 1));
         let seqs: Vec<u64> = stream.iter().map(|(_, m)| m.header.id.seq).collect();
@@ -1482,15 +1490,15 @@ mod tests {
     fn out_of_order_consumption_checkpoints_precisely() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "reader", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "reader", vec![], true, ios)
+        });
         let msgs: Vec<Message> = (1..=3)
             .map(|i| msg(pid(1, 1), pid(2, 1), i, &[i as u8]))
             .collect();
         for m in &msgs {
             capture(&mut r, t, m);
-            let ios = r.on_ack(t, m.header.id, pid(2, 1));
-            drain(&mut r, ios);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         }
         // Read order was 3 (pinned), then checkpoint at read_count 1:
         // message 3 is consumed although it arrived last.
@@ -1508,8 +1516,9 @@ mod tests {
             read_count: 1,
             image: vec![1],
         };
-        let ios = r.on_deposit(SimTime::from_millis(1), &dep);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_deposit(SimTime::from_millis(1), &dep, ios)
+        });
         let stream = r.replay_stream(pid(2, 1));
         let seqs: Vec<u64> = stream.iter().map(|(_, m)| m.header.id.seq).collect();
         assert_eq!(
@@ -1523,17 +1532,19 @@ mod tests {
     fn suppress_vector_tracks_ack_watermarks() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(1, 1), "chatter", vec![], true);
-        drain(&mut r, ios);
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
-        let ios = r.on_created(t, pid(3, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(1, 1), "chatter", vec![], true, ios)
+        });
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(3, 1), "echo", vec![], true, ios)
+        });
         for (seq, dst) in [(1u64, pid(2, 1)), (2, pid(3, 1)), (3, pid(2, 1))] {
             let m = msg(pid(1, 1), dst, seq, b"z");
             capture(&mut r, t, &m);
-            let ios = r.on_ack(t, m.header.id, dst);
-            drain(&mut r, ios);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, dst, ios));
         }
         let mut v = r.suppress_vector(pid(1, 1));
         v.sort();
@@ -1544,25 +1555,26 @@ mod tests {
     fn restart_rebuilds_database_from_store() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         for i in 1..=5u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8; 32]);
             capture(&mut r, t, &m);
-            let ios = r.on_ack(t, m.header.id, pid(2, 1));
-            drain(&mut r, ios);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         }
         let dep = CheckpointDeposit {
             pid: pid(2, 1),
             read_count: 2,
             image: vec![7; 64],
         };
-        let ios = r.on_deposit(SimTime::from_millis(1), &dep);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_deposit(SimTime::from_millis(1), &dep, ios)
+        });
         let before = r.replay_stream(pid(2, 1));
         let rn0 = r.restart_number();
 
-        let pids = r.restart(SimTime::from_millis(10));
+        let pids = drain(&mut r, |r, ios| r.restart(SimTime::from_millis(10), ios));
         assert!(pids.contains(&pid(2, 1)));
         assert_eq!(r.restart_number(), rn0 + 1);
         let after = r.replay_stream(pid(2, 1));
@@ -1586,34 +1598,88 @@ mod tests {
         // recorder crash, per §3.3.4.
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         let m = msg(pid(1, 1), pid(2, 1), 1, b"unflushed");
         capture(&mut r, t, &m);
-        let ios = r.on_ack(t, m.header.id, pid(2, 1));
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         // No flush happened (single small message); restart must keep it.
-        r.restart(SimTime::from_millis(5));
+        drain(&mut r, |r, ios| r.restart(SimTime::from_millis(5), ios));
         let stream = r.replay_stream(pid(2, 1));
         assert_eq!(stream.len(), 1);
         assert_eq!(stream[0].1.body, b"unflushed");
+    }
+
+    /// A restart hands out every IO it starts. Its rebuild finds a page
+    /// whose one record a durable checkpoint consumed out of order (the
+    /// crash lost the erase that checkpoint started) and erases it again:
+    /// once that erase completes, the store owes nothing.
+    #[test]
+    fn restart_hands_out_the_erase_of_a_consumed_delta_page() {
+        let mut r = recorder();
+        let t = SimTime::ZERO;
+        let reader = pid(2, 1);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, reader, "reader", vec![], true, ios)
+        });
+        let msgs: Vec<Message> = (1..=5)
+            .map(|i| msg(pid(1, 1), reader, i, &[i as u8; 1900]))
+            .collect();
+        for m in &msgs {
+            capture(&mut r, t, m);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, reader, ios));
+        }
+        // Page 1 holds arrivals 0 and 1, page 2 arrival 2 alone; 3 and 4
+        // are still in the open buffer.
+        assert_eq!(r.store().stats().pages_written.get(), 2);
+        // Messages 3 and 4 were read second and third.
+        for (read_index, m) in [(1, &msgs[2]), (2, &msgs[3])] {
+            let notice = ReadOrderNotice {
+                pid: reader,
+                read_index,
+                read_id: m.header.id,
+                head_id: msgs[0].header.id,
+            };
+            r.on_read_order(t, &notice);
+        }
+        // Floor 1, deltas {2, 3}: page 2 dies whole.
+        let dep = CheckpointDeposit {
+            pid: reader,
+            read_count: 3,
+            image: vec![7; 64],
+        };
+        let mut ios = Vec::new();
+        r.on_deposit(SimTime::from_millis(1), &dep, &mut ios);
+        // The write completes; the crash comes before what it started.
+        let mut lost = Vec::new();
+        for io in ios {
+            r.on_disk(io.at, io, &mut lost);
+        }
+        assert_eq!(r.stats().checkpoints.get(), 2);
+        assert!(!lost.is_empty());
+        let started = drain(&mut r, |r, ios| {
+            r.restart(SimTime::from_millis(50), ios);
+            ios.len()
+        });
+        assert_eq!(started, 1, "the erase of the rebuilt page 2");
+        assert!(!r.store().io_outstanding());
     }
 
     #[test]
     fn destroyed_process_forgotten() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
         capture(&mut r, t, &m);
-        let ios = r.on_ack(t, m.header.id, pid(2, 1));
-        drain(&mut r, ios);
-        let erase = r.on_destroyed(t, pid(2, 1));
-        drain(&mut r, erase);
+        drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
+        drain(&mut r, |r, ios| r.on_destroyed(t, pid(2, 1), ios));
         assert!(r.entry(pid(2, 1)).is_none());
         assert!(r.replay_stream(pid(2, 1)).is_empty());
-        let pids = r.restart(SimTime::from_millis(1));
+        let pids = drain(&mut r, |r, ios| r.restart(SimTime::from_millis(1), ios));
         assert!(!pids.contains(&pid(2, 1)), "retired on disk too");
         assert!(
             r.destroyed(pid(2, 1)),
@@ -1627,14 +1693,15 @@ mod tests {
     fn destroyed_process_stays_gone_across_a_crash() {
         let mut r = recorder();
         let t = SimTime::ZERO;
-        let ios = r.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         let m = msg(pid(1, 1), pid(2, 1), 1, b"x");
         capture(&mut r, t, &m);
-        let ios = r.on_ack(t, m.header.id, pid(2, 1));
-        drain(&mut r, ios);
-        let _dropped = r.on_destroyed(t, pid(2, 1));
-        let pids = r.restart(SimTime::from_millis(1));
+        drain(&mut r, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
+        // The erases it starts are lost with the crash.
+        r.on_destroyed(t, pid(2, 1), &mut Vec::new());
+        let pids = drain(&mut r, |r, ios| r.restart(SimTime::from_millis(1), ios));
         assert!(
             !pids.contains(&pid(2, 1)),
             "destroyed pid re-listed at restart: {pids:?}"
@@ -1649,17 +1716,18 @@ mod tests {
         let t = SimTime::ZERO;
         // Own only processes with odd local ids.
         r.set_ownership_filter(Some(std::sync::Arc::new(|p: ProcessId| p.local % 2 == 1)));
-        let ios = r.on_created(t, pid(2, 1), "mine", vec![], true);
-        drain(&mut r, ios);
-        let ios = r.on_created(t, pid(2, 2), "theirs", vec![], true);
-        drain(&mut r, ios);
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 1), "mine", vec![], true, ios)
+        });
+        drain(&mut r, |r, ios| {
+            r.on_created(t, pid(2, 2), "theirs", vec![], true, ios)
+        });
         assert!(r.entry(pid(2, 1)).is_some());
         assert!(r.entry(pid(2, 2)).is_none(), "unowned create ignored");
         for (dst, seq) in [(pid(2, 1), 1u64), (pid(2, 2), 2)] {
             let m = msg(pid(1, 1), dst, seq, b"x");
             capture(&mut r, t, &m);
-            let ios = r.on_ack(t, m.header.id, dst);
-            drain(&mut r, ios);
+            drain(&mut r, |r, ios| r.on_ack(t, m.header.id, dst, ios));
         }
         assert_eq!(r.stats().captured.get(), 1, "unowned data not captured");
         assert_eq!(r.replay_stream(pid(2, 1)).len(), 1);
@@ -1675,21 +1743,22 @@ mod tests {
     fn export_import_preserves_replay_stream() {
         let mut src = recorder();
         let t = SimTime::ZERO;
-        let ios = src.on_created(t, pid(2, 1), "echo", vec![], true);
-        drain(&mut src, ios);
+        drain(&mut src, |r, ios| {
+            r.on_created(t, pid(2, 1), "echo", vec![], true, ios)
+        });
         for i in 1..=4u64 {
             let m = msg(pid(1, 1), pid(2, 1), i, &[i as u8]);
             capture(&mut src, t, &m);
-            let ios = src.on_ack(t, m.header.id, pid(2, 1));
-            drain(&mut src, ios);
+            drain(&mut src, |r, ios| r.on_ack(t, m.header.id, pid(2, 1), ios));
         }
         let dep = CheckpointDeposit {
             pid: pid(2, 1),
             read_count: 2,
             image: vec![0xCD; 32],
         };
-        let ios = src.on_deposit(SimTime::from_millis(1), &dep);
-        drain(&mut src, ios);
+        drain(&mut src, |r, ios| {
+            r.on_deposit(SimTime::from_millis(1), &dep, ios)
+        });
         let before: Vec<(u64, MessageId)> = src
             .replay_stream(pid(2, 1))
             .iter()
@@ -1698,8 +1767,9 @@ mod tests {
 
         let export = src.export_process(pid(2, 1)).expect("known process");
         let mut dst = Recorder::new(NodeId(8), DiskParams::default(), 1, PublishCost::MediaLayer);
-        let ios = dst.import_process(SimTime::from_millis(2), export);
-        drain(&mut dst, ios);
+        drain(&mut dst, |r, ios| {
+            r.import_process(SimTime::from_millis(2), export, ios)
+        });
         let after: Vec<(u64, MessageId)> = dst
             .replay_stream(pid(2, 1))
             .iter()
@@ -1709,7 +1779,7 @@ mod tests {
         assert_eq!(dst.checkpoint_image(pid(2, 1)), Some(&[0xCD; 32][..]));
         // The destination survives its own restart: the imported state is
         // durable, not just an in-memory copy.
-        dst.restart(SimTime::from_millis(3));
+        drain(&mut dst, |r, ios| r.restart(SimTime::from_millis(3), ios));
         let rebuilt: Vec<(u64, MessageId)> = dst
             .replay_stream(pid(2, 1))
             .iter()
@@ -1717,8 +1787,9 @@ mod tests {
             .collect();
         assert_eq!(before, rebuilt);
         // And the source can release the process after handoff.
-        let erase = src.forget(SimTime::from_millis(3), pid(2, 1));
-        drain(&mut src, erase);
+        drain(&mut src, |r, ios| {
+            r.forget(SimTime::from_millis(3), pid(2, 1), ios)
+        });
         assert!(src.replay_stream(pid(2, 1)).is_empty());
         assert!(!src.destroyed(pid(2, 1)), "handed off, not destroyed");
     }

@@ -157,6 +157,9 @@ struct Script {
     f: Fold,
     x: u64,
     now: SimTime,
+    /// What the recorder's last call started: every entry point appends
+    /// its IO here, in the order it started it.
+    ios: Vec<StoreIo>,
     outstanding: VecDeque<StoreIo>,
     /// Captured, not yet acknowledged, in capture order.
     unacked: Vec<Message>,
@@ -180,18 +183,18 @@ impl Script {
         (self.x >> 33) % n
     }
 
-    fn started(&mut self, ios: Vec<StoreIo>) {
-        self.f.ios(&ios);
-        self.outstanding.extend(ios);
+    /// Folds the IO the last call started and queues it for completion.
+    fn started(&mut self) {
+        self.f.ios(&self.ios);
+        self.outstanding.extend(self.ios.drain(..));
     }
 
     fn complete(&mut self, io: StoreIo) {
         self.now = self.now.max(io.at);
-        for pid in self.r.on_disk(self.now, io) {
+        for pid in self.r.on_disk(self.now, io, &mut self.ios) {
             self.f.u64(pid.as_u64());
         }
-        let follow = self.r.take_drained_ios();
-        self.started(follow);
+        self.started();
     }
 
     fn message(&mut self) -> Message {
@@ -226,7 +229,7 @@ impl Script {
     /// mode a commit at the next sequence of the replicated log.
     fn publish(&mut self, msg: Message, external: bool) {
         let to = msg.header.to;
-        let ios = if external {
+        if external {
             let p = self
                 .pids
                 .iter()
@@ -235,11 +238,12 @@ impl Script {
             let seq = self.next_commit[p].max(self.r.next_arrival_seq(to));
             self.next_commit[p] = seq + 1;
             self.committed.push((seq, msg.clone()));
-            self.r.apply_sequenced_at(self.now, seq, &msg)
+            self.r
+                .apply_sequenced_at(self.now, seq, &msg, &mut self.ios);
         } else {
-            self.r.on_ack(self.now, msg.header.id, to)
-        };
-        self.started(ios);
+            self.r.on_ack(self.now, msg.header.id, to, &mut self.ios);
+        }
+        self.started();
     }
 
     fn step(&mut self, step: u64, external: bool) {
@@ -252,8 +256,10 @@ impl Script {
                 let pid = self.pids[self.draw(4) as usize];
                 let links = vec![Link::to(self.pids[0], Channel(0), 5); self.draw(3) as usize];
                 let recoverable = self.draw(9) != 0;
-                let ios = self.r.on_created(self.now, pid, "prog", links, recoverable);
-                self.started(ios);
+                let ios = &mut self.ios;
+                self.r
+                    .on_created(self.now, pid, "prog", links, recoverable, ios);
+                self.started();
             }
             3..=13 => {
                 let msg = self.message();
@@ -273,16 +279,18 @@ impl Script {
                     let msg = self.unacked.remove(at);
                     self.publish(msg.clone(), external);
                     if self.draw(6) == 0 {
-                        let ios = self.r.on_ack(self.now, msg.header.id, msg.header.to);
-                        self.started(ios);
+                        let ios = &mut self.ios;
+                        self.r.on_ack(self.now, msg.header.id, msg.header.to, ios);
+                        self.started();
                     }
                 }
             }
             22 => {
                 // An ack for a message nobody captured.
                 let msg = self.message();
-                let ios = self.r.on_ack(self.now, msg.header.id, msg.header.to);
-                self.started(ios);
+                let ios = &mut self.ios;
+                self.r.on_ack(self.now, msg.header.id, msg.header.to, ios);
+                self.started();
             }
             23 | 24 => {
                 // Every draw is made whatever the recorder answers, so
@@ -316,8 +324,8 @@ impl Script {
                     read_count: self.reads[p],
                     image: vec![step as u8; 30 + self.draw(5000) as usize],
                 };
-                let ios = self.r.on_deposit(self.now, &deposit);
-                self.started(ios);
+                self.r.on_deposit(self.now, &deposit, &mut self.ios);
+                self.started();
             }
             28..=32 => {
                 if let Some(io) = self.outstanding.pop_front() {
@@ -337,8 +345,8 @@ impl Script {
             35 => {
                 let p = self.draw(4) as usize;
                 let gone = self.pids[p];
-                let ios = self.r.on_destroyed(self.now, gone);
-                self.started(ios);
+                self.r.on_destroyed(self.now, gone, &mut self.ios);
+                self.started();
                 self.unacked.retain(|m| m.header.to != gone);
                 self.pids[p] = ProcessId::new(gone.node.0, self.next_local);
                 self.next_local += 1;
@@ -348,17 +356,17 @@ impl Script {
                 // The recorder crashes: its timers, and with them every
                 // undelivered completion, die with it.
                 self.outstanding.clear();
-                for pid in self.r.restart(self.now) {
+                for pid in self.r.restart(self.now, &mut self.ios) {
                     self.f.u64(pid.as_u64());
                 }
-                let drained = self.r.take_drained_ios();
-                self.started(drained);
+                self.started();
                 if external {
                     // The log replays its committed prefix over the
                     // rebuilt recorder — sequences below its floor too.
                     for (seq, msg) in self.committed.clone() {
-                        let ios = self.r.apply_sequenced_at(self.now, seq, &msg);
-                        self.started(ios);
+                        self.r
+                            .apply_sequenced_at(self.now, seq, &msg, &mut self.ios);
+                        self.started();
                     }
                 } else {
                     // Local mode drained the capture buffer itself.
@@ -373,15 +381,15 @@ impl Script {
                     for m in &export.pending {
                         self.f.id(m.header.id);
                     }
-                    let ios = self.r.forget(self.now, pid);
-                    self.started(ios);
-                    let ios = self.r.import_process(self.now, export);
-                    self.started(ios);
+                    self.r.forget(self.now, pid, &mut self.ios);
+                    self.started();
+                    self.r.import_process(self.now, export, &mut self.ios);
+                    self.started();
                 }
             }
             38 => {
-                let ios = self.r.maintain(self.now);
-                self.started(ios);
+                self.r.maintain(self.now, &mut self.ios);
+                self.started();
             }
             _ => {
                 if let Some(m) = self.unacked.first() {
@@ -418,6 +426,7 @@ fn recorder_trace(external: bool) -> Vec<String> {
         f: Fold(0xcbf2_9ce4_8422_2325),
         x: 0x2545_f491_4f6c_dd1d,
         now: SimTime::ZERO,
+        ios: Vec::new(),
         outstanding: VecDeque::new(),
         unacked: Vec::new(),
         next_msg_seq: [0; 5],
@@ -433,6 +442,8 @@ fn recorder_trace(external: bool) -> Vec<String> {
     while let Some(io) = s.outstanding.pop_front() {
         s.complete(io);
     }
+    // Every IO the recorder started was handed out: the store owes none.
+    assert!(!s.r.store().io_outstanding());
     s.f.counters(&s.r);
     s.f.database(&s.r);
     s.digest("896-end");

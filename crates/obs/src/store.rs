@@ -2,8 +2,8 @@
 //!
 //! The row-oriented ring kept every retained [`SpanEvent`] as a full
 //! 56-byte struct; at the default 65 536-event capacity that is ~3.7 MB
-//! *per component*, and ROADMAP item 3 notes span volume already
-//! dominates large runs. This module stores the same events as
+//! *per component*, and span volume already dominates the memory of
+//! large runs. This module stores the same events as
 //! struct-of-arrays columns with three compressions that exploit the
 //! shape of real lifecycle streams:
 //!
