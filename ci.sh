@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> examples (each asserts its own story; multi_recorder's asserts are the end-to-end check of §6.3 failover and rejoin; live is threaded and nondeterministic, so it is left out)"
+for example in quickstart office keysearch multi_recorder time_travel_debugger transactions; do
+  cargo run --release -q --example "$example" >/dev/null
+done
+
 echo "==> cargo test -q (tier-1: root package)"
 cargo test -q
 

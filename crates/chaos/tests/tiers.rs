@@ -1,5 +1,6 @@
 //! The same engine under every recorder tier: generic contracts run
-//! against all four tiers (run loops, one scheduler entry per
+//! against all three tiers, the sharded one also as §6.3's replicated
+//! recorders (run loops, one scheduler entry per
 //! transmission, `settled()`), the chaos targets' process census on the
 //! three chaos tiers, and the paper's transparency claim stated
 //! *across* implementations — a client cannot tell which tier recorded
@@ -10,9 +11,7 @@ use publishing_chaos::scenario::{
     ChaosWorld, PingEcho, PlanSpawn, Scenario, Topology, WorkloadSource,
 };
 use publishing_chaos::schedule::{Fault, FaultSchedule};
-use publishing_core::{
-    PriorityTier, RNAction, RecorderConfig, RecorderNode, RecorderTier, World, WorldBuilder,
-};
+use publishing_core::{RNAction, RecorderConfig, RecorderNode, RecorderTier, World, WorldBuilder};
 use publishing_demos::ids::{Channel, NodeId, ProcessId};
 use publishing_demos::link::Link;
 use publishing_demos::program::{Ctx, Program, Received};
@@ -93,7 +92,7 @@ fn ping_completes_under_the_single_recorder() {
 
 #[test]
 fn ping_completes_under_priority_vector_recorders() {
-    ping_completes(|| PriorityTier::world(builder(), 2));
+    ping_completes(|| ShardTier::world(builder(), 2));
 }
 
 #[test]
@@ -137,37 +136,38 @@ fn one_recovery_per_crash<T: RecorderTier>(mut w: World<T>) {
 #[test]
 fn one_recovery_per_crash_on_every_tier() {
     one_recovery_per_crash(builder().build());
-    one_recovery_per_crash(PriorityTier::world(builder(), 2));
+    one_recovery_per_crash(ShardTier::world(builder(), 2));
     one_recovery_per_crash(ShardTier::world(builder(), 3));
     one_recovery_per_crash(QuorumTier::world(builder(), 3, 0));
 }
 
 /// A restarted priority recorder is not the authority until it is
 /// readmitted, the same rule as the medium's required set: its log lacks
-/// what it missed while down. Recorder 0 heads node 0's vector. It
-/// crashes and restarts, and the echo server on node 0 crashes at the
-/// restart instant. Until readmission recorder 1 answers for the server
-/// and for node 0's restart. The crash costs one recovery, and the
-/// client finishes. (Readmission comes at the next event: a rebuilt
-/// entry counts as checkpointed at the restart, so `caught_up` holds at
-/// once. A readmission that waited for every process to checkpoint again
-/// would come later.)
-#[test]
-fn a_rejoining_priority_recorder_is_not_the_authority() {
-    let mut w = PriorityTier::world(builder(), 2);
+/// what it missed while down. The member ranked first for `pid` (the
+/// echo server on node 0, or node 0's kernel, whose restart it would
+/// run) crashes and restarts, and the server crashes at the restart
+/// instant. Until readmission the other recorder answers for `pid`. The
+/// crash costs one recovery, and the client finishes. (Readmission comes
+/// at the next event: a rebuilt entry counts as checkpointed at the
+/// restart, so `caught_up` holds at once. A readmission that waited for
+/// every process to checkpoint again would come later.)
+fn a_rejoining_top_recorder_is_not_the_authority(pid_of: fn(ProcessId) -> ProcessId) {
+    let mut w = ShardTier::world(builder(), 2);
     let server = w.spawn(0, "echo", vec![]).unwrap();
     let client = w
         .spawn(1, "ping10", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
+    let pid = pid_of(server);
+    let top = w.tier.map().ranked(pid)[0].0 as usize;
+    let other = 1 - top;
     w.run_until(SimTime::from_millis(30));
-    w.crash_member(0);
+    w.crash_member(top);
     w.run_until(SimTime::from_millis(40));
-    w.restart_member(0);
-    assert_eq!(w.tier.authority(server), Some(1));
-    assert_eq!(w.tier.authority(ProcessId::kernel_of(NodeId(0))), Some(1));
+    w.restart_member(top);
+    assert_eq!(w.tier.authority(pid), Some(other));
     w.crash_process(server, "injected");
     w.run_until(SimTime::from_secs(10));
-    assert_eq!(w.tier.authority(server), Some(0), "readmitted");
+    assert_eq!(w.tier.authority(pid), Some(top), "readmitted");
     let runs: Vec<u64> = w
         .member_nodes()
         .map(|rn| rn.manager().stats().process_recoveries.get())
@@ -182,6 +182,16 @@ fn a_rejoining_priority_recorder_is_not_the_authority() {
         w.outputs_of(client).last().map(String::as_str),
         Some("done")
     );
+}
+
+#[test]
+fn a_rejoining_priority_recorder_is_not_the_authority() {
+    a_rejoining_top_recorder_is_not_the_authority(|server| server);
+}
+
+#[test]
+fn a_rejoining_priority_recorder_does_not_restart_the_node() {
+    a_rejoining_top_recorder_is_not_the_authority(|server| ProcessId::kernel_of(server.node));
 }
 
 /// One call the world made of its medium, with the instant.
@@ -292,7 +302,7 @@ impl Lan for Tap {
 
 /// A busy exchange on `bus` with every kind of fault a tier reacts to:
 /// a process crash, then tier member 0 down for 30 ms and back (its
-/// readmission is `after_event` work on the priority and sharded tiers).
+/// readmission is `after_event` work on the sharded tier).
 fn faulted_exchange<T: RecorderTier>(
     make: &impl Fn(WorldBuilder) -> World<T>,
     bus: Box<dyn Lan>,
@@ -395,7 +405,7 @@ fn one_entry_per_transmission_under_the_single_recorder() {
 
 #[test]
 fn one_entry_per_transmission_under_priority_vector_recorders() {
-    one_entry_per_transmission(|b| PriorityTier::world(b, 2));
+    one_entry_per_transmission(|b| ShardTier::world(b, 2));
 }
 
 #[test]
@@ -472,6 +482,11 @@ impl RecorderTier for Probe {
 
     fn required(&self) -> Vec<StationId> {
         Vec::new()
+    }
+
+    /// Every member records everything: the first live one.
+    fn authority(&self, _pid: ProcessId) -> Option<usize> {
+        self.members.iter().position(|m| m.is_up())
     }
 
     fn metric_prefix(&self, idx: usize) -> String {
@@ -748,7 +763,7 @@ fn settled_under_the_single_recorder() {
 
 #[test]
 fn settled_under_priority_vector_recorders() {
-    settled_contract(|b| PriorityTier::world(b, 2));
+    settled_contract(|b| ShardTier::world(b, 2));
 }
 
 #[test]

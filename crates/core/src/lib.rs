@@ -16,8 +16,6 @@
 //! - [`recovery_time`]: the §3.2.3 t_max bound (Figure 3.1);
 //! - [`world`]: a complete simulated system (nodes + recorder tier +
 //!   LAN) — the one world engine, generic over [`RecorderTier`];
-//! - [`multi`]: the §6.3 tier, multiple recorders with priority-vector
-//!   failover;
 //! - [`live`]: the same state machines on real threads and wall-clock
 //!   time (crossbeam channels as the medium);
 //! - [`debugger`]: §6.5 time-travel debugging over published history;
@@ -36,7 +34,6 @@ pub mod checkpoint;
 pub mod debugger;
 pub mod live;
 pub mod manager;
-pub mod multi;
 pub mod node;
 pub mod node_recovery;
 pub mod obs;
@@ -49,7 +46,6 @@ pub use checkpoint::{young_interval, young_overhead, CheckpointPolicy};
 pub use debugger::ReplayDebugger;
 pub use live::{LiveBuilder, LiveSystem};
 pub use manager::{MgrCmd, RecoveryManager};
-pub use multi::{MultiWorld, PriorityTier, PriorityVectors};
 pub use node::{RNAction, RecorderConfig, RecorderNode};
 pub use recorder::{ProcessEntry, PublishCost, Recorder, RecorderStats};
 pub use recovery_time::{LoadParams, RecoveryEstimator};

@@ -8,9 +8,10 @@
 //! [`World`] is that sameness — scheduler, medium, kernels, outputs,
 //! node incarnations, crash/recovery instants, dispatch, run loops and
 //! the observability report — and [`RecorderTier`] is the difference.
-//! Four tiers implement it: a lone [`RecorderNode`] (the default),
-//! [`crate::multi::PriorityTier`], and the sharded and quorum tiers in
-//! their own crates.
+//! Three tiers implement it: a lone [`RecorderNode`] (the default), and
+//! the sharded and quorum tiers in their own crates. §6.3's recorders,
+//! which all record every message, are the sharded tier with two
+//! shards: every member is in every capture set.
 //!
 //! Kernels, tier members and the medium answer an event by appending
 //! actions to a buffer; the world owns one buffer per action type, lends
@@ -129,12 +130,8 @@ pub trait RecorderTier: Sized {
     /// whether it is alive, recovering or destroyed — or `None` if no
     /// member can answer. The one answer to who drives `pid`'s recovery,
     /// and to who restarts a crashed node: the authority for its kernel
-    /// endpoint (§6.3's arbitration). By default the first live member:
-    /// on a tier where every member records everything, any live one
-    /// knows what the others do.
-    fn authority(&self, _pid: ProcessId) -> Option<usize> {
-        (0..self.members()).find(|&i| self.node(i).is_up())
-    }
+    /// endpoint (§6.3's arbitration).
+    fn authority(&self, pid: ProcessId) -> Option<usize>;
 
     /// The processes a crash of member `idx` may hand off (each it was
     /// the authority for): by default, those its recorder knows.
@@ -186,6 +183,11 @@ impl RecorderTier for RecorderNode {
 
     fn required(&self) -> Vec<StationId> {
         vec![self.station()]
+    }
+
+    /// The recorder, while it is up.
+    fn authority(&self, _pid: ProcessId) -> Option<usize> {
+        self.is_up().then_some(0)
     }
 
     fn metric_prefix(&self, _idx: usize) -> String {

@@ -1,11 +1,11 @@
 //! Integration tests for the Chapter 6 extensions: transactions over
-//! publishing, multiple recorders, and publishing over the contention
-//! media (Acknowledging Ethernet, token ring).
+//! publishing and publishing over the contention media (Acknowledging
+//! Ethernet, token ring). §6.3's multiple recorders are the sharded
+//! tier's, tested in `publishing-shard`'s `tests/replicated.rs`.
 
-use publishing_core::multi::PriorityTier;
 use publishing_core::transactions::{tx_codes, TxCoordinator, TxOp, TxParticipant, TxRequest};
 use publishing_core::world::WorldBuilder;
-use publishing_demos::ids::{Channel, LinkId, NodeId, ProcessId};
+use publishing_demos::ids::{Channel, LinkId, ProcessId};
 use publishing_demos::kernel::{decode_ctl, encode_ctl};
 use publishing_demos::link::Link;
 use publishing_demos::program::{Ctx, Program, Received};
@@ -208,66 +208,6 @@ fn multi_registry() -> ProgramRegistry {
         Box::new(p)
     });
     reg
-}
-
-#[test]
-fn surviving_recorder_covers_for_dead_one() {
-    let mut w = PriorityTier::world(WorldBuilder::new(2).registry(multi_registry()), 2);
-    let server = w.spawn(1, "echo", vec![]).unwrap();
-    let client = w
-        .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .unwrap();
-    w.run_until(SimTime::from_millis(30));
-    // Kill recorder 0: the survivor covers; traffic keeps flowing.
-    w.crash_member(0);
-    w.run_until(SimTime::from_secs(10));
-    let out = w.outputs_of(client);
-    assert_eq!(out.len(), 26, "{}", out.len());
-    assert_eq!(out.last().unwrap(), "done");
-}
-
-#[test]
-fn node_crash_handled_by_highest_priority_live_recorder() {
-    let mut w = PriorityTier::world(WorldBuilder::new(2).registry(multi_registry()), 2);
-    let server = w.spawn(1, "echo", vec![]).unwrap();
-    let client = w
-        .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .unwrap();
-    w.run_until(SimTime::from_millis(30));
-    // Kill the recorder with top priority for node 1, then node 1 itself:
-    // the lower-priority recorder must take over recovery.
-    let top = w
-        .tier
-        .priorities
-        .responsible(NodeId(1), &[true, true])
-        .unwrap();
-    w.crash_member(top);
-    w.run_until(SimTime::from_millis(60));
-    w.crash_node(1);
-    w.run_until(SimTime::from_secs(20));
-    let out = w.outputs_of(client);
-    assert_eq!(out.len(), 26, "{}", out.len());
-    let other = 1 - top;
-    assert!(w.tier.recorders[other].manager().stats().node_crashes.get() >= 1);
-}
-
-#[test]
-fn crashed_recorder_rejoins_after_catching_up() {
-    let mut w = PriorityTier::world(WorldBuilder::new(2).registry(multi_registry()), 2);
-    let server = w.spawn(1, "echo", vec![]).unwrap();
-    let client = w
-        .spawn(0, "slowping", vec![Link::to(server, Channel::DEFAULT, 7)])
-        .unwrap();
-    w.run_until(SimTime::from_millis(20));
-    w.crash_member(1);
-    w.run_until(SimTime::from_millis(200));
-    w.restart_member(1);
-    // Catch-up requires every process to checkpoint after the restart;
-    // the default periodic policy (2 s) gets there.
-    w.run_until(SimTime::from_secs(20));
-    let out = w.outputs_of(client);
-    assert_eq!(out.len(), 26, "{}", out.len());
-    assert!(w.tier.recorders[1].is_up());
 }
 
 fn ping_registry(n: u64) -> ProgramRegistry {

@@ -3,7 +3,9 @@
 //! [`ShardTier`] generalizes `publishing_core`'s single recorder and
 //! §6.3 replicated recorders: the published log and checkpoint store
 //! are *partitioned* across shards by the HRW [`ShardMap`], with R-way
-//! replication inside each pid's capture set. The tier owns the map;
+//! replication inside each pid's capture set. With two shards every
+//! member is in every capture set, which is §6.3 ("all recorders record
+//! all messages"). The tier owns the map;
 //! at world build and at every cutover it installs a [`ShardRouter`]
 //! snapshot of it into the medium (per-frame ack ownership) and into
 //! each shard's recorder (ownership filter). It answers the world's
@@ -197,7 +199,10 @@ impl RecorderTier for ShardTier {
 impl ShardTier {
     /// Builds a world of `n_shards` recorder shards (on the node ids
     /// after `builder`'s processing nodes), with capture sets of
-    /// min(2, n_shards) shards.
+    /// min(2, n_shards) shards. With two shards that is §6.3's
+    /// replicated recorders: both record every message, and a pid's HRW
+    /// ranking is its priority vector (the top-ranked live member
+    /// recovers it, and for a node's kernel pid, restarts the node).
     pub fn world(builder: WorldBuilder, n_shards: usize) -> ShardedWorld {
         let map = ShardMap::new(n_shards as u32);
         let mut shards: Vec<RecorderNode> = (0..n_shards as u32)

@@ -2,7 +2,8 @@
 //!
 //! "During normal operation, all recorders record all messages. If there
 //! are n recorders, n−1 can fail before the network becomes unavailable."
-//! Two recorders watch a two-node system. We kill the recorder with top
+//! Two recorders watch a two-node system: the sharded tier with every
+//! recorder in every capture set. We kill the recorder with top
 //! priority for the worker's node, then kill the worker's node itself:
 //! the surviving recorder covers the dead one's acknowledgements and runs
 //! the recovery. Finally the dead recorder rejoins and catches up through
@@ -10,13 +11,13 @@
 //!
 //! Run with: `cargo run --example multi_recorder`
 
-use publishing::core::multi::PriorityTier;
-use publishing::core::WorldBuilder;
-use publishing::demos::ids::{Channel, NodeId};
+use publishing::core::{RecorderTier, WorldBuilder};
+use publishing::demos::ids::{Channel, NodeId, ProcessId};
 use publishing::demos::link::Link;
 use publishing::demos::programs::{self, PingClient};
 use publishing::demos::registry::ProgramRegistry;
 use publishing::sim::time::SimTime;
+use publishing_shard::ShardTier;
 
 fn main() {
     let mut registry = ProgramRegistry::new();
@@ -27,17 +28,16 @@ fn main() {
         Box::new(p)
     });
 
-    // Nodes 0 and 1; recorders on nodes 2 and 3, with round-robin
-    // priority vectors.
-    let mut world = PriorityTier::world(WorldBuilder::new(2).registry(registry), 2);
+    // Nodes 0 and 1; recorders on nodes 2 and 3. A node's priority
+    // vector is the ranking of its kernel pid.
+    let mut world = ShardTier::world(WorldBuilder::new(2).registry(registry), 2);
     let server = world.spawn(1, "echo", vec![]).unwrap();
     let client = world
         .spawn(0, "ping", vec![Link::to(server, Channel::DEFAULT, 7)])
         .unwrap();
     let top = world
         .tier
-        .priorities
-        .responsible(NodeId(1), &[true, true])
+        .authority(ProcessId::kernel_of(NodeId(1)))
         .unwrap();
     println!("recorder {top} has top priority for node 1's recovery");
 
@@ -56,7 +56,7 @@ fn main() {
     let other = 1 - top;
     println!(
         "t=5s  recorder {other} detected {} node crash(es) and ran the recovery",
-        world.tier.recorders[other]
+        world.tier.shards[other]
             .manager()
             .stats()
             .node_crashes
@@ -75,6 +75,6 @@ fn main() {
     );
     assert_eq!(out.len(), 31);
     assert_eq!(out.last().unwrap(), "done");
-    assert!(world.tier.recorders[top].is_up());
+    assert!(world.tier.shards[top].is_up());
     println!("no message was lost across a recorder death, a node death, and a rejoin.");
 }

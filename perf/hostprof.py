@@ -64,7 +64,7 @@ FAMILIES = [
     ("decode", re.compile(r"^[^@]*\bdecode(_all)?\b")),
 ]
 # One family per layer, by the file a frame (inlined ones included) lies
-# in: the layer split EXPERIMENTS.md and ROADMAP.md reason with.
+# in: the layer split EXPERIMENTS.md's host profiles reason with.
 LAYERS = [
     ("layer: scheduler", r"sim/src/event\.rs"),
     ("layer: codec", r"sim/src/codec\.rs"),
